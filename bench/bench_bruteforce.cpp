@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "attacks/attacks.h"
-#include "bench_snap_util.h"
 #include "bench_util.h"
 #include "mem/valayout.h"
 
@@ -20,9 +19,6 @@ int main(int argc, char** argv) {
       argc, argv, "Section 5.4", "PAC brute-force mitigation",
       "success probability 2^-pac_size per guess; kernel halts after a "
       "bounded number of consecutive PAuth failures");
-  // --snap on: boot one template per machine configuration, fork the rest
-  // copy-on-write (DESIGN.md §3j). Results are bit-identical either way.
-  bench::configure_snapshot_mode(s);
 
   std::printf("expected guesses vs PAC width (success probability per try):\n");
   std::printf("  %8s %10s %16s %22s\n", "va_bits", "PAC bits", "P(success)",
@@ -68,6 +64,5 @@ int main(int argc, char** argv) {
   std::printf("\nshape check: the system always halts after exactly "
               "`threshold` failures — the attacker gets nowhere near the "
               "2^15 guesses a 15-bit PAC would otherwise need on average.\n");
-  bench::emit_snapshot_series(s);
   return s.finish();
 }

@@ -15,7 +15,6 @@
 #include <iterator>
 
 #include "attacks/attacks.h"
-#include "bench_snap_util.h"
 #include "bench_util.h"
 
 namespace {
@@ -71,10 +70,8 @@ int main(int argc, char** argv) {
 
   // Every attack machine also collects a PA-keyed execution coverage map
   // (DESIGN.md §3g); the knob is process-wide and must be set before the
-  // fleet spawns workers. So is --snap (§3j): one template boot per
-  // distinct machine configuration, every repeat forked copy-on-write.
+  // fleet spawns workers.
   attacks::collect_coverage() = true;
-  bench::configure_snapshot_mode(session);
 
   // Every cell of the matrix — and every one-off attack below it — boots
   // its own machine; all are independent, so the whole sweep is computed
@@ -256,6 +253,5 @@ int main(int argc, char** argv) {
     std::printf("\n[flight bundle (rop-injection, full) -> %s]\n",
                 session.flight_rec_path().c_str());
   }
-  bench::emit_snapshot_series(session);
   return session.finish();
 }

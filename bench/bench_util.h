@@ -10,8 +10,7 @@
 // Every bench binary drives a bench::Session, which
 //   * prints the figure header,
 //   * parses the shared flags (--json <path>, --smoke, --trace on|off|<path>,
-//     --folded <path>, --seed <u64>, --jobs <n>, --sb on|off, --cov <path>,
-//     --snap on|off)
+//     --folded <path>, --seed <u64>, --jobs <n>, --sb on|off, --cov <path>)
 //     and compacts them out of argv so
 //     binaries with their own flag parsing (bench_qarma) still work; a
 //     value-taking flag with a missing or malformed value is a hard error
@@ -260,12 +259,6 @@ class Session {
     /// contract as --sb. The flag is overloaded for compatibility: any
     /// other value is the Chrome trace output path (trace_path above).
     bool trace = true;
-    /// --snap on|off: snapshot/fork machine reuse (DESIGN.md §3j). "on"
-    /// makes the attack benches boot one template per configuration and
-    /// fork every later identical machine copy-on-write; guest-visible
-    /// results are bit-identical either way, only host boot cost moves.
-    /// Default off so existing artifacts stay byte-identical.
-    bool snap = false;
     /// Host threads for fleet()-sharded sweeps: --jobs N, else the
     /// CAMO_JOBS environment variable, else 1. Never affects simulated
     /// results — only wall-clock (DESIGN.md §3d). Recorded in the emitted
@@ -365,19 +358,6 @@ class Session {
         continue;
       }
       if (matched) break;
-      std::string snap_text;
-      if (take_value("--snap", snap_text, matched)) {
-        if (snap_text == "on") {
-          out.snap = true;
-        } else if (snap_text == "off") {
-          out.snap = false;
-        } else {
-          error = "--snap wants on|off, got \"" + snap_text + "\"";
-          break;
-        }
-        continue;
-      }
-      if (matched) break;
       std::string jobs_text;
       if (take_value("--jobs", jobs_text, matched)) {
         char* end = nullptr;
@@ -454,9 +434,6 @@ class Session {
   const std::string& cov_path() const { return flags_.cov_path; }
   unsigned jobs() const { return flags_.jobs; }
   unsigned cores() const { return flags_.cores; }
-  /// --snap on|off: snapshot/fork machine reuse for the benches that
-  /// support it (they set attacks::snapshot_mode() from this).
-  bool snap() const { return flags_.snap; }
 
   /// The session's work-stealing pool, sized by --jobs / CAMO_JOBS
   /// (constructed on first use; at --jobs 1 fleet() runs inline and the
@@ -591,10 +568,6 @@ class Session {
     // as trace-less, which is what they ran. Emitted only when the tier can
     // actually engage (it lives inside the superblock engine).
     if (flags_.sb && flags_.trace) doc.set("trace", obs::json::Value(true));
-    // Absent means off: snapshot/fork reuse never changes guest-visible
-    // series, so snap-off recordings (and every artifact predating the
-    // flag) stay byte-identical; the field records how the run was driven.
-    if (flags_.snap) doc.set("snap", obs::json::Value(true));
     obs::json::Value series = obs::json::Value::array();
     for (const SeriesPoint& p : series_) {
       obs::json::Value pt = obs::json::Value::object();

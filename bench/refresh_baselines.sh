@@ -17,9 +17,9 @@
 # "ms", "*-host") and the informational series families — "fleet."
 # scheduler telemetry, "hist." histogram quantiles, "cov."/"div."
 # execution-coverage and divergence counters (DESIGN.md §3g), and the
-# "snap."/"imgcache." snapshot-fork and image-cache reuse counters
-# (DESIGN.md §3j; they count host-side boot amortization, which varies
-# with --snap and sweep shape, never guest results) — are
+# "imgcache." image-cache reuse counters (DESIGN.md §3d; they count
+# host-side kernel-build reuse, which varies with sweep shape, never guest
+# results) — are
 # recorded in the baselines for reference but are NEVER gated: camo-perfdiff
 # prints them with the "info" status and excludes them from the
 # regressed/missing/new counts, because they measure the host machine or
@@ -44,13 +44,6 @@
 # camo-perfdiff refuses cross-engine pairs, so baselines recorded with a
 # non-default engine make every later default gate run fail: only pass
 # --sb off / --trace off here deliberately, and say so in the commit.
-#
-# --snap stays at its default (off) for a softer reason: the snapshot/fork
-# path (DESIGN.md §3j) is guest-invisible, every gated series is identical
-# either way, and camo-perfdiff reports a snap header mismatch without
-# refusing the pair — so snap-off baselines gate snap-on runs fine. Off is
-# still the honest default: the smoke gate then exercises the plain boot
-# path, and the Release CI job covers --snap on separately.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -77,7 +70,6 @@ benches=(
   bench_instruction_mix
   bench_fleet
   bench_smp
-  bench_snapfuzz
 )
 
 mkdir -p "$out_dir"

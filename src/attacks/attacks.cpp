@@ -1,7 +1,5 @@
 #include "attacks/attacks.h"
 
-#include <mutex>
-
 #include "assembler/builder.h"
 #include "compiler/instrument.h"
 #include "core/modifier.h"
@@ -58,54 +56,6 @@ bool& collect_coverage() {
   return flag;
 }
 
-bool& snapshot_mode() {
-  static bool flag = false;
-  return flag;
-}
-
-namespace {
-
-// Shared caches + aggregate stats for snapshot_mode. One mutex guards all
-// three: machine_config/reset swap the cache pointers and record_outcome's
-// tail folds per-machine counts in from fleet worker threads.
-std::mutex g_snap_mu;
-SnapStats g_snap;
-std::shared_ptr<kernel::ImageCache> g_image_cache;
-std::shared_ptr<kernel::SnapshotCache> g_snapshot_cache;
-
-void note_snapshot_machine(Machine& m) {
-  if (!snapshot_mode()) return;
-  const mem::PhysicalMemory& pm = m.mmu().phys();
-  if (!pm.cow()) return;
-  std::lock_guard<std::mutex> lock(g_snap_mu);
-  ++g_snap.machines;
-  if (m.forked()) ++g_snap.forks;
-  g_snap.cow_pages += pm.cow_pages();
-  g_snap.shared_pages += pm.shared_pages();
-  g_snap.cow_hist.record(pm.cow_pages());
-}
-
-}  // namespace
-
-SnapStats snapshot_stats() {
-  std::lock_guard<std::mutex> lock(g_snap_mu);
-  SnapStats s = g_snap;
-  if (g_snapshot_cache) s.template_boots = g_snapshot_cache->stats().misses;
-  if (g_image_cache) {
-    const kernel::ImageCache::Stats ic = g_image_cache->stats();
-    s.imgcache_hits = ic.hits;
-    s.imgcache_misses = ic.misses;
-  }
-  return s;
-}
-
-void reset_snapshot_stats() {
-  std::lock_guard<std::mutex> lock(g_snap_mu);
-  g_snap = SnapStats{};
-  g_image_cache.reset();
-  g_snapshot_cache.reset();
-}
-
 // ---------------------------------------------------------------------------
 // Outcome classification
 // ---------------------------------------------------------------------------
@@ -122,14 +72,6 @@ MachineConfig machine_config(const ProtectionConfig& prot,
   // counter against the AuthFail events the CPU emitted.
   cfg.obs.enabled = true;
   cfg.obs.coverage = collect_coverage();
-  if (snapshot_mode()) {
-    std::lock_guard<std::mutex> lock(g_snap_mu);
-    if (!g_image_cache) g_image_cache = std::make_shared<kernel::ImageCache>();
-    if (!g_snapshot_cache)
-      g_snapshot_cache = std::make_shared<kernel::SnapshotCache>();
-    cfg.image_cache = g_image_cache;
-    cfg.snapshot_cache = g_snapshot_cache;
-  }
   return cfg;
 }
 
@@ -146,7 +88,6 @@ thread_local FlightCtx g_flight_ctx;
 /// Cross-check the trace against the guest view and stamp the final
 /// classification into the event stream.
 void record_outcome(Machine& m, AttackReport& r) {
-  note_snapshot_machine(m);  // every attack path ends here
   obs::Collector* st = m.stats();
   if (!st) return;
   r.trace_auth_failures = st->ring().count_kind(obs::EventKind::AuthFail);

@@ -6,8 +6,9 @@
 // memory protections — writes to stage-2-protected pages (kernel text,
 // rodata) and reads of execute-only memory fail, everything else succeeds.
 //
-// Each run_* function builds a fresh Machine under the given protection
-// configuration, mounts one attack, runs to completion and classifies:
+// Each run_* function builds and boots a fresh Machine under the given
+// protection configuration (about a millisecond: physical memory is paged,
+// DESIGN.md §3j), mounts one attack, runs to completion and classifies:
 //   Hijacked — the gadget executed (the kernel halts with kHaltPwned),
 //   Detected — a PAuth authentication failure fired (task killed or §5.4
 //              panic),
@@ -23,7 +24,6 @@
 #include "compiler/instrument.h"
 #include "kernel/machine.h"
 #include "obs/coverage.h"
-#include "obs/metrics.h"
 
 namespace camo::attacks {
 
@@ -51,33 +51,6 @@ struct AttackReport {
 /// coverage consumers (bench_security_matrix --cov, camo-cov) enable it.
 /// Set it before spawning fleet workers; reads are unsynchronized.
 bool& collect_coverage();
-
-/// Process-wide knob: when set, every attack Machine shares one prepared-
-/// kernel ImageCache and one post-boot SnapshotCache (DESIGN.md §3j) — the
-/// first machine per boot signature boots a template, every later identical
-/// machine forks it copy-on-write. Guest-visible results (fingerprint,
-/// trace bytes, audit stream) are bit-identical either way; only host boot
-/// cost changes. Set before spawning fleet workers; reads unsynchronized.
-bool& snapshot_mode();
-
-/// Aggregate snapshot/fork statistics over every attack machine classified
-/// since the last reset (meaningful only under snapshot_mode). All fields
-/// are order-independent sums/counts, so fleet --jobs never changes them.
-struct SnapStats {
-  uint64_t machines = 0;        ///< CoW attack machines observed
-  uint64_t forks = 0;           ///< machines populated by fork()
-  uint64_t template_boots = 0;  ///< snapshot-cache misses (full boots)
-  uint64_t cow_pages = 0;       ///< privatized pages, summed over machines
-  uint64_t shared_pages = 0;    ///< store/zero-backed pages, summed
-  uint64_t imgcache_hits = 0;    ///< shared prepared-kernel reuses
-  uint64_t imgcache_misses = 0;  ///< shared prepared-kernel builds
-  obs::Histogram cow_hist;      ///< per-machine privatized-page counts
-};
-/// Thread-safe read of the aggregate (plus the shared cache's boot count).
-SnapStats snapshot_stats();
-/// Zero the aggregate and drop the shared caches (a fresh template boots on
-/// the next attack machine). Benches call this once before their sweep.
-void reset_snapshot_stats();
 
 /// The threat-model memory primitive (kernel-level read/write that cannot
 /// bypass stage-2 protections or read XOM).

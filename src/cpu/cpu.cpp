@@ -202,56 +202,6 @@ void Cpu::set_kernel_bank_key(PacKey k, const qarma::Key128& key) {
 }
 
 // ---------------------------------------------------------------------------
-// Snapshot/fork (DESIGN.md §3j)
-// ---------------------------------------------------------------------------
-
-Cpu::CoreState Cpu::core_state() const {
-  CoreState s;
-  s.pc = pc;
-  s.pstate = pstate;
-  s.gpr = gpr_;
-  s.sp_el0 = sp_el0_;
-  s.sp_el1 = sp_el1_;
-  s.sys = sys_;
-  s.kernel_bank = kernel_bank_;
-  s.halted = halted_;
-  s.halt_code = halt_code_;
-  s.cycles = cycles_;
-  s.instret = instret_;
-  s.op_counts = op_counts_;
-  s.irq_pending = irq_pending_;
-  s.irq_sources = irq_sources_;
-  s.timer_cycles = timer_cycles_;
-  s.timer_period = timer_period_;
-  s.prov_counter = prov_counter_;
-  s.key_prov = key_prov_;
-  s.bank_prov = bank_prov_;
-  return s;
-}
-
-void Cpu::restore_core_state(const CoreState& s) {
-  pc = s.pc;
-  pstate = s.pstate;
-  gpr_ = s.gpr;
-  sp_el0_ = s.sp_el0;
-  sp_el1_ = s.sp_el1;
-  sys_ = s.sys;
-  kernel_bank_ = s.kernel_bank;
-  halted_ = s.halted;
-  halt_code_ = s.halt_code;
-  cycles_ = s.cycles;
-  instret_ = s.instret;
-  op_counts_ = s.op_counts;
-  irq_pending_ = s.irq_pending;
-  irq_sources_ = s.irq_sources;
-  timer_cycles_ = s.timer_cycles;
-  timer_period_ = s.timer_period;
-  prov_counter_ = s.prov_counter;
-  key_prov_ = s.key_prov;
-  bank_prov_ = s.bank_prov;
-}
-
-// ---------------------------------------------------------------------------
 // ESR packing
 // ---------------------------------------------------------------------------
 

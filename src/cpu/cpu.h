@@ -281,36 +281,6 @@ class Cpu {
   void set_coverage(obs::CoverageMap* c) { cov_ = c; }
   obs::CoverageMap* coverage() const { return cov_; }
 
-  // ---- Snapshot/fork (DESIGN.md §3j) -------------------------------------
-  /// Complete architectural + accounting state of one core, as needed to
-  /// resume execution bit-identically on another Cpu object. Host-side
-  /// caches (predecode icache, superblock/trace caches) and host wiring
-  /// (hooks, sinks, breakpoints, cpu_id) are deliberately excluded: caches
-  /// rebuild on demand with identical simulated semantics, and wiring is
-  /// owned by the destination machine.
-  struct CoreState {
-    uint64_t pc = 0;
-    Pstate pstate;
-    std::array<uint64_t, 31> gpr{};
-    uint64_t sp_el0 = 0, sp_el1 = 0;
-    std::array<uint64_t, static_cast<size_t>(isa::SysReg::kCount)> sys{};
-    std::array<qarma::Key128, 5> kernel_bank{};
-    bool halted = false;
-    uint64_t halt_code = 0;
-    uint64_t cycles = 0;
-    uint64_t instret = 0;
-    std::array<uint64_t, static_cast<size_t>(isa::Op::kCount)> op_counts{};
-    bool irq_pending = false;
-    uint64_t irq_sources = 0;
-    uint64_t timer_cycles = 0;  ///< absolute deadline, same clock as cycles
-    uint64_t timer_period = 0;
-    uint64_t prov_counter = 0;
-    std::array<uint64_t, 5> key_prov{};
-    std::array<uint64_t, 5> bank_prov{};
-  };
-  CoreState core_state() const;
-  void restore_core_state(const CoreState& s);
-
   /// Coarse class of an opcode for per-class retired-op metrics.
   static obs::OpClass op_class(isa::Op op);
 

@@ -113,54 +113,6 @@ void Hypervisor::adopt_mmu(mem::Mmu& mmu) {
   mmu.set_stage2(&stage2_);
 }
 
-Hypervisor::State Hypervisor::save_state() const {
-  State s;
-  s.kernel_map.copy_from(kernel_map_);
-  s.stage2.copy_from(stage2_);
-  s.user_spaces.resize(user_spaces_.size());
-  for (size_t i = 0; i < user_spaces_.size(); ++i)
-    s.user_spaces[i].copy_from(*user_spaces_[i]);
-  s.active_user = active_user_;
-  s.next_free_pa = next_free_pa_;
-  s.next_module_va = next_module_va_;
-  s.locked = locked_;
-  s.denied_msr = denied_msr_;
-  s.modules = modules_;
-  s.loaded = loaded_;
-  s.kernel_exports = kernel_exports_;
-  s.verifier = verifier_;
-  s.last_verify = last_verify_;
-  s.console = console_;
-  return s;
-}
-
-void Hypervisor::restore_state(const State& s) {
-  kernel_map_.copy_from(s.kernel_map);
-  stage2_.copy_from(s.stage2);
-  // Fresh map objects per restore: each fork's user spaces get their own
-  // process-unique uids, so nothing validated against the template's maps
-  // can alias a fork's (see Stage1Map::copy_from).
-  user_spaces_.clear();
-  for (const auto& us : s.user_spaces) {
-    user_spaces_.push_back(std::make_unique<mem::Stage1Map>());
-    user_spaces_.back()->copy_from(us);
-  }
-  active_user_ = s.active_user;
-  next_free_pa_ = s.next_free_pa;
-  next_module_va_ = s.next_module_va;
-  locked_ = s.locked;
-  denied_msr_ = s.denied_msr;
-  modules_ = s.modules;
-  loaded_ = s.loaded;
-  kernel_exports_ = s.kernel_exports;
-  verifier_ = s.verifier;
-  last_verify_ = s.last_verify;
-  console_ = s.console;
-  // The primary Mmu was wired to kernel_map_/stage2_ at construction; their
-  // contents just changed wholesale, so drop any cached translations.
-  mmu_->flush_tlb();
-}
-
 bool Hypervisor::filter_msr(cpu::Cpu& cpu, isa::SysReg reg, uint64_t) {
   using isa::SysReg;
   const auto deny = [&] {

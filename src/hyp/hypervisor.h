@@ -110,12 +110,6 @@ class Hypervisor {
     obj::Image image;
   };
   const std::vector<LoadedModule>& loaded_modules() const { return loaded_; }
-  /// A registered-but-not-yet-loaded module (public so snapshot State can
-  /// carry the registration table).
-  struct PendingModule {
-    std::string name;
-    obj::Program program;
-  };
 
   // ---- console ----
   const std::string& console() const { return console_; }
@@ -129,34 +123,13 @@ class Hypervisor {
   /// verdicts. Null disables emission.
   void set_audit_sink(obs::AuditSink* s) { audit_ = s; }
 
-  // ---- snapshot/fork (DESIGN.md §3j) ----
-  /// Complete hypervisor-owned state: both translation stages, every user
-  /// address space, the page/module-VA allocators, lockdown and module
-  /// bookkeeping, and the console. CPU wiring (cpus_) and observability
-  /// sinks are owned by the destination machine and excluded. Maps travel
-  /// by value; restore_state() re-creates user spaces as fresh objects so
-  /// every fork's maps carry process-unique uids (no ABA against the
-  /// template's superblock/trace validation keys).
-  struct State {
-    mem::Stage1Map kernel_map;
-    mem::Stage2Map stage2;
-    std::vector<mem::Stage1Map> user_spaces;
-    int active_user = -1;
-    uint64_t next_free_pa = 0;
-    uint64_t next_module_va = 0;
-    bool locked = false;
-    uint64_t denied_msr = 0;
-    std::vector<PendingModule> modules;
-    std::vector<LoadedModule> loaded;
-    std::unordered_map<std::string, uint64_t> kernel_exports;
-    analysis::Verifier verifier;
-    std::optional<analysis::VerifyResult> last_verify;
-    std::string console;
-  };
-  State save_state() const;
-  void restore_state(const State& s);
-
  private:
+  /// A registered-but-not-yet-loaded module.
+  struct PendingModule {
+    std::string name;
+    obj::Program program;
+  };
+
   void handle_hvc(cpu::Cpu& cpu, uint16_t imm);
   bool filter_msr(cpu::Cpu& cpu, isa::SysReg reg, uint64_t value);
   void do_load_module(cpu::Cpu& cpu);

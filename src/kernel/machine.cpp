@@ -28,9 +28,7 @@ Machine::Machine(MachineConfig cfg)
         cfg.kernel.num_cpus = want;
         return cfg;
       }()),
-      // Snapshot-cache machines are born sparse (CoW over the zero store):
-      // no 64 MiB zero fill, and forks adopt the template's page store.
-      pm_(cfg.phys_bytes, cfg.snapshot_cache != nullptr),
+      pm_(cfg.phys_bytes),
       mmu_(pm_, cfg.cpu.layout),
       hv_(pm_, mmu_),
       cpu_(mmu_, cfg.cpu),
@@ -117,24 +115,6 @@ int Machine::register_module(const std::string& name, obj::Program prog) {
 
 void Machine::boot() {
   if (boot_) fail("machine: already booted");
-  if (cfg_.snapshot_cache) {
-    // Template-or-fork path: the first machine per signature boots fresh
-    // under the cache lock (concurrent same-signature boots serialize into
-    // one) and its snapshot seeds the cache; everyone else forks.
-    bool built = false;
-    const std::shared_ptr<const MachineSnapshot> snap =
-        cfg_.snapshot_cache->get(boot_signature(), [&] {
-          boot_fresh();
-          built = true;
-          return take_snapshot();
-        });
-    if (!built) fork(*snap);
-    return;
-  }
-  boot_fresh();
-}
-
-void Machine::boot_fresh() {
   // Boot stack for the swapper context (becomes task 0's kernel stack).
   hv_.map_kernel_rw(kBootStackTop - kKernelStackSize, kKernelStackSize);
 
@@ -230,103 +210,6 @@ void Machine::boot_fresh() {
       if (cfg_.kernel.preempt) cc.set_timer_period(cfg_.preempt_timeslice);
     }
   }
-}
-
-std::string Machine::boot_signature() const {
-  std::string key = ImageCache::key_for(cfg_.kernel, cfg_.seed, kb_.tasks());
-  const cpu::Cpu::Config& c = cfg_.cpu;
-  key += strformat(
-      " phys=%llx slice=%llu va=%u tbi=%u%u cpu=%u%u%u%u%u%u",
-      static_cast<unsigned long long>(cfg_.phys_bytes),
-      static_cast<unsigned long long>(cfg_.preempt_timeslice),
-      c.layout.va_bits, c.layout.tbi_user ? 1u : 0u,
-      c.layout.tbi_kernel ? 1u : 0u, c.has_pauth ? 1u : 0u,
-      c.fpac ? 1u : 0u, c.enable_cycle_model ? 1u : 0u,
-      c.fast_path ? 1u : 0u, c.superblocks ? 1u : 0u, c.traces ? 1u : 0u);
-  const obs::Options& o = cfg_.obs;
-  key += strformat(" obs=%u%u%u%u tc=%zu ac=%zu fc=%zu",
-                   o.enabled ? 1u : 0u, o.profile ? 1u : 0u,
-                   o.callgraph ? 1u : 0u, o.coverage ? 1u : 0u,
-                   o.trace_capacity, o.audit_capacity, o.flight_capacity);
-  // The task table covers entry/keys but not the program text: hash the
-  // user image bytes so two different binaries at the same entry VA cannot
-  // share a snapshot.
-  uint64_t h = 1469598103934665603ull;  // FNV-1a offset basis
-  const auto mix = [&h](const uint8_t* p, size_t n) {
-    for (size_t i = 0; i < n; ++i) {
-      h ^= p[i];
-      h *= 1099511628211ull;
-    }
-  };
-  for (const obj::Image& img : user_images_)
-    for (const auto& seg : img.segments) {
-      const uint64_t head[2] = {seg.va, seg.bytes.size()};
-      mix(reinterpret_cast<const uint8_t*>(head), sizeof head);
-      mix(seg.bytes.data(), seg.bytes.size());
-    }
-  key += strformat(" uimg=%llx", static_cast<unsigned long long>(h));
-  return key;
-}
-
-MachineSnapshot Machine::take_snapshot() {
-  if (!boot_) fail("machine: snapshot before boot()");
-  MachineSnapshot s;
-  s.pages = pm_.snapshot();
-  for (unsigned c = 0; c < cores(); ++c)
-    s.cores.push_back(core(c).core_state());
-  s.hv = hv_.save_state();
-  for (unsigned c = 0; c < cores(); ++c) {
-    const mem::Mmu& mm = c == 0 ? mmu_ : *secondary_[c - 1].mmu;
-    const mem::Stage1Map* um = mm.user_map();
-    int id = -1;
-    if (um != nullptr)
-      for (int space : user_spaces_)
-        if (&hv_.user_space(space) == um) {
-          id = space;
-          break;
-        }
-    s.user_map.push_back(id);
-  }
-  s.last_core = last_core_;
-  s.boot = boot_;
-  if (stats_) {
-    s.boot_trace = stats_->ring().snapshot();
-    s.boot_audit = stats_->audit_log().snapshot();
-  }
-  return s;
-}
-
-void Machine::fork(const MachineSnapshot& snap) {
-  if (boot_) fail("machine: fork only a machine that has not booted");
-  if (snap.cores.size() != cores())
-    fail("machine: fork core-count mismatch");
-  if (!snap.boot) fail("machine: fork from an empty snapshot");
-  pm_.adopt(snap.pages);
-  hv_.restore_state(snap.hv);
-  boot_ = snap.boot;
-  for (unsigned c = 0; c < cores(); ++c) {
-    cpu::Cpu& cc = core(c);
-    // On a fresh boot Bootloader::install wires the primary's HVC handler
-    // and MSR filter; the fork path never runs it, so wire every core here
-    // (idempotent for secondaries, which the constructor installed).
-    hv_.install(cc);
-    cc.restore_core_state(snap.cores[c]);
-    mem::Mmu& mm = c == 0 ? mmu_ : *secondary_[c - 1].mmu;
-    mm.set_kernel_map(&hv_.kernel_map());
-    mm.set_stage2(&hv_.stage2());
-    const int space = snap.user_map[c];
-    mm.set_user_map(space >= 0 ? &hv_.user_space(space) : nullptr);
-  }
-  last_core_ = snap.last_core;
-  if (cfg_.obs.enabled) {
-    attach_observability();
-    // Replay the template's boot-era events through the collector so every
-    // derived stream — ring bytes, audit log (restamped with this machine's
-    // fleet id on append), histograms — matches a fresh boot exactly.
-    for (const obs::TraceEvent& e : snap.boot_trace) stats_->replay(e);
-    for (const obs::AuditEvent& e : snap.boot_audit) stats_->audit(e);
-  }
-  forked_ = true;
 }
 
 void Machine::attach_observability() {
@@ -605,25 +488,11 @@ bool Machine::run(uint64_t max_steps) {
     // Image-cache reuse telemetry, cached boots only (uncached machines
     // keep their exact registry shape). Each machine either built the
     // shared prepared kernel (miss) or installed an earlier machine's
-    // (hit); a forked machine did neither — its template is the machine
-    // that took the miss. Fleet merges sum the per-machine counters, so
-    // the totals equal ImageCache::stats() across any obs-enabled sweep.
-    if (cfg_.image_cache && !forked_) {
+    // (hit). Fleet merges sum the per-machine counters, so the totals
+    // equal ImageCache::stats() across any obs-enabled sweep.
+    if (cfg_.image_cache) {
       sync("imgcache.hits", imgcache_built_ ? 0 : 1);
       sync("imgcache.misses", imgcache_built_ ? 1 : 0);
-    }
-    // Snapshot/fork telemetry, CoW machines only — snapshot-off registries
-    // keep their exact shape. Cumulative counts use the same delta sync;
-    // the shared-page census is a gauge (it shrinks as pages privatize).
-    if (pm_.cow()) {
-      sync("snap.forks", forked_ ? 1 : 0);
-      sync("snap.cow_pages", pm_.cow_pages());
-      reg.gauge("snap.shared_pages")
-          .set(static_cast<double>(pm_.shared_pages()));
-      if (halted() && !snap_hist_recorded_) {
-        reg.histogram("hist.snap.cow_pages").record(pm_.cow_pages());
-        snap_hist_recorded_ = true;
-      }
     }
     // Both the aggregate name (single-machine consumers, this registry's
     // own view) and the machine-id-namespaced name: fleet merges combine

@@ -17,7 +17,6 @@
 #include "kernel/abi.h"
 #include "kernel/image_cache.h"
 #include "kernel/kernel_builder.h"
-#include "kernel/snapshot.h"
 #include "mem/mmu.h"
 #include "obj/object.h"
 #include "obs/collector.h"
@@ -51,14 +50,6 @@ struct MachineConfig {
   /// identical configuration instead of preparing its own (DESIGN.md §3d).
   /// Guest-visible state is identical either way.
   std::shared_ptr<ImageCache> image_cache;
-  /// Optional shared post-boot snapshot cache (DESIGN.md §3j): when set, the
-  /// machine is constructed with sparse copy-on-write physical memory and
-  /// boot() either boots fresh (first machine per boot_signature(), whose
-  /// snapshot seeds the cache) or forks — adopting the shared page store and
-  /// restoring all architectural state instead of re-running the bootloader.
-  /// Guest-visible outcomes (machine fingerprint, trace bytes, audit stream)
-  /// are bit-identical either way; only host boot cost changes.
-  std::shared_ptr<SnapshotCache> snapshot_cache;
 };
 
 /// User stack placement (top of the mapped user stack region).
@@ -79,33 +70,8 @@ class Machine {
   int register_module(const std::string& name, obj::Program prog);
 
   /// Build + verify + load + start the kernel. Throws on verification
-  /// failure. After boot() the CPU sits at the kernel entry point. With
-  /// MachineConfig::snapshot_cache set this transparently boots a template
-  /// once per boot_signature() and forks every subsequent machine from its
-  /// snapshot.
+  /// failure. After boot() the CPU sits at the kernel entry point.
   void boot();
-
-  // ---- snapshot/fork (DESIGN.md §3j) ----
-  /// Cache key covering every input that shapes post-boot machine state:
-  /// the ImageCache key (kernel config, seed, task table incl. per-task
-  /// keys), physical size, preempt timeslice, CPU model/engine flags,
-  /// observability options, and a hash of the user image bytes. machine_id
-  /// and smp_quantum are deliberately excluded — both are applied per
-  /// machine after fork.
-  std::string boot_signature() const;
-  /// Capture the full machine state (page store, per-core architectural
-  /// state, hypervisor state, boot-era trace/audit events). Requires boot().
-  MachineSnapshot take_snapshot();
-  /// Become `snap`: adopt its page store copy-on-write, restore per-core and
-  /// hypervisor state, rewire each core's MMU, and replay the boot-era
-  /// observability events. Only legal on a machine that has not booted —
-  /// fresh machines carry no stale predecode/superblock state, so the
-  /// invalidation contracts hold trivially. The caller must have added the
-  /// exact user programs/modules the snapshot's template had (the factory
-  /// symmetry run_fleet relies on).
-  void fork(const MachineSnapshot& snap);
-  /// True when this machine was populated by fork() rather than a boot.
-  bool forked() const { return forked_; }
 
   // ---- execution ----
   /// Run until halt or step budget exhaustion. Returns true if halted.
@@ -175,7 +141,6 @@ class Machine {
   uint64_t read_user_u64(unsigned pid, uint64_t va);
 
  private:
-  void boot_fresh();
   void attach_observability();
   void annotate_coverage_regions();
 
@@ -196,18 +161,14 @@ class Machine {
   unsigned last_core_ = 0;
   KernelBuilder kb_;
   std::unique_ptr<obs::Collector> stats_;
-  /// Shared with the snapshot when forked (BootResult is immutable after
-  /// boot; every consumer reads through const access).
   std::shared_ptr<const core::BootResult> boot_;
   std::vector<obj::Image> user_images_;  ///< indexed by pid - 1
   std::vector<int> user_spaces_;
   unsigned next_pid_ = 1;
   double host_seconds_ = 0;
-  bool forked_ = false;
-  bool snap_hist_recorded_ = false;  ///< hist.snap.cow_pages once per machine
   /// This machine's boot built the shared prepared kernel (image-cache
   /// miss) rather than installing an earlier machine's (hit). Meaningful
-  /// only when config().image_cache is set and the machine was not forked.
+  /// only when config().image_cache is set.
   bool imgcache_built_ = false;
 };
 

@@ -91,15 +91,6 @@ class Stage1Map {
   /// Process-unique object identity (see next_map_uid).
   uint64_t uid() const { return uid_; }
 
-  /// Adopt another map's entries and generation but keep this object's own
-  /// uid — Machine::fork duplicates the template's maps into fresh objects,
-  /// so consumers keyed by (uid, generation) can never confuse a fork's map
-  /// with the template's (no ABA across machines).
-  void copy_from(const Stage1Map& other) {
-    pages_ = other.pages_;
-    generation_ = other.generation_;
-  }
-
  private:
   static uint64_t key(uint64_t va) { return va >> VaLayout::kPageShift; }
   std::unordered_map<uint64_t, PageEntry> pages_;
@@ -129,12 +120,6 @@ class Stage2Map {
   uint64_t generation() const { return generation_; }
   /// Process-unique object identity (see next_map_uid).
   uint64_t uid() const { return uid_; }
-
-  /// Entries + generation from `other`, own uid kept; see Stage1Map.
-  void copy_from(const Stage2Map& other) {
-    pages_ = other.pages_;
-    generation_ = other.generation_;
-  }
 
  private:
   std::unordered_map<uint64_t, Perms> pages_;

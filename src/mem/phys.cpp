@@ -8,26 +8,10 @@
 
 namespace camo::mem {
 
-namespace {
-/// Bytes of page `p` still inside a memory of `size` bytes (the last page
-/// may be partial when the size is not page aligned).
-uint64_t page_span(uint64_t p, uint64_t size) {
-  const uint64_t base = p << PhysicalMemory::kPageShift;
-  return std::min<uint64_t>(PhysicalMemory::kPageSize, size - base);
-}
-}  // namespace
-
-PhysicalMemory::PhysicalMemory(uint64_t size_bytes, bool sparse)
-    : cow_(sparse),
-      size_(size_bytes),
-      page_gen_((size_bytes + kPageSize - 1) >> kPageShift, 0) {
-  if (sparse) {
-    overlay_.resize(page_gen_.size());
-    read_ptr_.assign(page_gen_.size(), nullptr);
-  } else {
-    bytes_.assign(size_bytes, 0);
-  }
-}
+PhysicalMemory::PhysicalMemory(uint64_t size_bytes)
+    : size_(size_bytes),
+      pages_((size_bytes + kPageSize - 1) >> kPageShift),
+      page_gen_(pages_.size(), 0) {}
 
 void PhysicalMemory::check(uint64_t pa, uint64_t len) const {
   if (pa > size_ || len > size_ - pa)
@@ -36,125 +20,83 @@ void PhysicalMemory::check(uint64_t pa, uint64_t len) const {
 }
 
 uint8_t* PhysicalMemory::page_mut(uint64_t p) {
-  if (overlay_[p]) return overlay_[p].get();
-  auto page = std::make_unique<uint8_t[]>(kPageSize);
-  const uint8_t* base = read_ptr_[p];
-  if (base != nullptr) {
-    // Store pages are full-span; a partial last page keeps its tail zero.
-    const uint64_t have =
-        store_ ? store_->pages[p].size() : page_span(p, size_);
-    std::memcpy(page.get(), base, have);
-    std::memset(page.get() + have, 0, kPageSize - have);
-  } else {
-    std::memset(page.get(), 0, kPageSize);
-  }
-  overlay_[p] = std::move(page);
-  read_ptr_[p] = overlay_[p].get();
-  ++cow_count_;
-  return overlay_[p].get();
+  if (!pages_[p]) pages_[p] = std::make_unique<uint8_t[]>(kPageSize);
+  return pages_[p].get();
 }
 
 uint8_t PhysicalMemory::read8(uint64_t pa) const {
   check(pa, 1);
-  if (!cow_) return bytes_[pa];
-  const uint8_t* p = read_ptr_[pa >> kPageShift];
+  const uint8_t* p = page(pa >> kPageShift);
   return p != nullptr ? p[pa & (kPageSize - 1)] : 0;
 }
 
 uint32_t PhysicalMemory::read32(uint64_t pa) const {
   check(pa, 4);
   uint32_t v;
-  if (!cow_) {
-    std::memcpy(&v, &bytes_[pa], 4);
-    return v;
-  }
   const uint64_t off = pa & (kPageSize - 1);
   if (off <= kPageSize - 4) {
-    const uint8_t* p = read_ptr_[pa >> kPageShift];
+    const uint8_t* p = page(pa >> kPageShift);
     if (p == nullptr) return 0;
     std::memcpy(&v, p + off, 4);
     return v;
   }
-  uint8_t b[4];
-  for (unsigned i = 0; i < 4; ++i) b[i] = read8(pa + i);
-  std::memcpy(&v, b, 4);
+  copy_out(pa, &v, 4);
   return v;
 }
 
 uint64_t PhysicalMemory::read64(uint64_t pa) const {
   check(pa, 8);
   uint64_t v;
-  if (!cow_) {
-    std::memcpy(&v, &bytes_[pa], 8);
-    return v;
-  }
   const uint64_t off = pa & (kPageSize - 1);
   if (off <= kPageSize - 8) {
-    const uint8_t* p = read_ptr_[pa >> kPageShift];
+    const uint8_t* p = page(pa >> kPageShift);
     if (p == nullptr) return 0;
     std::memcpy(&v, p + off, 8);
     return v;
   }
-  uint8_t b[8];
-  for (unsigned i = 0; i < 8; ++i) b[i] = read8(pa + i);
-  std::memcpy(&v, b, 8);
+  copy_out(pa, &v, 8);
   return v;
 }
 
 void PhysicalMemory::write8(uint64_t pa, uint8_t v) {
   check(pa, 1);
   touch(pa, 1);
-  if (!cow_) {
-    bytes_[pa] = v;
-    return;
-  }
   page_mut(pa >> kPageShift)[pa & (kPageSize - 1)] = v;
 }
 
 void PhysicalMemory::write32(uint64_t pa, uint32_t v) {
   check(pa, 4);
   touch(pa, 4);
-  if (!cow_) {
-    std::memcpy(&bytes_[pa], &v, 4);
-    return;
-  }
   const uint64_t off = pa & (kPageSize - 1);
-  if (off <= kPageSize - 4) {
+  if (off <= kPageSize - 4)
     std::memcpy(page_mut(pa >> kPageShift) + off, &v, 4);
-    return;
-  }
-  uint8_t b[4];
-  std::memcpy(b, &v, 4);
-  for (unsigned i = 0; i < 4; ++i)
-    page_mut((pa + i) >> kPageShift)[(pa + i) & (kPageSize - 1)] = b[i];
+  else
+    copy_in(pa, &v, 4);
 }
 
 void PhysicalMemory::write64(uint64_t pa, uint64_t v) {
   check(pa, 8);
   touch(pa, 8);
-  if (!cow_) {
-    std::memcpy(&bytes_[pa], &v, 8);
-    return;
-  }
   const uint64_t off = pa & (kPageSize - 1);
-  if (off <= kPageSize - 8) {
+  if (off <= kPageSize - 8)
     std::memcpy(page_mut(pa >> kPageShift) + off, &v, 8);
-    return;
-  }
-  uint8_t b[8];
-  std::memcpy(b, &v, 8);
-  for (unsigned i = 0; i < 8; ++i)
-    page_mut((pa + i) >> kPageShift)[(pa + i) & (kPageSize - 1)] = b[i];
+  else
+    copy_in(pa, &v, 8);
 }
 
 void PhysicalMemory::write_block(uint64_t pa, const void* data, uint64_t len) {
   check(pa, len);
   if (len == 0) return;
   touch(pa, len);
-  if (!cow_) {
-    std::memcpy(&bytes_[pa], data, len);
-    return;
-  }
+  copy_in(pa, data, len);
+}
+
+void PhysicalMemory::read_block(uint64_t pa, void* data, uint64_t len) const {
+  check(pa, len);
+  copy_out(pa, data, len);
+}
+
+void PhysicalMemory::copy_in(uint64_t pa, const void* data, uint64_t len) {
   const uint8_t* src = static_cast<const uint8_t*>(data);
   while (len > 0) {
     const uint64_t off = pa & (kPageSize - 1);
@@ -166,17 +108,12 @@ void PhysicalMemory::write_block(uint64_t pa, const void* data, uint64_t len) {
   }
 }
 
-void PhysicalMemory::read_block(uint64_t pa, void* data, uint64_t len) const {
-  check(pa, len);
-  if (!cow_) {
-    std::memcpy(data, &bytes_[pa], len);
-    return;
-  }
+void PhysicalMemory::copy_out(uint64_t pa, void* data, uint64_t len) const {
   uint8_t* dst = static_cast<uint8_t*>(data);
   while (len > 0) {
     const uint64_t off = pa & (kPageSize - 1);
     const uint64_t chunk = std::min<uint64_t>(len, kPageSize - off);
-    const uint8_t* p = read_ptr_[pa >> kPageShift];
+    const uint8_t* p = page(pa >> kPageShift);
     if (p != nullptr)
       std::memcpy(dst, p + off, chunk);
     else
@@ -191,70 +128,17 @@ void PhysicalMemory::fill(uint64_t pa, uint8_t value, uint64_t len) {
   check(pa, len);
   if (len == 0) return;
   touch(pa, len);
-  if (!cow_) {
-    std::memset(&bytes_[pa], value, len);
-    return;
-  }
   while (len > 0) {
     const uint64_t off = pa & (kPageSize - 1);
     const uint64_t chunk = std::min<uint64_t>(len, kPageSize - off);
     const uint64_t p = pa >> kPageShift;
-    // Zero-filling a page that already reads as zero needs no overlay — the
+    // Zero-filling a page that already reads as zero needs no backing — the
     // generation bump above keeps the invalidation contract regardless.
-    if (!(value == 0 && read_ptr_[p] == nullptr))
+    if (!(value == 0 && page(p) == nullptr))
       std::memset(page_mut(p) + off, value, chunk);
     pa += chunk;
     len -= chunk;
   }
-}
-
-std::shared_ptr<const PageStore> PhysicalMemory::snapshot() const {
-  auto store = std::make_shared<PageStore>();
-  store->size_bytes = size_;
-  const uint64_t n = page_count();
-  store->pages.resize(n);
-  store->page_gen = page_gen_;
-  for (uint64_t p = 0; p < n; ++p) {
-    const uint64_t span = page_span(p, size_);
-    const uint8_t* src = nullptr;
-    uint64_t have = 0;
-    if (cow_) {
-      src = read_ptr_[p];
-      have = src == nullptr ? 0
-             : overlay_[p]  ? span
-                            : store_->pages[p].size();
-    } else {
-      src = &bytes_[p << kPageShift];
-      have = span;
-    }
-    if (src == nullptr) continue;  // never written: stays the zero page
-    // All-zero pages stay empty so forks keep sharing the implicit zero
-    // page (this is what makes flat-mode templates fork as cheaply as
-    // sparse ones).
-    bool any = false;
-    for (uint64_t i = 0; i < have && !any; ++i) any = src[i] != 0;
-    if (!any) continue;
-    store->pages[p].assign(src, src + have);
-  }
-  return store;
-}
-
-void PhysicalMemory::adopt(std::shared_ptr<const PageStore> store) {
-  if (!store) fail("physical memory: adopt of a null page store");
-  if (store->size_bytes != size_ || store->page_gen.size() != page_gen_.size())
-    fail("physical memory: page store size mismatch");
-  cow_ = true;
-  bytes_.clear();
-  bytes_.shrink_to_fit();
-  store_ = std::move(store);
-  const uint64_t n = page_count();
-  overlay_.clear();
-  overlay_.resize(n);
-  read_ptr_.assign(n, nullptr);
-  for (uint64_t p = 0; p < n; ++p)
-    if (!store_->pages[p].empty()) read_ptr_[p] = store_->pages[p].data();
-  cow_count_ = 0;
-  page_gen_ = store_->page_gen;
 }
 
 }  // namespace camo::mem

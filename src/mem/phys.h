@@ -1,8 +1,13 @@
-// Flat physical memory backing the simulated machine.
+// Paged physical memory backing the simulated machine (DESIGN.md §3j).
 //
 // Out-of-range physical accesses throw camo::Error: guest code can only reach
 // physical memory through hypervisor-owned translations, so an out-of-range
 // PA indicates a host-side bug, not modeled guest behaviour.
+//
+// Memory is a table of 4 KiB pages. A page that was never written has no
+// backing and reads as zero, so construction costs nothing per byte; the
+// first write to a page allocates its zeroed 4 KiB overlay. Reads go through
+// one per-page pointer (null = zero page).
 //
 // Every write bumps a per-4KiB-page monotonic generation counter. The CPU's
 // predecoded instruction cache keys decoded pages by (physical page,
@@ -10,18 +15,6 @@
 // write primitive, module .text staged by the hypervisor, the bootloader
 // patching key-setter immediates — invalidates stale decodes without an
 // explicit invalidation call. Reads never bump a generation.
-//
-// Copy-on-write mode (DESIGN.md §3j): a machine can be born sparse (every
-// page reads as zero until first written — no up-front zero fill) or adopt a
-// shared immutable PageStore captured from a booted template machine. Either
-// way, the first write to a page allocates a private 4 KiB overlay; reads of
-// untouched pages come from the store (or the implicit zero page). The
-// per-page generation vector is always private to this machine, so the
-// predecode/superblock/trace invalidation contracts are untouched: adopting
-// a store installs the store's generations (which are >= anything this
-// machine bumped before adopting, because a fork replays the template's
-// exact pre-boot write sequence) and every later write bumps monotonically.
-// Simulated semantics are bit-for-bit identical between flat and CoW modes.
 #pragma once
 
 #include <cstdint>
@@ -30,28 +23,14 @@
 
 namespace camo::mem {
 
-/// Immutable page image shared by every fork of one template machine. A
-/// page with an empty byte vector reads as all-zero (never written — the
-/// common case, which is what keeps stores and forks cheap). `page_gen`
-/// carries the template's per-page write generations at capture time so
-/// forks inherit generation counters that dominate their own pre-adopt
-/// writes (see the header comment's monotonicity argument).
-struct PageStore {
-  uint64_t size_bytes = 0;
-  std::vector<std::vector<uint8_t>> pages;  ///< per page; empty = all-zero
-  std::vector<uint64_t> page_gen;           ///< generations at capture time
-};
-
 class PhysicalMemory {
  public:
   /// Fixed 4 KiB granule, matching VaLayout::kPageShift (mmu layer).
   static constexpr unsigned kPageShift = 12;
   static constexpr uint64_t kPageSize = uint64_t{1} << kPageShift;
 
-  /// `sparse` starts the memory in CoW mode over the implicit zero store:
-  /// no 64 MiB zero fill at construction, pages materialize on first write.
-  /// Reads are bit-identical to the flat (default) mode either way.
-  explicit PhysicalMemory(uint64_t size_bytes, bool sparse = false);
+  /// All pages start unbacked (reading as zero); no up-front fill.
+  explicit PhysicalMemory(uint64_t size_bytes);
 
   uint64_t size() const { return size_; }
 
@@ -67,23 +46,6 @@ class PhysicalMemory {
   void read_block(uint64_t pa, void* data, uint64_t len) const;
   void fill(uint64_t pa, uint8_t value, uint64_t len);
 
-  /// Capture current contents + generations as an immutable shared store.
-  /// All-zero pages stay empty in the store, so forks of a mostly-untouched
-  /// machine share the implicit zero page rather than 4 KiB copies.
-  std::shared_ptr<const PageStore> snapshot() const;
-  /// Become a copy-on-write view of `store` (same size required): drops any
-  /// flat/overlay contents, installs the store's page generations, and
-  /// resets the private-overlay census. Machine::fork's memory half.
-  void adopt(std::shared_ptr<const PageStore> store);
-
-  bool cow() const { return cow_; }
-  /// Pages privatized by a write since construction/adopt (CoW mode only).
-  uint64_t cow_pages() const { return cow_count_; }
-  /// Pages still served by the shared store / zero page (CoW mode only).
-  uint64_t shared_pages() const {
-    return cow_ ? page_count() - cow_count_ : 0;
-  }
-
   /// Monotonic write generation of the page holding `pa_page << kPageShift`.
   /// Out-of-range pages read as generation 0 (they can never hold code).
   uint64_t page_generation(uint64_t pa_page) const {
@@ -98,18 +60,17 @@ class PhysicalMemory {
     const uint64_t last = (pa + len - 1) >> kPageShift;
     for (uint64_t p = pa >> kPageShift; p <= last; ++p) ++page_gen_[p];
   }
-  /// CoW: writable private copy of page `p`, allocated on first use.
+  /// Writable backing of page `p`, allocated (zeroed) on first use.
   uint8_t* page_mut(uint64_t p);
+  /// Page-chunked copies, no range check or generation bump.
+  void copy_in(uint64_t pa, const void* data, uint64_t len);
+  void copy_out(uint64_t pa, void* data, uint64_t len) const;
 
-  bool cow_ = false;
+  /// Backing of page `p` for reads, or null when it reads as zero.
+  const uint8_t* page(uint64_t p) const { return pages_[p].get(); }
+
   uint64_t size_ = 0;
-  std::vector<uint8_t> bytes_;              ///< flat mode backing (else empty)
-  std::shared_ptr<const PageStore> store_;  ///< CoW base (null = all-zero)
-  std::vector<std::unique_ptr<uint8_t[]>> overlay_;  ///< CoW private pages
-  /// CoW per-page read view: overlay if privatized, else the store page,
-  /// else null (reads as zero). One indirection on the read hot path.
-  std::vector<const uint8_t*> read_ptr_;
-  uint64_t cow_count_ = 0;
+  std::vector<std::unique_ptr<uint8_t[]>> pages_;  ///< null = never written
   std::vector<uint64_t> page_gen_;
 };
 

@@ -30,8 +30,6 @@ std::string validate_bench_json(const json::Value& doc) {
   if (sb && !sb->is_bool()) return "\"sb\" is not a bool";
   const auto* trace = doc.get("trace");
   if (trace && !trace->is_bool()) return "\"trace\" is not a bool";
-  const auto* snap = doc.get("snap");
-  if (snap && !snap->is_bool()) return "\"snap\" is not a bool";
   const auto* series = doc.get("series");
   if (!series || !series->is_array()) return "missing \"series\" array";
   if (series->size() == 0) return "empty series";
@@ -72,7 +70,6 @@ std::optional<BenchDoc> parse_bench_doc(const json::Value& doc,
     out.cores = static_cast<unsigned>(cores->as_number());
   if (const auto* sb = doc.get("sb")) out.sb = sb->as_bool();
   if (const auto* trace = doc.get("trace")) out.trace = trace->as_bool();
-  if (const auto* snap = doc.get("snap")) out.snap = snap->as_bool();
   const json::Value& series = *doc.get("series");
   out.series.reserve(series.size());
   for (size_t i = 0; i < series.size(); ++i) {

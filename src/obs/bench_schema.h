@@ -27,14 +27,6 @@
 //                                          // allowed on top of superblocks
 //                                          // (--trace); recordings predating
 //                                          // the tier parse as trace-less
-//     "snap": true,                        // optional, absent means false:
-//                                          // snapshot/fork machine reuse was
-//                                          // on (--snap, DESIGN.md §3j);
-//                                          // guest-visible results are
-//                                          // identical either way, only
-//                                          // host boot cost and the
-//                                          // informational snap.*/imgcache.*
-//                                          // series change
 //     "series": [ {"config": "full", "benchmark": "null syscall",
 //                  "value": 1234.5, "unit": "cycles/op",
 //                  "relative": 1.31},  ... ]
@@ -71,7 +63,6 @@ struct BenchDoc {
   unsigned cores = 1;            ///< guest cores per machine (absent = 1)
   bool sb = true;      ///< superblock engine allowed (absent = true)
   bool trace = false;  ///< trace tier allowed (absent = false)
-  bool snap = false;   ///< snapshot/fork reuse on (absent = false)
   std::vector<BenchSeriesPoint> series;
 };
 

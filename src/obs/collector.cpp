@@ -48,7 +48,7 @@ void Collector::emit(const TraceEvent& e) {
         sc.pc = e.pc;
         sc.el = e.el;
         sc.imm = syscall_nr_;
-        if (!replaying_) ring_.emit(sc);
+        ring_.emit(sc);
       }
       break;
     case EventKind::ExcExit:
@@ -64,7 +64,7 @@ void Collector::emit(const TraceEvent& e) {
         sc.el = e.el;
         sc.imm = syscall_nr_;
         sc.a = window;
-        if (!replaying_) ring_.emit(sc);
+        ring_.emit(sc);
       }
       break;
     case EventKind::KeyWrite:
@@ -123,12 +123,6 @@ void Collector::emit(const TraceEvent& e) {
       e.kind == EventKind::MsrDenied ||
       (e.kind == EventKind::AttackOutcome && e.k1 == kOutcomeDetected);
   if (violation) flight_.trigger(e);
-}
-
-void Collector::replay(const TraceEvent& e) {
-  replaying_ = true;
-  emit(e);
-  replaying_ = false;
 }
 
 void Collector::audit(const AuditEvent& e) {

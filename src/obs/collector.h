@@ -68,14 +68,6 @@ class Collector : public TraceSink,
   /// histogram here: each Sign remembers its signed value + cycle, the
   /// matching Auth* records the distance and retires the entry.
   void audit(const AuditEvent& e) override;
-  /// Replay one event of a captured stream (Machine::fork): runs the same
-  /// counter/histogram/open-window derivations as emit(), but does not
-  /// synthesize the derived SyscallEnter/SyscallExit ring events — a
-  /// captured ring already carries those as literal events, so emitting
-  /// them again would duplicate every syscall marker in the replayed
-  /// prefix. Boot-era streams have no syscalls; this matters for mid-run
-  /// snapshots.
-  void replay(const TraceEvent& e);
 
   // Backends ----------------------------------------------------------------
   Registry& metrics() { return reg_; }
@@ -127,9 +119,7 @@ class Collector : public TraceSink,
   CallGraphProfiler cg_;
   CoverageMap cov_;
 
-  // Syscall-window synthesis state. `replaying_` is set for the duration of
-  // a replay() call: derivations run, synthesized ring events are skipped.
-  bool replaying_ = false;
+  // Syscall-window synthesis state.
   bool syscall_open_ = false;
   uint64_t syscall_enter_cycles_ = 0;
   uint16_t syscall_nr_ = 0;

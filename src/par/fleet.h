@@ -5,15 +5,13 @@
 //
 //  * each task i owns its machine exclusively; machines share nothing
 //    mutable (a kernel::ImageCache, if configured, hands out immutable
-//    prepared images under its own lock; likewise a kernel::SnapshotCache
-//    — DESIGN.md §3j — hands out immutable post-boot snapshots, so boot()
-//    inside a task either boots the one template per configuration, with
-//    concurrent first-boots serializing under the cache lock, or forks it
-//    copy-on-write; forked and fresh machines are bit-identical),
+//    prepared images under its own lock), and every task boots its own
+//    machine fresh — paged physical memory (DESIGN.md §3j) makes that cheap,
+//    since a 64 MiB guest only backs the pages it writes,
 //  * task i writes only slot i — results, registry snapshot, trace ring
 //    snapshot, host counters are captured into the slot the moment the
-//    task finishes and the machine is destroyed (a 64 MiB guest does not
-//    outlive its run),
+//    task finishes and the machine is destroyed (a guest does not outlive
+//    its run),
 //  * after the pool drains, slots are merged in task-index order: result
 //    vector, registry (counters add, histograms merge, gauges last-writer-
 //    wins in index order), and the concatenated trace.

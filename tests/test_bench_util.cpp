@@ -79,36 +79,6 @@ TEST(BenchFlags, SbFlagParsesOnOffAndRejectsAnythingElse) {
   }
 }
 
-TEST(BenchFlags, SnapFlagParsesOnOffDefaultsOffRejectsAnythingElse) {
-  {
-    Argv a({"bench", "--snap", "on", "--keep"});
-    Flags f;
-    EXPECT_EQ(Session::parse_flags(a.argc, a.argv(), f), "");
-    EXPECT_TRUE(f.snap);
-    ASSERT_EQ(a.argc, 2);
-    EXPECT_STREQ(a.argv()[1], "--keep");
-  }
-  {
-    Argv a({"bench", "--snap=off"});
-    Flags f;
-    f.snap = true;
-    EXPECT_EQ(Session::parse_flags(a.argc, a.argv(), f), "");
-    EXPECT_FALSE(f.snap);
-  }
-  {
-    Argv a({"bench"});
-    Flags f;
-    EXPECT_EQ(Session::parse_flags(a.argc, a.argv(), f), "");
-    EXPECT_FALSE(f.snap) << "snapshot reuse defaults off";
-  }
-  {
-    Argv a({"bench", "--snap", "maybe"});
-    Flags f;
-    const std::string err = Session::parse_flags(a.argc, a.argv(), f);
-    EXPECT_NE(err.find("--snap"), std::string::npos) << err;
-  }
-}
-
 TEST(BenchFlags, TraceFlagGatesTierOrTakesChromeTracePath) {
   // --trace is overloaded: on|off gates the §3i trace tier, anything else
   // is the Chrome trace output path (the flag's original meaning).

@@ -2,6 +2,8 @@
 // translation and permissions, stage-2 overlay (XOM), physical memory.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "mem/mmu.h"
 #include "mem/phys.h"
 #include "mem/valayout.h"
@@ -21,6 +23,32 @@ TEST(Phys, ReadWriteWidths) {
   EXPECT_EQ(pm.read8(0x107), 0x11u);
   pm.write8(0x100, 0xAA);
   EXPECT_EQ(pm.read64(0x100), 0x11223344556677AAull);
+
+  // Never-written memory reads as zero at every width, on a page with no
+  // backing and next to written bytes on a backed one.
+  EXPECT_EQ(pm.read8(0x8000), 0u);
+  EXPECT_EQ(pm.read32(0x8004), 0u);
+  EXPECT_EQ(pm.read64(0xFFF8), 0u);
+  EXPECT_EQ(pm.read64(0x108), 0u);
+  EXPECT_EQ(pm.read64(0x7FFC), 0u);  // straddles two unbacked pages
+  uint8_t buf[16];
+  std::memset(buf, 0xAB, sizeof buf);
+  pm.read_block(0x8FF8, buf, sizeof buf);
+  const uint8_t zeros[16] = {};
+  EXPECT_EQ(std::memcmp(buf, zeros, sizeof buf), 0);
+
+  // Accesses straddling a page boundary, including into a page that has
+  // no backing yet.
+  pm.write32(0x0FFE, 0xA1B2C3D4u);
+  EXPECT_EQ(pm.read32(0x0FFE), 0xA1B2C3D4u);
+  EXPECT_EQ(pm.read8(0x0FFF), 0xC3u);
+  EXPECT_EQ(pm.read8(0x1000), 0xB2u);
+  pm.write64(0x2FFB, 0x0102030405060708ull);
+  EXPECT_EQ(pm.read64(0x2FFB), 0x0102030405060708ull);
+  EXPECT_EQ(pm.read32(0x2FFB), 0x05060708u);
+  EXPECT_EQ(pm.read32(0x2FFF), 0x01020304u);
+  EXPECT_EQ(pm.read64(0x2FF8), 0x0405060708000000ull);
+  EXPECT_EQ(pm.read64(0x3000), 0x0000000000010203ull);
 }
 
 TEST(Phys, OutOfRangeThrows) {
@@ -28,6 +56,20 @@ TEST(Phys, OutOfRangeThrows) {
   EXPECT_THROW(pm.read64(0x0FFD), camo::Error);
   EXPECT_THROW(pm.write8(0x1000, 1), camo::Error);
   EXPECT_NO_THROW(pm.read64(0x0FF8));
+
+  // A size that is not page aligned: the partial last page ends exactly at
+  // size() for every accessor.
+  PhysicalMemory part(0x1804);
+  EXPECT_EQ(part.page_count(), 2u);
+  EXPECT_NO_THROW(part.write32(0x1800, 1));
+  EXPECT_THROW(part.write32(0x1801, 1), camo::Error);
+  EXPECT_THROW(part.write64(0x1800, 1), camo::Error);
+  EXPECT_THROW(part.read64(0x17FE), camo::Error);
+  EXPECT_THROW(part.read8(0x1804), camo::Error);
+  uint8_t buf[8] = {};
+  EXPECT_THROW(part.write_block(0x1800, buf, 5), camo::Error);
+  EXPECT_THROW(part.read_block(0x17FD, buf, 8), camo::Error);
+  EXPECT_THROW(part.fill(0x1000, 0, 0x805), camo::Error);
 }
 
 TEST(Phys, BlockOps) {
@@ -39,6 +81,27 @@ TEST(Phys, BlockOps) {
   EXPECT_STREQ(out, "camouflage");
   pm.fill(0x10, 0, sizeof data);
   EXPECT_EQ(pm.read8(0x10), 0u);
+
+  // Block ops across the boundary into a partial last page, up to size().
+  PhysicalMemory part(0x1804);
+  uint8_t in[12];
+  for (unsigned i = 0; i < sizeof in; ++i) in[i] = static_cast<uint8_t>(i + 1);
+  part.write_block(0x17F8, in, sizeof in);
+  uint8_t back[12] = {};
+  part.read_block(0x17F8, back, sizeof back);
+  EXPECT_EQ(std::memcmp(back, in, sizeof in), 0);
+  EXPECT_EQ(part.read8(0x1803), 12u);
+  EXPECT_EQ(part.read32(0x1800), 0x0C0B0A09u);
+  EXPECT_EQ(part.read64(0x17F8), 0x0807060504030201ull);
+  part.write8(0x1803, 0x7E);
+  EXPECT_EQ(part.read8(0x1803), 0x7Eu);
+  part.fill(0x17FC, 0xEE, 8);
+  EXPECT_EQ(part.read64(0x17F8), 0xEEEEEEEE04030201ull);
+  EXPECT_EQ(part.read32(0x1800), 0xEEEEEEEEu);
+  // Unwritten bytes next to the blocks still read as zero.
+  const uint8_t zeros[8] = {};
+  part.read_block(0x17F0, back, 8);
+  EXPECT_EQ(std::memcmp(back, zeros, 8), 0);
 }
 
 TEST(Phys, WritesBumpPageGenerationReadsDoNot) {
@@ -64,6 +127,14 @@ TEST(Phys, WritesBumpPageGenerationReadsDoNot) {
   EXPECT_EQ(pm.page_generation(1), 1u);
   pm.fill(0x2000, 0xFF, 0x1000);
   EXPECT_EQ(pm.page_generation(2), 1u);
+
+  // Zero-filling a page that was never written allocates nothing to read
+  // back but still bumps its generation: code cached from it must go stale.
+  PhysicalMemory fresh(0x2000);
+  fresh.fill(0x1000, 0, 0x10);
+  EXPECT_EQ(fresh.page_generation(1), 1u);
+  EXPECT_EQ(fresh.page_generation(0), 0u);
+  EXPECT_EQ(fresh.read64(0x1008), 0u);
   // Out-of-range pages read as generation 0 (never hold code).
   EXPECT_EQ(pm.page_generation(1000), 0u);
 }

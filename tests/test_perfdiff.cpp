@@ -211,6 +211,10 @@ TEST(PerfDiff, FleetSeriesAreInformationalRegardlessOfUnit) {
   EXPECT_TRUE(series_is_informational("fleet.throughput"));
   EXPECT_FALSE(series_is_informational("guest cycles"));
   EXPECT_FALSE(series_is_informational("nonfleet.thing"));
+  // Shared kernel-image reuse counts are host-side fleet telemetry too.
+  EXPECT_TRUE(series_is_informational("imgcache.hits"));
+  EXPECT_TRUE(series_is_informational("imgcache.misses"));
+  EXPECT_FALSE(series_is_informational("image.bytes"));
   // Wall-clock seconds are informational by unit, like ns/us/ms.
   EXPECT_TRUE(unit_is_informational("s"));
   EXPECT_TRUE(unit_is_informational("seconds"));
@@ -472,82 +476,6 @@ TEST(PerfDiff, TraceSeriesAndHeaderArePerfdiffAware) {
   EXPECT_NE(obs::validate_bench_json(*parsed_bad), "");
 }
 
-TEST(PerfDiff, SnapshotSeriesAndHeaderArePerfdiffAware) {
-  // snap.*/imgcache.* telemetry describes host boot-reuse machinery
-  // (DESIGN.md §3j): informational regardless of unit, like fleet./hist./
-  // cov./div./trace.
-  EXPECT_TRUE(series_is_informational("snap.forks"));
-  EXPECT_TRUE(series_is_informational("snap.cow_pages"));
-  EXPECT_TRUE(series_is_informational("snap.shared_pages"));
-  EXPECT_TRUE(series_is_informational("imgcache.hits"));
-  EXPECT_TRUE(series_is_informational("imgcache.misses"));
-  EXPECT_TRUE(series_is_informational("hist.snap.cow_pages.p95"));
-  EXPECT_FALSE(series_is_informational("snapshot.count"));
-  EXPECT_FALSE(series_is_informational("image.bytes"));
-
-  // A swing in snap.* must not gate; the deterministic series beside it
-  // still does. Missing/new under strict options is exempt too, so snap-on
-  // runs (which add the series) gate cleanly against snap-off baselines.
-  const auto base = doc("Sec", {pt("full", "read", 1000, "cycles/op"),
-                                pt("full", "snap.forks", 5, "count")});
-  const auto cur = doc("Sec", {pt("full", "read", 1000, "cycles/op"),
-                               pt("full", "snap.forks", 50, "count")});
-  const auto rep = diff({base}, {cur}, {});
-  EXPECT_TRUE(rep.ok) << rep.markdown();
-  ASSERT_EQ(rep.deltas.size(), 2u);
-  EXPECT_EQ(rep.deltas[1].status, Status::Info);
-  Options strict;
-  strict.allow_missing = false;
-  strict.allow_new = false;
-  const auto without = doc("Sec", {pt("full", "read", 1000, "cycles/op")});
-  EXPECT_TRUE(diff({without}, {base}, strict).ok);
-  EXPECT_TRUE(diff({base}, {without}, strict).ok);
-
-  // A snap-header mismatch is NOT refused — snapshot reuse is
-  // guest-invisible, every gated series is identical either way — and the
-  // report header says how the current run was driven.
-  auto snap_on = base;
-  snap_on.snap = true;
-  const auto rep_mix = diff({base}, {snap_on}, {});
-  EXPECT_TRUE(rep_mix.ok) << rep_mix.markdown();
-  EXPECT_TRUE(rep_mix.error.empty());
-  ASSERT_EQ(rep_mix.headers.size(), 1u);
-  EXPECT_TRUE(rep_mix.headers[0].snap);
-  EXPECT_NE(rep_mix.markdown().find("snap=on"), std::string::npos)
-      << rep_mix.markdown();
-  EXPECT_NE(diff({base}, {base}, {}).markdown().find("snap=off"),
-            std::string::npos);
-
-  // "snap" header field: bool, absent means false, non-bool rejected.
-  const std::string text = R"({"schema":"camo-bench/v1","bench":"b",)"
-                           R"("title":"t","smoke":true,"snap":true,)"
-                           R"("series":[{"config":"c","benchmark":"m",)"
-                           R"("value":1,"unit":"cycles"}]})";
-  const auto parsed = obs::json::Value::parse(text);
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(obs::validate_bench_json(*parsed), "");
-  const auto d = obs::parse_bench_doc(*parsed, nullptr);
-  ASSERT_TRUE(d.has_value());
-  EXPECT_TRUE(d->snap);
-
-  const std::string absent = R"({"schema":"camo-bench/v1","bench":"b",)"
-                             R"("title":"t","smoke":true,)"
-                             R"("series":[{"config":"c","benchmark":"m",)"
-                             R"("value":1,"unit":"cycles"}]})";
-  const auto parsed_absent = obs::json::Value::parse(absent);
-  ASSERT_TRUE(parsed_absent.has_value());
-  const auto d2 = obs::parse_bench_doc(*parsed_absent, nullptr);
-  ASSERT_TRUE(d2.has_value());
-  EXPECT_FALSE(d2->snap);
-
-  const std::string bad = R"({"schema":"camo-bench/v1","bench":"b",)"
-                          R"("title":"t","smoke":true,"snap":1,)"
-                          R"("series":[]})";
-  const auto parsed_bad = obs::json::Value::parse(bad);
-  ASSERT_TRUE(parsed_bad.has_value());
-  EXPECT_NE(obs::validate_bench_json(*parsed_bad), "");
-}
-
 TEST(PerfDiff, MarkdownReportNamesTheOffender) {
   const auto base = doc("Fig", {pt("full", "read", 1000, "cycles/op")});
   const auto cur = doc("Fig", {pt("full", "read", 1200, "cycles/op")});
@@ -583,6 +511,20 @@ TEST(BenchSchema, ParseRoundTripIncludingSeed) {
   EXPECT_EQ(doc->series[0].unit, "cycles/op");
   ASSERT_TRUE(doc->series[0].relative.has_value());
   EXPECT_EQ(doc->jobs, 1u);  // absent means serial
+
+  // Unknown header keys are ignored, so artifacts recorded with the
+  // since-removed "snap" field keep parsing.
+  const auto old = obs::json::Value::parse(R"({
+    "schema": "camo-bench/v1", "bench": "Fig", "title": "t", "smoke": true,
+    "snap": true,
+    "series": [{"config": "full", "benchmark": "read", "value": 1.5,
+                "unit": "cycles/op"}]
+  })");
+  ASSERT_TRUE(old.has_value());
+  EXPECT_EQ(obs::validate_bench_json(*old), "");
+  const auto old_doc = obs::parse_bench_doc(*old, &err);
+  ASSERT_TRUE(old_doc.has_value()) << err;
+  EXPECT_EQ(old_doc->series.size(), 1u);
 }
 
 TEST(BenchSchema, JobsFieldParsesAndValidates) {

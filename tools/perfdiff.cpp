@@ -49,15 +49,14 @@ bool series_is_informational(const std::string& benchmark) {
   // divergence families (bench::Session::add_coverage, DESIGN.md §3g) are
   // diagnostic signal — never a perf gate. Trace-tier telemetry (§3i
   // formation/hit/exit counters) is host-side engine behaviour, not a
-  // simulated cost. Snapshot/fork and image-cache telemetry (§3j —
-  // fork/CoW-page/cache-hit counts) describes host boot-reuse machinery
-  // that is guest-invisible by contract, so it can never gate either.
+  // simulated cost. Image-cache telemetry (§3d — build/reuse counts)
+  // describes host kernel-build reuse that is guest-invisible by contract,
+  // so it can never gate either.
   return benchmark.rfind("fleet.", 0) == 0 ||
          benchmark.rfind("hist.", 0) == 0 ||
          benchmark.rfind("cov.", 0) == 0 ||
          benchmark.rfind("div.", 0) == 0 ||
          benchmark.rfind("trace.", 0) == 0 ||
-         benchmark.rfind("snap.", 0) == 0 ||
          benchmark.rfind("imgcache.", 0) == 0;
 }
 
@@ -172,7 +171,7 @@ Report diff(const std::vector<obs::BenchDoc>& baseline,
     for (const Report::RunHeader& h : rep.headers) seen |= h.bench == doc.bench;
     if (!seen)
       rep.headers.push_back(
-          {doc.bench, doc.jobs, doc.cores, doc.sb, doc.trace, doc.snap});
+          {doc.bench, doc.jobs, doc.cores, doc.sb, doc.trace});
   }
   for (const Key& k : base_order) {
     Delta d;
@@ -239,9 +238,9 @@ std::string Report::markdown() const {
   if (!error.empty()) return "FAIL: " + error + "\n";
   std::string out;
   for (const RunHeader& h : headers)
-    out += strformat("- `%s`: jobs=%u, cores=%u, engine=%s, snap=%s\n",
+    out += strformat("- `%s`: jobs=%u, cores=%u, engine=%s\n",
                      h.bench.c_str(), h.jobs, h.cores,
-                     engine_name(h.sb, h.trace), h.snap ? "on" : "off");
+                     engine_name(h.sb, h.trace));
   if (!headers.empty()) out += "\n";
   out +=
       "| series | unit | baseline | current | delta | status |\n"

@@ -38,11 +38,6 @@
 // are likewise refused on mismatch: the engines retire identical simulated
 // cycles, but every host-side series measures a different implementation,
 // so interp/sb/trace recordings are never diffed against each other.
-// The "snap" header (absent = false) is reported but NOT refused on
-// mismatch: snapshot/fork reuse is guest-invisible by contract — every
-// gated simulated series is bit-identical snap on/off — so a snap-on run
-// gates cleanly against a snap-off baseline. Its side effects (the snap.*
-// and imgcache.* series) are informational, like fleet.*.
 #pragma once
 
 #include <cstdint>
@@ -84,8 +79,8 @@ bool unit_is_informational(const std::string& unit);
 /// "cov."/"div."-prefixed coverage and divergence counters (execution-shape
 /// diagnostics, DESIGN.md §3g), "trace."-prefixed trace-tier telemetry
 /// (formation/hit/exit counters, §3i — host-side engine behaviour), and
-/// "snap."/"imgcache."-prefixed snapshot-fork and image-cache telemetry
-/// (§3j — host boot-reuse machinery, guest-invisible by contract).
+/// "imgcache."-prefixed image-cache telemetry (§3d — host kernel-build
+/// reuse, guest-invisible by contract).
 bool series_is_informational(const std::string& benchmark);
 
 struct Delta {
@@ -106,7 +101,6 @@ struct Report {
     unsigned cores = 1;
     bool sb = true;
     bool trace = false;
-    bool snap = false;
   };
   std::vector<RunHeader> headers;
   std::vector<Delta> deltas;  ///< baseline order, then new series
