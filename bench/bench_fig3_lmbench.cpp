@@ -9,6 +9,7 @@
 // open/close, context switch) on three kernels that differ only in
 // instrumentation, and reports per-operation simulated cycles plus the
 // relative latency Figure 3 plots.
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -61,6 +62,38 @@ std::vector<obj::Program> make_ctx() {
   v.push_back(wl::yield_loop(kIters / 2));
   v.push_back(wl::yield_loop(kIters / 2));
   return v;
+}
+
+/// Observability sink sets of the obs.cost.* series (DESIGN.md §3e).
+struct SinkSet {
+  const char* name;
+  bool enabled;
+  bool callgraph;
+  bool coverage;
+};
+
+/// The throughput rows' read workload under full protection with one sink
+/// set attached: best-of-3 guest insns per host second (the CPU loop only,
+/// like RunCycles::throughput), or 0 when a run does not complete.
+double sink_set_throughput(const SinkSet& set) {
+  double best = 0;
+  for (int rep = 0; rep < 3; ++rep) {
+    kernel::MachineConfig cfg;
+    cfg.kernel.protection = compiler::ProtectionConfig::full();
+    cfg.kernel.log_pac_failures = false;
+    cfg.cpu.superblocks = bench::superblocks_allowed();
+    cfg.cpu.traces = bench::traces_allowed();
+    cfg.cores = bench::session_cores();
+    cfg.obs.enabled = set.enabled;
+    cfg.obs.callgraph = set.callgraph;
+    cfg.obs.coverage = set.coverage;
+    kernel::Machine m(cfg);
+    m.add_user_program(wl::read_file(kIters * 8, 64, FileKind::Null));
+    m.boot();
+    if (!m.run() || m.halt_code() != kernel::kHaltDone) return 0;
+    best = std::max(best, m.host_throughput());
+  }
+  return best;
 }
 
 }  // namespace
@@ -131,6 +164,31 @@ int main(int argc, char** argv) {
             return v;
           }))
     return 1;
+
+  // Observability sink cost (informational, never gated): the same read
+  // workload on the default engine with no collector, with only the ring,
+  // audit log and flight recorder (no call graph), with the default sinks,
+  // and with coverage on top.
+  {
+    const SinkSet sets[] = {{"off", false, false, false},
+                            {"ring+audit+flight", true, false, false},
+                            {"default", true, true, false},
+                            {"default+coverage", true, true, true}};
+    std::printf("\nobservability sink cost (read /dev/null 64B, full "
+                "protection, informational):\n");
+    double off = 0;
+    for (const SinkSet& set : sets) {
+      const double rate = sink_set_throughput(set);
+      if (rate == 0) {
+        std::fprintf(stderr, "sink-cost run (%s) failed\n", set.name);
+        return 1;
+      }
+      if (off == 0) off = rate;
+      std::printf("  %-18s %8.1f M guest insns/host-s (%.2fx of off)\n",
+                  set.name, rate / 1e6, rate / off);
+      s.add(set.name, "obs.cost.read /dev/null 64B", rate, "insns/s");
+    }
+  }
 
   // Latency-distribution histograms (DESIGN.md §3f): one collected read
   // workload under full protection. The hist.* series are informational —

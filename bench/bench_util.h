@@ -80,7 +80,7 @@ struct RunCycles {
   std::string trace_json;    ///< Chrome trace_event JSON of the run
   std::string flat_profile;  ///< per-symbol cycle profile (text)
   std::string folded;        ///< folded-stack call-graph profile
-  uint64_t profile_cycles = 0;    ///< flat-profiler total (== total)
+  uint64_t profile_cycles = 0;    ///< flat-profile sum (== total)
   uint64_t callgraph_cycles = 0;  ///< call-graph total (== total)
   obs::Histogram sign_to_auth;    ///< pauth.sign_to_auth.cycles (guest)
   obs::Histogram key_switch;      ///< key.switch.cycles (guest)
@@ -175,7 +175,8 @@ inline RunCycles run_workload(const compiler::ProtectionConfig& prot,
     r.trace_json = st->chrome_trace_json();
     r.flat_profile = st->flat_profile();
     r.folded = st->folded_profile();
-    r.profile_cycles = st->profiler().total_cycles();
+    for (const auto& e : st->callgraph().flat_entries())
+      r.profile_cycles += e.cycles;
     r.callgraph_cycles = st->callgraph().total_cycles();
     if (const obs::Histogram* h =
             st->metrics().find_histogram("pauth.sign_to_auth.cycles"))

@@ -306,6 +306,8 @@ unsigned Cpu::cycle_cost(const Inst& inst) {
 
 void Cpu::take_exception(ExcClass cls, uint64_t far, uint16_t iss,
                          FaultKind fk, uint64_t preferred_return) {
+  // The observers below must see every instruction retired before this one.
+  flush_run();
   const uint8_t from_el = static_cast<uint8_t>(pstate.el);
   // Pack PSTATE into our SPSR layout: el[1:0], irq_masked[7], NZCV[31:28].
   uint64_t spsr = static_cast<uint64_t>(pstate.el);
@@ -558,6 +560,25 @@ void Cpu::add_breakpoint(uint64_t va, Hook hook) {
   breakpoints_[va].push_back(std::move(hook));
   bp_min_pc_ = std::min(bp_min_pc_, va);
   bp_max_pc_ = std::max(bp_max_pc_, va);
+}
+
+void Cpu::deliver_run() {
+  obs::RetireRun r;
+  r.va = run_.va;
+  r.pa = run_.pa;
+  r.slots = run_.slots;
+  r.cycles = cycles_ - run_.c0;
+  r.n = run_.n;
+  r.el = run_.el;
+  r.unit_cost = !cfg_.enable_cycle_model;
+  if (attr_ != nullptr) attr_->retire_run(r);
+  if (cov_ != nullptr) cov_->retire_run(r.pa, r.va, r.el, r.n);
+  // The rest of the run (if the block goes on) starts after these.
+  run_.slots += run_.n;
+  run_.va += 4 * uint64_t{run_.n};
+  run_.pa += 4 * uint64_t{run_.n};
+  run_.c0 = cycles_;
+  run_.n = 0;
 }
 
 bool Cpu::step() {

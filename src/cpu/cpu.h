@@ -261,8 +261,10 @@ class Cpu {
   /// sink never changes simulated cycle counts.
   void set_trace_sink(obs::TraceSink* s) { sink_ = s; }
   obs::TraceSink* trace_sink() const { return sink_; }
-  /// Per-step cycle attribution feed (EL residency, per-symbol profiling).
-  /// Summing the reported cycles reproduces cycles() exactly.
+  /// Cycle attribution feed (EL residency, call-graph profiling): one record
+  /// per single step, one obs::RetireRun per straight-line run the block and
+  /// trace engines execute. Summing the reported cycles reproduces cycles()
+  /// exactly.
   void set_cycle_attributor(obs::CycleAttributor* a) { attr_ = a; }
   /// Control-flow feed for shadow-call-stack maintenance: linking calls,
   /// returns, exception entry/exit. Null (the default) disables emission;
@@ -275,9 +277,10 @@ class Cpu {
   void set_audit_sink(obs::AuditSink* s) { audit_ = s; }
   obs::AuditSink* audit_sink() const { return audit_; }
   /// Execution coverage feed (obs/coverage.h): fed (pa, va, el) per retired
-  /// instruction from both the single-step path and the superblock engine,
-  /// so the map is engine-invariant. Null (the default) disables emission;
-  /// attaching a map never changes simulated cycle counts.
+  /// instruction from the single-step path and per executed straight-line
+  /// run from the block and trace engines, so the map is engine-invariant.
+  /// Null (the default) disables emission; attaching a map never changes
+  /// simulated cycle counts.
   void set_coverage(obs::CoverageMap* c) { cov_ = c; }
   obs::CoverageMap* coverage() const { return cov_; }
 
@@ -343,6 +346,29 @@ class Cpu {
   void execute(const isa::Inst& inst);
   void take_exception(ExcClass cls, uint64_t far, uint16_t iss,
                       mem::FaultKind fk, uint64_t preferred_return);
+
+  /// Retire-feed batching (DESIGN.md §3e). While a feed (attr_ or cov_) is
+  /// attached, the block and trace engines count the instructions of the
+  /// straight-line run they are executing in run_ and deliver them as one
+  /// obs::RetireRun at the next flush point: the top of take_exception,
+  /// before any instruction that can reach an observer or host code (which
+  /// then retires as its own record), and at the end of every block,
+  /// segment and engine exit. Counting happens after an instruction
+  /// executes, so an exception it takes flushes only its predecessors and
+  /// leaves it to open the rest of the run, absorbing the entry cost.
+  void begin_run(const obs::RetireSlot* slots, uint64_t va, uint64_t pa) {
+    run_ = {slots, va, pa, cycles_, 0, static_cast<uint8_t>(pstate.el)};
+  }
+  void flush_run() {
+    if (run_.n != 0) deliver_run();
+  }
+  void deliver_run();
+  /// One-instruction record from the engines (the single-step path's).
+  void retire_one(uint64_t va, uint64_t pa, uint8_t el, uint8_t op_class,
+                  uint64_t cycles) {
+    if (attr_ != nullptr) attr_->retire(va, el, op_class, cycles);
+    if (cov_ != nullptr) cov_->retire(pa, va, el);
+  }
   void do_eret();
 
   uint64_t read_gpr_or_sp(unsigned i) const;
@@ -415,6 +441,14 @@ class Cpu {
   obs::AuditSink* audit_ = nullptr;
   obs::CoverageMap* cov_ = nullptr;
   obs::OpClass step_op_class_ = obs::OpClass::Other;  // scratch, set per step
+  struct PendingRun {
+    const obs::RetireSlot* slots = nullptr;  ///< the block's, at va
+    uint64_t va = 0;
+    uint64_t pa = 0;
+    uint64_t c0 = 0;  ///< cycles_ before the run's first instruction
+    uint32_t n = 0;   ///< instructions counted since the last flush
+    uint8_t el = 0;
+  } run_;
 
   // Key provenance (obs/audit.h): a monotonically increasing install id per
   // key slot, bumped on every guest MSR of a key half and on every kernel-

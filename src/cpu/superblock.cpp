@@ -32,6 +32,14 @@ bool edge_extendable(const Inst& term) {
   return term.op == isa::Op::MSR && term.sysreg != isa::SysReg::DAIF;
 }
 
+/// Terminators that can never reach an observer or host code: they only set
+/// pc. Every other terminator retires outside the pending run (Entry::alone).
+bool batchable_terminator(isa::Op op) {
+  using isa::Op;
+  return op == Op::B || op == Op::BCOND || op == Op::CBZ || op == Op::CBNZ ||
+         op == Op::BR;
+}
+
 }  // namespace
 
 bool SuperblockEngine::valid(const Cpu& cpu, const Block& b,
@@ -92,6 +100,7 @@ void SuperblockEngine::build(Cpu& cpu, Block& b, uint64_t va, uint64_t pa) {
   b.prof.reset();
   b.trace_regrows = 0;
   b.entries.clear();
+  b.slots.clear();
 
   // Decode up to the page boundary (stage-1 mappings are page-granular, so
   // the VA and PA boundaries coincide), clamped to the end of physical
@@ -104,16 +113,19 @@ void SuperblockEngine::build(Cpu& cpu, Block& b, uint64_t va, uint64_t pa) {
   const uint64_t phys_words = pa < phys.size() ? (phys.size() - pa) / 4 : 0;
   const uint64_t max_words = std::min(page_words, phys_words);
   b.entries.reserve(std::min<uint64_t>(max_words, 64));
+  b.slots.reserve(std::min<uint64_t>(max_words, 64));
   for (uint64_t w = 0; w < max_words; ++w) {
     Entry e;
     e.inst = isa::decode(phys.read32(pa + w * 4));
     e.fn = Cpu::exec_handler(e.inst.op);
-    e.cost = static_cast<uint8_t>(Cpu::cycle_cost(e.inst));
-    e.op_class = static_cast<uint8_t>(Cpu::op_class(e.inst.op));
     const isa::OpTraits t = isa::op_traits(e.inst.op);
     e.is_store = t.is_store;
     e.may_fault = t.may_fault;
+    e.alone = t.ends_block && !batchable_terminator(e.inst.op);
     b.entries.push_back(e);
+    b.slots.push_back(
+        {static_cast<uint8_t>(Cpu::cycle_cost(e.inst)),
+         static_cast<uint8_t>(Cpu::op_class(e.inst.op))});
     if (t.ends_block) break;
   }
   ++stats_.blocks;
@@ -264,7 +276,7 @@ void SuperblockEngine::try_form_trace(Cpu& cpu, Block& head) {
     set_fuse(s, cur->entries.back().inst);
     t.segs.push_back(s);
     t.entries_total += n;
-    for (const Entry& e : cur->entries) t.cost_bound += e.cost;
+    for (const obs::RetireSlot& sl : cur->slots) t.cost_bound += sl.cost;
     const uint64_t page = cur->pa_start >> mem::PhysicalMemory::kPageShift;
     if (!page_known(t, page, cur_va))
       t.pages.push_back({page, cpu.mmu_->phys().page_generation(page),
@@ -361,8 +373,11 @@ SuperblockEngine::TraceExit SuperblockEngine::run_trace(Cpu& cpu, Trace& t,
   };
   // Run-length bookkeeping: one sample per dispatch (zero-length dispatches
   // are not samples, matching the block loop), plus the demotion
-  // denominator. Must run before any drop_trace — that destroys `t`.
+  // denominator. Must run before any drop_trace — that destroys `t`. Every
+  // exit passes here, so it also flushes the pending retire run (a no-op in
+  // the quiet loop, which runs with no feed attached).
   const auto finish = [&](uint64_t run) {
+    cpu.flush_run();
     if (run > 0) stats_.run_length.record(run);
     t.entries_run += run;
   };
@@ -408,6 +423,7 @@ SuperblockEngine::TraceExit SuperblockEngine::run_trace(Cpu& cpu, Trace& t,
       Block* const blk = seg.block;
       const size_t n = blk->entries.size();
       const Entry* const ents = blk->entries.data();
+      const obs::RetireSlot* const slots = blk->slots.data();
       uint64_t va = seg.va_start;
       // Body entries [0, n-1): straight-line, never fused, never guarded.
       // Run by reference — only host code (an HVC handler) can rebuild the
@@ -417,7 +433,7 @@ SuperblockEngine::TraceExit SuperblockEngine::run_trace(Cpu& cpu, Trace& t,
         cpu.pc = va + 4;
         if (!fuse_ok && e.may_fault) flush();  // abort events timestamp
         e.fn(cpu, e.inst);
-        cyc += cycle_model ? e.cost : 1;
+        cyc += cycle_model ? slots[i].cost : 1;
         ++ret;
         ++cpu.op_counts_[static_cast<size_t>(e.inst.op)];
         if (++done == cap) {
@@ -443,11 +459,12 @@ SuperblockEngine::TraceExit SuperblockEngine::run_trace(Cpu& cpu, Trace& t,
       // also observe the counters (CNTVCT, timer arming, event
       // timestamps): flush the batch first.
       const Entry e = ents[n - 1];
+      const uint8_t cost = slots[n - 1].cost;
       cpu.pc = va + 4;
       flush();
       if (!(seg.fuse != kFuseNone && fuse_ok && fuse_exec(seg)))
         e.fn(cpu, e.inst);
-      cyc += cycle_model ? e.cost : 1;
+      cyc += cycle_model ? cost : 1;
       ++ret;
       ++cpu.op_counts_[static_cast<size_t>(e.inst.op)];
       if (++done == cap) {
@@ -484,7 +501,8 @@ SuperblockEngine::TraceExit SuperblockEngine::run_trace(Cpu& cpu, Trace& t,
     // Careful loop: the full per-entry mirror of Cpu::step_impl's preamble
     // and the block loop's feed order, plus the same guards as above — so
     // traces keep running (and stay testable) with timers, breakpoints and
-    // every observability feed attached.
+    // every observability feed attached. Each segment is one retire run.
+    const bool feeds = cpu.attr_ != nullptr || cpu.cov_ != nullptr;
     for (size_t si = 0; si < nsegs; ++si) {
       Trace::Seg& seg = t.segs[si];
       Block* const blk = seg.block;
@@ -492,6 +510,9 @@ SuperblockEngine::TraceExit SuperblockEngine::run_trace(Cpu& cpu, Trace& t,
       const uint64_t seg_last = seg.va_start + 4 * (n - 1);
       const bool seg_bp = bp_overlap && cpu.bp_min_pc_ <= seg_last &&
                           cpu.bp_max_pc_ >= seg.va_start;
+      if (feeds)
+        cpu.begin_run(blk->slots.data(), seg.va_start,
+                      blk->pa_start + (seg.va_start - blk->va_start));
       for (size_t i = 0; i < n; ++i) {
         const uint64_t va = seg.va_start + 4 * i;
         const bool term = i + 1 == n;
@@ -512,23 +533,27 @@ SuperblockEngine::TraceExit SuperblockEngine::run_trace(Cpu& cpu, Trace& t,
           return TraceExit::kReturn;  // step_impl owns hooks
         }
         const Entry e = blk->entries[i];
-        if (cpu.trace_) cpu.trace_(cpu, va, e.inst);  // pc still == va here
-        uint64_t c0 = 0;
-        uint8_t el0 = 0;
-        if (cpu.attr_ != nullptr || cpu.cov_ != nullptr) {
-          c0 = cpu.cycles_;
-          el0 = static_cast<uint8_t>(cpu.pstate.el);
+        const obs::RetireSlot slot = blk->slots[i];
+        if (cpu.trace_) {
+          cpu.flush_run();
+          cpu.trace_(cpu, va, e.inst);  // pc still == va here
         }
+        const bool alone = feeds && e.alone;
+        const uint64_t c0 = cpu.cycles_;
+        const uint8_t el0 = static_cast<uint8_t>(cpu.pstate.el);
+        if (alone) cpu.flush_run();
         cpu.pc = va + 4;
         if (!(term && seg.fuse != kFuseNone && fuse_ok && fuse_exec(seg)))
           e.fn(cpu, e.inst);
-        cpu.cycles_ += cycle_model ? e.cost : 1;
+        cpu.cycles_ += cycle_model ? slot.cost : 1;
         ++cpu.instret_;
         ++cpu.op_counts_[static_cast<size_t>(e.inst.op)];
-        if (cpu.attr_ != nullptr && cpu.cycles_ != c0)
-          cpu.attr_->retire(va, el0, e.op_class, cpu.cycles_ - c0);
-        if (cpu.cov_ != nullptr)
-          cpu.cov_->retire(blk->pa_start + (va - blk->va_start), va, el0);
+        if (alone)
+          cpu.retire_one(va, blk->pa_start + (va - blk->va_start), el0,
+                         slot.op_class, cpu.cycles_ - c0);
+        else if (feeds)
+          ++cpu.run_.n;
+        if (term) cpu.flush_run();  // the segment's run ends here
         ++consumed;
         if (consumed == budget) {
           finish(consumed - d0);
@@ -593,6 +618,12 @@ SuperblockEngine::TraceExit SuperblockEngine::run_trace(Cpu& cpu, Trace& t,
 }
 
 uint64_t SuperblockEngine::execute(Cpu& cpu, uint64_t budget) {
+  const uint64_t consumed = dispatch(cpu, budget);
+  cpu.flush_run();  // every engine exit ends the pending retire run
+  return consumed;
+}
+
+uint64_t SuperblockEngine::dispatch(Cpu& cpu, uint64_t budget) {
   uint64_t consumed = 0;
   Block* prev = nullptr;  // completed predecessor, for the chain memo
   while (consumed < budget && !cpu.halted_) {
@@ -638,6 +669,8 @@ uint64_t SuperblockEngine::execute(Cpu& cpu, uint64_t budget) {
     // instruction) are not samples.
     const uint64_t d0 = consumed;
     bool completed = true;
+    const bool feeds = cpu.attr_ != nullptr || cpu.cov_ != nullptr;
+    if (feeds) cpu.begin_run(blk->slots.data(), blk->va_start, blk->pa_start);
     for (size_t i = 0; i < n; ++i) {
       const uint64_t va = blk->va_start + 4 * i;
       // Mirror of Cpu::step_impl's preamble, in the same order. Timer and
@@ -661,24 +694,28 @@ uint64_t SuperblockEngine::execute(Cpu& cpu, uint64_t budget) {
 
       // Copy the entry: the final instruction of a block can run host code
       // (an HVC handler) that could conceivably re-enter the engine and
-      // rebuild this very block in place.
+      // rebuild this very block in place. Such an instruction retires from
+      // the copies, outside the pending run.
       const Entry e = blk->entries[i];
-      if (cpu.trace_) cpu.trace_(cpu, va, e.inst);  // pc still == va here
-      uint64_t c0 = 0;
-      uint8_t el0 = 0;
-      if (cpu.attr_ != nullptr || cpu.cov_ != nullptr) {
-        c0 = cpu.cycles_;
-        el0 = static_cast<uint8_t>(cpu.pstate.el);
+      const obs::RetireSlot slot = blk->slots[i];
+      if (cpu.trace_) {
+        cpu.flush_run();
+        cpu.trace_(cpu, va, e.inst);  // pc still == va here
       }
+      const bool alone = feeds && e.alone;
+      const uint64_t c0 = cpu.cycles_;
+      const uint8_t el0 = static_cast<uint8_t>(cpu.pstate.el);
+      if (alone) cpu.flush_run();
       cpu.pc = va + 4;
       e.fn(cpu, e.inst);
-      cpu.cycles_ += cpu.cfg_.enable_cycle_model ? e.cost : 1;
+      cpu.cycles_ += cpu.cfg_.enable_cycle_model ? slot.cost : 1;
       ++cpu.instret_;
       ++cpu.op_counts_[static_cast<size_t>(e.inst.op)];
-      if (cpu.attr_ != nullptr && cpu.cycles_ != c0)
-        cpu.attr_->retire(va, el0, e.op_class, cpu.cycles_ - c0);
-      if (cpu.cov_ != nullptr)
-        cpu.cov_->retire(blk->pa_start + (va - blk->va_start), va, el0);
+      if (alone)
+        cpu.retire_one(va, blk->pa_start + (va - blk->va_start), el0,
+                       slot.op_class, cpu.cycles_ - c0);
+      else if (feeds)
+        ++cpu.run_.n;
       ++consumed;
 
       if (consumed == budget) {
@@ -705,6 +742,9 @@ uint64_t SuperblockEngine::execute(Cpu& cpu, uint64_t budget) {
         }
       }
     }
+    // The run ends with the block, before trace formation can rebuild
+    // blocks (this one included) in place.
+    cpu.flush_run();
     if (consumed > d0) stats_.run_length.record(consumed - d0);
     if (completed) {
       if (cpu.halted_) break;

@@ -87,14 +87,17 @@ class SuperblockEngine {
   struct Trace;
 
   /// One translated instruction: the decoded operands plus everything the
-  /// dispatch loop would otherwise recompute per retire.
+  /// dispatch loop would otherwise recompute per retire (its cost and op
+  /// class live in the parallel Block::slots).
   struct Entry {
     isa::Inst inst;
     Cpu::ExecFn fn = nullptr;
-    uint8_t cost = 1;       ///< Cpu::cycle_cost(inst)
-    uint8_t op_class = 0;   ///< obs::OpClass for cycle attribution
     bool is_store = false;  ///< recheck page generations after executing
     bool may_fault = false; ///< can redirect pc mid-block (DataAbort)
+    /// Can reach an observer or host code (every terminator but B, B.cond,
+    /// CBZ, CBNZ and BR): with a retire feed attached, the pending run is
+    /// flushed before it and it retires as its own record.
+    bool alone = false;
   };
 
   /// A straight-line run of entries ending at the first block terminator
@@ -110,6 +113,9 @@ class SuperblockEngine {
     mem::El el = mem::El::El1;
     bool built = false;
     std::vector<Entry> entries;
+    /// Per-entry cost (Cpu::cycle_cost) and obs::OpClass, parallel to
+    /// entries: the array a pending obs::RetireRun points into.
+    std::vector<obs::RetireSlot> slots;
     /// Memoized successor edge (most-recent-successor): after this block
     /// completed with pc == chain_va last time, `chain` was the block there.
     /// Only a shortcut past the lookup+translate — the target is fully
@@ -203,6 +209,8 @@ class SuperblockEngine {
   /// True when `b` may execute at `va` right now: same start VA and EL, both
   /// the translation snapshot and the page's write generation unchanged.
   bool valid(const Cpu& cpu, const Block& b, uint64_t va) const;
+  /// The body of execute(), which flushes the pending retire run after it.
+  uint64_t dispatch(Cpu& cpu, uint64_t budget);
   /// Look up (or build) a valid block for cpu.pc. Null when the fetch would
   /// fault or pc is unaligned — the single-step path owns those.
   Block* acquire(Cpu& cpu);

@@ -14,11 +14,11 @@ std::unique_ptr<Machine> build(const BisectSide& side,
                                size_t ring_capacity) {
   MachineConfig cfg = side.cfg;
   // Observability on: probes need the flight ring for the final report and
-  // attaching sinks never changes simulated state. Profilers are dead
-  // weight here, so they stay off regardless of the caller's settings.
+  // attaching sinks never changes simulated state. The call-graph profiler
+  // (and so the flat profile) is dead weight here, so it stays off
+  // regardless of the caller's settings.
   cfg.obs.enabled = true;
   cfg.obs.flight_capacity = ring_capacity;
-  cfg.obs.profile = false;
   cfg.obs.callgraph = false;
   if (!cfg.image_cache) cfg.image_cache = cache;
   auto m = std::make_unique<Machine>(cfg);

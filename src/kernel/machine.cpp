@@ -242,12 +242,10 @@ void Machine::attach_observability() {
   // never-executed rows (the per-core attach happened above).
   if (cfg_.obs.coverage) annotate_coverage_regions();
 
-  if (cfg_.obs.profile || cfg_.obs.callgraph) {
+  if (cfg_.obs.callgraph) {
     const auto add_region = [&](const std::string& name, uint64_t start,
                                 uint64_t end) {
-      if (cfg_.obs.profile) stats_->profiler().add_region(name, start, end);
-      if (cfg_.obs.callgraph)
-        stats_->callgraph().add_region(name, start, end);
+      stats_->callgraph().add_region(name, start, end);
     };
     const obj::Image& img = boot_->kernel_image;
     for (const auto& [name, size] : img.function_sizes) {

@@ -15,6 +15,8 @@ void CallGraphProfiler::add_region(std::string name, uint64_t start,
   // Name ids are interned lazily so unexecuted symbols cost nothing.
   region_names_.insert(region_names_.begin() + static_cast<ptrdiff_t>(idx),
                        -1);
+  flat_.insert(flat_.begin() + static_cast<ptrdiff_t>(idx), Counts{});
+  hit_span_ = 0;  // indices after idx shifted
 }
 
 int CallGraphProfiler::intern(const std::string& name) {
@@ -26,8 +28,7 @@ int CallGraphProfiler::intern(const std::string& name) {
   return id;
 }
 
-int CallGraphProfiler::intern_region(uint64_t pc) {
-  const size_t idx = index_.find(pc);
+int CallGraphProfiler::region_name(size_t idx) {
   if (idx == RegionIndex::kNone) {
     if (other_name_ < 0) other_name_ = intern("[other]");
     return other_name_;
@@ -62,7 +63,8 @@ void CallGraphProfiler::apply(const PendingCf& cf) {
         ++overflow_;
         break;
       }
-      stack_.push_back(child(current(), intern_region(cf.to_pc), false));
+      stack_.push_back(
+          child(current(), region_name(region_of(cf.to_pc)), false));
       break;
     }
     case CfKind::Ret: {
@@ -81,9 +83,10 @@ void CallGraphProfiler::apply(const PendingCf& cf) {
         ++overflow_;
         break;
       }
-      const int name =
-          intern(std::string("[exc:") + exc_class_label(cf.info) + "]");
-      stack_.push_back(child(current(), name, true));
+      int& id = exc_names_[cf.info];
+      if (id == 0)
+        id = intern(std::string("[exc:") + exc_class_label(cf.info) + "]") + 1;
+      stack_.push_back(child(current(), id - 1, true));
       break;
     }
     case CfKind::ExcExit: {
@@ -102,8 +105,11 @@ void CallGraphProfiler::apply(const PendingCf& cf) {
   }
 }
 
-void CallGraphProfiler::retire(uint64_t pc, uint8_t /*el*/,
-                               uint8_t /*op_class*/, uint64_t cycles) {
+void CallGraphProfiler::attribute(size_t idx, uint64_t cycles,
+                                  uint64_t retires) {
+  Counts& flat = idx == RegionIndex::kNone ? flat_other_ : flat_[idx];
+  flat.cycles += cycles;
+  flat.retires += retires;
   if (nodes_.empty()) nodes_.push_back(Node{});  // root
   // Attribute to the stack as it stood *before* this step's control-flow
   // events: a BL's cycles belong to the caller.
@@ -114,22 +120,53 @@ void CallGraphProfiler::retire(uint64_t pc, uint8_t /*el*/,
   } else if (stack_.empty()) {
     // Nothing called this code (boot entry, or every frame returned): the
     // leaf becomes the base frame so subsequent calls nest under it.
-    stack_.push_back(child(0, intern_region(pc), false));
+    stack_.push_back(child(0, region_name(idx), false));
     target = stack_.back();
   } else {
-    const int leaf = intern_region(pc);
+    const int leaf = region_name(idx);
     const int cur = current();
     // Self-heal: when pc sits outside the top frame's region (tail jumps,
     // mismatched returns), attribute to an appended leaf without pushing.
     target = nodes_[cur].name == leaf ? cur : child(cur, leaf, false);
   }
   nodes_[target].cycles += cycles;
-  ++nodes_[target].retires;
+  nodes_[target].retires += retires;
   total_cycles_ += cycles;
-  ++total_retires_;
+  total_retires_ += retires;
+}
 
+void CallGraphProfiler::apply_pending() {
   for (const PendingCf& cf : pending_) apply(cf);
   pending_.clear();
+}
+
+void CallGraphProfiler::retire(uint64_t pc, uint8_t /*el*/,
+                               uint8_t /*op_class*/, uint64_t cycles) {
+  attribute(region_of(pc), cycles, 1);
+  apply_pending();
+}
+
+void CallGraphProfiler::retire_run(const RetireRun& run) {
+  // Within a run the stack only changes when the first record lands on an
+  // empty one, after which every instruction of the same region resolves to
+  // that same node — so a group of same-region instructions is one update.
+  // Control-flow events can only be pending for the run's last instruction
+  // (the engines flush before anything that emits one), so they apply after
+  // the whole run, as after its last retire().
+  size_t group = RegionIndex::kNone;
+  uint64_t cycles = 0, retires = 0;
+  run.for_each([&](uint64_t pc, uint8_t /*op_class*/, uint64_t c) {
+    const size_t idx = region_of(pc);
+    if (retires > 0 && idx != group) {
+      attribute(group, cycles, retires);
+      cycles = retires = 0;
+    }
+    group = idx;
+    cycles += c;
+    ++retires;
+  });
+  if (retires > 0) attribute(group, cycles, retires);
+  apply_pending();
 }
 
 size_t CallGraphProfiler::hot_node_count() const {
@@ -188,7 +225,45 @@ std::string CallGraphProfiler::top_stacks(size_t n) const {
   return out;
 }
 
+std::vector<CallGraphProfiler::FlatEntry> CallGraphProfiler::flat_entries()
+    const {
+  std::vector<FlatEntry> out;
+  out.reserve(index_.size() + 1);
+  for (size_t i = 0; i < index_.size(); ++i) {
+    if (!flat_[i].cycles && !flat_[i].retires) continue;
+    out.push_back(FlatEntry{index_[i].name, flat_[i].cycles, flat_[i].retires});
+  }
+  if (flat_other_.cycles || flat_other_.retires)
+    out.push_back(
+        FlatEntry{"[other]", flat_other_.cycles, flat_other_.retires});
+  std::sort(out.begin(), out.end(), [](const FlatEntry& a, const FlatEntry& b) {
+    return a.cycles > b.cycles;
+  });
+  return out;
+}
+
+std::string CallGraphProfiler::flat_profile() const {
+  std::string out = strformat("%12s  %6s  %10s  %s\n", "cycles", "%",
+                              "retires", "symbol");
+  for (const FlatEntry& r : flat_entries()) {
+    const double pct = total_cycles_
+                           ? 100.0 * static_cast<double>(r.cycles) /
+                                 static_cast<double>(total_cycles_)
+                           : 0.0;
+    out += strformat("%12llu  %5.1f%%  %10llu  %s\n",
+                     static_cast<unsigned long long>(r.cycles), pct,
+                     static_cast<unsigned long long>(r.retires),
+                     r.name.c_str());
+  }
+  out += strformat("%12llu  100.0%%  %10llu  (total)\n",
+                   static_cast<unsigned long long>(total_cycles_),
+                   static_cast<unsigned long long>(total_retires_));
+  return out;
+}
+
 void CallGraphProfiler::clear() {
+  for (Counts& c : flat_) c = Counts{};
+  flat_other_ = Counts{};
   nodes_.clear();
   stack_.clear();
   pending_.clear();

@@ -1,17 +1,20 @@
 // CallGraphProfiler: hierarchical, call-stack-aware cycle attribution.
 //
-// The flat profiler answers "which symbol is hot"; this one answers "which
+// A flat profile answers "which symbol is hot"; this one answers "which
 // *path* is hot" — the distinction the paper's evaluation lives on (PACIA
-// cycles on the syscall path vs. the context-switch path, §6). It maintains
+// cycles on the syscall path vs. the context-switch path, §6). The flat
+// view is kept too, from the same region lookup: per-region self cycles
+// and retires, exported by flat_profile(). It maintains
 // a shadow call stack from the CPU's retire stream: linking calls (CfKind::
 // Call) push a frame named after the callee's region, returns pop one, and
 // exception entry/exit bracket handler execution as synthetic "[exc:svc]"-
 // style frames. Every retired cycle is attributed to the full stack at the
 // time of retirement, accumulated in a prefix-shared call tree.
 //
-// Accounting contract (pinned by tests, same as the flat profiler):
+// Accounting contract (pinned by tests):
 //   * the sum over all tree nodes equals Cpu::cycles() exactly — every
-//     retired cycle lands somewhere, "[other]" / "[truncated]" included;
+//     retired cycle lands somewhere, "[other]" / "[truncated]" included —
+//     and so does the sum over the flat view's regions;
 //   * attaching the profiler never changes simulated cycle counts.
 //
 // Robustness: the shadow stack is advisory, not trusted. A RET whose shadow
@@ -26,6 +29,7 @@
 // table. Lines are sorted, so equal runs produce byte-identical output.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <unordered_map>
@@ -42,6 +46,13 @@ class CallGraphProfiler : public CycleAttributor, public CfSink {
   /// child (accounting stays exact; only the shape is capped).
   static constexpr size_t kMaxDepth = 512;
 
+  /// One row of the flat view: a region's self cycles and retires.
+  struct FlatEntry {
+    std::string name;
+    uint64_t cycles = 0;
+    uint64_t retires = 0;  ///< retire records (steps) attributed here
+  };
+
   /// Register [start, end) under `name`. Regions must not overlap; call
   /// before attaching the profiler to a CPU.
   void add_region(std::string name, uint64_t start, uint64_t end);
@@ -54,6 +65,10 @@ class CallGraphProfiler : public CycleAttributor, public CfSink {
                     uint8_t info) override;
   void retire(uint64_t pc, uint8_t el, uint8_t op_class,
               uint64_t cycles) override;
+  /// Same attribution as retire() per instruction. Consecutive instructions
+  /// in one region land on one node, so a run costs a region-cache compare
+  /// per instruction and one node update per region it touches.
+  void retire_run(const RetireRun& run) override;
 
   // Accounting --------------------------------------------------------------
   uint64_t total_cycles() const { return total_cycles_; }
@@ -69,6 +84,11 @@ class CallGraphProfiler : public CycleAttributor, public CfSink {
   std::string folded(char sep = ';') const;
   /// The `n` hottest stacks as a human-readable table (cycles, %, stack).
   std::string top_stacks(size_t n = 10) const;
+  /// Flat view: every region with attributed cycles, hottest first, plus
+  /// "[other]" when anything fell outside the registered regions.
+  std::vector<FlatEntry> flat_entries() const;
+  /// Flat view as a table (cycles, %, retires, symbol, then the total).
+  std::string flat_profile() const;
 
   void clear();
 
@@ -88,17 +108,44 @@ class CallGraphProfiler : public CycleAttributor, public CfSink {
     uint8_t info;
   };
 
+  struct Counts {
+    uint64_t cycles = 0;
+    uint64_t retires = 0;
+  };
+
   int intern(const std::string& name);
-  int intern_region(uint64_t pc);  ///< name id of the region holding pc
+  /// Index of the region holding pc (RegionIndex::kNone outside them all),
+  /// answered from the last hit when pc is still inside it.
+  size_t region_of(uint64_t pc) {
+    if (pc - hit_start_ < hit_span_) return hit_idx_;
+    const size_t idx = index_.find(pc);
+    if (idx != RegionIndex::kNone) {
+      hit_idx_ = idx;
+      hit_start_ = index_[idx].start;
+      hit_span_ = index_[idx].end - index_[idx].start;
+    }
+    return idx;
+  }
+  int region_name(size_t idx);  ///< name id of a region_of() result
+  /// Attribute `cycles` over `retires` records at region `idx` to the flat
+  /// view and to the stack as it stands (the body of retire()).
+  void attribute(size_t idx, uint64_t cycles, uint64_t retires);
   /// Find-or-create the child of `node` named `name`.
   int child(int node, int name, bool exc);
   int current() const { return stack_.empty() ? 0 : stack_.back(); }
   void apply(const PendingCf& cf);
+  void apply_pending();
   void collect_lines(std::vector<std::pair<std::string, uint64_t>>& out,
                      char sep) const;
 
   RegionIndex index_;
   std::vector<int> region_names_;  ///< parallel to index_: interned name ids
+  std::vector<Counts> flat_;       ///< parallel to index_: self counts
+  Counts flat_other_;              ///< outside every region
+  // Last region hit (region_of); an empty span never matches.
+  size_t hit_idx_ = RegionIndex::kNone;
+  uint64_t hit_start_ = 0;
+  uint64_t hit_span_ = 0;
 
   std::vector<std::string> names_;
   std::unordered_map<std::string, int> name_ids_;
@@ -113,6 +160,8 @@ class CallGraphProfiler : public CycleAttributor, public CfSink {
 
   int other_name_ = -1;      ///< "[other]"
   int truncated_name_ = -1;  ///< "[truncated]"
+  /// "[exc:<class>]" name id + 1 per ExcEnter info byte (0 = not interned).
+  std::array<int, 256> exc_names_{};
 };
 
 }  // namespace camo::obs

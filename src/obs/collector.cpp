@@ -31,14 +31,65 @@ Collector::Collector(const Options& opts)
   key_switch_ = &reg_.histogram("key.switch.cycles");
 }
 
-void Collector::emit(const TraceEvent& e) {
-  ring_.emit(e);
+void Collector::count(const TraceEvent& e) {
+  // The registry counters an event kind bumps: one fixed name, and for some
+  // kinds a "<family><label of k1>" counter. The label helpers map every
+  // out-of-range k1 to one label, which shares the slot past the named ones.
+  struct Names {
+    const char* name = nullptr;
+    const char* family = nullptr;
+    const char* (*label)(uint8_t) = nullptr;
+    size_t labels = 0;
+  };
+  Names n;
   switch (e.kind) {
     case EventKind::ExcEnter:
-      reg_.counter("exc.enter").inc();
-      reg_.counter(std::string("exc.") + exc_class_label(e.k1)).inc();
+      n = {"exc.enter", "exc.", exc_class_label, kExcClassLabels};
+      break;
+    case EventKind::ExcExit: n = {"exc.exit"}; break;
+    case EventKind::KeyWrite:
+      n = {"key.write", "key.write.", pac_key_label, kPacKeyLabels};
+      break;
+    case EventKind::PacSign:
+      n = {"pauth.sign", "pauth.sign.", pac_key_label, kPacKeyLabels};
+      break;
+    case EventKind::AuthOk: n = {"pauth.auth.ok"}; break;
+    case EventKind::AuthFail:
+      n = {"pauth.auth.fail", "pauth.auth.fail.", pac_key_label,
+           kPacKeyLabels};
+      break;
+    case EventKind::Stage2Fault: n = {"stage2.fault"}; break;
+    case EventKind::ContextSwitch: n = {"sched.switch"}; break;
+    case EventKind::HvcCall: n = {"hvc.call"}; break;
+    case EventKind::ModuleLoad: n = {"module.load"}; break;
+    case EventKind::MsrDenied: n = {"msr.denied"}; break;
+    case EventKind::AttackOutcome:
+      n = {"attack.outcome", "attack.", outcome_label, kOutcomeLabels};
+      break;
+    default:
+      return;
+  }
+  static_assert(kExcClassLabels >= kPacKeyLabels &&
+                kExcClassLabels >= kOutcomeLabels);  // label_counters_ width
+  const size_t k = static_cast<size_t>(e.kind);
+  if (kind_counters_[k] == nullptr) kind_counters_[k] = &reg_.counter(n.name);
+  kind_counters_[k]->inc();
+  if (n.family == nullptr) return;
+  const uint8_t v = e.k1 < n.labels ? e.k1 : static_cast<uint8_t>(n.labels);
+  Counter*& slot = label_counters_[k][v];
+  if (slot == nullptr) slot = &reg_.counter(std::string(n.family) + n.label(v));
+  slot->inc();
+}
+
+void Collector::emit(const TraceEvent& e) {
+  ring_.emit(e);
+  count(e);
+  switch (e.kind) {
+    case EventKind::ExcEnter:
       if (e.k1 == kExcClassSvc) {
-        reg_.counter("syscall.count").inc();
+        if (syscall_count_ == nullptr)
+          syscall_count_ = &reg_.counter("syscall.count");
+        syscall_count_->inc();
         syscall_open_ = true;
         syscall_enter_cycles_ = e.cycles;
         syscall_nr_ = static_cast<uint16_t>(e.b);
@@ -52,7 +103,6 @@ void Collector::emit(const TraceEvent& e) {
       }
       break;
     case EventKind::ExcExit:
-      reg_.counter("exc.exit").inc();
       if (syscall_open_ && e.k2 == 0) {  // ERET back to EL0 closes the window
         syscall_open_ = false;
         const uint64_t window = e.cycles - syscall_enter_cycles_;
@@ -68,8 +118,6 @@ void Collector::emit(const TraceEvent& e) {
       }
       break;
     case EventKind::KeyWrite:
-      reg_.counter("key.write").inc();
-      reg_.counter(std::string("key.write.") + pac_key_label(e.k1)).inc();
       if (burst_open_ && e.cycles - burst_last_ <= kBurstGapCycles) {
         burst_last_ = e.cycles;
         ++burst_writes_;
@@ -80,37 +128,6 @@ void Collector::emit(const TraceEvent& e) {
         burst_first_ = burst_last_ = e.cycles;
         burst_writes_ = 1;
       }
-      break;
-    case EventKind::PacSign:
-      reg_.counter("pauth.sign").inc();
-      reg_.counter(std::string("pauth.sign.") + pac_key_label(e.k1)).inc();
-      break;
-    case EventKind::AuthOk:
-      reg_.counter("pauth.auth.ok").inc();
-      break;
-    case EventKind::AuthFail:
-      reg_.counter("pauth.auth.fail").inc();
-      reg_.counter(std::string("pauth.auth.fail.") + pac_key_label(e.k1))
-          .inc();
-      break;
-    case EventKind::Stage2Fault:
-      reg_.counter("stage2.fault").inc();
-      break;
-    case EventKind::ContextSwitch:
-      reg_.counter("sched.switch").inc();
-      break;
-    case EventKind::HvcCall:
-      reg_.counter("hvc.call").inc();
-      break;
-    case EventKind::ModuleLoad:
-      reg_.counter("module.load").inc();
-      break;
-    case EventKind::MsrDenied:
-      reg_.counter("msr.denied").inc();
-      break;
-    case EventKind::AttackOutcome:
-      reg_.counter("attack.outcome").inc();
-      reg_.counter(std::string("attack.") + outcome_label(e.k1)).inc();
       break;
     default:
       break;
@@ -175,8 +192,27 @@ void Collector::retire(uint64_t pc, uint8_t el, uint8_t op_class,
     insn_cpu_[active_cpu_]->inc();
     cycles_cpu_[active_cpu_]->inc(cycles);
   }
-  if (opts_.profile) prof_.retire(pc, el, op_class, cycles);
   if (opts_.callgraph) cg_.retire(pc, el, op_class, cycles);
+}
+
+void Collector::retire_run(const RetireRun& run) {
+  // The per-instruction feeds (flight ring, op classes) walk the run; the
+  // per-EL and per-core counters take its totals.
+  run.for_each([&](uint64_t pc, uint8_t op_class, uint64_t cycles) {
+    flight_.retire(retired_cycles_, pc, op_class, run.el);
+    retired_cycles_ += cycles;
+    if (op_class < static_cast<uint8_t>(OpClass::kCount))
+      ops_[op_class]->inc();
+  });
+  if (run.el < 3) {
+    cycles_el_[run.el]->inc(run.cycles);
+    insn_el_[run.el]->inc(run.n);
+  }
+  if (active_cpu_ < insn_cpu_.size()) {
+    insn_cpu_[active_cpu_]->inc(run.n);
+    cycles_cpu_[active_cpu_]->inc(run.cycles);
+  }
+  if (opts_.callgraph) cg_.retire_run(run);
 }
 
 void Collector::control_flow(CfKind kind, uint64_t from_pc, uint64_t to_pc,

@@ -1,13 +1,16 @@
 // Collector: the per-machine observability hub.
 //
-// One object implements both producer interfaces (TraceSink +
-// CycleAttributor) and fans everything out to the three backends:
+// One object implements the producer interfaces (TraceSink +
+// CycleAttributor + CfSink + AuditSink) and fans everything out to the
+// backends:
 //
 //  * a TraceRing keeping the most recent events,
 //  * a Registry of named counters/histograms derived from the event stream
 //    and the retire feed (EL cycle residency, per-class retired ops,
 //    per-key auth failures, syscall latency histogram, ...),
-//  * a Profiler bucketing retired cycles by guest symbol.
+//  * the audit log, the flight recorder and the coverage map,
+//  * a CallGraphProfiler attributing retired cycles to guest call stacks;
+//    the flat per-symbol profile is its self-cycle view.
 //
 // The Collector also *synthesizes* syscall windows: an ExcEnter with the SVC
 // class opens a window (emitting SyscallEnter with the nr from x8) and the
@@ -18,6 +21,7 @@
 // Fig. 3 reports.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <string>
 #include <unordered_map>
@@ -28,7 +32,6 @@
 #include "obs/coverage.h"
 #include "obs/flight.h"
 #include "obs/metrics.h"
-#include "obs/profile.h"
 #include "obs/ring.h"
 #include "obs/trace.h"
 
@@ -40,13 +43,15 @@ namespace camo::obs {
 struct Options {
   bool enabled = false;
   size_t trace_capacity = 1 << 15;  ///< TraceRing capacity (events)
-  bool profile = true;              ///< attach the per-symbol cycle profiler
-  bool callgraph = true;  ///< attach the shadow-call-stack profiler too
+  /// Attach the shadow-call-stack profiler (folded stacks and, from the
+  /// same counts, the flat per-symbol profile).
+  bool callgraph = true;
   size_t audit_capacity = 8192;  ///< AuditLog capacity (events)
   size_t flight_capacity = 256;  ///< flight-recorder ring (instructions)
   /// Attach the PA-keyed execution coverage map (obs/coverage.h). Off by
-  /// default: the per-retirement feed costs a map probe, so only coverage
-  /// consumers (bench --cov, security matrix, camo-cov) pay for it.
+  /// default: the feed costs a map probe per executed straight-line run
+  /// (per retirement on the single-step path), so only coverage consumers
+  /// (bench --cov, security matrix, camo-cov) pay for it.
   bool coverage = false;
 };
 
@@ -61,6 +66,7 @@ class Collector : public TraceSink,
   void emit(const TraceEvent& e) override;
   void retire(uint64_t pc, uint8_t el, uint8_t op_class,
               uint64_t cycles) override;
+  void retire_run(const RetireRun& run) override;
   void control_flow(CfKind kind, uint64_t from_pc, uint64_t to_pc,
                     uint8_t info) override;
   /// Security audit stream (DESIGN.md §3f). Besides recording into the
@@ -78,8 +84,6 @@ class Collector : public TraceSink,
   const AuditLog& audit_log() const { return audit_log_; }
   FlightRecorder& flight() { return flight_; }
   const FlightRecorder& flight() const { return flight_; }
-  Profiler& profiler() { return prof_; }
-  const Profiler& profiler() const { return prof_; }
   /// Execution coverage map; only fed when options().coverage is set (the
   /// Machine attaches it to the CPU at boot).
   CoverageMap& coverage() { return cov_; }
@@ -102,8 +106,9 @@ class Collector : public TraceSink,
   // Export ------------------------------------------------------------------
   /// Chrome trace_event JSON of the retained event window.
   std::string chrome_trace_json() const;
-  /// Flat per-symbol cycle profile (text).
-  std::string flat_profile() const { return prof_.flat_profile(); }
+  /// Flat per-symbol cycle profile (text): the call graph's self-cycle
+  /// view, so it is empty when options().callgraph is off.
+  std::string flat_profile() const { return cg_.flat_profile(); }
   /// Folded-stack call-graph profile (flamegraph.pl / speedscope input).
   std::string folded_profile() const { return cg_.folded(); }
   /// Counters + histograms as a JSON document.
@@ -115,7 +120,6 @@ class Collector : public TraceSink,
   TraceRing ring_;
   AuditLog audit_log_;
   FlightRecorder flight_;
-  Profiler prof_;
   CallGraphProfiler cg_;
   CoverageMap cov_;
 
@@ -142,6 +146,18 @@ class Collector : public TraceSink,
   // Cycle counter reconstructed from the retire feed (pre-step timestamps
   // for the flight ring).
   uint64_t retired_cycles_ = 0;
+
+  /// Bump the registry counters of event `e` (see count() in the .cpp).
+  void count(const TraceEvent& e);
+  // Those counters, resolved on their first increment (so the registry only
+  // ever holds counters that fired) and then kept, indexed by EventKind:
+  // the fixed-name one, and the labelled family by k1. Registry references
+  // are stable.
+  static constexpr size_t kKinds = static_cast<size_t>(EventKind::kCount);
+  std::array<Counter*, kKinds> kind_counters_{};
+  std::array<std::array<Counter*, kExcClassLabels + 1>, kKinds>
+      label_counters_{};
+  Counter* syscall_count_ = nullptr;
 
   // Hot-path counter/histogram references (resolved once; Registry
   // references are stable).

@@ -9,7 +9,8 @@
 // cache and the protected-table layout.
 //
 // Determinism contract: the map is a pure function of the retire stream
-// (pa, va, el per retired instruction). The retire stream is pinned
+// (pa, va, el per retired instruction; a run record stands for its
+// instructions one by one). The retire stream is pinned
 // bit-identical across all fast_path×superblocks combos (test_superblock),
 // so coverage is engine-invariant by construction; fleets merge per-machine
 // snapshots in task-index order, so it is --jobs-invariant too.
@@ -75,6 +76,18 @@ class CoverageMap {
     last_va_ = va;
     last_pa_ = pa;
     run_len_ = 1;
+  }
+
+  /// `n` consecutive instructions starting at (pa, va), all at `el`: the
+  /// same map as n retire() calls at pa, pa+4, ... (the block and trace
+  /// engines feed one call per executed straight-line run).
+  void retire_run(uint64_t pa, uint64_t va, uint8_t el, uint64_t n) {
+    if (n == 0) return;
+    retire(pa, va, el);
+    if (el < kEls) retired_el_[el] += n - 1;
+    last_va_ += 4 * (n - 1);
+    last_pa_ += 4 * (n - 1);
+    run_len_ += n - 1;
   }
 
   /// Close the open run and forget continuation state; the next retire()

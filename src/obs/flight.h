@@ -87,7 +87,7 @@ class FlightRecorder {
       return;
     }
     buf_[head_] = {cycles, pc, op, el};
-    head_ = (head_ + 1) % capacity_;
+    if (++head_ == capacity_) head_ = 0;
   }
 
   /// Capture on the first violation; later triggers only bump the counter

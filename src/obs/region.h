@@ -1,9 +1,8 @@
-// RegionIndex: a sorted map from guest VA ranges to symbol names, shared by
-// the flat profiler (obs/profile.h) and the call-graph profiler
-// (obs/callgraph.h). Regions must not overlap. Register every region before
-// profiling starts: add() keeps the vector sorted, so a late insertion
-// shifts the indices of the regions sorted after it (the profilers key their
-// counters by index).
+// RegionIndex: a sorted map from guest VA ranges to symbol names, used by
+// the call-graph profiler (obs/callgraph.h). Regions must not overlap.
+// Register every region before profiling starts: add() keeps the vector
+// sorted, so a late insertion shifts the indices of the regions sorted after
+// it (the profiler keys its counters by index).
 #pragma once
 
 #include <algorithm>

@@ -55,18 +55,21 @@ const char* exc_class_label(uint8_t cls) {
   static const char* const names[] = {"unknown",    "svc",       "brk",
                                       "insn-abort", "data-abort", "undefined",
                                       "pac-fail",   "irq"};
+  static_assert(sizeof(names) / sizeof(names[0]) == kExcClassLabels);
   return cls < sizeof(names) / sizeof(names[0]) ? names[cls] : "<bad-class>";
 }
 
 // Mirrors cpu::PacKey declaration order.
 const char* pac_key_label(uint8_t key) {
   static const char* const names[] = {"ia", "ib", "da", "db", "ga"};
+  static_assert(sizeof(names) / sizeof(names[0]) == kPacKeyLabels);
   return key < sizeof(names) / sizeof(names[0]) ? names[key] : "<bad-key>";
 }
 
 // Mirrors attacks::Outcome declaration order.
 const char* outcome_label(uint8_t outcome) {
   static const char* const names[] = {"hijacked", "detected", "blocked"};
+  static_assert(sizeof(names) / sizeof(names[0]) == kOutcomeLabels);
   return outcome < sizeof(names) / sizeof(names[0]) ? names[outcome]
                                                     : "<bad-outcome>";
 }

@@ -13,8 +13,9 @@
 //    identical whether or not a sink is attached (events never consume guest
 //    cycles).
 //  * CycleAttributor — receives one (pc, EL, op class, cycles) record per
-//    retired CPU step, the feed for EL-residency accounting and the
-//    per-symbol cycle profiler.
+//    single-stepped CPU step, and one RetireRun record per straight-line run
+//    the block and trace engines execute: the feed for EL-residency
+//    accounting and the call-graph profiler.
 //
 // obs sits below every other subsystem (it depends only on camo_support), so
 // the CPU itself can emit events. Event payloads are therefore plain
@@ -22,6 +23,7 @@
 // (cpu::ExcClass, cpu::PacKey order) and a test pins them in sync.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 namespace camo::obs {
@@ -89,15 +91,60 @@ enum class OpClass : uint8_t {
 
 const char* op_class_name(OpClass c);
 
-/// Per-step cycle consumer: called once per CPU step that consumed cycles,
-/// with the pc and EL *before* the step and the cycles the step retired
-/// (instruction cost plus any exception-entry cost). Summing `cycles` over
-/// all calls reproduces Cpu::cycles() exactly.
+/// Per-instruction retire facts the block engine precomputes at translation
+/// time: the cycle-model cost and the OpClass.
+struct RetireSlot {
+  uint8_t cost = 1;
+  uint8_t op_class = 0;
+};
+
+/// One executed straight-line run (DESIGN.md §3e): `n` instructions at
+/// consecutive addresses va, va+4, ... (pa likewise), all retired at `el`.
+/// `cycles` is the run's whole cycle delta. Every instruction but the last
+/// retires exactly its slot cost (1 with the cycle model off); the last also
+/// absorbs any exception-entry cost its own execution took, exactly as a
+/// single step would attribute it.
+struct RetireRun {
+  uint64_t va = 0;
+  uint64_t pa = 0;
+  const RetireSlot* slots = nullptr;  ///< n entries, parallel to the run
+  uint64_t cycles = 0;
+  uint32_t n = 0;
+  uint8_t el = 0;
+  bool unit_cost = false;  ///< cycle model off: every instruction costs 1
+
+  uint64_t cost(size_t i) const { return unit_cost ? 1 : slots[i].cost; }
+
+  /// Calls f(pc, op_class, cycles) once per instruction, in order; the
+  /// cycles passed sum to `cycles`.
+  template <typename F>
+  void for_each(F&& f) const {
+    uint64_t left = cycles;
+    for (uint32_t i = 0; i + 1 < n; ++i) {
+      const uint64_t c = cost(i);
+      f(va + 4 * uint64_t{i}, slots[i].op_class, c);
+      left -= c;
+    }
+    if (n > 0) f(va + 4 * uint64_t{n - 1}, slots[n - 1].op_class, left);
+  }
+};
+
+/// Cycle consumer. retire() is called once per single-stepped CPU step that
+/// consumed cycles, with the pc and EL *before* the step and the cycles the
+/// step retired (instruction cost plus any exception-entry cost).
+/// retire_run() carries a whole run at once and must be equivalent to
+/// retire() per instruction, which is what the default does. Summing the
+/// cycles over all records reproduces Cpu::cycles() exactly.
 class CycleAttributor {
  public:
   virtual ~CycleAttributor() = default;
   virtual void retire(uint64_t pc, uint8_t el, uint8_t op_class,
                       uint64_t cycles) = 0;
+  virtual void retire_run(const RetireRun& run) {
+    run.for_each([&](uint64_t pc, uint8_t op_class, uint64_t cycles) {
+      retire(pc, run.el, op_class, cycles);
+    });
+  }
 };
 
 /// Control-flow kinds the CPU reports to a CfSink — exactly the events a
@@ -116,9 +163,11 @@ const char* cf_kind_name(CfKind k);
 
 /// Control-flow consumer fed from the CPU's retire stream. Events for a step
 /// fire *during* the step, i.e. before that step's CycleAttributor::retire
-/// call; consumers that want call-site attribution buffer them until the
-/// retire arrives (obs::CallGraphProfiler does). Null sink = no emission,
-/// and attaching one never changes simulated cycle counts.
+/// call (the engines flush any pending run before an instruction that can
+/// emit one, so that instruction's record is the next to arrive); consumers
+/// that want call-site attribution buffer them until the retire arrives
+/// (obs::CallGraphProfiler does). Null sink = no emission, and attaching one
+/// never changes simulated cycle counts.
 class CfSink {
  public:
   virtual ~CfSink() = default;
@@ -134,5 +183,10 @@ class CfSink {
 const char* exc_class_label(uint8_t cls);
 const char* pac_key_label(uint8_t key);
 const char* outcome_label(uint8_t outcome);
+/// Number of named values per helper; every larger value gets the helper's
+/// one out-of-range label.
+inline constexpr size_t kExcClassLabels = 8;
+inline constexpr size_t kPacKeyLabels = 5;
+inline constexpr size_t kOutcomeLabels = 3;
 
 }  // namespace camo::obs

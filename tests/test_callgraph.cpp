@@ -281,8 +281,18 @@ TEST(CallGraphMachine, CallgraphCanBeDisabledIndependently) {
   ASSERT_NE(m.stats(), nullptr);
   EXPECT_EQ(m.stats()->callgraph().total_cycles(), 0u);
   EXPECT_EQ(m.stats()->folded_profile(), "");
-  // The flat profiler still accounts for everything.
-  EXPECT_EQ(m.stats()->profiler().total_cycles(), m.cpu().cycles());
+  // The flat view is derived from the call graph, so it goes with it...
+  EXPECT_TRUE(m.stats()->callgraph().flat_entries().empty());
+  // ...while the collector's own retire feed still accounts for every
+  // cycle and every retirement.
+  const obs::Registry& reg = m.stats()->metrics();
+  uint64_t cycles = 0, insns = 0;
+  for (int el = 0; el < 3; ++el) {
+    cycles += reg.value("cycles.el" + std::to_string(el));
+    insns += reg.value("insn.el" + std::to_string(el));
+  }
+  EXPECT_EQ(cycles, m.cpu().cycles());
+  EXPECT_EQ(insns, m.cpu().retired());
 }
 
 }  // namespace

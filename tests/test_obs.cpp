@@ -310,14 +310,17 @@ TEST(Observability, FlatProfileAccountsForEveryCycle) {
   m.add_user_program(kernel::workloads::read_file(20, 64, kernel::FileKind::Null));
   m.boot();
   ASSERT_TRUE(m.run());
-  const Profiler& prof = m.stats()->profiler();
-  EXPECT_EQ(prof.total_cycles(), m.cpu().cycles());
-  EXPECT_EQ(prof.total_retires(), m.cpu().retired());
-  // The kernel's syscall path must be attributed to real symbols, not the
-  // [other] catch-all.
-  uint64_t named = 0;
-  for (const auto& r : prof.entries())
+  // The flat view is the call graph's per-region self counts.
+  uint64_t cycles = 0, retires = 0, named = 0;
+  for (const auto& r : m.stats()->callgraph().flat_entries()) {
+    cycles += r.cycles;
+    retires += r.retires;
+    // The kernel's syscall path must be attributed to real symbols, not the
+    // [other] catch-all.
     if (r.name != "[other]") named += r.cycles;
+  }
+  EXPECT_EQ(cycles, m.cpu().cycles());
+  EXPECT_EQ(retires, m.cpu().retired());
   EXPECT_GT(named, m.cpu().cycles() / 2);
 }
 
