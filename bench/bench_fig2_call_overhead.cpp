@@ -33,10 +33,21 @@ struct CallRun {
   uint64_t cycles = 0;
   uint64_t retired = 0;
   double host_seconds = 0;
+  cpu::Engine ran_on = cpu::Engine::Reference;
   double throughput() const {
     return host_seconds > 0 ? static_cast<double>(retired) / host_seconds : 0;
   }
 };
+
+/// The engine tier a run's host counters show it ran on: formed traces mean
+/// Trace, built blocks mean Block, predecoded pages mean Fast.
+cpu::Engine ran_on(const cpu::Cpu& core) {
+  const cpu::SuperblockStats& sb = core.superblock_stats();
+  if (sb.traces_formed > 0) return cpu::Engine::Trace;
+  if (sb.blocks > 0) return cpu::Engine::Block;
+  if (core.fast_path_stats().icache_misses > 0) return cpu::Engine::Fast;
+  return cpu::Engine::Reference;
+}
 
 /// One run of a loop that BLs into a framed no-op callee built under
 /// `scheme` (or a loop with no call at all for `with_call = false`), with
@@ -88,16 +99,20 @@ CallRun run_call_loop(BackwardScheme scheme, bool compat, bool with_call,
   CallRun r;
   r.cycles = core.cycles();
   r.retired = core.retired();
+  r.ran_on = ran_on(core);
   r.host_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
   return r;
 }
 
-/// Cycles per iteration under the default engine configuration.
-double measure(BackwardScheme scheme, bool compat, bool with_call) {
+/// Cycles per iteration on the given engine tier.
+double measure(cpu::Engine engine, BackwardScheme scheme, bool compat,
+               bool with_call) {
+  cpu::Cpu::Config cc;
+  cc.engine = engine;
   return static_cast<double>(
-             run_call_loop(scheme, compat, with_call, kIters, {}).cycles) /
+             run_call_loop(scheme, compat, with_call, kIters, cc).cycles) /
          kIters;
 }
 
@@ -110,8 +125,10 @@ int main(int argc, char** argv) {
       "48b LTO id); ~tens of ns at 1.2 GHz");
   kIters = s.iters(4000, 200);
 
-  const double empty = measure(BackwardScheme::None, false, false);
-  const double baseline = measure(BackwardScheme::None, false, true) - empty;
+  const cpu::Engine engine = s.engine();
+  const double empty = measure(engine, BackwardScheme::None, false, false);
+  const double baseline =
+      measure(engine, BackwardScheme::None, false, true) - empty;
 
   struct Row {
     const char* name;
@@ -135,7 +152,7 @@ int main(int argc, char** argv) {
               baseline, bench::to_ns(baseline), "-");
   s.add("baseline", "call", baseline, "cycles/call");
   for (const auto& row : rows) {
-    const double c = measure(row.scheme, row.compat, true) - empty;
+    const double c = measure(engine, row.scheme, row.compat, true) - empty;
     std::printf("%-30s %12.1f %12.1f %14.1f\n", row.name, c, bench::to_ns(c),
                 bench::to_ns(c - baseline));
     s.add(row.key, "call", c, "cycles/call", c / baseline);
@@ -150,51 +167,33 @@ int main(int argc, char** argv) {
       compiler::backward_overhead_insns(BackwardScheme::Camouflage, true),
       compiler::backward_overhead_insns(BackwardScheme::Parts, true));
 
-  // Host throughput under the three host engine modes (informational): the
-  // same best-of-3 "insns/s" series fig3/fig4 emit, on the Camouflage call
-  // loop. This binary drives a raw Cpu (no Machine), so wall time is taken
-  // around run() directly; simulated cycles and retired counts must be
-  // bit-for-bit identical across modes.
+  // Host throughput on each engine tier (informational): the same best-of-3
+  // "insns/s" series fig3/fig4 emit, on the Camouflage call loop. This
+  // binary drives a raw Cpu (no Machine), so wall time is taken around run()
+  // directly; simulated cycles and retired counts must be bit-for-bit
+  // identical across tiers, and each row's host counters must show the tier
+  // it is named after.
   {
     const uint64_t tp_iters = kIters * 16;
-    std::vector<CallRun> results;
+    std::vector<bench::TierRun> runs;
     for (const auto& mode : bench::engine_modes()) {
       cpu::Cpu::Config cc;
-      cc.fast_path = mode.fast_path;
-      cc.superblocks = mode.superblocks && bench::superblocks_allowed();
+      cc.engine = mode.engine;
       CallRun best;
       for (int rep = 0; rep < 3; ++rep) {
         CallRun r = run_call_loop(BackwardScheme::Camouflage, false, true,
                                   tp_iters, cc);
         if (rep == 0 || r.throughput() > best.throughput()) best = r;
       }
-      results.push_back(best);
-    }
-    const auto modes = bench::engine_modes();
-    for (size_t i = 1; i < results.size(); ++i) {
-      if (results[i].cycles != results[0].cycles ||
-          results[i].retired != results[0].retired) {
-        std::fprintf(stderr,
-                     "%s changed simulated behaviour: cycles %llu vs %llu, "
-                     "retired %llu vs %llu\n",
-                     modes[i].name,
-                     static_cast<unsigned long long>(results[0].cycles),
-                     static_cast<unsigned long long>(results[i].cycles),
-                     static_cast<unsigned long long>(results[0].retired),
-                     static_cast<unsigned long long>(results[i].retired));
+      if (best.ran_on != mode.engine) {
+        std::fprintf(stderr, "%s row ran on the %s tier, not %s\n", mode.name,
+                     cpu::engine_name(best.ran_on),
+                     cpu::engine_name(mode.engine));
         return 1;
       }
+      runs.push_back({{best.cycles, best.retired}, best.throughput()});
     }
-    std::printf("\nhost throughput (camouflage call loop, informational):\n");
-    for (size_t i = 0; i < modes.size(); ++i) {
-      std::printf("  %-13s %12.0f guest insns/host-s (%.2fx)\n",
-                  modes[i].name, results[i].throughput(),
-                  results[0].throughput() > 0
-                      ? results[i].throughput() / results[0].throughput()
-                      : 0);
-      s.add(modes[i].name, "camouflage call loop", results[i].throughput(),
-            "insns/s");
-    }
+    if (!bench::report_tier_runs(s, "camouflage call loop", runs)) return 1;
   }
   return s.finish();
 }

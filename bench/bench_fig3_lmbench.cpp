@@ -75,15 +75,12 @@ struct SinkSet {
 /// The throughput rows' read workload under full protection with one sink
 /// set attached: best-of-3 guest insns per host second (the CPU loop only,
 /// like RunCycles::throughput), or 0 when a run does not complete.
-double sink_set_throughput(const SinkSet& set) {
+double sink_set_throughput(const bench::RunOptions& opts,
+                           const SinkSet& set) {
   double best = 0;
   for (int rep = 0; rep < 3; ++rep) {
-    kernel::MachineConfig cfg;
-    cfg.kernel.protection = compiler::ProtectionConfig::full();
-    cfg.kernel.log_pac_failures = false;
-    cfg.cpu.superblocks = bench::superblocks_allowed();
-    cfg.cpu.traces = bench::traces_allowed();
-    cfg.cores = bench::session_cores();
+    kernel::MachineConfig cfg =
+        opts.machine(compiler::ProtectionConfig::full());
     cfg.obs.enabled = set.enabled;
     cfg.obs.callgraph = set.callgraph;
     cfg.obs.coverage = set.coverage;
@@ -129,7 +126,7 @@ int main(int argc, char** argv) {
     double base = 0;
     std::printf("%-22s |", b.name);
     for (const auto& cfgn : bench::figure_configs()) {
-      const auto r = bench::run_workload(cfgn.prot, b.make());
+      const auto r = bench::run_workload(cfgn.prot, b.make(), s.run_options());
       if (r.halt_code != kernel::kHaltDone) {
         std::printf(" RUN FAILED (halt=0x%llx)",
                     static_cast<unsigned long long>(r.halt_code));
@@ -178,7 +175,7 @@ int main(int argc, char** argv) {
                 "protection, informational):\n");
     double off = 0;
     for (const SinkSet& set : sets) {
-      const double rate = sink_set_throughput(set);
+      const double rate = sink_set_throughput(s.run_options(), set);
       if (rate == 0) {
         std::fprintf(stderr, "sink-cost run (%s) failed\n", set.name);
         return 1;
@@ -190,6 +187,9 @@ int main(int argc, char** argv) {
     }
   }
 
+  bench::RunOptions collected = s.run_options();
+  collected.collect = true;
+
   // Latency-distribution histograms (DESIGN.md §3f): one collected read
   // workload under full protection. The hist.* series are informational —
   // distribution shape for trend tracking, never a regression gate. The
@@ -197,8 +197,7 @@ int main(int argc, char** argv) {
   // (hence unemitted) when the engine is off.
   {
     const auto r = bench::run_workload(compiler::ProtectionConfig::full(),
-                                       make_read(), 400'000'000,
-                                       /*collect=*/true);
+                                       make_read(), collected);
     if (r.halt_code != kernel::kHaltDone) {
       std::fprintf(stderr, "histogram run failed (halt=0x%llx)\n",
                    static_cast<unsigned long long>(r.halt_code));
@@ -217,8 +216,7 @@ int main(int argc, char** argv) {
   // the folded call-stack profile (flamegraph.pl / speedscope input).
   if (!s.trace_path().empty() || !s.folded_path().empty()) {
     const auto r = bench::run_workload(compiler::ProtectionConfig::full(),
-                                       make_read(), 400'000'000,
-                                       /*collect=*/true);
+                                       make_read(), collected);
     if (r.halt_code != kernel::kHaltDone) {
       std::fprintf(stderr, "trace run failed (halt=0x%llx)\n",
                    static_cast<unsigned long long>(r.halt_code));

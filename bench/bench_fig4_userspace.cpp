@@ -59,7 +59,8 @@ int main(int argc, char** argv) {
     for (const auto& cfgn : bench::figure_configs()) {
       std::vector<obj::Program> progs;
       progs.push_back(w.make());
-      const auto r = bench::run_workload(cfgn.prot, std::move(progs));
+      const auto r =
+          bench::run_workload(cfgn.prot, std::move(progs), s.run_options());
       if (r.halt_code != kernel::kHaltDone) {
         std::printf(" RUN FAILED (halt=0x%llx)",
                     static_cast<unsigned long long>(r.halt_code));

@@ -47,6 +47,7 @@ int main(int argc, char** argv) {
     cfg.kernel.protection = compiler::ProtectionConfig::full();
     cfg.kernel.log_pac_failures = false;
     cfg.obs.enabled = true;
+    cfg.cpu.engine = s.engine();
     cfg.seed = seed;
     cfg.machine_id = static_cast<unsigned>(i);
     cfg.image_cache = cache;

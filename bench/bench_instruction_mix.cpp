@@ -30,16 +30,14 @@ struct Mix {
   double rel_overhead;
 };
 
-Mix measure(std::vector<obj::Program> progs_full,
+Mix measure(const bench::RunOptions& opts,
+            std::vector<obj::Program> progs_full,
             std::vector<obj::Program> progs_none) {
   // Overhead: full vs none.
   const auto none = bench::run_workload(compiler::ProtectionConfig::none(),
-                                        std::move(progs_none));
+                                        std::move(progs_none), opts);
   // Instruction mix under full protection.
-  kernel::MachineConfig cfg;
-  cfg.kernel.protection = compiler::ProtectionConfig::full();
-  cfg.kernel.log_pac_failures = false;
-  kernel::Machine m(cfg);
+  kernel::Machine m(opts.machine(compiler::ProtectionConfig::full()));
   for (auto& p : progs_full) m.add_user_program(std::move(p));
   m.boot();
   m.run();
@@ -108,7 +106,7 @@ int main(int argc, char** argv) {
   std::printf("%-30s %12s %14s %14s\n", "workload", "PAuth insn %",
               "calls / 1k insn", "overhead vs none");
   for (const auto& w : works) {
-    const Mix m = measure(w.make(), w.make());
+    const Mix m = measure(s.run_options(), w.make(), w.make());
     std::printf("%-30s %11.2f%% %14.1f %13.3fx\n", w.name, m.pauth_pct,
                 m.calls_per_k, m.rel_overhead);
     s.add("full", std::string(w.name) + ": PAuth insn share", m.pauth_pct,

@@ -133,10 +133,11 @@ int main(int argc, char** argv) {
   // extension removes the per-transition switch entirely.
   {
     const uint64_t n = s.iters(2000, 100);
-    auto syscall_cycles = [n](bool banked) {
+    auto syscall_cycles = [n, &s](bool banked) {
       kernel::MachineConfig cfg;
       cfg.kernel.protection = compiler::ProtectionConfig::full();
       cfg.kernel.log_pac_failures = false;
+      cfg.cpu.engine = s.engine();
       cfg.cpu.banked_keys = banked;
       kernel::Machine m(cfg);
       m.add_user_program(kernel::workloads::null_syscall(n));

@@ -47,8 +47,10 @@ struct SmpRun {
   std::vector<uint64_t> percpu_insn;  ///< obs "insn.c<k>" counters
 };
 
-SmpRun run_mix(unsigned cores, uint64_t scale, uint64_t seed) {
+SmpRun run_mix(unsigned cores, uint64_t scale, uint64_t seed,
+              cpu::Engine engine) {
   kernel::MachineConfig cfg;
+  cfg.cpu.engine = engine;
   cfg.kernel.protection = compiler::ProtectionConfig::full();
   cfg.kernel.log_pac_failures = false;
   cfg.kernel.preempt = true;
@@ -106,7 +108,7 @@ int main(int argc, char** argv) {
   // Each (cores, repeat) pair is an independent machine: shard across the
   // --jobs pool, print serially.
   const auto runs = s.fleet(core_counts.size() * 2, [&](size_t i) {
-    return run_mix(core_counts[i / 2], scale, seed);
+    return run_mix(core_counts[i / 2], scale, seed, s.engine());
   });
   uint64_t uni_makespan = 0;
   for (size_t ci = 0; ci < core_counts.size(); ++ci) {
@@ -156,6 +158,7 @@ int main(int argc, char** argv) {
     cfg.kernel.protection = compiler::ProtectionConfig::full();
     cfg.kernel.log_pac_failures = false;
     cfg.kernel.preempt = true;
+    cfg.cpu.engine = s.engine();
     cfg.cores = fleet_cores;
     cfg.smp_quantum = 500;
     cfg.obs.enabled = true;

@@ -9,9 +9,10 @@
 //
 // Every bench binary drives a bench::Session, which
 //   * prints the figure header,
-//   * parses the shared flags (--json <path>, --smoke, --trace on|off|<path>,
-//     --folded <path>, --seed <u64>, --jobs <n>, --sb on|off, --cov <path>)
-//     and compacts them out of argv so
+//   * parses the shared flags (--json <path>, --smoke, --trace <path>,
+//     --folded <path>, --seed <u64>, --jobs <n>, --cores <n>,
+//     --engine reference|fast|block|trace, --cov <path>) and compacts them
+//     out of argv so
 //     binaries with their own flag parsing (bench_qarma) still work; a
 //     value-taking flag with a missing or malformed value is a hard error
 //     (exit 2), never silently dropped,
@@ -37,6 +38,7 @@
 #include <vector>
 
 #include "compiler/instrument.h"
+#include "cpu/engine.h"
 #include "kernel/machine.h"
 #include "obs/bench_schema.h"
 #include "obs/coverage.h"
@@ -92,63 +94,42 @@ struct RunCycles {
   obs::Histogram trace_len;
 };
 
+/// How run_workload builds and runs its machine. Session::run_options()
+/// fills `engine` and `cores` from --engine and --cores; callers override
+/// fields per run.
+struct RunOptions {
+  uint64_t max_steps = 400'000'000;
+  /// Attach the obs collector; the result then carries the Chrome trace,
+  /// the flat cycle profile and the folded call-graph profile.
+  bool collect = false;
+  /// Boot entropy (kernel + user PAuth keys): never affects cycle counts,
+  /// only the key material.
+  uint64_t seed = kernel::MachineConfig{}.seed;
+  /// Host engine tier (cpu/engine.h): simulated cycles are identical on
+  /// every tier, only host_seconds moves.
+  cpu::Engine engine = cpu::Engine::Trace;
+  unsigned cores = 1;
+
+  /// The machine these options describe, with `prot` and PAC-failure
+  /// logging off.
+  kernel::MachineConfig machine(const compiler::ProtectionConfig& prot) const {
+    kernel::MachineConfig cfg;
+    cfg.kernel.protection = prot;
+    cfg.kernel.log_pac_failures = false;
+    cfg.obs.enabled = collect;
+    cfg.seed = seed;
+    cfg.cpu.engine = engine;
+    cfg.cores = cores;
+    return cfg;
+  }
+};
+
 /// Build a machine with `prot`, add the given user programs, run to halt and
-/// report cycles. The workload window starts when EL0 first executes. With
-/// `collect`, the machine runs with the obs collector attached and the
-/// result carries the Chrome trace, the flat cycle profile and the folded
-/// call-graph profile. `seed` is the machine's boot entropy (kernel + user
-/// PAuth keys); it never affects the cycle counts, only the key material.
-/// `fast_path` toggles the host-side predecode/micro-TLB caches (DESIGN.md
-/// §3c) and `superblocks` the block-translation engine (§3e); simulated
-/// cycles are identical any way round, only host_seconds moves. A bench's
-/// explicit `superblocks` choice is further ANDed with the session-wide
-/// --sb flag (superblocks_allowed()), the escape hatch the sanitizer CI
-/// uses to exercise both engines.
-inline bool& superblocks_allowed() {
-  static bool allowed = true;
-  return allowed;
-}
-
-/// Session-wide gate for the trace tier (§3i), set from --trace on|off and
-/// ANDed with each bench's per-run choice exactly like
-/// superblocks_allowed(). Meaningless when superblocks are off — the trace
-/// tier lives inside the superblock engine.
-inline bool& traces_allowed() {
-  static bool allowed = true;
-  return allowed;
-}
-
-/// Guest core count run_workload builds machines with when the caller
-/// passes `cores = 0` ("session default"). Session's constructor sets it
-/// from --cores, so every bench built on run_workload honours the flag
-/// without threading a parameter through each call site. Written once
-/// before any fleet worker spawns; reads are unsynchronized by design
-/// (same pattern as superblocks_allowed()).
-inline unsigned& session_cores() {
-  static unsigned cores = 1;
-  return cores;
-}
-
+/// report cycles. The workload window starts when EL0 first executes.
 inline RunCycles run_workload(const compiler::ProtectionConfig& prot,
                               std::vector<obj::Program> programs,
-                              uint64_t max_steps = 400'000'000,
-                              bool collect = false,
-                              uint64_t seed = kernel::MachineConfig{}.seed,
-                              bool fast_path = true,
-                              bool superblocks = true,
-                              unsigned cores = 0,
-                              bool traces = true) {
-  if (cores == 0) cores = session_cores();
-  kernel::MachineConfig cfg;
-  cfg.kernel.protection = prot;
-  cfg.kernel.log_pac_failures = false;
-  cfg.obs.enabled = collect;
-  cfg.seed = seed;
-  cfg.cpu.fast_path = fast_path;
-  cfg.cpu.superblocks = superblocks && superblocks_allowed();
-  cfg.cpu.traces = traces && traces_allowed();
-  cfg.cores = cores;
-  kernel::Machine m(cfg);
+                              const RunOptions& opts = {}) {
+  kernel::Machine m(opts.machine(prot));
   for (auto& p : programs) m.add_user_program(std::move(p));
   m.boot();
   uint64_t start = 0;
@@ -160,7 +141,7 @@ inline RunCycles run_workload(const compiler::ProtectionConfig& prot,
     m.core(c).add_breakpoint(kernel::kUserBase, [&](cpu::Cpu& cc) {
       if (start == 0) start = cc.cycles();
     });
-  m.run(max_steps);
+  m.run(opts.max_steps);
   RunCycles r;
   // Multi-core "total" is the makespan: the busiest core's clock. At
   // cores=1 both reduce to the classic single-clock readings.
@@ -193,47 +174,19 @@ inline RunCycles run_workload(const compiler::ProtectionConfig& prot,
 /// One measurement in the emitted series.
 using SeriesPoint = obs::BenchSeriesPoint;
 
-/// The four host-engine configurations of the informational throughput
-/// series: every host cache off, the §3c fetch/translate fast path alone,
-/// the §3e superblock engine stacked on top of it, and the §3i trace tier
-/// stacked on top of the superblocks.
+/// The four host-engine tiers of the informational throughput series, one
+/// row per rung of the ladder under the series names the baselines use.
 struct EngineMode {
   const char* name;
-  bool fast_path;
-  bool superblocks;
-  bool traces;
+  cpu::Engine engine;
 };
 
 inline std::vector<EngineMode> engine_modes() {
-  return {{"fastpath-off", false, false, false},
-          {"sb-off", true, false, false},
-          {"sb-on", true, true, false},
-          {"trace-on", true, true, true}};
+  return {{"fastpath-off", cpu::Engine::Reference},
+          {"sb-off", cpu::Engine::Fast},
+          {"sb-on", cpu::Engine::Block},
+          {"trace-on", cpu::Engine::Trace}};
 }
-
-/// Validate a parsed BENCH JSON document against the camo-bench/v1 schema.
-/// Returns an empty string when valid, else a description of the problem.
-/// (Forwarder kept for existing callers; the schema lives in camo::obs.)
-inline std::string validate_bench_json(const obs::json::Value& doc) {
-  return obs::validate_bench_json(doc);
-}
-
-class Session;
-
-/// Measure and emit the informational host-throughput series for one
-/// workload: best-of-3 under each engine mode (min-of-N wall time == max
-/// throughput, stripping host scheduler noise the way perfdiff does),
-/// parity-checked — simulated cycles, retired count and halt code must be
-/// bit-for-bit identical across modes, because every mode is host-side
-/// only. Prints the block and adds one (mode, benchmark) "insns/s" point
-/// per mode. Returns false after printing the mismatch when parity fails;
-/// callers exit non-zero. Declared here, defined after Session.
-template <class MakePrograms>
-bool emit_throughput_series(Session& s, const std::string& benchmark,
-                            const compiler::ProtectionConfig& prot,
-                            MakePrograms&& make,
-                            uint64_t max_steps = 400'000'000,
-                            uint64_t seed = kernel::MachineConfig{}.seed);
 
 /// Per-binary bench driver; see the header comment.
 class Session {
@@ -252,14 +205,9 @@ class Session {
     std::string cov_path;
     std::optional<uint64_t> seed;
     bool smoke = false;
-    /// --sb on|off: session-wide gate for the superblock engine, ANDed with
-    /// each bench's per-run choice (see run_workload). "off" is the
-    /// sanitizer-CI escape hatch; "on" is the default and forces nothing.
-    bool sb = true;
-    /// --trace on|off: session-wide gate for the trace tier (§3i), same
-    /// contract as --sb. The flag is overloaded for compatibility: any
-    /// other value is the Chrome trace output path (trace_path above).
-    bool trace = true;
+    /// --engine reference|fast|block|trace: the host engine tier every run
+    /// uses unless a bench compares tiers itself (the throughput series).
+    cpu::Engine engine = cpu::Engine::Trace;
     /// Host threads for fleet()-sharded sweeps: --jobs N, else the
     /// CAMO_JOBS environment variable, else 1. Never affects simulated
     /// results — only wall-clock (DESIGN.md §3d). Recorded in the emitted
@@ -315,19 +263,7 @@ class Session {
       std::string seed_text;
       if (take_value("--json", out.json_path, matched)) continue;
       if (matched) break;
-      std::string trace_text;
-      if (take_value("--trace", trace_text, matched)) {
-        // Overloaded flag: on|off gates the trace tier; anything else is
-        // the Chrome trace output path (the flag's original meaning).
-        if (trace_text == "on") {
-          out.trace = true;
-        } else if (trace_text == "off") {
-          out.trace = false;
-        } else {
-          out.trace_path = trace_text;
-        }
-        continue;
-      }
+      if (take_value("--trace", out.trace_path, matched)) continue;
       if (matched) break;
       if (take_value("--folded", out.folded_path, matched)) continue;
       if (matched) break;
@@ -346,16 +282,15 @@ class Session {
         continue;
       }
       if (matched) break;
-      std::string sb_text;
-      if (take_value("--sb", sb_text, matched)) {
-        if (sb_text == "on") {
-          out.sb = true;
-        } else if (sb_text == "off") {
-          out.sb = false;
-        } else {
-          error = "--sb wants on|off, got \"" + sb_text + "\"";
+      std::string engine_text;
+      if (take_value("--engine", engine_text, matched)) {
+        const auto e = cpu::parse_engine(engine_text);
+        if (!e) {
+          error = "--engine wants reference|fast|block|trace, got \"" +
+                  engine_text + "\"";
           break;
         }
+        out.engine = *e;
         continue;
       }
       if (matched) break;
@@ -410,9 +345,6 @@ class Session {
       std::fprintf(stderr, "error: %s\n", err.c_str());
       std::exit(2);
     }
-    superblocks_allowed() = flags_.sb;
-    traces_allowed() = flags_.trace;
-    session_cores() = flags_.cores;
     std::printf(
         "\n================================================================\n");
     std::printf("%s — %s%s\n", bench_id_.c_str(), title_.c_str(),
@@ -435,6 +367,14 @@ class Session {
   const std::string& cov_path() const { return flags_.cov_path; }
   unsigned jobs() const { return flags_.jobs; }
   unsigned cores() const { return flags_.cores; }
+  cpu::Engine engine() const { return flags_.engine; }
+  /// run_workload options carrying this session's --engine and --cores.
+  RunOptions run_options() const {
+    RunOptions o;
+    o.engine = flags_.engine;
+    o.cores = flags_.cores;
+    return o;
+  }
 
   /// The session's work-stealing pool, sized by --jobs / CAMO_JOBS
   /// (constructed on first use; at --jobs 1 fleet() runs inline and the
@@ -562,13 +502,9 @@ class Session {
     // so camo-perfdiff refuses cross-cores comparisons outright.
     if (flags_.cores != 1)
       doc.set("cores", obs::json::Value(static_cast<uint64_t>(flags_.cores)));
-    // Absent means on (the default engine): recordings made before the flag
-    // existed — and every default run since — stay byte-identical.
-    if (!flags_.sb) doc.set("sb", obs::json::Value(false));
-    // Absent means off: recordings made before the trace tier existed parse
-    // as trace-less, which is what they ran. Emitted only when the tier can
-    // actually engage (it lives inside the superblock engine).
-    if (flags_.sb && flags_.trace) doc.set("trace", obs::json::Value(true));
+    // Always written: host series differ per tier, so camo-perfdiff refuses
+    // cross-engine comparisons (legacy documents derive it, bench_schema.h).
+    doc.set("engine", obs::json::Value(cpu::engine_name(flags_.engine)));
     obs::json::Value series = obs::json::Value::array();
     for (const SeriesPoint& p : series_) {
       obs::json::Value pt = obs::json::Value::object();
@@ -633,49 +569,71 @@ void emit_host_throughput_series(Session& s, const std::string& benchmark,
   s.add("host", benchmark, best, "ops/s");
 }
 
+/// One engine tier's best-of-3 run in a host-throughput series.
+struct TierRun {
+  /// Simulated results (cycles, retired count, ...): identical on every
+  /// tier, because every tier is host-side only.
+  std::vector<uint64_t> simulated;
+  double throughput = 0;  ///< guest insns per host second
+};
+
+/// Parity-check and report a host-throughput series: `runs` holds one
+/// TierRun per engine_modes() entry, in order. Prints the block and adds one
+/// (mode, benchmark) "insns/s" point per tier. Returns false after printing
+/// the first tier whose simulated results differ from Reference's; callers
+/// exit non-zero.
+inline bool report_tier_runs(Session& s, const std::string& benchmark,
+                             const std::vector<TierRun>& runs) {
+  const std::vector<EngineMode> modes = engine_modes();
+  for (size_t i = 1; i < runs.size(); ++i) {
+    if (runs[i].simulated == runs[0].simulated) continue;
+    std::fprintf(stderr, "%s changed simulated behaviour on %s:",
+                 modes[i].name, benchmark.c_str());
+    for (size_t k = 0; k < runs[i].simulated.size(); ++k)
+      std::fprintf(stderr, " %llu vs %llu",
+                   static_cast<unsigned long long>(runs[0].simulated[k]),
+                   static_cast<unsigned long long>(runs[i].simulated[k]));
+    std::fprintf(stderr, "\n");
+    return false;
+  }
+  std::printf("\nhost throughput (%s, informational):\n", benchmark.c_str());
+  for (size_t i = 0; i < runs.size(); ++i) {
+    std::printf("  %-13s %12.0f guest insns/host-s (%.2fx)\n", modes[i].name,
+                runs[i].throughput,
+                runs[0].throughput > 0
+                    ? runs[i].throughput / runs[0].throughput
+                    : 0);
+    s.add(modes[i].name, benchmark, runs[i].throughput, "insns/s");
+  }
+  return true;
+}
+
+/// Measure and emit the informational host-throughput series for one
+/// workload: best-of-3 on each engine tier (min-of-N wall time == max
+/// throughput, stripping host scheduler noise the way perfdiff does), with
+/// simulated cycles, workload window, halt code and retired count
+/// parity-checked across tiers by report_tier_runs.
 template <class MakePrograms>
 bool emit_throughput_series(Session& s, const std::string& benchmark,
                             const compiler::ProtectionConfig& prot,
-                            MakePrograms&& make, uint64_t max_steps,
-                            uint64_t seed) {
-  const std::vector<EngineMode> modes = engine_modes();
-  std::vector<RunCycles> results;
-  for (const EngineMode& mode : modes) {
+                            MakePrograms&& make,
+                            uint64_t max_steps = 400'000'000,
+                            uint64_t seed = kernel::MachineConfig{}.seed) {
+  RunOptions opts = s.run_options();
+  opts.max_steps = max_steps;
+  opts.seed = seed;
+  std::vector<TierRun> runs;
+  for (const EngineMode& mode : engine_modes()) {
+    opts.engine = mode.engine;
     RunCycles best;
     for (int rep = 0; rep < 3; ++rep) {
-      RunCycles r = run_workload(prot, make(), max_steps, /*collect=*/false,
-                                 seed, mode.fast_path, mode.superblocks,
-                                 /*cores=*/0, mode.traces);
+      RunCycles r = run_workload(prot, make(), opts);
       if (rep == 0 || r.throughput() > best.throughput()) best = r;
     }
-    results.push_back(best);
+    runs.push_back({{best.total, best.workload, best.halt_code, best.retired},
+                    best.throughput()});
   }
-  for (size_t i = 1; i < results.size(); ++i) {
-    const RunCycles& a = results[0];
-    const RunCycles& b = results[i];
-    if (a.total != b.total || a.workload != b.workload ||
-        a.halt_code != b.halt_code || a.retired != b.retired) {
-      std::fprintf(stderr,
-                   "%s changed simulated behaviour on %s: "
-                   "cycles %llu vs %llu, retired %llu vs %llu\n",
-                   modes[i].name, benchmark.c_str(),
-                   static_cast<unsigned long long>(a.total),
-                   static_cast<unsigned long long>(b.total),
-                   static_cast<unsigned long long>(a.retired),
-                   static_cast<unsigned long long>(b.retired));
-      return false;
-    }
-  }
-  std::printf("\nhost throughput (%s, informational):\n", benchmark.c_str());
-  for (size_t i = 0; i < modes.size(); ++i) {
-    std::printf("  %-13s %12.0f guest insns/host-s (%.2fx)\n", modes[i].name,
-                results[i].throughput(),
-                results[0].throughput() > 0
-                    ? results[i].throughput() / results[0].throughput()
-                    : 0);
-    s.add(modes[i].name, benchmark, results[i].throughput(), "insns/s");
-  }
-  return true;
+  return report_tier_runs(s, benchmark, runs);
 }
 
 }  // namespace camo::bench

@@ -35,15 +35,17 @@
 # outright. (bench_smp sweeps its own core counts internally regardless of
 # the flag, so its baseline stays uniprocessor-headed and comparable.)
 #
-# Superblocks (DESIGN.md §3e) and the trace tier on top (§3i) stay at
-# their defaults (both on): the engines are cycle-exact, so the gated
-# series are identical either way — a gate run passing with them on is
-# itself the parity check. The benches' informational throughput series
-# cover fastpath-off / sb-off / sb-on / trace-on regardless. The engine
-# choice rides in the camo-bench/v1 header ("sb", "trace") and
-# camo-perfdiff refuses cross-engine pairs, so baselines recorded with a
-# non-default engine make every later default gate run fail: only pass
-# --sb off / --trace off here deliberately, and say so in the commit.
+# The engine tier (cpu::Engine, DESIGN.md §3c/§3e/§3i) stays at its
+# default, trace: the tiers are cycle-exact, so the gated series are
+# identical on any of them, and a gate run passing on the top tier is itself
+# the parity check. The benches' informational throughput series cover all
+# four tiers regardless (fastpath-off / sb-off / sb-on / trace-on are
+# reference / fast / block / trace). The session's tier rides in the
+# camo-bench/v1 header ("engine"; older baselines carry the legacy "sb" and
+# "trace" booleans, which parse as the same tier) and camo-perfdiff refuses
+# cross-engine pairs, so baselines recorded on a non-default tier make every
+# later default gate run fail: only pass --engine here deliberately, and say
+# so in the commit.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."

@@ -34,8 +34,8 @@ Cpu::Cpu(mem::Mmu& mmu, Config cfg)
       cfg_(cfg),
       pauth_(cfg.layout),
       sb_(std::make_unique<SuperblockEngine>()) {
-  mmu_->set_fast_path(cfg_.fast_path);
-  pauth_.set_fast_path(cfg_.fast_path);
+  mmu_->set_fast_path(cfg_.engine >= Engine::Fast);
+  pauth_.set_fast_path(cfg_.engine >= Engine::Fast);
 }
 
 Cpu::~Cpu() = default;
@@ -634,7 +634,7 @@ bool Cpu::step_impl() {
     take_exception(ExcClass::InsnAbort, iaddr, 0, xlat.fault, iaddr);
     return true;
   }
-  const Inst inst = cfg_.fast_path
+  const Inst inst = cfg_.engine >= Engine::Fast
                         ? fetch_decoded(xlat.pa)
                         : isa::decode(mmu_->phys().read32(xlat.pa));
   if (trace_) trace_(*this, iaddr, inst);
@@ -686,18 +686,18 @@ const Inst& Cpu::fetch_decoded_slow(uint64_t pa) {
 
 uint64_t Cpu::run(uint64_t max_steps) {
   const uint64_t retired0 = instret_;
-  if (!cfg_.superblocks) {
+  if (cfg_.engine < Engine::Block) {
     uint64_t n = 0;
     while (n < max_steps && step()) ++n;
     return instret_ - retired0;
   }
-  // Superblock mode (DESIGN.md §3e): the engine consumes the budget in
-  // whole-block bites and hands back anything only the single-step path can
-  // do exactly — interrupt delivery, breakpoint hooks, faulting or unaligned
-  // fetches. One step() after every engine return also guarantees forward
-  // progress when the engine reports 0. Budget units are identical to the
-  // single-step loop's for any max_steps, so run(a); run(b) splits land on
-  // the same instruction boundaries with the engine on or off.
+  // Block and Trace tiers (DESIGN.md §3e, §3i): the engine consumes the
+  // budget in whole-block bites and hands back anything only the single-step
+  // path can do exactly — interrupt delivery, breakpoint hooks, faulting or
+  // unaligned fetches. One step() after every engine return also guarantees
+  // forward progress when the engine reports 0. Budget units are identical
+  // to the single-step loop's for any max_steps, so run(a); run(b) splits
+  // land on the same instruction boundaries on every tier.
   uint64_t n = 0;
   while (n < max_steps) {
     n += sb_->execute(*this, max_steps - n);
@@ -1286,14 +1286,6 @@ constexpr auto kExecTable = [] {
     t[i] = pick_handler(static_cast<Op>(i));
   return t;
 }();
-
-static_assert(
-    [] {
-      for (Cpu::ExecFn fn : kExecTable)
-        if (fn == nullptr) return false;
-      return true;
-    }(),
-    "every decodable Op must have an exec handler");
 
 }  // namespace
 

@@ -22,6 +22,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "cpu/engine.h"
 #include "cpu/pauth.h"
 #include "isa/isa.h"
 #include "mem/mmu.h"
@@ -93,24 +94,12 @@ class Cpu {
     bool banked_keys = false;
     mem::VaLayout layout{};
     bool enable_cycle_model = true;
-    /// Host-performance fast path (DESIGN.md §3c): predecoded instruction
-    /// pages keyed by (phys page, write generation) plus the Mmu micro-TLB.
-    /// Purely a host-side optimisation — simulated cycles, traces, and fault
-    /// sequences are bit-for-bit identical with this on or off.
-    bool fast_path = true;
-    /// Superblock execution (DESIGN.md §3e): run() executes cached basic
-    /// blocks of pre-resolved handler pointers instead of single-stepping.
-    /// Like fast_path, a host-side optimisation only — simulated state, the
-    /// retire stream and every observability feed are bit-for-bit identical
-    /// with this on or off. Composes with fast_path (step() still uses the
-    /// predecode cache whenever the engine falls back to single-stepping).
-    bool superblocks = true;
-    /// Trace tier on top of the superblock engine (DESIGN.md §3i): extend
-    /// cached runs across strongly-biased branch edges behind execution-time
-    /// guards, with per-page epoch validation and fused PAuth fast paths.
-    /// Host-side only, same invariance contract as superblocks; meaningless
-    /// (ignored) when superblocks is off.
-    bool traces = true;
+    /// Host engine tier (engine.h). Purely a host-side choice: simulated
+    /// state, cycles, the retire stream and every observability feed are
+    /// bit-for-bit identical on every tier. step() uses the predecode cache
+    /// from Fast up; run() executes cached blocks from Block up and extends
+    /// them into traces at Trace.
+    Engine engine = Engine::Trace;
   };
 
   Cpu(mem::Mmu& mmu, Config cfg);
@@ -294,7 +283,7 @@ class Cpu {
     uint64_t icache_redecodes = 0; ///< misses caused by a stale generation
   };
   const FastPathStats& fast_path_stats() const { return fp_stats_; }
-  /// Superblock-cache statistics (zero when Config::superblocks is off).
+  /// Superblock-cache statistics (zero below Engine::Block).
   const SuperblockStats& superblock_stats() const;
 
   /// Pre-resolved execute handler: the function execute() dispatches
@@ -417,7 +406,7 @@ class Cpu {
   uint64_t mru_page_ = ~uint64_t{0};
   DecodedPage* mru_dp_ = nullptr;
   FastPathStats fp_stats_;
-  std::unique_ptr<SuperblockEngine> sb_;  // used by run() when cfg_.superblocks
+  std::unique_ptr<SuperblockEngine> sb_;  // used by run() from Engine::Block up
 
   bool irq_pending_ = false;
   uint64_t irq_sources_ = 0;   // ISR_EL1 latch: kIrqSrc* bits, W1C via MSR

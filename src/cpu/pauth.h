@@ -94,14 +94,13 @@ class PauthUnit {
   // key change a natural miss with no epoch bookkeeping. Host-side only —
   // signing and authentication results are bit-for-bit unchanged.
 
-  /// Enable/disable the memo cache (the CPU propagates its fast-path toggle
-  /// here; standalone PauthUnit users default to the uncached cipher).
+  /// Enable/disable the memo cache (the CPU turns it on from Engine::Fast
+  /// up; standalone PauthUnit users default to the uncached cipher).
   void set_fast_path(bool on) {
     fast_path_ = on;
     cache_.clear();
     if (on) cache_.resize(kPacEntries);
   }
-  bool fast_path() const { return fast_path_; }
 
   struct PacCacheStats {
     uint64_t hits = 0;

@@ -645,7 +645,7 @@ uint64_t SuperblockEngine::dispatch(Cpu& cpu, uint64_t budget) {
     // Trace tier (§3i): a valid trace headed here replaces the whole
     // block-by-block walk; a stale one is dropped — its still-valid
     // constituent blocks keep running standalone and may re-form.
-    if (cpu.cfg_.traces && blk->trace != nullptr) {
+    if (cpu.cfg_.engine == Engine::Trace && blk->trace != nullptr) {
       Trace& t = *blk->trace;
       if (trace_valid(cpu, t)) {
         if (run_trace(cpu, t, budget, consumed, prev) == TraceExit::kReturn)
@@ -748,7 +748,7 @@ uint64_t SuperblockEngine::dispatch(Cpu& cpu, uint64_t budget) {
     if (consumed > d0) stats_.run_length.record(consumed - d0);
     if (completed) {
       if (cpu.halted_) break;
-      if (cpu.cfg_.traces) {
+      if (cpu.cfg_.engine == Engine::Trace) {
         blk->prof.record(cpu.pc);
         if (blk->trace == nullptr &&
             edge_extendable(blk->entries.back().inst))

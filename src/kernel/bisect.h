@@ -1,9 +1,9 @@
 // Divergence bisector (DESIGN.md §3g).
 //
 // Given two Machine configurations that are *supposed* to execute
-// identically (superblocks on/off, fast_path on/off, a replayed flight
-// bundle vs. a fresh boot), the bisector finds the first retired
-// instruction after which their architectural states differ:
+// identically (two engine tiers, a replayed flight bundle vs. a fresh
+// boot), the bisector finds the first retired instruction after which
+// their architectural states differ:
 //
 //  1. forward scan: run both machines in lockstep windows of
 //     `digest_interval` retirements, comparing obs::snapshot_digest at

@@ -242,13 +242,12 @@ class Mmu {
   }
 
   // ---- micro-TLB ---------------------------------------------------------
-  /// Enable/disable the micro-TLB (the CPU propagates its fast-path toggle
-  /// here). Translation results are bit-for-bit identical either way.
+  /// Enable/disable the micro-TLB (the CPU turns it on from Engine::Fast
+  /// up). Translation results are bit-for-bit identical either way.
   void set_fast_path(bool on) {
     fast_path_ = on;
     flush_tlb();
   }
-  bool fast_path() const { return fast_path_; }
   /// Drop every cached translation (map-pointer swaps do this implicitly).
   void flush_tlb() const;
 

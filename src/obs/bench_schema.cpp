@@ -26,6 +26,10 @@ std::string validate_bench_json(const json::Value& doc) {
   const auto* cores = doc.get("cores");
   if (cores && (!cores->is_number() || cores->as_number() < 1))
     return "\"cores\" is not a number >= 1";
+  const auto* engine = doc.get("engine");
+  if (engine &&
+      (!engine->is_string() || !cpu::parse_engine(engine->as_string())))
+    return "\"engine\" is not one of reference|fast|block|trace";
   const auto* sb = doc.get("sb");
   if (sb && !sb->is_bool()) return "\"sb\" is not a bool";
   const auto* trace = doc.get("trace");
@@ -68,8 +72,17 @@ std::optional<BenchDoc> parse_bench_doc(const json::Value& doc,
     out.jobs = static_cast<unsigned>(jobs->as_number());
   if (const auto* cores = doc.get("cores"))
     out.cores = static_cast<unsigned>(cores->as_number());
-  if (const auto* sb = doc.get("sb")) out.sb = sb->as_bool();
-  if (const auto* trace = doc.get("trace")) out.trace = trace->as_bool();
+  if (const auto* engine = doc.get("engine")) {
+    out.engine = *cpu::parse_engine(engine->as_string());
+  } else {
+    const auto* sb = doc.get("sb");
+    const auto* trace = doc.get("trace");
+    if (sb && !sb->as_bool())
+      out.engine = cpu::Engine::Fast;
+    else
+      out.engine = trace && trace->as_bool() ? cpu::Engine::Trace
+                                             : cpu::Engine::Block;
+  }
   const json::Value& series = *doc.get("series");
   out.series.reserve(series.size());
   for (size_t i = 0; i < series.size(); ++i) {

@@ -17,20 +17,24 @@
 //                                          // results, so documents with
 //                                          // different cores are never
 //                                          // comparable
-//     "sb": false,                         // optional, absent means true:
-//                                          // whether the superblock engine
-//                                          // was allowed (--sb); host-side
-//                                          // only, simulated cycles are
-//                                          // engine-independent
-//     "trace": true,                       // optional, absent means false:
-//                                          // whether the trace tier was
-//                                          // allowed on top of superblocks
-//                                          // (--trace); recordings predating
-//                                          // the tier parse as trace-less
+//     "engine": "trace",                   // host engine tier the session
+//                                          // ran at (--engine: reference,
+//                                          // fast, block or trace);
+//                                          // host-side only, simulated
+//                                          // cycles are tier-independent,
+//                                          // but host series are not, so
+//                                          // documents with different
+//                                          // engines are never compared
 //     "series": [ {"config": "full", "benchmark": "null syscall",
 //                  "value": 1234.5, "unit": "cycles/op",
 //                  "relative": 1.31},  ... ]
 //   }
+// Documents recorded before "engine" existed carry the legacy booleans
+// instead, and parse as the tier they ran: "sb": false (the superblock
+// engine was off, absent means on) is fast; otherwise "trace": true is trace
+// and an absent "trace" is block, which is what runs predating the trace
+// tier executed.
+//
 // Validation lives here so a bench that emits a malformed document and a
 // perfdiff run over a corrupt baseline fail with the same message.
 #pragma once
@@ -40,6 +44,7 @@
 #include <string>
 #include <vector>
 
+#include "cpu/engine.h"
 #include "obs/json.h"
 
 namespace camo::obs {
@@ -61,8 +66,8 @@ struct BenchDoc {
   std::optional<uint64_t> seed;  ///< RNG seed the run used, when recorded
   unsigned jobs = 1;             ///< host threads of the run (absent = 1)
   unsigned cores = 1;            ///< guest cores per machine (absent = 1)
-  bool sb = true;      ///< superblock engine allowed (absent = true)
-  bool trace = false;  ///< trace tier allowed (absent = false)
+  /// Host engine tier of the run (legacy documents: derived, see above).
+  cpu::Engine engine = cpu::Engine::Trace;
   std::vector<BenchSeriesPoint> series;
 };
 

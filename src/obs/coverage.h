@@ -11,7 +11,7 @@
 // Determinism contract: the map is a pure function of the retire stream
 // (pa, va, el per retired instruction; a run record stands for its
 // instructions one by one). The retire stream is pinned
-// bit-identical across all fast_path×superblocks combos (test_superblock),
+// bit-identical on every engine tier (test_superblock, test_coverage),
 // so coverage is engine-invariant by construction; fleets merge per-machine
 // snapshots in task-index order, so it is --jobs-invariant too.
 //

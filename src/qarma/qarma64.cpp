@@ -128,7 +128,7 @@ uint64_t Qarma64::encrypt(uint64_t plaintext, uint64_t tweak,
   const uint64_t w0 = key.w0;
   const uint64_t w1 = derive_w1(w0);
   const uint64_t k0 = key.k0;
-  const uint64_t k1 = mix_columns(k0);  // reflector key, k1 = Q * k0
+  const uint64_t k1 = k0;  // reflector key of the encryption specialisation
 
   uint64_t s = plaintext ^ w0;
   uint64_t t = tweak;
@@ -184,7 +184,7 @@ uint64_t Qarma64::decrypt(uint64_t ciphertext, uint64_t tweak,
   const uint64_t w0 = key.w0;
   const uint64_t w1 = derive_w1(w0);
   const uint64_t k0 = key.k0;
-  const uint64_t k1 = mix_columns(k0);
+  const uint64_t k1 = k0;
 
   uint64_t s = ciphertext ^ w1;
 

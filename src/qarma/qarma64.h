@@ -11,11 +11,11 @@
 //
 // Conformance note (see DESIGN.md §2): the ARM architecture does NOT mandate
 // QARMA — the PAC hash is implementation defined. This implementation follows
-// the published construction; official known-answer vectors cannot be
-// re-verified offline, so the test-suite pins golden regression vectors of
-// this implementation and property-checks the algebraic requirements
-// (bijectivity per (key, tweak), involutory MixColumns, α-independence of
-// inverse, full avalanche).
+// the published construction with the σ1 S-box and the encryption
+// specialisation's reflector key k1 = k0 (as ARM's ComputePAC pseudocode
+// does), and is known-answer verified: the test-suite checks the published
+// σ1 vectors for r = 5, 6 and 7, plus the algebraic requirements
+// (bijectivity per (key, tweak), involutory MixColumns, full avalanche).
 #pragma once
 
 #include <cstdint>

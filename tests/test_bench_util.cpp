@@ -1,10 +1,11 @@
-// bench::Session flag parsing: the shared --json/--trace/--folded/--seed
-// flags must be compacted out of argv for the binary's own parser, and a
-// value-taking flag with a missing or malformed value must be a hard error
-// rather than a silently dropped artifact path.
+// bench::Session flag parsing: the shared --json/--trace/--folded/--seed/
+// --engine flags must be compacted out of argv for the binary's own parser,
+// and a value-taking flag with a missing or malformed value must be a hard
+// error rather than a silently dropped artifact path.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -49,68 +50,73 @@ TEST(BenchFlags, ParsesAndCompactsAllSharedFlags) {
   EXPECT_EQ(a.argv()[3], nullptr);
 }
 
-TEST(BenchFlags, SbFlagParsesOnOffAndRejectsAnythingElse) {
-  {
-    Argv a({"bench", "--sb", "off", "--keep"});
-    Flags f;
-    EXPECT_EQ(Session::parse_flags(a.argc, a.argv(), f), "");
-    EXPECT_FALSE(f.sb);
-    ASSERT_EQ(a.argc, 2);
-    EXPECT_STREQ(a.argv()[1], "--keep");
-  }
-  {
-    Argv a({"bench", "--sb=on"});
-    Flags f;
-    f.sb = false;
-    EXPECT_EQ(Session::parse_flags(a.argc, a.argv(), f), "");
-    EXPECT_TRUE(f.sb);
-  }
+TEST(BenchFlags, EngineFlagParsesTheLadderAndRejectsAnythingElse) {
   {
     Argv a({"bench"});
     Flags f;
     EXPECT_EQ(Session::parse_flags(a.argc, a.argv(), f), "");
-    EXPECT_TRUE(f.sb) << "superblocks default on";
+    EXPECT_EQ(f.engine, cpu::Engine::Trace) << "the top tier is the default";
+  }
+  for (const cpu::Engine e : cpu::kEngines) {
+    const std::string name = cpu::engine_name(e);
+    for (const bool equals_form : {false, true}) {
+      Argv a(equals_form
+                 ? std::vector<std::string>{"bench", "--engine=" + name,
+                                            "--keep"}
+                 : std::vector<std::string>{"bench", "--engine", name,
+                                            "--keep"});
+      Flags f;
+      EXPECT_EQ(Session::parse_flags(a.argc, a.argv(), f), "") << name;
+      EXPECT_EQ(f.engine, e) << name;
+      ASSERT_EQ(a.argc, 2);
+      EXPECT_STREQ(a.argv()[1], "--keep");
+    }
   }
   {
-    Argv a({"bench", "--sb", "maybe"});
+    Argv a({"bench", "--engine", "on"});
     Flags f;
     const std::string err = Session::parse_flags(a.argc, a.argv(), f);
-    EXPECT_NE(err.find("--sb"), std::string::npos) << err;
+    EXPECT_NE(err.find("--engine"), std::string::npos) << err;
   }
 }
 
-TEST(BenchFlags, TraceFlagGatesTierOrTakesChromeTracePath) {
-  // --trace is overloaded: on|off gates the §3i trace tier, anything else
-  // is the Chrome trace output path (the flag's original meaning).
-  {
-    Argv a({"bench", "--trace", "off", "--keep"});
-    Flags f;
-    EXPECT_EQ(Session::parse_flags(a.argc, a.argv(), f), "");
-    EXPECT_FALSE(f.trace);
-    EXPECT_EQ(f.trace_path, "");
-    ASSERT_EQ(a.argc, 2);
-    EXPECT_STREQ(a.argv()[1], "--keep");
-  }
-  {
-    Argv a({"bench", "--trace=on"});
-    Flags f;
-    f.trace = false;
-    EXPECT_EQ(Session::parse_flags(a.argc, a.argv(), f), "");
-    EXPECT_TRUE(f.trace);
-    EXPECT_EQ(f.trace_path, "");
-  }
-  {
-    Argv a({"bench", "--trace", "t.json"});
-    Flags f;
-    EXPECT_EQ(Session::parse_flags(a.argc, a.argv(), f), "");
-    EXPECT_TRUE(f.trace) << "a path must not disturb the tier gate";
-    EXPECT_EQ(f.trace_path, "t.json");
-  }
-  {
-    Argv a({"bench"});
-    Flags f;
-    EXPECT_EQ(Session::parse_flags(a.argc, a.argv(), f), "");
-    EXPECT_TRUE(f.trace) << "trace tier defaults on";
+TEST(BenchFlags, BadEngineValueExitsWithUsageError) {
+  Argv a({"bench", "--engine", "warp"});
+  EXPECT_EXIT(Session(a.argc, a.argv(), "id", "title", "claim"),
+              ::testing::ExitedWithCode(2), "--engine");
+}
+
+TEST(BenchFlags, TraceFlagTakesOnlyAChromeTracePath) {
+  Argv a({"bench", "--trace", "off", "--keep"});
+  Flags f;
+  EXPECT_EQ(Session::parse_flags(a.argc, a.argv(), f), "");
+  EXPECT_EQ(f.trace_path, "off") << "--trace no longer picks a tier";
+  EXPECT_EQ(f.engine, cpu::Engine::Trace);
+  ASSERT_EQ(a.argc, 2);
+  EXPECT_STREQ(a.argv()[1], "--keep");
+}
+
+TEST(BenchFlags, RunOptionsCarryTheSessionEngineAndCores) {
+  Argv a({"bench", "--engine", "fast", "--cores", "2"});
+  Session s(a.argc, a.argv(), "id", "title", "claim");
+  const RunOptions o = s.run_options();
+  EXPECT_EQ(o.engine, cpu::Engine::Fast);
+  EXPECT_EQ(o.cores, 2u);
+  const kernel::MachineConfig m = o.machine(compiler::ProtectionConfig::full());
+  EXPECT_EQ(m.cpu.engine, cpu::Engine::Fast);
+  EXPECT_EQ(m.cores, 2u);
+}
+
+// The throughput rows (fig2's call loop and every emit_throughput_series
+// caller) walk the ladder once: four distinct tiers, in order, under the
+// series names the committed baselines use.
+TEST(BenchEngineModes, FourRowsAreFourDistinctTiers) {
+  const std::vector<EngineMode> modes = engine_modes();
+  ASSERT_EQ(modes.size(), std::size(cpu::kEngines));
+  const char* const names[] = {"fastpath-off", "sb-off", "sb-on", "trace-on"};
+  for (size_t i = 0; i < modes.size(); ++i) {
+    EXPECT_STREQ(modes[i].name, names[i]);
+    EXPECT_EQ(modes[i].engine, cpu::kEngines[i]) << modes[i].name;
   }
 }
 
@@ -124,7 +130,8 @@ TEST(BenchFlags, EqualsFormWorks) {
 }
 
 TEST(BenchFlags, TrailingValueFlagIsAnError) {
-  for (const char* flag : {"--json", "--trace", "--folded", "--seed"}) {
+  for (const char* flag :
+       {"--json", "--trace", "--folded", "--seed", "--engine"}) {
     Argv a({"bench", flag});
     Flags f;
     const std::string err = Session::parse_flags(a.argc, a.argv(), f);

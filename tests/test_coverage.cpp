@@ -2,8 +2,7 @@
 //
 // The determinism claims are the load-bearing part: a coverage bundle is a
 // pure function of the retire stream, so it must be byte-identical across
-// every fast_path×superblocks combination and across any fleet --jobs
-// value. Both are pinned here.
+// every engine tier and across any fleet --jobs value. Both are pinned here.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -176,15 +175,14 @@ TEST(CoverageCodec, DiffSeparatesBlockSets) {
 // Determinism: engine combos and fleet --jobs
 // ---------------------------------------------------------------------------
 
-std::string combo_bundle(bool superblocks, bool fast_path) {
+std::string combo_bundle(cpu::Engine engine) {
   kernel::MachineConfig cfg;
   cfg.kernel.protection = compiler::ProtectionConfig::full();
   cfg.kernel.log_pac_failures = false;
   cfg.kernel.preempt = true;
   cfg.obs.enabled = true;
   cfg.obs.coverage = true;
-  cfg.cpu.superblocks = superblocks;
-  cfg.cpu.fast_path = fast_path;
+  cfg.cpu.engine = engine;
   kernel::Machine m(cfg);
   m.add_user_program(kernel::workloads::null_syscall(25));
   m.add_user_program(kernel::workloads::yield_loop(10));
@@ -194,13 +192,12 @@ std::string combo_bundle(bool superblocks, bool fast_path) {
 }
 
 TEST(CoverageDeterminism, BundleByteIdenticalAcrossAllEngineCombos) {
-  const std::string ref = combo_bundle(false, false);
+  const std::string ref = combo_bundle(cpu::Engine::Reference);
   EXPECT_NE(ref.find("\"schema\": \"camo-cov/v1\""), std::string::npos);
   // Regions prove the annotation ran; EL0 retirements prove user coverage.
   EXPECT_NE(ref.find("syscall_table["), std::string::npos);
-  EXPECT_EQ(ref, combo_bundle(false, true));
-  EXPECT_EQ(ref, combo_bundle(true, false));
-  EXPECT_EQ(ref, combo_bundle(true, true));
+  for (const cpu::Engine e : cpu::kEngines)
+    EXPECT_EQ(ref, combo_bundle(e)) << cpu::engine_name(e);
 }
 
 std::string fleet_bundle(unsigned jobs) {

@@ -708,5 +708,15 @@ TEST_F(CpuNoPauthTest, NonHintPauthUndefined) {
             ExcClass::Undefined);
 }
 
+// Every decodable op dispatches through the handler table shared by step()
+// and the block engine, so a missing entry would be a null call on first
+// execution. Checked here rather than by a static_assert over the table,
+// which GCC 12 rejects under -fsanitize=undefined.
+TEST(CpuExecTable, EveryOpHasAHandler) {
+  for (size_t i = 0; i < static_cast<size_t>(isa::Op::kCount); ++i)
+    EXPECT_NE(Cpu::exec_handler(static_cast<isa::Op>(i)), nullptr)
+        << "op " << i << " has no exec handler";
+}
+
 }  // namespace
 }  // namespace camo

@@ -19,15 +19,14 @@ namespace {
 
 using namespace camo;  // NOLINT
 
-kernel::BisectSide standard_side(const std::string& label, bool superblocks,
-                                 bool fast_path) {
+kernel::BisectSide standard_side(const std::string& label,
+                                 cpu::Engine engine = cpu::Engine::Trace) {
   kernel::BisectSide s;
   s.label = label;
   s.cfg.kernel.protection = compiler::ProtectionConfig::full();
   s.cfg.kernel.log_pac_failures = false;
   s.cfg.kernel.preempt = true;
-  s.cfg.cpu.superblocks = superblocks;
-  s.cfg.cpu.fast_path = fast_path;
+  s.cfg.cpu.engine = engine;
   s.setup = [](kernel::Machine& m) {
     m.add_user_program(kernel::workloads::null_syscall(25));
     m.add_user_program(kernel::workloads::yield_loop(10));
@@ -89,18 +88,22 @@ uint64_t oracle_first_divergence(const kernel::BisectSide& a,
 }
 
 TEST(Bisect, EngineCombosConverge) {
-  const obs::DivergenceReport r = kernel::bisect_divergence(
-      standard_side("interp", false, false), standard_side("sb", true, true));
-  EXPECT_FALSE(r.diverged);
-  EXPECT_TRUE(r.a.halted);
-  EXPECT_TRUE(r.b.halted);
-  EXPECT_EQ(r.a.digest, r.b.digest);
-  EXPECT_GT(r.compared, 0u);
+  for (const cpu::Engine e : cpu::kEngines) {
+    if (e == cpu::Engine::Reference) continue;
+    const obs::DivergenceReport r = kernel::bisect_divergence(
+        standard_side("reference", cpu::Engine::Reference),
+        standard_side(cpu::engine_name(e), e));
+    EXPECT_FALSE(r.diverged) << cpu::engine_name(e);
+    EXPECT_TRUE(r.a.halted);
+    EXPECT_TRUE(r.b.halted);
+    EXPECT_EQ(r.a.digest, r.b.digest);
+    EXPECT_GT(r.compared, 0u);
+  }
 }
 
 TEST(Bisect, LocalizesSeededPerturbationExactly) {
-  kernel::BisectSide a = standard_side("clean", true, true);
-  kernel::BisectSide b = standard_side("perturbed", true, true);
+  kernel::BisectSide a = standard_side("clean");
+  kernel::BisectSide b = standard_side("perturbed");
   add_perturbation(&b);
 
   const uint64_t truth = oracle_first_divergence(a, b, 50'000);
@@ -123,8 +126,8 @@ TEST(Bisect, LocalizesSeededPerturbationExactly) {
 }
 
 TEST(Bisect, FirstDivergentIsIntervalInvariant) {
-  kernel::BisectSide a = standard_side("clean", true, true);
-  kernel::BisectSide b = standard_side("perturbed", true, true);
+  kernel::BisectSide a = standard_side("clean");
+  kernel::BisectSide b = standard_side("perturbed");
   add_perturbation(&b);
   kernel::BisectOptions coarse;
   coarse.digest_interval = 2048;
@@ -138,8 +141,8 @@ TEST(Bisect, FirstDivergentIsIntervalInvariant) {
 }
 
 TEST(Bisect, BundleRoundTripsThroughValidator) {
-  kernel::BisectSide a = standard_side("clean", true, true);
-  kernel::BisectSide b = standard_side("perturbed", true, true);
+  kernel::BisectSide a = standard_side("clean");
+  kernel::BisectSide b = standard_side("perturbed");
   add_perturbation(&b);
   const obs::DivergenceReport r = kernel::bisect_divergence(a, b);
   ASSERT_TRUE(r.diverged);

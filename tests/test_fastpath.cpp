@@ -27,19 +27,19 @@ using assembler::FunctionBuilder;
 using isa::SysReg;
 using mem::El;
 
-cpu::Cpu::Config cfg_with(bool fast_path) {
+/// Fast with the caches on, Reference with them off. This suite exercises
+/// the single-step fetch path specifically (its icache/TLB assertions assume
+/// one predecode event per fetch), so it stays below the Block tier; the
+/// block engine has its own suite in test_superblock.cpp.
+cpu::Cpu::Config cfg_with(bool caches) {
   cpu::Cpu::Config c;
-  c.fast_path = fast_path;
-  // This suite exercises the single-step fetch path specifically (its
-  // icache/TLB assertions assume one predecode event per fetch); the
-  // superblock engine has its own suite in test_superblock.cpp.
-  c.superblocks = false;
+  c.engine = caches ? cpu::Engine::Fast : cpu::Engine::Reference;
   return c;
 }
 
 class FastPath : public ::testing::TestWithParam<bool> {
  protected:
-  bool fast_path() const { return GetParam(); }
+  bool caches() const { return GetParam(); }
 };
 
 INSTANTIATE_TEST_SUITE_P(CacheOnOff, FastPath, ::testing::Bool(),
@@ -52,7 +52,7 @@ INSTANTIATE_TEST_SUITE_P(CacheOnOff, FastPath, ::testing::Bool(),
 // ---------------------------------------------------------------------------
 
 TEST_P(FastPath, PatchInPlaceRunsTheNewEncoding) {
-  testing::SimHarness sim(cfg_with(fast_path()));
+  testing::SimHarness sim(cfg_with(caches()));
 
   FunctionBuilder f("f");
   f.movz(0, 0x111, 0);
@@ -72,7 +72,7 @@ TEST_P(FastPath, PatchInPlaceRunsTheNewEncoding) {
   EXPECT_EQ(sim.core.halt_code(), 1u);
   EXPECT_EQ(sim.core.x(0), 0x222u) << "stale decode executed after patch";
 
-  if (fast_path())
+  if (caches())
     EXPECT_GE(sim.core.fast_path_stats().icache_redecodes, 1u)
         << "the patched page must have been re-decoded";
   else
@@ -85,7 +85,7 @@ TEST_P(FastPath, PatchInPlaceRunsTheNewEncoding) {
 TEST_P(FastPath, SingleWordPatchOnHotPageIsSeen) {
   // Patch one word of a page that stays hot (every other word unchanged) —
   // the whole-page generation must still catch it.
-  testing::SimHarness sim(cfg_with(fast_path()));
+  testing::SimHarness sim(cfg_with(caches()));
 
   FunctionBuilder f("f");
   f.movz(0, 0xAAA, 0);
@@ -140,7 +140,7 @@ TEST_P(FastPath, KeySetterRepatchInstallsTheNewKeys) {
   mem::PhysicalMemory pm{8 << 20};
   mem::Mmu mmu(pm, {});
   hyp::Hypervisor hv(pm, mmu);
-  cpu::Cpu core(mmu, cfg_with(fast_path()));
+  cpu::Cpu core(mmu, cfg_with(caches()));
   hv.map_kernel_rw(kBootSp - 0x10000, 0x10000);
 
   core::BootConfig cfg;
@@ -186,7 +186,7 @@ TEST_P(FastPath, ModuleTextLoadedViaHvcExecutesFreshCode) {
   mem::PhysicalMemory pm{8 << 20};
   mem::Mmu mmu(pm, {});
   hyp::Hypervisor hv(pm, mmu);
-  cpu::Cpu core(mmu, cfg_with(fast_path()));
+  cpu::Cpu core(mmu, cfg_with(caches()));
   hv.install(core);
   core.set_sysreg(SysReg::SCTLR_EL1, isa::kSctlrEnIA | isa::kSctlrEnIB |
                                          isa::kSctlrEnDA | isa::kSctlrEnDB);
@@ -232,11 +232,11 @@ TEST_P(FastPath, ModuleTextLoadedViaHvcExecutesFreshCode) {
 // ---------------------------------------------------------------------------
 
 TEST(FastPathInvariance, FullBootRunsBitForBitIdentical) {
-  const auto run_once = [](bool fast_path) {
+  const auto run_once = [](bool caches) {
     kernel::MachineConfig cfg;
     cfg.kernel.protection = compiler::ProtectionConfig::full();
     cfg.kernel.log_pac_failures = false;
-    cfg.cpu.fast_path = fast_path;
+    cfg.cpu.engine = cfg_with(caches).engine;
     kernel::Machine m(cfg);
     m.add_user_program(kernel::workloads::null_syscall(30));
     m.boot();
@@ -250,8 +250,8 @@ TEST(FastPathInvariance, FullBootRunsBitForBitIdentical) {
 TEST(FastPathInvariance, FaultingGuestRunsBitForBitIdentical) {
   // A run that takes fetch faults (EL1 jumping to an unmapped VA) must fault
   // on the same instruction with the same cycle count either way.
-  const auto run_once = [](bool fast_path) {
-    testing::SimHarness sim(cfg_with(fast_path));
+  const auto run_once = [](bool caches) {
+    testing::SimHarness sim(cfg_with(caches));
     FunctionBuilder f("f");
     f.mov_imm(9, 0xFFFF000000F00000ull);  // canonical but unmapped
     f.blr(9);

@@ -232,8 +232,8 @@ TEST(Observability, ElCycleCountersSumToCpuCycles) {
 TEST(Observability, FastPathCountersAndThroughputGaugePublished) {
   kernel::MachineConfig cfg = observed_config();
   // The one-icache-event-per-retire invariant below holds on the
-  // single-step path only: superblocks fetch through the block cache.
-  cfg.cpu.superblocks = false;
+  // single-step path only: the Block tier fetches through the block cache.
+  cfg.cpu.engine = cpu::Engine::Fast;
   kernel::Machine m(cfg);
   m.add_user_program(kernel::workloads::null_syscall(50));
   m.boot();

@@ -3,6 +3,7 @@
 // everything else exact-gated), and the markdown report.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -302,31 +303,28 @@ TEST(PerfDiff, MarkdownReportsRunHeaders) {
   // record jobs=8 and the same engine per sub-case.
   auto base = doc("Fig", {pt("full", "read", 1000, "cycles/op")});
   base.jobs = 8;
-  base.sb = false;
+  base.engine = cpu::Engine::Fast;
   const auto rep = diff({base}, {base}, {});
   ASSERT_EQ(rep.headers.size(), 1u);
   EXPECT_EQ(rep.headers[0].bench, "Fig");
   EXPECT_EQ(rep.headers[0].jobs, 8u);
-  EXPECT_FALSE(rep.headers[0].sb);
+  EXPECT_EQ(rep.headers[0].engine, cpu::Engine::Fast);
   const std::string md = rep.markdown();
   EXPECT_NE(md.find("jobs=8"), std::string::npos) << md;
-  EXPECT_NE(md.find("engine=interp"), std::string::npos) << md;
+  EXPECT_NE(md.find("engine=fast"), std::string::npos) << md;
 
+  // Every tier reads as itself in the header.
   auto base2 = base;
   base2.jobs = 2;
-  base2.sb = true;
-  const std::string md2 = diff({base2}, {base2}, {}).markdown();
-  EXPECT_NE(md2.find("jobs=2"), std::string::npos) << md2;
-  EXPECT_NE(md2.find("engine=sb"), std::string::npos) << md2;
-
-  // The trace tier reads as its own engine in the header.
-  auto base_tr = base2;
-  base_tr.trace = true;
-  const auto rep_tr = diff({base_tr}, {base_tr}, {});
-  ASSERT_EQ(rep_tr.headers.size(), 1u);
-  EXPECT_TRUE(rep_tr.headers[0].trace);
-  EXPECT_NE(rep_tr.markdown().find("engine=trace"), std::string::npos)
-      << rep_tr.markdown();
+  std::string md2;
+  for (const cpu::Engine e : cpu::kEngines) {
+    base2.engine = e;
+    md2 = diff({base2}, {base2}, {}).markdown();
+    EXPECT_NE(md2.find("jobs=2"), std::string::npos) << md2;
+    EXPECT_NE(md2.find(std::string("engine=") + cpu::engine_name(e)),
+              std::string::npos)
+        << md2;
+  }
 
   // The guest core count rides in the same header line (absent = 1).
   EXPECT_NE(md2.find("cores=1"), std::string::npos) << md2;
@@ -339,25 +337,37 @@ TEST(PerfDiff, MarkdownReportsRunHeaders) {
       << rep3.markdown();
 }
 
-TEST(PerfDiff, SbHeaderFieldValidatesAndParses) {
+/// Parse a camo-bench/v1 document whose header carries `fields` (JSON
+/// members, comma-terminated) ahead of a one-point series.
+std::optional<obs::BenchDoc> parse_with_header(const std::string& fields,
+                                               std::string* err = nullptr) {
   const std::string text = R"({"schema":"camo-bench/v1","bench":"b",)"
-                           R"("title":"t","smoke":true,"jobs":4,"sb":false,)"
+                           R"("title":"t","smoke":true,)" +
+                           fields +
                            R"("series":[{"config":"c","benchmark":"m",)"
                            R"("value":1,"unit":"cycles"}]})";
   const auto parsed = obs::json::Value::parse(text);
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(obs::validate_bench_json(*parsed), "");
-  const auto d = obs::parse_bench_doc(*parsed, nullptr);
+  if (!parsed) return std::nullopt;
+  return obs::parse_bench_doc(*parsed, err);
+}
+
+TEST(PerfDiff, SbHeaderFieldValidatesAndParses) {
+  // Legacy "sb": false recorded a run with the superblock engine gated off
+  // and the fast path on: it derives the fast tier.
+  const auto d = parse_with_header(R"("jobs":4,"sb":false,)");
   ASSERT_TRUE(d.has_value());
   EXPECT_EQ(d->jobs, 4u);
-  EXPECT_FALSE(d->sb);
+  EXPECT_EQ(d->engine, cpu::Engine::Fast);
+  // ... whatever the legacy trace gate said (the tier lived inside the
+  // superblock engine).
+  const auto d2 = parse_with_header(R"("sb":false,"trace":true,)");
+  ASSERT_TRUE(d2.has_value());
+  EXPECT_EQ(d2->engine, cpu::Engine::Fast);
 
-  // Absent "sb" means the default engine; a non-bool "sb" is rejected.
-  const std::string bad = R"({"schema":"camo-bench/v1","bench":"b",)"
-                          R"("title":"t","smoke":true,"sb":1,"series":[]})";
-  const auto parsed_bad = obs::json::Value::parse(bad);
-  ASSERT_TRUE(parsed_bad.has_value());
-  EXPECT_NE(obs::validate_bench_json(*parsed_bad), "");
+  // A non-bool "sb" is rejected.
+  std::string err;
+  EXPECT_FALSE(parse_with_header(R"("sb":1,)", &err).has_value());
+  EXPECT_NE(err.find("\"sb\""), std::string::npos) << err;
 }
 
 TEST(PerfDiff, RefusesCrossJobsComparison) {
@@ -401,31 +411,32 @@ TEST(PerfDiff, RefusesCrossCoresComparison) {
 }
 
 TEST(PerfDiff, RefusesCrossEngineComparison) {
-  // interp vs sb vs trace recordings measure different host
-  // implementations; a diff across any pair is refused outright.
+  // Each tier measures a different host implementation; a diff across any
+  // pair is refused outright, naming both tiers.
   auto base = doc("Fig", {pt("full", "read", 1000, "cycles/op")});
   auto cur = base;
-  cur.sb = false;  // baseline implicitly engine=sb
+  cur.engine = cpu::Engine::Fast;  // baseline implicitly trace
   const auto rep = diff({base}, {cur}, {});
   EXPECT_FALSE(rep.ok);
   EXPECT_TRUE(rep.deltas.empty());
-  EXPECT_NE(rep.error.find("engine=sb"), std::string::npos) << rep.error;
-  EXPECT_NE(rep.error.find("engine=interp"), std::string::npos) << rep.error;
+  EXPECT_NE(rep.error.find("--engine trace"), std::string::npos) << rep.error;
+  EXPECT_NE(rep.error.find("--engine fast"), std::string::npos) << rep.error;
   EXPECT_NE(rep.markdown().find("FAIL"), std::string::npos);
 
-  // sb-with-traces vs plain sb is a cross-engine pair too.
-  auto traced = base;
-  traced.trace = true;
-  const auto rep2 = diff({base}, {traced}, {});
+  // Block vs trace is a cross-engine pair too.
+  auto block = base;
+  block.engine = cpu::Engine::Block;
+  const auto rep2 = diff({base}, {block}, {});
   EXPECT_FALSE(rep2.ok);
-  EXPECT_NE(rep2.error.find("engine=trace"), std::string::npos) << rep2.error;
+  EXPECT_NE(rep2.error.find("--engine block"), std::string::npos)
+      << rep2.error;
 
   // Matching engines compare normally; different bench ids never
   // cross-check engines.
-  EXPECT_TRUE(diff({traced}, {traced}, {}).ok);
+  EXPECT_TRUE(diff({block}, {block}, {}).ok);
   auto other = doc("Other", {pt("c", "b", 1, "cycles")});
-  other.sb = false;
-  EXPECT_TRUE(diff({traced, other}, {traced, other}, {}).ok);
+  other.engine = cpu::Engine::Reference;
+  EXPECT_TRUE(diff({block, other}, {block, other}, {}).ok);
 }
 
 TEST(PerfDiff, TraceSeriesAndHeaderArePerfdiffAware) {
@@ -445,35 +456,34 @@ TEST(PerfDiff, TraceSeriesAndHeaderArePerfdiffAware) {
   ASSERT_EQ(rep.deltas.size(), 2u);
   EXPECT_EQ(rep.deltas[1].status, Status::Info);
 
-  // "trace" header field: bool, absent means false, non-bool rejected.
-  const std::string text = R"({"schema":"camo-bench/v1","bench":"b",)"
-                           R"("title":"t","smoke":true,"trace":true,)"
-                           R"("series":[{"config":"c","benchmark":"m",)"
-                           R"("value":1,"unit":"cycles"}]})";
-  const auto parsed = obs::json::Value::parse(text);
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(obs::validate_bench_json(*parsed), "");
-  const auto d = obs::parse_bench_doc(*parsed, nullptr);
-  ASSERT_TRUE(d.has_value());
-  EXPECT_TRUE(d->trace);
-  EXPECT_TRUE(d->sb);
+  // "engine" names the tier; legacy documents derive it: "trace": true is
+  // trace, and no engine field at all is block (recordings predating the
+  // trace tier).
+  const auto named = parse_with_header(R"("engine":"trace",)");
+  ASSERT_TRUE(named.has_value());
+  EXPECT_EQ(named->engine, cpu::Engine::Trace);
+  const auto legacy = parse_with_header(R"("trace":true,)");
+  ASSERT_TRUE(legacy.has_value());
+  EXPECT_EQ(legacy->engine, cpu::Engine::Trace);
+  const auto absent = parse_with_header("");
+  ASSERT_TRUE(absent.has_value());
+  EXPECT_EQ(absent->engine, cpu::Engine::Block);
 
-  const std::string absent = R"({"schema":"camo-bench/v1","bench":"b",)"
-                             R"("title":"t","smoke":true,)"
-                             R"("series":[{"config":"c","benchmark":"m",)"
-                             R"("value":1,"unit":"cycles"}]})";
-  const auto parsed_absent = obs::json::Value::parse(absent);
-  ASSERT_TRUE(parsed_absent.has_value());
-  const auto d2 = obs::parse_bench_doc(*parsed_absent, nullptr);
-  ASSERT_TRUE(d2.has_value());
-  EXPECT_FALSE(d2->trace);
+  // A legacy {"trace": true} baseline and a new {"engine": "trace"} run
+  // compare without refusal.
+  obs::BenchDoc legacy_base = *legacy;
+  obs::BenchDoc named_cur = *named;
+  const auto cross = diff({legacy_base}, {named_cur}, {});
+  EXPECT_TRUE(cross.error.empty()) << cross.error;
+  EXPECT_TRUE(cross.ok) << cross.markdown();
 
-  const std::string bad = R"({"schema":"camo-bench/v1","bench":"b",)"
-                          R"("title":"t","smoke":true,"trace":1,)"
-                          R"("series":[]})";
-  const auto parsed_bad = obs::json::Value::parse(bad);
-  ASSERT_TRUE(parsed_bad.has_value());
-  EXPECT_NE(obs::validate_bench_json(*parsed_bad), "");
+  // Unknown tiers and non-string engines are rejected; a non-bool legacy
+  // "trace" still is.
+  std::string err;
+  EXPECT_FALSE(parse_with_header(R"("engine":"warp",)", &err).has_value());
+  EXPECT_NE(err.find("\"engine\""), std::string::npos) << err;
+  EXPECT_FALSE(parse_with_header(R"("engine":3,)").has_value());
+  EXPECT_FALSE(parse_with_header(R"("trace":"yes",)").has_value());
 }
 
 TEST(PerfDiff, MarkdownReportNamesTheOffender) {

@@ -296,11 +296,9 @@ struct EngineExports {
   obs::EventKind trigger = obs::EventKind::None;
 };
 
-EngineExports run_engine(bool superblocks, bool traces, bool stage2) {
+EngineExports run_engine(cpu::Engine engine, bool stage2) {
   cpu::Cpu::Config cfg;
-  cfg.fast_path = superblocks;
-  cfg.superblocks = superblocks;
-  cfg.traces = traces;
+  cfg.engine = engine;
   testing::SimHarness sim(cfg);
   mem::Stage2Map s2;
   s2.restrict_range(kS2DeniedPa, 0x1000, {false, true, true});
@@ -388,7 +386,7 @@ EngineExports run_engine(bool superblocks, bool traces, bool stage2) {
 }
 
 void expect_engines_agree(bool stage2) {
-  const EngineExports ref = run_engine(false, false, stage2);
+  const EngineExports ref = run_engine(cpu::Engine::Reference, stage2);
   ASSERT_EQ(ref.halt, 1u);
   ASSERT_EQ(ref.trigger, stage2 ? obs::EventKind::Stage2Fault
                                 : obs::EventKind::AuthFail);
@@ -398,9 +396,9 @@ void expect_engines_agree(bool stage2) {
             stage2);
   EXPECT_EQ(ref.runs, 0u) << "the single-step oracle sends no run records";
 
-  for (const bool traces : {false, true}) {
-    SCOPED_TRACE(traces ? "trace engine" : "block engine");
-    const EngineExports cur = run_engine(true, traces, stage2);
+  for (const cpu::Engine engine : {cpu::Engine::Block, cpu::Engine::Trace}) {
+    SCOPED_TRACE(cpu::engine_name(engine));
+    const EngineExports cur = run_engine(engine, stage2);
     EXPECT_EQ(cur.cycles, ref.cycles);
     EXPECT_EQ(cur.retired, ref.retired);
     EXPECT_EQ(cur.halt, ref.halt);
@@ -413,7 +411,7 @@ void expect_engines_agree(bool stage2) {
     // The engines batch: far fewer records than retirements.
     EXPECT_GT(cur.runs, 0u);
     EXPECT_LT(cur.runs + cur.singles, ref.singles);
-    if (traces) {
+    if (engine == cpu::Engine::Trace) {
       EXPECT_GT(cur.trace_hits, 0u);
     }
   }

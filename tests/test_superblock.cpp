@@ -1,5 +1,5 @@
 // Superblock execution engine (DESIGN.md §3e): bit-for-bit parity with the
-// single-step interpreter across every engine combination, exact max_steps
+// single-step interpreter on every engine tier, exact max_steps
 // budgets, and the invalidation protocol under self-modifying code and
 // forged control flow into the middle of cached blocks.
 #include <gtest/gtest.h>
@@ -32,24 +32,28 @@ std::vector<uint32_t> words_of(Gen&& gen) {
   return f.assemble().words;
 }
 
-/// The four engine combinations: superblocks × fast_path. Everything in
-/// this file must behave identically under all of them.
+/// Engine tiers. Everything in this file must behave identically on all of
+/// them. The (superblocks, fast path) parameter is the suite's original
+/// spelling, kept so test names stay stable: (off, off) is Reference,
+/// (off, on) Fast and (on, on) the default Trace tier, which runs the
+/// superblocks with traces on top as this suite always has. The Block tier
+/// runs test_trace.cpp's cases and the machine parity below.
 class Superblock
     : public ::testing::TestWithParam<std::tuple<bool, bool>> {
  protected:
-  bool superblocks() const { return std::get<0>(GetParam()); }
-  bool fast_path() const { return std::get<1>(GetParam()); }
   cpu::Cpu::Config cfg() const {
     cpu::Cpu::Config c;
-    c.superblocks = superblocks();
-    c.fast_path = fast_path();
+    c.engine = std::get<0>(GetParam())   ? cpu::Engine::Trace
+               : std::get<1>(GetParam()) ? cpu::Engine::Fast
+                                         : cpu::Engine::Reference;
     return c;
   }
 };
 
 INSTANTIATE_TEST_SUITE_P(
     EngineCombos, Superblock,
-    ::testing::Combine(::testing::Bool(), ::testing::Bool()),
+    ::testing::Values(std::tuple{false, false}, std::tuple{false, true},
+                      std::tuple{true, true}),
     [](const ::testing::TestParamInfo<std::tuple<bool, bool>>& info) {
       return std::string(std::get<0>(info.param) ? "SbOn" : "SbOff") +
              (std::get<1>(info.param) ? "FpOn" : "FpOff");
@@ -121,9 +125,10 @@ TEST_P(Superblock, SmcAcrossPageBoundaryInvalidatesCachedBlock) {
   ASSERT_TRUE(sim.core.halted());
   EXPECT_EQ(sim.core.halt_code(), 0x55u);
   EXPECT_EQ(sim.core.x(0), 3u) << "pass 1 adds 1, patched pass 2 adds 2";
-  if (superblocks())
+  if (cfg().engine >= cpu::Engine::Block) {
     EXPECT_GE(sim.core.superblock_stats().invalidations, 1u)
         << "the store must invalidate the cached page-2 block";
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -205,9 +210,10 @@ TEST_P(Superblock, CrossCoreSmcInvalidatesPeerCachedBlock) {
   EXPECT_EQ(b.halt_code(), 0x55u);
   EXPECT_EQ(b.x(0), 2u)
       << "core B dispatched a stale cached block after core A's store";
-  if (superblocks())
+  if (cfg().engine >= cpu::Engine::Block) {
     EXPECT_GE(b.superblock_stats().invalidations, 1u)
         << "the cross-core store must invalidate core B's cached block";
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -332,7 +338,7 @@ TEST_P(Superblock, TimerIrqDeliveredAtIdenticalPoint) {
   // The cycle count and retire count at delivery are the parity signal:
   // compare against a single-step reference run.
   cpu::Cpu::Config ref_cfg = cfg();
-  ref_cfg.superblocks = false;
+  ref_cfg.engine = cpu::Engine::Reference;
   SimHarness ref(ref_cfg);
   ref.core.set_timer_period(157);
   ref.run(f);
@@ -362,21 +368,18 @@ TEST_P(Superblock, BreakpointInsideStraightLineRunFires) {
 
 // ---------------------------------------------------------------------------
 // Machine-level parity: a full boot + protected workload mix (syscalls,
-// context switches, preemption) is bit-for-bit identical across all four
-// engine combinations, including the obs retire stream.
+// context switches, preemption) is bit-for-bit identical on every engine
+// tier and at 1 and 2 guest cores, including the obs retire stream.
 // ---------------------------------------------------------------------------
 
-kernel::BisectSide parity_side(bool superblocks, bool fast_path,
-                               unsigned cores = 1) {
+kernel::BisectSide parity_side(cpu::Engine engine, unsigned cores = 1) {
   kernel::BisectSide s;
-  s.label = std::string(superblocks ? "sb-on" : "sb-off") +
-            (fast_path ? " fp-on" : " fp-off") +
+  s.label = std::string(cpu::engine_name(engine)) +
             (cores > 1 ? " cores=" + std::to_string(cores) : "");
   s.cfg.kernel.protection = compiler::ProtectionConfig::full();
   s.cfg.kernel.log_pac_failures = false;
   s.cfg.kernel.preempt = true;
-  s.cfg.cpu.superblocks = superblocks;
-  s.cfg.cpu.fast_path = fast_path;
+  s.cfg.cpu.engine = engine;
   s.cfg.cores = cores;
   s.cfg.smp_quantum = 50;  // real interleaving at this workload size
   s.setup = [](kernel::Machine& m) {
@@ -387,8 +390,8 @@ kernel::BisectSide parity_side(bool superblocks, bool fast_path,
 }
 
 std::tuple<std::vector<uint64_t>, uint64_t, std::string> machine_fingerprint(
-    bool superblocks, bool fast_path, unsigned cores = 1) {
-  const kernel::BisectSide s = parity_side(superblocks, fast_path, cores);
+    cpu::Engine engine, unsigned cores = 1) {
+  const kernel::BisectSide s = parity_side(engine, cores);
   kernel::Machine m(s.cfg);
   s.setup(m);
   m.boot();
@@ -405,29 +408,28 @@ std::tuple<std::vector<uint64_t>, uint64_t, std::string> machine_fingerprint(
 
 TEST(SuperblockParity, MachineRunBitForBitAcrossAllEngineCombos) {
   for (const unsigned cores : {1u, 2u}) {
-    const auto ref = machine_fingerprint(false, false, cores);
-    for (const auto& [sb, fp] : {std::pair{false, true},
-                                std::pair{true, false},
-                                std::pair{true, true}}) {
-      const auto cur = machine_fingerprint(sb, fp, cores);
+    const auto ref = machine_fingerprint(cpu::Engine::Reference, cores);
+    for (const cpu::Engine e : cpu::kEngines) {
+      if (e == cpu::Engine::Reference) continue;
+      const auto cur = machine_fingerprint(e, cores);
       if (cur == ref) continue;
       // Fingerprints disagree: escalate to the divergence bisector so the
       // failure names the first divergent retired instruction instead of
       // just the end-of-run totals (DESIGN.md §3g).
-      EXPECT_EQ(cur, ref) << "cores=" << cores;
+      EXPECT_EQ(cur, ref) << "cores=" << cores << " " << cpu::engine_name(e);
       EXPECT_TRUE(testing_support::MachinesConverge(
-          parity_side(false, false, cores), parity_side(sb, fp, cores)));
+          parity_side(cpu::Engine::Reference, cores), parity_side(e, cores)));
     }
   }
 }
 
 TEST(SuperblockParity, ObsTraceByteIdenticalWithEngineOnAndOff) {
-  const auto traced = [](bool superblocks) {
+  const auto traced = [](cpu::Engine engine) {
     kernel::MachineConfig cfg;
     cfg.kernel.protection = compiler::ProtectionConfig::full();
     cfg.kernel.log_pac_failures = false;
     cfg.obs.enabled = true;
-    cfg.cpu.superblocks = superblocks;
+    cfg.cpu.engine = engine;
     kernel::Machine m(cfg);
     m.add_user_program(kernel::workloads::null_syscall(25));
     m.boot();
@@ -437,12 +439,14 @@ TEST(SuperblockParity, ObsTraceByteIdenticalWithEngineOnAndOff) {
     return std::tuple<std::string, std::string, std::string>(
         st->chrome_trace_json(), st->flat_profile(), st->folded_profile());
   };
-  EXPECT_EQ(traced(false), traced(true));
+  const auto ref = traced(cpu::Engine::Reference);
+  EXPECT_EQ(traced(cpu::Engine::Fast), ref);
+  EXPECT_EQ(traced(cpu::Engine::Block), ref);
 }
 
 // ---------------------------------------------------------------------------
 // Counters: the engine's stats flow into the metrics registry as
-// fastpath.sb.* and stay zero with the engine off.
+// fastpath.sb.* and stay zero below the Block tier.
 // ---------------------------------------------------------------------------
 
 TEST(SuperblockStats, CountersPublishedWhenEngineOn) {
@@ -450,7 +454,7 @@ TEST(SuperblockStats, CountersPublishedWhenEngineOn) {
   cfg.kernel.protection = compiler::ProtectionConfig::full();
   cfg.kernel.log_pac_failures = false;
   cfg.obs.enabled = true;
-  cfg.cpu.superblocks = true;
+  cfg.cpu.engine = cpu::Engine::Block;
   kernel::Machine m(cfg);
   m.add_user_program(kernel::workloads::null_syscall(25));
   m.boot();
@@ -469,7 +473,7 @@ TEST(SuperblockStats, CountersStayZeroWhenEngineOff) {
   cfg.kernel.protection = compiler::ProtectionConfig::full();
   cfg.kernel.log_pac_failures = false;
   cfg.obs.enabled = true;
-  cfg.cpu.superblocks = false;
+  cfg.cpu.engine = cpu::Engine::Fast;
   kernel::Machine m(cfg);
   m.add_user_program(kernel::workloads::null_syscall(25));
   m.boot();

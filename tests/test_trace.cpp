@@ -2,9 +2,9 @@
 // traces with guarded side exits must be bit-for-bit invisible to the guest.
 // This file covers the invalidation protocol for multi-page traces (SMC in a
 // page the trace crosses into, including from a peer core), forged control
-// flow that misses a segment-boundary guard, asynchronous event delivery at
-// guard boundaries, and machine-level parity across all six engine combos
-// (interp/sb/trace × fast_path on/off).
+// flow that misses a segment-boundary guard, and asynchronous event delivery
+// at guard boundaries, on every engine tier, and machine-level parity of the
+// whole ladder with the obs collector on.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -33,19 +33,28 @@ std::vector<uint32_t> words_of(Gen&& gen) {
   return f.assemble().words;
 }
 
-/// The six engine combinations: {interp, sb, trace} × fast_path. Guest-visible
-/// behaviour in this file must be identical under all of them; trace-tier
-/// counters are asserted only on the trace engine.
+/// The engine ladder. Guest-visible behaviour in this file must be identical
+/// on every tier; trace-tier counters are asserted only on Trace. The
+/// (engine, fast path) parameter is the suite's original spelling, kept so
+/// test names stay stable: (interp, off) is Reference, (interp, on) Fast,
+/// (sb, on) Block and (trace, on) Trace.
 class TraceTier : public ::testing::TestWithParam<std::tuple<int, bool>> {
  protected:
-  int engine() const { return std::get<0>(GetParam()); }
-  bool fast_path() const { return std::get<1>(GetParam()); }
-  bool trace_engine() const { return engine() == 2; }
+  cpu::Engine engine() const {
+    static constexpr cpu::Engine kWithFastPath[] = {
+        cpu::Engine::Fast, cpu::Engine::Block, cpu::Engine::Trace};
+    return std::get<1>(GetParam()) ? kWithFastPath[std::get<0>(GetParam())]
+                                   : cpu::Engine::Reference;
+  }
+  bool trace_engine() const { return engine() == cpu::Engine::Trace; }
   cpu::Cpu::Config cfg() const {
     cpu::Cpu::Config c;
-    c.superblocks = engine() >= 1;
-    c.traces = engine() == 2;
-    c.fast_path = fast_path();
+    c.engine = engine();
+    return c;
+  }
+  static cpu::Cpu::Config ref_cfg() {
+    cpu::Cpu::Config c;
+    c.engine = cpu::Engine::Reference;
     return c;
   }
 };
@@ -59,7 +68,8 @@ std::string combo_name(
 
 INSTANTIATE_TEST_SUITE_P(
     EngineCombos, TraceTier,
-    ::testing::Combine(::testing::Values(0, 1, 2), ::testing::Bool()),
+    ::testing::Values(std::tuple{0, false}, std::tuple{0, true},
+                      std::tuple{1, true}, std::tuple{2, true}),
     combo_name);
 
 // ---------------------------------------------------------------------------
@@ -220,10 +230,7 @@ TEST_P(TraceTier, TimerIrqDeliveredAtIdenticalPointMidTrace) {
   ASSERT_TRUE(sim.core.halted());
   EXPECT_EQ(sim.core.halt_code(), 0xE2u) << "IRQ vector must halt the sim";
 
-  cpu::Cpu::Config ref_cfg = cfg();
-  ref_cfg.superblocks = false;
-  ref_cfg.traces = false;
-  SimHarness ref(ref_cfg);
+  SimHarness ref(ref_cfg());
   ref.core.set_timer_period(157);
   ref.run(counted_loop());
   EXPECT_EQ(sim.core.cycles(), ref.core.cycles());
@@ -252,12 +259,9 @@ TEST_P(TraceTier, BreakpointAtGuardBoundaryFiresIdentically) {
   for (const uint64_t bp : {loop_head, loop_head + 4}) {
     uint64_t hits = 0, first_x0 = ~uint64_t{0};
     const uint64_t retired = run_with_bp(cfg(), bp, &hits, &first_x0);
-    cpu::Cpu::Config ref_cfg = cfg();
-    ref_cfg.superblocks = false;
-    ref_cfg.traces = false;
     uint64_t ref_hits = 0, ref_first_x0 = ~uint64_t{0};
     const uint64_t ref_retired =
-        run_with_bp(ref_cfg, bp, &ref_hits, &ref_first_x0);
+        run_with_bp(ref_cfg(), bp, &ref_hits, &ref_first_x0);
     EXPECT_GT(hits, 0u);
     EXPECT_EQ(hits, ref_hits) << "bp at +0x" << std::hex << bp;
     EXPECT_EQ(first_x0, ref_first_x0);
@@ -333,9 +337,10 @@ TEST_P(TraceTier, CrossCoreSmcInvalidatesPeerTrace) {
   ASSERT_TRUE(b.halted());
   EXPECT_EQ(b.halt_code(), 0x55u);
   EXPECT_EQ(b.x(0), 12u);
-  if (trace_engine())
+  if (trace_engine()) {
     EXPECT_GE(b.superblock_stats().traces_formed, 1u)
         << "12 stable loop passes must form a trace on core B";
+  }
 
   // Core A patches the loop through its own Mmu — never executed on A.
   a.pc = patcher;
@@ -351,43 +356,42 @@ TEST_P(TraceTier, CrossCoreSmcInvalidatesPeerTrace) {
   EXPECT_EQ(b.halt_code(), 0x55u);
   EXPECT_EQ(b.x(0), 24u)
       << "core B replayed a stale trace after core A's store";
-  if (trace_engine())
+  if (trace_engine()) {
     EXPECT_GE(b.superblock_stats().trace_invalidations, 1u)
         << "the cross-core store must invalidate core B's trace";
+  }
 }
 
 // ---------------------------------------------------------------------------
 // Machine-level parity: a full boot + protected workload mix (syscalls,
-// context switches, preemption) is bit-for-bit identical across all six
-// engine combinations and at 1 and 2 guest cores, including the obs retire
-// stream and every derived artifact.
+// context switches, preemption) with the obs collector on is bit-for-bit
+// identical on every engine tier and at 1 and 2 guest cores — clocks, retire
+// counts, console and the folded profile built from the retire stream. The
+// name is the suite's original one, from when the ladder was spelled as six
+// (engine, fast path) combinations.
 // ---------------------------------------------------------------------------
 
-kernel::BisectSide parity_side(bool superblocks, bool traces, bool fast_path,
-                               unsigned cores = 1) {
+kernel::BisectSide parity_side(cpu::Engine engine, unsigned cores) {
   kernel::BisectSide s;
-  s.label = std::string(traces ? "trace" : superblocks ? "sb" : "interp") +
-            (fast_path ? " fp-on" : " fp-off") +
+  s.label = std::string(cpu::engine_name(engine)) +
             (cores > 1 ? " cores=" + std::to_string(cores) : "");
   s.cfg.kernel.protection = compiler::ProtectionConfig::full();
   s.cfg.kernel.log_pac_failures = false;
   s.cfg.kernel.preempt = true;
-  s.cfg.cpu.superblocks = superblocks;
-  s.cfg.cpu.traces = traces;
-  s.cfg.cpu.fast_path = fast_path;
+  s.cfg.obs.enabled = true;
+  s.cfg.cpu.engine = engine;
   s.cfg.cores = cores;
   s.cfg.smp_quantum = 50;  // real interleaving at this workload size
   s.setup = [](kernel::Machine& m) {
-    m.add_user_program(kernel::workloads::null_syscall(25));
+    m.add_user_program(kernel::workloads::null_syscall(40));
     m.add_user_program(kernel::workloads::yield_loop(10));
   };
   return s;
 }
 
-std::tuple<std::vector<uint64_t>, uint64_t, std::string> machine_fingerprint(
-    bool superblocks, bool traces, bool fast_path, unsigned cores = 1) {
-  const kernel::BisectSide s = parity_side(superblocks, traces, fast_path,
-                                           cores);
+std::tuple<std::vector<uint64_t>, uint64_t, std::string, std::string>
+machine_fingerprint(cpu::Engine engine, unsigned cores) {
+  const kernel::BisectSide s = parity_side(engine, cores);
   kernel::Machine m(s.cfg);
   s.setup(m);
   m.boot();
@@ -397,39 +401,40 @@ std::tuple<std::vector<uint64_t>, uint64_t, std::string> machine_fingerprint(
     clocks.push_back(m.core(c).cycles());
     clocks.push_back(m.core(c).retired());
   }
-  return {std::move(clocks), m.halt_code(), m.console()};
+  const obs::Collector* st = m.stats();
+  EXPECT_NE(st, nullptr);
+  return {std::move(clocks), m.halt_code(), m.console(),
+          st ? st->folded_profile() : std::string()};
 }
 
 TEST(TraceParity, MachineRunBitForBitAcrossAllSixEngineCombos) {
   for (const unsigned cores : {1u, 2u}) {
-    const auto ref = machine_fingerprint(false, false, false, cores);
-    for (const bool fp : {false, true}) {
-      for (const auto& [sb, tr] : {std::pair{false, false},
-                                   std::pair{true, false},
-                                   std::pair{true, true}}) {
-        if (!sb && !tr && !fp) continue;  // the reference itself
-        const auto cur = machine_fingerprint(sb, tr, fp, cores);
-        if (cur == ref) continue;
-        // Fingerprints disagree: escalate to the divergence bisector so the
-        // failure names the first divergent retired instruction.
-        EXPECT_EQ(cur, ref) << "cores=" << cores << " sb=" << sb
-                            << " traces=" << tr << " fp=" << fp;
-        EXPECT_TRUE(testing_support::MachinesConverge(
-            parity_side(false, false, false, cores),
-            parity_side(sb, tr, fp, cores)));
-      }
+    const auto ref = machine_fingerprint(cpu::Engine::Reference, cores);
+    for (const cpu::Engine e : cpu::kEngines) {
+      if (e == cpu::Engine::Reference) continue;
+      const auto cur = machine_fingerprint(e, cores);
+      if (cur == ref) continue;
+      // Fingerprints disagree: escalate to the divergence bisector so the
+      // failure names the first divergent retired instruction.
+      EXPECT_EQ(cur, ref) << "cores=" << cores << " " << cpu::engine_name(e);
+      EXPECT_TRUE(testing_support::MachinesConverge(
+          parity_side(cpu::Engine::Reference, cores), parity_side(e, cores)));
     }
   }
 }
 
+// ---------------------------------------------------------------------------
+// The obs retire stream and every derived artifact are byte-identical with
+// and without the block and trace tiers.
+// ---------------------------------------------------------------------------
+
 TEST(TraceParity, ObsTraceByteIdenticalAcrossInterpSbTrace) {
-  const auto traced = [](bool superblocks, bool traces) {
+  const auto traced = [](cpu::Engine engine) {
     kernel::MachineConfig cfg;
     cfg.kernel.protection = compiler::ProtectionConfig::full();
     cfg.kernel.log_pac_failures = false;
     cfg.obs.enabled = true;
-    cfg.cpu.superblocks = superblocks;
-    cfg.cpu.traces = traces;
+    cfg.cpu.engine = engine;
     kernel::Machine m(cfg);
     m.add_user_program(kernel::workloads::null_syscall(25));
     m.boot();
@@ -439,14 +444,14 @@ TEST(TraceParity, ObsTraceByteIdenticalAcrossInterpSbTrace) {
     return std::tuple<std::string, std::string, std::string>(
         st->chrome_trace_json(), st->flat_profile(), st->folded_profile());
   };
-  const auto ref = traced(false, false);
-  EXPECT_EQ(traced(true, false), ref);
-  EXPECT_EQ(traced(true, true), ref);
+  const auto ref = traced(cpu::Engine::Reference);
+  EXPECT_EQ(traced(cpu::Engine::Block), ref);
+  EXPECT_EQ(traced(cpu::Engine::Trace), ref);
 }
 
 // ---------------------------------------------------------------------------
 // Counters: the trace tier's stats flow into the metrics registry as
-// fastpath.trace.* and stay zero with the tier off.
+// fastpath.trace.* and stay zero below the Trace tier.
 // ---------------------------------------------------------------------------
 
 TEST(TraceStats, CountersPublishedWhenTierOn) {
@@ -454,8 +459,7 @@ TEST(TraceStats, CountersPublishedWhenTierOn) {
   cfg.kernel.protection = compiler::ProtectionConfig::full();
   cfg.kernel.log_pac_failures = false;
   cfg.obs.enabled = true;
-  cfg.cpu.superblocks = true;
-  cfg.cpu.traces = true;
+  cfg.cpu.engine = cpu::Engine::Trace;
   kernel::Machine m(cfg);
   m.add_user_program(kernel::workloads::null_syscall(40));
   m.boot();
@@ -476,8 +480,7 @@ TEST(TraceStats, CountersStayZeroWhenTierOff) {
   cfg.kernel.protection = compiler::ProtectionConfig::full();
   cfg.kernel.log_pac_failures = false;
   cfg.obs.enabled = true;
-  cfg.cpu.superblocks = true;
-  cfg.cpu.traces = false;
+  cfg.cpu.engine = cpu::Engine::Block;
   kernel::Machine m(cfg);
   m.add_user_program(kernel::workloads::null_syscall(40));
   m.boot();

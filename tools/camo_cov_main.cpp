@@ -35,20 +35,17 @@ int main(int argc, char** argv) {
   }
   if (cmd == "bisect") {
     BisectCliOptions opts;
-    const auto on_off = [](const std::string& v, bool* dst) {
-      if (v == "on") *dst = true;
-      else if (v == "off") *dst = false;
-      else return false;
-      return true;
+    const auto tier = [](const std::string& v, camo::cpu::Engine* dst) {
+      const auto e = camo::cpu::parse_engine(v);
+      if (e) *dst = *e;
+      return e.has_value();
     };
     for (int i = 2; i + 1 < argc; i += 2) {
       const std::string flag = argv[i];
       const std::string val = argv[i + 1];
       bool ok = true;
-      if (flag == "--sb-a") ok = on_off(val, &opts.sb_a);
-      else if (flag == "--fp-a") ok = on_off(val, &opts.fp_a);
-      else if (flag == "--sb-b") ok = on_off(val, &opts.sb_b);
-      else if (flag == "--fp-b") ok = on_off(val, &opts.fp_b);
+      if (flag == "--engine-a") ok = tier(val, &opts.engine_a);
+      else if (flag == "--engine-b") ok = tier(val, &opts.engine_b);
       else if (flag == "--perturb") opts.perturb = val;
       else if (flag == "--interval") opts.digest_interval =
           std::strtoull(val.c_str(), nullptr, 0);

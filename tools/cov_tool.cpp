@@ -139,23 +139,21 @@ int cmd_merge(const std::string& out_path,
 }
 
 int cmd_bisect(const BisectCliOptions& opts) {
-  const auto side = [](const char* label, bool sb, bool fp) {
+  const auto side = [](const char* label, cpu::Engine engine) {
     kernel::BisectSide s;
-    s.label = std::string(label) + (sb ? " sb-on" : " sb-off") +
-              (fp ? " fp-on" : " fp-off");
+    s.label = std::string(label) + " " + cpu::engine_name(engine);
     s.cfg.kernel.protection = compiler::ProtectionConfig::full();
     s.cfg.kernel.log_pac_failures = false;
     s.cfg.kernel.preempt = true;
-    s.cfg.cpu.superblocks = sb;
-    s.cfg.cpu.fast_path = fp;
+    s.cfg.cpu.engine = engine;
     s.setup = [](kernel::Machine& m) {
       m.add_user_program(kernel::workloads::null_syscall(25));
       m.add_user_program(kernel::workloads::yield_loop(10));
     };
     return s;
   };
-  kernel::BisectSide a = side("A", opts.sb_a, opts.fp_a);
-  kernel::BisectSide b = side("B", opts.sb_b, opts.fp_b);
+  kernel::BisectSide a = side("A", opts.engine_a);
+  kernel::BisectSide b = side("B", opts.engine_b);
   if (!opts.perturb.empty()) {
     b.label += " perturbed:" + opts.perturb;
     // One-shot SP corruption at the first execution of the symbol. SP_EL1
@@ -218,10 +216,10 @@ const char* usage() {
          "  camo-cov report <bundle.json>\n"
          "  camo-cov diff <a.json> <b.json>\n"
          "  camo-cov merge -o <out.json> <in.json>...\n"
-         "  camo-cov bisect [--sb-a on|off] [--fp-a on|off]\n"
-         "                  [--sb-b on|off] [--fp-b on|off]\n"
+         "  camo-cov bisect [--engine-a <tier>] [--engine-b <tier>]\n"
          "                  [--perturb <kernel-symbol>] [--interval <n>]\n"
-         "                  [--out <div.json>]\n";
+         "                  [--out <div.json>]\n"
+         "  <tier>: reference | fast | block | trace\n";
 }
 
 }  // namespace camo::cov_tool

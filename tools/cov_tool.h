@@ -12,10 +12,11 @@
 //   merge -o <out> <in>... merge N bundles into one (hits add, per-EL
 //                          retirements add, regions deduplicate) in argv
 //                          order — the same fold the fleet uses;
-//   bisect [--sb-a on|off] [--fp-a on|off] [--sb-b on|off] [--fp-b on|off]
+//   bisect [--engine-a <tier>] [--engine-b <tier>]
 //          [--perturb <kernel-symbol>] [--interval <n>] [--out <div.json>]
 //                          boot two machines running the standard parity
-//                          workload under the given engine configurations,
+//                          workload on the given engine tiers (reference,
+//                          fast, block or trace; default fast vs trace),
 //                          bisect to the first divergent retired instruction
 //                          (kernel/bisect.h) and optionally write the
 //                          camo-div/v1 bundle. --perturb seeds a deliberate
@@ -33,6 +34,7 @@
 #include <string>
 #include <vector>
 
+#include "cpu/engine.h"
 #include "obs/coverage.h"
 
 namespace camo::cov_tool {
@@ -47,10 +49,8 @@ int cmd_merge(const std::string& out_path,
               const std::vector<std::string>& inputs);
 
 struct BisectCliOptions {
-  bool sb_a = false;
-  bool fp_a = true;
-  bool sb_b = true;
-  bool fp_b = true;
+  cpu::Engine engine_a = cpu::Engine::Fast;
+  cpu::Engine engine_b = cpu::Engine::Trace;
   /// Kernel symbol at whose first execution side B's SP is corrupted;
   /// empty = no perturbation (the parity expectation flips to "converged").
   std::string perturb;

@@ -82,81 +82,56 @@ void flatten(const std::vector<obs::BenchDoc>& docs,
   }
 }
 
-/// Engine a document ran under: the trace tier requires superblocks, so the
-/// (sb, trace) pair collapses to three names. Documents predating the trace
-/// tier parse as trace=false and so read as plain "sb"/"interp" — which is
-/// exactly what they ran.
-const char* engine_name(bool sb, bool trace) {
-  if (sb && trace) return "trace";
-  return sb ? "sb" : "interp";
+/// The first bench recorded on both sides whose run condition `field`
+/// differs, as the refusal message; empty when every shared bench agrees.
+/// `flag` names the condition in the message; `field` renders it.
+template <class Field>
+std::string mismatch(const std::vector<obs::BenchDoc>& baseline,
+                     const std::vector<obs::BenchDoc>& current,
+                     const char* flag, Field&& field) {
+  std::map<std::string, std::string> base;
+  for (const obs::BenchDoc& doc : baseline) base[doc.bench] = field(doc);
+  for (const obs::BenchDoc& doc : current) {
+    const auto it = base.find(doc.bench);
+    const std::string cur = field(doc);
+    if (it != base.end() && it->second != cur)
+      return strformat(
+          "bench \"%s\": baseline recorded with %s %s, current with %s %s "
+          "— not comparable; re-record one side",
+          doc.bench.c_str(), flag, it->second.c_str(), flag, cur.c_str());
+  }
+  return "";
 }
 
 }  // namespace
 
 Report diff(const std::vector<obs::BenchDoc>& baseline,
             const std::vector<obs::BenchDoc>& current, const Options& opts) {
-  // Refuse cross-jobs comparisons outright: wall-clock series recorded at
-  // different --jobs values measure different things, and a silent compare
-  // would launder that into pass/fail noise.
-  {
-    std::map<std::string, unsigned> base_jobs;
-    for (const obs::BenchDoc& doc : baseline) base_jobs[doc.bench] = doc.jobs;
-    for (const obs::BenchDoc& doc : current) {
-      const auto it = base_jobs.find(doc.bench);
-      if (it != base_jobs.end() && it->second != doc.jobs) {
-        Report rep;
-        rep.error = strformat(
-            "bench \"%s\": baseline recorded with --jobs %u, current with "
-            "--jobs %u — not comparable; re-record one side",
-            doc.bench.c_str(), it->second, doc.jobs);
-        rep.ok = false;
-        return rep;
-      }
-    }
-  }
-  // Refuse cross-cores comparisons for the stronger reason: guest core
-  // count is part of the simulated contract — a 2-core guest schedules
-  // differently — so even the deterministic cycle series measure different
-  // systems.
-  {
-    std::map<std::string, unsigned> base_cores;
-    for (const obs::BenchDoc& doc : baseline)
-      base_cores[doc.bench] = doc.cores;
-    for (const obs::BenchDoc& doc : current) {
-      const auto it = base_cores.find(doc.bench);
-      if (it != base_cores.end() && it->second != doc.cores) {
-        Report rep;
-        rep.error = strformat(
-            "bench \"%s\": baseline recorded with --cores %u, current with "
-            "--cores %u — not comparable; re-record one side",
-            doc.bench.c_str(), it->second, doc.cores);
-        rep.ok = false;
-        return rep;
-      }
-    }
-  }
-  // Refuse cross-engine comparisons (interp vs sb vs trace): the engines
-  // retire identical simulated cycles, but every host-side series — wall
-  // clock, throughput, fast-path counters — measures a different
-  // implementation, so a diff across them is answering the wrong question.
-  {
-    std::map<std::string, const obs::BenchDoc*> base_engine;
-    for (const obs::BenchDoc& doc : baseline) base_engine[doc.bench] = &doc;
-    for (const obs::BenchDoc& doc : current) {
-      const auto it = base_engine.find(doc.bench);
-      if (it != base_engine.end() &&
-          (it->second->sb != doc.sb || it->second->trace != doc.trace)) {
-        Report rep;
-        rep.error = strformat(
-            "bench \"%s\": baseline recorded with engine=%s, current with "
-            "engine=%s — not comparable; re-record one side",
-            doc.bench.c_str(),
-            engine_name(it->second->sb, it->second->trace),
-            engine_name(doc.sb, doc.trace));
-        rep.ok = false;
-        return rep;
-      }
-    }
+  // Refuse comparisons across run conditions. Wall-clock series recorded at
+  // different --jobs values measure different things. Guest core count is
+  // part of the simulated contract: a 2-core guest schedules differently, so
+  // even the deterministic cycle series measure different systems. The
+  // engine tiers retire identical simulated cycles, but every host-side
+  // series (wall clock, throughput, fast-path counters) measures a
+  // different implementation. A silent compare across any of them would
+  // launder that into pass/fail noise.
+  const auto jobs = [](const obs::BenchDoc& d) {
+    return std::to_string(d.jobs);
+  };
+  const auto cores = [](const obs::BenchDoc& d) {
+    return std::to_string(d.cores);
+  };
+  const auto engine = [](const obs::BenchDoc& d) {
+    return std::string(cpu::engine_name(d.engine));
+  };
+  for (std::string err : {mismatch(baseline, current, "--jobs", jobs),
+                          mismatch(baseline, current, "--cores", cores),
+                          mismatch(baseline, current, "--engine", engine)}) {
+    if (err.empty()) continue;
+    Report rep;
+    rep.error = std::move(err);
+    rep.ok = false;
+    return rep;
   }
   std::map<Key, double> base_vals, cur_vals;
   std::vector<Key> base_order, cur_order;
@@ -171,7 +146,7 @@ Report diff(const std::vector<obs::BenchDoc>& baseline,
     for (const Report::RunHeader& h : rep.headers) seen |= h.bench == doc.bench;
     if (!seen)
       rep.headers.push_back(
-          {doc.bench, doc.jobs, doc.cores, doc.sb, doc.trace});
+          {doc.bench, doc.jobs, doc.cores, doc.engine});
   }
   for (const Key& k : base_order) {
     Delta d;
@@ -240,7 +215,7 @@ std::string Report::markdown() const {
   for (const RunHeader& h : headers)
     out += strformat("- `%s`: jobs=%u, cores=%u, engine=%s\n",
                      h.bench.c_str(), h.jobs, h.cores,
-                     engine_name(h.sb, h.trace));
+                     cpu::engine_name(h.engine));
   if (!headers.empty()) out += "\n";
   out +=
       "| series | unit | baseline | current | delta | status |\n"

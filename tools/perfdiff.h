@@ -99,8 +99,7 @@ struct Report {
     std::string bench;
     unsigned jobs = 1;
     unsigned cores = 1;
-    bool sb = true;
-    bool trace = false;
+    cpu::Engine engine = cpu::Engine::Trace;
   };
   std::vector<RunHeader> headers;
   std::vector<Delta> deltas;  ///< baseline order, then new series
