@@ -31,28 +31,6 @@ constexpr bool is_instruction_key(PacKey k) {
 /// True for the B-flavour keys (IB/DB).
 constexpr bool is_b_key(PacKey k) { return k == PacKey::IB || k == PacKey::DB; }
 
-/// Fused PAuth site memo (DESIGN.md §3i): one per PAuth terminator embedded
-/// in a superblock trace. QARMA is a pure function of (pointer, modifier,
-/// key), and add_pac/auth are pure on top of it, so the *final* result of a
-/// hot PACxx/AUTxx site can be replayed from this record whenever all three
-/// inputs compare equal — folding the modifier read and the whole memoized
-/// QARMA lookup into four compares and a register write. Tagged with the
-/// full 128-bit key so any key-register change (context switch, key
-/// rotation) misses naturally, with no epoch bookkeeping. Only successful
-/// operations are memoized: failures and disabled keys always take the
-/// generic handler, which owns the observer/FPAC/poison semantics.
-struct PacFuseMemo {
-  uint64_t ptr = 0;       ///< input pointer value at the site
-  uint64_t modifier = 0;  ///< input modifier value at the site
-  qarma::Key128 key;      ///< full key material the result was computed under
-  uint64_t result = 0;    ///< signed (PAC*) or authenticated (AUT*) pointer
-  bool valid = false;
-
-  bool hit(uint64_t p, uint64_t m, const qarma::Key128& k) const {
-    return valid && ptr == p && modifier == m && key == k;
-  }
-};
-
 class PauthUnit {
  public:
   explicit PauthUnit(mem::VaLayout layout) : layout_(layout) {}

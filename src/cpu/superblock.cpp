@@ -186,72 +186,6 @@ void SuperblockEngine::try_form_trace(Cpu& cpu, Block& head) {
   uint64_t target = 0;
   if (!head.prof.biased(target)) return;
 
-  // Fusible PAuth terminator sites (§3i): the register-form sign/auth ops
-  // and the HINT-space SP/1716 variants. PACGA and XPAC* gain nothing from
-  // value memoization worth a descriptor, and the PAuth branches
-  // (BRAA/RETAA/...) stay generic because they feed the control-flow
-  // observers. Gated on has_pauth: pre-8.3 cores NOP the hint space.
-  const bool pauth = cpu.cfg_.has_pauth;
-  const auto set_fuse = [pauth](Trace::Seg& s, const Inst& in) {
-    if (!pauth) return;
-    using isa::Op;
-    switch (in.op) {
-      case Op::PACIA:
-      case Op::PACIB:
-      case Op::PACDA:
-      case Op::PACDB:
-        s.fuse = kFuseSign;
-        s.fuse_key = static_cast<uint8_t>(static_cast<int>(in.op) -
-                                          static_cast<int>(Op::PACIA));
-        s.fuse_ptr = in.rd;
-        s.fuse_mod = in.rn;
-        break;
-      case Op::AUTIA:
-      case Op::AUTIB:
-      case Op::AUTDA:
-      case Op::AUTDB:
-        s.fuse = kFuseAuth;
-        s.fuse_key = static_cast<uint8_t>(static_cast<int>(in.op) -
-                                          static_cast<int>(Op::AUTIA));
-        s.fuse_ptr = in.rd;
-        s.fuse_mod = in.rn;
-        break;
-      case Op::PACIASP:
-      case Op::PACIBSP:
-        s.fuse = kFuseSign;
-        s.fuse_key = static_cast<uint8_t>(
-            in.op == Op::PACIASP ? PacKey::IA : PacKey::IB);
-        s.fuse_ptr = isa::kRegLr;
-        s.fuse_mod = isa::kRegZrSp;  // read_gpr_or_sp(31) == SP
-        break;
-      case Op::AUTIASP:
-      case Op::AUTIBSP:
-        s.fuse = kFuseAuth;
-        s.fuse_key = static_cast<uint8_t>(
-            in.op == Op::AUTIASP ? PacKey::IA : PacKey::IB);
-        s.fuse_ptr = isa::kRegLr;
-        s.fuse_mod = isa::kRegZrSp;
-        break;
-      case Op::PACIA1716:
-      case Op::PACIB1716:
-        s.fuse = kFuseSign;
-        s.fuse_key = static_cast<uint8_t>(
-            in.op == Op::PACIA1716 ? PacKey::IA : PacKey::IB);
-        s.fuse_ptr = isa::kRegIp1;
-        s.fuse_mod = isa::kRegIp0;
-        break;
-      case Op::AUTIA1716:
-      case Op::AUTIB1716:
-        s.fuse = kFuseAuth;
-        s.fuse_key = static_cast<uint8_t>(
-            in.op == Op::AUTIA1716 ? PacKey::IA : PacKey::IB);
-        s.fuse_ptr = isa::kRegIp1;
-        s.fuse_mod = isa::kRegIp0;
-        break;
-      default:
-        break;
-    }
-  };
   // Epochs are per-half (kernel vs user map), so a physical page reached
   // through both halves carries one record per half.
   const auto page_known = [](const Trace& t, uint64_t page, uint64_t va) {
@@ -273,7 +207,6 @@ void SuperblockEngine::try_form_trace(Cpu& cpu, Block& head) {
     s.block = cur;
     s.va_start = cur_va;
     s.env = cur->entries.back().inst.op == isa::Op::MSR;
-    set_fuse(s, cur->entries.back().inst);
     t.segs.push_back(s);
     t.entries_total += n;
     for (const obs::RetireSlot& sl : cur->slots) t.cost_bound += sl.cost;
@@ -310,6 +243,92 @@ void SuperblockEngine::try_form_trace(Cpu& cpu, Block& head) {
   stats_.trace_len.record(slot.entries_total);
 }
 
+// Forced inline into both callers: as an out-of-line call per dispatched
+// block it cost the Block tier a few percent of host throughput.
+[[gnu::always_inline]] inline SuperblockEngine::CarefulExit
+SuperblockEngine::run_careful(Cpu& cpu, const Block& b, const Trace* t,
+                              uint64_t budget, uint64_t& consumed) const {
+  // Read once: the terminator can run host code (an HVC handler) that could
+  // conceivably re-enter the engine and rebuild this very block in place.
+  const size_t n = b.entries.size();
+  const uint64_t va0 = b.va_start;
+  const uint64_t pa0 = b.pa_start;
+  // When no breakpoint can possibly fall inside this block, the per-entry
+  // check collapses to nothing. [bp_min_pc_, bp_max_pc_] is empty
+  // (min > max) when no breakpoints exist.
+  const bool bp_overlap =
+      cpu.bp_min_pc_ <= va0 + 4 * (n - 1) && cpu.bp_max_pc_ >= va0;
+  const bool feeds = cpu.attr_ != nullptr || cpu.cov_ != nullptr;
+  // Count in a local, as the quiet loop does: `consumed` is a caller
+  // reference that every handler's indirect call would force to memory.
+  const uint64_t cap = budget - consumed;  // >= 1: callers checked budget
+  uint64_t done = 0;
+  const auto leave = [&](CarefulExit r) {
+    cpu.flush_run();
+    consumed += done;
+    return r;
+  };
+  if (feeds) cpu.begin_run(b.slots.data(), va0, pa0);
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t va = va0 + 4 * i;
+    // Mirror of Cpu::step_impl's preamble, in the same order. Timer and
+    // IRQ state are re-checked before *every* instruction because the
+    // deadline can pass mid-block.
+    if (cpu.timer_cycles_ != 0 && cpu.cycles_ >= cpu.timer_cycles_) {
+      cpu.timer_cycles_ =
+          cpu.timer_period_ == 0 ? 0 : cpu.cycles_ + cpu.timer_period_;
+      cpu.irq_pending_ = true;
+      cpu.irq_sources_ |= Cpu::kIrqSrcTimer;
+    }
+    if (cpu.irq_pending_ && !cpu.pstate.irq_masked)
+      return leave(CarefulExit::kReturn);  // step_impl owns IRQ delivery
+    if (bp_overlap && cpu.breakpoints_.find(va) != cpu.breakpoints_.end())
+      return leave(CarefulExit::kReturn);  // step_impl owns hooks
+
+    // Copy the entry: an instruction that can run host code retires from
+    // the copies, outside the pending run.
+    const Entry e = b.entries[i];
+    const obs::RetireSlot slot = b.slots[i];
+    if (cpu.trace_) {
+      cpu.flush_run();
+      cpu.trace_(cpu, va, e.inst);  // pc still == va here
+    }
+    const bool alone = feeds && e.alone;
+    const uint64_t c0 = cpu.cycles_;
+    const uint8_t el0 = static_cast<uint8_t>(cpu.pstate.el);
+    if (alone) cpu.flush_run();
+    cpu.pc = va + 4;
+    e.fn(cpu, e.inst);
+    cpu.cycles_ += cpu.cfg_.enable_cycle_model ? slot.cost : 1;
+    ++cpu.instret_;
+    ++cpu.op_counts_[static_cast<size_t>(e.inst.op)];
+    if (alone)
+      cpu.retire_one(va, pa0 + (va - va0), el0, slot.op_class,
+                     cpu.cycles_ - c0);
+    else if (feeds)
+      ++cpu.run_.n;
+    if (++done == cap)
+      return leave(CarefulExit::kReturn);  // exact, never overshoots
+    if (i + 1 < n) {
+      // Straight-line entries only leave the block early by faulting
+      // (DataAbort redirects pc to the vector); the caller follows the
+      // redirect by re-acquiring at the new pc.
+      if (cpu.halted_ || cpu.pc != va + 4) return leave(CarefulExit::kLeft);
+      // A store may have rewritten this very block (or, in a trace, a later
+      // segment) further down: the page write generation is the same
+      // signal the predecode cache keys on, so the next acquire()
+      // re-translates the fresh bytes.
+      if (e.is_store &&
+          (t != nullptr
+               ? !trace_pages_current(cpu, *t)
+               : b.phys_gen != cpu.mmu_->phys().page_generation(
+                                   pa0 >> mem::PhysicalMemory::kPageShift)))
+        return leave(CarefulExit::kLeft);
+    }
+  }
+  return leave(CarefulExit::kDone);
+}
+
 SuperblockEngine::TraceExit SuperblockEngine::run_trace(Cpu& cpu, Trace& t,
                                                         uint64_t budget,
                                                         uint64_t& consumed,
@@ -317,14 +336,7 @@ SuperblockEngine::TraceExit SuperblockEngine::run_trace(Cpu& cpu, Trace& t,
   ++stats_.trace_hits;
   ++t.uses;
   const uint64_t d0 = consumed;
-  const bool cycle_model = cpu.cfg_.enable_cycle_model;
   const size_t nsegs = t.segs.size();
-
-  // Fused PAuth entries replay results the sign/auth event sinks never saw
-  // being computed, so they stay off while a sink or audit stream is
-  // attached (the attribution/coverage feeds are unaffected: a fused entry
-  // retires with the same cost, class and pc as the generic handler).
-  const bool fuse_ok = cpu.sink_ == nullptr && cpu.audit_ == nullptr;
 
   // Quiet-loop eligibility (§3i), decided once per dispatch: nothing inside
   // the trace can need the per-entry preamble. Sound because every op that
@@ -349,35 +361,10 @@ SuperblockEngine::TraceExit SuperblockEngine::run_trace(Cpu& cpu, Trace& t,
                      !bp_overlap && cpu.trace_ == nullptr &&
                      cpu.attr_ == nullptr && cpu.cov_ == nullptr;
 
-  const auto fuse_exec = [&cpu](Trace::Seg& seg) {
-    const PacKey k = static_cast<PacKey>(seg.fuse_key);
-    if (!cpu.pauth_enabled(k)) return false;  // generic handler no-ops
-    const uint64_t ptr = cpu.x(seg.fuse_ptr);
-    const uint64_t mod = cpu.read_gpr_or_sp(seg.fuse_mod);
-    const qarma::Key128 key = cpu.pac_key(k);
-    if (seg.memo.hit(ptr, mod, key)) {
-      cpu.set_x(seg.fuse_ptr, seg.memo.result);
-      return true;
-    }
-    if (seg.fuse == kFuseSign) {
-      const uint64_t r = cpu.pauth_.add_pac(ptr, mod, key);
-      cpu.set_x(seg.fuse_ptr, r);
-      seg.memo = {ptr, mod, key, r, true};
-      return true;
-    }
-    const PauthUnit::AuthResult r = cpu.pauth_.auth(ptr, mod, key, k);
-    if (!r.ok) return false;  // failure path owns observer/FPAC/poison
-    cpu.set_x(seg.fuse_ptr, r.ptr);
-    seg.memo = {ptr, mod, key, r.ptr, true};
-    return true;
-  };
   // Run-length bookkeeping: one sample per dispatch (zero-length dispatches
   // are not samples, matching the block loop), plus the demotion
-  // denominator. Must run before any drop_trace — that destroys `t`. Every
-  // exit passes here, so it also flushes the pending retire run (a no-op in
-  // the quiet loop, which runs with no feed attached).
+  // denominator. Must run before any drop_trace — that destroys `t`.
   const auto finish = [&](uint64_t run) {
-    cpu.flush_run();
     if (run > 0) stats_.run_length.record(run);
     t.entries_run += run;
   };
@@ -392,6 +379,34 @@ SuperblockEngine::TraceExit SuperblockEngine::run_trace(Cpu& cpu, Trace& t,
     drop_trace(t);
     return true;
   };
+  // Segment-boundary guard, shared by both loops: true when the run may go
+  // on into segment si + 1. Otherwise it has called `leave`, which ends the
+  // dispatch's bookkeeping, and the caller returns kContinue.
+  const auto cross = [&](size_t si, const auto& leave) {
+    const Trace::Seg& seg = t.segs[si];
+    if (cpu.halted_) {
+      leave();
+      return false;  // outer loop observes the halt
+    }
+    // The terminator must have produced exactly the edge the trace was
+    // formed across, at the EL every constituent block was built for.
+    if (cpu.pc != t.segs[si + 1].va_start || cpu.pstate.el != t.el) {
+      ++stats_.trace_guard_exits;
+      ++t.exits;
+      seg.block->prof.record(cpu.pc);  // learn the real edge
+      leave();
+      demote();
+      return false;
+    }
+    // A store or MSR terminator may have touched a trace page.
+    if (seg.env ? !trace_pages_fresh(cpu, t)
+                : (seg.block->entries.back().is_store &&
+                   !trace_pages_current(cpu, t))) {
+      leave();
+      return false;
+    }
+    return true;
+  };
 
   if (quiet) {
     // Retire bookkeeping lives in locals: the handlers' indirect calls
@@ -403,9 +418,11 @@ SuperblockEngine::TraceExit SuperblockEngine::run_trace(Cpu& cpu, Trace& t,
     // and on every exit. Body entries are plain ALU/memory ops whose only
     // cycles_ observer is the DataAbort path's sink/audit event timestamps
     // — the abort's own `cycles_ += 12` commutes with the pending batch —
-    // so with no sink or audit attached (fuse_ok) they need no flush at
-    // all, and with one attached the flush happens before each may-fault
+    // so with no trace or audit sink attached they need no flush at all,
+    // and with one attached the flush happens before each may-fault
     // handler.
+    const bool event_sinks = cpu.sink_ != nullptr || cpu.audit_ != nullptr;
+    const bool cycle_model = cpu.cfg_.enable_cycle_model;
     uint64_t done = 0, cyc = 0, ret = 0;
     const uint64_t cap = budget - consumed;  // >= 1: caller checked budget
     const auto flush = [&] {
@@ -419,19 +436,19 @@ SuperblockEngine::TraceExit SuperblockEngine::run_trace(Cpu& cpu, Trace& t,
       finish(done);
     };
     for (size_t si = 0; si < nsegs; ++si) {
-      Trace::Seg& seg = t.segs[si];
-      Block* const blk = seg.block;
+      const Trace::Seg& seg = t.segs[si];
+      const Block* const blk = seg.block;
       const size_t n = blk->entries.size();
       const Entry* const ents = blk->entries.data();
       const obs::RetireSlot* const slots = blk->slots.data();
       uint64_t va = seg.va_start;
-      // Body entries [0, n-1): straight-line, never fused, never guarded.
+      // Body entries [0, n-1): straight-line, never guarded.
       // Run by reference — only host code (an HVC handler) can rebuild the
       // block under us, and HVC is a hard terminator, so trace-final.
       for (size_t i = 0; i + 1 < n; ++i, va += 4) {
         const Entry& e = ents[i];
         cpu.pc = va + 4;
-        if (!fuse_ok && e.may_fault) flush();  // abort events timestamp
+        if (event_sinks && e.may_fault) flush();  // abort events timestamp
         e.fn(cpu, e.inst);
         cyc += cycle_model ? slots[i].cost : 1;
         ++ret;
@@ -462,8 +479,7 @@ SuperblockEngine::TraceExit SuperblockEngine::run_trace(Cpu& cpu, Trace& t,
       const uint8_t cost = slots[n - 1].cost;
       cpu.pc = va + 4;
       flush();
-      if (!(seg.fuse != kFuseNone && fuse_ok && fuse_exec(seg)))
-        e.fn(cpu, e.inst);
+      e.fn(cpu, e.inst);
       cyc += cycle_model ? cost : 1;
       ++ret;
       ++cpu.op_counts_[static_cast<size_t>(e.inst.op)];
@@ -471,124 +487,25 @@ SuperblockEngine::TraceExit SuperblockEngine::run_trace(Cpu& cpu, Trace& t,
         out();
         return TraceExit::kReturn;
       }
-      if (si + 1 < nsegs) {
-        if (cpu.halted_) {
-          out();
-          return TraceExit::kContinue;  // outer loop observes the halt
-        }
-        // Segment-boundary guard: the terminator must have produced
-        // exactly the edge the trace was formed across, at the EL every
-        // constituent block was built for.
-        Trace::Seg& nxt = t.segs[si + 1];
-        if (cpu.pc != nxt.va_start || cpu.pstate.el != t.el) {
-          ++stats_.trace_guard_exits;
-          ++t.exits;
-          blk->prof.record(cpu.pc);  // learn the real edge
-          out();
-          demote();
-          return TraceExit::kContinue;
-        }
-        if (seg.env ? !trace_pages_fresh(cpu, t)
-                    : (e.is_store && !trace_pages_current(cpu, t))) {
-          out();
-          return TraceExit::kContinue;  // store/MSR touched a trace page
-        }
-      }
+      if (si + 1 < nsegs && !cross(si, out)) return TraceExit::kContinue;
     }
     flush();
     consumed += done;  // completion: fall through to the shared tail
   } else {
-    // Careful loop: the full per-entry mirror of Cpu::step_impl's preamble
-    // and the block loop's feed order, plus the same guards as above — so
-    // traces keep running (and stay testable) with timers, breakpoints and
-    // every observability feed attached. Each segment is one retire run.
-    const bool feeds = cpu.attr_ != nullptr || cpu.cov_ != nullptr;
+    // Careful loop: each segment runs through the block dispatcher's
+    // per-entry loop as one retire run, with the boundary guard between
+    // segments — so traces keep running (and stay testable) with timers,
+    // breakpoints and every observability feed attached.
+    const auto left = [&] { finish(consumed - d0); };
     for (size_t si = 0; si < nsegs; ++si) {
-      Trace::Seg& seg = t.segs[si];
-      Block* const blk = seg.block;
-      const size_t n = blk->entries.size();
-      const uint64_t seg_last = seg.va_start + 4 * (n - 1);
-      const bool seg_bp = bp_overlap && cpu.bp_min_pc_ <= seg_last &&
-                          cpu.bp_max_pc_ >= seg.va_start;
-      if (feeds)
-        cpu.begin_run(blk->slots.data(), seg.va_start,
-                      blk->pa_start + (seg.va_start - blk->va_start));
-      for (size_t i = 0; i < n; ++i) {
-        const uint64_t va = seg.va_start + 4 * i;
-        const bool term = i + 1 == n;
-        if (cpu.timer_cycles_ != 0 && cpu.cycles_ >= cpu.timer_cycles_) {
-          cpu.timer_cycles_ = cpu.timer_period_ == 0
-                                  ? 0
-                                  : cpu.cycles_ + cpu.timer_period_;
-          cpu.irq_pending_ = true;
-          cpu.irq_sources_ |= Cpu::kIrqSrcTimer;
-        }
-        if (cpu.irq_pending_ && !cpu.pstate.irq_masked) {
-          finish(consumed - d0);
-          return TraceExit::kReturn;  // step_impl owns interrupt delivery
-        }
-        if (seg_bp &&
-            cpu.breakpoints_.find(va) != cpu.breakpoints_.end()) {
-          finish(consumed - d0);
-          return TraceExit::kReturn;  // step_impl owns hooks
-        }
-        const Entry e = blk->entries[i];
-        const obs::RetireSlot slot = blk->slots[i];
-        if (cpu.trace_) {
-          cpu.flush_run();
-          cpu.trace_(cpu, va, e.inst);  // pc still == va here
-        }
-        const bool alone = feeds && e.alone;
-        const uint64_t c0 = cpu.cycles_;
-        const uint8_t el0 = static_cast<uint8_t>(cpu.pstate.el);
-        if (alone) cpu.flush_run();
-        cpu.pc = va + 4;
-        if (!(term && seg.fuse != kFuseNone && fuse_ok && fuse_exec(seg)))
-          e.fn(cpu, e.inst);
-        cpu.cycles_ += cycle_model ? slot.cost : 1;
-        ++cpu.instret_;
-        ++cpu.op_counts_[static_cast<size_t>(e.inst.op)];
-        if (alone)
-          cpu.retire_one(va, blk->pa_start + (va - blk->va_start), el0,
-                         slot.op_class, cpu.cycles_ - c0);
-        else if (feeds)
-          ++cpu.run_.n;
-        if (term) cpu.flush_run();  // the segment's run ends here
-        ++consumed;
-        if (consumed == budget) {
-          finish(consumed - d0);
-          return TraceExit::kReturn;
-        }
-        if (!term) {
-          if (cpu.halted_ || cpu.pc != va + 4) {
-            finish(consumed - d0);
-            return TraceExit::kContinue;
-          }
-          if (e.is_store && !trace_pages_current(cpu, t)) {
-            finish(consumed - d0);
-            return TraceExit::kContinue;
-          }
-        } else if (si + 1 < nsegs) {
-          if (cpu.halted_) {
-            finish(consumed - d0);
-            return TraceExit::kContinue;
-          }
-          Trace::Seg& nxt = t.segs[si + 1];
-          if (cpu.pc != nxt.va_start || cpu.pstate.el != t.el) {
-            ++stats_.trace_guard_exits;
-            ++t.exits;
-            blk->prof.record(cpu.pc);
-            finish(consumed - d0);
-            demote();
-            return TraceExit::kContinue;
-          }
-          if (seg.env ? !trace_pages_fresh(cpu, t)
-                      : (e.is_store && !trace_pages_current(cpu, t))) {
-            finish(consumed - d0);
-            return TraceExit::kContinue;
-          }
-        }
+      const CarefulExit r =
+          run_careful(cpu, *t.segs[si].block, &t, budget, consumed);
+      if (r != CarefulExit::kDone) {
+        left();
+        return r == CarefulExit::kReturn ? TraceExit::kReturn
+                                         : TraceExit::kContinue;
       }
+      if (si + 1 < nsegs && !cross(si, left)) return TraceExit::kContinue;
     }
   }
 
@@ -618,12 +535,6 @@ SuperblockEngine::TraceExit SuperblockEngine::run_trace(Cpu& cpu, Trace& t,
 }
 
 uint64_t SuperblockEngine::execute(Cpu& cpu, uint64_t budget) {
-  const uint64_t consumed = dispatch(cpu, budget);
-  cpu.flush_run();  // every engine exit ends the pending retire run
-  return consumed;
-}
-
-uint64_t SuperblockEngine::dispatch(Cpu& cpu, uint64_t budget) {
   uint64_t consumed = 0;
   Block* prev = nullptr;  // completed predecessor, for the chain memo
   while (consumed < budget && !cpu.halted_) {
@@ -656,97 +567,16 @@ uint64_t SuperblockEngine::dispatch(Cpu& cpu, uint64_t budget) {
       drop_trace(t);
     }
 
-    // When no breakpoint can possibly fall inside this block, the per-entry
-    // check collapses to nothing. [bp_min_pc_, bp_max_pc_] is empty
-    // (min > max) when no breakpoints exist.
-    const size_t n = blk->entries.size();
-    const uint64_t va_last = blk->va_start + 4 * (n - 1);
-    const bool bp_overlap =
-        cpu.bp_min_pc_ <= va_last && cpu.bp_max_pc_ >= blk->va_start;
-
     // Dispatch run length (instructions retired inside this block entry)
     // for the §3f histogram; zero-length dispatches (bail before the first
-    // instruction) are not samples.
+    // instruction) are not samples. The retire run has ended with the
+    // block, before trace formation can rebuild blocks (this one included)
+    // in place.
     const uint64_t d0 = consumed;
-    bool completed = true;
-    const bool feeds = cpu.attr_ != nullptr || cpu.cov_ != nullptr;
-    if (feeds) cpu.begin_run(blk->slots.data(), blk->va_start, blk->pa_start);
-    for (size_t i = 0; i < n; ++i) {
-      const uint64_t va = blk->va_start + 4 * i;
-      // Mirror of Cpu::step_impl's preamble, in the same order. Timer and
-      // IRQ state are re-checked before *every* instruction because the
-      // deadline can pass mid-block.
-      if (cpu.timer_cycles_ != 0 && cpu.cycles_ >= cpu.timer_cycles_) {
-        cpu.timer_cycles_ = cpu.timer_period_ == 0
-                                ? 0
-                                : cpu.cycles_ + cpu.timer_period_;
-        cpu.irq_pending_ = true;
-        cpu.irq_sources_ |= Cpu::kIrqSrcTimer;
-      }
-      if (cpu.irq_pending_ && !cpu.pstate.irq_masked) {
-        if (consumed > d0) stats_.run_length.record(consumed - d0);
-        return consumed;  // step_impl owns interrupt delivery
-      }
-      if (bp_overlap && cpu.breakpoints_.find(va) != cpu.breakpoints_.end()) {
-        if (consumed > d0) stats_.run_length.record(consumed - d0);
-        return consumed;  // step_impl owns hooks (they may mutate anything)
-      }
-
-      // Copy the entry: the final instruction of a block can run host code
-      // (an HVC handler) that could conceivably re-enter the engine and
-      // rebuild this very block in place. Such an instruction retires from
-      // the copies, outside the pending run.
-      const Entry e = blk->entries[i];
-      const obs::RetireSlot slot = blk->slots[i];
-      if (cpu.trace_) {
-        cpu.flush_run();
-        cpu.trace_(cpu, va, e.inst);  // pc still == va here
-      }
-      const bool alone = feeds && e.alone;
-      const uint64_t c0 = cpu.cycles_;
-      const uint8_t el0 = static_cast<uint8_t>(cpu.pstate.el);
-      if (alone) cpu.flush_run();
-      cpu.pc = va + 4;
-      e.fn(cpu, e.inst);
-      cpu.cycles_ += cpu.cfg_.enable_cycle_model ? slot.cost : 1;
-      ++cpu.instret_;
-      ++cpu.op_counts_[static_cast<size_t>(e.inst.op)];
-      if (alone)
-        cpu.retire_one(va, blk->pa_start + (va - blk->va_start), el0,
-                       slot.op_class, cpu.cycles_ - c0);
-      else if (feeds)
-        ++cpu.run_.n;
-      ++consumed;
-
-      if (consumed == budget) {
-        stats_.run_length.record(consumed - d0);
-        return consumed;  // exact, never overshoots
-      }
-      if (i + 1 < n) {
-        // Straight-line entries only leave the block early by faulting
-        // (DataAbort redirects pc to the vector); follow the redirect by
-        // re-acquiring at the new pc.
-        if (cpu.halted_ || cpu.pc != va + 4) {
-          completed = false;
-          break;
-        }
-        // A store may have rewritten this very block further down: the
-        // page's write generation is the same signal the predecode cache
-        // keys on, so the next acquire() re-translates the fresh bytes.
-        if (e.is_store &&
-            blk->phys_gen !=
-                cpu.mmu_->phys().page_generation(
-                    blk->pa_start >> mem::PhysicalMemory::kPageShift)) {
-          completed = false;
-          break;
-        }
-      }
-    }
-    // The run ends with the block, before trace formation can rebuild
-    // blocks (this one included) in place.
-    cpu.flush_run();
+    const CarefulExit r = run_careful(cpu, *blk, nullptr, budget, consumed);
     if (consumed > d0) stats_.run_length.record(consumed - d0);
-    if (completed) {
+    if (r == CarefulExit::kReturn) return consumed;
+    if (r == CarefulExit::kDone) {
       if (cpu.halted_) break;
       if (cpu.cfg_.engine == Engine::Trace) {
         blk->prof.record(cpu.pc);

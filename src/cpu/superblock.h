@@ -26,15 +26,15 @@
 // spans multiple 4 KiB pages by carrying one FetchEpoch + write-generation
 // validation record per constituent page, all re-checked at trace entry
 // (mem::Mmu::fetch_epoch_current) and — the write generations — after every
-// store inside the trace. PAuth terminators inside traces get fused
-// entries: a cpu::PacFuseMemo replays the site's full result when
-// (pointer, modifier, 128-bit key) compare equal, so a key change misses
-// naturally; failures and disabled keys always fall back to the generic
-// handler. When nothing inside a trace can need per-entry timer/IRQ/
-// breakpoint or observability work (checked once at entry, sound because
-// every op that could change that is either a hard terminator — and so
-// trace-final — or an MSR whose boundary guards cover its effects), a
-// specialized quiet loop runs the trace without the per-entry preamble.
+// store inside the trace. Every terminator, PAuth ops included, runs its
+// generic handler; PAC values come from the one §3c PauthUnit memo. When
+// nothing inside a trace can need per-entry timer/IRQ/breakpoint or
+// observability work (checked once at entry, sound because every op that
+// could change that is either a hard terminator — and so trace-final — or
+// an MSR whose boundary guards cover its effects), a specialized quiet loop
+// runs the trace without the per-entry preamble. Otherwise each segment
+// runs through the block dispatcher's one careful per-entry loop
+// (run_careful), with the boundary guard between segments.
 //
 // Invariance contract (the same one the §3c caches honour): simulated state,
 // cycle counts, fault sequences and the retire stream seen by every obs feed
@@ -139,9 +139,6 @@ class SuperblockEngine {
     uint8_t trace_regrows = 0;
   };
 
-  /// PAuth fusion kind of a segment terminator (§3i).
-  enum FuseKind : uint8_t { kFuseNone = 0, kFuseSign, kFuseAuth };
-
   /// A branch-following multi-block trace (§3i). Segments are the existing
   /// cached blocks — never copied — so a trace is a validated itinerary
   /// plus per-boundary guards, not a second decode cache.
@@ -149,18 +146,10 @@ class SuperblockEngine {
     struct Seg {
       Block* block = nullptr;
       uint64_t va_start = 0;
-      /// Fused-PAuth descriptor of the terminator (kFuseNone when the
-      /// terminator is not a fusible PAuth op). ptr is read with Cpu::x and
-      /// written with Cpu::set_x; mod is read with read_gpr_or_sp (31=SP).
-      uint8_t fuse = kFuseNone;
-      uint8_t fuse_key = 0;  ///< PacKey
-      uint8_t fuse_ptr = 0;
-      uint8_t fuse_mod = 0;
       /// Terminator is a system-register write (MSR): the boundary guard
       /// revalidates all page records, since the write may have moved a
       /// mapping the rest of the trace depends on.
       bool env = false;
-      PacFuseMemo memo;
     };
     /// One validation record per constituent 4 KiB page: the write
     /// generation and translation snapshot every cached decode and fetch in
@@ -206,11 +195,24 @@ class SuperblockEngine {
     kContinue,  ///< guard/side exit or completion; re-enter the dispatcher
   };
 
+  enum class CarefulExit : uint8_t {
+    kDone,    ///< every entry retired, terminator included
+    kReturn,  ///< stop consuming budget (IRQ, breakpoint, budget spent)
+    kLeft,    ///< left early: halt, pc redirect, or stale after a store
+  };
+
   /// True when `b` may execute at `va` right now: same start VA and EL, both
   /// the translation snapshot and the page's write generation unchanged.
   bool valid(const Cpu& cpu, const Block& b, uint64_t va) const;
-  /// The body of execute(), which flushes the pending retire run after it.
-  uint64_t dispatch(Cpu& cpu, uint64_t budget);
+  /// Run `b`'s entries with the full per-entry mirror of Cpu::step_impl's
+  /// preamble and the retire feed, adding one to `consumed` per retired
+  /// instruction (never past `budget`). `t` is the trace `b` runs in as a
+  /// segment — its page records are the post-store staleness check — or
+  /// null for a standalone block, checked against its own page generation.
+  /// The pending retire run is flushed on every exit. Defined (inline) and
+  /// used only in superblock.cpp.
+  inline CarefulExit run_careful(Cpu& cpu, const Block& b, const Trace* t,
+                          uint64_t budget, uint64_t& consumed) const;
   /// Look up (or build) a valid block for cpu.pc. Null when the fetch would
   /// fault or pc is unaligned — the single-step path owns those.
   Block* acquire(Cpu& cpu);

@@ -36,16 +36,17 @@ std::vector<uint32_t> words_of(Gen&& gen) {
 /// them. The (superblocks, fast path) parameter is the suite's original
 /// spelling, kept so test names stay stable: (off, off) is Reference,
 /// (off, on) Fast and (on, on) the default Trace tier, which runs the
-/// superblocks with traces on top as this suite always has. The Block tier
-/// runs test_trace.cpp's cases and the machine parity below.
+/// superblocks with traces on top. (on, off) stands for the Block tier —
+/// superblocks without traces, whose only dispatcher is the careful block
+/// loop — and is instantiated on its own under engine_name.
 class Superblock
     : public ::testing::TestWithParam<std::tuple<bool, bool>> {
  protected:
   cpu::Cpu::Config cfg() const {
+    const auto [sb, fp] = GetParam();
     cpu::Cpu::Config c;
-    c.engine = std::get<0>(GetParam())   ? cpu::Engine::Trace
-               : std::get<1>(GetParam()) ? cpu::Engine::Fast
-                                         : cpu::Engine::Reference;
+    c.engine = sb ? (fp ? cpu::Engine::Trace : cpu::Engine::Block)
+                  : (fp ? cpu::Engine::Fast : cpu::Engine::Reference);
     return c;
   }
 };
@@ -57,6 +58,11 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<std::tuple<bool, bool>>& info) {
       return std::string(std::get<0>(info.param) ? "SbOn" : "SbOff") +
              (std::get<1>(info.param) ? "FpOn" : "FpOff");
+    });
+INSTANTIATE_TEST_SUITE_P(
+    BlockTier, Superblock, ::testing::Values(std::tuple{true, false}),
+    [](const ::testing::TestParamInfo<std::tuple<bool, bool>>&) {
+      return std::string(cpu::engine_name(cpu::Engine::Block));
     });
 
 // ---------------------------------------------------------------------------
@@ -369,32 +375,63 @@ TEST_P(Superblock, BreakpointInsideStraightLineRunFires) {
 // ---------------------------------------------------------------------------
 // Machine-level parity: a full boot + protected workload mix (syscalls,
 // context switches, preemption) is bit-for-bit identical on every engine
-// tier and at 1 and 2 guest cores, including the obs retire stream.
+// tier and at 1 and 2 guest cores, obs off — so traces take the quiet loop.
+// The same holds on FPAC and banked-key cores with one injected PAC failure,
+// which every PAuth terminator handles through its generic failure path.
 // ---------------------------------------------------------------------------
 
-kernel::BisectSide parity_side(cpu::Engine engine, unsigned cores = 1) {
+/// Everything a parity run varies besides the engine tier.
+struct ParityInput {
+  unsigned cores = 1;
+  bool fpac = false;         ///< v8.6 FPAC: AUT* faults at the auth site
+  bool banked_keys = false;  ///< §8 EL2-managed kernel key bank
+  /// Add a call_hook task whose hook object is corrupted on the first
+  /// sys_call_hook entry, so exactly one kernel authentication fails.
+  bool pac_failure = false;
+};
+
+kernel::BisectSide parity_side(cpu::Engine engine, const ParityInput& in) {
   kernel::BisectSide s;
   s.label = std::string(cpu::engine_name(engine)) +
-            (cores > 1 ? " cores=" + std::to_string(cores) : "");
+            (in.cores > 1 ? " cores=" + std::to_string(in.cores) : "") +
+            (in.fpac ? " fpac" : "") + (in.banked_keys ? " banked" : "") +
+            (in.pac_failure ? " pac-failure" : "");
   s.cfg.kernel.protection = compiler::ProtectionConfig::full();
   s.cfg.kernel.log_pac_failures = false;
   s.cfg.kernel.preempt = true;
   s.cfg.cpu.engine = engine;
-  s.cfg.cores = cores;
+  s.cfg.cpu.fpac = in.fpac;
+  s.cfg.cpu.banked_keys = in.banked_keys;
+  s.cfg.cores = in.cores;
   s.cfg.smp_quantum = 50;  // real interleaving at this workload size
-  s.setup = [](kernel::Machine& m) {
+  s.setup = [pac_failure = in.pac_failure](kernel::Machine& m) {
+    if (pac_failure) m.add_user_program(kernel::workloads::call_hook(3));
     m.add_user_program(kernel::workloads::null_syscall(25));
     m.add_user_program(kernel::workloads::yield_loop(10));
   };
+  if (in.pac_failure) {
+    s.cfg.kernel.pac_failure_threshold = 100;  // kill the task, not the box
+    s.prepare = [](kernel::Machine& m) {
+      m.cpu().add_breakpoint(
+          m.kernel_symbol("sys_call_hook"),
+          [&m, corrupted = false](cpu::Cpu&) mutable {
+            if (corrupted) return;
+            corrupted = true;
+            m.write_u64(m.kernel_symbol(kernel::kSymHookObj),
+                        m.kernel_symbol("alt_hook"));
+          });
+    };
+  }
   return s;
 }
 
-std::tuple<std::vector<uint64_t>, uint64_t, std::string> machine_fingerprint(
-    cpu::Engine engine, unsigned cores = 1) {
-  const kernel::BisectSide s = parity_side(engine, cores);
+std::tuple<std::vector<uint64_t>, uint64_t, std::string, uint64_t>
+machine_fingerprint(cpu::Engine engine, const ParityInput& in) {
+  const kernel::BisectSide s = parity_side(engine, in);
   kernel::Machine m(s.cfg);
   s.setup(m);
   m.boot();
+  if (s.prepare) s.prepare(m);
   EXPECT_TRUE(m.run());
   // Per-core clocks and retire counts: at cores=1 this is the classic
   // {cycles, retired} pair; multi-core runs must agree core by core.
@@ -403,25 +440,39 @@ std::tuple<std::vector<uint64_t>, uint64_t, std::string> machine_fingerprint(
     clocks.push_back(m.core(c).cycles());
     clocks.push_back(m.core(c).retired());
   }
-  return {std::move(clocks), m.halt_code(), m.console()};
+  return {std::move(clocks), m.halt_code(), m.console(),
+          m.read_global(kernel::kSymPacFailCount)};
 }
 
 TEST(SuperblockParity, MachineRunBitForBitAcrossAllEngineCombos) {
-  for (const unsigned cores : {1u, 2u}) {
-    const auto ref = machine_fingerprint(cpu::Engine::Reference, cores);
+  std::vector<ParityInput> inputs = {{.cores = 1}, {.cores = 2}};
+  for (const bool fpac : {false, true})
+    for (const bool banked : {false, true})
+      inputs.push_back(
+          {.fpac = fpac, .banked_keys = banked, .pac_failure = true});
+  for (const ParityInput& in : inputs) {
+    const auto ref = machine_fingerprint(cpu::Engine::Reference, in);
+    EXPECT_EQ(std::get<3>(ref), in.pac_failure ? 1u : 0u)
+        << "PAC failures: " << parity_side(cpu::Engine::Reference, in).label;
     for (const cpu::Engine e : cpu::kEngines) {
       if (e == cpu::Engine::Reference) continue;
-      const auto cur = machine_fingerprint(e, cores);
+      const auto cur = machine_fingerprint(e, in);
       if (cur == ref) continue;
       // Fingerprints disagree: escalate to the divergence bisector so the
       // failure names the first divergent retired instruction instead of
       // just the end-of-run totals (DESIGN.md §3g).
-      EXPECT_EQ(cur, ref) << "cores=" << cores << " " << cpu::engine_name(e);
+      EXPECT_EQ(cur, ref) << parity_side(e, in).label;
       EXPECT_TRUE(testing_support::MachinesConverge(
-          parity_side(cpu::Engine::Reference, cores), parity_side(e, cores)));
+          parity_side(cpu::Engine::Reference, in), parity_side(e, in)));
     }
   }
 }
+
+// ---------------------------------------------------------------------------
+// The obs retire stream and every derived artifact are byte-identical on
+// every engine tier, traces included, with the collector forcing the careful
+// loop (one core; test_trace.cpp repeats this at two cores with preemption).
+// ---------------------------------------------------------------------------
 
 TEST(SuperblockParity, ObsTraceByteIdenticalWithEngineOnAndOff) {
   const auto traced = [](cpu::Engine engine) {
@@ -440,8 +491,10 @@ TEST(SuperblockParity, ObsTraceByteIdenticalWithEngineOnAndOff) {
         st->chrome_trace_json(), st->flat_profile(), st->folded_profile());
   };
   const auto ref = traced(cpu::Engine::Reference);
-  EXPECT_EQ(traced(cpu::Engine::Fast), ref);
-  EXPECT_EQ(traced(cpu::Engine::Block), ref);
+  for (const cpu::Engine e : cpu::kEngines) {
+    if (e == cpu::Engine::Reference) continue;
+    EXPECT_EQ(traced(e), ref) << cpu::engine_name(e);
+  }
 }
 
 // ---------------------------------------------------------------------------

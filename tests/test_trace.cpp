@@ -366,9 +366,7 @@ TEST_P(TraceTier, CrossCoreSmcInvalidatesPeerTrace) {
 // Machine-level parity: a full boot + protected workload mix (syscalls,
 // context switches, preemption) with the obs collector on is bit-for-bit
 // identical on every engine tier and at 1 and 2 guest cores — clocks, retire
-// counts, console and the folded profile built from the retire stream. The
-// name is the suite's original one, from when the ladder was spelled as six
-// (engine, fast path) combinations.
+// counts, console and the folded profile built from the retire stream.
 // ---------------------------------------------------------------------------
 
 kernel::BisectSide parity_side(cpu::Engine engine, unsigned cores) {
@@ -407,7 +405,7 @@ machine_fingerprint(cpu::Engine engine, unsigned cores) {
           st ? st->folded_profile() : std::string()};
 }
 
-TEST(TraceParity, MachineRunBitForBitAcrossAllSixEngineCombos) {
+TEST(TraceParity, MachineRunBitForBitAcrossEngineLadder) {
   for (const unsigned cores : {1u, 2u}) {
     const auto ref = machine_fingerprint(cpu::Engine::Reference, cores);
     for (const cpu::Engine e : cpu::kEngines) {
@@ -424,29 +422,30 @@ TEST(TraceParity, MachineRunBitForBitAcrossAllSixEngineCombos) {
 }
 
 // ---------------------------------------------------------------------------
-// The obs retire stream and every derived artifact are byte-identical with
-// and without the block and trace tiers.
+// The obs exports — Chrome trace, flat and folded profiles — of the same
+// two-core preemptive run are byte-identical on every tier. The one-core
+// case is SuperblockParity.ObsTraceByteIdenticalWithEngineOnAndOff.
 // ---------------------------------------------------------------------------
 
 TEST(TraceParity, ObsTraceByteIdenticalAcrossInterpSbTrace) {
-  const auto traced = [](cpu::Engine engine) {
-    kernel::MachineConfig cfg;
-    cfg.kernel.protection = compiler::ProtectionConfig::full();
-    cfg.kernel.log_pac_failures = false;
-    cfg.obs.enabled = true;
-    cfg.cpu.engine = engine;
-    kernel::Machine m(cfg);
-    m.add_user_program(kernel::workloads::null_syscall(25));
+  const auto exports = [](cpu::Engine engine) {
+    const kernel::BisectSide s = parity_side(engine, 2);
+    kernel::Machine m(s.cfg);
+    s.setup(m);
     m.boot();
     EXPECT_TRUE(m.run());
     const obs::Collector* st = m.stats();
     EXPECT_NE(st, nullptr);
-    return std::tuple<std::string, std::string, std::string>(
-        st->chrome_trace_json(), st->flat_profile(), st->folded_profile());
+    return st ? std::tuple<std::string, std::string, std::string>(
+                    st->chrome_trace_json(), st->flat_profile(),
+                    st->folded_profile())
+              : std::tuple<std::string, std::string, std::string>();
   };
-  const auto ref = traced(cpu::Engine::Reference);
-  EXPECT_EQ(traced(cpu::Engine::Block), ref);
-  EXPECT_EQ(traced(cpu::Engine::Trace), ref);
+  const auto ref = exports(cpu::Engine::Reference);
+  for (const cpu::Engine e : cpu::kEngines) {
+    if (e == cpu::Engine::Reference) continue;
+    EXPECT_EQ(exports(e), ref) << cpu::engine_name(e);
+  }
 }
 
 // ---------------------------------------------------------------------------
