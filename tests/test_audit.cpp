@@ -255,6 +255,39 @@ TEST(FlightJson, AuditEventRoundTripsEveryField) {
   EXPECT_EQ(out.imm, e.imm);
 }
 
+// Full-width payloads and a nonzero cpu. The expected bytes were recorded
+// from the original tree-walking dump(): the audit stream must not move.
+AuditEvent golden_audit_event() {
+  AuditEvent e;
+  e.cycles = ~uint64_t{0};
+  e.pc = 0xFEDCBA9876543210ull;
+  e.ptr = 0x8000000000000000ull;
+  e.ptr2 = 0x0123456789ABCDEFull;
+  e.modifier = 0xFFFF000000080000ull;
+  e.lr = 1;
+  e.prov = ~uint64_t{0};
+  e.machine = 0xFFFFFFFFu;
+  e.kind = AuditKind::AuthFail;
+  e.key = 0xFF;
+  e.el = 0xFF;
+  e.mclass = 0xFF;
+  e.bank = 0xFF;
+  e.aux = 0xFF;
+  e.cpu = 3;
+  e.imm = 0xFFFF;
+  return e;
+}
+
+TEST(FlightJson, AuditEventDumpGolden) {
+  EXPECT_EQ(obs::audit_event_json(golden_audit_event()).dump(),
+    "{\"kind\":\"auth-fail\",\"k\":4,\"cycles\":\"0xffffffffffffffff\",\"pc\""
+    ":\"0xfedcba9876543210\",\"ptr\":\"0x8000000000000000\",\"ptr2\":\"0x1"
+    "23456789abcdef\",\"modifier\":\"0xffff000000080000\",\"lr\":\"0x1\",\""
+    "prov\":1.8446744073709552e+19,\"machine\":4294967295,\"key\":255,"
+    "\"el\":255,\"mclass\":255,\"bank\":255,\"aux\":255,\"cpu\":3,\"imm\":655"
+    "35}");
+}
+
 // ---- key provenance on the CPU ---------------------------------------------
 
 TEST(Provenance, GuestMsrBumpsHostInstallDoesNot) {

@@ -7,6 +7,10 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
+#include <cstring>
+#include <limits>
+#include <random>
 #include <string>
 
 #include "attacks/attacks.h"
@@ -168,6 +172,173 @@ TEST(Json, MetricsExportParses) {
                        ->get("count")
                        ->as_number(),
                    1.0);
+}
+
+// ---------------------------------------------------------------------------
+// Byte-exact output. The expected strings were recorded from the original
+// tree-walking dump(); every artifact on disk (baselines, canned bundles)
+// depends on these bytes staying put.
+
+// Every number rule (integers either side of 2^53, reals, NaN/Inf, -0),
+// every escape, raw 0x7f and UTF-8 bytes, empty and nested containers.
+json::Value golden_json_tree() {
+  using json::Value;
+  Value root = Value::object();
+  Value ints = Value::array();
+  for (const double d :
+       {0.0, 7.0, -1.0, -1234567890123.0, 9007199254740991.0,
+        9007199254740992.0, 9007199254740994.0, -9007199254740991.0,
+        -9007199254740992.0, -9007199254740994.0})
+    ints.push(Value(d));
+  ints.push(Value(-42));
+  ints.push(Value(~uint64_t{0}));
+  root.set("ints", std::move(ints));
+  Value reals = Value::array();
+  for (const double d :
+       {3.25, 0.1, -2.5e-300, 1e300, std::nan(""),
+        std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity(), -0.0})
+    reals.push(Value(d));
+  root.set("reals", std::move(reals));
+  root.set("str", Value(std::string("q\"b\\s/\b\f\n\r\t") + '\x01' + '\x1f' +
+                        '\x7f' + "caf\xc3\xa9 \xe2\x82\xac\xff"));
+  root.set("", Value(""));
+  root.set(std::string("k\x01") + "\n", Value(true));
+  root.set("f", Value(false));
+  root.set("n", Value());
+  root.set("empty_arr", Value::array());
+  root.set("empty_obj", Value::object());
+  Value nested = Value::array();
+  nested.push(Value::array());
+  nested.push(Value::object());
+  Value inner = Value::array();
+  inner.push(Value::array()).push(Value(1));
+  nested.push(std::move(inner));
+  Value deep = Value::object();
+  deep.set("a", Value::object()).set("b", Value::array());
+  nested.push(std::move(deep));
+  root.set("nested", std::move(nested));
+  return root;
+}
+
+TEST(Json, DumpGoldenBytes) {
+  const json::Value tree = golden_json_tree();
+  EXPECT_EQ(tree.dump(0),
+    "{\"ints\":[0,7,-1,-1234567890123,9007199254740991,900719925474"
+    "0992,9007199254740994,-9007199254740991,-9007199254740992,-9"
+    "007199254740994,-42,1.8446744073709552e+19],\"reals\":[3.25,0."
+    "10000000000000001,-2.5e-300,1.0000000000000001e+300,0,0,0,0]"
+    ",\"str\":\"q\\\"b\\\\s/\\u0008\\u000c\\n\\r\\t\\u0001\\u001f\177caf"
+    "\303\251 \342\202\254\377\",\""
+    "\":\"\",\"k\\u0001\\n\":true,\"f\":false,\"n\":null,\"empty_arr\":[]"
+    ",\"emp"
+    "ty_obj\":{},\"nested\":[[],{},[[1]],{\"a\":{\"b\":[]}}]}");
+  EXPECT_EQ(tree.dump(2),
+    "{\n"
+    "  \"ints\": [\n"
+    "    0,\n"
+    "    7,\n"
+    "    -1,\n"
+    "    -1234567890123,\n"
+    "    9007199254740991,\n"
+    "    9007199254740992,\n"
+    "    9007199254740994,\n"
+    "    -9007199254740991,\n"
+    "    -9007199254740992,\n"
+    "    -9007199254740994,\n"
+    "    -42,\n"
+    "    1.8446744073709552e+19\n"
+    "  ],\n"
+    "  \"reals\": [\n"
+    "    3.25,\n"
+    "    0.10000000000000001,\n"
+    "    -2.5e-300,\n"
+    "    1.0000000000000001e+300,\n"
+    "    0,\n"
+    "    0,\n"
+    "    0,\n"
+    "    0\n"
+    "  ],\n"
+    "  \"str\": \"q\\\"b\\\\s/\\u0008\\u000c\\n\\r\\t\\u0001\\u001f\177c"
+    "af\303\251 \342\202\254\377\",\n"
+    "  \"\": \"\",\n"
+    "  \"k\\u0001\\n\": true,\n"
+    "  \"f\": false,\n"
+    "  \"n\": null,\n"
+    "  \"empty_arr\": [],\n"
+    "  \"empty_obj\": {},\n"
+    "  \"nested\": [\n"
+    "    [],\n"
+    "    {},\n"
+    "    [\n"
+    "      [\n"
+    "        1\n"
+    "      ]\n"
+    "    ],\n"
+    "    {\n"
+    "      \"a\": {\n"
+    "        \"b\": []\n"
+    "      }\n"
+    "    }\n"
+    "  ]\n"
+    "}");
+}
+
+// A random tree of every kind. Strings and keys draw from all 256 byte
+// values, so control bytes, 0x7f and bytes >= 0x80 all appear.
+json::Value random_tree(std::mt19937_64& rng, int depth) {
+  const auto pick = [&](uint64_t n) { return rng() % n; };
+  const auto random_string = [&] {
+    std::string s(pick(12), '\0');
+    for (char& c : s) c = static_cast<char>(pick(256));
+    return s;
+  };
+  switch (pick(depth > 3 ? 4 : 6)) {
+    case 0: return json::Value();
+    case 1: return json::Value(pick(2) == 1);
+    case 2: {
+      switch (pick(4)) {
+        case 0: return json::Value(static_cast<int>(pick(2001)) - 1000);
+        case 1: return json::Value(rng());
+        case 2: {
+          double d;  // any bit pattern: NaN, Inf, subnormals, -0
+          const uint64_t bits = rng();
+          std::memcpy(&d, &bits, sizeof d);
+          return json::Value(d);
+        }
+        default:
+          return json::Value(static_cast<double>(
+              static_cast<int64_t>(rng()) >> pick(64)));
+      }
+    }
+    case 3: return json::Value(random_string());
+    case 4: {
+      json::Value a = json::Value::array();
+      for (uint64_t i = pick(5); i > 0; --i) a.push(random_tree(rng, depth + 1));
+      return a;
+    }
+    default: {
+      json::Value o = json::Value::object();
+      for (uint64_t i = pick(5); i > 0; --i)
+        o.set(random_string(), random_tree(rng, depth + 1));
+      return o;
+    }
+  }
+}
+
+TEST(Json, ParseOfDumpRedumpsIdentically) {
+  std::mt19937_64 rng(2024);
+  for (int t = 0; t < 300; ++t) {
+    const json::Value tree = random_tree(rng, 0);
+    for (const int indent : {0, 2}) {
+      const std::string text = tree.dump(indent);
+      const auto parsed = json::Value::parse(text);
+      ASSERT_TRUE(parsed.has_value()) << "tree " << t << ": " << text;
+      EXPECT_EQ(parsed->dump(indent), text) << "tree " << t;
+      EXPECT_EQ(parsed->dump(2 - indent), tree.dump(2 - indent))
+          << "tree " << t;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -448,6 +619,116 @@ TEST(Observability, ChromeTraceRoundTripsSyntheticRing) {
   EXPECT_EQ(begins, 2u) << "syscall window + exception window";
   EXPECT_EQ(begins, ends);
   EXPECT_EQ(instants, 3u) << "key write, stage-2 fault, auth failure";
+}
+
+// Every EventKind once, full-width payloads, exits with no entry, an iss of
+// zero and of 0xffff, timestamps past 2^53, and a B window on each lane left
+// open at the end.
+std::vector<TraceEvent> golden_trace_events() {
+  constexpr uint64_t kFull = 0xFEDCBA9876543210ull;
+  constexpr uint64_t kMax = ~uint64_t{0};
+  std::vector<TraceEvent> ring;
+  auto push = [&](EventKind k, uint64_t cycles) -> TraceEvent& {
+    TraceEvent e;
+    e.kind = k;
+    e.cycles = cycles;
+    ring.push_back(e);
+    return ring.back();
+  };
+  push(EventKind::ExcExit, 5);      // no entry yet: skipped
+  push(EventKind::SyscallExit, 6);  // likewise
+  push(EventKind::None, 7);
+  TraceEvent& svc = push(EventKind::ExcEnter, 10);
+  svc.k1 = 1;
+  svc.pc = kFull;
+  svc.el = 0;
+  TraceEvent& abort = push(EventKind::ExcEnter, 11);
+  abort.k1 = 4;
+  abort.pc = kMax;
+  abort.el = 1;
+  abort.imm = 0xFFFF;
+  push(EventKind::ExcExit, 12);
+  push(EventKind::SyscallEnter, 13).imm = 0xFFFF;
+  push(EventKind::SyscallExit, 14).a = kFull;
+  push(EventKind::KeyWrite, 15).k1 = 4;
+  TraceEvent& sign = push(EventKind::PacSign, 16);
+  sign.a = kFull;
+  sign.b = kMax;
+  TraceEvent& ok = push(EventKind::AuthOk, 17);
+  ok.a = kFull;
+  ok.b = kFull;
+  TraceEvent& fail = push(EventKind::AuthFail, 18);
+  fail.k1 = 1;
+  fail.a = kMax;
+  fail.b = kFull;
+  fail.pc = kFull;
+  TraceEvent& bad_key = push(EventKind::AuthFail, 19);
+  bad_key.k1 = 9;
+  bad_key.a = 0;
+  bad_key.b = 1;
+  push(EventKind::Stage2Fault, 20).a = kMax;
+  TraceEvent& sw = push(EventKind::ContextSwitch, 21);
+  sw.a = kFull;
+  sw.b = 0x10;
+  push(EventKind::HvcCall, 22).imm = 7;
+  push(EventKind::ModuleLoad, 23).a = 3;
+  push(EventKind::MsrDenied, 24).imm = 0xC510;
+  push(EventKind::AttackOutcome, 25).k1 = 2;
+  push(EventKind::AttackOutcome, 26).k1 = 200;
+  push(EventKind::ExcEnter, (uint64_t{1} << 53) + 2).k1 = 7;  // left open
+  push(EventKind::SyscallEnter, (uint64_t{1} << 53) - 1).imm = 0;  // open
+  push(EventKind::AuthOk, kMax);  // not exported; only moves the last ts
+  return ring;
+}
+
+TEST(ChromeTrace, GoldenBytes) {
+  EXPECT_EQ(chrome_trace_json(golden_trace_events()),
+    "{\"traceEvents\":[{\"name\":\"thread_name\",\"ph\":\"M\",\"ts\":0,\""
+    "pid\":1,\"tid\":1,\"args\":{\"name\":\"exceptions\"}},"
+    "{\"name\":\"thread_name\",\"ph\":\"M\",\"ts\":0,\"pid\":1,\"tid\":2,\""
+    "args\":{\"name\":\"syscalls\"}},"
+    "{\"name\":\"thread_name\",\"ph\":\"M\",\"ts\":0,\"pid\":1,\"tid\":3,\""
+    "args\":{\"name\":\"events\"}},"
+    "{\"name\":\"svc\",\"ph\":\"B\",\"ts\":10,\"pid\":1,\"tid\":1,\"ar"
+    "gs\":{\"pc\":\"0xfedcba9876543210\",\"from_el\":0}},"
+    "{\"name\":\"data-abort\",\"ph\":\"B\",\"ts\":11,\"pid\":1,\"tid\":1,\""
+    "args\":{\"pc\":\"0xffffffffffffffff\",\"from_el\":1,\"iss\":65535}},"
+    "{\"name\":\"\",\"ph\":\"E\",\"ts\":12,\"pid\":1,\"tid\":1},"
+    "{\"name\":\"syscall 65535\",\"ph\":\"B\",\"ts\":13,\"pid\":1,\"tid\":2},"
+    "{\"name\":\"\",\"ph\":\"E\",\"ts\":14,\"pid\":1,\"tid\":2},"
+    "{\"name\":\"key-write ga\",\"ph\":\"i\",\"ts\":15,\"pid\":1,\"tid\":3"
+    ",\"s\":\"t\"},"
+    "{\"name\":\"auth-fail ib\",\"ph\":\"i\",\"ts\":18,\"pid\":1,\"tid\":3"
+    ",\"s\":\"g\",\"args\":{\"ptr\":\"0xffffffffffffffff\",\"modifier\":"
+    "\"0xfedcba9876543210\"}},"
+    "{\"name\":\"auth-fail <bad-key>\",\"ph\":\"i\",\"ts\":19,\"pid\":1,"
+    "\"tid\":3,\"s\":\"g\",\"args\":{\"ptr\":\"0x0\",\"modifier\":\"0x1\"}},"
+    "{\"name\":\"stage2-fault\",\"ph\":\"i\",\"ts\":20,\"pid\":1,\"tid\":3"
+    ",\"s\":\"g\",\"args\":{\"va\":\"0xffffffffffffffff\"}},"
+    "{\"name\":\"context-switch\",\"ph\":\"i\",\"ts\":21,\"pid\":1,\"tid\""
+    ":3,\"s\":\"g\",\"args\":{\"prev\":\"0xfedcba9876543210\",\"next\":\""
+    "0x10\"}},"
+    "{\"name\":\"hvc 7\",\"ph\":\"i\",\"ts\":22,\"pid\":1,\"tid\":3,\""
+    "s\":\"t\"},"
+    "{\"name\":\"module-load\",\"ph\":\"i\",\"ts\":23,\"pid\":1,\"tid\":3,"
+    "\"s\":\"t\"},"
+    "{\"name\":\"msr-denied\",\"ph\":\"i\",\"ts\":24,\"pid\":1,\"tid\":3,\""
+    "s\":\"t\"},"
+    "{\"name\":\"attack: blocked\",\"ph\":\"i\",\"ts\":25,\"pid\":1,\"tid"
+    "\":3,\"s\":\"g\"},"
+    "{\"name\":\"attack: <bad-outcome>\",\"ph\":\"i\",\"ts\":26,\"pid\":"
+    "1,\"tid\":3,\"s\":\"g\"},"
+    "{\"name\":\"irq\",\"ph\":\"B\",\"ts\":9007199254740994,\"pid\":1,\"t"
+    "id\":1,\"args\":{\"pc\":\"0x0\",\"from_el\":0}},"
+    "{\"name\":\"syscall 0\",\"ph\":\"B\",\"ts\":9007199254740991,\"pid"
+    "\":1,\"tid\":2},"
+    "{\"name\":\"\",\"ph\":\"E\",\"ts\":1.8446744073709552e+19,\"pid\":1"
+    ",\"tid\":1},"
+    "{\"name\":\"\",\"ph\":\"E\",\"ts\":1.8446744073709552e+19,\"pid\":1"
+    ",\"tid\":1},"
+    "{\"name\":\"\",\"ph\":\"E\",\"ts\":1.8446744073709552e+19,\"pid\":1"
+    ",\"tid\":2}],\"displayTimeUnit\":\"ns\",\"otherData\":{\"source\""
+    ":\"camo::obs\",\"time_unit\":\"1 trace us == 1 guest cycle\"}}");
 }
 
 TEST(Observability, DisabledMachineHasNoCollector) {
