@@ -1,48 +1,60 @@
 #include "obs/chrome_trace.h"
 
+#include <string_view>
+
 #include "obs/json.h"
-#include "support/format.h"
 
 namespace camo::obs {
 
 namespace {
 
-constexpr int kPid = 1;
-constexpr int kTidExc = 1;      ///< exception-window lane
-constexpr int kTidSyscall = 2;  ///< syscall-window lane
-constexpr int kTidPoints = 3;   ///< instant-event lane
-
-json::Value make_event(const char* name, const char* ph, uint64_t ts,
-                       int tid) {
-  json::Value ev = json::Value::object();
-  ev.set("name", json::Value(name));
-  ev.set("ph", json::Value(ph));
-  ev.set("ts", json::Value(ts));
-  ev.set("pid", json::Value(kPid));
-  ev.set("tid", json::Value(tid));
-  return ev;
-}
+constexpr uint64_t kPid = 1;
+constexpr uint64_t kTidExc = 1;      ///< exception-window lane
+constexpr uint64_t kTidSyscall = 2;  ///< syscall-window lane
+constexpr uint64_t kTidPoints = 3;   ///< instant-event lane
 
 }  // namespace
 
+// Streams straight into the output: traces run to hundreds of thousands of
+// events, and nothing edits an event after it is written. The member order
+// and number rules are pinned byte-for-byte by ChromeTrace.GoldenBytes.
 std::string chrome_trace_json(const std::vector<TraceEvent>& events) {
-  json::Value trace = json::Value::array();
+  json::Writer w;
+  // An exported event takes 60-130 bytes and most rings are half sign/auth
+  // events, which are skipped.
+  w.reserve(256 + 64 * events.size());
+  // Opens an event object with the fields every row carries; the caller
+  // adds the rest and closes it.
+  const auto event = [&w](std::string_view name, const char* ph, uint64_t ts,
+                          uint64_t tid) -> json::Writer& {
+    return w.begin_object()
+        .key("name").string(name)
+        .key("ph").string(ph)
+        .key("ts").number(ts)
+        .key("pid").number(kPid)
+        .key("tid").number(tid);
+  };
+  std::string name;  // reused for the composed event names
+  const auto label = [&name](const char* prefix,
+                             std::string_view rest) -> std::string_view {
+    name.assign(prefix);
+    name += rest;
+    return name;
+  };
 
+  w.begin_object().key("traceEvents").begin_array();
   // Lane names first (metadata events; position in the array is irrelevant
   // but leading with them keeps the file easy to eyeball).
   const struct {
-    int tid;
+    uint64_t tid;
     const char* name;
   } lanes[] = {{kTidExc, "exceptions"},
                {kTidSyscall, "syscalls"},
                {kTidPoints, "events"}};
-  for (const auto& lane : lanes) {
-    json::Value ev = make_event("thread_name", "M", 0, lane.tid);
-    json::Value args = json::Value::object();
-    args.set("name", json::Value(lane.name));
-    ev.set("args", std::move(args));
-    trace.push(std::move(ev));
-  }
+  for (const auto& lane : lanes)
+    event("thread_name", "M", 0, lane.tid)
+        .key("args").begin_object().key("name").string(lane.name)
+        .end_object().end_object();
 
   int exc_depth = 0;
   int sys_depth = 0;
@@ -51,131 +63,97 @@ std::string chrome_trace_json(const std::vector<TraceEvent>& events) {
   for (const TraceEvent& e : events) {
     if (e.cycles > last_ts) last_ts = e.cycles;
     switch (e.kind) {
-      case EventKind::ExcEnter: {
-        json::Value ev = make_event(exc_class_label(e.k1), "B", e.cycles,
-                                    kTidExc);
-        json::Value args = json::Value::object();
-        args.set("pc", json::Value(strformat("0x%llx",
-                                             (unsigned long long)e.pc)));
-        args.set("from_el", json::Value(static_cast<uint64_t>(e.el)));
-        if (e.imm) args.set("iss", json::Value(static_cast<uint64_t>(e.imm)));
-        ev.set("args", std::move(args));
-        trace.push(std::move(ev));
+      case EventKind::ExcEnter:
+        event(exc_class_label(e.k1), "B", e.cycles, kTidExc)
+            .key("args").begin_object()
+            .key("pc").hex(e.pc)
+            .key("from_el").number(uint64_t{e.el});
+        if (e.imm) w.key("iss").number(uint64_t{e.imm});
+        w.end_object().end_object();
         ++exc_depth;
         break;
-      }
       case EventKind::ExcExit:
         // Depth guard: a wrapped ring can start mid-window; an exit with no
         // recorded entry would unbalance the B/E stream.
         if (exc_depth > 0) {
-          trace.push(make_event("", "E", e.cycles, kTidExc));
+          event("", "E", e.cycles, kTidExc).end_object();
           --exc_depth;
         }
         break;
-      case EventKind::SyscallEnter: {
-        const std::string name = strformat("syscall %u", e.imm);
-        trace.push(make_event(name.c_str(), "B", e.cycles, kTidSyscall));
+      case EventKind::SyscallEnter:
+        event(label("syscall ", std::to_string(e.imm)), "B", e.cycles,
+              kTidSyscall)
+            .end_object();
         ++sys_depth;
         break;
-      }
       case EventKind::SyscallExit:
         if (sys_depth > 0) {
-          trace.push(make_event("", "E", e.cycles, kTidSyscall));
+          event("", "E", e.cycles, kTidSyscall).end_object();
           --sys_depth;
         }
         break;
-      case EventKind::AuthFail: {
-        const std::string name =
-            strformat("auth-fail %s", pac_key_label(e.k1));
-        json::Value ev = make_event(name.c_str(), "i", e.cycles, kTidPoints);
-        ev.set("s", json::Value("g"));  // global-scope instant
-        json::Value args = json::Value::object();
-        args.set("ptr", json::Value(strformat("0x%llx",
-                                              (unsigned long long)e.a)));
-        args.set("modifier", json::Value(strformat("0x%llx",
-                                                   (unsigned long long)e.b)));
-        ev.set("args", std::move(args));
-        trace.push(std::move(ev));
+      case EventKind::AuthFail:
+        event(label("auth-fail ", pac_key_label(e.k1)), "i", e.cycles,
+              kTidPoints)
+            .key("s").string("g")  // global-scope instant
+            .key("args").begin_object()
+            .key("ptr").hex(e.a)
+            .key("modifier").hex(e.b)
+            .end_object().end_object();
         break;
-      }
-      case EventKind::KeyWrite: {
-        const std::string name =
-            strformat("key-write %s", pac_key_label(e.k1));
-        json::Value ev = make_event(name.c_str(), "i", e.cycles, kTidPoints);
-        ev.set("s", json::Value("t"));
-        trace.push(std::move(ev));
+      case EventKind::KeyWrite:
+        event(label("key-write ", pac_key_label(e.k1)), "i", e.cycles,
+              kTidPoints)
+            .key("s").string("t").end_object();
         break;
-      }
-      case EventKind::ContextSwitch: {
-        json::Value ev = make_event("context-switch", "i", e.cycles,
-                                    kTidPoints);
-        ev.set("s", json::Value("g"));
-        json::Value args = json::Value::object();
-        args.set("prev", json::Value(strformat("0x%llx",
-                                               (unsigned long long)e.a)));
-        args.set("next", json::Value(strformat("0x%llx",
-                                               (unsigned long long)e.b)));
-        ev.set("args", std::move(args));
-        trace.push(std::move(ev));
+      case EventKind::ContextSwitch:
+        event("context-switch", "i", e.cycles, kTidPoints)
+            .key("s").string("g")
+            .key("args").begin_object()
+            .key("prev").hex(e.a)
+            .key("next").hex(e.b)
+            .end_object().end_object();
         break;
-      }
-      case EventKind::Stage2Fault: {
-        json::Value ev = make_event("stage2-fault", "i", e.cycles, kTidPoints);
-        ev.set("s", json::Value("g"));
-        json::Value args = json::Value::object();
-        args.set("va", json::Value(strformat("0x%llx",
-                                             (unsigned long long)e.a)));
-        ev.set("args", std::move(args));
-        trace.push(std::move(ev));
+      case EventKind::Stage2Fault:
+        event("stage2-fault", "i", e.cycles, kTidPoints)
+            .key("s").string("g")
+            .key("args").begin_object().key("va").hex(e.a)
+            .end_object().end_object();
         break;
-      }
-      case EventKind::HvcCall: {
-        const std::string name = strformat("hvc %u", e.imm);
-        json::Value ev = make_event(name.c_str(), "i", e.cycles, kTidPoints);
-        ev.set("s", json::Value("t"));
-        trace.push(std::move(ev));
+      case EventKind::HvcCall:
+        event(label("hvc ", std::to_string(e.imm)), "i", e.cycles, kTidPoints)
+            .key("s").string("t").end_object();
         break;
-      }
-      case EventKind::ModuleLoad: {
-        json::Value ev = make_event("module-load", "i", e.cycles, kTidPoints);
-        ev.set("s", json::Value("t"));
-        trace.push(std::move(ev));
+      case EventKind::ModuleLoad:
+        event("module-load", "i", e.cycles, kTidPoints)
+            .key("s").string("t").end_object();
         break;
-      }
-      case EventKind::MsrDenied: {
-        json::Value ev = make_event("msr-denied", "i", e.cycles, kTidPoints);
-        ev.set("s", json::Value("t"));
-        trace.push(std::move(ev));
+      case EventKind::MsrDenied:
+        event("msr-denied", "i", e.cycles, kTidPoints)
+            .key("s").string("t").end_object();
         break;
-      }
-      case EventKind::AttackOutcome: {
-        const std::string name =
-            strformat("attack: %s", outcome_label(e.k1));
-        json::Value ev = make_event(name.c_str(), "i", e.cycles, kTidPoints);
-        ev.set("s", json::Value("g"));
-        trace.push(std::move(ev));
+      case EventKind::AttackOutcome:
+        event(label("attack: ", outcome_label(e.k1)), "i", e.cycles,
+              kTidPoints)
+            .key("s").string("g").end_object();
         break;
-      }
       default:
         break;
     }
   }
 
   // Close any spans the stream left open so viewers see complete windows.
-  while (exc_depth-- > 0) trace.push(make_event("", "E", last_ts, kTidExc));
-  while (sys_depth-- > 0)
-    trace.push(make_event("", "E", last_ts, kTidSyscall));
+  while (exc_depth-- > 0) event("", "E", last_ts, kTidExc).end_object();
+  while (sys_depth-- > 0) event("", "E", last_ts, kTidSyscall).end_object();
 
-  json::Value root = json::Value::object();
-  root.set("traceEvents", std::move(trace));
-  root.set("displayTimeUnit", json::Value("ns"));
-  root.set("otherData", [] {
-    json::Value od = json::Value::object();
-    od.set("source", json::Value("camo::obs"));
-    od.set("time_unit", json::Value("1 trace us == 1 guest cycle"));
-    return od;
-  }());
-  return root.dump();
+  w.end_array()
+      .key("displayTimeUnit").string("ns")
+      .key("otherData").begin_object()
+      .key("source").string("camo::obs")
+      .key("time_unit").string("1 trace us == 1 guest cycle")
+      .end_object()
+      .end_object();
+  return w.take();
 }
 
 }  // namespace camo::obs

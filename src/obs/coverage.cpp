@@ -64,15 +64,15 @@ std::string cov_bundle_json(const CoverageMap& map, const std::string& label,
   root.set("label", json::Value(label));
   root.set("machines", json::Value(machines));
   json::Value retired = json::Value::object();
-  retired.set("el0", json::Value(hex_u64(m.retired_at(0))));
-  retired.set("el1", json::Value(hex_u64(m.retired_at(1))));
-  retired.set("el2", json::Value(hex_u64(m.retired_at(2))));
+  retired.set("el0", json::Value(hex_short(m.retired_at(0))));
+  retired.set("el1", json::Value(hex_short(m.retired_at(1))));
+  retired.set("el2", json::Value(hex_short(m.retired_at(2))));
   root.set("retired", std::move(retired));
   json::Value blocks = json::Value::array();
   for (const auto& [pa, b] : m.blocks()) {
     json::Value o = json::Value::object();
-    o.set("pa", json::Value(hex_u64(pa)));
-    o.set("hits", json::Value(hex_u64(b.hits)));
+    o.set("pa", json::Value(hex_short(pa)));
+    o.set("hits", json::Value(hex_short(b.hits)));
     o.set("len", json::Value(b.max_len));
     blocks.push(std::move(o));
   }
@@ -80,9 +80,9 @@ std::string cov_bundle_json(const CoverageMap& map, const std::string& label,
   json::Value edges = json::Value::array();
   for (const auto& [edge, hits] : m.edges()) {
     json::Value o = json::Value::object();
-    o.set("from", json::Value(hex_u64(edge.first)));
-    o.set("to", json::Value(hex_u64(edge.second)));
-    o.set("hits", json::Value(hex_u64(hits)));
+    o.set("from", json::Value(hex_short(edge.first)));
+    o.set("to", json::Value(hex_short(edge.second)));
+    o.set("hits", json::Value(hex_short(hits)));
     edges.push(std::move(o));
   }
   root.set("edges", std::move(edges));
@@ -90,7 +90,7 @@ std::string cov_bundle_json(const CoverageMap& map, const std::string& label,
   for (const CovRegion& r : sorted_regions(m)) {
     json::Value o = json::Value::object();
     o.set("name", json::Value(r.name));
-    o.set("pa", json::Value(hex_u64(r.pa)));
+    o.set("pa", json::Value(hex_short(r.pa)));
     o.set("len", json::Value(r.len));
     o.set("table", json::Value(r.table));
     o.set("row", json::Value(static_cast<uint64_t>(
@@ -101,29 +101,44 @@ std::string cov_bundle_json(const CoverageMap& map, const std::string& label,
   return root.dump(2);
 }
 
+namespace {
+
+// A hex_short string (or an integral number) for 64-bit fields; a plain
+// non-negative integer for the small ones.
+bool is_hex(const json::Value* v) { return v && parse_hex_u64(*v); }
+bool is_count(const json::Value* v) {
+  return v && v->is_number() && parse_hex_u64(*v);
+}
+bool is_string(const json::Value* v) { return v && v->is_string(); }
+uint64_t hex_field(const json::Value& o, const char* name) {
+  return *parse_hex_u64(*o.get(name));  // checked by validate_cov_bundle
+}
+
+}  // namespace
+
 std::string validate_cov_bundle(const json::Value& v) {
   if (!v.is_object()) return "bundle is not an object";
   const json::Value* schema = v.get("schema");
   if (!schema || !schema->is_string() ||
       schema->as_string() != "camo-cov/v1")
     return "schema is not camo-cov/v1";
-  const json::Value* label = v.get("label");
-  if (!label || !label->is_string()) return "missing label";
-  const json::Value* machines = v.get("machines");
-  if (!machines || !machines->is_number()) return "missing machines";
+  if (!is_string(v.get("label"))) return "missing label";
+  if (!is_count(v.get("machines"))) return "missing machines";
   const json::Value* retired = v.get("retired");
   if (!retired || !retired->is_object()) return "missing retired";
   for (const char* el : {"el0", "el1", "el2"})
-    if (!retired->get(el)) return strformat("retired missing %s", el);
+    if (!is_hex(retired->get(el)))
+      return strformat("retired %s missing or malformed", el);
   const json::Value* blocks = v.get("blocks");
   if (!blocks || !blocks->is_array()) return "missing blocks array";
   uint64_t prev_pa = 0;
   bool first = true;
   for (size_t i = 0; i < blocks->size(); ++i) {
     const json::Value& b = *blocks->at(i);
-    if (!b.is_object() || !b.get("pa") || !b.get("hits") || !b.get("len"))
+    if (!is_hex(b.get("pa")) || !is_hex(b.get("hits")) ||
+        !is_count(b.get("len")))
       return strformat("block %zu malformed", i);
-    const uint64_t pa = parse_hex_u64(*b.get("pa"));
+    const uint64_t pa = hex_field(b, "pa");
     if (!first && pa <= prev_pa) return "blocks not sorted by pa";
     prev_pa = pa;
     first = false;
@@ -132,15 +147,17 @@ std::string validate_cov_bundle(const json::Value& v) {
   if (!edges || !edges->is_array()) return "missing edges array";
   for (size_t i = 0; i < edges->size(); ++i) {
     const json::Value& e = *edges->at(i);
-    if (!e.is_object() || !e.get("from") || !e.get("to") || !e.get("hits"))
+    if (!is_hex(e.get("from")) || !is_hex(e.get("to")) ||
+        !is_hex(e.get("hits")))
       return strformat("edge %zu malformed", i);
   }
   const json::Value* regions = v.get("regions");
   if (!regions || !regions->is_array()) return "missing regions array";
   for (size_t i = 0; i < regions->size(); ++i) {
     const json::Value& r = *regions->at(i);
-    if (!r.is_object() || !r.get("name") || !r.get("pa") || !r.get("len") ||
-        !r.get("table") || !r.get("row"))
+    if (!is_string(r.get("name")) || !is_hex(r.get("pa")) ||
+        !is_count(r.get("len")) || !is_string(r.get("table")) ||
+        !is_count(r.get("row")))
       return strformat("region %zu malformed", i);
   }
   return "";
@@ -152,28 +169,28 @@ bool cov_bundle_from_json(const json::Value& v, CovBundle* out) {
   out->machines = static_cast<uint64_t>(v.get("machines")->as_number());
   CoverageMap m;
   const json::Value* retired = v.get("retired");
-  m.retired_el_[0] = parse_hex_u64(*retired->get("el0"));
-  m.retired_el_[1] = parse_hex_u64(*retired->get("el1"));
-  m.retired_el_[2] = parse_hex_u64(*retired->get("el2"));
+  m.retired_el_[0] = hex_field(*retired, "el0");
+  m.retired_el_[1] = hex_field(*retired, "el1");
+  m.retired_el_[2] = hex_field(*retired, "el2");
   const json::Value* blocks = v.get("blocks");
   for (size_t i = 0; i < blocks->size(); ++i) {
     const json::Value& b = *blocks->at(i);
-    BlockCov& dst = m.blocks_[parse_hex_u64(*b.get("pa"))];
-    dst.hits = parse_hex_u64(*b.get("hits"));
+    BlockCov& dst = m.blocks_[hex_field(b, "pa")];
+    dst.hits = hex_field(b, "hits");
     dst.max_len = static_cast<uint64_t>(b.get("len")->as_number());
   }
   const json::Value* edges = v.get("edges");
   for (size_t i = 0; i < edges->size(); ++i) {
     const json::Value& e = *edges->at(i);
-    m.edges_[{parse_hex_u64(*e.get("from")), parse_hex_u64(*e.get("to"))}] =
-        parse_hex_u64(*e.get("hits"));
+    m.edges_[{hex_field(e, "from"), hex_field(e, "to")}] =
+        hex_field(e, "hits");
   }
   const json::Value* regions = v.get("regions");
   for (size_t i = 0; i < regions->size(); ++i) {
     const json::Value& r = *regions->at(i);
     CovRegion reg;
     reg.name = r.get("name")->as_string();
-    reg.pa = parse_hex_u64(*r.get("pa"));
+    reg.pa = hex_field(r, "pa");
     reg.len = static_cast<uint64_t>(r.get("len")->as_number());
     reg.table = r.get("table")->as_string();
     const uint32_t row = static_cast<uint32_t>(r.get("row")->as_number());

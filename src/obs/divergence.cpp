@@ -9,16 +9,16 @@ namespace {
 json::Value side_json(const DivergenceSide& s) {
   json::Value o = json::Value::object();
   o.set("label", json::Value(s.label));
-  o.set("digest", json::Value(hex_u64(s.digest)));
-  o.set("cycles", json::Value(hex_u64(s.cycles)));
-  o.set("retired", json::Value(hex_u64(s.retired)));
+  o.set("digest", json::Value(hex_short(s.digest)));
+  o.set("cycles", json::Value(hex_short(s.cycles)));
+  o.set("retired", json::Value(hex_short(s.retired)));
   o.set("halted", json::Value(s.halted));
   o.set("state", flight_snapshot_json(s.state));
   json::Value ring = json::Value::array();
   for (const FlightInsn& in : s.ring) {
     json::Value e = json::Value::object();
-    e.set("cycles", json::Value(hex_u64(in.cycles)));
-    e.set("pc", json::Value(hex_u64(in.pc)));
+    e.set("cycles", json::Value(hex_short(in.cycles)));
+    e.set("pc", json::Value(hex_short(in.pc)));
     e.set("op", json::Value(static_cast<uint64_t>(in.op)));
     e.set("el", json::Value(static_cast<uint64_t>(in.el)));
     ring.push(std::move(e));
@@ -49,8 +49,8 @@ std::string div_bundle_json(const DivergenceReport& r) {
   json::Value root = json::Value::object();
   root.set("schema", json::Value("camo-div/v1"));
   root.set("diverged", json::Value(r.diverged));
-  root.set("first_divergent", json::Value(hex_u64(r.first_divergent)));
-  root.set("compared", json::Value(hex_u64(r.compared)));
+  root.set("first_divergent", json::Value(hex_short(r.first_divergent)));
+  root.set("compared", json::Value(hex_short(r.compared)));
   root.set("digest_interval", json::Value(r.digest_interval));
   root.set("a", side_json(r.a));
   root.set("b", side_json(r.b));

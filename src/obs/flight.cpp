@@ -1,31 +1,41 @@
 #include "obs/flight.h"
 
-#include <cstdlib>
+#include <charconv>
+#include <cmath>
+#include <limits>
+#include <type_traits>
 
 #include "support/format.h"
 
 namespace camo::obs {
 
-std::string hex_u64(uint64_t v) {
-  return strformat("0x%llx", static_cast<unsigned long long>(v));
-}
-
-uint64_t parse_hex_u64(const json::Value& v) {
-  if (v.is_number()) return static_cast<uint64_t>(v.as_number());
-  if (!v.is_string()) return 0;
-  return std::strtoull(v.as_string().c_str(), nullptr, 0);
+std::optional<uint64_t> parse_hex_u64(const json::Value& v) {
+  if (v.is_number()) {
+    const double d = v.as_number();
+    if (!(d >= 0 && d < 18446744073709551616.0) || d != std::floor(d))
+      return std::nullopt;
+    return static_cast<uint64_t>(d);
+  }
+  const std::string& s = v.as_string();
+  if (s.size() < 3 || s.size() > kHexShortChars || s[0] != '0' || s[1] != 'x')
+    return std::nullopt;
+  uint64_t out = 0;
+  const char* end = s.data() + s.size();
+  const auto r = std::from_chars(s.data() + 2, end, out, 16);
+  if (r.ec != std::errc() || r.ptr != end) return std::nullopt;
+  return out;
 }
 
 json::Value audit_event_json(const AuditEvent& e) {
   json::Value o = json::Value::object();
   o.set("kind", json::Value(audit_kind_name(e.kind)));
   o.set("k", json::Value(static_cast<uint64_t>(e.kind)));
-  o.set("cycles", json::Value(hex_u64(e.cycles)));
-  o.set("pc", json::Value(hex_u64(e.pc)));
-  o.set("ptr", json::Value(hex_u64(e.ptr)));
-  o.set("ptr2", json::Value(hex_u64(e.ptr2)));
-  o.set("modifier", json::Value(hex_u64(e.modifier)));
-  o.set("lr", json::Value(hex_u64(e.lr)));
+  o.set("cycles", json::Value(hex_short(e.cycles)));
+  o.set("pc", json::Value(hex_short(e.pc)));
+  o.set("ptr", json::Value(hex_short(e.ptr)));
+  o.set("ptr2", json::Value(hex_short(e.ptr2)));
+  o.set("modifier", json::Value(hex_short(e.modifier)));
+  o.set("lr", json::Value(hex_short(e.lr)));
   o.set("prov", json::Value(e.prov));
   o.set("machine", json::Value(static_cast<uint64_t>(e.machine)));
   o.set("key", json::Value(static_cast<uint64_t>(e.key)));
@@ -45,26 +55,38 @@ bool audit_event_from_json(const json::Value& v, AuditEvent* out) {
   const json::Value* k = v.get("k");
   if (!k || !k->is_number()) return false;
   AuditEvent e;
-  e.kind = static_cast<AuditKind>(static_cast<uint8_t>(k->as_number()));
-  auto u64 = [&v](const char* name) -> uint64_t {
+  bool ok = true;
+  // An absent field reads as 0; a present one must parse and fit.
+  const auto field = [&v, &ok](const char* name, auto& dst) {
     const json::Value* f = v.get(name);
-    return f ? parse_hex_u64(*f) : 0;
+    if (!f) return;
+    const std::optional<uint64_t> u = parse_hex_u64(*f);
+    using T = std::remove_reference_t<decltype(dst)>;
+    if (!u || *u > std::numeric_limits<T>::max()) {
+      ok = false;
+      return;
+    }
+    dst = static_cast<T>(*u);
   };
-  e.cycles = u64("cycles");
-  e.pc = u64("pc");
-  e.ptr = u64("ptr");
-  e.ptr2 = u64("ptr2");
-  e.modifier = u64("modifier");
-  e.lr = u64("lr");
-  e.prov = u64("prov");
-  e.machine = static_cast<uint32_t>(u64("machine"));
-  e.key = static_cast<uint8_t>(u64("key"));
-  e.el = static_cast<uint8_t>(u64("el"));
-  e.mclass = static_cast<uint8_t>(u64("mclass"));
-  e.bank = static_cast<uint8_t>(u64("bank"));
-  e.aux = static_cast<uint8_t>(u64("aux"));
-  e.cpu = static_cast<uint8_t>(u64("cpu"));  // absent = core 0
-  e.imm = static_cast<uint16_t>(u64("imm"));
+  uint8_t kind = 0;
+  field("k", kind);
+  e.kind = static_cast<AuditKind>(kind);
+  field("cycles", e.cycles);
+  field("pc", e.pc);
+  field("ptr", e.ptr);
+  field("ptr2", e.ptr2);
+  field("modifier", e.modifier);
+  field("lr", e.lr);
+  field("prov", e.prov);
+  field("machine", e.machine);
+  field("key", e.key);
+  field("el", e.el);
+  field("mclass", e.mclass);
+  field("bank", e.bank);
+  field("aux", e.aux);
+  field("cpu", e.cpu);  // absent = core 0
+  field("imm", e.imm);
+  if (!ok) return false;
   *out = e;
   return true;
 }
@@ -74,10 +96,10 @@ namespace {
 json::Value trace_event_json(const TraceEvent& e) {
   json::Value o = json::Value::object();
   o.set("kind", json::Value(static_cast<uint64_t>(e.kind)));
-  o.set("cycles", json::Value(hex_u64(e.cycles)));
-  o.set("pc", json::Value(hex_u64(e.pc)));
-  o.set("a", json::Value(hex_u64(e.a)));
-  o.set("b", json::Value(hex_u64(e.b)));
+  o.set("cycles", json::Value(hex_short(e.cycles)));
+  o.set("pc", json::Value(hex_short(e.pc)));
+  o.set("a", json::Value(hex_short(e.a)));
+  o.set("b", json::Value(hex_short(e.b)));
   o.set("el", json::Value(static_cast<uint64_t>(e.el)));
   o.set("k1", json::Value(static_cast<uint64_t>(e.k1)));
   o.set("k2", json::Value(static_cast<uint64_t>(e.k2)));
@@ -87,8 +109,8 @@ json::Value trace_event_json(const TraceEvent& e) {
 
 json::Value key_json(const FlightKey& k) {
   json::Value o = json::Value::object();
-  o.set("lo", json::Value(hex_u64(k.lo)));
-  o.set("hi", json::Value(hex_u64(k.hi)));
+  o.set("lo", json::Value(hex_short(k.lo)));
+  o.set("hi", json::Value(hex_short(k.hi)));
   o.set("prov", json::Value(k.prov));
   return o;
 }
@@ -98,19 +120,19 @@ json::Value key_json(const FlightKey& k) {
 json::Value flight_snapshot_json(const FlightSnapshot& s) {
   json::Value o = json::Value::object();
   json::Value regs = json::Value::array();
-  for (uint64_t r : s.x) regs.push(json::Value(hex_u64(r)));
+  for (uint64_t r : s.x) regs.push(json::Value(hex_short(r)));
   o.set("x", std::move(regs));
-  o.set("sp_el0", json::Value(hex_u64(s.sp_el0)));
-  o.set("sp_el1", json::Value(hex_u64(s.sp_el1)));
-  o.set("pc", json::Value(hex_u64(s.pc)));
+  o.set("sp_el0", json::Value(hex_short(s.sp_el0)));
+  o.set("sp_el1", json::Value(hex_short(s.sp_el1)));
+  o.set("pc", json::Value(hex_short(s.pc)));
   o.set("el", json::Value(static_cast<uint64_t>(s.el)));
   o.set("banked_keys", json::Value(s.banked_keys));
-  o.set("elr_el1", json::Value(hex_u64(s.elr_el1)));
-  o.set("spsr_el1", json::Value(hex_u64(s.spsr_el1)));
-  o.set("esr_el1", json::Value(hex_u64(s.esr_el1)));
-  o.set("far_el1", json::Value(hex_u64(s.far_el1)));
-  o.set("vbar_el1", json::Value(hex_u64(s.vbar_el1)));
-  o.set("sctlr_el1", json::Value(hex_u64(s.sctlr_el1)));
+  o.set("elr_el1", json::Value(hex_short(s.elr_el1)));
+  o.set("spsr_el1", json::Value(hex_short(s.spsr_el1)));
+  o.set("esr_el1", json::Value(hex_short(s.esr_el1)));
+  o.set("far_el1", json::Value(hex_short(s.far_el1)));
+  o.set("vbar_el1", json::Value(hex_short(s.vbar_el1)));
+  o.set("sctlr_el1", json::Value(hex_short(s.sctlr_el1)));
   json::Value keys = json::Value::array();
   for (const FlightKey& k : s.keys) keys.push(key_json(k));
   o.set("keys", std::move(keys));
@@ -121,7 +143,7 @@ json::Value flight_snapshot_json(const FlightSnapshot& s) {
   epoch.set("s1_gen", json::Value(s.s1_gen));
   epoch.set("s2_gen", json::Value(s.s2_gen));
   o.set("mmu_epoch", std::move(epoch));
-  o.set("pending_esr", json::Value(hex_u64(s.pending_esr)));
+  o.set("pending_esr", json::Value(hex_short(s.pending_esr)));
   // Absent = core 0 (pre-SMP bundles stay byte-identical).
   if (s.cpu != 0) o.set("cpu", json::Value(static_cast<uint64_t>(s.cpu)));
   return o;
@@ -136,7 +158,7 @@ std::string flight_bundle_json(const FlightRecorder& rec,
   json::Value scenario = json::Value::object();
   scenario.set("attack", json::Value(attack));
   scenario.set("config", json::Value(config));
-  scenario.set("seed", json::Value(hex_u64(seed)));
+  scenario.set("seed", json::Value(hex_short(seed)));
   root.set("scenario", std::move(scenario));
   root.set("captured", json::Value(rec.captured()));
   root.set("triggers", json::Value(rec.triggers()));
@@ -145,8 +167,8 @@ std::string flight_bundle_json(const FlightRecorder& rec,
     json::Value ring = json::Value::array();
     for (const FlightInsn& in : rec.ring()) {
       json::Value o = json::Value::object();
-      o.set("cycles", json::Value(hex_u64(in.cycles)));
-      o.set("pc", json::Value(hex_u64(in.pc)));
+      o.set("cycles", json::Value(hex_short(in.cycles)));
+      o.set("pc", json::Value(hex_short(in.pc)));
       o.set("op", json::Value(static_cast<uint64_t>(in.op)));
       o.set("el", json::Value(static_cast<uint64_t>(in.el)));
       ring.push(std::move(o));

@@ -21,6 +21,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -144,12 +145,16 @@ class FlightRecorder {
   StateProvider provider_;
 };
 
-/// Hex-string codec for 64-bit payloads ("0x1a2b..."); JSON numbers are
-/// doubles and cannot hold pointers exactly.
-std::string hex_u64(uint64_t v);
-uint64_t parse_hex_u64(const json::Value& v);
+/// Reader for 64-bit payloads. Writers store them as hex_short strings
+/// ("0x1a2b..."; JSON numbers are doubles and cannot hold pointers exactly)
+/// or, for small fields, as JSON numbers. Accepts exactly "0x" followed by
+/// 1-16 hex digits, or a number holding a non-negative integer below 2^64;
+/// anything else ("-1", "010", "0xzz", a 17th digit) is std::nullopt.
+std::optional<uint64_t> parse_hex_u64(const json::Value& v);
 
 /// Audit-event JSON codec (hex payloads, kind stored by ordinal + name).
+/// The reader rejects an event with a field that does not parse or does not
+/// fit its member; an absent field reads as 0.
 json::Value audit_event_json(const AuditEvent& e);
 bool audit_event_from_json(const json::Value& v, AuditEvent* out);
 

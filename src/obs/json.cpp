@@ -1,128 +1,295 @@
 #include "obs/json.h"
 
+#include <algorithm>
+#include <cassert>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 
+#include "support/format.h"
+
 namespace camo::obs::json {
 
-std::string number_to_string(double d) {
-  if (std::isnan(d) || std::isinf(d)) return "0";  // JSON has no NaN/Inf
-  // Integers (within the exactly-representable range) print as integers.
-  if (d == std::floor(d) && std::fabs(d) < 9.007199254740992e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(d));
-    return buf;
-  }
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", d);
-  return buf;
+// ---------------------------------------------------------------------------
+// Writer
+// ---------------------------------------------------------------------------
+
+namespace {
+
+bool needs_escape(unsigned char c) { return c < 0x20 || c == '"' || c == '\\'; }
+
+}  // namespace
+
+std::string Writer::take() {
+  buf_.resize(len_);
+  len_ = 0;
+  depth_ = 0;
+  empty_ = true;
+  after_key_ = false;
+  return std::move(buf_);
 }
 
-std::string Value::escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
+// Every write reserves its worst case with room() and then stores bytes
+// directly: the exports are millions of short tokens, and a std::string
+// append per token costs more than the token. The string's size runs at
+// most a few KiB ahead of the document, so the zero-fill only touches pages
+// about to be written; its capacity still grows geometrically.
+char* Writer::room(size_t n) {
+  if (buf_.size() - len_ < n) buf_.resize(len_ + std::max(n, size_t{4096}));
+  return buf_.data() + len_;
+}
+
+void Writer::put(std::string_view s) {
+  std::memcpy(room(s.size()), s.data(), s.size());
+  len_ += s.size();
+}
+
+void Writer::put_quoted(std::string_view s, std::string_view tail) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  char* const start = room(6 * s.size() + 2 + tail.size());
+  char* p = start;
+  *p++ = '"';
+  for (const char ch : s) {
+    const unsigned char c = static_cast<unsigned char>(ch);
+    if (!needs_escape(c)) {
+      *p++ = ch;
+      continue;
+    }
+    *p++ = '\\';
     switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
+      case '"': *p++ = '"'; break;
+      case '\\': *p++ = '\\'; break;
+      case '\n': *p++ = 'n'; break;
+      case '\r': *p++ = 'r'; break;
+      case '\t': *p++ = 't'; break;
       default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
+        *p++ = 'u';
+        *p++ = '0';
+        *p++ = '0';
+        *p++ = kHex[c >> 4];
+        *p++ = kHex[c & 15];
     }
   }
-  return out;
+  *p++ = '"';
+  std::memcpy(p, tail.data(), tail.size());
+  len_ += static_cast<size_t>(p - start) + tail.size();
 }
 
-const Value* Value::get(const std::string& key) const {
-  if (kind_ != Kind::Object) return nullptr;
-  for (const auto& [k, v] : obj_)
+void Writer::newline() {
+  char* p = room(1 + static_cast<size_t>(indent_) * depth_);
+  *p = '\n';
+  std::memset(p + 1, ' ', static_cast<size_t>(indent_) * depth_);
+  len_ += 1 + static_cast<size_t>(indent_) * depth_;
+}
+
+void Writer::separate() {
+  if (after_key_) {
+    after_key_ = false;
+    return;
+  }
+  if (depth_ == 0) return;
+  if (!empty_) put(",");
+  empty_ = false;
+  if (indent_) newline();
+}
+
+Writer& Writer::open(char c) {
+  separate();
+  put({&c, 1});
+  ++depth_;
+  empty_ = true;
+  return *this;
+}
+
+Writer& Writer::close(char c) {
+  assert(depth_ > 0 && !after_key_);
+  --depth_;
+  if (indent_ && !empty_) newline();
+  put({&c, 1});
+  empty_ = false;  // the enclosing container now holds this one
+  return *this;
+}
+
+Writer& Writer::begin_object() { return open('{'); }
+Writer& Writer::begin_array() { return open('['); }
+Writer& Writer::end_object() { return close('}'); }
+Writer& Writer::end_array() { return close(']'); }
+
+Writer& Writer::key(std::string_view k) {
+  separate();
+  put_quoted(k, indent_ ? ": " : ":");
+  after_key_ = true;
+  return *this;
+}
+
+Writer& Writer::null() {
+  separate();
+  put("null");
+  return *this;
+}
+
+Writer& Writer::boolean(bool b) {
+  separate();
+  put(b ? "true" : "false");
+  return *this;
+}
+
+Writer& Writer::number(double d) {
+  separate();
+  char* const p = room(32);
+  char* end;
+  if (std::isnan(d) || std::isinf(d)) {
+    *p = '0';  // JSON has no NaN/Inf
+    end = p + 1;
+  } else if (d == std::floor(d) && std::fabs(d) < 9.007199254740992e15) {
+    // Integers in the exactly-representable range print without exponent.
+    end = std::to_chars(p, p + 32, static_cast<long long>(d)).ptr;
+  } else {
+    end = p + std::snprintf(p, 32, "%.17g", d);
+  }
+  len_ += static_cast<size_t>(end - p);
+  return *this;
+}
+
+Writer& Writer::number(uint64_t u) {
+  if (u >= (uint64_t{1} << 53)) return number(static_cast<double>(u));
+  separate();
+  char* const p = room(20);
+  len_ += static_cast<size_t>(std::to_chars(p, p + 20, u).ptr - p);
+  return *this;
+}
+
+Writer& Writer::string(std::string_view s) {
+  separate();
+  put_quoted(s, {});
+  return *this;
+}
+
+Writer& Writer::hex(uint64_t v) {
+  separate();
+  char* const p = room(kHexShortChars + 2);
+  p[0] = '"';
+  char* end = hex_short_to(p + 1, v);
+  *end++ = '"';
+  len_ += static_cast<size_t>(end - p);
+  return *this;
+}
+
+// ---------------------------------------------------------------------------
+// Value
+// ---------------------------------------------------------------------------
+
+bool Value::as_bool() const {
+  const bool* b = std::get_if<bool>(&v_);
+  return b && *b;
+}
+
+double Value::as_number() const {
+  const double* d = std::get_if<double>(&v_);
+  return d ? *d : 0;
+}
+
+const std::string& Value::as_string() const {
+  static const std::string kEmpty;
+  const std::string* s = std::get_if<std::string>(&v_);
+  return s ? *s : kEmpty;
+}
+
+const Value::Array& Value::items() const {
+  static const Array kEmpty;
+  const Array* a = std::get_if<Array>(&v_);
+  return a ? *a : kEmpty;
+}
+
+const Value::Object& Value::members() const {
+  static const Object kEmpty;
+  const Object* o = std::get_if<Object>(&v_);
+  return o ? *o : kEmpty;
+}
+
+const Value* Value::get(std::string_view key) const {
+  for (const auto& [k, v] : members())
     if (k == key) return &v;
   return nullptr;
 }
 
 const Value* Value::at(size_t i) const {
-  if (kind_ != Kind::Array || i >= arr_.size()) return nullptr;
-  return &arr_[i];
+  const Array& a = items();
+  return i < a.size() ? &a[i] : nullptr;
+}
+
+size_t Value::size() const {
+  if (const Array* a = std::get_if<Array>(&v_)) return a->size();
+  if (const Object* o = std::get_if<Object>(&v_)) return o->size();
+  return 0;
 }
 
 Value& Value::push(Value v) {
-  arr_.push_back(std::move(v));
-  return arr_.back();
+  assert(is_array() && "push on a non-array json::Value");
+  Array* a = std::get_if<Array>(&v_);
+  if (!a) a = &v_.emplace<Array>();
+  a->push_back(std::move(v));
+  return a->back();
 }
 
-Value& Value::set(const std::string& key, Value v) {
-  for (auto& [k, existing] : obj_)
-    if (k == key) {
+Value& Value::set(std::string_view key, Value v) {
+  assert(is_object() && "set on a non-object json::Value");
+  Object* o = std::get_if<Object>(&v_);
+  if (!o) o = &v_.emplace<Object>();
+  // Builders set distinct keys, so this scan nearly always misses; the
+  // first-byte test keeps a miss from costing a memcmp.
+  for (auto& [k, existing] : *o)
+    if (k.size() == key.size() && (key.empty() || k[0] == key[0]) &&
+        k == key) {
       existing = std::move(v);
       return existing;
     }
-  obj_.emplace_back(key, std::move(v));
-  return obj_.back().second;
+  // Objects here are small records; the largest hot one, the audit event,
+  // has 16 members. Skip the 1-2-4-8 regrowth.
+  if (o->empty()) o->reserve(16);
+  o->emplace_back(std::string(key), std::move(v));
+  return o->back().second;
 }
 
-void Value::dump_to(std::string& out, int indent, int depth) const {
-  const auto newline = [&](int d) {
-    if (indent <= 0) return;
-    out += '\n';
-    out.append(static_cast<size_t>(indent * d), ' ');
-  };
-  switch (kind_) {
-    case Kind::Null:
-      out += "null";
+namespace {
+
+void write_value(Writer& w, const Value& v) {
+  switch (v.kind()) {
+    case Value::Kind::Null:
+      w.null();
       break;
-    case Kind::Bool:
-      out += bool_ ? "true" : "false";
+    case Value::Kind::Bool:
+      w.boolean(v.as_bool());
       break;
-    case Kind::Number:
-      out += number_to_string(num_);
+    case Value::Kind::Number:
+      w.number(v.as_number());
       break;
-    case Kind::String:
-      out += '"';
-      out += escape(str_);
-      out += '"';
+    case Value::Kind::String:
+      w.string(v.as_string());
       break;
-    case Kind::Array: {
-      out += '[';
-      for (size_t i = 0; i < arr_.size(); ++i) {
-        if (i) out += ',';
-        newline(depth + 1);
-        arr_[i].dump_to(out, indent, depth + 1);
+    case Value::Kind::Array:
+      w.begin_array();
+      for (const Value& item : v.items()) write_value(w, item);
+      w.end_array();
+      break;
+    case Value::Kind::Object:
+      w.begin_object();
+      for (const auto& [k, member] : v.members()) {
+        w.key(k);
+        write_value(w, member);
       }
-      if (!arr_.empty()) newline(depth);
-      out += ']';
+      w.end_object();
       break;
-    }
-    case Kind::Object: {
-      out += '{';
-      for (size_t i = 0; i < obj_.size(); ++i) {
-        if (i) out += ',';
-        newline(depth + 1);
-        out += '"';
-        out += escape(obj_[i].first);
-        out += "\":";
-        if (indent > 0) out += ' ';
-        obj_[i].second.dump_to(out, indent, depth + 1);
-      }
-      if (!obj_.empty()) newline(depth);
-      out += '}';
-      break;
-    }
   }
 }
 
+}  // namespace
+
 std::string Value::dump(int indent) const {
-  std::string out;
-  dump_to(out, indent, 0);
-  return out;
+  Writer w(indent);
+  write_value(w, *this);
+  return w.take();
 }
 
 // ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 #include "support/format.h"
 
+#include <charconv>
 #include <cstdarg>
 #include <cstdio>
 #include <vector>
@@ -13,10 +14,15 @@ std::string hex(uint64_t v, int digits) {
   return buf;
 }
 
+char* hex_short_to(char* out, uint64_t v) {
+  out[0] = '0';
+  out[1] = 'x';
+  return std::to_chars(out + 2, out + kHexShortChars, v, 16).ptr;
+}
+
 std::string hex_short(uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "0x%llx", static_cast<unsigned long long>(v));
-  return buf;
+  char buf[kHexShortChars];
+  return std::string(buf, hex_short_to(buf, v));
 }
 
 std::string strformat(const char* fmt, ...) {

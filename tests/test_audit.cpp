@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -18,6 +21,7 @@
 #include "obs/metrics.h"
 #include "par/fleet.h"
 #include "par/pool.h"
+#include "support/format.h"
 
 namespace camo {
 namespace {
@@ -211,11 +215,11 @@ TEST(CausalChain, ZeroProvenanceNeverLinksInstalls) {
 TEST(FlightJson, HexCodecRoundTripsFullWidth) {
   const uint64_t cases[] = {0, 1, 0xFFFF000000080000ull, ~uint64_t{0}};
   for (const uint64_t v : cases) {
-    const std::string s = obs::hex_u64(v);
+    const std::string s = hex_short(v);
     EXPECT_EQ(s.rfind("0x", 0), 0u) << s;
     const auto parsed = obs::json::Value::parse("\"" + s + "\"");
     ASSERT_TRUE(parsed);
-    EXPECT_EQ(obs::parse_hex_u64(*parsed), v);
+    EXPECT_EQ(obs::parse_hex_u64(*parsed), std::optional<uint64_t>(v));
   }
 }
 
@@ -286,6 +290,66 @@ TEST(FlightJson, AuditEventDumpGolden) {
     "prov\":1.8446744073709552e+19,\"machine\":4294967295,\"key\":255,"
     "\"el\":255,\"mclass\":255,\"bank\":255,\"aux\":255,\"cpu\":3,\"imm\":655"
     "35}");
+}
+
+TEST(FlightJson, ParseHexAcceptsOnlyWhatTheWriterProduces) {
+  using obs::json::Value;
+  const auto parse = [](const Value& v) { return obs::parse_hex_u64(v); };
+  EXPECT_EQ(parse(Value("0x0")), std::optional<uint64_t>(0));
+  EXPECT_EQ(parse(Value("0xffffffffffffffff")),
+            std::optional<uint64_t>(~uint64_t{0}));
+  EXPECT_EQ(parse(Value("0x0000000000000001")), std::optional<uint64_t>(1));
+  EXPECT_EQ(parse(Value("0xABC")), std::optional<uint64_t>(0xABC));
+  EXPECT_EQ(parse(Value(uint64_t{42})), std::optional<uint64_t>(42));
+  EXPECT_EQ(parse(Value(0.0)), std::optional<uint64_t>(0));
+  for (const char* s : {"-1", "010", "8", "0xzz", "0x", "", "0X1f", " 0x1",
+                        "0x1 ", "0x-1", "0x+1", "0x1g", "0x00000000000000001"})
+    EXPECT_EQ(parse(Value(s)), std::nullopt) << '"' << s << '"';
+  for (const double d : {-1.0, 1.5, 18446744073709551616.0, std::nan(""),
+                         std::numeric_limits<double>::infinity()})
+    EXPECT_EQ(parse(Value(d)), std::nullopt) << d;
+  EXPECT_EQ(parse(Value()), std::nullopt);
+  EXPECT_EQ(parse(Value(true)), std::nullopt);
+  EXPECT_EQ(parse(Value::array()), std::nullopt);
+}
+
+TEST(FlightJson, AuditEventReaderRejectsMutatedFields) {
+  using obs::json::Value;
+  AuditEvent e = golden_audit_event();
+  e.prov = 42;  // a JSON number: ~0 would not survive the double
+  const Value good = obs::audit_event_json(e);
+  AuditEvent out;
+  ASSERT_TRUE(obs::audit_event_from_json(good, &out));
+  const Value bad[] = {Value("-1"), Value("010"), Value("0xzz"), Value("0x"),
+                       Value("0x10000000000000000"), Value(-1.0), Value(1.5),
+                       Value(true), Value()};
+  for (const auto& member : good.members()) {
+    if (member.first == "kind") continue;  // the label; the reader uses "k"
+    for (const Value& b : bad) {
+      Value mutated = good;
+      mutated.set(member.first, b);
+      EXPECT_FALSE(obs::audit_event_from_json(mutated, &out))
+          << member.first << " = " << b.dump();
+    }
+  }
+  // One past a narrow field's width must not be truncated into it.
+  const std::pair<const char*, double> past[] = {
+      {"k", 256},     {"machine", 4294967296.0}, {"key", 256},
+      {"el", 256},    {"mclass", 256},           {"bank", 256},
+      {"aux", 256},   {"cpu", 256},              {"imm", 65536}};
+  for (const auto& [name, value] : past) {
+    Value mutated = good;
+    mutated.set(name, Value(value));
+    EXPECT_FALSE(obs::audit_event_from_json(mutated, &out)) << name;
+    mutated.set(name, Value(value - 1));
+    EXPECT_TRUE(obs::audit_event_from_json(mutated, &out)) << name;
+  }
+  // Absent fields read as 0 (bundles from before a field existed).
+  Value sparse = Value::object();
+  sparse.set("k", Value(uint64_t{2}));
+  ASSERT_TRUE(obs::audit_event_from_json(sparse, &out));
+  EXPECT_EQ(out.pc, 0u);
+  EXPECT_EQ(out.cpu, 0u);
 }
 
 // ---- key provenance on the CPU ---------------------------------------------
@@ -444,13 +508,13 @@ TEST(Flight, RopInjectionProducesSelfContainedBundle) {
   // Trigger, ring and state are present and non-trivial.
   const auto* trig = doc->get("trigger");
   ASSERT_NE(trig, nullptr);
-  EXPECT_NE(obs::parse_hex_u64(*trig->get("pc")), 0u);
+  EXPECT_NE(obs::parse_hex_u64(*trig->get("pc")).value_or(0), 0u);
   const auto* ring = doc->get("ring");
   ASSERT_NE(ring, nullptr);
   EXPECT_GT(ring->size(), 0u);
   const auto* state = doc->get("state");
   ASSERT_NE(state, nullptr);
-  EXPECT_NE(obs::parse_hex_u64(*state->get("pc")), 0u);
+  EXPECT_NE(obs::parse_hex_u64(*state->get("pc")).value_or(0), 0u);
   // The audit stream and the causal chain of the terminal failure.
   const auto* audit = doc->get("audit");
   ASSERT_NE(audit, nullptr);

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <regex>
 #include <string>
 
 #include "compiler/instrument.h"
@@ -155,6 +156,33 @@ TEST(CoverageCodec, ValidatorRejectsCorruptBundles) {
   EXPECT_NE(obs::validate_cov_bundle(*doc2), "");
   obs::CovBundle b;
   EXPECT_FALSE(obs::cov_bundle_from_json(*doc, &b));
+}
+
+TEST(CoverageCodec, ReaderRejectsMalformedFields) {
+  const std::string text = obs::cov_bundle_json(sample_map(), "unit", 1);
+  // Values the writer never produces for any of these fields: hex strings
+  // strtoull would once have read as UINT64_MAX, octal or 0, and numbers
+  // that are negative, fractional or not numbers at all.
+  const char* const bad[] = {"\"-1\"", "\"010\"", "\"0xzz\"", "\"0x\"",
+                             "\"0x10000000000000000\"", "-1", "1.5",
+                             "true", "null"};
+  for (const char* field : {"el0", "el1", "el2", "pa", "hits", "from", "to",
+                            "len", "row", "machines"}) {
+    const std::regex first(std::string("\"") + field +
+                           "\": (\"[^\"]*\"|[^,\n}]*)");
+    for (const char* value : bad) {
+      const std::string mutated = std::regex_replace(
+          text, first, std::string("\"") + field + "\": " + value,
+          std::regex_constants::format_first_only);
+      ASSERT_NE(mutated, text) << field;
+      const auto doc = obs::json::Value::parse(mutated);
+      ASSERT_TRUE(doc.has_value()) << field << " = " << value;
+      EXPECT_NE(obs::validate_cov_bundle(*doc), "") << field << " = " << value;
+      obs::CovBundle b;
+      EXPECT_FALSE(obs::cov_bundle_from_json(*doc, &b))
+          << field << " = " << value;
+    }
+  }
 }
 
 TEST(CoverageCodec, DiffSeparatesBlockSets) {

@@ -284,6 +284,58 @@ TEST(Json, DumpGoldenBytes) {
     "}");
 }
 
+TEST(Json, WriterStreamsTheSameBytesAsDump) {
+  json::Value tree = json::Value::object();
+  tree.set("pc", json::Value("0xfedcba9876543210"));
+  tree.set("small", json::Value(uint64_t{12345}));
+  tree.set("big", json::Value(~uint64_t{0}));
+  tree.set("edge", json::Value(uint64_t{1} << 53));
+  json::Value list = json::Value::array();
+  list.push(json::Value("a\x01\"b"));
+  list.push(json::Value::object());
+  list.push(json::Value());
+  list.push(json::Value(false));
+  tree.set("list", std::move(list));
+  for (const int indent : {0, 2}) {
+    json::Writer w(indent);
+    w.begin_object()
+        .key("pc").hex(0xfedcba9876543210ull)
+        .key("small").number(uint64_t{12345})
+        .key("big").number(~uint64_t{0})
+        .key("edge").number(uint64_t{1} << 53)
+        .key("list").begin_array()
+        .string("a\x01\"b").begin_object().end_object().null().boolean(false)
+        .end_array()
+        .end_object();
+    EXPECT_EQ(w.take(), tree.dump(indent));
+  }
+}
+
+TEST(Json, PushOrSetOnTheWrongKindAsserts) {
+  EXPECT_DEBUG_DEATH(
+      {
+        json::Value v;
+        v.push(json::Value(1));
+      },
+      "push on a non-array");
+  EXPECT_DEBUG_DEATH(
+      {
+        json::Value v = json::Value::array();
+        v.set("k", json::Value(1));
+      },
+      "set on a non-object");
+#ifdef NDEBUG
+  // Release builds keep what was added visible: the value becomes the
+  // container instead of hiding it from dump().
+  json::Value v;
+  v.push(json::Value(1));
+  EXPECT_EQ(v.dump(), "[1]");
+  json::Value o(true);
+  o.set("k", json::Value(2));
+  EXPECT_EQ(o.dump(), "{\"k\":2}");
+#endif
+}
+
 // A random tree of every kind. Strings and keys draw from all 256 byte
 // values, so control bytes, 0x7f and bytes >= 0x80 all appear.
 json::Value random_tree(std::mt19937_64& rng, int depth) {

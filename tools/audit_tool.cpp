@@ -42,7 +42,7 @@ std::string event_line(const AuditEvent& e) {
                  : strformat("m%u", e.machine);
   s += strformat(" %10llu  %-13s", static_cast<unsigned long long>(e.cycles),
                  obs::audit_kind_name(e.kind));
-  const auto hex = [](uint64_t v) { return obs::hex_u64(v); };
+  const auto hex = [](uint64_t v) { return hex_short(v); };
   switch (e.kind) {
     case AuditKind::KeyInstall:
       s += strformat(" key=%s prov=%llu %s (el%u, pc=%s)",
@@ -96,6 +96,11 @@ std::string event_line(const AuditEvent& e) {
       break;
   }
   return s;
+}
+
+/// A payload field for display: absent or malformed prints as 0.
+uint64_t field(const Value* v) {
+  return v ? obs::parse_hex_u64(*v).value_or(0) : 0;
 }
 
 }  // namespace
@@ -158,18 +163,15 @@ int cmd_print(const std::string& bundle_path) {
   const Value* triggers = doc->get("triggers");
   std::printf("captured: %s (%llu trigger(s))\n",
               captured && captured->as_bool() ? "yes" : "no",
-              static_cast<unsigned long long>(
-                  triggers ? obs::parse_hex_u64(*triggers) : 0));
+              static_cast<unsigned long long>(field(triggers)));
   if (const Value* trig = doc->get("trigger")) {
     const Value* kind = trig->get("kind");
     const Value* pc = trig->get("pc");
     const Value* cyc = trig->get("cycles");
     std::printf("trigger: %s at pc=%s, cycle %llu\n",
-                obs::event_kind_name(static_cast<obs::EventKind>(
-                    kind ? obs::parse_hex_u64(*kind) : 0)),
-                pc ? obs::hex_u64(obs::parse_hex_u64(*pc)).c_str() : "0x0",
-                static_cast<unsigned long long>(
-                    cyc ? obs::parse_hex_u64(*cyc) : 0));
+                obs::event_kind_name(static_cast<obs::EventKind>(field(kind))),
+                hex_short(field(pc)).c_str(),
+                static_cast<unsigned long long>(field(cyc)));
   }
 
   // Chain membership for the audit listing below.
@@ -177,7 +179,7 @@ int cmd_print(const std::string& bundle_path) {
   std::vector<uint64_t> chain_order;
   if (const Value* chain = doc->get("chain")) {
     for (size_t i = 0; i < chain->size(); ++i) {
-      const uint64_t idx = obs::parse_hex_u64(*chain->at(i));
+      const uint64_t idx = field(chain->at(i));
       chain_idx.insert(idx);
       chain_order.push_back(idx);
     }
@@ -211,36 +213,32 @@ int cmd_print(const std::string& bundle_path) {
                 show, n);
     for (size_t i = n - show; i < n; ++i) {
       const Value* in = ring->at(i);
-      const uint64_t cyc = obs::parse_hex_u64(*in->get("cycles"));
-      const uint64_t pc = obs::parse_hex_u64(*in->get("pc"));
-      const uint64_t op = obs::parse_hex_u64(*in->get("op"));
-      const uint64_t el = obs::parse_hex_u64(*in->get("el"));
+      const uint64_t cyc = field(in->get("cycles"));
+      const uint64_t pc = field(in->get("pc"));
+      const uint64_t op = field(in->get("op"));
+      const uint64_t el = field(in->get("el"));
       std::printf("  %10llu  el%llu  %s  %s\n",
                   static_cast<unsigned long long>(cyc),
                   static_cast<unsigned long long>(el),
-                  obs::hex_u64(pc).c_str(),
+                  hex_short(pc).c_str(),
                   obs::op_class_name(static_cast<obs::OpClass>(op)));
     }
   }
   if (const Value* state = doc->get("state")) {
-    const auto u64 = [&](const char* name) {
-      const Value* v = state->get(name);
-      return v ? obs::parse_hex_u64(*v) : 0;
-    };
+    const auto u64 = [&](const char* name) { return field(state->get(name)); };
     std::printf("\nstate at capture: pc=%s el=%llu elr_el1=%s esr_el1=%s "
                 "far_el1=%s\n",
-                obs::hex_u64(u64("pc")).c_str(),
+                hex_short(u64("pc")).c_str(),
                 static_cast<unsigned long long>(u64("el")),
-                obs::hex_u64(u64("elr_el1")).c_str(),
-                obs::hex_u64(u64("esr_el1")).c_str(),
-                obs::hex_u64(u64("far_el1")).c_str());
+                hex_short(u64("elr_el1")).c_str(),
+                hex_short(u64("esr_el1")).c_str(),
+                hex_short(u64("far_el1")).c_str());
     if (const Value* keys = state->get("keys")) {
       std::printf("keys:");
       for (size_t k = 0; k < keys->size() && k < 5; ++k) {
         const Value* prov = keys->at(k)->get("prov");
         std::printf(" %s(prov=%llu)", obs::pac_key_label(static_cast<uint8_t>(k)),
-                    static_cast<unsigned long long>(
-                        prov ? obs::parse_hex_u64(*prov) : 0));
+                    static_cast<unsigned long long>(field(prov)));
       }
       std::printf("\n");
     }
@@ -333,14 +331,14 @@ int cmd_replay(const std::string& bundle_path) {
   }
   uint64_t pc = 0, cyc = 0;
   if (const Value* trig = doc->get("trigger")) {
-    if (const Value* v = trig->get("pc")) pc = obs::parse_hex_u64(*v);
-    if (const Value* v = trig->get("cycles")) cyc = obs::parse_hex_u64(*v);
+    pc = field(trig->get("pc"));
+    cyc = field(trig->get("cycles"));
   }
   const Value* chain = doc->get("chain");
   std::printf("replay OK: bit-identical bundle (%zu bytes) — outcome %s, "
               "violation pc=%s at cycle %llu, causal chain %zu links\n",
               want.size(), attacks::outcome_name(r->outcome),
-              obs::hex_u64(pc).c_str(), static_cast<unsigned long long>(cyc),
+              hex_short(pc).c_str(), static_cast<unsigned long long>(cyc),
               static_cast<size_t>(chain ? chain->size() : 0));
   return 0;
 }
