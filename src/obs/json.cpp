@@ -162,7 +162,7 @@ Writer& Writer::number(uint64_t u) {
 
 Writer& Writer::string(std::string_view s) {
   separate();
-  put_quoted(s, {});
+  put_quoted(s, "");
   return *this;
 }
 
@@ -237,11 +237,8 @@ Value& Value::set(std::string_view key, Value v) {
   assert(is_object() && "set on a non-object json::Value");
   Object* o = std::get_if<Object>(&v_);
   if (!o) o = &v_.emplace<Object>();
-  // Builders set distinct keys, so this scan nearly always misses; the
-  // first-byte test keeps a miss from costing a memcmp.
   for (auto& [k, existing] : *o)
-    if (k.size() == key.size() && (key.empty() || k[0] == key[0]) &&
-        k == key) {
+    if (k == key) {
       existing = std::move(v);
       return existing;
     }
