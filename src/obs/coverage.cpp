@@ -157,7 +157,7 @@ std::string validate_cov_bundle(const json::Value& v) {
     const json::Value& r = *regions->at(i);
     if (!is_string(r.get("name")) || !is_hex(r.get("pa")) ||
         !is_count(r.get("len")) || !is_string(r.get("table")) ||
-        !is_count(r.get("row")))
+        !is_count(r.get("row")) || r.get("row")->as_number() > 0xFFFFFFFFu)
       return strformat("region %zu malformed", i);
   }
   return "";

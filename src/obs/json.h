@@ -14,6 +14,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -140,5 +141,8 @@ class Value {
   // Alternative order matches Kind.
   std::variant<std::monostate, bool, double, std::string, Array, Object> v_;
 };
+
+// Growing a vector of values must move subtrees, never copy them.
+static_assert(std::is_nothrow_move_constructible_v<Value>);
 
 }  // namespace camo::obs::json

@@ -284,12 +284,12 @@ AuditEvent golden_audit_event() {
 
 TEST(FlightJson, AuditEventDumpGolden) {
   EXPECT_EQ(obs::audit_event_json(golden_audit_event()).dump(),
-    "{\"kind\":\"auth-fail\",\"k\":4,\"cycles\":\"0xffffffffffffffff\",\"pc\""
-    ":\"0xfedcba9876543210\",\"ptr\":\"0x8000000000000000\",\"ptr2\":\"0x1"
-    "23456789abcdef\",\"modifier\":\"0xffff000000080000\",\"lr\":\"0x1\",\""
-    "prov\":1.8446744073709552e+19,\"machine\":4294967295,\"key\":255,"
-    "\"el\":255,\"mclass\":255,\"bank\":255,\"aux\":255,\"cpu\":3,\"imm\":655"
-    "35}");
+    "{\"kind\":\"auth-fail\",\"k\":4,\"cycles\":\"0xffffffffffffffff\","
+    "\"pc\":\"0xfedcba9876543210\",\"ptr\":\"0x8000000000000000\","
+    "\"ptr2\":\"0x123456789abcdef\",\"modifier\":\"0xffff000000080000\","
+    "\"lr\":\"0x1\",\"prov\":1.8446744073709552e+19,"
+    "\"machine\":4294967295,\"key\":255,\"el\":255,\"mclass\":255,"
+    "\"bank\":255,\"aux\":255,\"cpu\":3,\"imm\":65535}");
 }
 
 TEST(FlightJson, ParseHexAcceptsOnlyWhatTheWriterProduces) {

@@ -183,6 +183,14 @@ TEST(CoverageCodec, ReaderRejectsMalformedFields) {
           << field << " = " << value;
     }
   }
+  // The row is a 32-bit field (0xffffffff = not a table row).
+  const std::string big_row = std::regex_replace(
+      text, std::regex("\"row\": [0-9]+"), "\"row\": 4294967296",
+      std::regex_constants::format_first_only);
+  ASSERT_NE(big_row, text);
+  const auto doc = obs::json::Value::parse(big_row);
+  ASSERT_TRUE(doc.has_value());
+  EXPECT_NE(obs::validate_cov_bundle(*doc), "");
 }
 
 TEST(CoverageCodec, DiffSeparatesBlockSets) {

@@ -224,15 +224,15 @@ json::Value golden_json_tree() {
 TEST(Json, DumpGoldenBytes) {
   const json::Value tree = golden_json_tree();
   EXPECT_EQ(tree.dump(0),
-    "{\"ints\":[0,7,-1,-1234567890123,9007199254740991,900719925474"
-    "0992,9007199254740994,-9007199254740991,-9007199254740992,-9"
-    "007199254740994,-42,1.8446744073709552e+19],\"reals\":[3.25,0."
-    "10000000000000001,-2.5e-300,1.0000000000000001e+300,0,0,0,0]"
-    ",\"str\":\"q\\\"b\\\\s/\\u0008\\u000c\\n\\r\\t\\u0001\\u001f\177caf"
-    "\303\251 \342\202\254\377\",\""
-    "\":\"\",\"k\\u0001\\n\":true,\"f\":false,\"n\":null,\"empty_arr\":[]"
-    ",\"emp"
-    "ty_obj\":{},\"nested\":[[],{},[[1]],{\"a\":{\"b\":[]}}]}");
+    "{\"ints\":[0,7,-1,-1234567890123,9007199254740991,9007199254740992,"
+    "9007199254740994,-9007199254740991,-9007199254740992,"
+    "-9007199254740994,-42,1.8446744073709552e+19],\"reals\":[3.25,"
+    "0.10000000000000001,-2.5e-300,1.0000000000000001e+300,0,0,0,0],"
+    "\"str\":\"q\\\"b\\\\s/\\u0008\\u000c\\n\\r\\t\\u0001\\u001f\177caf"
+    "\303\251 \342\202\254\377\","
+    "\"\":\"\",\"k\\u0001\\n\":true,\"f\":false,\"n\":null,"
+    "\"empty_arr\":[],\"empty_obj\":{},\"nested\":[[],{},[[1]],"
+    "{\"a\":{\"b\":[]}}]}");
   EXPECT_EQ(tree.dump(2),
     "{\n"
     "  \"ints\": [\n"
@@ -259,8 +259,8 @@ TEST(Json, DumpGoldenBytes) {
     "    0,\n"
     "    0\n"
     "  ],\n"
-    "  \"str\": \"q\\\"b\\\\s/\\u0008\\u000c\\n\\r\\t\\u0001\\u001f\177c"
-    "af\303\251 \342\202\254\377\",\n"
+    "  \"str\": \"q\\\"b\\\\s/\\u0008\\u000c\\n\\r\\t\\u0001\\u001f\177caf"
+    "\303\251 \342\202\254\377\",\n"
     "  \"\": \"\",\n"
     "  \"k\\u0001\\n\": true,\n"
     "  \"f\": false,\n"
@@ -366,7 +366,8 @@ json::Value random_tree(std::mt19937_64& rng, int depth) {
     case 3: return json::Value(random_string());
     case 4: {
       json::Value a = json::Value::array();
-      for (uint64_t i = pick(5); i > 0; --i) a.push(random_tree(rng, depth + 1));
+      for (uint64_t i = pick(5); i > 0; --i)
+        a.push(random_tree(rng, depth + 1));
       return a;
     }
     default: {
@@ -735,52 +736,56 @@ std::vector<TraceEvent> golden_trace_events() {
 
 TEST(ChromeTrace, GoldenBytes) {
   EXPECT_EQ(chrome_trace_json(golden_trace_events()),
-    "{\"traceEvents\":[{\"name\":\"thread_name\",\"ph\":\"M\",\"ts\":0,\""
-    "pid\":1,\"tid\":1,\"args\":{\"name\":\"exceptions\"}},"
-    "{\"name\":\"thread_name\",\"ph\":\"M\",\"ts\":0,\"pid\":1,\"tid\":2,\""
-    "args\":{\"name\":\"syscalls\"}},"
-    "{\"name\":\"thread_name\",\"ph\":\"M\",\"ts\":0,\"pid\":1,\"tid\":3,\""
-    "args\":{\"name\":\"events\"}},"
-    "{\"name\":\"svc\",\"ph\":\"B\",\"ts\":10,\"pid\":1,\"tid\":1,\"ar"
-    "gs\":{\"pc\":\"0xfedcba9876543210\",\"from_el\":0}},"
-    "{\"name\":\"data-abort\",\"ph\":\"B\",\"ts\":11,\"pid\":1,\"tid\":1,\""
-    "args\":{\"pc\":\"0xffffffffffffffff\",\"from_el\":1,\"iss\":65535}},"
+    "{\"traceEvents\":[{\"name\":\"thread_name\",\"ph\":\"M\",\"ts\":0,"
+    "\"pid\":1,\"tid\":1,\"args\":{\"name\":\"exceptions\"}},"
+    "{\"name\":\"thread_name\",\"ph\":\"M\",\"ts\":0,\"pid\":1,\"tid\":2,"
+    "\"args\":{\"name\":\"syscalls\"}},"
+    "{\"name\":\"thread_name\",\"ph\":\"M\",\"ts\":0,\"pid\":1,\"tid\":3,"
+    "\"args\":{\"name\":\"events\"}},"
+    "{\"name\":\"svc\",\"ph\":\"B\",\"ts\":10,\"pid\":1,\"tid\":1,"
+    "\"args\":{\"pc\":\"0xfedcba9876543210\",\"from_el\":0}},"
+    "{\"name\":\"data-abort\",\"ph\":\"B\",\"ts\":11,\"pid\":1,\"tid\":1,"
+    "\"args\":{\"pc\":\"0xffffffffffffffff\",\"from_el\":1,"
+    "\"iss\":65535}},"
     "{\"name\":\"\",\"ph\":\"E\",\"ts\":12,\"pid\":1,\"tid\":1},"
-    "{\"name\":\"syscall 65535\",\"ph\":\"B\",\"ts\":13,\"pid\":1,\"tid\":2},"
+    "{\"name\":\"syscall 65535\",\"ph\":\"B\",\"ts\":13,\"pid\":1,"
+    "\"tid\":2},"
     "{\"name\":\"\",\"ph\":\"E\",\"ts\":14,\"pid\":1,\"tid\":2},"
-    "{\"name\":\"key-write ga\",\"ph\":\"i\",\"ts\":15,\"pid\":1,\"tid\":3"
-    ",\"s\":\"t\"},"
-    "{\"name\":\"auth-fail ib\",\"ph\":\"i\",\"ts\":18,\"pid\":1,\"tid\":3"
-    ",\"s\":\"g\",\"args\":{\"ptr\":\"0xffffffffffffffff\",\"modifier\":"
-    "\"0xfedcba9876543210\"}},"
+    "{\"name\":\"key-write ga\",\"ph\":\"i\",\"ts\":15,\"pid\":1,"
+    "\"tid\":3,\"s\":\"t\"},"
+    "{\"name\":\"auth-fail ib\",\"ph\":\"i\",\"ts\":18,\"pid\":1,"
+    "\"tid\":3,\"s\":\"g\",\"args\":{\"ptr\":\"0xffffffffffffffff\","
+    "\"modifier\":\"0xfedcba9876543210\"}},"
     "{\"name\":\"auth-fail <bad-key>\",\"ph\":\"i\",\"ts\":19,\"pid\":1,"
-    "\"tid\":3,\"s\":\"g\",\"args\":{\"ptr\":\"0x0\",\"modifier\":\"0x1\"}},"
-    "{\"name\":\"stage2-fault\",\"ph\":\"i\",\"ts\":20,\"pid\":1,\"tid\":3"
-    ",\"s\":\"g\",\"args\":{\"va\":\"0xffffffffffffffff\"}},"
-    "{\"name\":\"context-switch\",\"ph\":\"i\",\"ts\":21,\"pid\":1,\"tid\""
-    ":3,\"s\":\"g\",\"args\":{\"prev\":\"0xfedcba9876543210\",\"next\":\""
-    "0x10\"}},"
-    "{\"name\":\"hvc 7\",\"ph\":\"i\",\"ts\":22,\"pid\":1,\"tid\":3,\""
-    "s\":\"t\"},"
-    "{\"name\":\"module-load\",\"ph\":\"i\",\"ts\":23,\"pid\":1,\"tid\":3,"
+    "\"tid\":3,\"s\":\"g\",\"args\":{\"ptr\":\"0x0\","
+    "\"modifier\":\"0x1\"}},"
+    "{\"name\":\"stage2-fault\",\"ph\":\"i\",\"ts\":20,\"pid\":1,"
+    "\"tid\":3,\"s\":\"g\",\"args\":{\"va\":\"0xffffffffffffffff\"}},"
+    "{\"name\":\"context-switch\",\"ph\":\"i\",\"ts\":21,\"pid\":1,"
+    "\"tid\":3,\"s\":\"g\",\"args\":{\"prev\":\"0xfedcba9876543210\","
+    "\"next\":\"0x10\"}},"
+    "{\"name\":\"hvc 7\",\"ph\":\"i\",\"ts\":22,\"pid\":1,\"tid\":3,"
     "\"s\":\"t\"},"
-    "{\"name\":\"msr-denied\",\"ph\":\"i\",\"ts\":24,\"pid\":1,\"tid\":3,\""
-    "s\":\"t\"},"
-    "{\"name\":\"attack: blocked\",\"ph\":\"i\",\"ts\":25,\"pid\":1,\"tid"
-    "\":3,\"s\":\"g\"},"
-    "{\"name\":\"attack: <bad-outcome>\",\"ph\":\"i\",\"ts\":26,\"pid\":"
-    "1,\"tid\":3,\"s\":\"g\"},"
-    "{\"name\":\"irq\",\"ph\":\"B\",\"ts\":9007199254740994,\"pid\":1,\"t"
-    "id\":1,\"args\":{\"pc\":\"0x0\",\"from_el\":0}},"
-    "{\"name\":\"syscall 0\",\"ph\":\"B\",\"ts\":9007199254740991,\"pid"
-    "\":1,\"tid\":2},"
-    "{\"name\":\"\",\"ph\":\"E\",\"ts\":1.8446744073709552e+19,\"pid\":1"
-    ",\"tid\":1},"
-    "{\"name\":\"\",\"ph\":\"E\",\"ts\":1.8446744073709552e+19,\"pid\":1"
-    ",\"tid\":1},"
-    "{\"name\":\"\",\"ph\":\"E\",\"ts\":1.8446744073709552e+19,\"pid\":1"
-    ",\"tid\":2}],\"displayTimeUnit\":\"ns\",\"otherData\":{\"source\""
-    ":\"camo::obs\",\"time_unit\":\"1 trace us == 1 guest cycle\"}}");
+    "{\"name\":\"module-load\",\"ph\":\"i\",\"ts\":23,\"pid\":1,"
+    "\"tid\":3,\"s\":\"t\"},"
+    "{\"name\":\"msr-denied\",\"ph\":\"i\",\"ts\":24,\"pid\":1,\"tid\":3,"
+    "\"s\":\"t\"},"
+    "{\"name\":\"attack: blocked\",\"ph\":\"i\",\"ts\":25,\"pid\":1,"
+    "\"tid\":3,\"s\":\"g\"},"
+    "{\"name\":\"attack: <bad-outcome>\",\"ph\":\"i\",\"ts\":26,"
+    "\"pid\":1,\"tid\":3,\"s\":\"g\"},"
+    "{\"name\":\"irq\",\"ph\":\"B\",\"ts\":9007199254740994,\"pid\":1,"
+    "\"tid\":1,\"args\":{\"pc\":\"0x0\",\"from_el\":0}},"
+    "{\"name\":\"syscall 0\",\"ph\":\"B\",\"ts\":9007199254740991,"
+    "\"pid\":1,\"tid\":2},"
+    "{\"name\":\"\",\"ph\":\"E\",\"ts\":1.8446744073709552e+19,\"pid\":1,"
+    "\"tid\":1},"
+    "{\"name\":\"\",\"ph\":\"E\",\"ts\":1.8446744073709552e+19,\"pid\":1,"
+    "\"tid\":1},"
+    "{\"name\":\"\",\"ph\":\"E\",\"ts\":1.8446744073709552e+19,\"pid\":1,"
+    "\"tid\":2}],\"displayTimeUnit\":\"ns\","
+    "\"otherData\":{\"source\":\"camo::obs\","
+    "\"time_unit\":\"1 trace us == 1 guest cycle\"}}");
 }
 
 TEST(Observability, DisabledMachineHasNoCollector) {
