@@ -358,8 +358,7 @@ SuperblockEngine::TraceExit SuperblockEngine::run_trace(Cpu& cpu, Trace& t,
        cpu.timer_cycles_ - cpu.cycles_ > t.cost_bound);
   const bool quiet = timer_quiet &&
                      !(cpu.irq_pending_ && !cpu.pstate.irq_masked) &&
-                     !bp_overlap && cpu.trace_ == nullptr &&
-                     cpu.attr_ == nullptr && cpu.cov_ == nullptr;
+                     !bp_overlap && cpu.trace_ == nullptr;
 
   // Run-length bookkeeping: one sample per dispatch (zero-length dispatches
   // are not samples, matching the block loop), plus the demotion
@@ -416,12 +415,19 @@ SuperblockEngine::TraceExit SuperblockEngine::run_trace(Cpu& cpu, Trace& t,
     // registers. The batched cycles_/instret_ are flushed before every
     // terminator (MRS reads CNTVCT; MSR/HVC can arm the timer off cycles_)
     // and on every exit. Body entries are plain ALU/memory ops whose only
-    // cycles_ observer is the DataAbort path's sink/audit event timestamps
-    // — the abort's own `cycles_ += 12` commutes with the pending batch —
-    // so with no trace or audit sink attached they need no flush at all,
-    // and with one attached the flush happens before each may-fault
-    // handler.
-    const bool event_sinks = cpu.sink_ != nullptr || cpu.audit_ != nullptr;
+    // cycles_ observer is the DataAbort path (sink/audit event timestamps,
+    // and with a retire feed the run flush at exception entry) — the
+    // abort's own `cycles_ += 12` commutes with the pending batch — so with
+    // no sink or feed attached they need no flush at all, and with one
+    // attached the flush happens before each may-fault handler.
+    //
+    // Retire feeds keep this loop too: each segment is one pending retire
+    // run, flushed exactly where run_careful flushes it — before an
+    // Entry::alone terminator (which retires as its own record), at the
+    // exception entry a may-fault entry can take, and at every exit.
+    const bool feeds = cpu.attr_ != nullptr || cpu.cov_ != nullptr;
+    const bool fault_observed =
+        feeds || cpu.sink_ != nullptr || cpu.audit_ != nullptr;
     const bool cycle_model = cpu.cfg_.enable_cycle_model;
     uint64_t done = 0, cyc = 0, ret = 0;
     const uint64_t cap = budget - consumed;  // >= 1: caller checked budget
@@ -432,6 +438,7 @@ SuperblockEngine::TraceExit SuperblockEngine::run_trace(Cpu& cpu, Trace& t,
     };
     const auto out = [&] {
       flush();
+      cpu.flush_run();
       consumed += done;
       finish(done);
     };
@@ -442,17 +449,21 @@ SuperblockEngine::TraceExit SuperblockEngine::run_trace(Cpu& cpu, Trace& t,
       const Entry* const ents = blk->entries.data();
       const obs::RetireSlot* const slots = blk->slots.data();
       uint64_t va = seg.va_start;
+      // The batch is empty here (flushed before the previous terminator),
+      // so cycles_ is the run's first cycle stamp.
+      if (feeds) cpu.begin_run(slots, va, blk->pa_start);
       // Body entries [0, n-1): straight-line, never guarded.
       // Run by reference — only host code (an HVC handler) can rebuild the
       // block under us, and HVC is a hard terminator, so trace-final.
       for (size_t i = 0; i + 1 < n; ++i, va += 4) {
         const Entry& e = ents[i];
         cpu.pc = va + 4;
-        if (event_sinks && e.may_fault) flush();  // abort events timestamp
+        if (fault_observed && e.may_fault) flush();
         e.fn(cpu, e.inst);
         cyc += cycle_model ? slots[i].cost : 1;
         ++ret;
         ++cpu.op_counts_[static_cast<size_t>(e.inst.op)];
+        if (feeds) ++cpu.run_.n;
         if (++done == cap) {
           out();
           return TraceExit::kReturn;  // exact, never overshoots
@@ -474,19 +485,30 @@ SuperblockEngine::TraceExit SuperblockEngine::run_trace(Cpu& cpu, Trace& t,
       // the trace can run host code (an HVC handler) that could re-enter
       // the engine and rebuild this very block in place. Its handler can
       // also observe the counters (CNTVCT, timer arming, event
-      // timestamps): flush the batch first.
+      // timestamps): flush the batch first, and count the terminator
+      // itself straight into the cpu counters.
       const Entry e = ents[n - 1];
-      const uint8_t cost = slots[n - 1].cost;
+      const obs::RetireSlot slot = slots[n - 1];
+      const bool alone = feeds && e.alone;
+      const uint64_t pa = blk->pa_start + (va - seg.va_start);
+      const uint8_t el0 = static_cast<uint8_t>(cpu.pstate.el);
       cpu.pc = va + 4;
       flush();
+      if (alone) cpu.flush_run();
+      const uint64_t c0 = cpu.cycles_;
       e.fn(cpu, e.inst);
-      cyc += cycle_model ? cost : 1;
-      ++ret;
+      cpu.cycles_ += cycle_model ? slot.cost : 1;
+      ++cpu.instret_;
       ++cpu.op_counts_[static_cast<size_t>(e.inst.op)];
+      if (alone)
+        cpu.retire_one(va, pa, el0, slot.op_class, cpu.cycles_ - c0);
+      else if (feeds)
+        ++cpu.run_.n;
       if (++done == cap) {
         out();
         return TraceExit::kReturn;
       }
+      cpu.flush_run();  // the segment's run ends with its block
       if (si + 1 < nsegs && !cross(si, out)) return TraceExit::kContinue;
     }
     flush();
@@ -495,7 +517,7 @@ SuperblockEngine::TraceExit SuperblockEngine::run_trace(Cpu& cpu, Trace& t,
     // Careful loop: each segment runs through the block dispatcher's
     // per-entry loop as one retire run, with the boundary guard between
     // segments — so traces keep running (and stay testable) with timers,
-    // breakpoints and every observability feed attached.
+    // breakpoints and the per-instruction trace hook.
     const auto left = [&] { finish(consumed - d0); };
     for (size_t si = 0; si < nsegs; ++si) {
       const CarefulExit r =

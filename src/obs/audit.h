@@ -120,7 +120,7 @@ class AuditLog : public AuditSink {
     }
     buf_[head_] = e;
     buf_[head_].machine = machine_id_;
-    head_ = (head_ + 1) % capacity_;
+    if (++head_ == capacity_) head_ = 0;
   }
 
   /// Fleet identity stamped onto every subsequent event.

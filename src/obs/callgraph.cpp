@@ -39,15 +39,22 @@ int CallGraphProfiler::region_name(size_t idx) {
 
 int CallGraphProfiler::child(int node, int name, bool exc) {
   if (nodes_.empty()) nodes_.push_back(Node{});  // root
-  const auto it = nodes_[node].children.find(name);
-  if (it != nodes_[node].children.end()) return it->second;
-  const int id = static_cast<int>(nodes_.size());
-  Node n;
-  n.name = name;
-  n.parent = node;
-  n.exc = exc;
-  nodes_.push_back(std::move(n));
-  nodes_[node].children.emplace(name, id);
+  Node& p = nodes_[node];
+  if (p.memo_name == name) return p.memo_child;
+  int id;
+  if (const auto it = p.children.find(name); it != p.children.end()) {
+    id = it->second;
+  } else {
+    id = static_cast<int>(nodes_.size());
+    p.children.emplace(name, id);
+    Node n;
+    n.name = name;
+    n.parent = node;
+    n.exc = exc;
+    nodes_.push_back(std::move(n));  // invalidates p
+  }
+  nodes_[node].memo_name = name;
+  nodes_[node].memo_child = id;
   return id;
 }
 
@@ -149,23 +156,31 @@ void CallGraphProfiler::retire(uint64_t pc, uint8_t /*el*/,
 void CallGraphProfiler::retire_run(const RetireRun& run) {
   // Within a run the stack only changes when the first record lands on an
   // empty one, after which every instruction of the same region resolves to
-  // that same node — so a group of same-region instructions is one update.
+  // that same node — so a group of same-region instructions is one update,
+  // and a run that starts and ends in one region (regions are contiguous)
+  // is one update with no per-instruction walk at all.
   // Control-flow events can only be pending for the run's last instruction
   // (the engines flush before anything that emits one), so they apply after
   // the whole run, as after its last retire().
-  size_t group = RegionIndex::kNone;
-  uint64_t cycles = 0, retires = 0;
-  run.for_each([&](uint64_t pc, uint8_t /*op_class*/, uint64_t c) {
-    const size_t idx = region_of(pc);
-    if (retires > 0 && idx != group) {
-      attribute(group, cycles, retires);
-      cycles = retires = 0;
-    }
-    group = idx;
-    cycles += c;
-    ++retires;
-  });
-  if (retires > 0) attribute(group, cycles, retires);
+  const size_t first = run.n > 0 ? region_of(run.va) : RegionIndex::kNone;
+  if (first != RegionIndex::kNone &&
+      run.va + 4 * uint64_t{run.n - 1} - hit_start_ < hit_span_) {
+    attribute(first, run.cycles, run.n);
+  } else {
+    size_t group = RegionIndex::kNone;
+    uint64_t cycles = 0, retires = 0;
+    run.for_each([&](uint64_t pc, uint8_t /*op_class*/, uint64_t c) {
+      const size_t idx = region_of(pc);
+      if (retires > 0 && idx != group) {
+        attribute(group, cycles, retires);
+        cycles = retires = 0;
+      }
+      group = idx;
+      cycles += c;
+      ++retires;
+    });
+    if (retires > 0) attribute(group, cycles, retires);
+  }
   apply_pending();
 }
 

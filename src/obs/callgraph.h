@@ -65,9 +65,10 @@ class CallGraphProfiler : public CycleAttributor, public CfSink {
                     uint8_t info) override;
   void retire(uint64_t pc, uint8_t el, uint8_t op_class,
               uint64_t cycles) override;
-  /// Same attribution as retire() per instruction. Consecutive instructions
-  /// in one region land on one node, so a run costs a region-cache compare
-  /// per instruction and one node update per region it touches.
+  /// Same attribution as retire() per instruction. A run that starts and
+  /// ends in the cached region is one node update; any other run costs a
+  /// region-cache compare per instruction and one node update per region
+  /// it touches.
   void retire_run(const RetireRun& run) override;
 
   // Accounting --------------------------------------------------------------
@@ -99,6 +100,10 @@ class CallGraphProfiler : public CycleAttributor, public CfSink {
     bool exc = false; ///< synthetic exception frame (only ExcExit pops it)
     uint64_t cycles = 0;
     uint64_t retires = 0;
+    /// The last child() answer, checked before the map: a frame's hot
+    /// callee (or self-healed leaf) is looked up again and again.
+    int memo_name = -1;
+    int memo_child = -1;
     std::unordered_map<int, int> children;  ///< name id -> node index
   };
 

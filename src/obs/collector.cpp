@@ -146,10 +146,13 @@ void Collector::audit(const AuditEvent& e) {
   audit_log_.audit(e);
   switch (e.kind) {
     case AuditKind::Sign:
-      if (pending_signs_.size() < kMaxPendingSigns ||
-          pending_signs_.count(e.ptr2)) {
-        pending_signs_[e.ptr2] = e.cycles;
-      } else {
+      // One probe: insert (or find) the entry, and take a fresh one back
+      // out when the table was already full.
+      if (const auto [it, fresh] = pending_signs_.try_emplace(e.ptr2, e.cycles);
+          !fresh) {
+        it->second = e.cycles;
+      } else if (pending_signs_.size() > kMaxPendingSigns) {
+        pending_signs_.erase(it);
         reg_.counter("pauth.sign_to_auth.dropped").inc();
       }
       break;
@@ -196,14 +199,28 @@ void Collector::retire(uint64_t pc, uint8_t el, uint8_t op_class,
 }
 
 void Collector::retire_run(const RetireRun& run) {
-  // The per-instruction feeds (flight ring, op classes) walk the run; the
-  // per-EL and per-core counters take its totals.
-  run.for_each([&](uint64_t pc, uint8_t op_class, uint64_t cycles) {
-    flight_.retire(retired_cycles_, pc, op_class, run.el);
-    retired_cycles_ += cycles;
-    if (op_class < static_cast<uint8_t>(OpClass::kCount))
-      ops_[op_class]->inc();
-  });
+  flight_.retire_run(retired_cycles_, run);
+  retired_cycles_ += run.cycles;
+  // Op classes: one 7-bit count per class, packed into a register and
+  // added to ops.* every 127 instructions and at the end of the run.
+  constexpr size_t kClasses = static_cast<size_t>(OpClass::kCount);
+  static_assert(7 * kClasses <= 64);
+  const auto add_ops = [&](uint64_t packed) {
+    for (size_t c = 0; packed != 0; ++c, packed >>= 7)
+      if (const uint64_t k = packed & 127) ops_[c]->inc(k);
+  };
+  uint64_t packed = 0;
+  uint32_t left = 127;
+  for (uint32_t i = 0; i < run.n; ++i) {
+    const uint8_t op = run.slots[i].op_class;
+    if (op < kClasses) packed += uint64_t{1} << (7 * op);
+    if (--left == 0) {
+      add_ops(packed);
+      packed = 0;
+      left = 127;
+    }
+  }
+  add_ops(packed);
   if (run.el < 3) {
     cycles_el_[run.el]->inc(run.cycles);
     insn_el_[run.el]->inc(run.n);

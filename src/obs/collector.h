@@ -49,9 +49,9 @@ struct Options {
   size_t audit_capacity = 8192;  ///< AuditLog capacity (events)
   size_t flight_capacity = 256;  ///< flight-recorder ring (instructions)
   /// Attach the PA-keyed execution coverage map (obs/coverage.h). Off by
-  /// default: the feed costs a map probe per executed straight-line run
-  /// (per retirement on the single-step path), so only coverage consumers
-  /// (bench --cov, security matrix, camo-cov) pay for it.
+  /// default: the feed costs a memoized map probe per executed
+  /// straight-line run (per retirement on the single-step path), so only
+  /// coverage consumers (bench --cov, security matrix, camo-cov) pay for it.
   bool coverage = false;
 };
 

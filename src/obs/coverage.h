@@ -23,6 +23,7 @@
 #include <array>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -59,23 +60,7 @@ class CoverageMap {
   /// instruction retired at (captured before execution, matching the
   /// attribution rule in cpu::CycleAttributor).
   void retire(uint64_t pa, uint64_t va, uint8_t el) {
-    if (el < kEls) ++retired_el_[el];
-    if (open_ && va == last_va_ + 4 && pa == last_pa_ + 4) {
-      last_va_ = va;
-      last_pa_ = pa;
-      ++run_len_;
-      return;
-    }
-    const bool had_prev = open_;
-    const uint64_t prev_start = cur_start_;
-    close_run();
-    if (had_prev) ++edges_[{prev_start, pa}];
-    ++blocks_[pa].hits;
-    open_ = true;
-    cur_start_ = pa;
-    last_va_ = va;
-    last_pa_ = pa;
-    run_len_ = 1;
+    retire_run(pa, va, el, 1);
   }
 
   /// `n` consecutive instructions starting at (pa, va), all at `el`: the
@@ -83,11 +68,22 @@ class CoverageMap {
   /// engines feed one call per executed straight-line run).
   void retire_run(uint64_t pa, uint64_t va, uint8_t el, uint64_t n) {
     if (n == 0) return;
-    retire(pa, va, el);
-    if (el < kEls) retired_el_[el] += n - 1;
-    last_va_ += 4 * (n - 1);
-    last_pa_ += 4 * (n - 1);
-    run_len_ += n - 1;
+    if (el < kEls) retired_el_[el] += n;
+    if (open_ && va == last_va_ + 4 && pa == last_pa_ + 4) {
+      run_len_ += n;
+    } else {
+      if (!memo_) memo_.arm();
+      const bool had_prev = open_;
+      const uint64_t prev_start = cur_start_;
+      close_run();
+      if (had_prev) ++edge(prev_start, pa);
+      ++block(pa).hits;
+      open_ = true;
+      cur_start_ = pa;
+      run_len_ = n;
+    }
+    last_va_ = va + 4 * (n - 1);
+    last_pa_ = pa + 4 * (n - 1);
   }
 
   /// Close the open run and forget continuation state; the next retire()
@@ -136,18 +132,75 @@ class CoverageMap {
 
   void close_run() {
     if (!open_) return;
-    BlockCov& b = blocks_[cur_start_];
+    BlockCov& b = block(cur_start_);
     if (run_len_ > b.max_len) b.max_len = run_len_;
     open_ = false;
     run_len_ = 0;
+  }
+
+  /// Direct-mapped memo of map nodes answering the three lookups of a
+  /// discontinuity (the closing block, the edge, the new block) without a
+  /// tree walk on a hit. std::map nodes never move, so the pointers stay
+  /// valid for as long as the map holds them; nothing erases from the maps.
+  struct Memo {
+    static constexpr unsigned kBits = 10;
+    static constexpr size_t kSlots = size_t{1} << kBits;
+    struct Block {
+      uint64_t pa = 0;
+      BlockCov* node = nullptr;
+    };
+    struct Edge {
+      uint64_t from = 0, to = 0;
+      uint64_t* hits = nullptr;
+    };
+    std::array<Block, kSlots> blocks{};
+    std::array<Edge, kSlots> edges{};
+  };
+  /// Owner of the memo. The first retire() arms it; a copy or a move leaves
+  /// both maps without one, because its pointers name the source's nodes.
+  class MemoPtr {
+   public:
+    MemoPtr() = default;
+    MemoPtr(const MemoPtr&) {}
+    MemoPtr(MemoPtr&& o) noexcept { o.p_.reset(); }
+    MemoPtr& operator=(const MemoPtr&) {
+      p_.reset();
+      return *this;
+    }
+    MemoPtr& operator=(MemoPtr&& o) noexcept {
+      p_.reset();
+      o.p_.reset();
+      return *this;
+    }
+    void arm() { p_ = std::make_unique<Memo>(); }
+    explicit operator bool() const { return p_ != nullptr; }
+    Memo* operator->() const { return p_.get(); }
+
+   private:
+    std::unique_ptr<Memo> p_;
+  };
+
+  BlockCov& block(uint64_t pa) {
+    if (!memo_) return blocks_[pa];
+    Memo::Block& m = memo_->blocks[(pa >> 2) & (Memo::kSlots - 1)];
+    if (m.node == nullptr || m.pa != pa) m = {pa, &blocks_[pa]};
+    return *m.node;
+  }
+  uint64_t& edge(uint64_t from, uint64_t to) {
+    constexpr uint64_t kMix = 0x9E3779B97F4A7C15ull;  // Fibonacci hashing
+    Memo::Edge& m = memo_->edges[((from ^ (to * kMix)) * kMix) >>
+                                 (64 - Memo::kBits)];
+    if (m.hits == nullptr || m.from != from || m.to != to)
+      m = {from, to, &edges_[{from, to}]};
+    return *m.hits;
   }
 
   std::map<uint64_t, BlockCov> blocks_;
   std::map<std::pair<uint64_t, uint64_t>, uint64_t> edges_;
   std::vector<CovRegion> regions_;
   std::array<uint64_t, kEls> retired_el_{};
-  // Open-run state. No pointers into the maps are cached, so the default
-  // copy/move semantics stay correct.
+  MemoPtr memo_;
+  // Open-run state.
   bool open_ = false;
   uint64_t cur_start_ = 0;
   uint64_t last_va_ = 0;

@@ -1,5 +1,6 @@
 #include "obs/flight.h"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <limits>
@@ -8,6 +9,75 @@
 #include "support/format.h"
 
 namespace camo::obs {
+
+void FlightRecorder::push(uint64_t c0, uint64_t pc, uint32_t n, uint8_t el,
+                          const RetireSlot* slots, bool unit_cost) {
+  Run& r = runs_[head_];
+  if (++head_ == capacity_) head_ = 0;
+  if (filled_ < capacity_) ++filled_;
+  r.c0 = c0;
+  r.pc = pc;
+  r.n = n;
+  r.el = el;
+  // n <= capacity_, half the slot ring: at most one wrap.
+  const size_t first = std::min<size_t>(n, slots_.size() - slot_head_);
+  RetireSlot* const dst = slots_.data();
+  if (unit_cost) {
+    for (size_t i = 0; i < n; ++i)
+      dst[i < first ? slot_head_ + i : i - first] = {1, slots[i].op_class};
+  } else {
+    std::copy_n(slots, first, dst + slot_head_);
+    std::copy_n(slots + first, n - first, dst);
+  }
+  slot_head_ += n;
+  if (slot_head_ >= slots_.size()) slot_head_ -= slots_.size();
+}
+
+void FlightRecorder::retire_run(uint64_t c0, const RetireRun& run) {
+  if (run.n == 0) return;
+  uint64_t pc = run.va;
+  uint32_t n = run.n;
+  const RetireSlot* slots = run.slots;
+  if (n > capacity_) {
+    // Only the last capacity instructions can ever be rebuilt: keep those,
+    // stamped from the cost of the ones dropped before them.
+    const uint32_t skip = n - static_cast<uint32_t>(capacity_);
+    for (uint32_t i = 0; i < skip; ++i) c0 += run.cost(i);
+    pc += 4 * uint64_t{skip};
+    n -= skip;
+    slots += skip;
+  }
+  push(c0, pc, n, run.el, slots, run.unit_cost);
+}
+
+std::vector<FlightInsn> FlightRecorder::live_ring() const {
+  // Newest runs first, until they cover the window: `runs` records holding
+  // `insns` instructions, fewer than 2 * capacity_ (the last one added held
+  // at most capacity_), so all their slots are still in the slot ring.
+  const auto newest = [&](size_t k) -> const Run& {  // k = 0: the last one
+    return runs_[(head_ + capacity_ - 1 - k) % capacity_];
+  };
+  size_t runs = 0, insns = 0;
+  while (runs < filled_ && insns < capacity_) insns += newest(runs++).n;
+  size_t skip = insns > capacity_ ? insns - capacity_ : 0;
+  size_t sp = (slot_head_ + slots_.size() - insns) % slots_.size();
+  std::vector<FlightInsn> out;
+  out.reserve(insns - skip);
+  while (runs > 0) {
+    const Run& r = newest(--runs);
+    uint64_t c = r.c0;
+    for (uint32_t i = 0; i < r.n; ++i) {
+      const RetireSlot s = slots_[sp];
+      if (++sp == slots_.size()) sp = 0;
+      if (skip > 0)
+        --skip;
+      else
+        out.push_back({c, r.pc + 4 * uint64_t{i}, s.op_class, r.el});
+      c += s.cost;
+    }
+  }
+  return out;
+}
 
 std::optional<uint64_t> parse_hex_u64(const json::Value& v) {
   if (v.is_number()) {

@@ -1,15 +1,16 @@
 // Crash flight recorder (DESIGN.md §3f).
 //
-// A black-box for the simulated machine: a fixed-size ring of the last N
-// retired instructions (pc, op-class, cycle, EL) that is always armed while
-// observability is on, plus a machine-state snapshot (general registers,
-// key banks with provenance, MMU fetch epoch, pending-exception syndrome)
-// captured automatically the first time a protection violation or attack
-// detection is observed. The capture is exportable as a self-contained
-// `camo-flight/v1` JSON bundle that embeds the scenario (attack name,
-// protection config, seed), the trigger event, the instruction ring, the
-// snapshot, the audit stream and its causal chain — everything camo-audit
-// needs to pretty-print the failure and re-execute it on a fresh Machine.
+// A black-box for the simulated machine: the last N retired instructions
+// (pc, op-class, cycle, EL), always armed while observability is on and kept
+// as a ring of retire-run records they are rebuilt from, plus a
+// machine-state snapshot (general registers, key banks with provenance, MMU
+// fetch epoch, pending-exception syndrome) captured automatically the first
+// time a protection violation or attack detection is observed. The capture
+// is exportable as a self-contained `camo-flight/v1` JSON bundle that embeds
+// the scenario (attack name, protection config, seed), the trigger event,
+// the instruction ring, the snapshot, the audit stream and its causal chain
+// — everything camo-audit needs to pretty-print the failure and re-execute
+// it on a fresh Machine.
 //
 // Determinism: every field is guest-deterministic (no host clocks), and all
 // 64-bit payloads are serialized as hex strings (JSON doubles lose pointer
@@ -75,20 +76,20 @@ class FlightRecorder {
   using StateProvider = std::function<void(FlightSnapshot&)>;
 
   explicit FlightRecorder(size_t capacity = 256)
-      : capacity_(capacity == 0 ? 1 : capacity) {
-    buf_.reserve(capacity_ < 1024 ? capacity_ : 1024);
-  }
+      : capacity_(capacity == 0 ? 1 : capacity),
+        runs_(capacity_),
+        slots_(2 * capacity_) {}
 
   void set_state_provider(StateProvider p) { provider_ = std::move(p); }
 
-  /// Ring push — called per retired instruction; must stay cheap.
+  /// Record a whole retire run whose first instruction starts at cycle
+  /// `c0`: one run record and a copy of (at most capacity) slot bytes, so
+  /// the cost is per run, not per instruction.
+  void retire_run(uint64_t c0, const RetireRun& run);
+  /// The single-step path's record: a run of one.
   void retire(uint64_t cycles, uint64_t pc, uint8_t op, uint8_t el) {
-    if (buf_.size() < capacity_) {
-      buf_.push_back({cycles, pc, op, el});
-      return;
-    }
-    buf_[head_] = {cycles, pc, op, el};
-    if (++head_ == capacity_) head_ = 0;
+    const RetireSlot slot{1, op};
+    push(cycles, pc, 1, el, &slot, false);
   }
 
   /// Capture on the first violation; later triggers only bump the counter
@@ -99,10 +100,7 @@ class FlightRecorder {
     if (captured_) return;
     captured_ = true;
     trigger_ = e;
-    ring_.clear();
-    ring_.reserve(buf_.size());
-    for (size_t i = 0; i < buf_.size(); ++i)
-      ring_.push_back(buf_[(head_ + i) % buf_.size()]);
+    ring_ = live_ring();
     if (provider_) provider_(state_);
   }
 
@@ -113,20 +111,16 @@ class FlightRecorder {
   /// Instruction ring frozen at capture time, oldest first.
   const std::vector<FlightInsn>& ring() const { return ring_; }
 
-  /// Copy of the live (un-triggered) ring, oldest first. The divergence
+  /// The last `capacity` retired instructions (fewer before the ring
+  /// fills), oldest first, rebuilt from the run records. The divergence
   /// bisector uses this to export last-K retirements without a trigger.
-  std::vector<FlightInsn> live_ring() const {
-    std::vector<FlightInsn> out;
-    out.reserve(buf_.size());
-    for (size_t i = 0; i < buf_.size(); ++i)
-      out.push_back(buf_[(head_ + i) % buf_.size()]);
-    return out;
-  }
+  std::vector<FlightInsn> live_ring() const;
 
   void clear() {
-    buf_.clear();
     ring_.clear();
     head_ = 0;
+    filled_ = 0;
+    slot_head_ = 0;
     triggers_ = 0;
     captured_ = false;
     trigger_ = TraceEvent{};
@@ -134,13 +128,35 @@ class FlightRecorder {
   }
 
  private:
+  /// One retired run: instruction i sits at pc + 4i and retired at c0 plus
+  /// the costs of instructions 0..i-1, read from its slot bytes.
+  struct Run {
+    uint64_t c0 = 0;
+    uint64_t pc = 0;
+    uint32_t n = 0;  ///< <= capacity_
+    uint8_t el = 0;
+  };
+
+  /// Append a run record and copy its `n` slots, with every cost read as 1
+  /// when `unit_cost` (the cycle model is off).
+  void push(uint64_t c0, uint64_t pc, uint32_t n, uint8_t el,
+            const RetireSlot* slots, bool unit_cost);
+
   size_t capacity_;
-  size_t head_ = 0;
   bool captured_ = false;
   uint64_t triggers_ = 0;
   TraceEvent trigger_{};
   FlightSnapshot state_{};
-  std::vector<FlightInsn> buf_;   ///< live ring
+  /// The last `capacity` runs: enough to cover the last `capacity`
+  /// instructions, since every run holds at least one.
+  std::vector<Run> runs_;
+  size_t head_ = 0;    ///< where the next run record goes
+  size_t filled_ = 0;  ///< records held, up to capacity_
+  /// The runs' slot bytes, back to back. Twice the capacity, so the oldest
+  /// run still needed (at most capacity long, ending inside the window)
+  /// keeps the slots before the window that fix its cycle stamps.
+  std::vector<RetireSlot> slots_;
+  size_t slot_head_ = 0;  ///< where the next run's slots go
   std::vector<FlightInsn> ring_;  ///< frozen copy at capture
   StateProvider provider_;
 };

@@ -26,7 +26,7 @@ class TraceRing : public TraceSink {
       return;
     }
     buf_[head_] = e;
-    head_ = (head_ + 1) % capacity_;
+    if (++head_ == capacity_) head_ = 0;
   }
 
   size_t capacity() const { return capacity_; }

@@ -9,7 +9,10 @@
 // the pending run must be flushed before an observer runs.
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "assembler/builder.h"
@@ -18,6 +21,7 @@
 #include "obs/collector.h"
 #include "obs/coverage.h"
 #include "obs/flight.h"
+#include "obs/json.h"
 
 namespace camo {
 namespace {
@@ -87,6 +91,132 @@ TEST(RetireFeed, CoverageRunEqualsPerInstructionRetires) {
   EXPECT_EQ(obs::cov_bundle_json(batched, "t", 1),
             obs::cov_bundle_json(stepped, "t", 1));
   EXPECT_EQ(batched.retired_total(), stepped.retired_total());
+}
+
+/// One step of a coverage stream: a run of n instructions at pa.
+struct CovRun {
+  uint64_t pa;
+  uint8_t el;
+  uint64_t n;
+};
+
+void feed(obs::CoverageMap& m, const std::vector<CovRun>& s, size_t from,
+          size_t to) {
+  for (size_t i = from; i < to; ++i)
+    m.retire_run(s[i].pa, s[i].pa + 0x40000000, s[i].el, s[i].n);
+}
+
+std::string cov_bytes(const obs::CoverageMap& m) {
+  return obs::cov_bundle_json(m, "t", 1);
+}
+
+/// A seeded stream over block starts that collide in the lookup memo
+/// (starts 4 KiB apart share a slot), with loops back to earlier starts,
+/// fall-through continuations and runs split in two mid-block.
+std::vector<CovRun> memo_stream(uint32_t seed) {
+  std::mt19937 rng(seed);
+  std::vector<uint64_t> starts;
+  for (uint64_t i = 0; i < 24; ++i)
+    starts.push_back(0x40000 + (i % 6) * 0x1000 + (i / 6) * 0x40);
+  std::vector<CovRun> s;
+  while (s.size() < 400) {
+    const uint64_t pa = starts[rng() % starts.size()];
+    const uint8_t el = static_cast<uint8_t>(rng() % 3);
+    const uint64_t n = 1 + rng() % 12;
+    if (rng() % 4 == 0 && n > 1) {  // one block delivered as two runs
+      s.push_back({pa, el, n / 2});
+      s.push_back({pa + 4 * (n / 2), el, n - n / 2});
+    } else {
+      s.push_back({pa, el, n});
+    }
+  }
+  return s;
+}
+
+/// From `start`, copying, copy-assigning, moving and snapshotting the map
+/// at several points of `s` (mid-run included) leaves a map that, fed the
+/// rest of the stream, equals the one fed `s` uninterrupted.
+void expect_interruptions_invisible(const obs::CoverageMap& start,
+                                    const std::vector<CovRun>& s) {
+  obs::CoverageMap whole = start;
+  feed(whole, s, 0, s.size());
+  const std::string want = cov_bytes(whole);
+  for (const size_t k : {size_t{1}, size_t{37}, s.size() / 2, s.size() - 1}) {
+    SCOPED_TRACE(k);
+    obs::CoverageMap a = start;
+    feed(a, s, 0, k);
+    obs::CoverageMap prefix = start;  // what a snapshot at k must hold
+    feed(prefix, s, 0, k);
+
+    obs::CoverageMap copied(a);
+    obs::CoverageMap assigned;  // with a memo of its own, over other nodes
+    feed(assigned, s, k, s.size());
+    assigned = a;
+    const obs::CoverageMap snap = a.snapshot();
+    EXPECT_EQ(cov_bytes(snap), cov_bytes(prefix));
+
+    feed(copied, s, k, s.size());
+    feed(assigned, s, k, s.size());
+    EXPECT_EQ(cov_bytes(copied), want);
+    EXPECT_EQ(cov_bytes(assigned), want);
+
+    obs::CoverageMap moved(std::move(a));
+    feed(moved, s, k, s.size());
+    EXPECT_EQ(cov_bytes(moved), want);
+    a = start;  // the moved-from map is reusable
+    feed(a, s, 0, s.size());
+    EXPECT_EQ(cov_bytes(a), want);
+
+    obs::CoverageMap move_assigned;
+    feed(move_assigned, s, 0, k);
+    obs::CoverageMap donor = prefix;
+    move_assigned = std::move(donor);
+    feed(move_assigned, s, k, s.size());
+    EXPECT_EQ(cov_bytes(move_assigned), want);
+  }
+}
+
+TEST(RetireFeed, CoverageLookupCacheSurvivesCopyMoveAndMerge) {
+  const std::vector<CovRun> s = memo_stream(7);
+  {
+    SCOPED_TRACE("fresh map");
+    expect_interruptions_invisible(obs::CoverageMap{}, s);
+  }
+  // A map whose memo is armed, then merged into: the merge adds nodes (and
+  // bumps existing ones) behind the memo's back, which must stay valid.
+  const std::vector<CovRun> other = memo_stream(8);
+  obs::CoverageMap donor;
+  feed(donor, other, 0, other.size());
+  obs::CoverageMap merged;
+  feed(merged, s, 0, 100);
+  merged.merge_from(donor.snapshot());
+  {
+    SCOPED_TRACE("after merge_from");
+    // The reference builds the same contents with no memo history.
+    obs::CoverageMap ref;
+    obs::CoverageMap head;
+    feed(head, s, 0, 100);
+    ref.merge_from(head.snapshot());
+    ref.merge_from(donor.snapshot());
+    feed(ref, s, 0, s.size());
+    obs::CoverageMap cur = merged;
+    feed(merged, s, 0, s.size());
+    EXPECT_EQ(cov_bytes(merged), cov_bytes(ref));
+    expect_interruptions_invisible(cur, s);
+  }
+  {
+    SCOPED_TRACE("after cov_bundle_from_json");
+    obs::CovBundle b;
+    const auto doc = obs::json::Value::parse(cov_bytes(donor));
+    ASSERT_TRUE(doc.has_value());
+    ASSERT_TRUE(obs::cov_bundle_from_json(*doc, &b));
+    expect_interruptions_invisible(b.map, s);
+    obs::CoverageMap ref;
+    ref.merge_from(donor.snapshot());
+    feed(ref, s, 0, s.size());
+    feed(b.map, s, 0, s.size());
+    EXPECT_EQ(cov_bytes(b.map), cov_bytes(ref));
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -218,6 +348,82 @@ TEST(RetireFeed, UnitCostRunChargesOnePerInstruction) {
   EXPECT_EQ(batched.folded(), "f 2\nf;g 18\n");
 }
 
+TEST(RetireFeed, CallGraphWholeRunFastPath) {
+  // A run that starts and ends in the cached region is attributed in one
+  // step; every other run takes the per-instruction grouping. Both must
+  // match retire() per instruction, in folded and flat output alike.
+  constexpr uint64_t kH = 0x10030;  ///< region "h": [kH, kH + 0x10)
+  CallGraphProfiler batched, stepped;
+  const auto both = [&](auto&& f) {
+    f(batched);
+    f(stepped);
+  };
+  const auto run = [&](const RetireRun& r) {
+    batched.retire_run(r);
+    feed_stepped(stepped, r);
+    expect_same(batched, stepped);
+  };
+  const std::vector<RetireSlot> two = {{1, 0}, {3, 4}};
+  const std::vector<RetireSlot> four = {{1, 0}, {2, 5}, {1, 0}, {1, 1}};
+  both([](CallGraphProfiler& cg) { cg.add_region("f", kF, kF + 0x10); });
+  {
+    SCOPED_TRACE("empty stack, first run after add_region");
+    run(make_run(kF, two, 1));
+  }
+  {
+    SCOPED_TRACE("inside the cached region");
+    run(make_run(kF + 4, two, 1, /*extra=*/12));
+  }
+  {
+    SCOPED_TRACE("last instruction outside every region");
+    run(make_run(kF + 8, four, 1));
+  }
+  {
+    SCOPED_TRACE("first instruction outside, last in the cached region");
+    run(make_run(kF + 4, two, 1));
+    run(make_run(kF - 8, four, 1));
+  }
+  both([](CallGraphProfiler& cg) { cg.add_region("g", kG, kG + 0x20); });
+  {
+    SCOPED_TRACE("first run after a later add_region");
+    run(make_run(kG, four, 1));
+  }
+  {
+    SCOPED_TRACE("last instruction crosses into the next region");
+    run(make_run(kF + 8, four, 1));
+  }
+  both([](CallGraphProfiler& cg) { cg.add_region("h", kH, kH + 0x10); });
+  // f's child g is its memoized child; a call gives f a second child h
+  // between two attributions to g.
+  {
+    SCOPED_TRACE("node gains a second child between attributions");
+    run(make_run(kG + 4, two, 1));  // f;g
+    both([](CallGraphProfiler& cg) {
+      cg.control_flow(obs::CfKind::Call, kF + 8, kH, 0);
+      cg.retire(kF + 8, 1, 2, 1);  // the BL, in f: pushes f;h
+    });
+    run(make_run(kH, two, 1));  // f;h
+    both([](CallGraphProfiler& cg) {
+      cg.control_flow(obs::CfKind::Ret, kH + 8, kG + 8, 0);
+      cg.retire(kH + 8, 1, 3, 1);
+    });
+    run(make_run(kG + 8, four, 1));  // f;g again, past f's memo of h
+    run(make_run(kF - 8, four, 1));  // f;[other], past f's memo of g
+  }
+  {
+    SCOPED_TRACE("run on an emptied stack");
+    both([](CallGraphProfiler& cg) {
+      cg.control_flow(obs::CfKind::Ret, kG + 12, kH, 0);
+      cg.retire(kG + 12, 1, 3, 1);
+    });
+    EXPECT_EQ(batched.depth(), 0u);
+    run(make_run(kH, four, 1));
+  }
+  // Both sides share child(), so pin the tree itself too.
+  EXPECT_EQ(batched.folded(),
+            "f 35\nf;[other] 8\nf;g 17\nf;h 5\nh 5\n");
+}
+
 // ---------------------------------------------------------------------------
 // Collector: counters, flight ring and both profiles.
 
@@ -231,9 +437,12 @@ TEST(RetireFeed, CollectorRunEqualsPerInstructionRetires) {
     add_regions(c->callgraph());
   }
   const std::vector<RetireSlot> longer(20, RetireSlot{2, 4});
+  // More instructions of one class than a packed 7-bit op-class count holds.
+  const std::vector<RetireSlot> longest(300, RetireSlot{1, 4});
   const RetireRun runs[] = {make_run(kF, kMixed, 1),
                             make_run(kG, longer, 0, 12),
-                            make_run(kF + 4, kMixed, 2)};
+                            make_run(kF + 4, kMixed, 2),
+                            make_run(kG, longest, 1)};
   unsigned cpu = 0;
   for (const RetireRun& r : runs) {
     batched.set_active_cpu(cpu);
@@ -253,6 +462,106 @@ TEST(RetireFeed, CollectorRunEqualsPerInstructionRetires) {
     return s;
   };
   EXPECT_EQ(ring(batched), ring(stepped));
+}
+
+// ---------------------------------------------------------------------------
+// FlightRecorder: run records against a per-instruction reference ring.
+
+std::string ring_text(const std::vector<obs::FlightInsn>& ring) {
+  std::string s;
+  for (const obs::FlightInsn& f : ring)
+    s += std::to_string(f.cycles) + ":" + std::to_string(f.pc) + ":" +
+         std::to_string(f.op) + ":" + std::to_string(f.el) + "\n";
+  return s;
+}
+
+/// The last `cap` instructions, pushed one at a time.
+struct ReferenceRing {
+  size_t cap;
+  std::deque<obs::FlightInsn> q;
+  void push(const obs::FlightInsn& f) {
+    q.push_back(f);
+    if (q.size() > cap) q.pop_front();
+  }
+  std::vector<obs::FlightInsn> get() const { return {q.begin(), q.end()}; }
+};
+
+TEST(RetireFeed, FlightRingFromRunRecords) {
+  for (const size_t cap : {size_t{1}, size_t{3}, size_t{256}}) {
+    for (const bool unit : {false, true}) {
+      SCOPED_TRACE(std::to_string(cap) + (unit ? " unit-cost" : " cost"));
+      std::mt19937 rng(static_cast<uint32_t>(cap * 2 + unit));
+      obs::FlightRecorder rec(cap);
+      ReferenceRing ref{cap, {}};
+      uint64_t cycles = 0;
+      std::vector<RetireSlot> slots;
+      // One random record: a run of 1 to 3 * cap instructions (sometimes
+      // absorbing an exception-entry cost), or a single-step retire().
+      const auto record = [&] {
+        const uint64_t pc = 0x80000 + 4 * (rng() % 4096);
+        const uint8_t el = static_cast<uint8_t>(rng() % 3);
+        if (rng() % 5 == 0) {
+          const uint8_t op = static_cast<uint8_t>(rng() % 9);
+          const uint64_t c = 1 + rng() % 20;
+          rec.retire(cycles, pc, op, el);
+          ref.push({cycles, pc, op, el});
+          cycles += c;
+          return;
+        }
+        slots.assign(1 + rng() % (3 * cap), RetireSlot{});
+        for (RetireSlot& sl : slots)
+          sl = {static_cast<uint8_t>(1 + rng() % 8),
+                static_cast<uint8_t>(rng() % 9)};
+        RetireRun r = make_run(pc, slots, el, rng() % 2 ? 12 : 0);
+        r.unit_cost = unit;
+        if (unit) r.cycles = r.n + (rng() % 2 ? 12 : 0);
+        rec.retire_run(cycles, r);
+        uint64_t c = cycles;
+        for (uint32_t i = 0; i < r.n; ++i) {
+          ref.push({c, pc + 4 * uint64_t{i}, slots[i].op_class, el});
+          c += r.cost(i);
+        }
+        cycles += r.cycles;
+        // The recorder must own copies: clobber the caller's slots.
+        for (RetireSlot& sl : slots) sl = {0xEE, 0xEE};
+      };
+
+      // A ring that never fills.
+      rec.retire(cycles, 0x1000, 2, 1);
+      ref.push({cycles, 0x1000, 2, 1});
+      cycles += 3;
+      if (cap > 1) {
+        EXPECT_EQ(rec.live_ring().size(), 1u);
+      }
+      EXPECT_EQ(ring_text(rec.live_ring()), ring_text(ref.get()));
+
+      std::string frozen;
+      for (int i = 0; i < 120; ++i) {
+        record();
+        ASSERT_EQ(ring_text(rec.live_ring()), ring_text(ref.get()))
+            << "record " << i;
+        if (i == 60) {  // trigger mid-stream freezes the window
+          obs::TraceEvent e;
+          e.kind = obs::EventKind::AuthFail;
+          rec.trigger(e);
+          frozen = ring_text(ref.get());
+        }
+      }
+      EXPECT_TRUE(rec.captured());
+      EXPECT_EQ(ring_text(rec.ring()), frozen);
+
+      // clear() and reuse: the old stream leaves nothing behind.
+      rec.clear();
+      ref.q.clear();
+      EXPECT_TRUE(rec.live_ring().empty());
+      EXPECT_FALSE(rec.captured());
+      for (int i = 0; i < 40; ++i) {
+        record();
+        ASSERT_EQ(ring_text(rec.live_ring()), ring_text(ref.get()))
+            << "after clear, record " << i;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
