@@ -734,5 +734,171 @@ TEST(RetireFeed, EnginesAgreeWhenAnAuthFailAtATerminatorFreezesTheRing) {
   expect_engines_agree(/*stage2=*/false);
 }
 
+
+// ---------------------------------------------------------------------------
+// Golden digests: the parity tests above compare engines against the
+// single-step oracle, so a change to the oracle's own feed (coverage fed on
+// an IRQ-only step, a record moved to another pc) would pass them. This
+// guest meets every shape the single-step path and the engines deliver —
+// timer IRQs taken between any two instructions, instruction-fetch aborts
+// (an unmapped and a misaligned BLR target), a DataAbort inside a block
+// body, a failing AUTIA at a terminator and the alone terminators around
+// them — and pins an FNV-1a digest of every export on all four tiers.
+
+uint64_t fnv1a(const std::string& s) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (const unsigned char c : s) {
+    h ^= c;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+EngineExports run_golden(cpu::Engine engine) {
+  cpu::Cpu::Config cfg;
+  cfg.engine = engine;
+  testing::SimHarness sim(cfg);
+
+  const uint64_t leaf_va = testing::kHText + 0x400;
+  FunctionBuilder main_fn("main");
+  {
+    const auto loop = main_fn.make_label();
+    const auto keep_ptr = main_fn.make_label();
+    const auto keep_mod = main_fn.make_label();
+    const auto no_fetch_fault = main_fn.make_label();
+    const auto aligned = main_fn.make_label();
+    main_fn.mov_imm(19, 48);  // iterations
+    main_fn.mov_imm(4, 0x77);
+    main_fn.mov_imm(5, testing::kHData);
+    main_fn.mov_imm(12, 0);
+    main_fn.bind(loop);
+    main_fn.sub_i(19, 19, 1);
+    main_fn.sub_i(11, 19, 30);
+    main_fn.cbnz(11, keep_ptr);
+    main_fn.mov_imm(5, kUnmapped);  // from here on the leaf's load aborts
+    main_fn.bind(keep_ptr);
+    main_fn.sub_i(11, 19, 12);
+    main_fn.cbnz(11, keep_mod);
+    main_fn.mov_imm(12, uint64_t{1} << 50);  // ...and its AUTIA fails
+    main_fn.bind(keep_mod);
+    // Every eighth iteration calls into unmapped text; the one after it
+    // calls a misaligned address. Both fetches abort.
+    main_fn.and_i(11, 19, 7);
+    main_fn.cbnz(11, no_fetch_fault);
+    main_fn.mov_imm(9, kUnmapped + 0x40);
+    main_fn.blr(9);
+    main_fn.bind(no_fetch_fault);
+    main_fn.sub_i(11, 11, 1);
+    main_fn.cbnz(11, aligned);
+    main_fn.mov_imm(9, leaf_va + 2);
+    main_fn.blr(9);
+    main_fn.bind(aligned);
+    main_fn.mov_imm(9, leaf_va);
+    main_fn.blr(9);
+    main_fn.cbnz(19, loop);
+    main_fn.hlt(1);
+  }
+  FunctionBuilder leaf("leaf");
+  {
+    const auto spin = leaf.make_label();
+    leaf.mov_imm(3, 5);
+    leaf.bind(spin);
+    leaf.add_i(7, 7, 1);
+    leaf.sub_i(3, 3, 1);
+    leaf.cbnz(3, spin);
+    leaf.ldr(6, 5, 0);  // DataAbort mid-body once x5 is unmapped
+    leaf.add_i(7, 7, 1);
+    leaf.mov_imm(8, 0x1234);
+    leaf.pacia(8, 4);
+    leaf.eor(8, 8, 12);
+    leaf.autia(8, 4);
+    leaf.add_i(7, 7, 1);
+    leaf.ret();
+  }
+  // EL1 sync vector: a fetch abort (FAR == ELR) returns to the caller,
+  // anything else steps over the faulting instruction.
+  FunctionBuilder sync("sync");
+  {
+    const auto fetch = sync.make_label();
+    sync.mrs(10, isa::SysReg::ELR_EL1);
+    sync.mrs(13, isa::SysReg::FAR_EL1);
+    sync.cmp(10, 13);
+    sync.b_cond(isa::Cond::EQ, fetch);
+    sync.add_i(10, 10, 4);
+    sync.msr(isa::SysReg::ELR_EL1, 10);
+    sync.eret();
+    sync.bind(fetch);
+    sync.msr(isa::SysReg::ELR_EL1, 30);
+    sync.eret();
+  }
+  FunctionBuilder irq("irq");
+  irq.add_i(20, 20, 1);
+  irq.eret();
+
+  sim.write_words(testing::kHText, main_fn.assemble().words);
+  sim.write_words(leaf_va, leaf.assemble().words);
+  sim.write_words(testing::kHVbar + cpu::Cpu::kVecSyncEl1,
+                  sync.assemble().words);
+  sim.write_words(testing::kHVbar + cpu::Cpu::kVecIrqEl1,
+                  irq.assemble().words);
+
+  obs::Options opts;
+  opts.enabled = true;
+  opts.coverage = true;
+  obs::Collector c(opts);
+  c.callgraph().add_region("main", testing::kHText, leaf_va);
+  c.callgraph().add_region("leaf", leaf_va, leaf_va + 0x100);
+  c.callgraph().add_region("vectors", testing::kHVbar,
+                           testing::kHVbar + 0x800);
+  sim.core.set_trace_sink(&c);
+  sim.core.set_cycle_attributor(&c);
+  sim.core.set_cf_sink(&c);
+  sim.core.set_audit_sink(&c);
+  sim.core.set_coverage(&c.coverage());
+  sim.core.pstate.irq_masked = false;
+  sim.core.set_timer_period(53);
+  sim.core.pc = testing::kHText;
+  sim.core.run(200000);
+
+  EngineExports e;
+  e.folded = c.folded_profile();
+  e.flat = c.flat_profile();
+  e.metrics = c.metrics_json();
+  e.chrome = c.chrome_trace_json();
+  e.flight = obs::flight_bundle_json(c.flight(), c.audit_log().snapshot(),
+                                     "retire-golden", "test", 1);
+  e.coverage = obs::cov_bundle_json(c.coverage(), "retire-golden", 1);
+  e.cycles = sim.core.cycles();
+  e.retired = sim.core.retired();
+  e.halt = sim.core.halted() ? sim.core.halt_code() : ~uint64_t{0};
+  e.trace_hits = sim.core.superblock_stats().trace_hits;
+  if (c.flight().captured()) e.trigger = c.flight().trigger_event().kind;
+  return e;
+}
+
+TEST(RetireFeed, GoldenExportDigestsOnEveryTier) {
+  for (const cpu::Engine engine : {cpu::Engine::Reference, cpu::Engine::Fast,
+                                   cpu::Engine::Block, cpu::Engine::Trace}) {
+    SCOPED_TRACE(cpu::engine_name(engine));
+    const EngineExports e = run_golden(engine);
+    ASSERT_EQ(e.halt, 1u);
+    EXPECT_EQ(e.trigger, obs::EventKind::AuthFail);
+    for (const char* key : {"\"exc.irq\"", "\"exc.insn-abort\"",
+                            "\"exc.data-abort\"", "\"pauth.auth.fail\""})
+      EXPECT_NE(e.metrics.find(key), std::string::npos) << key;
+    if (engine == cpu::Engine::Trace) {
+      EXPECT_GT(e.trace_hits, 0u);
+    }
+    EXPECT_EQ(e.cycles, uint64_t{6739});
+    EXPECT_EQ(e.retired, uint64_t{2417});
+    EXPECT_EQ(fnv1a(e.folded), 0x236cb2a966c398e1ull);
+    EXPECT_EQ(fnv1a(e.flat), 0x0649b0dda3dbaa17ull);
+    EXPECT_EQ(fnv1a(e.metrics), 0x1dca2b21b3d8747cull);
+    EXPECT_EQ(fnv1a(e.chrome), 0xb5eaf21979bf5161ull);
+    EXPECT_EQ(fnv1a(e.flight), 0x8bea41e087c7b16full);
+    EXPECT_EQ(fnv1a(e.coverage), 0x6d0437123758d396ull);
+  }
+}
+
 }  // namespace
 }  // namespace camo
