@@ -500,7 +500,7 @@ uint64_t Cpu::do_pac(uint64_t ptr, uint64_t modifier, PacKey k) {
   return signed_ptr;
 }
 
-uint64_t Cpu::do_aut(uint64_t ptr, uint64_t modifier, PacKey k, Op op,
+uint64_t Cpu::do_aut(uint64_t ptr, uint64_t modifier, PacKey k,
                      bool& fault_taken) {
   fault_taken = false;
   if (!pauth_enabled(k)) return ptr;
@@ -532,13 +532,10 @@ uint64_t Cpu::do_aut(uint64_t ptr, uint64_t modifier, PacKey k, Op op,
     a.cpu = static_cast<uint8_t>(cpu_id_);
     audit_->audit(a);
   }
-  if (!r.ok) {
-    if (pac_observer_) pac_observer_(*this, op, ptr);
-    if (cfg_.fpac) {
-      take_exception(ExcClass::PacFail, ptr, 0, FaultKind::None, pc - 4);
-      fault_taken = true;
-      return ptr;
-    }
+  if (!r.ok && cfg_.fpac) {
+    take_exception(ExcClass::PacFail, ptr, 0, FaultKind::None, pc - 4);
+    fault_taken = true;
+    return ptr;
   }
   return r.ptr;
 }
@@ -570,9 +567,7 @@ void Cpu::deliver_run() {
   r.cycles = cycles_ - run_.c0;
   r.n = run_.n;
   r.el = run_.el;
-  r.unit_cost = !cfg_.enable_cycle_model;
-  if (attr_ != nullptr) attr_->retire_run(r);
-  if (cov_ != nullptr) cov_->retire_run(r.pa, r.va, r.el, r.n);
+  deliver(r);
   // The rest of the run (if the block goes on) starts after these.
   run_.slots += run_.n;
   run_.va += 4 * uint64_t{run_.n};
@@ -582,22 +577,25 @@ void Cpu::deliver_run() {
 }
 
 bool Cpu::step() {
-  if (!attr_) return step_impl();
-  // Attribute the whole step's cycle delta (instruction cost plus any
-  // exception-entry cost) to the pc/EL the step started at, so the sum over
-  // all retire() calls reproduces cycles() exactly.
-  const uint64_t pc0 = pc;
-  const uint8_t el0 = static_cast<uint8_t>(pstate.el);
+  if (attr_ == nullptr && cov_ == nullptr) return step_impl(nullptr, nullptr);
+  // A run of one carrying the whole step's cycle delta (instruction cost
+  // plus any exception-entry cost), so the feed sums to cycles() exactly. A
+  // step that only took an exception keeps the pre-step pc/EL and op class
+  // Other, and feeds coverage nothing.
+  obs::RetireSlot slot;  // op class Other until an instruction executes
+  obs::RetireRun r{pc, 0, &slot, 0, 1, static_cast<uint8_t>(pstate.el)};
   const uint64_t c0 = cycles_;
-  step_op_class_ = obs::OpClass::Other;
-  const bool more = step_impl();
-  if (cycles_ != c0)
-    attr_->retire(pc0, el0, static_cast<uint8_t>(step_op_class_),
-                  cycles_ - c0);
+  const uint64_t i0 = instret_;
+  const bool more = step_impl(&r, &slot);
+  r.cycles = cycles_ - c0;
+  if (instret_ != i0)
+    deliver(r);
+  else if (r.cycles != 0 && attr_ != nullptr)
+    attr_->retire_run(r);
   return more;
 }
 
-bool Cpu::step_impl() {
+bool Cpu::step_impl(obs::RetireRun* rec, obs::RetireSlot* slot) {
   if (halted_) return false;
 
   if (timer_cycles_ != 0 && cycles_ >= timer_cycles_) {
@@ -637,17 +635,21 @@ bool Cpu::step_impl() {
   const Inst inst = cfg_.engine >= Engine::Fast
                         ? fetch_decoded(xlat.pa)
                         : isa::decode(mmu_->phys().read32(xlat.pa));
-  if (trace_) trace_(*this, iaddr, inst);
-  if (attr_) step_op_class_ = op_class(inst.op);
-  const uint8_t cov_el = static_cast<uint8_t>(pstate.el);
+  const unsigned cost = cycle_cost(inst);
+  if (rec != nullptr) {
+    rec->va = iaddr;
+    rec->pa = xlat.pa;
+    rec->el = static_cast<uint8_t>(pstate.el);
+    *slot = {static_cast<uint8_t>(cost),
+             static_cast<uint8_t>(op_class(inst.op))};
+  }
 
   pc = iaddr + 4;
   execute(inst);
 
-  cycles_ += cfg_.enable_cycle_model ? cycle_cost(inst) : 1;
+  cycles_ += cost;
   ++instret_;
   ++op_counts_[static_cast<size_t>(inst.op)];
-  if (cov_) cov_->retire(xlat.pa, iaddr, cov_el);
   return !halted_;
 }
 
@@ -999,7 +1001,7 @@ struct ExecHandlers {
     bool faulted;
     const uint64_t target =
         c.do_aut(c.x(inst.rn), modifier, b_key ? PacKey::IB : PacKey::IA,
-                 inst.op, faulted);
+                 faulted);
     if (faulted) return;
     if (link) c.set_x(isa::kRegLr, iaddr + 4);
     c.pc = target;
@@ -1014,8 +1016,7 @@ struct ExecHandlers {
     bool faulted;
     const uint64_t target =
         c.do_aut(c.x(isa::kRegLr), c.sp(),
-                 inst.op == Op::RETAB ? PacKey::IB : PacKey::IA, inst.op,
-                 faulted);
+                 inst.op == Op::RETAB ? PacKey::IB : PacKey::IA, faulted);
     if (!faulted) {
       c.pc = target;
       if (c.cf_) c.cf_->control_flow(obs::CfKind::Ret, iaddr, c.pc, 0);
@@ -1132,7 +1133,7 @@ struct ExecHandlers {
         keys[static_cast<int>(inst.op) - static_cast<int>(Op::AUTIA)];
     bool faulted;
     const uint64_t v =
-        c.do_aut(c.x(inst.rd), c.read_gpr_or_sp(inst.rn), k, inst.op, faulted);
+        c.do_aut(c.x(inst.rd), c.read_gpr_or_sp(inst.rn), k, faulted);
     if (!faulted) c.set_x(inst.rd, v);
   }
   static void pacga(Cpu& c, const Inst& inst) {
@@ -1165,8 +1166,7 @@ struct ExecHandlers {
     bool faulted;
     const uint64_t v =
         c.do_aut(c.x(isa::kRegLr), c.sp(),
-                 inst.op == Op::AUTIBSP ? PacKey::IB : PacKey::IA, inst.op,
-                 faulted);
+                 inst.op == Op::AUTIBSP ? PacKey::IB : PacKey::IA, faulted);
     if (!faulted) c.set_x(isa::kRegLr, v);
   }
   static void pacx1716(Cpu& c, const Inst& inst) {
@@ -1180,7 +1180,7 @@ struct ExecHandlers {
     bool faulted;
     const uint64_t v =
         c.do_aut(c.x(isa::kRegIp1), c.x(isa::kRegIp0),
-                 inst.op == Op::AUTIB1716 ? PacKey::IB : PacKey::IA, inst.op,
+                 inst.op == Op::AUTIB1716 ? PacKey::IB : PacKey::IA,
                  faulted);
     if (!faulted) c.set_x(isa::kRegIp1, v);
   }

@@ -11,8 +11,8 @@
 //    can lock MMU control registers (threat model §3.1).
 //  * Breakpoint hooks fire before executing the instruction at a VA — the
 //    attack framework uses them to corrupt state mid-execution.
-//  * A PAC-failure observer sees every failed AUT* (for logging/benches; the
-//    guest kernel independently detects failures via the resulting faults).
+//  * camo::obs sinks (trace events, retire runs, control flow, audit stream,
+//    coverage) observe execution without ever changing it.
 #pragma once
 
 #include <array>
@@ -93,7 +93,6 @@ class Cpu {
     /// registers only ever reveals the EL0 (user) keys.
     bool banked_keys = false;
     mem::VaLayout layout{};
-    bool enable_cycle_model = true;
     /// Host engine tier (engine.h). Purely a host-side choice: simulated
     /// state, cycles, the retire stream and every observability feed are
     /// bit-for-bit identical on every tier. step() uses the predecode cache
@@ -189,7 +188,6 @@ class Cpu {
       if (pred(static_cast<isa::Op>(i))) n += op_counts_[i];
     return n;
   }
-  void reset_op_counts() { op_counts_.fill(0); }
 
   // ---- Interrupts -------------------------------------------------------
   /// IRQ source bits latched into ISR_EL1 (guest reads the latch, MSR is
@@ -220,11 +218,6 @@ class Cpu {
   // ---- Host hooks -------------------------------------------------------
   using Hook = std::function<void(Cpu&)>;
   void add_breakpoint(uint64_t va, Hook hook);
-  void clear_breakpoints() {
-    breakpoints_.clear();
-    bp_min_pc_ = ~uint64_t{0};
-    bp_max_pc_ = 0;
-  }
 
   using HvcHandler = std::function<void(Cpu&, uint16_t imm)>;
   void set_hvc_handler(HvcHandler h) { hvc_ = std::move(h); }
@@ -234,44 +227,27 @@ class Cpu {
   using MsrFilter = std::function<bool(Cpu&, isa::SysReg, uint64_t)>;
   void set_msr_filter(MsrFilter f) { msr_filter_ = std::move(f); }
 
-  using PacFailureObserver =
-      std::function<void(Cpu&, isa::Op op, uint64_t ptr)>;
-  void set_pac_failure_observer(PacFailureObserver o) {
-    pac_observer_ = std::move(o);
-  }
-
-  /// Per-instruction trace callback (disassembly-level debugging).
-  using TraceFn = std::function<void(const Cpu&, uint64_t pc, const isa::Inst&)>;
-  void set_trace(TraceFn t) { trace_ = std::move(t); }
-
   // ---- Observability (camo::obs) ----------------------------------------
+  // Every sink is null by default, which disables its emission; attaching
+  // one never changes simulated cycle counts.
   /// Structured trace events (exception entry/exit, PAC sign/auth, key
-  /// writes). Null (the default) disables emission entirely; attaching a
-  /// sink never changes simulated cycle counts.
+  /// writes).
   void set_trace_sink(obs::TraceSink* s) { sink_ = s; }
-  obs::TraceSink* trace_sink() const { return sink_; }
-  /// Cycle attribution feed (EL residency, call-graph profiling): one record
-  /// per single step, one obs::RetireRun per straight-line run the block and
-  /// trace engines execute. Summing the reported cycles reproduces cycles()
-  /// exactly.
+  /// Cycle attribution feed (EL residency, flight ring, call-graph
+  /// profiling): one obs::RetireRun per straight-line run the block and
+  /// trace engines execute, a run of one per single step. Summing the
+  /// reported cycles reproduces cycles() exactly.
   void set_cycle_attributor(obs::CycleAttributor* a) { attr_ = a; }
   /// Control-flow feed for shadow-call-stack maintenance: linking calls,
-  /// returns, exception entry/exit. Null (the default) disables emission;
-  /// attaching a sink never changes simulated cycle counts.
+  /// returns, exception entry/exit.
   void set_cf_sink(obs::CfSink* s) { cf_ = s; }
-  obs::CfSink* cf_sink() const { return cf_; }
   /// Security audit stream (obs/audit.h): key installs with provenance,
-  /// sign/auth outcomes, EL transitions. Null (the default) disables
-  /// emission; attaching a sink never changes simulated cycle counts.
+  /// sign/auth outcomes, EL transitions.
   void set_audit_sink(obs::AuditSink* s) { audit_ = s; }
-  obs::AuditSink* audit_sink() const { return audit_; }
-  /// Execution coverage feed (obs/coverage.h): fed (pa, va, el) per retired
-  /// instruction from the single-step path and per executed straight-line
-  /// run from the block and trace engines, so the map is engine-invariant.
-  /// Null (the default) disables emission; attaching a map never changes
-  /// simulated cycle counts.
+  /// Execution coverage feed (obs/coverage.h): the same runs as the cycle
+  /// attributor, except that a step which only took an exception retired no
+  /// instruction and feeds it nothing, so the map is engine-invariant.
   void set_coverage(obs::CoverageMap* c) { cov_ = c; }
-  obs::CoverageMap* coverage() const { return cov_; }
 
   /// Coarse class of an opcode for per-class retired-op metrics.
   static obs::OpClass op_class(isa::Op op);
@@ -312,7 +288,9 @@ class Cpu {
   friend struct ExecHandlers;     // per-opcode handlers (cpu.cpp)
   friend class SuperblockEngine;  // block dispatch loop (superblock.cpp)
 
-  bool step_impl();
+  /// One step. When `rec` is non-null and an instruction executes, sets
+  /// rec's va, pa and el and `slot` to that instruction's.
+  bool step_impl(obs::RetireRun* rec, obs::RetireSlot* slot);
   /// Fast-path fetch: decoded instruction at physical address `pa`,
   /// re-decoding the whole page if its write generation moved. Must only be
   /// called with a `pa` from a successful Access::Fetch translation. Inline
@@ -340,11 +318,13 @@ class Cpu {
   /// attached, the block and trace engines count the instructions of the
   /// straight-line run they are executing in run_ and deliver them as one
   /// obs::RetireRun at the next flush point: the top of take_exception,
-  /// before any instruction that can reach an observer or host code (which
-  /// then retires as its own record), and at the end of every block,
-  /// segment and engine exit. Counting happens after an instruction
-  /// executes, so an exception it takes flushes only its predecessors and
-  /// leaves it to open the rest of the run, absorbing the entry cost.
+  /// before any instruction that can reach an observer or host code, and
+  /// at the end of every block, segment and engine exit. Such an
+  /// instruction (Entry::alone) is delivered as a run of one over a copy of
+  /// its slot, outside run_, since its host code may re-enter the engine.
+  /// Counting happens after an instruction executes, so an exception it
+  /// takes flushes only its predecessors and leaves it to open the rest of
+  /// the run, absorbing the entry cost.
   void begin_run(const obs::RetireSlot* slots, uint64_t va, uint64_t pa) {
     run_ = {slots, va, pa, cycles_, 0, static_cast<uint8_t>(pstate.el)};
   }
@@ -352,11 +332,10 @@ class Cpu {
     if (run_.n != 0) deliver_run();
   }
   void deliver_run();
-  /// One-instruction record from the engines (the single-step path's).
-  void retire_one(uint64_t va, uint64_t pa, uint8_t el, uint8_t op_class,
-                  uint64_t cycles) {
-    if (attr_ != nullptr) attr_->retire(va, el, op_class, cycles);
-    if (cov_ != nullptr) cov_->retire(pa, va, el);
+  /// Hand one run to every attached feed.
+  void deliver(const obs::RetireRun& r) {
+    if (attr_ != nullptr) attr_->retire_run(r);
+    if (cov_ != nullptr) cov_->retire_run(r.pa, r.va, r.el, r.n);
   }
   void do_eret();
 
@@ -373,7 +352,7 @@ class Cpu {
   /// PAuth helpers reading keys/SCTLR from the live system registers.
   bool pauth_enabled(PacKey k) const;
   uint64_t do_pac(uint64_t ptr, uint64_t modifier, PacKey k);
-  uint64_t do_aut(uint64_t ptr, uint64_t modifier, PacKey k, isa::Op op,
+  uint64_t do_aut(uint64_t ptr, uint64_t modifier, PacKey k,
                   bool& fault_taken);
 
   mem::Mmu* mmu_;
@@ -421,15 +400,12 @@ class Cpu {
   uint64_t bp_max_pc_ = 0;
   HvcHandler hvc_;
   MsrFilter msr_filter_;
-  PacFailureObserver pac_observer_;
-  TraceFn trace_;
 
   obs::TraceSink* sink_ = nullptr;
   obs::CycleAttributor* attr_ = nullptr;
   obs::CfSink* cf_ = nullptr;
   obs::AuditSink* audit_ = nullptr;
   obs::CoverageMap* cov_ = nullptr;
-  obs::OpClass step_op_class_ = obs::OpClass::Other;  // scratch, set per step
   struct PendingRun {
     const obs::RetireSlot* slots = nullptr;  ///< the block's, at va
     uint64_t va = 0;

@@ -150,12 +150,7 @@ bool SuperblockEngine::trace_pages_fresh(const Cpu& cpu,
 }
 
 bool SuperblockEngine::trace_valid(const Cpu& cpu, Trace& t) const {
-  if (cpu.pstate.el != t.el) return false;
-  const mem::PhysicalMemory& phys = cpu.mmu_->phys();
-  for (const Trace::PageRec& p : t.pages) {
-    if (phys.page_generation(p.page) != p.phys_gen) return false;
-    if (!cpu.mmu_->fetch_epoch_current(p.probe_va, p.epoch)) return false;
-  }
+  if (cpu.pstate.el != t.el || !trace_pages_fresh(cpu, t)) return false;
   // The page records prove every cached decode and fetch translation is
   // byte-identical to formation time; the per-segment checks close the
   // remaining hole of a constituent block having been rebuilt in place for
@@ -289,22 +284,17 @@ SuperblockEngine::run_careful(Cpu& cpu, const Block& b, const Trace* t,
     // the copies, outside the pending run.
     const Entry e = b.entries[i];
     const obs::RetireSlot slot = b.slots[i];
-    if (cpu.trace_) {
-      cpu.flush_run();
-      cpu.trace_(cpu, va, e.inst);  // pc still == va here
-    }
     const bool alone = feeds && e.alone;
     const uint64_t c0 = cpu.cycles_;
     const uint8_t el0 = static_cast<uint8_t>(cpu.pstate.el);
     if (alone) cpu.flush_run();
     cpu.pc = va + 4;
     e.fn(cpu, e.inst);
-    cpu.cycles_ += cpu.cfg_.enable_cycle_model ? slot.cost : 1;
+    cpu.cycles_ += slot.cost;
     ++cpu.instret_;
     ++cpu.op_counts_[static_cast<size_t>(e.inst.op)];
     if (alone)
-      cpu.retire_one(va, pa0 + (va - va0), el0, slot.op_class,
-                     cpu.cycles_ - c0);
+      cpu.deliver({va, pa0 + (va - va0), &slot, cpu.cycles_ - c0, 1, el0});
     else if (feeds)
       ++cpu.run_.n;
     if (++done == cap)
@@ -358,7 +348,7 @@ SuperblockEngine::TraceExit SuperblockEngine::run_trace(Cpu& cpu, Trace& t,
        cpu.timer_cycles_ - cpu.cycles_ > t.cost_bound);
   const bool quiet = timer_quiet &&
                      !(cpu.irq_pending_ && !cpu.pstate.irq_masked) &&
-                     !bp_overlap && cpu.trace_ == nullptr;
+                     !bp_overlap;
 
   // Run-length bookkeeping: one sample per dispatch (zero-length dispatches
   // are not samples, matching the block loop), plus the demotion
@@ -428,7 +418,6 @@ SuperblockEngine::TraceExit SuperblockEngine::run_trace(Cpu& cpu, Trace& t,
     const bool feeds = cpu.attr_ != nullptr || cpu.cov_ != nullptr;
     const bool fault_observed =
         feeds || cpu.sink_ != nullptr || cpu.audit_ != nullptr;
-    const bool cycle_model = cpu.cfg_.enable_cycle_model;
     uint64_t done = 0, cyc = 0, ret = 0;
     const uint64_t cap = budget - consumed;  // >= 1: caller checked budget
     const auto flush = [&] {
@@ -460,7 +449,7 @@ SuperblockEngine::TraceExit SuperblockEngine::run_trace(Cpu& cpu, Trace& t,
         cpu.pc = va + 4;
         if (fault_observed && e.may_fault) flush();
         e.fn(cpu, e.inst);
-        cyc += cycle_model ? slots[i].cost : 1;
+        cyc += slots[i].cost;
         ++ret;
         ++cpu.op_counts_[static_cast<size_t>(e.inst.op)];
         if (feeds) ++cpu.run_.n;
@@ -497,11 +486,10 @@ SuperblockEngine::TraceExit SuperblockEngine::run_trace(Cpu& cpu, Trace& t,
       if (alone) cpu.flush_run();
       const uint64_t c0 = cpu.cycles_;
       e.fn(cpu, e.inst);
-      cpu.cycles_ += cycle_model ? slot.cost : 1;
+      cpu.cycles_ += slot.cost;
       ++cpu.instret_;
       ++cpu.op_counts_[static_cast<size_t>(e.inst.op)];
-      if (alone)
-        cpu.retire_one(va, pa, el0, slot.op_class, cpu.cycles_ - c0);
+      if (alone) cpu.deliver({va, pa, &slot, cpu.cycles_ - c0, 1, el0});
       else if (feeds)
         ++cpu.run_.n;
       if (++done == cap) {
@@ -516,8 +504,8 @@ SuperblockEngine::TraceExit SuperblockEngine::run_trace(Cpu& cpu, Trace& t,
   } else {
     // Careful loop: each segment runs through the block dispatcher's
     // per-entry loop as one retire run, with the boundary guard between
-    // segments — so traces keep running (and stay testable) with timers,
-    // breakpoints and the per-instruction trace hook.
+    // segments — so traces keep running (and stay testable) with timers and
+    // breakpoints.
     const auto left = [&] { finish(consumed - d0); };
     for (size_t si = 0; si < nsegs; ++si) {
       const CarefulExit r =

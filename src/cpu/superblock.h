@@ -28,12 +28,12 @@
 // (mem::Mmu::fetch_epoch_current) and — the write generations — after every
 // store inside the trace. Every terminator, PAuth ops included, runs its
 // generic handler; PAC values come from the one §3c PauthUnit memo. When
-// nothing inside a trace can need per-entry timer/IRQ/breakpoint work or
-// the per-instruction trace hook (checked once at entry, sound because
-// every op that could change that is either a hard terminator — and so
-// trace-final — or an MSR whose boundary guards cover its effects), a
-// specialized quiet loop runs the trace without the per-entry preamble,
-// retire feeds included (one pending run per segment). Otherwise each
+// nothing inside a trace can need per-entry timer/IRQ/breakpoint work
+// (checked once at entry, sound because every op that could change that is
+// either a hard terminator — and so trace-final — or an MSR whose boundary
+// guards cover its effects), a specialized quiet loop runs the trace
+// without the per-entry preamble, retire feeds included (one pending run
+// per segment). Otherwise each
 // segment runs through the block dispatcher's one careful per-entry loop
 // (run_careful), with the boundary guard between segments.
 //

@@ -113,7 +113,6 @@ class Hypervisor {
 
   // ---- console ----
   const std::string& console() const { return console_; }
-  void clear_console() { console_.clear(); }
 
   // ---- observability ----
   /// Structured EL2-side trace events (HVC calls, module loads, denied MSR

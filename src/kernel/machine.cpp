@@ -541,10 +541,6 @@ uint64_t Machine::read_global(const std::string& sym) const {
   return read_u64(kernel_symbol(sym));
 }
 
-void Machine::write_global(const std::string& sym, uint64_t value) {
-  write_u64(kernel_symbol(sym), value);
-}
-
 uint64_t Machine::task_struct(unsigned pid) const {
   return kernel_symbol(kSymTaskArray) + pid * kTaskSize;
 }

@@ -130,7 +130,6 @@ class Machine {
   uint64_t read_u64(uint64_t va) const;
   void write_u64(uint64_t va, uint64_t value);  ///< the attacker's primitive
   uint64_t read_global(const std::string& sym) const;
-  void write_global(const std::string& sym, uint64_t value);
   /// Address of the task struct for `pid`.
   uint64_t task_struct(unsigned pid) const;
   /// Address of file_table[fd].

@@ -52,12 +52,6 @@ void Program::add_function_front(assembler::FunctionBuilder f) {
   funcs_.push_front(std::move(f));
 }
 
-assembler::FunctionBuilder* Program::find_function(const std::string& name) {
-  for (auto& f : funcs_)
-    if (f.name() == name) return &f;
-  return nullptr;
-}
-
 void Program::add_rodata(const std::string& name, std::vector<uint8_t> bytes,
                          uint64_t align) {
   data_.push_back({name, SectionKind::RoData, std::move(bytes), 0, align});

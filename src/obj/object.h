@@ -75,7 +75,6 @@ class Program {
   const std::deque<assembler::FunctionBuilder>& functions() const {
     return funcs_;
   }
-  assembler::FunctionBuilder* find_function(const std::string& name);
 
   /// Add initialised data; returns nothing (address known at link time).
   void add_rodata(const std::string& name, std::vector<uint8_t> bytes,
@@ -99,6 +98,8 @@ class Program {
   void declare_signed_ptr(const std::string& sym, int64_t member_off,
                           uint16_t type_id, cpu::PacKey key);
 
+ private:
+  friend class Linker;
   struct DataSymbol {
     std::string name;
     SectionKind kind;
@@ -118,12 +119,6 @@ class Program {
     uint16_t type_id;
     cpu::PacKey key;
   };
-
-  const std::vector<DataSymbol>& data_symbols() const { return data_; }
-  const std::vector<SignedPtrDecl>& signed_ptrs() const { return signed_; }
-
- private:
-  friend class Linker;
   std::deque<assembler::FunctionBuilder> funcs_;
   std::vector<DataSymbol> data_;
   std::vector<Abs64Reloc> abs64_;

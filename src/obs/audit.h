@@ -27,6 +27,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "obs/ring.h"
+
 namespace camo::obs {
 
 /// Typed audit events. Payload assignments are documented per kind.
@@ -101,73 +103,22 @@ class AuditSink {
   virtual void audit(const AuditEvent& e) = 0;
 };
 
-/// Fixed-capacity audit ring (the default AuditSink backend), modeled on
-/// TraceRing: keeps the most recent `capacity` events, counts overwritten
-/// ones in dropped(), iterates oldest→newest.
-class AuditLog : public AuditSink {
+/// Fixed-capacity audit ring (the default AuditSink backend; obs/ring.h):
+/// keeps the most recent `capacity` events, counts overwritten ones in
+/// dropped(), iterates oldest→newest, and stamps each event with the
+/// machine id.
+class AuditLog : public AuditSink, public Ring<AuditEvent> {
  public:
-  explicit AuditLog(size_t capacity = 8192)
-      : capacity_(capacity == 0 ? 1 : capacity) {
-    buf_.reserve(capacity_ < 4096 ? capacity_ : 4096);
-  }
+  explicit AuditLog(size_t capacity = 8192) : Ring(capacity) {}
 
-  void audit(const AuditEvent& e) override {
-    ++total_;
-    if (buf_.size() < capacity_) {
-      buf_.push_back(e);
-      buf_.back().machine = machine_id_;
-      return;
-    }
-    buf_[head_] = e;
-    buf_[head_].machine = machine_id_;
-    if (++head_ == capacity_) head_ = 0;
-  }
+  void audit(const AuditEvent& e) override { push(e).machine = machine_id_; }
 
   /// Fleet identity stamped onto every subsequent event.
   void set_machine_id(uint32_t id) { machine_id_ = id; }
   uint32_t machine_id() const { return machine_id_; }
 
-  size_t capacity() const { return capacity_; }
-  size_t size() const { return buf_.size(); }
-  bool empty() const { return buf_.empty(); }
-  uint64_t total() const { return total_; }
-  uint64_t dropped() const { return total_ - buf_.size(); }
-
-  /// i-th retained event, oldest first (0 <= i < size()).
-  const AuditEvent& at(size_t i) const {
-    return buf_[(head_ + i) % buf_.size()];
-  }
-
-  /// Snapshot in chronological order.
-  std::vector<AuditEvent> snapshot() const {
-    std::vector<AuditEvent> out;
-    out.reserve(buf_.size());
-    for (size_t i = 0; i < buf_.size(); ++i) out.push_back(at(i));
-    return out;
-  }
-
-  template <typename Pred>
-  uint64_t count_if(Pred pred) const {
-    uint64_t n = 0;
-    for (size_t i = 0; i < buf_.size(); ++i) n += pred(at(i)) ? 1 : 0;
-    return n;
-  }
-  uint64_t count_kind(AuditKind k) const {
-    return count_if([k](const AuditEvent& e) { return e.kind == k; });
-  }
-
-  void clear() {
-    buf_.clear();
-    head_ = 0;
-    total_ = 0;
-  }
-
  private:
-  size_t capacity_;
-  size_t head_ = 0;  ///< index of the oldest event once full
-  uint64_t total_ = 0;
   uint32_t machine_id_ = 0;
-  std::vector<AuditEvent> buf_;
 };
 
 /// Indices (into `events`) of the causal chain ending at `at`: the key

@@ -147,12 +147,6 @@ void CallGraphProfiler::apply_pending() {
   pending_.clear();
 }
 
-void CallGraphProfiler::retire(uint64_t pc, uint8_t /*el*/,
-                               uint8_t /*op_class*/, uint64_t cycles) {
-  attribute(region_of(pc), cycles, 1);
-  apply_pending();
-}
-
 void CallGraphProfiler::retire_run(const RetireRun& run) {
   // Within a run the stack only changes when the first record lands on an
   // empty one, after which every instruction of the same region resolves to
@@ -161,7 +155,7 @@ void CallGraphProfiler::retire_run(const RetireRun& run) {
   // is one update with no per-instruction walk at all.
   // Control-flow events can only be pending for the run's last instruction
   // (the engines flush before anything that emits one), so they apply after
-  // the whole run, as after its last retire().
+  // the whole run.
   const size_t first = run.n > 0 ? region_of(run.va) : RegionIndex::kNone;
   if (first != RegionIndex::kNone &&
       run.va + 4 * uint64_t{run.n - 1} - hit_start_ < hit_span_) {

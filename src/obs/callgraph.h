@@ -50,7 +50,7 @@ class CallGraphProfiler : public CycleAttributor, public CfSink {
   struct FlatEntry {
     std::string name;
     uint64_t cycles = 0;
-    uint64_t retires = 0;  ///< retire records (steps) attributed here
+    uint64_t retires = 0;  ///< instructions (and exception-only steps)
   };
 
   /// Register [start, end) under `name`. Regions must not overlap; call
@@ -58,17 +58,15 @@ class CallGraphProfiler : public CycleAttributor, public CfSink {
   void add_region(std::string name, uint64_t start, uint64_t end);
 
   // Producer interfaces -----------------------------------------------------
-  /// Control-flow events are buffered and applied *after* the same step's
-  /// retire() call, so a call instruction's own cycles are attributed to the
-  /// caller's stack, not the callee's.
+  /// Control-flow events are buffered and applied *after* the retire run
+  /// that carries their instruction, so a call instruction's own cycles are
+  /// attributed to the caller's stack, not the callee's.
   void control_flow(CfKind kind, uint64_t from_pc, uint64_t to_pc,
                     uint8_t info) override;
-  void retire(uint64_t pc, uint8_t el, uint8_t op_class,
-              uint64_t cycles) override;
-  /// Same attribution as retire() per instruction. A run that starts and
-  /// ends in the cached region is one node update; any other run costs a
-  /// region-cache compare per instruction and one node update per region
-  /// it touches.
+  /// Attributes each instruction's cycles to the stack as it stands. A run
+  /// that starts and ends in the cached region is one node update; any
+  /// other run costs a region-cache compare per instruction and one node
+  /// update per region it touches.
   void retire_run(const RetireRun& run) override;
 
   // Accounting --------------------------------------------------------------
@@ -132,8 +130,8 @@ class CallGraphProfiler : public CycleAttributor, public CfSink {
     return idx;
   }
   int region_name(size_t idx);  ///< name id of a region_of() result
-  /// Attribute `cycles` over `retires` records at region `idx` to the flat
-  /// view and to the stack as it stands (the body of retire()).
+  /// Attribute `cycles` over `retires` instructions at region `idx` to the
+  /// flat view and to the stack as it stands.
   void attribute(size_t idx, uint64_t cycles, uint64_t retires);
   /// Find-or-create the child of `node` named `name`.
   int child(int node, int name, bool exc);

@@ -13,10 +13,7 @@ constexpr uint64_t kBurstGapCycles = 32;
 }  // namespace
 
 Collector::Collector(const Options& opts)
-    : opts_(opts),
-      ring_(opts.trace_capacity),
-      audit_log_(opts.audit_capacity),
-      flight_(opts.flight_capacity) {
+    : opts_(opts), flight_(opts.flight_capacity) {
   for (int el = 0; el < 3; ++el) {
     cycles_el_[el] = &reg_.counter("cycles.el" + std::to_string(el));
     insn_el_[el] = &reg_.counter("insn.el" + std::to_string(el));
@@ -179,26 +176,9 @@ void Collector::enable_percpu(unsigned cores) {
   }
 }
 
-void Collector::retire(uint64_t pc, uint8_t el, uint8_t op_class,
-                       uint64_t cycles) {
-  // retired_cycles_ is the cycle counter *before* this step (summing the
-  // retire feed reproduces Cpu::cycles()), matching the pre-step pc/el.
-  flight_.retire(retired_cycles_, pc, op_class, el);
-  retired_cycles_ += cycles;
-  if (el < 3) {
-    cycles_el_[el]->inc(cycles);
-    insn_el_[el]->inc();
-  }
-  if (op_class < static_cast<uint8_t>(OpClass::kCount))
-    ops_[op_class]->inc();
-  if (active_cpu_ < insn_cpu_.size()) {
-    insn_cpu_[active_cpu_]->inc();
-    cycles_cpu_[active_cpu_]->inc(cycles);
-  }
-  if (opts_.callgraph) cg_.retire(pc, el, op_class, cycles);
-}
-
 void Collector::retire_run(const RetireRun& run) {
+  // retired_cycles_ is the cycle counter before the run (summing the retire
+  // feed reproduces Cpu::cycles()): the flight ring's first stamp.
   flight_.retire_run(retired_cycles_, run);
   retired_cycles_ += run.cycles;
   // Op classes: one 7-bit count per class, packed into a register and

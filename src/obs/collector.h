@@ -42,11 +42,9 @@ namespace camo::obs {
 /// null.
 struct Options {
   bool enabled = false;
-  size_t trace_capacity = 1 << 15;  ///< TraceRing capacity (events)
   /// Attach the shadow-call-stack profiler (folded stacks and, from the
   /// same counts, the flat per-symbol profile).
   bool callgraph = true;
-  size_t audit_capacity = 8192;  ///< AuditLog capacity (events)
   size_t flight_capacity = 256;  ///< flight-recorder ring (instructions)
   /// Attach the PA-keyed execution coverage map (obs/coverage.h). Off by
   /// default: the feed costs a memoized map probe per executed
@@ -64,8 +62,6 @@ class Collector : public TraceSink,
 
   // Producer interfaces -----------------------------------------------------
   void emit(const TraceEvent& e) override;
-  void retire(uint64_t pc, uint8_t el, uint8_t op_class,
-              uint64_t cycles) override;
   void retire_run(const RetireRun& run) override;
   void control_flow(CfKind kind, uint64_t from_pc, uint64_t to_pc,
                     uint8_t info) override;
@@ -97,11 +93,10 @@ class Collector : public TraceSink,
   /// by multi-core Machines before boot; single-core machines never call it,
   /// so their registry shape stays exactly the pre-SMP one.
   void enable_percpu(unsigned cores);
-  /// Which core subsequent retire() samples belong to. The interleaver sets
-  /// this before each core's quantum; harmless no-op when enable_percpu was
-  /// never called.
+  /// Which core subsequent retire runs belong to. The interleaver sets this
+  /// before each core's quantum; harmless no-op when enable_percpu was never
+  /// called.
   void set_active_cpu(unsigned cpu) { active_cpu_ = cpu; }
-  unsigned active_cpu() const { return active_cpu_; }
 
   // Export ------------------------------------------------------------------
   /// Chrome trace_event JSON of the retained event window.
@@ -117,8 +112,8 @@ class Collector : public TraceSink,
  private:
   Options opts_;
   Registry reg_;
-  TraceRing ring_;
-  AuditLog audit_log_;
+  TraceRing ring_;       // default capacity: 32768 events
+  AuditLog audit_log_;   // default capacity: 8192 events
   FlightRecorder flight_;
   CallGraphProfiler cg_;
   CoverageMap cov_;

@@ -10,10 +10,11 @@
 //
 // Determinism contract: the map is a pure function of the retire stream
 // (pa, va, el per retired instruction; a run record stands for its
-// instructions one by one). The retire stream is pinned
-// bit-identical on every engine tier (test_superblock, test_coverage),
-// so coverage is engine-invariant by construction; fleets merge per-machine
-// snapshots in task-index order, so it is --jobs-invariant too.
+// instructions one by one, however the stream is cut into runs). The retire
+// stream is pinned bit-identical on every engine tier (test_superblock,
+// test_coverage, test_retire_feed), so coverage is engine-invariant by
+// construction; fleets merge per-machine snapshots in task-index order, so
+// it is --jobs-invariant too.
 //
 // Serialization: camo-cov/v1, a self-validated JSON bundle (all 64-bit
 // payloads hex, see obs/flight.h) with blocks/edges sorted by PA so the
@@ -56,16 +57,10 @@ class CoverageMap {
  public:
   static constexpr size_t kEls = 3;
 
-  /// Per retired instruction — must stay cheap. `el` is the EL the
-  /// instruction retired at (captured before execution, matching the
-  /// attribution rule in cpu::CycleAttributor).
-  void retire(uint64_t pa, uint64_t va, uint8_t el) {
-    retire_run(pa, va, el, 1);
-  }
-
-  /// `n` consecutive instructions starting at (pa, va), all at `el`: the
-  /// same map as n retire() calls at pa, pa+4, ... (the block and trace
-  /// engines feed one call per executed straight-line run).
+  /// `n` consecutive instructions starting at (pa, va), all retired at `el`
+  /// (captured before execution, as in obs::RetireRun): the same map as n
+  /// runs of one at pa, pa+4, ... The CPU feeds one call per executed
+  /// straight-line run, and a run of one per single step.
   void retire_run(uint64_t pa, uint64_t va, uint8_t el, uint64_t n) {
     if (n == 0) return;
     if (el < kEls) retired_el_[el] += n;
@@ -86,7 +81,7 @@ class CoverageMap {
     last_pa_ = pa + 4 * (n - 1);
   }
 
-  /// Close the open run and forget continuation state; the next retire()
+  /// Close the open run and forget continuation state; the next run
   /// starts a fresh block with no synthetic edge. Call before reading or
   /// merging the map.
   void flush() {
@@ -127,7 +122,8 @@ class CoverageMap {
   bool any_executed(uint64_t pa, uint64_t len) const;
 
  private:
-  // The JSON codec rebuilds hits/lengths that retire() cannot re-express.
+  // The JSON codec rebuilds hits/lengths that retire_run() cannot
+  // re-express.
   friend bool cov_bundle_from_json(const json::Value& v, CovBundle* out);
 
   void close_run() {
@@ -156,8 +152,9 @@ class CoverageMap {
     std::array<Block, kSlots> blocks{};
     std::array<Edge, kSlots> edges{};
   };
-  /// Owner of the memo. The first retire() arms it; a copy or a move leaves
-  /// both maps without one, because its pointers name the source's nodes.
+  /// Owner of the memo. The first retire_run() arms it; a copy or a move
+  /// leaves both maps without one, because its pointers name the source's
+  /// nodes.
   class MemoPtr {
    public:
     MemoPtr() = default;

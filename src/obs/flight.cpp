@@ -10,29 +10,6 @@
 
 namespace camo::obs {
 
-void FlightRecorder::push(uint64_t c0, uint64_t pc, uint32_t n, uint8_t el,
-                          const RetireSlot* slots, bool unit_cost) {
-  Run& r = runs_[head_];
-  if (++head_ == capacity_) head_ = 0;
-  if (filled_ < capacity_) ++filled_;
-  r.c0 = c0;
-  r.pc = pc;
-  r.n = n;
-  r.el = el;
-  // n <= capacity_, half the slot ring: at most one wrap.
-  const size_t first = std::min<size_t>(n, slots_.size() - slot_head_);
-  RetireSlot* const dst = slots_.data();
-  if (unit_cost) {
-    for (size_t i = 0; i < n; ++i)
-      dst[i < first ? slot_head_ + i : i - first] = {1, slots[i].op_class};
-  } else {
-    std::copy_n(slots, first, dst + slot_head_);
-    std::copy_n(slots + first, n - first, dst);
-  }
-  slot_head_ += n;
-  if (slot_head_ >= slots_.size()) slot_head_ -= slots_.size();
-}
-
 void FlightRecorder::retire_run(uint64_t c0, const RetireRun& run) {
   if (run.n == 0) return;
   uint64_t pc = run.va;
@@ -42,12 +19,21 @@ void FlightRecorder::retire_run(uint64_t c0, const RetireRun& run) {
     // Only the last capacity instructions can ever be rebuilt: keep those,
     // stamped from the cost of the ones dropped before them.
     const uint32_t skip = n - static_cast<uint32_t>(capacity_);
-    for (uint32_t i = 0; i < skip; ++i) c0 += run.cost(i);
+    for (uint32_t i = 0; i < skip; ++i) c0 += slots[i].cost;
     pc += 4 * uint64_t{skip};
     n -= skip;
     slots += skip;
   }
-  push(c0, pc, n, run.el, slots, run.unit_cost);
+  Run& r = runs_[head_];
+  if (++head_ == capacity_) head_ = 0;
+  if (filled_ < capacity_) ++filled_;
+  r = {c0, pc, n, run.el};
+  // n <= capacity_, half the slot ring: at most one wrap.
+  const size_t first = std::min<size_t>(n, slots_.size() - slot_head_);
+  std::copy_n(slots, first, slots_.data() + slot_head_);
+  std::copy_n(slots + first, n - first, slots_.data());
+  slot_head_ += n;
+  if (slot_head_ >= slots_.size()) slot_head_ -= slots_.size();
 }
 
 std::vector<FlightInsn> FlightRecorder::live_ring() const {

@@ -86,11 +86,6 @@ class FlightRecorder {
   /// `c0`: one run record and a copy of (at most capacity) slot bytes, so
   /// the cost is per run, not per instruction.
   void retire_run(uint64_t c0, const RetireRun& run);
-  /// The single-step path's record: a run of one.
-  void retire(uint64_t cycles, uint64_t pc, uint8_t op, uint8_t el) {
-    const RetireSlot slot{1, op};
-    push(cycles, pc, 1, el, &slot, false);
-  }
 
   /// Capture on the first violation; later triggers only bump the counter
   /// (the first capture is the causal root — cascading faults after it are
@@ -137,10 +132,6 @@ class FlightRecorder {
     uint8_t el = 0;
   };
 
-  /// Append a run record and copy its `n` slots, with every cost read as 1
-  /// when `unit_cost` (the cycle model is off).
-  void push(uint64_t c0, uint64_t pc, uint32_t n, uint8_t el,
-            const RetireSlot* slots, bool unit_cost);
 
   size_t capacity_;
   bool captured_ = false;

@@ -12,10 +12,10 @@
 //    branch per would-be event and the simulated cycle counts are bit-for-bit
 //    identical whether or not a sink is attached (events never consume guest
 //    cycles).
-//  * CycleAttributor — receives one (pc, EL, op class, cycles) record per
-//    single-stepped CPU step, and one RetireRun record per straight-line run
-//    the block and trace engines execute: the feed for EL-residency
-//    accounting and the call-graph profiler.
+//  * CycleAttributor — receives one RetireRun record per straight-line run
+//    the block and trace engines execute, and a run of one per single-stepped
+//    CPU step: the feed for EL-residency accounting, the flight ring and the
+//    call-graph profiler.
 //
 // obs sits below every other subsystem (it depends only on camo_support), so
 // the CPU itself can emit events. Event payloads are therefore plain
@@ -101,9 +101,11 @@ struct RetireSlot {
 /// One executed straight-line run (DESIGN.md §3e): `n` instructions at
 /// consecutive addresses va, va+4, ... (pa likewise), all retired at `el`.
 /// `cycles` is the run's whole cycle delta. Every instruction but the last
-/// retires exactly its slot cost (1 with the cycle model off); the last also
-/// absorbs any exception-entry cost its own execution took, exactly as a
-/// single step would attribute it.
+/// retires exactly its slot cost; the last also absorbs any exception-entry
+/// cost its own execution took. A single step is a run of one whose cycles
+/// are the whole step's delta; a step that only took an exception (IRQ
+/// delivery, misaligned pc, fetch abort) is one at the pre-step pc with op
+/// class Other.
 struct RetireRun {
   uint64_t va = 0;
   uint64_t pa = 0;
@@ -111,9 +113,6 @@ struct RetireRun {
   uint64_t cycles = 0;
   uint32_t n = 0;
   uint8_t el = 0;
-  bool unit_cost = false;  ///< cycle model off: every instruction costs 1
-
-  uint64_t cost(size_t i) const { return unit_cost ? 1 : slots[i].cost; }
 
   /// Calls f(pc, op_class, cycles) once per instruction, in order; the
   /// cycles passed sum to `cycles`.
@@ -121,30 +120,19 @@ struct RetireRun {
   void for_each(F&& f) const {
     uint64_t left = cycles;
     for (uint32_t i = 0; i + 1 < n; ++i) {
-      const uint64_t c = cost(i);
-      f(va + 4 * uint64_t{i}, slots[i].op_class, c);
-      left -= c;
+      f(va + 4 * uint64_t{i}, slots[i].op_class, uint64_t{slots[i].cost});
+      left -= slots[i].cost;
     }
     if (n > 0) f(va + 4 * uint64_t{n - 1}, slots[n - 1].op_class, left);
   }
 };
 
-/// Cycle consumer. retire() is called once per single-stepped CPU step that
-/// consumed cycles, with the pc and EL *before* the step and the cycles the
-/// step retired (instruction cost plus any exception-entry cost).
-/// retire_run() carries a whole run at once and must be equivalent to
-/// retire() per instruction, which is what the default does. Summing the
-/// cycles over all records reproduces Cpu::cycles() exactly.
+/// Cycle consumer: one retire_run() per run the CPU retires, in order.
+/// Summing the cycles over all records reproduces Cpu::cycles() exactly.
 class CycleAttributor {
  public:
   virtual ~CycleAttributor() = default;
-  virtual void retire(uint64_t pc, uint8_t el, uint8_t op_class,
-                      uint64_t cycles) = 0;
-  virtual void retire_run(const RetireRun& run) {
-    run.for_each([&](uint64_t pc, uint8_t op_class, uint64_t cycles) {
-      retire(pc, run.el, op_class, cycles);
-    });
-  }
+  virtual void retire_run(const RetireRun& run) = 0;
 };
 
 /// Control-flow kinds the CPU reports to a CfSink — exactly the events a
@@ -161,13 +149,13 @@ enum class CfKind : uint8_t {
 
 const char* cf_kind_name(CfKind k);
 
-/// Control-flow consumer fed from the CPU's retire stream. Events for a step
-/// fire *during* the step, i.e. before that step's CycleAttributor::retire
-/// call (the engines flush any pending run before an instruction that can
-/// emit one, so that instruction's record is the next to arrive); consumers
-/// that want call-site attribution buffer them until the retire arrives
-/// (obs::CallGraphProfiler does). Null sink = no emission, and attaching one
-/// never changes simulated cycle counts.
+/// Control-flow consumer fed from the CPU's retire stream. Events for an
+/// instruction fire *during* it, i.e. before the retire_run() record that
+/// carries it (the engines flush any pending run before an instruction that
+/// can emit one, so that instruction's record is the next to arrive);
+/// consumers that want call-site attribution buffer them until the record
+/// arrives (obs::CallGraphProfiler does). Null sink = no emission, and
+/// attaching one never changes simulated cycle counts.
 class CfSink {
  public:
   virtual ~CfSink() = default;

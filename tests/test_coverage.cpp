@@ -27,7 +27,7 @@ using namespace camo;  // NOLINT
 TEST(CoverageMap, StraightLineRunIsOneBlock) {
   obs::CoverageMap m;
   for (uint64_t i = 0; i < 5; ++i)
-    m.retire(0x1000 + 4 * i, 0x40001000 + 4 * i, 1);
+    m.retire_run(0x1000 + 4 * i, 0x40001000 + 4 * i, 1, 1);
   m.flush();
   ASSERT_EQ(m.unique_blocks(), 1u);
   EXPECT_EQ(m.blocks().at(0x1000).hits, 1u);
@@ -39,10 +39,10 @@ TEST(CoverageMap, StraightLineRunIsOneBlock) {
 
 TEST(CoverageMap, BranchSplitsBlocksAndRecordsEdge) {
   obs::CoverageMap m;
-  m.retire(0x1000, 0x40001000, 1);
-  m.retire(0x1004, 0x40001004, 1);
-  m.retire(0x2000, 0x40002000, 1);  // taken branch
-  m.retire(0x1000, 0x40001000, 1);  // back again
+  m.retire_run(0x1000, 0x40001000, 1, 1);
+  m.retire_run(0x1004, 0x40001004, 1, 1);
+  m.retire_run(0x2000, 0x40002000, 1, 1);  // taken branch
+  m.retire_run(0x1000, 0x40001000, 1, 1);  // back again
   m.flush();
   ASSERT_EQ(m.unique_blocks(), 2u);
   EXPECT_EQ(m.blocks().at(0x1000).hits, 2u);
@@ -55,8 +55,8 @@ TEST(CoverageMap, PaDiscontinuityStartsNewBlockEvenWhenVaIsContiguous) {
   // Page boundary where the next VA page maps to a distant PA: the map is
   // PA-keyed, so the straight-line run must split.
   obs::CoverageMap m;
-  m.retire(0x1FFC, 0x40001FFC, 1);
-  m.retire(0x8000, 0x40002000, 1);
+  m.retire_run(0x1FFC, 0x40001FFC, 1, 1);
+  m.retire_run(0x8000, 0x40002000, 1, 1);
   m.flush();
   ASSERT_EQ(m.unique_blocks(), 2u);
   EXPECT_EQ(m.edges().at({0x1FFC, 0x8000}), 1u);
@@ -64,9 +64,9 @@ TEST(CoverageMap, PaDiscontinuityStartsNewBlockEvenWhenVaIsContiguous) {
 
 TEST(CoverageMap, FlushPreventsSyntheticEdgesAcrossSnapshots) {
   obs::CoverageMap m;
-  m.retire(0x1000, 0x40001000, 1);
+  m.retire_run(0x1000, 0x40001000, 1, 1);
   m.flush();
-  m.retire(0x2000, 0x40002000, 1);
+  m.retire_run(0x2000, 0x40002000, 1, 1);
   m.flush();
   // Two blocks, but no edge: the flush forgot the continuation state.
   EXPECT_EQ(m.unique_blocks(), 2u);
@@ -75,20 +75,20 @@ TEST(CoverageMap, FlushPreventsSyntheticEdgesAcrossSnapshots) {
 
 TEST(CoverageMap, SnapshotLeavesLiveMapAccumulating) {
   obs::CoverageMap m;
-  m.retire(0x1000, 0x40001000, 1);
+  m.retire_run(0x1000, 0x40001000, 1, 1);
   const obs::CoverageMap s = m.snapshot();
   EXPECT_EQ(s.blocks().at(0x1000).max_len, 1u);
-  m.retire(0x1004, 0x40001004, 1);  // still extends the live run
+  m.retire_run(0x1004, 0x40001004, 1, 1);  // still extends the live run
   m.flush();
   EXPECT_EQ(m.blocks().at(0x1000).max_len, 2u);
 }
 
 TEST(CoverageMap, MergeAddsHitsMaxesLengthsAndDedupesRegions) {
   obs::CoverageMap a, b;
-  a.retire(0x1000, 0x40001000, 1);
-  a.retire(0x1004, 0x40001004, 1);
-  b.retire(0x1000, 0x40001000, 0);
-  b.retire(0x2000, 0x40002000, 0);
+  a.retire_run(0x1000, 0x40001000, 1, 1);
+  a.retire_run(0x1004, 0x40001004, 1, 1);
+  b.retire_run(0x1000, 0x40001000, 0, 1);
+  b.retire_run(0x2000, 0x40002000, 0, 1);
   a.add_region({"f", 0x1000, 8, "", -1});
   b.add_region({"f", 0x1000, 8, "", -1});
   b.add_region({"g", 0x2000, 4, "t", 0});
@@ -106,7 +106,7 @@ TEST(CoverageMap, MergeAddsHitsMaxesLengthsAndDedupesRegions) {
 TEST(CoverageMap, AnyExecutedSeesRunInteriors) {
   obs::CoverageMap m;
   for (uint64_t i = 0; i < 8; ++i)
-    m.retire(0x1000 + 4 * i, 0x40001000 + 4 * i, 1);
+    m.retire_run(0x1000 + 4 * i, 0x40001000 + 4 * i, 1, 1);
   m.flush();
   EXPECT_TRUE(m.any_executed(0x1000, 4));
   EXPECT_TRUE(m.any_executed(0x1010, 4));   // interior, not a block start
@@ -121,10 +121,10 @@ TEST(CoverageMap, AnyExecutedSeesRunInteriors) {
 
 obs::CoverageMap sample_map() {
   obs::CoverageMap m;
-  m.retire(0x1000, 0x40001000, 1);
-  m.retire(0x1004, 0x40001004, 1);
-  m.retire(0x2000, 0x40002000, 0);
-  m.retire(0x1000, 0x40001000, 2);
+  m.retire_run(0x1000, 0x40001000, 1, 1);
+  m.retire_run(0x1004, 0x40001004, 1, 1);
+  m.retire_run(0x2000, 0x40002000, 0, 1);
+  m.retire_run(0x1000, 0x40001000, 2, 1);
   m.add_region({"sys_write", 0x2000, 64, "syscall_table", 1});
   m.add_region({"helper", 0x1000, 8, "", -1});
   return m;
@@ -195,10 +195,10 @@ TEST(CoverageCodec, ReaderRejectsMalformedFields) {
 
 TEST(CoverageCodec, DiffSeparatesBlockSets) {
   obs::CoverageMap a, b;
-  a.retire(0x1000, 0x40001000, 1);
-  a.retire(0x3000, 0x40003000, 1);
-  b.retire(0x1000, 0x40001000, 1);
-  b.retire(0x4000, 0x40004000, 1);
+  a.retire_run(0x1000, 0x40001000, 1, 1);
+  a.retire_run(0x3000, 0x40003000, 1, 1);
+  b.retire_run(0x1000, 0x40001000, 1, 1);
+  b.retire_run(0x4000, 0x40004000, 1, 1);
   const obs::CovDiff d = obs::diff_coverage(a, b);
   EXPECT_EQ(d.common, 1u);
   ASSERT_EQ(d.only_a.size(), 1u);

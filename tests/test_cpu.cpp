@@ -593,10 +593,9 @@ TEST_F(CpuTest, KeyChangeInvalidatesOldSignatures) {
   EXPECT_FALSE(core.config().layout.is_canonical(core.x(0)));
 }
 
-TEST_F(CpuTest, PacFailureObserverFires) {
-  int failures = 0;
-  core.set_pac_failure_observer(
-      [&](Cpu&, isa::Op, uint64_t) { ++failures; });
+TEST_F(CpuTest, PacFailureIsAuditedOnce) {
+  obs::AuditLog log;
+  core.set_audit_sink(&log);
   FunctionBuilder f("t");
   f.mov_imm(0, kData + 0x100);
   f.mov_imm(1, 0x42);
@@ -608,7 +607,13 @@ TEST_F(CpuTest, PacFailureObserverFires) {
   f.autda(0, 1);  // success
   f.hlt(1);
   run(f);
-  EXPECT_EQ(failures, 1);
+  ASSERT_EQ(log.count_kind(obs::AuditKind::AuthFail), 1u);
+  EXPECT_EQ(log.count_kind(obs::AuditKind::AuthOk), 1u);
+  const uint64_t fail = log.count_if([](const obs::AuditEvent& e) {
+    return e.kind == obs::AuditKind::AuthFail &&
+           e.key == static_cast<uint8_t>(PacKey::DA) && e.modifier == 0x43;
+  });
+  EXPECT_EQ(fail, 1u);
 }
 
 TEST_F(CpuTest, BreakpointHookRuns) {

@@ -1,9 +1,9 @@
 // RetireFeed: the block and trace engines deliver one obs::RetireRun per
-// executed straight-line run instead of one retire() per instruction
-// (DESIGN.md §3e). A run record must be indistinguishable from the
-// per-instruction records it replaces: the coverage map, call-graph and flat
-// attribution and the collector's counters and flight ring are the same
-// either way, and every export is byte-identical between the single-step,
+// executed straight-line run where the single-step path delivers a run of
+// one per instruction (DESIGN.md §3e). A run record must be
+// indistinguishable from the runs of one it replaces: the coverage map,
+// call-graph and flat attribution and the collector's counters and flight
+// ring are the same either way, and every export is byte-identical between the single-step,
 // block and trace engines — including around an exception taken inside a
 // block body and an authentication failure at a terminator, the two places
 // the pending run must be flushed before an observer runs.
@@ -46,13 +46,21 @@ RetireRun make_run(uint64_t va, const std::vector<RetireSlot>& slots,
   return r;
 }
 
-/// The per-instruction records a run stands for, spelled out (not via
+/// The record Cpu::step() delivers: a run of one at `pc` carrying the whole
+/// step's `cycles`.
+void step_record(obs::CycleAttributor& a, uint64_t pc, uint8_t el,
+                 uint8_t op_class, uint64_t cycles) {
+  const RetireSlot slot{1, op_class};
+  a.retire_run({pc, pc - 0x1000, &slot, cycles, 1, el});
+}
+
+/// The runs of one a run stands for, spelled out (not via
 /// RetireRun::for_each, which the batched side itself uses).
 void feed_stepped(obs::CycleAttributor& a, const RetireRun& r) {
   uint64_t left = r.cycles;
   for (uint32_t i = 0; i < r.n; ++i) {
-    const uint64_t c = i + 1 == r.n ? left : r.cost(i);
-    a.retire(r.va + 4 * i, r.el, r.slots[i].op_class, c);
+    const uint64_t c = i + 1 == r.n ? left : r.slots[i].cost;
+    step_record(a, r.va + 4 * i, r.el, r.slots[i].op_class, c);
     left -= c;
   }
 }
@@ -79,15 +87,15 @@ TEST(RetireFeed, CoverageRunEqualsPerInstructionRetires) {
   for (const Run& r : runs) {
     batched.retire_run(r.pa, r.va, r.el, r.n);
     for (uint64_t i = 0; i < r.n; ++i)
-      stepped.retire(r.pa + 4 * i, r.va + 4 * i, r.el);
+      stepped.retire_run(r.pa + 4 * i, r.va + 4 * i, r.el, 1);
   }
   batched.retire_run(0x5000, 0xD000, 1, 0);  // empty runs are no-ops
   EXPECT_EQ(obs::cov_bundle_json(batched, "t", 1),
             obs::cov_bundle_json(stepped, "t", 1));
   // The open run's continuation state matches too: one more instruction
   // after the last run extends the same block in both maps.
-  batched.retire(0x4004, 0xC004, 1);
-  stepped.retire(0x4004, 0xC004, 1);
+  batched.retire_run(0x4004, 0xC004, 1, 1);
+  stepped.retire_run(0x4004, 0xC004, 1, 1);
   EXPECT_EQ(obs::cov_bundle_json(batched, "t", 1),
             obs::cov_bundle_json(stepped, "t", 1));
   EXPECT_EQ(batched.retired_total(), stepped.retired_total());
@@ -281,22 +289,22 @@ TEST(RetireFeed, CallGraphRunAppliesPendingControlFlowAfterTheWholeRun) {
   add_regions(stepped);
   for (CallGraphProfiler* cg : {&batched, &stepped}) {
     cg->control_flow(obs::CfKind::Call, kF - 4, kF, 0);
-    cg->retire(kF - 4, 1, 2, 1);  // the BL from [other] pushes f
+    step_record(*cg, kF - 4, 1, 2, 1);  // the BL from [other] pushes f
   }
   const RetireRun run = make_run(kF, kMixed, 1, /*extra=*/12);
   const uint64_t last = run.va + 4 * (run.n - 1);
   RetireRun head = run;  // everything before the faulting instruction
   head.n = run.n - 1;
   head.cycles = 0;
-  for (uint32_t i = 0; i < head.n; ++i) head.cycles += run.cost(i);
+  for (uint32_t i = 0; i < head.n; ++i) head.cycles += run.slots[i].cost;
   feed_stepped(stepped, head);
   stepped.control_flow(obs::CfKind::ExcEnter, last, kG, 4);
-  stepped.retire(last, run.el, run.slots[run.n - 1].op_class,
-                 run.cycles - head.cycles);
+  step_record(stepped, last, run.el, run.slots[run.n - 1].op_class,
+              run.cycles - head.cycles);
   batched.control_flow(obs::CfKind::ExcEnter, last, kG, 4);
   batched.retire_run(run);
   for (CallGraphProfiler* cg : {&batched, &stepped})
-    cg->retire(kG + 4, 1, 0, 1);
+    step_record(*cg, kG + 4, 1, 0, 1);
   expect_same(batched, stepped);
   EXPECT_NE(batched.folded().find("f;[exc:data-abort];g 1"),
             std::string::npos)
@@ -312,7 +320,7 @@ TEST(RetireFeed, CallGraphRunUnderTruncatedOverflow) {
   for (CallGraphProfiler* cg : {&batched, &stepped}) {
     for (size_t i = 0; i < CallGraphProfiler::kMaxDepth + 3; ++i) {
       cg->control_flow(obs::CfKind::Call, kF, i % 2 ? kF : kG, 0);
-      cg->retire(i % 2 ? kG : kF, 1, 2, 1);
+      step_record(*cg, i % 2 ? kG : kF, 1, 2, 1);
     }
   }
   const RetireRun run = make_run(kF + 8, kMixed, 1);
@@ -324,7 +332,7 @@ TEST(RetireFeed, CallGraphRunUnderTruncatedOverflow) {
   for (CallGraphProfiler* cg : {&batched, &stepped}) {
     for (int i = 0; i < 4; ++i) {
       cg->control_flow(obs::CfKind::Ret, kG, kF, 0);
-      cg->retire(kG, 1, 3, 1);
+      step_record(*cg, kG, 1, 3, 1);
     }
   }
   const RetireRun after = make_run(kG, kMixed, 1);
@@ -333,25 +341,10 @@ TEST(RetireFeed, CallGraphRunUnderTruncatedOverflow) {
   expect_same(batched, stepped);
 }
 
-TEST(RetireFeed, UnitCostRunChargesOnePerInstruction) {
-  // Cycle model off: every instruction costs 1 whatever its slot says, and
-  // the last still absorbs the exception entry.
-  CallGraphProfiler batched, stepped;
-  add_regions(batched);
-  add_regions(stepped);
-  RetireRun run = make_run(kF + 8, kMixed, 1);
-  run.unit_cost = true;
-  run.cycles = run.n + 12;
-  batched.retire_run(run);
-  feed_stepped(stepped, run);
-  expect_same(batched, stepped);
-  EXPECT_EQ(batched.folded(), "f 2\nf;g 18\n");
-}
-
 TEST(RetireFeed, CallGraphWholeRunFastPath) {
   // A run that starts and ends in the cached region is attributed in one
   // step; every other run takes the per-instruction grouping. Both must
-  // match retire() per instruction, in folded and flat output alike.
+  // match runs of one, in folded and flat output alike.
   constexpr uint64_t kH = 0x10030;  ///< region "h": [kH, kH + 0x10)
   CallGraphProfiler batched, stepped;
   const auto both = [&](auto&& f) {
@@ -400,12 +393,12 @@ TEST(RetireFeed, CallGraphWholeRunFastPath) {
     run(make_run(kG + 4, two, 1));  // f;g
     both([](CallGraphProfiler& cg) {
       cg.control_flow(obs::CfKind::Call, kF + 8, kH, 0);
-      cg.retire(kF + 8, 1, 2, 1);  // the BL, in f: pushes f;h
+      step_record(cg, kF + 8, 1, 2, 1);  // the BL, in f: pushes f;h
     });
     run(make_run(kH, two, 1));  // f;h
     both([](CallGraphProfiler& cg) {
       cg.control_flow(obs::CfKind::Ret, kH + 8, kG + 8, 0);
-      cg.retire(kH + 8, 1, 3, 1);
+      step_record(cg, kH + 8, 1, 3, 1);
     });
     run(make_run(kG + 8, four, 1));  // f;g again, past f's memo of h
     run(make_run(kF - 8, four, 1));  // f;[other], past f's memo of g
@@ -414,7 +407,7 @@ TEST(RetireFeed, CallGraphWholeRunFastPath) {
     SCOPED_TRACE("run on an emptied stack");
     both([](CallGraphProfiler& cg) {
       cg.control_flow(obs::CfKind::Ret, kG + 12, kH, 0);
-      cg.retire(kG + 12, 1, 3, 1);
+      step_record(cg, kG + 12, 1, 3, 1);
     });
     EXPECT_EQ(batched.depth(), 0u);
     run(make_run(kH, four, 1));
@@ -488,78 +481,76 @@ struct ReferenceRing {
 
 TEST(RetireFeed, FlightRingFromRunRecords) {
   for (const size_t cap : {size_t{1}, size_t{3}, size_t{256}}) {
-    for (const bool unit : {false, true}) {
-      SCOPED_TRACE(std::to_string(cap) + (unit ? " unit-cost" : " cost"));
-      std::mt19937 rng(static_cast<uint32_t>(cap * 2 + unit));
-      obs::FlightRecorder rec(cap);
-      ReferenceRing ref{cap, {}};
-      uint64_t cycles = 0;
-      std::vector<RetireSlot> slots;
-      // One random record: a run of 1 to 3 * cap instructions (sometimes
-      // absorbing an exception-entry cost), or a single-step retire().
-      const auto record = [&] {
-        const uint64_t pc = 0x80000 + 4 * (rng() % 4096);
-        const uint8_t el = static_cast<uint8_t>(rng() % 3);
-        if (rng() % 5 == 0) {
-          const uint8_t op = static_cast<uint8_t>(rng() % 9);
-          const uint64_t c = 1 + rng() % 20;
-          rec.retire(cycles, pc, op, el);
-          ref.push({cycles, pc, op, el});
-          cycles += c;
-          return;
-        }
-        slots.assign(1 + rng() % (3 * cap), RetireSlot{});
-        for (RetireSlot& sl : slots)
-          sl = {static_cast<uint8_t>(1 + rng() % 8),
-                static_cast<uint8_t>(rng() % 9)};
-        RetireRun r = make_run(pc, slots, el, rng() % 2 ? 12 : 0);
-        r.unit_cost = unit;
-        if (unit) r.cycles = r.n + (rng() % 2 ? 12 : 0);
-        rec.retire_run(cycles, r);
-        uint64_t c = cycles;
-        for (uint32_t i = 0; i < r.n; ++i) {
-          ref.push({c, pc + 4 * uint64_t{i}, slots[i].op_class, el});
-          c += r.cost(i);
-        }
-        cycles += r.cycles;
-        // The recorder must own copies: clobber the caller's slots.
-        for (RetireSlot& sl : slots) sl = {0xEE, 0xEE};
-      };
-
-      // A ring that never fills.
-      rec.retire(cycles, 0x1000, 2, 1);
-      ref.push({cycles, 0x1000, 2, 1});
-      cycles += 3;
-      if (cap > 1) {
-        EXPECT_EQ(rec.live_ring().size(), 1u);
+    SCOPED_TRACE(cap);
+    std::mt19937 rng(static_cast<uint32_t>(cap * 2));
+    obs::FlightRecorder rec(cap);
+    ReferenceRing ref{cap, {}};
+    uint64_t cycles = 0;
+    std::vector<RetireSlot> slots;
+    // A single step's record: a run of one carrying `c` cycles.
+    const auto step = [&](uint64_t pc, uint8_t op, uint8_t el, uint64_t c) {
+      const RetireSlot slot{1, op};
+      rec.retire_run(cycles, {pc, 0, &slot, c, 1, el});
+      ref.push({cycles, pc, op, el});
+      cycles += c;
+    };
+    // One random record: a run of 1 to 3 * cap instructions (sometimes
+    // absorbing an exception-entry cost), or a single step.
+    const auto record = [&] {
+      const uint64_t pc = 0x80000 + 4 * (rng() % 4096);
+      const uint8_t el = static_cast<uint8_t>(rng() % 3);
+      if (rng() % 5 == 0) {
+        const uint8_t op = static_cast<uint8_t>(rng() % 9);
+        step(pc, op, el, 1 + rng() % 20);
+        return;
       }
-      EXPECT_EQ(ring_text(rec.live_ring()), ring_text(ref.get()));
-
-      std::string frozen;
-      for (int i = 0; i < 120; ++i) {
-        record();
-        ASSERT_EQ(ring_text(rec.live_ring()), ring_text(ref.get()))
-            << "record " << i;
-        if (i == 60) {  // trigger mid-stream freezes the window
-          obs::TraceEvent e;
-          e.kind = obs::EventKind::AuthFail;
-          rec.trigger(e);
-          frozen = ring_text(ref.get());
-        }
+      slots.assign(1 + rng() % (3 * cap), RetireSlot{});
+      for (RetireSlot& sl : slots)
+        sl = {static_cast<uint8_t>(1 + rng() % 8),
+              static_cast<uint8_t>(rng() % 9)};
+      const RetireRun r = make_run(pc, slots, el, rng() % 2 ? 12 : 0);
+      rec.retire_run(cycles, r);
+      uint64_t c = cycles;
+      for (uint32_t i = 0; i < r.n; ++i) {
+        ref.push({c, pc + 4 * uint64_t{i}, slots[i].op_class, el});
+        c += slots[i].cost;
       }
-      EXPECT_TRUE(rec.captured());
-      EXPECT_EQ(ring_text(rec.ring()), frozen);
+      cycles += r.cycles;
+      // The recorder must own copies: clobber the caller's slots.
+      for (RetireSlot& sl : slots) sl = {0xEE, 0xEE};
+    };
 
-      // clear() and reuse: the old stream leaves nothing behind.
-      rec.clear();
-      ref.q.clear();
-      EXPECT_TRUE(rec.live_ring().empty());
-      EXPECT_FALSE(rec.captured());
-      for (int i = 0; i < 40; ++i) {
-        record();
-        ASSERT_EQ(ring_text(rec.live_ring()), ring_text(ref.get()))
-            << "after clear, record " << i;
+    // A ring that never fills.
+    step(0x1000, 2, 1, 3);
+    if (cap > 1) {
+      EXPECT_EQ(rec.live_ring().size(), 1u);
+    }
+    EXPECT_EQ(ring_text(rec.live_ring()), ring_text(ref.get()));
+
+    std::string frozen;
+    for (int i = 0; i < 120; ++i) {
+      record();
+      ASSERT_EQ(ring_text(rec.live_ring()), ring_text(ref.get()))
+          << "record " << i;
+      if (i == 60) {  // trigger mid-stream freezes the window
+        obs::TraceEvent e;
+        e.kind = obs::EventKind::AuthFail;
+        rec.trigger(e);
+        frozen = ring_text(ref.get());
       }
+    }
+    EXPECT_TRUE(rec.captured());
+    EXPECT_EQ(ring_text(rec.ring()), frozen);
+
+    // clear() and reuse: the old stream leaves nothing behind.
+    rec.clear();
+    ref.q.clear();
+    EXPECT_TRUE(rec.live_ring().empty());
+    EXPECT_FALSE(rec.captured());
+    for (int i = 0; i < 40; ++i) {
+      record();
+      ASSERT_EQ(ring_text(rec.live_ring()), ring_text(ref.get()))
+          << "after clear, record " << i;
     }
   }
 }
@@ -578,20 +569,16 @@ constexpr uint64_t kUnmapped = 0xFFFF000000900000ull;
 constexpr uint64_t kS2Denied = testing::kHData + 0x1000;
 constexpr uint64_t kS2DeniedPa = 0x31000;
 
-/// Forwards to the collector, counting the two record kinds.
+/// Forwards to the collector, counting all records and the runs of one.
 class CountingFeed : public obs::CycleAttributor {
  public:
   explicit CountingFeed(obs::CycleAttributor& to) : to_(to) {}
-  void retire(uint64_t pc, uint8_t el, uint8_t op_class,
-              uint64_t cycles) override {
-    ++singles;
-    to_.retire(pc, el, op_class, cycles);
-  }
   void retire_run(const RetireRun& run) override {
-    ++runs;
+    ++records;
+    if (run.n == 1) ++singles;
     to_.retire_run(run);
   }
-  uint64_t singles = 0, runs = 0;
+  uint64_t records = 0, singles = 0;
 
  private:
   obs::CycleAttributor& to_;
@@ -600,10 +587,49 @@ class CountingFeed : public obs::CycleAttributor {
 struct EngineExports {
   std::string folded, flat, metrics, chrome, flight, coverage;
   uint64_t cycles = 0, retired = 0, halt = 0;
-  uint64_t singles = 0, runs = 0;
+  uint64_t records = 0, singles = 0;
   uint64_t trace_hits = 0;
   obs::EventKind trigger = obs::EventKind::None;
 };
+
+/// Runs the guest at sim.core.pc to halt with a collector attached through a
+/// CountingFeed (coverage on, regions main/leaf/vectors) and returns every
+/// export, its bundles named after `scenario`.
+EngineExports observe(testing::SimHarness& sim, uint64_t leaf_va,
+                      const char* scenario) {
+  obs::Options opts;
+  opts.enabled = true;
+  opts.coverage = true;
+  obs::Collector c(opts);
+  c.callgraph().add_region("main", testing::kHText, leaf_va);
+  c.callgraph().add_region("leaf", leaf_va, leaf_va + 0x100);
+  c.callgraph().add_region("vectors", testing::kHVbar,
+                           testing::kHVbar + 0x800);
+  CountingFeed feed(c);
+  sim.core.set_trace_sink(&c);
+  sim.core.set_cycle_attributor(&feed);
+  sim.core.set_cf_sink(&c);
+  sim.core.set_audit_sink(&c);
+  sim.core.set_coverage(&c.coverage());
+  sim.core.run(200000);
+
+  EngineExports e;
+  e.folded = c.folded_profile();
+  e.flat = c.flat_profile();
+  e.metrics = c.metrics_json();
+  e.chrome = c.chrome_trace_json();
+  e.flight = obs::flight_bundle_json(c.flight(), c.audit_log().snapshot(),
+                                     scenario, "test", 1);
+  e.coverage = obs::cov_bundle_json(c.coverage(), scenario, 1);
+  e.cycles = sim.core.cycles();
+  e.retired = sim.core.retired();
+  e.halt = sim.core.halted() ? sim.core.halt_code() : ~uint64_t{0};
+  e.records = feed.records;
+  e.singles = feed.singles;
+  e.trace_hits = sim.core.superblock_stats().trace_hits;
+  if (c.flight().captured()) e.trigger = c.flight().trigger_event().kind;
+  return e;
+}
 
 EngineExports run_engine(cpu::Engine engine, bool stage2) {
   cpu::Cpu::Config cfg;
@@ -656,42 +682,12 @@ EngineExports run_engine(cpu::Engine engine, bool stage2) {
   vec.msr(isa::SysReg::ELR_EL1, 10);
   vec.eret();
 
+  sim.write_words(testing::kHText, main_fn.assemble().words);
   sim.write_words(leaf_va, leaf.assemble().words);
   sim.write_words(testing::kHVbar + cpu::Cpu::kVecSyncEl1,
                   vec.assemble().words);
-
-  obs::Options opts;
-  opts.enabled = true;
-  opts.coverage = true;
-  obs::Collector c(opts);
-  c.callgraph().add_region("main", testing::kHText, leaf_va);
-  c.callgraph().add_region("leaf", leaf_va, leaf_va + 0x100);
-  c.callgraph().add_region("vectors", testing::kHVbar,
-                           testing::kHVbar + 0x800);
-  CountingFeed feed(c);
-  sim.core.set_trace_sink(&c);
-  sim.core.set_cycle_attributor(&feed);
-  sim.core.set_cf_sink(&c);
-  sim.core.set_audit_sink(&c);
-  sim.core.set_coverage(&c.coverage());
-  sim.run(main_fn);
-
-  EngineExports e;
-  e.folded = c.folded_profile();
-  e.flat = c.flat_profile();
-  e.metrics = c.metrics_json();
-  e.chrome = c.chrome_trace_json();
-  e.flight = obs::flight_bundle_json(c.flight(), c.audit_log().snapshot(),
-                                     "retire-feed", "test", 1);
-  e.coverage = obs::cov_bundle_json(c.coverage(), "retire-feed", 1);
-  e.cycles = sim.core.cycles();
-  e.retired = sim.core.retired();
-  e.halt = sim.core.halted() ? sim.core.halt_code() : ~uint64_t{0};
-  e.singles = feed.singles;
-  e.runs = feed.runs;
-  e.trace_hits = sim.core.superblock_stats().trace_hits;
-  if (c.flight().captured()) e.trigger = c.flight().trigger_event().kind;
-  return e;
+  sim.core.pc = testing::kHText;
+  return observe(sim, leaf_va, "retire-feed");
 }
 
 void expect_engines_agree(bool stage2) {
@@ -703,7 +699,8 @@ void expect_engines_agree(bool stage2) {
   EXPECT_NE(ref.metrics.find("\"pauth.auth.fail\""), std::string::npos);
   EXPECT_EQ(ref.metrics.find("\"stage2.fault\"") != std::string::npos,
             stage2);
-  EXPECT_EQ(ref.runs, 0u) << "the single-step oracle sends no run records";
+  EXPECT_EQ(ref.singles, ref.records)
+      << "the single-step oracle sends only runs of one";
 
   for (const cpu::Engine engine : {cpu::Engine::Block, cpu::Engine::Trace}) {
     SCOPED_TRACE(cpu::engine_name(engine));
@@ -718,8 +715,8 @@ void expect_engines_agree(bool stage2) {
     EXPECT_EQ(cur.chrome, ref.chrome);
     EXPECT_EQ(cur.coverage, ref.coverage);
     // The engines batch: far fewer records than retirements.
-    EXPECT_GT(cur.runs, 0u);
-    EXPECT_LT(cur.runs + cur.singles, ref.singles);
+    EXPECT_LT(cur.singles, cur.records);
+    EXPECT_LT(cur.records, ref.records);
     if (engine == cpu::Engine::Trace) {
       EXPECT_GT(cur.trace_hits, 0u);
     }
@@ -842,38 +839,10 @@ EngineExports run_golden(cpu::Engine engine) {
   sim.write_words(testing::kHVbar + cpu::Cpu::kVecIrqEl1,
                   irq.assemble().words);
 
-  obs::Options opts;
-  opts.enabled = true;
-  opts.coverage = true;
-  obs::Collector c(opts);
-  c.callgraph().add_region("main", testing::kHText, leaf_va);
-  c.callgraph().add_region("leaf", leaf_va, leaf_va + 0x100);
-  c.callgraph().add_region("vectors", testing::kHVbar,
-                           testing::kHVbar + 0x800);
-  sim.core.set_trace_sink(&c);
-  sim.core.set_cycle_attributor(&c);
-  sim.core.set_cf_sink(&c);
-  sim.core.set_audit_sink(&c);
-  sim.core.set_coverage(&c.coverage());
   sim.core.pstate.irq_masked = false;
   sim.core.set_timer_period(53);
   sim.core.pc = testing::kHText;
-  sim.core.run(200000);
-
-  EngineExports e;
-  e.folded = c.folded_profile();
-  e.flat = c.flat_profile();
-  e.metrics = c.metrics_json();
-  e.chrome = c.chrome_trace_json();
-  e.flight = obs::flight_bundle_json(c.flight(), c.audit_log().snapshot(),
-                                     "retire-golden", "test", 1);
-  e.coverage = obs::cov_bundle_json(c.coverage(), "retire-golden", 1);
-  e.cycles = sim.core.cycles();
-  e.retired = sim.core.retired();
-  e.halt = sim.core.halted() ? sim.core.halt_code() : ~uint64_t{0};
-  e.trace_hits = sim.core.superblock_stats().trace_hits;
-  if (c.flight().captured()) e.trigger = c.flight().trigger_event().kind;
-  return e;
+  return observe(sim, leaf_va, "retire-golden");
 }
 
 TEST(RetireFeed, GoldenExportDigestsOnEveryTier) {
