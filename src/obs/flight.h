@@ -132,7 +132,6 @@ class FlightRecorder {
     uint8_t el = 0;
   };
 
-
   size_t capacity_;
   bool captured_ = false;
   uint64_t triggers_ = 0;
