@@ -3,6 +3,7 @@
 // the cross-core trapframe attack's per-core audit attribution.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -189,6 +190,72 @@ TEST(Smp, AttackRegistryListsTrapframeMigrationLast) {
   const auto& names = attacks::attack_names();
   ASSERT_FALSE(names.empty());
   EXPECT_EQ(names.back(), "trapframe-migration");
+}
+
+// ---------------------------------------------------------------------------
+// Retire counters: the registry's ops.*, insn.c<k> and cycles.c<k> against
+// the CPUs' own counts, on a preempted 2-core guest driven by several run()
+// calls (so the counters are published more than once), on every tier.
+
+uint64_t fnv1a(const std::string& s) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (const unsigned char c : s) {
+    h ^= c;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+/// metrics_json() minus what is host-side: the host-time gauges and the
+/// fastpath.* cache statistics, which differ by tier.
+std::string guest_metrics_json(const obs::Registry& reg) {
+  obs::Registry guest;
+  for (const auto& [name, c] : reg.counters())
+    if (name.rfind("fastpath.", 0) != 0) guest.counter(name).inc(c.value());
+  for (const auto& [name, h] : reg.histograms())
+    guest.histogram(name).merge(h);
+  return guest.to_json();
+}
+
+TEST(RetireCounters, TwoCoreRegistryPinnedOnEveryTier) {
+  for (const cpu::Engine engine : cpu::kEngines) {
+    SCOPED_TRACE(cpu::engine_name(engine));
+    kernel::MachineConfig cfg = smp_config(2);
+    cfg.cpu.engine = engine;
+    cfg.obs.enabled = true;
+    kernel::Machine m(cfg);
+    add_mix(m);
+    m.boot();
+    unsigned runs = 0;
+    while (!m.run(1000)) ASSERT_LT(++runs, 100u);
+    EXPECT_GE(runs, 3u);
+    ASSERT_EQ(m.halt_code(), kernel::kHaltDone);
+
+    const obs::Registry& reg = m.stats()->metrics();
+    constexpr size_t kClasses = static_cast<size_t>(obs::OpClass::kCount);
+    std::array<uint64_t, kClasses> derived{};
+    for (unsigned c = 0; c < m.cores(); ++c) {
+      const cpu::Cpu& core = m.core(c);
+      for (size_t op = 0; op < static_cast<size_t>(isa::Op::kCount); ++op) {
+        const auto o = static_cast<isa::Op>(op);
+        derived[static_cast<size_t>(cpu::Cpu::op_class(o))] +=
+            core.op_count(o);
+      }
+      const std::string k = std::to_string(c);
+      EXPECT_EQ(reg.value("cycles.c" + k), core.cycles());
+      EXPECT_GE(reg.value("insn.c" + k), core.retired());
+    }
+    for (size_t cls = 0; cls < kClasses; ++cls) {
+      const auto oc = static_cast<obs::OpClass>(cls);
+      const uint64_t v =
+          reg.value(std::string("ops.") + obs::op_class_name(oc));
+      if (oc == obs::OpClass::Other)
+        EXPECT_GE(v, derived[cls]);
+      else
+        EXPECT_EQ(v, derived[cls]) << obs::op_class_name(oc);
+    }
+    EXPECT_EQ(fnv1a(guest_metrics_json(reg)), 0x80d5fe65ca906f27ull);
+  }
 }
 
 }  // namespace
