@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <string>
 
 #include "cpu/superblock.h"
 #include "support/bits.h"
@@ -41,6 +42,30 @@ Cpu::Cpu(mem::Mmu& mmu, Config cfg)
 Cpu::~Cpu() = default;
 
 const SuperblockStats& Cpu::superblock_stats() const { return sb_->stats(); }
+
+void publish_retire_counters(obs::Registry& reg,
+                             std::span<const Cpu* const> cores) {
+  constexpr size_t kClasses = static_cast<size_t>(obs::OpClass::kCount);
+  std::array<uint64_t, kClasses> ops{};
+  for (const Cpu* c : cores) {
+    for (size_t i = 0; i < static_cast<size_t>(Op::kCount); ++i) {
+      const Op op = static_cast<Op>(i);
+      ops[static_cast<size_t>(Cpu::op_class(op))] += c->op_count(op);
+    }
+    ops[static_cast<size_t>(obs::OpClass::Other)] += c->exception_steps();
+  }
+  for (size_t k = 0; k < kClasses; ++k)
+    reg.counter(std::string("ops.") +
+                obs::op_class_name(static_cast<obs::OpClass>(k)))
+        .raise_to(ops[k]);
+  if (cores.size() < 2) return;
+  for (size_t k = 0; k < cores.size(); ++k) {
+    const std::string id = std::to_string(k);
+    reg.counter("insn.c" + id)
+        .raise_to(cores[k]->retired() + cores[k]->exception_steps());
+    reg.counter("cycles.c" + id).raise_to(cores[k]->cycles());
+  }
+}
 
 obs::OpClass Cpu::op_class(Op op) {
   switch (op) {
@@ -606,6 +631,7 @@ bool Cpu::step_impl(obs::RetireRun* rec, obs::RetireSlot* slot) {
   if (irq_pending_ && !pstate.irq_masked) {
     irq_pending_ = false;
     take_exception(ExcClass::Irq, 0, 0, FaultKind::None, pc);
+    ++exc_steps_;
     return true;
   }
 
@@ -623,6 +649,7 @@ bool Cpu::step_impl(obs::RetireRun* rec, obs::RetireSlot* slot) {
   if (!is_aligned(iaddr, 4)) {
     take_exception(ExcClass::InsnAbort, iaddr, 0, FaultKind::AddressSize,
                    iaddr);
+    ++exc_steps_;
     return true;
   }
   // Fetch permission always goes through the full translation/fault model
@@ -630,6 +657,7 @@ bool Cpu::step_impl(obs::RetireRun* rec, obs::RetireSlot* slot) {
   const auto xlat = mmu_->translate(iaddr, mem::Access::Fetch, pstate.el);
   if (xlat.fault != FaultKind::None) {
     take_exception(ExcClass::InsnAbort, iaddr, 0, xlat.fault, iaddr);
+    ++exc_steps_;
     return true;
   }
   const Inst inst = cfg_.engine >= Engine::Fast

@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -188,6 +189,10 @@ class Cpu {
       if (pred(static_cast<isa::Op>(i))) n += op_counts_[i];
     return n;
   }
+  /// Steps that took an exception and retired nothing: IRQ delivery, a
+  /// misaligned or faulting fetch. The retire feed still hands each one to
+  /// the cycle attributor, as a run of one of op class Other.
+  uint64_t exception_steps() const { return exc_steps_; }
 
   // ---- Interrupts -------------------------------------------------------
   /// IRQ source bits latched into ISR_EL1 (guest reads the latch, MSR is
@@ -368,6 +373,7 @@ class Cpu {
   uint64_t halt_code_ = 0;
   uint64_t cycles_ = 0;
   uint64_t instret_ = 0;
+  uint64_t exc_steps_ = 0;
   std::array<uint64_t, static_cast<size_t>(isa::Op::kCount)> op_counts_{};
 
   /// One physical page of predecoded instructions, valid only while the
@@ -422,5 +428,14 @@ class Cpu {
   std::array<uint64_t, 5> key_prov_{};   // key registers, PacKey order
   std::array<uint64_t, 5> bank_prov_{};  // EL2 kernel bank, PacKey order
 };
+
+/// Publish one machine's retire counters, counted by its `cores` (in core
+/// order), into `reg`: `ops.<class>` summed over the cores, with each
+/// exception step counted as `ops.other`, and, when there is more than one
+/// core, `insn.c<k>` (retired plus exception steps) and `cycles.c<k>`.
+/// Each counter is raised to its total, so calling this after every run
+/// keeps the registry monotonic; these are the counters' only writer.
+void publish_retire_counters(obs::Registry& reg,
+                             std::span<const Cpu* const> cores);
 
 }  // namespace camo::cpu

@@ -215,8 +215,7 @@ void Machine::boot() {
 void Machine::attach_observability() {
   stats_ = std::make_unique<obs::Collector>(cfg_.obs);
   // Every core feeds the one per-machine collector; obs sinks never cost
-  // simulated cycles, and the interleaver's set_active_cpu tags retirements
-  // with the emitting core for the per-CPU counters.
+  // simulated cycles.
   for (unsigned c = 0; c < cores(); ++c) {
     cpu::Cpu& cc = core(c);
     cc.set_trace_sink(stats_.get());
@@ -225,7 +224,9 @@ void Machine::attach_observability() {
     cc.set_audit_sink(stats_.get());
     if (cfg_.obs.coverage) cc.set_coverage(&stats_->coverage());
   }
-  if (cores() > 1) stats_->enable_percpu(cores());
+  // The retire counters exist from the start, as zeros (run() publishes
+  // their values).
+  publish_retire_counters();
   hv_.set_trace_sink(stats_.get());
   // Security audit stream (DESIGN.md §3f): CPU key/PAC/EL events and
   // hypervisor denials land in the collector's AuditLog, stamped with this
@@ -406,7 +407,6 @@ bool Machine::run(uint64_t max_steps) {
           continue;
         }
         last_core_ = c;
-        if (stats_) stats_->set_active_cpu(c);
         const uint64_t want = std::min<uint64_t>(cfg_.smp_quantum, remaining);
         const uint64_t ret = cc.run(want);
         if (ret > 0) progress = true;
@@ -426,14 +426,14 @@ bool Machine::run(uint64_t max_steps) {
           .count();
 
   if (stats_) {
+    publish_retire_counters();
     // Fast-path cache statistics are host-side and accumulate inside the
     // CPUs/MMUs; publish them as registry counters by delta so the registry
     // stays monotonic across multiple run() calls. Multi-core machines sum
     // across cores — at cores=1 the sums equal the old single-core values.
     obs::Registry& reg = stats_->metrics();
     const auto sync = [&reg](const char* name, uint64_t total) {
-      obs::Counter& c = reg.counter(name);
-      if (total > c.value()) c.inc(total - c.value());
+      reg.counter(name).raise_to(total);
     };
     uint64_t ic_hit = 0, ic_miss = 0, ic_re = 0;
     uint64_t tlb_hit = 0, tlb_miss = 0, tlb_flush = 0;
@@ -514,6 +514,12 @@ bool Machine::run(uint64_t max_steps) {
     }
   }
   return halted();
+}
+
+void Machine::publish_retire_counters() {
+  std::vector<const cpu::Cpu*> cpus;
+  for (unsigned c = 0; c < cores(); ++c) cpus.push_back(&core(c));
+  cpu::publish_retire_counters(stats_->metrics(), cpus);
 }
 
 uint64_t Machine::kernel_symbol(const std::string& name) const {

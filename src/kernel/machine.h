@@ -142,6 +142,8 @@ class Machine {
  private:
   void attach_observability();
   void annotate_coverage_regions();
+  /// cpu::publish_retire_counters over every core, into stats().
+  void publish_retire_counters();
 
   MachineConfig cfg_;
   mem::PhysicalMemory pm_;

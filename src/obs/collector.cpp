@@ -18,9 +18,6 @@ Collector::Collector(const Options& opts)
     cycles_el_[el] = &reg_.counter("cycles.el" + std::to_string(el));
     insn_el_[el] = &reg_.counter("insn.el" + std::to_string(el));
   }
-  for (size_t c = 0; c < static_cast<size_t>(OpClass::kCount); ++c)
-    ops_[c] = &reg_.counter(std::string("ops.") +
-                            op_class_name(static_cast<OpClass>(c)));
   syscall_cycles_ = &reg_.histogram("syscall.cycles");
   // Created eagerly so the registry shape is identical whether or not the
   // run produced samples (fleet merges and cross-config diffs rely on it).
@@ -167,47 +164,14 @@ void Collector::audit(const AuditEvent& e) {
   }
 }
 
-void Collector::enable_percpu(unsigned cores) {
-  insn_cpu_.clear();
-  cycles_cpu_.clear();
-  for (unsigned c = 0; c < cores; ++c) {
-    insn_cpu_.push_back(&reg_.counter("insn.c" + std::to_string(c)));
-    cycles_cpu_.push_back(&reg_.counter("cycles.c" + std::to_string(c)));
-  }
-}
-
 void Collector::retire_run(const RetireRun& run) {
   // retired_cycles_ is the cycle counter before the run (summing the retire
   // feed reproduces Cpu::cycles()): the flight ring's first stamp.
   flight_.retire_run(retired_cycles_, run);
   retired_cycles_ += run.cycles;
-  // Op classes: one 7-bit count per class, packed into a register and
-  // added to ops.* every 127 instructions and at the end of the run.
-  constexpr size_t kClasses = static_cast<size_t>(OpClass::kCount);
-  static_assert(7 * kClasses <= 64);
-  const auto add_ops = [&](uint64_t packed) {
-    for (size_t c = 0; packed != 0; ++c, packed >>= 7)
-      if (const uint64_t k = packed & 127) ops_[c]->inc(k);
-  };
-  uint64_t packed = 0;
-  uint32_t left = 127;
-  for (uint32_t i = 0; i < run.n; ++i) {
-    const uint8_t op = run.slots[i].op_class;
-    if (op < kClasses) packed += uint64_t{1} << (7 * op);
-    if (--left == 0) {
-      add_ops(packed);
-      packed = 0;
-      left = 127;
-    }
-  }
-  add_ops(packed);
   if (run.el < 3) {
     cycles_el_[run.el]->inc(run.cycles);
     insn_el_[run.el]->inc(run.n);
-  }
-  if (active_cpu_ < insn_cpu_.size()) {
-    insn_cpu_[active_cpu_]->inc(run.n);
-    cycles_cpu_[active_cpu_]->inc(run.cycles);
   }
   if (opts_.callgraph) cg_.retire_run(run);
 }

@@ -6,8 +6,11 @@
 //
 //  * a TraceRing keeping the most recent events,
 //  * a Registry of named counters/histograms derived from the event stream
-//    and the retire feed (EL cycle residency, per-class retired ops,
-//    per-key auth failures, syscall latency histogram, ...),
+//    and the retire feed (EL cycle residency, per-key auth failures,
+//    syscall latency histogram, ...). Counts the CPUs keep themselves are
+//    not recounted here: per-class retired ops (ops.*) and the per-core
+//    insn.c<k>/cycles.c<k> are published into this registry from the
+//    cores by cpu::publish_retire_counters,
 //  * the audit log, the flight recorder and the coverage map,
 //  * a CallGraphProfiler attributing retired cycles to guest call stacks;
 //    the flat per-symbol profile is its self-cycle view.
@@ -25,7 +28,6 @@
 #include <cstddef>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "obs/audit.h"
 #include "obs/callgraph.h"
@@ -88,16 +90,6 @@ class Collector : public TraceSink,
   const CallGraphProfiler& callgraph() const { return cg_; }
   const Options& options() const { return opts_; }
 
-  // Multi-core attribution -------------------------------------------------
-  /// Create the per-core "insn.c<k>" / "cycles.c<k>" counters. Called once
-  /// by multi-core Machines before boot; single-core machines never call it,
-  /// so their registry shape stays exactly the pre-SMP one.
-  void enable_percpu(unsigned cores);
-  /// Which core subsequent retire runs belong to. The interleaver sets this
-  /// before each core's quantum; harmless no-op when enable_percpu was never
-  /// called.
-  void set_active_cpu(unsigned cpu) { active_cpu_ = cpu; }
-
   // Export ------------------------------------------------------------------
   /// Chrome trace_event JSON of the retained event window.
   std::string chrome_trace_json() const;
@@ -158,11 +150,6 @@ class Collector : public TraceSink,
   // references are stable).
   Counter* cycles_el_[3];
   Counter* insn_el_[3];
-  Counter* ops_[static_cast<size_t>(OpClass::kCount)];
-  // Per-core retire attribution (empty unless enable_percpu was called).
-  std::vector<Counter*> insn_cpu_;
-  std::vector<Counter*> cycles_cpu_;
-  unsigned active_cpu_ = 0;
   Histogram* syscall_cycles_;
   Histogram* sign_to_auth_;
   Histogram* key_switch_;

@@ -22,6 +22,11 @@ namespace camo::obs {
 class Counter {
  public:
   void inc(uint64_t delta = 1) { value_ += delta; }
+  /// Publish a running total kept elsewhere: add what it grew by since the
+  /// last publish (never lowers the value).
+  void raise_to(uint64_t total) {
+    if (total > value_) value_ = total;
+  }
   uint64_t value() const { return value_; }
 
  private:

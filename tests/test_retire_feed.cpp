@@ -425,22 +425,12 @@ TEST(RetireFeed, CollectorRunEqualsPerInstructionRetires) {
   opts.enabled = true;
   opts.flight_capacity = 16;  // small enough for the runs to wrap it
   obs::Collector batched(opts), stepped(opts);
-  for (obs::Collector* c : {&batched, &stepped}) {
-    c->enable_percpu(2);
-    add_regions(c->callgraph());
-  }
+  for (obs::Collector* c : {&batched, &stepped}) add_regions(c->callgraph());
   const std::vector<RetireSlot> longer(20, RetireSlot{2, 4});
-  // More instructions of one class than a packed 7-bit op-class count holds.
-  const std::vector<RetireSlot> longest(300, RetireSlot{1, 4});
   const RetireRun runs[] = {make_run(kF, kMixed, 1),
                             make_run(kG, longer, 0, 12),
-                            make_run(kF + 4, kMixed, 2),
-                            make_run(kG, longest, 1)};
-  unsigned cpu = 0;
+                            make_run(kF + 4, kMixed, 2)};
   for (const RetireRun& r : runs) {
-    batched.set_active_cpu(cpu);
-    stepped.set_active_cpu(cpu);
-    cpu ^= 1;
     batched.retire_run(r);
     feed_stepped(stepped, r);
   }
@@ -612,6 +602,8 @@ EngineExports observe(testing::SimHarness& sim, uint64_t leaf_va,
   sim.core.set_audit_sink(&c);
   sim.core.set_coverage(&c.coverage());
   sim.core.run(200000);
+  const cpu::Cpu* cores[] = {&sim.core};
+  cpu::publish_retire_counters(c.metrics(), cores);
 
   EngineExports e;
   e.folded = c.folded_profile();
