@@ -58,9 +58,9 @@ int CallGraphProfiler::child(int node, int name, bool exc) {
   return id;
 }
 
-void CallGraphProfiler::control_flow(CfKind kind, uint64_t /*from_pc*/,
+void CallGraphProfiler::control_flow(CfKind kind, uint64_t from_pc,
                                      uint64_t to_pc, uint8_t info) {
-  pending_.push_back(PendingCf{kind, to_pc, info});
+  pending_.push_back(PendingCf{kind, from_pc, to_pc, info});
 }
 
 void CallGraphProfiler::apply(const PendingCf& cf) {
@@ -71,7 +71,8 @@ void CallGraphProfiler::apply(const PendingCf& cf) {
         break;
       }
       stack_.push_back(
-          child(current(), region_name(region_of(cf.to_pc)), false));
+          {child(current(), region_name(region_of(cf.to_pc)), false),
+           cf.from_pc + 4});
       break;
     }
     case CfKind::Ret: {
@@ -82,7 +83,8 @@ void CallGraphProfiler::apply(const PendingCf& cf) {
       // Only call frames pop on RET; an exception frame on top means the
       // shadow stack and the guest disagree (corrupted or hand-written
       // control flow) — leave it for the matching ERET.
-      if (!stack_.empty() && !nodes_[stack_.back()].exc) stack_.pop_back();
+      if (!stack_.empty() && !nodes_[stack_.back().node].exc)
+        stack_.pop_back();
       break;
     }
     case CfKind::ExcEnter: {
@@ -93,7 +95,7 @@ void CallGraphProfiler::apply(const PendingCf& cf) {
       int& id = exc_names_[cf.info];
       if (id == 0)
         id = intern(std::string("[exc:") + exc_class_label(cf.info) + "]") + 1;
-      stack_.push_back(child(current(), id - 1, true));
+      stack_.push_back({child(current(), id - 1, true)});
       break;
     }
     case CfKind::ExcExit: {
@@ -103,10 +105,14 @@ void CallGraphProfiler::apply(const PendingCf& cf) {
       overflow_ = 0;
       const auto it =
           std::find_if(stack_.rbegin(), stack_.rend(),
-                       [&](int n) { return nodes_[n].exc; });
-      if (it != stack_.rend())
-        stack_.resize(stack_.size() -
-                      static_cast<size_t>(it - stack_.rbegin()) - 1);
+                       [&](const Frame& f) { return nodes_[f.node].exc; });
+      if (it == stack_.rend()) break;
+      stack_.resize(stack_.size() -
+                    static_cast<size_t>(it - stack_.rbegin()) - 1);
+      // A call whose target took the exception before running (a fetch
+      // abort) and whose handler returned to the caller: the callee never
+      // ran, so its frame goes too.
+      if (!stack_.empty() && stack_.back().ret == cf.to_pc) stack_.pop_back();
       break;
     }
   }
@@ -127,8 +133,8 @@ void CallGraphProfiler::attribute(size_t idx, uint64_t cycles,
   } else if (stack_.empty()) {
     // Nothing called this code (boot entry, or every frame returned): the
     // leaf becomes the base frame so subsequent calls nest under it.
-    stack_.push_back(child(0, region_name(idx), false));
-    target = stack_.back();
+    stack_.push_back({child(0, region_name(idx), false)});
+    target = stack_.back().node;
   } else {
     const int leaf = region_name(idx);
     const int cur = current();

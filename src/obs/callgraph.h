@@ -19,8 +19,10 @@
 //
 // Robustness: the shadow stack is advisory, not trusted. A RET whose shadow
 // top is an exception frame is ignored; an ERET with no exception frame on
-// the stack (the kernel's first drop to EL0) leaves the stack alone; a pc
-// outside the top frame's region is self-healed by appending the leaf
+// the stack (the kernel's first drop to EL0) leaves the stack alone; an
+// ERET to the top call frame's return address (a call whose target faulted
+// on fetch, and whose handler returned to the caller) pops that frame too;
+// a pc outside the top frame's region is self-healed by appending the leaf
 // region. Under context switching, attribution is wall-clock, like the
 // syscall-latency histogram: the stack follows the *CPU*, not the task.
 //
@@ -107,8 +109,16 @@ class CallGraphProfiler : public CycleAttributor, public CfSink {
 
   struct PendingCf {
     CfKind kind;
+    uint64_t from_pc;
     uint64_t to_pc;
     uint8_t info;
+  };
+
+  /// A shadow-stack entry: its tree node and, for a call frame, the
+  /// address its return lands on (call pc + 4; 0 for other frames).
+  struct Frame {
+    int node;
+    uint64_t ret = 0;
   };
 
   struct Counts {
@@ -135,7 +145,7 @@ class CallGraphProfiler : public CycleAttributor, public CfSink {
   void attribute(size_t idx, uint64_t cycles, uint64_t retires);
   /// Find-or-create the child of `node` named `name`.
   int child(int node, int name, bool exc);
-  int current() const { return stack_.empty() ? 0 : stack_.back(); }
+  int current() const { return stack_.empty() ? 0 : stack_.back().node; }
   void apply(const PendingCf& cf);
   void apply_pending();
   void collect_lines(std::vector<std::pair<std::string, uint64_t>>& out,
@@ -154,7 +164,7 @@ class CallGraphProfiler : public CycleAttributor, public CfSink {
   std::unordered_map<std::string, int> name_ids_;
 
   std::vector<Node> nodes_;   ///< nodes_[0] is the root (lazily created)
-  std::vector<int> stack_;    ///< node indices, bottom to top
+  std::vector<Frame> stack_;  ///< bottom to top
   uint64_t overflow_ = 0;     ///< frames collapsed past kMaxDepth
   std::vector<PendingCf> pending_;
 

@@ -5,6 +5,7 @@
 // profiler never changes guest cycle counts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <sstream>
 #include <string>
@@ -49,7 +50,8 @@ uint64_t folded_cycle_sum(const std::string& folded) {
 /// (not the gtest fixture) so tests can build a second, tracing-off
 /// instance of the same machine for the bit-identical baseline.
 struct CpuHarness {
-  CpuHarness() : mmu(pm, {}), core(mmu, {}) {
+  explicit CpuHarness(cpu::Engine engine = cpu::Engine::Trace)
+      : mmu(pm, {}), core(mmu, Cpu::Config{.engine = engine}) {
     kmap.map_range(kText, 0x10000, 0x10000, mem::PagePerms::kernel_text());
     kmap.map_range(kStackTop - 0x10000, 0x40000, 0x10000,
                    mem::PagePerms::kernel_rw());
@@ -196,6 +198,48 @@ TEST_F(CallGraphTest, RetWithoutMatchingCallStaysExact) {
 
   expect_exact_accounting();
   EXPECT_NE(cg.folded().find("landing"), std::string::npos) << cg.folded();
+}
+
+TEST(CallGraph, RepeatedFaultingCallKeepsTheStackBounded) {
+  // main calls into unmapped text 10,000 times; each fetch aborts and the
+  // EL1 sync vector returns to the caller through x30. Every aborted call
+  // must leave no frame behind, on every tier.
+  constexpr uint64_t kUnmappedText = kText + 0x20000;
+  for (const cpu::Engine engine : cpu::kEngines) {
+    SCOPED_TRACE(cpu::engine_name(engine));
+    CpuHarness t(engine);
+    FunctionBuilder main_fn("main");
+    const auto loop = main_fn.make_label();
+    main_fn.mov_imm(19, 10000);
+    main_fn.mov_imm(9, kUnmappedText);
+    main_fn.bind(loop);
+    main_fn.blr(9);
+    main_fn.sub_i(19, 19, 1);
+    main_fn.cbnz(19, loop);
+    main_fn.hlt(1);
+    FunctionBuilder vec("vec");
+    vec.msr(SysReg::ELR_EL1, 30);
+    vec.eret();
+    t.place(main_fn, 0, "main");
+    t.install_vector(Cpu::kVecSyncEl1, vec);
+    t.run(/*attach=*/true, /*max_steps=*/1'000'000);
+    ASSERT_EQ(t.core.halt_code(), 1u);
+    EXPECT_EQ(t.core.exception_steps(), 10000u);
+
+    EXPECT_EQ(t.cg.total_cycles(), t.core.cycles());
+    EXPECT_EQ(t.cg.total_retires(),
+              t.core.retired() + t.core.exception_steps());
+    const std::string folded = t.cg.folded();
+    EXPECT_EQ(folded_cycle_sum(folded), t.core.cycles());
+    EXPECT_EQ(folded.find("[truncated]"), std::string::npos);
+    size_t deepest = 0;
+    std::istringstream in(folded);
+    for (std::string line; std::getline(in, line);)
+      deepest = std::max<size_t>(
+          deepest, 1 + std::count(line.begin(), line.end(), ';'));
+    EXPECT_EQ(deepest, 4u) << folded;  // main;[other];[exc:insn-abort];vectors
+    EXPECT_LE(t.cg.depth(), 1u);
+  }
 }
 
 TEST_F(CallGraphTest, AttachingProfilerDoesNotChangeGuestCycles) {
