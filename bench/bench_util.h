@@ -502,8 +502,8 @@ class Session {
     // so camo-perfdiff refuses cross-cores comparisons outright.
     if (flags_.cores != 1)
       doc.set("cores", obs::json::Value(static_cast<uint64_t>(flags_.cores)));
-    // Always written: host series differ per tier, so camo-perfdiff refuses
-    // cross-engine comparisons (legacy documents derive it, bench_schema.h).
+    // Required: host series differ per tier, so camo-perfdiff refuses
+    // cross-engine comparisons.
     doc.set("engine", obs::json::Value(cpu::engine_name(flags_.engine)));
     obs::json::Value series = obs::json::Value::array();
     for (const SeriesPoint& p : series_) {

@@ -41,9 +41,8 @@
 # the parity check. The benches' informational throughput series cover all
 # four tiers regardless (fastpath-off / sb-off / sb-on / trace-on are
 # reference / fast / block / trace). The session's tier rides in the
-# camo-bench/v1 header ("engine"; older baselines carry the legacy "sb" and
-# "trace" booleans, which parse as the same tier) and camo-perfdiff refuses
-# cross-engine pairs, so baselines recorded on a non-default tier make every
+# camo-bench/v1 header ("engine") and camo-perfdiff refuses cross-engine
+# pairs, so baselines recorded on a non-default tier make every
 # later default gate run fail: only pass --engine here deliberately, and say
 # so in the commit.
 set -euo pipefail

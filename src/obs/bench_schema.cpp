@@ -27,13 +27,9 @@ std::string validate_bench_json(const json::Value& doc) {
   if (cores && (!cores->is_number() || cores->as_number() < 1))
     return "\"cores\" is not a number >= 1";
   const auto* engine = doc.get("engine");
-  if (engine &&
-      (!engine->is_string() || !cpu::parse_engine(engine->as_string())))
-    return "\"engine\" is not one of reference|fast|block|trace";
-  const auto* sb = doc.get("sb");
-  if (sb && !sb->is_bool()) return "\"sb\" is not a bool";
-  const auto* trace = doc.get("trace");
-  if (trace && !trace->is_bool()) return "\"trace\" is not a bool";
+  if (!engine || !engine->is_string() ||
+      !cpu::parse_engine(engine->as_string()))
+    return "missing \"engine\" or not one of reference|fast|block|trace";
   const auto* series = doc.get("series");
   if (!series || !series->is_array()) return "missing \"series\" array";
   if (series->size() == 0) return "empty series";
@@ -72,17 +68,7 @@ std::optional<BenchDoc> parse_bench_doc(const json::Value& doc,
     out.jobs = static_cast<unsigned>(jobs->as_number());
   if (const auto* cores = doc.get("cores"))
     out.cores = static_cast<unsigned>(cores->as_number());
-  if (const auto* engine = doc.get("engine")) {
-    out.engine = *cpu::parse_engine(engine->as_string());
-  } else {
-    const auto* sb = doc.get("sb");
-    const auto* trace = doc.get("trace");
-    if (sb && !sb->as_bool())
-      out.engine = cpu::Engine::Fast;
-    else
-      out.engine = trace && trace->as_bool() ? cpu::Engine::Trace
-                                             : cpu::Engine::Block;
-  }
+  out.engine = *cpu::parse_engine(doc.get("engine")->as_string());
   const json::Value& series = *doc.get("series");
   out.series.reserve(series.size());
   for (size_t i = 0; i < series.size(); ++i) {

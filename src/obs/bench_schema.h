@@ -17,9 +17,10 @@
 //                                          // results, so documents with
 //                                          // different cores are never
 //                                          // comparable
-//     "engine": "trace",                   // host engine tier the session
-//                                          // ran at (--engine: reference,
-//                                          // fast, block or trace);
+//     "engine": "trace",                   // required: host engine tier
+//                                          // the session ran at (--engine:
+//                                          // reference, fast, block or
+//                                          // trace);
 //                                          // host-side only, simulated
 //                                          // cycles are tier-independent,
 //                                          // but host series are not, so
@@ -29,12 +30,6 @@
 //                  "value": 1234.5, "unit": "cycles/op",
 //                  "relative": 1.31},  ... ]
 //   }
-// Documents recorded before "engine" existed carry the legacy booleans
-// instead, and parse as the tier they ran: "sb": false (the superblock
-// engine was off, absent means on) is fast; otherwise "trace": true is trace
-// and an absent "trace" is block, which is what runs predating the trace
-// tier executed.
-//
 // Validation lives here so a bench that emits a malformed document and a
 // perfdiff run over a corrupt baseline fail with the same message.
 #pragma once
@@ -66,8 +61,7 @@ struct BenchDoc {
   std::optional<uint64_t> seed;  ///< RNG seed the run used, when recorded
   unsigned jobs = 1;             ///< host threads of the run (absent = 1)
   unsigned cores = 1;            ///< guest cores per machine (absent = 1)
-  /// Host engine tier of the run (legacy documents: derived, see above).
-  cpu::Engine engine = cpu::Engine::Trace;
+  cpu::Engine engine = cpu::Engine::Trace;  ///< host engine tier of the run
   std::vector<BenchSeriesPoint> series;
 };
 

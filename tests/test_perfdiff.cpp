@@ -351,23 +351,19 @@ std::optional<obs::BenchDoc> parse_with_header(const std::string& fields,
   return obs::parse_bench_doc(*parsed, err);
 }
 
-TEST(PerfDiff, SbHeaderFieldValidatesAndParses) {
-  // Legacy "sb": false recorded a run with the superblock engine gated off
-  // and the fast path on: it derives the fast tier.
-  const auto d = parse_with_header(R"("jobs":4,"sb":false,)");
+TEST(PerfDiff, MissingEngineIsRejected) {
+  const auto d = parse_with_header(R"("jobs":4,"engine":"fast",)");
   ASSERT_TRUE(d.has_value());
   EXPECT_EQ(d->jobs, 4u);
   EXPECT_EQ(d->engine, cpu::Engine::Fast);
-  // ... whatever the legacy trace gate said (the tier lived inside the
-  // superblock engine).
-  const auto d2 = parse_with_header(R"("sb":false,"trace":true,)");
-  ASSERT_TRUE(d2.has_value());
-  EXPECT_EQ(d2->engine, cpu::Engine::Fast);
 
-  // A non-bool "sb" is rejected.
-  std::string err;
-  EXPECT_FALSE(parse_with_header(R"("sb":1,)", &err).has_value());
-  EXPECT_NE(err.find("\"sb\""), std::string::npos) << err;
+  // Every document names its tier; the booleans that once stood for it
+  // name nothing.
+  for (const char* fields : {"", R"("trace":true,)", R"("sb":false,)"}) {
+    std::string err;
+    EXPECT_FALSE(parse_with_header(fields, &err).has_value()) << fields;
+    EXPECT_NE(err.find("\"engine\""), std::string::npos) << err;
+  }
 }
 
 TEST(PerfDiff, RefusesCrossJobsComparison) {
@@ -456,34 +452,15 @@ TEST(PerfDiff, TraceSeriesAndHeaderArePerfdiffAware) {
   ASSERT_EQ(rep.deltas.size(), 2u);
   EXPECT_EQ(rep.deltas[1].status, Status::Info);
 
-  // "engine" names the tier; legacy documents derive it: "trace": true is
-  // trace, and no engine field at all is block (recordings predating the
-  // trace tier).
+  // "engine" names the tier; unknown tiers and non-string engines are
+  // rejected.
   const auto named = parse_with_header(R"("engine":"trace",)");
   ASSERT_TRUE(named.has_value());
   EXPECT_EQ(named->engine, cpu::Engine::Trace);
-  const auto legacy = parse_with_header(R"("trace":true,)");
-  ASSERT_TRUE(legacy.has_value());
-  EXPECT_EQ(legacy->engine, cpu::Engine::Trace);
-  const auto absent = parse_with_header("");
-  ASSERT_TRUE(absent.has_value());
-  EXPECT_EQ(absent->engine, cpu::Engine::Block);
-
-  // A legacy {"trace": true} baseline and a new {"engine": "trace"} run
-  // compare without refusal.
-  obs::BenchDoc legacy_base = *legacy;
-  obs::BenchDoc named_cur = *named;
-  const auto cross = diff({legacy_base}, {named_cur}, {});
-  EXPECT_TRUE(cross.error.empty()) << cross.error;
-  EXPECT_TRUE(cross.ok) << cross.markdown();
-
-  // Unknown tiers and non-string engines are rejected; a non-bool legacy
-  // "trace" still is.
   std::string err;
   EXPECT_FALSE(parse_with_header(R"("engine":"warp",)", &err).has_value());
   EXPECT_NE(err.find("\"engine\""), std::string::npos) << err;
   EXPECT_FALSE(parse_with_header(R"("engine":3,)").has_value());
-  EXPECT_FALSE(parse_with_header(R"("trace":"yes",)").has_value());
 }
 
 TEST(PerfDiff, MarkdownReportNamesTheOffender) {
@@ -504,7 +481,7 @@ TEST(PerfDiff, MarkdownReportNamesTheOffender) {
 TEST(BenchSchema, ParseRoundTripIncludingSeed) {
   const char* text = R"({
     "schema": "camo-bench/v1", "bench": "Fig", "title": "t", "smoke": true,
-    "seed": 2024,
+    "seed": 2024, "engine": "trace",
     "series": [{"config": "full", "benchmark": "read", "value": 1.5,
                 "unit": "cycles/op", "relative": 1.2}]
   })";
@@ -526,7 +503,7 @@ TEST(BenchSchema, ParseRoundTripIncludingSeed) {
   // since-removed "snap" field keep parsing.
   const auto old = obs::json::Value::parse(R"({
     "schema": "camo-bench/v1", "bench": "Fig", "title": "t", "smoke": true,
-    "snap": true,
+    "snap": true, "engine": "trace",
     "series": [{"config": "full", "benchmark": "read", "value": 1.5,
                 "unit": "cycles/op"}]
   })");
@@ -540,7 +517,7 @@ TEST(BenchSchema, ParseRoundTripIncludingSeed) {
 TEST(BenchSchema, JobsFieldParsesAndValidates) {
   const char* text = R"({
     "schema": "camo-bench/v1", "bench": "Fleet", "title": "t", "smoke": true,
-    "jobs": 8,
+    "jobs": 8, "engine": "trace",
     "series": [{"config": "fleet", "benchmark": "fleet.steals", "value": 3,
                 "unit": "steals"}]
   })";
@@ -554,7 +531,7 @@ TEST(BenchSchema, JobsFieldParsesAndValidates) {
   for (const char* bad : {R"("eight")", "0", "-2"}) {
     const std::string t = std::string(R"({
       "schema": "camo-bench/v1", "bench": "b", "title": "t", "smoke": false,
-      "jobs": )") + bad + R"(,
+      "engine": "trace", "jobs": )") + bad + R"(,
       "series": [{"config": "c", "benchmark": "m", "value": 1, "unit": "u"}]
     })";
     const auto j = obs::json::Value::parse(t);
@@ -566,7 +543,7 @@ TEST(BenchSchema, JobsFieldParsesAndValidates) {
 TEST(BenchSchema, CoresFieldParsesAndValidates) {
   const char* text = R"({
     "schema": "camo-bench/v1", "bench": "SMP", "title": "t", "smoke": true,
-    "cores": 2,
+    "cores": 2, "engine": "trace",
     "series": [{"config": "cores=2", "benchmark": "makespan", "value": 3,
                 "unit": "cycles"}]
   })";
@@ -580,6 +557,7 @@ TEST(BenchSchema, CoresFieldParsesAndValidates) {
   // Absent means 1 guest core: pre-SMP artifacts parse unchanged.
   const char* absent = R"({
     "schema": "camo-bench/v1", "bench": "b", "title": "t", "smoke": false,
+    "engine": "trace",
     "series": [{"config": "c", "benchmark": "m", "value": 1, "unit": "u"}]
   })";
   const auto j2 = obs::json::Value::parse(absent);
@@ -591,7 +569,7 @@ TEST(BenchSchema, CoresFieldParsesAndValidates) {
   for (const char* bad : {R"("two")", "0", "-2"}) {
     const std::string t = std::string(R"({
       "schema": "camo-bench/v1", "bench": "b", "title": "t", "smoke": false,
-      "cores": )") + bad + R"(,
+      "engine": "trace", "cores": )") + bad + R"(,
       "series": [{"config": "c", "benchmark": "m", "value": 1, "unit": "u"}]
     })";
     const auto j = obs::json::Value::parse(t);
@@ -609,12 +587,13 @@ TEST(BenchSchema, RejectsWrongSchemaAndMalformedSeries) {
   reject(R"({"schema": "camo-bench/v2", "bench": "b", "title": "t",
              "smoke": false, "series": []})");
   reject(R"({"schema": "camo-bench/v1", "bench": "b", "title": "t",
-             "smoke": false, "series": []})");  // empty series
+             "smoke": false, "engine": "trace",
+             "series": []})");  // empty series
   reject(R"({"schema": "camo-bench/v1", "bench": "b", "title": "t",
-             "smoke": false,
+             "smoke": false, "engine": "trace",
              "series": [{"config": "c", "benchmark": "m", "unit": "u"}]})");
   reject(R"({"schema": "camo-bench/v1", "bench": "b", "title": "t",
-             "smoke": false, "seed": "not-a-number",
+             "smoke": false, "engine": "trace", "seed": "not-a-number",
              "series": [{"config": "c", "benchmark": "m", "value": 1,
                          "unit": "u"}]})");
 }

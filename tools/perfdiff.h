@@ -34,10 +34,10 @@
 // The --cores header field (absent = 1) is refused on mismatch for a
 // stronger reason: guest core count changes the *simulated* results
 // themselves, so nothing in a cross-cores pair is comparable.
-// The engine headers — "sb" (absent = true) and "trace" (absent = false) —
-// are likewise refused on mismatch: the engines retire identical simulated
-// cycles, but every host-side series measures a different implementation,
-// so interp/sb/trace recordings are never diffed against each other.
+// The "engine" header is likewise refused on mismatch: the tiers retire
+// identical simulated cycles, but every host-side series measures a
+// different implementation, so recordings on different tiers are never
+// diffed against each other.
 #pragma once
 
 #include <cstdint>
@@ -93,7 +93,7 @@ struct Delta {
 
 struct Report {
   /// One line per bench in the current set: the run conditions its document
-  /// header recorded (--jobs, superblock engine). Printed at the top of
+  /// header recorded (--jobs, --cores, --engine). Printed at the top of
   /// markdown() so a report is interpretable without opening the JSON.
   struct RunHeader {
     std::string bench;
