@@ -435,54 +435,45 @@ bool Machine::run(uint64_t max_steps) {
     const auto sync = [&reg](const char* name, uint64_t total) {
       reg.counter(name).raise_to(total);
     };
-    uint64_t ic_hit = 0, ic_miss = 0, ic_re = 0;
-    uint64_t tlb_hit = 0, tlb_miss = 0, tlb_flush = 0;
-    uint64_t pac_hit = 0, pac_miss = 0;
-    uint64_t sb_blocks = 0, sb_hits = 0, sb_inval = 0, sb_chain = 0;
-    uint64_t tr_formed = 0, tr_hits = 0, tr_gexit = 0, tr_inval = 0,
-             tr_demote = 0;
-    const auto add_core = [&](cpu::Cpu& cc, const mem::Mmu& mm) {
-      const auto& fp = cc.fast_path_stats();
-      ic_hit += fp.icache_hits;
-      ic_miss += fp.icache_misses;
-      ic_re += fp.icache_redecodes;
-      const auto& tlb = mm.tlb_stats();
-      tlb_hit += tlb.hits;
-      tlb_miss += tlb.misses;
-      tlb_flush += tlb.flushes;
-      const auto& pac = cc.pauth().pac_cache_stats();
-      pac_hit += pac.hits;
-      pac_miss += pac.misses;
-      const auto& sb = cc.superblock_stats();
-      sb_blocks += sb.blocks;
-      sb_hits += sb.hits;
-      sb_inval += sb.invalidations;
-      sb_chain += sb.chain_hits;
-      tr_formed += sb.traces_formed;
-      tr_hits += sb.trace_hits;
-      tr_gexit += sb.trace_guard_exits;
-      tr_inval += sb.trace_invalidations;
-      tr_demote += sb.trace_demotions;
+    // `name` <- one field of a per-core stats struct, summed over cores.
+    const auto sum = [&](const char* name, auto stats, auto field) {
+      uint64_t total = 0;
+      for (unsigned c = 0; c < cores(); ++c) total += stats(core(c)).*field;
+      sync(name, total);
     };
-    add_core(cpu_, mmu_);
-    for (const auto& sc : secondary_) add_core(*sc.cpu, *sc.mmu);
-    sync("fastpath.icache.hit", ic_hit);
-    sync("fastpath.icache.miss", ic_miss);
-    sync("fastpath.icache.redecode", ic_re);
-    sync("fastpath.tlb.hit", tlb_hit);
-    sync("fastpath.tlb.miss", tlb_miss);
-    sync("fastpath.tlb.flush", tlb_flush);
-    sync("fastpath.pac.hit", pac_hit);
-    sync("fastpath.pac.miss", pac_miss);
-    sync("fastpath.sb.blocks", sb_blocks);
-    sync("fastpath.sb.hits", sb_hits);
-    sync("fastpath.sb.invalidations", sb_inval);
-    sync("fastpath.sb.chain_hits", sb_chain);
-    sync("fastpath.trace.formed", tr_formed);
-    sync("fastpath.trace.hits", tr_hits);
-    sync("fastpath.trace.guard_exits", tr_gexit);
-    sync("fastpath.trace.invalidations", tr_inval);
-    sync("fastpath.trace.demotions", tr_demote);
+    using Fp = cpu::Cpu::FastPathStats;
+    using Tlb = mem::Mmu::TlbStats;
+    using Pac = cpu::PauthUnit::PacCacheStats;
+    using Sb = cpu::SuperblockStats;
+    const auto fp = [](cpu::Cpu& c) -> const Fp& {
+      return c.fast_path_stats();
+    };
+    const auto tlb = [](cpu::Cpu& c) -> const Tlb& {
+      return c.mmu().tlb_stats();
+    };
+    const auto pac = [](cpu::Cpu& c) -> const Pac& {
+      return c.pauth().pac_cache_stats();
+    };
+    const auto sb = [](cpu::Cpu& c) -> const Sb& {
+      return c.superblock_stats();
+    };
+    sum("fastpath.icache.hit", fp, &Fp::icache_hits);
+    sum("fastpath.icache.miss", fp, &Fp::icache_misses);
+    sum("fastpath.icache.redecode", fp, &Fp::icache_redecodes);
+    sum("fastpath.tlb.hit", tlb, &Tlb::hits);
+    sum("fastpath.tlb.miss", tlb, &Tlb::misses);
+    sum("fastpath.tlb.flush", tlb, &Tlb::flushes);
+    sum("fastpath.pac.hit", pac, &Pac::hits);
+    sum("fastpath.pac.miss", pac, &Pac::misses);
+    sum("fastpath.sb.blocks", sb, &Sb::blocks);
+    sum("fastpath.sb.hits", sb, &Sb::hits);
+    sum("fastpath.sb.invalidations", sb, &Sb::invalidations);
+    sum("fastpath.sb.chain_hits", sb, &Sb::chain_hits);
+    sum("fastpath.trace.formed", sb, &Sb::traces_formed);
+    sum("fastpath.trace.hits", sb, &Sb::trace_hits);
+    sum("fastpath.trace.guard_exits", sb, &Sb::trace_guard_exits);
+    sum("fastpath.trace.invalidations", sb, &Sb::trace_invalidations);
+    sum("fastpath.trace.demotions", sb, &Sb::trace_demotions);
     // Image-cache reuse telemetry, cached boots only (uncached machines
     // keep their exact registry shape). Each machine either built the
     // shared prepared kernel (miss) or installed an earlier machine's
