@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "assembler/builder.h"
 #include "cpu/cpu.h"
 #include "mem/mmu.h"
@@ -68,5 +70,15 @@ class SimHarness {
   mem::Mmu mmu;
   cpu::Cpu core;
 };
+
+/// FNV-1a digest of an export, for tests that pin one.
+inline uint64_t fnv1a(const std::string& s) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (const unsigned char c : s) {
+    h ^= c;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
 
 }  // namespace camo::testing

@@ -734,14 +734,7 @@ TEST(RetireFeed, EnginesAgreeWhenAnAuthFailAtATerminatorFreezesTheRing) {
 // body, a failing AUTIA at a terminator and the alone terminators around
 // them — and pins an FNV-1a digest of every export on all four tiers.
 
-uint64_t fnv1a(const std::string& s) {
-  uint64_t h = 0xcbf29ce484222325ull;
-  for (const unsigned char c : s) {
-    h ^= c;
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
+using testing::fnv1a;
 
 EngineExports run_golden(cpu::Engine engine) {
   cpu::Cpu::Config cfg;

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "attacks/attacks.h"
+#include "harness.h"
 #include "kernel/machine.h"
 #include "kernel/workloads.h"
 #include "obs/collector.h"
@@ -197,14 +198,7 @@ TEST(Smp, AttackRegistryListsTrapframeMigrationLast) {
 // the CPUs' own counts, on a preempted 2-core guest driven by several run()
 // calls (so the counters are published more than once), on every tier.
 
-uint64_t fnv1a(const std::string& s) {
-  uint64_t h = 0xcbf29ce484222325ull;
-  for (const unsigned char c : s) {
-    h ^= c;
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
+using testing::fnv1a;
 
 /// metrics_json() minus what is host-side: the host-time gauges and the
 /// fastpath.* cache statistics, which differ by tier.
