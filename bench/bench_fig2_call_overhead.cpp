@@ -40,12 +40,12 @@ struct CallRun {
 };
 
 /// The engine tier a run's host counters show it ran on: formed traces mean
-/// Trace, built blocks mean Block, predecoded pages mean Fast.
-cpu::Engine ran_on(const cpu::Cpu& core) {
+/// Trace, built blocks mean Block, micro-TLB hits mean Fast.
+cpu::Engine ran_on(cpu::Cpu& core) {
   const cpu::SuperblockStats& sb = core.superblock_stats();
-  if (sb.traces_formed > 0) return cpu::Engine::Trace;
+  if (sb.trace_formations > 0) return cpu::Engine::Trace;
   if (sb.blocks > 0) return cpu::Engine::Block;
-  if (core.fast_path_stats().icache_misses > 0) return cpu::Engine::Fast;
+  if (core.mmu().tlb_stats().hits > 0) return cpu::Engine::Fast;
   return cpu::Engine::Reference;
 }
 

@@ -653,16 +653,14 @@ bool Cpu::step_impl(obs::RetireRun* rec, obs::RetireSlot* slot) {
     return true;
   }
   // Fetch permission always goes through the full translation/fault model
-  // (XOM, PXN, PAC-poison); only the decode of the fetched word is cached.
+  // (XOM, PXN, PAC-poison) before the fetched word is decoded.
   const auto xlat = mmu_->translate(iaddr, mem::Access::Fetch, pstate.el);
   if (xlat.fault != FaultKind::None) {
     take_exception(ExcClass::InsnAbort, iaddr, 0, xlat.fault, iaddr);
     ++exc_steps_;
     return true;
   }
-  const Inst inst = cfg_.engine >= Engine::Fast
-                        ? fetch_decoded(xlat.pa)
-                        : isa::decode(mmu_->phys().read32(xlat.pa));
+  const Inst inst = isa::decode(mmu_->phys().read32(xlat.pa));
   const unsigned cost = cycle_cost(inst);
   if (rec != nullptr) {
     rec->va = iaddr;
@@ -679,39 +677,6 @@ bool Cpu::step_impl(obs::RetireRun* rec, obs::RetireSlot* slot) {
   ++instret_;
   ++op_counts_[static_cast<size_t>(inst.op)];
   return !halted_;
-}
-
-const Inst& Cpu::fetch_decoded_slow(uint64_t pa) {
-  const mem::PhysicalMemory& phys = mmu_->phys();
-  // A fetch straddling the end of physical memory is a host-side bug; take
-  // the same camo::Error the uncached phys read would raise.
-  if (phys.size() < 4 || pa > phys.size() - 4) (void)phys.read32(pa);
-  const uint64_t page = pa >> mem::PhysicalMemory::kPageShift;
-  const uint64_t cur_gen = phys.page_generation(page);
-
-  DecodedPage& dp = icache_[page];
-  mru_page_ = page;
-  mru_dp_ = &dp;
-  if (dp.insts.empty() || dp.gen != cur_gen) {
-    if (dp.insts.empty())
-      ++fp_stats_.icache_misses;
-    else
-      ++fp_stats_.icache_redecodes;
-    // Decode the whole page eagerly: code pages are executed densely, and a
-    // single pass amortises the map lookup. Clamp to the end of physical
-    // memory for a final partial page.
-    const uint64_t base = page << mem::PhysicalMemory::kPageShift;
-    const uint64_t page_words = uint64_t{1}
-                                << (mem::PhysicalMemory::kPageShift - 2);
-    const uint64_t words = std::min(page_words, (phys.size() - base) / 4);
-    dp.insts.resize(words);
-    for (uint64_t w = 0; w < words; ++w)
-      dp.insts[w] = isa::decode(phys.read32(base + w * 4));
-    dp.gen = cur_gen;
-  } else {
-    ++fp_stats_.icache_hits;
-  }
-  return dp.insts[(pa & mask(mem::PhysicalMemory::kPageShift)) >> 2];
 }
 
 uint64_t Cpu::run(uint64_t max_steps) {

@@ -44,7 +44,7 @@ struct SuperblockStats {
   uint64_t chain_hits = 0;     ///< block→block transitions via the memoized
                                ///< chain edge (no lookup, no translate)
   // Trace tier (DESIGN.md §3i): branch-following multi-block traces.
-  uint64_t traces_formed = 0;       ///< traces built from biased edge profiles
+  uint64_t trace_formations = 0;    ///< traces built from biased edge profiles
   uint64_t trace_hits = 0;          ///< dispatches served by a valid trace
   uint64_t trace_guard_exits = 0;   ///< mid-trace guard mismatches (side exit)
   uint64_t trace_invalidations = 0; ///< traces rejected by a stale page record
@@ -96,9 +96,9 @@ class Cpu {
     mem::VaLayout layout{};
     /// Host engine tier (engine.h). Purely a host-side choice: simulated
     /// state, cycles, the retire stream and every observability feed are
-    /// bit-for-bit identical on every tier. step() uses the predecode cache
-    /// from Fast up; run() executes cached blocks from Block up and extends
-    /// them into traces at Trace.
+    /// bit-for-bit identical on every tier. From Fast up translation and
+    /// PAC go through the micro-TLB and the PAC memo; run() executes cached
+    /// blocks from Block up and extends them into traces at Trace.
     Engine engine = Engine::Trace;
   };
 
@@ -257,13 +257,6 @@ class Cpu {
   /// Coarse class of an opcode for per-class retired-op metrics.
   static obs::OpClass op_class(isa::Op op);
 
-  /// Predecoded-instruction-cache statistics (host-side; informational).
-  struct FastPathStats {
-    uint64_t icache_hits = 0;      ///< fetches served from a current decode
-    uint64_t icache_misses = 0;    ///< first decode of a (page, generation)
-    uint64_t icache_redecodes = 0; ///< misses caused by a stale generation
-  };
-  const FastPathStats& fast_path_stats() const { return fp_stats_; }
   /// Superblock-cache statistics (zero below Engine::Block).
   const SuperblockStats& superblock_stats() const;
 
@@ -296,25 +289,6 @@ class Cpu {
   /// One step. When `rec` is non-null and an instruction executes, sets
   /// rec's va, pa and el and `slot` to that instruction's.
   bool step_impl(obs::RetireRun* rec, obs::RetireSlot* slot);
-  /// Fast-path fetch: decoded instruction at physical address `pa`,
-  /// re-decoding the whole page if its write generation moved. Must only be
-  /// called with a `pa` from a successful Access::Fetch translation. Inline
-  /// MRU hit path: straight-line code fetches from one page for hundreds of
-  /// instructions, so the common case is a generation compare and an index.
-  const isa::Inst& fetch_decoded(uint64_t pa) {
-    const uint64_t page = pa >> mem::PhysicalMemory::kPageShift;
-    const uint64_t idx = (pa & mask(mem::PhysicalMemory::kPageShift)) >> 2;
-    // idx < size() subsumes the empty-page and past-end-of-phys checks: the
-    // decode clamps to physical memory, so any in-vector index is valid.
-    if (page == mru_page_ &&
-        mru_dp_->gen == mmu_->phys().page_generation(page) &&
-        idx < mru_dp_->insts.size()) {
-      ++fp_stats_.icache_hits;
-      return mru_dp_->insts[idx];
-    }
-    return fetch_decoded_slow(pa);
-  }
-  const isa::Inst& fetch_decoded_slow(uint64_t pa);
   void execute(const isa::Inst& inst);
   void take_exception(ExcClass cls, uint64_t far, uint16_t iss,
                       mem::FaultKind fk, uint64_t preferred_return);
@@ -376,21 +350,6 @@ class Cpu {
   uint64_t exc_steps_ = 0;
   std::array<uint64_t, static_cast<size_t>(isa::Op::kCount)> op_counts_{};
 
-  /// One physical page of predecoded instructions, valid only while the
-  /// page's write generation matches. Pages are re-decoded in place, never
-  /// erased, so references handed out by fetch_decoded stay valid for the
-  /// duration of the executing step.
-  struct DecodedPage {
-    uint64_t gen = 0;
-    std::vector<isa::Inst> insts;
-  };
-  std::unordered_map<uint64_t, DecodedPage> icache_;  // key: phys page number
-  // Most-recently-fetched page, bypassing the hash lookup for straight-line
-  // code. Safe to cache: unordered_map nodes are pointer-stable and decoded
-  // pages are refreshed in place, never erased.
-  uint64_t mru_page_ = ~uint64_t{0};
-  DecodedPage* mru_dp_ = nullptr;
-  FastPathStats fp_stats_;
   std::unique_ptr<SuperblockEngine> sb_;  // used by run() from Engine::Block up
 
   bool irq_pending_ = false;

@@ -15,7 +15,7 @@ namespace camo::cpu {
 
 enum class Engine {
   Reference,  ///< plain decode + page-table walk + cipher, no host caches
-  Fast,       ///< + predecode page cache, micro-TLB and §3c PAC memo
+  Fast,       ///< + micro-TLB and §3c PAC memo
   Block,      ///< + superblock engine (§3e)
   Trace,      ///< + trace tier over the superblocks (§3i)
 };

@@ -94,9 +94,9 @@ void SuperblockEngine::build(Cpu& cpu, Block& b, uint64_t va, uint64_t pa) {
       phys.page_generation(pa >> mem::PhysicalMemory::kPageShift);
   b.chain = nullptr;
   b.chain_va = 0;
-  // New bytes, cold profile. The trace pointer (if this block heads one) is
+  // New bytes, cold profile. The trace (if this block heads one) is
   // deliberately kept: the dispatcher revalidates and drops stale traces, so
-  // a rebuild shows up as one trace invalidation rather than a silent leak.
+  // a rebuild shows up as one trace invalidation rather than a silent drop.
   b.prof.reset();
   b.trace_regrows = 0;
   b.entries.clear();
@@ -168,11 +168,6 @@ bool SuperblockEngine::trace_valid(const Cpu& cpu, Trace& t) const {
   return true;
 }
 
-void SuperblockEngine::drop_trace(Trace& t) {
-  if (t.head != nullptr && t.head->trace == &t) t.head->trace = nullptr;
-  traces_.erase(t.head_pa);  // destroys t
-}
-
 void SuperblockEngine::try_form_trace(Cpu& cpu, Block& head) {
   // A faulting terminator (FPAC) may have redirected to the vector at a
   // different EL; successor blocks must be built at the EL the trace runs
@@ -229,13 +224,10 @@ void SuperblockEngine::try_form_trace(Cpu& cpu, Block& head) {
   if (t.segs.size() < 2) return;  // nothing to chain across
 
   t.head = &head;
-  t.head_pa = head.pa_start;
   t.build_stamp = builds_;  // every segment is valid as of right now
-  Trace& slot = traces_[head.pa_start];
-  slot = std::move(t);
-  head.trace = &slot;
-  ++stats_.traces_formed;
-  stats_.trace_len.record(slot.entries_total);
+  ++stats_.trace_formations;
+  stats_.trace_len.record(t.entries_total);
+  head.trace = std::make_unique<Trace>(std::move(t));
 }
 
 // Forced inline into both callers: as an out-of-line call per dispatched
@@ -306,7 +298,7 @@ SuperblockEngine::run_careful(Cpu& cpu, const Block& b, const Trace* t,
       if (cpu.halted_ || cpu.pc != va + 4) return leave(CarefulExit::kLeft);
       // A store may have rewritten this very block (or, in a trace, a later
       // segment) further down: the page write generation is the same
-      // signal the predecode cache keys on, so the next acquire()
+      // signal valid() keys the block cache on, so the next acquire()
       // re-translates the fresh bytes.
       if (e.is_store &&
           (t != nullptr
@@ -352,7 +344,7 @@ SuperblockEngine::TraceExit SuperblockEngine::run_trace(Cpu& cpu, Trace& t,
 
   // Run-length bookkeeping: one sample per dispatch (zero-length dispatches
   // are not samples, matching the block loop), plus the demotion
-  // denominator. Must run before any drop_trace — that destroys `t`.
+  // denominator. Must run before `t` is dropped — that destroys it.
   const auto finish = [&](uint64_t run) {
     if (run > 0) stats_.run_length.record(run);
     t.entries_run += run;
@@ -365,7 +357,7 @@ SuperblockEngine::TraceExit SuperblockEngine::run_trace(Cpu& cpu, Trace& t,
     if (t.uses < 16 || t.entries_run * 4 >= t.entries_total * t.uses)
       return false;
     ++stats_.trace_demotions;
-    drop_trace(t);
+    t.head->trace.reset();  // destroys t
     return true;
   };
   // Segment-boundary guard, shared by both loops: true when the run may go
@@ -537,7 +529,7 @@ SuperblockEngine::TraceExit SuperblockEngine::run_trace(Cpu& cpu, Trace& t,
         t.uses == (uint64_t{32} << t.head->trace_regrows)) {
       Block* const head = t.head;
       ++head->trace_regrows;
-      drop_trace(t);  // destroys t
+      head->trace.reset();  // destroys t
       try_form_trace(cpu, *head);
     }
   }
@@ -574,7 +566,7 @@ uint64_t SuperblockEngine::execute(Cpu& cpu, uint64_t budget) {
         continue;  // guard/side exit or completion: re-enter the dispatcher
       }
       ++stats_.trace_invalidations;
-      drop_trace(t);
+      blk->trace.reset();
     }
 
     // Dispatch run length (instructions retired inside this block entry)

@@ -60,6 +60,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -130,19 +131,22 @@ class SuperblockEngine {
     /// recorded per completed dispatch, consumed by trace formation. Dies
     /// with the decode — build() resets it.
     obs::EdgeProfile prof;
-    /// The trace headed by this block, when one exists (owned by traces_).
-    Trace* trace = nullptr;
+    /// The trace headed by this block, when one exists. Resetting it
+    /// destroys the trace; segments point at other cached blocks, which
+    /// live as long as the engine.
+    std::unique_ptr<Trace> trace;
     /// Regrowth rounds spent on this head (§3i): formation fires as soon as
     /// the head's edge is biased, when downstream profiles are still cold,
     /// so a young trace is re-walked a bounded number of times as the
-    /// profiles warm. Lives on the block — the trace is destroyed by each
-    /// regrowth — and dies with the decode like prof.
+    /// profiles warm. Lives on the block — each regrowth destroys the
+    /// trace — and dies with the decode like prof.
     uint8_t trace_regrows = 0;
   };
 
-  /// A branch-following multi-block trace (§3i). Segments are the existing
-  /// cached blocks — never copied — so a trace is a validated itinerary
-  /// plus per-boundary guards, not a second decode cache.
+  /// A branch-following multi-block trace (§3i), owned by its head block.
+  /// Segments are the existing cached blocks — never copied — so a trace is
+  /// a validated itinerary plus per-boundary guards over the block cache,
+  /// which is the engine's one cache of decoded code.
   struct Trace {
     struct Seg {
       Block* block = nullptr;
@@ -162,7 +166,6 @@ class SuperblockEngine {
       uint64_t probe_va = 0;  ///< VA used to re-derive the epoch
     };
     Block* head = nullptr;
-    uint64_t head_pa = 0;
     mem::El el = mem::El::El1;
     std::vector<Seg> segs;
     std::vector<PageRec> pages;
@@ -237,11 +240,7 @@ class SuperblockEngine {
   /// prev for the caller's chain memo.
   TraceExit run_trace(Cpu& cpu, Trace& t, uint64_t budget,
                       uint64_t& consumed, Block*& prev);
-  /// Unlink from the head block and erase (destroys `t`).
-  void drop_trace(Trace& t);
-
-  std::unordered_map<uint64_t, Block> cache_;   // key: start PA
-  std::unordered_map<uint64_t, Trace> traces_;  // key: head start PA
+  std::unordered_map<uint64_t, Block> cache_;  // key: start PA
   SuperblockStats stats_;
   /// Monotonic count of build() calls; see Trace::build_stamp.
   uint64_t builds_ = 0;

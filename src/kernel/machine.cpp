@@ -441,13 +441,9 @@ bool Machine::run(uint64_t max_steps) {
       for (unsigned c = 0; c < cores(); ++c) total += stats(core(c)).*field;
       sync(name, total);
     };
-    using Fp = cpu::Cpu::FastPathStats;
     using Tlb = mem::Mmu::TlbStats;
     using Pac = cpu::PauthUnit::PacCacheStats;
     using Sb = cpu::SuperblockStats;
-    const auto fp = [](cpu::Cpu& c) -> const Fp& {
-      return c.fast_path_stats();
-    };
     const auto tlb = [](cpu::Cpu& c) -> const Tlb& {
       return c.mmu().tlb_stats();
     };
@@ -457,9 +453,6 @@ bool Machine::run(uint64_t max_steps) {
     const auto sb = [](cpu::Cpu& c) -> const Sb& {
       return c.superblock_stats();
     };
-    sum("fastpath.icache.hit", fp, &Fp::icache_hits);
-    sum("fastpath.icache.miss", fp, &Fp::icache_misses);
-    sum("fastpath.icache.redecode", fp, &Fp::icache_redecodes);
     sum("fastpath.tlb.hit", tlb, &Tlb::hits);
     sum("fastpath.tlb.miss", tlb, &Tlb::misses);
     sum("fastpath.tlb.flush", tlb, &Tlb::flushes);
@@ -469,7 +462,7 @@ bool Machine::run(uint64_t max_steps) {
     sum("fastpath.sb.hits", sb, &Sb::hits);
     sum("fastpath.sb.invalidations", sb, &Sb::invalidations);
     sum("fastpath.sb.chain_hits", sb, &Sb::chain_hits);
-    sum("fastpath.trace.formed", sb, &Sb::traces_formed);
+    sum("fastpath.trace.formed", sb, &Sb::trace_formations);
     sum("fastpath.trace.hits", sb, &Sb::trace_hits);
     sum("fastpath.trace.guard_exits", sb, &Sb::trace_guard_exits);
     sum("fastpath.trace.invalidations", sb, &Sb::trace_invalidations);

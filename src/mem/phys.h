@@ -10,11 +10,11 @@
 // one per-page pointer (null = zero page).
 //
 // Every write bumps a per-4KiB-page monotonic generation counter. The CPU's
-// predecoded instruction cache keys decoded pages by (physical page,
-// generation), so any write-to-code — guest stores, the attacker's host-side
-// write primitive, module .text staged by the hypervisor, the bootloader
-// patching key-setter immediates — invalidates stale decodes without an
-// explicit invalidation call. Reads never bump a generation.
+// block cache keys decoded code by (physical page, generation), so any
+// write-to-code — guest stores, the attacker's host-side write primitive,
+// module .text staged by the hypervisor, the bootloader patching key-setter
+// immediates — invalidates stale decodes without an explicit invalidation
+// call. Reads never bump a generation.
 #pragma once
 
 #include <cstdint>

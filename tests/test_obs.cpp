@@ -455,19 +455,12 @@ TEST(Observability, ElCycleCountersSumToCpuCycles) {
 
 TEST(Observability, FastPathCountersAndThroughputGaugePublished) {
   kernel::MachineConfig cfg = observed_config();
-  // The one-icache-event-per-retire invariant below holds on the
-  // single-step path only: the Block tier fetches through the block cache.
   cfg.cpu.engine = cpu::Engine::Fast;
   kernel::Machine m(cfg);
   m.add_user_program(kernel::workloads::null_syscall(50));
   m.boot();
   ASSERT_TRUE(m.run());
   const Registry& reg = m.stats()->metrics();
-  // Every retired instruction is exactly one predecode-cache event.
-  const uint64_t events = reg.value("fastpath.icache.hit") +
-                          reg.value("fastpath.icache.miss") +
-                          reg.value("fastpath.icache.redecode");
-  EXPECT_EQ(events, m.cpu().retired());
   EXPECT_GT(reg.value("fastpath.tlb.hit"), 0u);
   EXPECT_GT(reg.value("fastpath.tlb.miss"), 0u);
   // Full protection signs/authenticates on every call; repeats must memoize.

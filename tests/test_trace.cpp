@@ -147,7 +147,7 @@ TEST_P(TraceTier, SmcInSecondPageOfCrossPageTraceInvalidates) {
   EXPECT_EQ(sim.core.x(0), 9u * 1 + 11u * 2);
   if (trace_engine()) {
     const auto& st = sim.core.superblock_stats();
-    EXPECT_GE(st.traces_formed, 1u)
+    EXPECT_GE(st.trace_formations, 1u)
         << "20 stable iterations must bias the edges and form a trace";
     EXPECT_GE(st.trace_invalidations, 1u)
         << "the store into page 2 must invalidate the cross-page trace";
@@ -197,9 +197,126 @@ TEST_P(TraceTier, ForgedBranchTargetTakesGuardSideExit) {
   EXPECT_EQ(sim.core.x(0), 13u) << "12 loop passes plus the forged final one";
   if (trace_engine()) {
     const auto& st = sim.core.superblock_stats();
-    EXPECT_GE(st.traces_formed, 1u);
+    EXPECT_GE(st.trace_formations, 1u);
     EXPECT_GE(st.trace_guard_exits, 1u)
         << "the forged target must miss the segment guard, not be followed";
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Regrowth, demotion and re-formation: a loop whose inner branch is first
+// always not-taken forms a two-segment trace at its head, which regrows into
+// an unrolled one as the profiles warm; the branch then alternates, so every
+// dispatch of that trace side-exits within an iteration or two and it is
+// demoted; finally the branch is always taken and traces re-form along the
+// new edge. The guest runs each phase to a halt, the host setting the branch
+// mask in between, and everything it produces — registers, cycles and
+// retirements per phase, and every obs export — must equal the Reference
+// run's.
+// ---------------------------------------------------------------------------
+
+TEST_P(TraceTier, UnbiasedInnerBranchDemotesThenTracesReform) {
+  struct Phase {
+    uint64_t cycles, retired, x0, x1, x2, formed, demoted, shortest, longest;
+  };
+  struct Run {
+    std::vector<Phase> phases;
+    std::string chrome, flat, folded, metrics, coverage;
+  };
+  const auto run = [](const cpu::Cpu::Config& c) {
+    SimHarness sim(c);
+    obs::Options opts;
+    opts.enabled = true;
+    opts.coverage = true;
+    obs::Collector col(opts);
+    col.callgraph().add_region("loop", testing::kHText,
+                               testing::kHText + 0x100);
+    sim.core.set_trace_sink(&col);
+    sim.core.set_cycle_attributor(&col);
+    sim.core.set_cf_sink(&col);
+    sim.core.set_audit_sink(&col);
+    sim.core.set_coverage(&col.coverage());
+
+    FunctionBuilder f("loop");
+    const auto head = f.make_label();
+    const auto other = f.make_label();
+    const auto done = f.make_label();
+    f.bind(head);
+    f.add_i(0, 0, 1);
+    f.and_(11, 19, 20);  // the inner branch: taken where x19 & x20 != 0
+    f.cbnz(11, other);
+    f.add_i(1, 1, 1);
+    f.sub_i(19, 19, 1);
+    f.cbnz(19, head);
+    f.b(done);
+    f.bind(other);
+    f.add_i(2, 2, 1);
+    f.sub_i(19, 19, 1);
+    f.cbnz(19, head);
+    f.bind(done);
+    f.hlt(1);
+    sim.write_words(testing::kHText, f.assemble().words);
+
+    Run r;
+    // Never taken, alternating with x19's parity, always taken.
+    const std::pair<uint64_t, uint64_t> phases[] = {
+        {0, 64}, {1, 64}, {~uint64_t{0}, 400}};
+    for (const auto& [mask, iterations] : phases) {
+      sim.core.set_x(19, iterations);
+      sim.core.set_x(20, mask);
+      sim.core.pc = testing::kHText;
+      sim.core.clear_halt();
+      sim.core.run(100000);
+      EXPECT_EQ(sim.core.halt_code(), 1u);
+      const auto& st = sim.core.superblock_stats();
+      r.phases.push_back({sim.core.cycles(), sim.core.retired(),
+                          sim.core.x(0), sim.core.x(1), sim.core.x(2),
+                          st.trace_formations, st.trace_demotions,
+                          st.trace_len.min(), st.trace_len.max()});
+    }
+    const cpu::Cpu* cores[] = {&sim.core};
+    cpu::publish_retire_counters(col.metrics(), cores);
+    r.chrome = col.chrome_trace_json();
+    r.flat = col.flat_profile();
+    r.folded = col.folded_profile();
+    r.metrics = col.metrics_json();
+    r.coverage = obs::cov_bundle_json(col.coverage(), "demotion", 1);
+    return r;
+  };
+
+  const Run got = run(cfg());
+  const Run ref = run(ref_cfg());
+  ASSERT_EQ(got.phases.size(), 3u);
+  EXPECT_EQ(ref.phases[2].x0, 64u + 64u + 400u);
+  EXPECT_EQ(ref.phases[2].x1, 64u + 32u);
+  EXPECT_EQ(ref.phases[2].x2, 32u + 400u);
+  for (size_t i = 0; i < 3; ++i) {
+    const Phase& a = got.phases[i];
+    const Phase& b = ref.phases[i];
+    EXPECT_EQ(std::tie(a.cycles, a.retired, a.x0, a.x1, a.x2),
+              std::tie(b.cycles, b.retired, b.x0, b.x1, b.x2))
+        << "phase " << i;
+  }
+  EXPECT_EQ(got.chrome, ref.chrome);
+  EXPECT_EQ(got.flat, ref.flat);
+  EXPECT_EQ(got.folded, ref.folded);
+  EXPECT_EQ(got.metrics, ref.metrics);
+  EXPECT_EQ(got.coverage, ref.coverage);
+  if (trace_engine()) {
+    const Phase& biased = got.phases[0];
+    const Phase& unbiased = got.phases[1];
+    const Phase& flipped = got.phases[2];
+    EXPECT_GE(biased.formed, 1u) << "the biased loop must form a trace";
+    EXPECT_LT(biased.shortest, biased.longest)
+        << "the stub formed at the first biased sample must regrow";
+    EXPECT_EQ(biased.demoted, 0u) << "a trace that completes is kept";
+    EXPECT_GE(unbiased.demoted, 1u)
+        << "an unbiased inner branch must demote the trace across it";
+    EXPECT_GT(flipped.formed, unbiased.formed)
+        << "traces must re-form once the branch is biased again";
+  } else {
+    EXPECT_EQ(got.phases[2].formed, 0u);
+    EXPECT_EQ(got.phases[2].demoted, 0u);
   }
 }
 
@@ -338,7 +455,7 @@ TEST_P(TraceTier, CrossCoreSmcInvalidatesPeerTrace) {
   EXPECT_EQ(b.halt_code(), 0x55u);
   EXPECT_EQ(b.x(0), 12u);
   if (trace_engine()) {
-    EXPECT_GE(b.superblock_stats().traces_formed, 1u)
+    EXPECT_GE(b.superblock_stats().trace_formations, 1u)
         << "12 stable loop passes must form a trace on core B";
   }
 
@@ -467,7 +584,7 @@ TEST(TraceStats, CountersPublishedWhenTierOn) {
   EXPECT_GT(reg.value("fastpath.trace.formed"), 0u);
   EXPECT_GT(reg.value("fastpath.trace.hits"), 0u);
   const auto& st = m.cpu().superblock_stats();
-  EXPECT_EQ(reg.value("fastpath.trace.formed"), st.traces_formed);
+  EXPECT_EQ(reg.value("fastpath.trace.formed"), st.trace_formations);
   EXPECT_EQ(reg.value("fastpath.trace.hits"), st.trace_hits);
   EXPECT_EQ(reg.value("fastpath.trace.guard_exits"), st.trace_guard_exits);
   EXPECT_EQ(reg.value("fastpath.trace.invalidations"),
