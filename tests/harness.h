@@ -10,6 +10,7 @@
 #include "assembler/builder.h"
 #include "cpu/cpu.h"
 #include "mem/mmu.h"
+#include "obs/metrics.h"
 
 namespace camo::testing {
 
@@ -79,6 +80,17 @@ inline uint64_t fnv1a(const std::string& s) {
     h *= 0x100000001b3ull;
   }
   return h;
+}
+
+/// metrics_json() minus what is host-side: the host-time gauges and the
+/// fastpath.* cache statistics, which differ by tier.
+inline std::string guest_metrics_json(const obs::Registry& reg) {
+  obs::Registry guest;
+  for (const auto& [name, c] : reg.counters())
+    if (name.rfind("fastpath.", 0) != 0) guest.counter(name).inc(c.value());
+  for (const auto& [name, h] : reg.histograms())
+    guest.histogram(name).merge(h);
+  return guest.to_json();
 }
 
 }  // namespace camo::testing

@@ -10,15 +10,19 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <ostream>
 #include <random>
 #include <string>
 
+#include "assembler/builder.h"
 #include "attacks/attacks.h"
 #include "cpu/cpu.h"
+#include "harness.h"
 #include "kernel/machine.h"
 #include "kernel/workloads.h"
 #include "obs/chrome_trace.h"
 #include "obs/collector.h"
+#include "obs/flight.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/ring.h"
@@ -790,6 +794,166 @@ TEST(Observability, DisabledMachineHasNoCollector) {
   m.boot();
   ASSERT_TRUE(m.run());
   EXPECT_EQ(m.stats(), nullptr);
+}
+
+
+// ---- Machine golden: every event kind through the real producers ----------
+//
+// One guest drives every producer of the trace ring, the audit log and the
+// registry: SVC windows and key-switch bursts (full protection), sign/auth
+// and a corrupted hook's auth failure, HVCs, an accepted and a rejected
+// module load, context switches, and last a module whose init writes TTBR0,
+// which the hypervisor denies (the kernel then oopses, ending the run). The
+// attack verdict is stamped onto the collector the way the attack framework
+// stamps it. Stage2Fault is the one kind it lacks: the kernel oopses on a
+// stage-2 fault as well, so no guest can take both.
+
+obj::Program module_with_init(const std::string& name,
+                              void (*body)(assembler::FunctionBuilder&)) {
+  obj::Program mod;
+  auto& init = mod.add_function(name + "_init");
+  body(init);
+  return mod;
+}
+
+/// A user task that yields `yields` times, then asks the kernel to load
+/// module `id` and exits.
+obj::Program yield_then_load(uint64_t yields, uint64_t id) {
+  using kernel::Sys;
+  obj::Program p;
+  auto& f = p.add_function("_ustart");
+  p.add_bss("ubuf", 4096, 16);
+  const auto sys = [&f](Sys nr) {
+    f.movz(8, static_cast<uint16_t>(nr), 0);
+    f.svc(0);
+  };
+  const assembler::Label loop = f.make_label();
+  f.mov_imm(19, yields);
+  f.bind(loop);
+  sys(Sys::Yield);
+  f.sub_i(19, 19, 1);
+  f.cbnz(19, loop);
+  f.mov_imm(0, id);
+  sys(Sys::InitModule);
+  sys(Sys::Exit);
+  return p;
+}
+
+/// Stamp a Detected verdict the way attacks::record_outcome does.
+void stamp_verdict(Collector& c, const kernel::Machine& m) {
+  constexpr uint8_t kDetected = 1;
+  TraceEvent e;
+  e.kind = EventKind::AttackOutcome;
+  e.cycles = m.cpu().cycles();
+  e.k1 = kDetected;
+  c.emit(e);
+  AuditEvent a;
+  a.kind = AuditKind::AttackVerdict;
+  a.cycles = m.cpu().cycles();
+  a.ptr = m.read_global(kernel::kSymPacFailCount);
+  a.ptr2 = m.halt_code();
+  a.el = 1;
+  a.aux = kDetected;
+  c.audit(a);
+}
+
+struct GoldenDigests {
+  uint64_t trace, audit, registry;
+  bool operator==(const GoldenDigests&) const = default;
+};
+
+void PrintTo(const GoldenDigests& d, std::ostream* os) {
+  *os << std::hex << "{0x" << d.trace << ", 0x" << d.audit << ", 0x"
+      << d.registry << "}";
+}
+
+GoldenDigests every_kind_digests(unsigned cores, cpu::Engine engine) {
+  kernel::MachineConfig cfg;
+  cfg.cpu.engine = engine;
+  cfg.kernel.protection = compiler::ProtectionConfig::full();
+  cfg.kernel.log_pac_failures = false;
+  cfg.kernel.pac_failure_threshold = 100;
+  cfg.kernel.preempt = true;
+  cfg.cores = cores;
+  cfg.smp_quantum = 500;
+  cfg.obs.enabled = true;
+  kernel::Machine m(cfg);
+  const auto add_module = [&m](const std::string& name,
+                               void (*body)(assembler::FunctionBuilder&)) {
+    return static_cast<uint64_t>(
+        m.register_module(name, module_with_init(name, body)));
+  };
+  const uint64_t good = add_module("drv", [](auto& f) {
+    f.frame_push();
+    f.mov_sym(9, kernel::kSymWorkCounter);
+    f.mov_imm(10, 1000);
+    f.str(10, 9, 0);
+    f.frame_pop_ret();
+  });
+  const uint64_t spy = add_module("spy", [](auto& f) {
+    f.mrs(0, isa::SysReg::APIBKeyLo);  // fails verification
+    f.ret();
+  });
+  const uint64_t ttbr = add_module("ttbr", [](auto& f) {
+    f.msr(isa::SysReg::TTBR0_EL1, 0);  // passes it; denied at run time
+    f.ret();
+  });
+  m.add_user_program(kernel::workloads::null_syscall(3));
+  m.add_user_program(kernel::workloads::load_module(good));
+  m.add_user_program(kernel::workloads::load_module(spy));
+  m.add_user_program(kernel::workloads::call_hook(2));
+  m.add_user_program(yield_then_load(16, ttbr));
+  m.boot();
+  bool corrupted = false;
+  for (unsigned c = 0; c < m.cores(); ++c)
+    m.core(c).add_breakpoint(m.kernel_symbol("sys_call_hook"), [&](auto&) {
+      if (corrupted) return;
+      corrupted = true;
+      m.write_u64(m.kernel_symbol(kernel::kSymHookObj),
+                  m.kernel_symbol("alt_hook"));
+    });
+  EXPECT_TRUE(m.run());
+  EXPECT_EQ(m.halt_code(), kernel::kHaltOops) << "the denied MSR oopses";
+  Collector& st = *m.stats();
+  stamp_verdict(st, m);
+
+  for (size_t k = 1; k < static_cast<size_t>(EventKind::kCount); ++k) {
+    const auto kind = static_cast<EventKind>(k);
+    if (kind == EventKind::Stage2Fault) continue;
+    EXPECT_GT(st.ring().count_kind(kind), 0u)
+        << "cores=" << cores << ": no " << event_kind_name(kind);
+  }
+  for (size_t k = 1; k < static_cast<size_t>(AuditKind::kCount); ++k)
+    EXPECT_GT(st.audit_log().count_kind(static_cast<AuditKind>(k)), 0u)
+        << "cores=" << cores << ": no "
+        << audit_kind_name(static_cast<AuditKind>(k));
+  const auto loads = [&st](uint8_t ok) {
+    return st.ring().count_if([ok](const TraceEvent& e) {
+      return e.kind == EventKind::ModuleLoad && e.k1 == ok;
+    });
+  };
+  EXPECT_EQ(loads(1), 2u) << "the driver and the TTBR writer pass";
+  EXPECT_EQ(loads(0), 1u) << "the key-reading spy is rejected";
+  EXPECT_EQ(st.ring().dropped(), 0u);
+  EXPECT_EQ(st.audit_log().dropped(), 0u);
+
+  std::string audit;
+  for (const AuditEvent& e : st.audit_log().snapshot())
+    audit += audit_event_json(e).dump() + "\n";
+  return {testing::fnv1a(st.chrome_trace_json()), testing::fnv1a(audit),
+          testing::fnv1a(testing::guest_metrics_json(st.metrics()))};
+}
+
+TEST(MachineGolden, EveryEventKindPinnedOnOneAndTwoCores) {
+  for (const cpu::Engine engine : cpu::kEngines) {
+    SCOPED_TRACE(cpu::engine_name(engine));
+    EXPECT_EQ(every_kind_digests(1, engine),
+              (GoldenDigests{0x459ba7df4b687e31ull, 0x84c1f9486cf61f95ull,
+                             0xeb95a67f741770d8ull}));
+    EXPECT_EQ(every_kind_digests(2, engine),
+              (GoldenDigests{0x7e0ded6584b024e6ull, 0xf8371747999aafddull,
+                             0x3270a8c9d525cbcfull}));
+  }
 }
 
 }  // namespace

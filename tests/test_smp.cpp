@@ -199,17 +199,7 @@ TEST(Smp, AttackRegistryListsTrapframeMigrationLast) {
 // calls (so the counters are published more than once), on every tier.
 
 using testing::fnv1a;
-
-/// metrics_json() minus what is host-side: the host-time gauges and the
-/// fastpath.* cache statistics, which differ by tier.
-std::string guest_metrics_json(const obs::Registry& reg) {
-  obs::Registry guest;
-  for (const auto& [name, c] : reg.counters())
-    if (name.rfind("fastpath.", 0) != 0) guest.counter(name).inc(c.value());
-  for (const auto& [name, h] : reg.histograms())
-    guest.histogram(name).merge(h);
-  return guest.to_json();
-}
+using testing::guest_metrics_json;
 
 TEST(RetireCounters, TwoCoreRegistryPinnedOnEveryTier) {
   for (const cpu::Engine engine : cpu::kEngines) {
