@@ -91,23 +91,12 @@ void record_outcome(Machine& m, AttackReport& r) {
   obs::Collector* st = m.stats();
   if (!st) return;
   r.trace_auth_failures = st->ring().count_kind(obs::EventKind::AuthFail);
-  obs::TraceEvent e;
-  e.kind = obs::EventKind::AttackOutcome;
-  e.cycles = m.cpu().cycles();
-  e.k1 = static_cast<uint8_t>(r.outcome);
-  // Emitting the trace event first lets a Detected verdict arm the flight
-  // recorder even when no guest-visible fault fired (e.g. threshold panic
-  // classified after the run), so the bundle below always has a capture for
-  // detected attacks.
-  st->emit(e);
-  obs::AuditEvent a;
-  a.kind = obs::AuditKind::AttackVerdict;
-  a.cycles = m.cpu().cycles();
-  a.ptr = r.pac_failures;
-  a.ptr2 = r.halt_code;
-  a.el = 1;
-  a.aux = static_cast<uint8_t>(r.outcome);
-  st->audit(a);
+  // A Detected verdict arms the flight recorder even when no guest-visible
+  // fault fired, so the bundle below always has a capture for detected
+  // attacks.
+  st->attack_verdict(m.cpu().cpu_id(), m.cpu().cycles(),
+                     static_cast<uint8_t>(r.outcome), r.pac_failures,
+                     r.halt_code);
   if (st->options().coverage)
     r.coverage = std::make_shared<obs::CoverageMap>(st->coverage().snapshot());
   if (g_flight_ctx.out) {

@@ -212,18 +212,9 @@ qarma::Key128 Cpu::pac_key(PacKey k) const {
 void Cpu::set_kernel_bank_key(PacKey k, const qarma::Key128& key) {
   kernel_bank_[static_cast<size_t>(k)] = key;
   bank_prov_[static_cast<size_t>(k)] = ++prov_counter_;
-  if (audit_) {
-    obs::AuditEvent e;
-    e.kind = obs::AuditKind::KeyInstall;
-    e.cycles = cycles_;
-    e.pc = pc;
-    e.key = static_cast<uint8_t>(k);
-    e.el = static_cast<uint8_t>(pstate.el);
-    e.bank = 1;
-    e.prov = bank_prov_[static_cast<size_t>(k)];
-    e.cpu = static_cast<uint8_t>(cpu_id_);
-    audit_->audit(e);
-  }
+  if (obs_)
+    obs_->key_install(obs_site(pc), static_cast<uint8_t>(k),
+                      bank_prov_[static_cast<size_t>(k)], /*bank=*/true);
 }
 
 // ---------------------------------------------------------------------------
@@ -360,40 +351,10 @@ void Cpu::take_exception(ExcClass cls, uint64_t far, uint16_t iss,
   if (cf_)
     cf_->control_flow(obs::CfKind::ExcEnter, preferred_return, pc,
                       static_cast<uint8_t>(cls));
-  if (sink_) {
-    obs::TraceEvent e;
-    e.kind = obs::EventKind::ExcEnter;
-    e.cycles = cycles_;
-    e.pc = preferred_return;
-    e.a = far;
-    if (cls == ExcClass::Svc) e.b = gpr_[8];  // AAPCS64: syscall nr in x8
-    e.el = from_el;
-    e.k1 = static_cast<uint8_t>(cls);
-    e.k2 = static_cast<uint8_t>(fk);
-    e.imm = iss;
-    sink_->emit(e);
-    if (fk == FaultKind::Stage2) {
-      obs::TraceEvent s2;
-      s2.kind = obs::EventKind::Stage2Fault;
-      s2.cycles = cycles_;
-      s2.pc = preferred_return;
-      s2.a = far;
-      s2.el = from_el;
-      s2.k1 = static_cast<uint8_t>(cls);
-      sink_->emit(s2);
-    }
-  }
-  if (audit_) {
-    obs::AuditEvent a;
-    a.kind = obs::AuditKind::ElEnter;
-    a.cycles = cycles_;
-    a.pc = preferred_return;
-    a.ptr = far;
-    a.el = from_el;
-    a.aux = static_cast<uint8_t>(cls);
-    a.cpu = static_cast<uint8_t>(cpu_id_);
-    audit_->audit(a);
-  }
+  if (obs_)  // AAPCS64: the syscall nr is in x8
+    obs_->exc_enter({cpu_id_, cycles_, preferred_return, from_el},
+                    static_cast<uint8_t>(cls), static_cast<uint8_t>(fk), iss,
+                    far, gpr_[8]);
 }
 
 void Cpu::do_eret() {
@@ -410,27 +371,9 @@ void Cpu::do_eret() {
   if (cf_)
     cf_->control_flow(obs::CfKind::ExcExit, eret_pc, pc,
                       static_cast<uint8_t>(pstate.el));
-  if (sink_) {
-    obs::TraceEvent e;
-    e.kind = obs::EventKind::ExcExit;
-    e.cycles = cycles_;
-    e.pc = pc;
-    e.a = pc;
-    e.el = 1;  // ERET executes at EL1
-    e.k2 = static_cast<uint8_t>(pstate.el);
-    sink_->emit(e);
-  }
-  if (audit_) {
-    obs::AuditEvent a;
-    a.kind = obs::AuditKind::ElExit;
-    a.cycles = cycles_;
-    a.pc = eret_pc;
-    a.ptr = pc;
-    a.el = 1;  // ERET executes at EL1
-    a.aux = static_cast<uint8_t>(pstate.el);
-    a.cpu = static_cast<uint8_t>(cpu_id_);
-    audit_->audit(a);
-  }
+  if (obs_)  // ERET executes at EL1
+    obs_->exc_exit({cpu_id_, cycles_, eret_pc, 1}, pc,
+                   static_cast<uint8_t>(pstate.el));
 }
 
 // ---------------------------------------------------------------------------
@@ -493,35 +436,12 @@ bool Cpu::pauth_enabled(PacKey k) const {
 
 uint64_t Cpu::do_pac(uint64_t ptr, uint64_t modifier, PacKey k) {
   if (!pauth_enabled(k)) return ptr;  // disabled keys make PAC* a no-op
-  // Computed before emission so the audit Sign event can carry the signed
+  // Computed before the report so the audit Sign event can carry the signed
   // result (the causal link an auth failure is matched against).
   const uint64_t signed_ptr = pauth_.add_pac(ptr, modifier, pac_key(k));
-  if (sink_) {
-    obs::TraceEvent e;
-    e.kind = obs::EventKind::PacSign;
-    e.cycles = cycles_;
-    e.pc = pc - 4;
-    e.a = ptr;
-    e.b = modifier;
-    e.el = static_cast<uint8_t>(pstate.el);
-    e.k1 = static_cast<uint8_t>(k);
-    sink_->emit(e);
-  }
-  if (audit_) {
-    obs::AuditEvent a;
-    a.kind = obs::AuditKind::Sign;
-    a.cycles = cycles_;
-    a.pc = pc - 4;
-    a.ptr = ptr;
-    a.ptr2 = signed_ptr;
-    a.modifier = modifier;
-    a.prov = key_provenance(k);
-    a.key = static_cast<uint8_t>(k);
-    a.el = static_cast<uint8_t>(pstate.el);
-    a.mclass = static_cast<uint8_t>(obs::classify_modifier(modifier));
-    a.cpu = static_cast<uint8_t>(cpu_id_);
-    audit_->audit(a);
-  }
+  if (obs_)
+    obs_->pac_sign(obs_site(pc - 4), static_cast<uint8_t>(k), ptr, modifier,
+                   signed_ptr, key_provenance(k));
   return signed_ptr;
 }
 
@@ -530,33 +450,9 @@ uint64_t Cpu::do_aut(uint64_t ptr, uint64_t modifier, PacKey k,
   fault_taken = false;
   if (!pauth_enabled(k)) return ptr;
   const auto r = pauth_.auth(ptr, modifier, pac_key(k), k);
-  if (sink_) {
-    obs::TraceEvent e;
-    e.kind = r.ok ? obs::EventKind::AuthOk : obs::EventKind::AuthFail;
-    e.cycles = cycles_;
-    e.pc = pc - 4;
-    e.a = ptr;
-    e.b = modifier;
-    e.el = static_cast<uint8_t>(pstate.el);
-    e.k1 = static_cast<uint8_t>(k);
-    sink_->emit(e);
-  }
-  if (audit_) {
-    obs::AuditEvent a;
-    a.kind = r.ok ? obs::AuditKind::AuthOk : obs::AuditKind::AuthFail;
-    a.cycles = cycles_;
-    a.pc = pc - 4;
-    a.ptr = ptr;
-    a.ptr2 = r.ptr;
-    a.modifier = modifier;
-    a.lr = gpr_[isa::kRegLr];
-    a.prov = key_provenance(k);
-    a.key = static_cast<uint8_t>(k);
-    a.el = static_cast<uint8_t>(pstate.el);
-    a.mclass = static_cast<uint8_t>(obs::classify_modifier(modifier));
-    a.cpu = static_cast<uint8_t>(cpu_id_);
-    audit_->audit(a);
-  }
+  if (obs_)
+    obs_->pac_auth(obs_site(pc - 4), r.ok, static_cast<uint8_t>(k), ptr,
+                   modifier, r.ptr, gpr_[isa::kRegLr], key_provenance(k));
   if (!r.ok && cfg_.fpac) {
     take_exception(ExcClass::PacFail, ptr, 0, FaultKind::None, pc - 4);
     fault_taken = true;
@@ -1045,28 +941,11 @@ struct ExecHandlers {
       // Each half-write is an install: provenance bumps unconditionally so
       // audit streams attached later still see consistent ids.
       c.key_prov_[key_idx] = ++c.prov_counter_;
-      if (c.sink_) {
-        obs::TraceEvent e;
-        e.kind = obs::EventKind::KeyWrite;
-        e.cycles = c.cycles_;
-        e.pc = c.pc - 4;
-        e.el = static_cast<uint8_t>(c.pstate.el);
-        e.k1 = static_cast<uint8_t>(key_idx);
-        e.imm = static_cast<uint16_t>(inst.sysreg);
-        c.sink_->emit(e);
-      }
-      if (c.audit_) {
-        obs::AuditEvent a;
-        a.kind = obs::AuditKind::KeyInstall;
-        a.cycles = c.cycles_;
-        a.pc = c.pc - 4;
-        a.key = static_cast<uint8_t>(key_idx);
-        a.el = static_cast<uint8_t>(c.pstate.el);
-        a.prov = c.key_prov_[key_idx];
-        a.imm = static_cast<uint16_t>(inst.sysreg);
-        a.cpu = static_cast<uint8_t>(c.cpu_id_);
-        c.audit_->audit(a);
-      }
+      if (c.obs_)
+        c.obs_->key_install(c.obs_site(c.pc - 4),
+                            static_cast<uint8_t>(key_idx), c.key_prov_[key_idx],
+                            /*bank=*/false,
+                            static_cast<uint16_t>(inst.sysreg));
     }
   }
   static void svc(Cpu& c, const Inst& inst) {

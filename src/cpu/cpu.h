@@ -11,8 +11,8 @@
 //    can lock MMU control registers (threat model §3.1).
 //  * Breakpoint hooks fire before executing the instruction at a VA — the
 //    attack framework uses them to corrupt state mid-execution.
-//  * camo::obs sinks (trace events, retire runs, control flow, audit stream,
-//    coverage) observe execution without ever changing it.
+//  * camo::obs observers (the Collector for security facts, retire runs,
+//    control flow, coverage) observe execution without ever changing it.
 #pragma once
 
 #include <array>
@@ -27,7 +27,7 @@
 #include "cpu/pauth.h"
 #include "isa/isa.h"
 #include "mem/mmu.h"
-#include "obs/audit.h"
+#include "obs/collector.h"
 #include "obs/coverage.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -233,11 +233,17 @@ class Cpu {
   void set_msr_filter(MsrFilter f) { msr_filter_ = std::move(f); }
 
   // ---- Observability (camo::obs) ----------------------------------------
-  // Every sink is null by default, which disables its emission; attaching
+  // Every observer is null by default, which disables its feed; attaching
   // one never changes simulated cycle counts.
-  /// Structured trace events (exception entry/exit, PAC sign/auth, key
-  /// writes).
-  void set_trace_sink(obs::TraceSink* s) { sink_ = s; }
+  /// The collector this core reports its security facts to, once each:
+  /// exception entry/exit, PAC sign/auth with key provenance, key installs.
+  /// It builds the trace ring's and the audit log's records from them.
+  void set_collector(obs::Collector* c) { obs_ = c; }
+  /// This core's id, cycle counter and EL, with `at` as the guest pc: the
+  /// Site of a fact it (or the hypervisor on its behalf) reports.
+  obs::Site obs_site(uint64_t at) const {
+    return {cpu_id_, cycles_, at, static_cast<uint8_t>(pstate.el)};
+  }
   /// Cycle attribution feed (EL residency, flight ring, call-graph
   /// profiling): one obs::RetireRun per straight-line run the block and
   /// trace engines execute, a run of one per single step. Summing the
@@ -246,9 +252,6 @@ class Cpu {
   /// Control-flow feed for shadow-call-stack maintenance: linking calls,
   /// returns, exception entry/exit.
   void set_cf_sink(obs::CfSink* s) { cf_ = s; }
-  /// Security audit stream (obs/audit.h): key installs with provenance,
-  /// sign/auth outcomes, EL transitions.
-  void set_audit_sink(obs::AuditSink* s) { audit_ = s; }
   /// Execution coverage feed (obs/coverage.h): the same runs as the cycle
   /// attributor, except that a step which only took an exception retired no
   /// instruction and feeds it nothing, so the map is engine-invariant.
@@ -366,10 +369,9 @@ class Cpu {
   HvcHandler hvc_;
   MsrFilter msr_filter_;
 
-  obs::TraceSink* sink_ = nullptr;
+  obs::Collector* obs_ = nullptr;
   obs::CycleAttributor* attr_ = nullptr;
   obs::CfSink* cf_ = nullptr;
-  obs::AuditSink* audit_ = nullptr;
   obs::CoverageMap* cov_ = nullptr;
   struct PendingRun {
     const obs::RetireSlot* slots = nullptr;  ///< the block's, at va

@@ -397,19 +397,18 @@ SuperblockEngine::TraceExit SuperblockEngine::run_trace(Cpu& cpu, Trace& t,
     // registers. The batched cycles_/instret_ are flushed before every
     // terminator (MRS reads CNTVCT; MSR/HVC can arm the timer off cycles_)
     // and on every exit. Body entries are plain ALU/memory ops whose only
-    // cycles_ observer is the DataAbort path (sink/audit event timestamps,
-    // and with a retire feed the run flush at exception entry) — the
-    // abort's own `cycles_ += 12` commutes with the pending batch — so with
-    // no sink or feed attached they need no flush at all, and with one
-    // attached the flush happens before each may-fault handler.
+    // cycles_ observer is the DataAbort path (the collector's report
+    // timestamps, and with a retire feed the run flush at exception entry) —
+    // the abort's own `cycles_ += 12` commutes with the pending batch — so
+    // with no collector or feed attached they need no flush at all, and with
+    // one attached the flush happens before each may-fault handler.
     //
     // Retire feeds keep this loop too: each segment is one pending retire
     // run, flushed exactly where run_careful flushes it — before an
     // Entry::alone terminator (which retires as its own record), at the
     // exception entry a may-fault entry can take, and at every exit.
     const bool feeds = cpu.attr_ != nullptr || cpu.cov_ != nullptr;
-    const bool fault_observed =
-        feeds || cpu.sink_ != nullptr || cpu.audit_ != nullptr;
+    const bool fault_observed = feeds || cpu.obs_ != nullptr;
     uint64_t done = 0, cyc = 0, ret = 0;
     const uint64_t cap = budget - consumed;  // >= 1: caller checked budget
     const auto flush = [&] {

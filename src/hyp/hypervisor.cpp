@@ -117,25 +117,8 @@ bool Hypervisor::filter_msr(cpu::Cpu& cpu, isa::SysReg reg, uint64_t) {
   using isa::SysReg;
   const auto deny = [&] {
     ++denied_msr_;
-    if (sink_) {
-      obs::TraceEvent e;
-      e.kind = obs::EventKind::MsrDenied;
-      e.cycles = cpu.cycles();
-      e.pc = cpu.pc;
-      e.el = static_cast<uint8_t>(cpu.pstate.el);
-      e.imm = static_cast<uint16_t>(reg);
-      sink_->emit(e);
-    }
-    if (audit_) {
-      obs::AuditEvent a;
-      a.kind = obs::AuditKind::HypDenied;
-      a.cycles = cpu.cycles();
-      a.pc = cpu.pc;
-      a.el = static_cast<uint8_t>(cpu.pstate.el);
-      a.cpu = static_cast<uint8_t>(cpu.cpu_id());
-      a.imm = static_cast<uint16_t>(reg);
-      audit_->audit(a);
-    }
+    if (obs_)
+      obs_->msr_denied(cpu.obs_site(cpu.pc), static_cast<uint16_t>(reg));
     return false;
   };
   // Translation control is never EL1-writable: the paper's threat model has
@@ -148,17 +131,7 @@ bool Hypervisor::filter_msr(cpu::Cpu& cpu, isa::SysReg reg, uint64_t) {
 }
 
 void Hypervisor::handle_hvc(cpu::Cpu& cpu, uint16_t imm) {
-  if (sink_) {
-    obs::TraceEvent e;
-    e.kind = obs::EventKind::HvcCall;
-    e.cycles = cpu.cycles();
-    e.pc = cpu.pc;
-    e.a = cpu.x(0);
-    e.b = cpu.x(1);
-    e.el = static_cast<uint8_t>(cpu.pstate.el);
-    e.imm = imm;
-    sink_->emit(e);
-  }
+  if (obs_) obs_->hvc_call(cpu.obs_site(cpu.pc), imm, cpu.x(0), cpu.x(1));
   switch (static_cast<HvcCall>(imm)) {
     case HvcCall::ConsolePutc:
       console_.push_back(static_cast<char>(cpu.x(0)));
@@ -228,29 +201,7 @@ void Hypervisor::do_load_module(cpu::Cpu& cpu) {
   const uint64_t init_va =
       ok && image.has_symbol(init_sym) ? image.symbol(init_sym) : 0;
 
-  if (sink_) {
-    obs::TraceEvent e;
-    e.kind = obs::EventKind::ModuleLoad;
-    e.cycles = cpu.cycles();
-    e.pc = cpu.pc;
-    e.a = id;
-    e.b = init_va;
-    e.el = static_cast<uint8_t>(cpu.pstate.el);
-    e.k1 = ok ? 1 : 0;
-    sink_->emit(e);
-  }
-  if (audit_) {
-    obs::AuditEvent a;
-    a.kind = obs::AuditKind::ModuleVerify;
-    a.cycles = cpu.cycles();
-    a.pc = cpu.pc;
-    a.ptr = id;
-    a.ptr2 = init_va;
-    a.el = static_cast<uint8_t>(cpu.pstate.el);
-    a.aux = ok ? 1 : 0;
-    a.cpu = static_cast<uint8_t>(cpu.cpu_id());
-    audit_->audit(a);
-  }
+  if (obs_) obs_->module_verify(cpu.obs_site(cpu.pc), id, init_va, ok);
 
   if (!ok) {
     cpu.set_x(0, 0);

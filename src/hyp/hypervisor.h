@@ -115,12 +115,10 @@ class Hypervisor {
   const std::string& console() const { return console_; }
 
   // ---- observability ----
-  /// Structured EL2-side trace events (HVC calls, module loads, denied MSR
-  /// writes). Null disables emission.
-  void set_trace_sink(obs::TraceSink* s) { sink_ = s; }
-  /// Security audit stream (obs/audit.h): MSR denials and module-verify
-  /// verdicts. Null disables emission.
-  void set_audit_sink(obs::AuditSink* s) { audit_ = s; }
+  /// The collector EL2-side facts are reported to, once each, from the
+  /// calling core (HVC calls, module verification, denied MSR writes).
+  /// Null disables reporting.
+  void set_collector(obs::Collector* c) { obs_ = c; }
 
  private:
   /// A registered-but-not-yet-loaded module.
@@ -156,8 +154,7 @@ class Hypervisor {
   std::optional<analysis::VerifyResult> last_verify_;
 
   std::string console_;
-  obs::TraceSink* sink_ = nullptr;
-  obs::AuditSink* audit_ = nullptr;
+  obs::Collector* obs_ = nullptr;
 };
 
 }  // namespace camo::hyp

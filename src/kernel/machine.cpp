@@ -218,21 +218,19 @@ void Machine::attach_observability() {
   // simulated cycles.
   for (unsigned c = 0; c < cores(); ++c) {
     cpu::Cpu& cc = core(c);
-    cc.set_trace_sink(stats_.get());
+    cc.set_collector(stats_.get());
     cc.set_cycle_attributor(stats_.get());
     if (cfg_.obs.callgraph) cc.set_cf_sink(stats_.get());
-    cc.set_audit_sink(stats_.get());
     if (cfg_.obs.coverage) cc.set_coverage(&stats_->coverage());
   }
   // The retire counters exist from the start, as zeros (run() publishes
   // their values).
   publish_retire_counters();
-  hv_.set_trace_sink(stats_.get());
-  // Security audit stream (DESIGN.md §3f): CPU key/PAC/EL events and
-  // hypervisor denials land in the collector's AuditLog, stamped with this
+  // CPU and hypervisor reports land in the collector's trace ring and
+  // audit log (DESIGN.md §3a, §3f); audit events are stamped with this
   // machine's fleet identity so merged logs stay per-machine attributable.
-  stats_->audit_log().set_machine_id(cfg_.machine_id);
-  hv_.set_audit_sink(stats_.get());
+  stats_->set_machine_id(cfg_.machine_id);
+  hv_.set_collector(stats_.get());
   // Flight-recorder state provider: fills the machine-state snapshot at
   // capture time. Everything read there is guest-deterministic.
   stats_->flight().set_state_provider(
@@ -266,14 +264,8 @@ void Machine::attach_observability() {
     const uint64_t va = boot_->kernel_image.symbol(kSymCpuSwitchTo);
     for (unsigned i = 0; i < cores(); ++i) {
       core(i).add_breakpoint(va, [c](cpu::Cpu& cc) {
-        obs::TraceEvent e;
-        e.kind = obs::EventKind::ContextSwitch;
-        e.cycles = cc.cycles();
-        e.pc = cc.pc;
-        e.a = cc.x(0);  // prev task struct
-        e.b = cc.x(1);  // next task struct
-        e.el = static_cast<uint8_t>(cc.pstate.el);
-        c->emit(e);
+        // x0/x1: the prev and next task structs
+        c->context_switch(cc.obs_site(cc.pc), cc.x(0), cc.x(1));
       });
     }
   }

@@ -12,10 +12,13 @@
 // sign events made under the same key generation to the exact install that
 // produced it, which is what camo-audit's causal-chain printer walks.
 //
+// The Collector (obs/collector.h) builds every AuditEvent from the one
+// report a producer makes of a fact, right after that fact's trace record.
+//
 // Determinism rules (same contract as the trace ring):
-//  * producers hold a null AuditSink pointer by default — emission never
+//  * producers hold a null Collector pointer by default — reporting never
 //    costs simulated cycles and the guest run is bit-for-bit identical with
-//    or without a sink attached;
+//    or without a collector attached;
 //  * every payload is guest-deterministic (cycle counter, guest PCs,
 //    pointer/modifier values, provenance counters) — no host wall clock —
 //    so fleet runs merged in task-index order produce bit-identical logs
@@ -72,9 +75,9 @@ inline ModifierClass classify_modifier(uint64_t modifier) {
   return ModifierClass::Composite;
 }
 
-/// One audit record (fixed size). `cycles` is the CPU cycle counter at
-/// emission; `machine` is stamped by the receiving log so fleet-merged
-/// streams keep every machine's events distinct.
+/// One audit record (fixed size). `cycles` is the reporting core's cycle
+/// counter; `machine` is stamped by the Collector so fleet-merged streams
+/// keep every machine's events distinct.
 struct AuditEvent {
   uint64_t cycles = 0;
   uint64_t pc = 0;        ///< guest pc associated with the event (0 if none)
@@ -96,29 +99,12 @@ struct AuditEvent {
   uint16_t imm = 0;     ///< kind-specific 16-bit payload (sysreg)
 };
 
-/// Audit consumer. Producers treat a null sink as "auditing off".
-class AuditSink {
- public:
-  virtual ~AuditSink() = default;
-  virtual void audit(const AuditEvent& e) = 0;
-};
-
-/// Fixed-capacity audit ring (the default AuditSink backend; obs/ring.h):
+/// Fixed-capacity audit ring (the Collector's audit log; obs/ring.h):
 /// keeps the most recent `capacity` events, counts overwritten ones in
-/// dropped(), iterates oldest→newest, and stamps each event with the
-/// machine id.
-class AuditLog : public AuditSink, public Ring<AuditEvent> {
+/// dropped() and iterates oldest→newest.
+class AuditLog : public Ring<AuditEvent> {
  public:
   explicit AuditLog(size_t capacity = 8192) : Ring(capacity) {}
-
-  void audit(const AuditEvent& e) override { push(e).machine = machine_id_; }
-
-  /// Fleet identity stamped onto every subsequent event.
-  void set_machine_id(uint32_t id) { machine_id_ = id; }
-  uint32_t machine_id() const { return machine_id_; }
-
- private:
-  uint32_t machine_id_ = 0;
 };
 
 /// Indices (into `events`) of the causal chain ending at `at`: the key

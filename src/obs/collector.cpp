@@ -8,6 +8,7 @@ namespace camo::obs {
 
 namespace {
 constexpr uint8_t kExcClassSvc = 1;   // mirrors cpu::ExcClass::Svc
+constexpr uint8_t kFaultStage2 = 4;   // mirrors mem::FaultKind::Stage2
 constexpr uint8_t kOutcomeDetected = 1;  // mirrors attacks::Outcome::Detected
 constexpr uint64_t kBurstGapCycles = 32;
 }  // namespace
@@ -75,8 +76,107 @@ void Collector::count(const TraceEvent& e) {
   slot->inc();
 }
 
-void Collector::emit(const TraceEvent& e) {
-  ring_.emit(e);
+// ---- reported facts ---------------------------------------------------------
+//
+// Each builds the ring's record, then the log's, from the one report.
+
+void Collector::exc_enter(const Site& s, uint8_t cls, uint8_t fault,
+                          uint16_t iss, uint64_t far, uint64_t x8) {
+  trace({.cycles = s.cycles, .pc = s.pc, .a = far,
+         .b = cls == kExcClassSvc ? x8 : 0, .kind = EventKind::ExcEnter,
+         .el = s.el, .k1 = cls, .k2 = fault, .imm = iss});
+  if (fault == kFaultStage2)
+    trace({.cycles = s.cycles, .pc = s.pc, .a = far,
+           .kind = EventKind::Stage2Fault, .el = s.el, .k1 = cls});
+  audit(s.cpu, {.cycles = s.cycles, .pc = s.pc, .ptr = far,
+                .kind = AuditKind::ElEnter, .el = s.el, .aux = cls});
+}
+
+void Collector::exc_exit(const Site& s, uint64_t target, uint8_t target_el) {
+  trace({.cycles = s.cycles, .pc = target, .a = target,
+         .kind = EventKind::ExcExit, .el = s.el, .k2 = target_el});
+  audit(s.cpu, {.cycles = s.cycles, .pc = s.pc, .ptr = target,
+                .kind = AuditKind::ElExit, .el = s.el, .aux = target_el});
+}
+
+void Collector::pac_sign(const Site& s, uint8_t key, uint64_t ptr,
+                         uint64_t modifier, uint64_t signed_ptr,
+                         uint64_t prov) {
+  pac(s, EventKind::PacSign, AuditKind::Sign, key, ptr, modifier, signed_ptr,
+      0, prov);
+}
+
+void Collector::pac_auth(const Site& s, bool ok, uint8_t key, uint64_t ptr,
+                         uint64_t modifier, uint64_t result, uint64_t lr,
+                         uint64_t prov) {
+  pac(s, ok ? EventKind::AuthOk : EventKind::AuthFail,
+      ok ? AuditKind::AuthOk : AuditKind::AuthFail, key, ptr, modifier, result,
+      lr, prov);
+}
+
+void Collector::pac(const Site& s, EventKind ek, AuditKind ak, uint8_t key,
+                    uint64_t ptr, uint64_t modifier, uint64_t result,
+                    uint64_t lr, uint64_t prov) {
+  trace({.cycles = s.cycles, .pc = s.pc, .a = ptr, .b = modifier, .kind = ek,
+         .el = s.el, .k1 = key});
+  audit(s.cpu,
+        {.cycles = s.cycles, .pc = s.pc, .ptr = ptr, .ptr2 = result,
+         .modifier = modifier, .lr = lr, .prov = prov, .kind = ak, .key = key,
+         .el = s.el,
+         .mclass = static_cast<uint8_t>(classify_modifier(modifier))});
+}
+
+void Collector::key_install(const Site& s, uint8_t key, uint64_t prov,
+                            bool bank, uint16_t sysreg) {
+  if (!bank)
+    trace({.cycles = s.cycles, .pc = s.pc, .kind = EventKind::KeyWrite,
+           .el = s.el, .k1 = key, .imm = sysreg});
+  audit(s.cpu, {.cycles = s.cycles, .pc = s.pc, .prov = prov,
+                .kind = AuditKind::KeyInstall, .key = key, .el = s.el,
+                .bank = bank, .imm = sysreg});
+}
+
+void Collector::msr_denied(const Site& s, uint16_t sysreg) {
+  trace({.cycles = s.cycles, .pc = s.pc, .kind = EventKind::MsrDenied,
+         .el = s.el, .imm = sysreg});
+  audit(s.cpu, {.cycles = s.cycles, .pc = s.pc, .kind = AuditKind::HypDenied,
+                .el = s.el, .imm = sysreg});
+}
+
+void Collector::hvc_call(const Site& s, uint16_t imm, uint64_t x0,
+                         uint64_t x1) {
+  trace({.cycles = s.cycles, .pc = s.pc, .a = x0, .b = x1,
+         .kind = EventKind::HvcCall, .el = s.el, .imm = imm});
+}
+
+void Collector::module_verify(const Site& s, uint64_t id, uint64_t init_va,
+                              bool ok) {
+  trace({.cycles = s.cycles, .pc = s.pc, .a = id, .b = init_va,
+         .kind = EventKind::ModuleLoad, .el = s.el, .k1 = ok});
+  audit(s.cpu, {.cycles = s.cycles, .pc = s.pc, .ptr = id, .ptr2 = init_va,
+                .kind = AuditKind::ModuleVerify, .el = s.el, .aux = ok});
+}
+
+void Collector::context_switch(const Site& s, uint64_t prev, uint64_t next) {
+  trace({.cycles = s.cycles, .pc = s.pc, .a = prev, .b = next,
+         .kind = EventKind::ContextSwitch, .el = s.el});
+}
+
+void Collector::attack_verdict(unsigned cpu, uint64_t cycles, uint8_t outcome,
+                               uint64_t pac_failures, uint64_t halt_code) {
+  // The ring's record comes first so a Detected verdict arms the flight
+  // recorder even when no guest-visible fault fired (e.g. a threshold panic
+  // classified after the run). The verdict has no guest pc; the log files
+  // it under EL1, the ring under EL0.
+  trace({.cycles = cycles, .kind = EventKind::AttackOutcome, .k1 = outcome});
+  audit(cpu, {.cycles = cycles, .ptr = pac_failures, .ptr2 = halt_code,
+              .kind = AuditKind::AttackVerdict, .el = 1, .aux = outcome});
+}
+
+// ---- derived state ----------------------------------------------------------
+
+void Collector::trace(const TraceEvent& e) {
+  ring_.push(e);
   count(e);
   switch (e.kind) {
     case EventKind::ExcEnter:
@@ -87,13 +187,9 @@ void Collector::emit(const TraceEvent& e) {
         syscall_open_ = true;
         syscall_enter_cycles_ = e.cycles;
         syscall_nr_ = static_cast<uint16_t>(e.b);
-        TraceEvent sc{};
-        sc.kind = EventKind::SyscallEnter;
-        sc.cycles = e.cycles;
-        sc.pc = e.pc;
-        sc.el = e.el;
-        sc.imm = syscall_nr_;
-        ring_.emit(sc);
+        ring_.push({.cycles = e.cycles, .pc = e.pc,
+                    .kind = EventKind::SyscallEnter, .el = e.el,
+                    .imm = syscall_nr_});
       }
       break;
     case EventKind::ExcExit:
@@ -101,14 +197,9 @@ void Collector::emit(const TraceEvent& e) {
         syscall_open_ = false;
         const uint64_t window = e.cycles - syscall_enter_cycles_;
         syscall_cycles_->record(window);
-        TraceEvent sc{};
-        sc.kind = EventKind::SyscallExit;
-        sc.cycles = e.cycles;
-        sc.pc = e.a;
-        sc.el = e.el;
-        sc.imm = syscall_nr_;
-        sc.a = window;
-        ring_.emit(sc);
+        ring_.push({.cycles = e.cycles, .pc = e.a, .a = window,
+                    .kind = EventKind::SyscallExit, .el = e.el,
+                    .imm = syscall_nr_});
       }
       break;
     case EventKind::KeyWrite:
@@ -136,15 +227,17 @@ void Collector::emit(const TraceEvent& e) {
   if (violation) flight_.trigger(e);
 }
 
-void Collector::audit(const AuditEvent& e) {
-  audit_log_.audit(e);
-  switch (e.kind) {
+void Collector::audit(unsigned cpu, AuditEvent a) {
+  a.cpu = static_cast<uint8_t>(cpu);
+  a.machine = machine_id_;
+  audit_log_.push(a);
+  switch (a.kind) {
     case AuditKind::Sign:
       // One probe: insert (or find) the entry, and take a fresh one back
       // out when the table was already full.
-      if (const auto [it, fresh] = pending_signs_.try_emplace(e.ptr2, e.cycles);
+      if (const auto [it, fresh] = pending_signs_.try_emplace(a.ptr2, a.cycles);
           !fresh) {
-        it->second = e.cycles;
+        it->second = a.cycles;
       } else if (pending_signs_.size() > kMaxPendingSigns) {
         pending_signs_.erase(it);
         reg_.counter("pauth.sign_to_auth.dropped").inc();
@@ -152,9 +245,9 @@ void Collector::audit(const AuditEvent& e) {
       break;
     case AuditKind::AuthOk:
     case AuditKind::AuthFail: {
-      const auto it = pending_signs_.find(e.ptr);
+      const auto it = pending_signs_.find(a.ptr);
       if (it != pending_signs_.end()) {
-        sign_to_auth_->record(e.cycles - it->second);
+        sign_to_auth_->record(a.cycles - it->second);
         pending_signs_.erase(it);
       }
       break;

@@ -1,8 +1,15 @@
 // Collector: the per-machine observability hub.
 //
-// One object implements the producer interfaces (TraceSink +
-// CycleAttributor + CfSink + AuditSink) and fans everything out to the
-// backends:
+// Producers (camo::cpu, camo::hyp, camo::kernel::Machine, camo::attacks)
+// report each observed fact once, with one call on the Collector they hold:
+// exc_enter, exc_exit, pac_sign, pac_auth, key_install, msr_denied,
+// hvc_call, module_verify, context_switch and attack_verdict. Every call
+// carries a Site: the reporting core's id, its cycle counter, the guest pc
+// and the EL. From that one call the Collector builds both records — first
+// the trace ring's TraceEvent, then the audit log's AuditEvent — so the two
+// formats live only here. The CPU's retire runs (CycleAttributor) and
+// control flow (CfSink) arrive through their own interfaces. Everything
+// fans out to the backends:
 //
 //  * a TraceRing keeping the most recent events,
 //  * a Registry of named counters/histograms derived from the event stream
@@ -15,9 +22,9 @@
 //  * a CallGraphProfiler attributing retired cycles to guest call stacks;
 //    the flat per-symbol profile is its self-cycle view.
 //
-// The Collector also *synthesizes* syscall windows: an ExcEnter with the SVC
-// class opens a window (emitting SyscallEnter with the nr from x8) and the
-// next ExcExit returning to EL0 closes it (emitting SyscallExit and
+// The Collector also *synthesizes* syscall windows: an SVC exception entry
+// opens a window (emitting SyscallEnter with the nr from x8) and the next
+// exception exit returning to EL0 closes it (emitting SyscallExit and
 // recording the window length in the `syscall.cycles` histogram). Under
 // context switching a window can span other tasks' execution; the histogram
 // therefore measures wall-clock (guest cycle) syscall latency, which is what
@@ -40,8 +47,8 @@
 namespace camo::obs {
 
 /// Knobs carried in MachineConfig. Disabled by default: a Machine without
-/// `enabled` never allocates a Collector and the CPU's sink pointers stay
-/// null.
+/// `enabled` never allocates a Collector and the CPU's observer pointers
+/// stay null.
 struct Options {
   bool enabled = false;
   /// Attach the shadow-call-stack profiler (folded stacks and, from the
@@ -55,23 +62,61 @@ struct Options {
   bool coverage = false;
 };
 
-class Collector : public TraceSink,
-                  public CycleAttributor,
-                  public CfSink,
-                  public AuditSink {
+/// Where and when a fact was observed: the reporting core's id and cycle
+/// counter, the guest pc and the exception level.
+struct Site {
+  unsigned cpu = 0;
+  uint64_t cycles = 0;
+  uint64_t pc = 0;
+  uint8_t el = 0;
+};
+
+class Collector : public CycleAttributor, public CfSink {
  public:
   explicit Collector(const Options& opts = Options{});
 
-  // Producer interfaces -----------------------------------------------------
-  void emit(const TraceEvent& e) override;
+  // Reported facts (DESIGN.md §3a payloads) ---------------------------------
+  /// Exception entry; `s.pc` is the preferred return address and `s.el` the
+  /// EL the exception was taken from. `cls` is the cpu::ExcClass ordinal,
+  /// `fault` the mem::FaultKind one; `x8` is the syscall nr for an SVC.
+  void exc_enter(const Site& s, uint8_t cls, uint8_t fault, uint16_t iss,
+                 uint64_t far, uint64_t x8);
+  /// ERET at `s.pc` returning to `target` at `target_el`.
+  void exc_exit(const Site& s, uint64_t target, uint8_t target_el);
+  /// PAC insertion with `key` (cpu::PacKey ordinal) whose key material has
+  /// provenance `prov`.
+  void pac_sign(const Site& s, uint8_t key, uint64_t ptr, uint64_t modifier,
+                uint64_t signed_ptr, uint64_t prov);
+  /// AUT* outcome: `result` is the stripped or poisoned pointer and `lr` x30
+  /// at the instruction.
+  void pac_auth(const Site& s, bool ok, uint8_t key, uint64_t ptr,
+                uint64_t modifier, uint64_t result, uint64_t lr,
+                uint64_t prov);
+  /// Key material installed with provenance `prov`: a guest MSR of key half
+  /// `sysreg`, or (`bank`) an EL2 kernel-bank install, which the trace ring
+  /// does not show.
+  void key_install(const Site& s, uint8_t key, uint64_t prov, bool bank,
+                   uint16_t sysreg = 0);
+  /// The hypervisor denied an EL1 MSR write to `sysreg`.
+  void msr_denied(const Site& s, uint16_t sysreg);
+  /// Guest→hypervisor call `imm` with its first two arguments.
+  void hvc_call(const Site& s, uint16_t imm, uint64_t x0, uint64_t x1);
+  /// Module `id` verified (`ok`) and, when ok, its init at `init_va`.
+  void module_verify(const Site& s, uint64_t id, uint64_t init_va, bool ok);
+  /// cpu_switch_to from task struct `prev` to `next`.
+  void context_switch(const Site& s, uint64_t prev, uint64_t next);
+  /// The attack framework's classification (attacks::Outcome ordinal) of a
+  /// finished run, with the guest's PAC failure count and halt code.
+  void attack_verdict(unsigned cpu, uint64_t cycles, uint8_t outcome,
+                      uint64_t pac_failures, uint64_t halt_code);
+
   void retire_run(const RetireRun& run) override;
   void control_flow(CfKind kind, uint64_t from_pc, uint64_t to_pc,
                     uint8_t info) override;
-  /// Security audit stream (DESIGN.md §3f). Besides recording into the
-  /// AuditLog, the collector derives the `pauth.sign_to_auth.cycles`
-  /// histogram here: each Sign remembers its signed value + cycle, the
-  /// matching Auth* records the distance and retires the entry.
-  void audit(const AuditEvent& e) override;
+
+  /// Fleet identity stamped onto every subsequent audit event, so merged
+  /// logs stay per-machine attributable.
+  void set_machine_id(uint32_t id) { machine_id_ = id; }
 
   // Backends ----------------------------------------------------------------
   Registry& metrics() { return reg_; }
@@ -102,7 +147,21 @@ class Collector : public TraceSink,
   std::string metrics_json() const { return reg_.to_json(); }
 
  private:
+  /// Record `e` in the ring and derive from it: counters, syscall
+  /// windows, key-switch bursts, the flight trigger.
+  void trace(const TraceEvent& e);
+  /// Record `a` in the audit log (stamped with the core and machine ids)
+  /// and derive the `pauth.sign_to_auth.cycles` histogram: each Sign
+  /// remembers its signed value + cycle, the matching Auth* records the
+  /// distance and retires the entry.
+  void audit(unsigned cpu, AuditEvent a);
+  /// The shared body of pac_sign and pac_auth.
+  void pac(const Site& s, EventKind ek, AuditKind ak, uint8_t key,
+           uint64_t ptr, uint64_t modifier, uint64_t result, uint64_t lr,
+           uint64_t prov);
+
   Options opts_;
+  uint32_t machine_id_ = 0;
   Registry reg_;
   TraceRing ring_;       // default capacity: 32768 events
   AuditLog audit_log_;   // default capacity: 8192 events

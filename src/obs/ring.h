@@ -1,5 +1,5 @@
-// Fixed-capacity event rings: the default TraceSink and, in obs/audit.h,
-// the default AuditSink.
+// Fixed-capacity event rings: the Collector's trace ring and, in
+// obs/audit.h, its audit log.
 //
 // A ring keeps the most recent `capacity` records; older records are
 // overwritten and counted in dropped(). Iteration yields records
@@ -76,11 +76,9 @@ class Ring {
   std::vector<T> buf_;
 };
 
-class TraceRing : public TraceSink, public Ring<TraceEvent> {
+class TraceRing : public Ring<TraceEvent> {
  public:
   explicit TraceRing(size_t capacity = 1 << 15) : Ring(capacity) {}
-
-  void emit(const TraceEvent& e) override { push(e); }
 };
 
 }  // namespace camo::obs

@@ -4,23 +4,25 @@
 // (§6.1.1), PAuth sign/auth outcomes and the §5.4 brute-force threshold,
 // syscall latencies (Fig. 3), context switches, stage-2 permission faults and
 // attack outcomes (§6.2). This header defines the typed event record and the
-// two producer-side interfaces the emitting layers (camo::cpu, camo::hyp,
-// camo::kernel::Machine, camo::attacks) talk to:
+// retire and control-flow feeds the CPU drives:
 //
-//  * TraceSink  — receives typed TraceEvents. Producers hold a raw pointer
-//    that is null by default, so the disabled path is a single predictable
-//    branch per would-be event and the simulated cycle counts are bit-for-bit
-//    identical whether or not a sink is attached (events never consume guest
-//    cycles).
+//  * TraceEvent — one record of the trace ring. Producers (camo::cpu,
+//    camo::hyp, camo::kernel::Machine, camo::attacks) never build one: they
+//    report each fact once to the obs::Collector (obs/collector.h), which
+//    builds this record and the audit log's. Producers hold a Collector
+//    pointer that is null by default, so the disabled path is a single
+//    predictable branch per would-be report and the simulated cycle counts
+//    are bit-for-bit identical whether or not one is attached (reports never
+//    consume guest cycles).
 //  * CycleAttributor — receives one RetireRun record per straight-line run
 //    the block and trace engines execute, and a run of one per single-stepped
 //    CPU step: the feed for EL-residency accounting, the flight ring and the
 //    call-graph profiler.
 //
 // obs sits below every other subsystem (it depends only on camo_support), so
-// the CPU itself can emit events. Event payloads are therefore plain
-// integers; the label helpers below mirror the producer-side enums
-// (cpu::ExcClass, cpu::PacKey order) and a test pins them in sync.
+// the CPU itself can report. Event payloads are therefore plain integers;
+// the label helpers below mirror the producer-side enums (cpu::ExcClass,
+// cpu::PacKey order) and a test pins them in sync.
 #pragma once
 
 #include <cstddef>
@@ -53,8 +55,8 @@ enum class EventKind : uint8_t {
 
 const char* event_kind_name(EventKind k);
 
-/// One trace record (fixed 40 bytes). `cycles` is the CPU cycle counter at
-/// emission — the global timeline every event shares.
+/// One trace record (fixed 40 bytes). `cycles` is the reporting core's
+/// cycle counter — on one core, the global timeline every event shares.
 struct TraceEvent {
   uint64_t cycles = 0;
   uint64_t pc = 0;     ///< guest pc associated with the event (0 if none)
@@ -65,13 +67,6 @@ struct TraceEvent {
   uint8_t k1 = 0;      ///< kind-specific small payload (key, class, outcome)
   uint8_t k2 = 0;      ///< kind-specific small payload (fault kind, EL)
   uint16_t imm = 0;    ///< kind-specific 16-bit payload (iss, sysreg, nr)
-};
-
-/// Event consumer. Producers treat a null sink as "tracing off".
-class TraceSink {
- public:
-  virtual ~TraceSink() = default;
-  virtual void emit(const TraceEvent& e) = 0;
 };
 
 /// Retired-operation classes for per-class metrics (coarser than isa::Op;

@@ -16,6 +16,7 @@
 #include "kernel/machine.h"
 #include "kernel/workloads.h"
 #include "obs/audit.h"
+#include "obs/collector.h"
 #include "obs/flight.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
@@ -116,21 +117,17 @@ TEST(Audit, LabelsAreStable) {
 
 TEST(AuditLog, RingKeepsNewestAndCountsDropped) {
   AuditLog log(4);
-  log.set_machine_id(9);
   for (uint64_t i = 1; i <= 10; ++i) {
     AuditEvent e;
     e.kind = AuditKind::Sign;
     e.cycles = i;
-    log.audit(e);
+    log.push(e);
   }
   EXPECT_EQ(log.size(), 4u);
   EXPECT_EQ(log.total(), 10u);
   EXPECT_EQ(log.dropped(), 6u);
-  // Oldest-first iteration over the retained tail, machine id stamped.
-  for (size_t i = 0; i < log.size(); ++i) {
-    EXPECT_EQ(log.at(i).cycles, 7 + i);
-    EXPECT_EQ(log.at(i).machine, 9u);
-  }
+  // Oldest-first iteration over the retained tail.
+  for (size_t i = 0; i < log.size(); ++i) EXPECT_EQ(log.at(i).cycles, 7 + i);
   const auto snap = log.snapshot();
   ASSERT_EQ(snap.size(), 4u);
   EXPECT_EQ(snap.front().cycles, 7u);
@@ -362,8 +359,9 @@ TEST(Provenance, GuestMsrBumpsHostInstallDoesNot) {
     EXPECT_EQ(h.core.sysreg_key_provenance(static_cast<cpu::PacKey>(k)), 0u);
     EXPECT_EQ(h.core.bank_key_provenance(static_cast<cpu::PacKey>(k)), 0u);
   }
-  AuditLog log;
-  h.core.set_audit_sink(&log);
+  obs::Collector col;
+  h.core.set_collector(&col);
+  const AuditLog& log = col.audit_log();
   assembler::FunctionBuilder f("t");
   f.mov_imm(9, 0x1111);
   f.msr(isa::SysReg::APDAKeyLo, 9);
@@ -390,8 +388,9 @@ TEST(Provenance, GuestMsrBumpsHostInstallDoesNot) {
 
 TEST(Provenance, SignAndAuthCarryTheInstallId) {
   testing::SimHarness h;
-  AuditLog log;
-  h.core.set_audit_sink(&log);
+  obs::Collector col;
+  h.core.set_collector(&col);
+  const AuditLog& log = col.audit_log();
   assembler::FunctionBuilder f("t");
   f.mov_imm(9, 0x1111);
   f.msr(isa::SysReg::APDAKeyLo, 9);  // prov 1

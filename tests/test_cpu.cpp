@@ -594,8 +594,9 @@ TEST_F(CpuTest, KeyChangeInvalidatesOldSignatures) {
 }
 
 TEST_F(CpuTest, PacFailureIsAuditedOnce) {
-  obs::AuditLog log;
-  core.set_audit_sink(&log);
+  obs::Collector col;
+  core.set_collector(&col);
+  const obs::AuditLog& log = col.audit_log();
   FunctionBuilder f("t");
   f.mov_imm(0, kData + 0x100);
   f.mov_imm(1, 0x42);

@@ -40,7 +40,7 @@ TraceEvent make_event(EventKind kind, uint64_t cycles) {
 TEST(TraceRing, KeepsEventsInOrderBeforeWraparound) {
   TraceRing ring(8);
   for (uint64_t i = 0; i < 5; ++i)
-    ring.emit(make_event(EventKind::PacSign, i));
+    ring.push(make_event(EventKind::PacSign, i));
   EXPECT_EQ(ring.size(), 5u);
   EXPECT_EQ(ring.total(), 5u);
   EXPECT_EQ(ring.dropped(), 0u);
@@ -50,7 +50,7 @@ TEST(TraceRing, KeepsEventsInOrderBeforeWraparound) {
 TEST(TraceRing, WraparoundKeepsNewestAndCountsDropped) {
   TraceRing ring(8);
   for (uint64_t i = 0; i < 20; ++i)
-    ring.emit(make_event(EventKind::PacSign, i));
+    ring.push(make_event(EventKind::PacSign, i));
   EXPECT_EQ(ring.size(), 8u);
   EXPECT_EQ(ring.total(), 20u);
   EXPECT_EQ(ring.dropped(), 12u);
@@ -64,8 +64,8 @@ TEST(TraceRing, WraparoundKeepsNewestAndCountsDropped) {
 
 TEST(TraceRing, CountKind) {
   TraceRing ring(16);
-  for (int i = 0; i < 3; ++i) ring.emit(make_event(EventKind::AuthFail, i));
-  for (int i = 0; i < 5; ++i) ring.emit(make_event(EventKind::AuthOk, i));
+  for (int i = 0; i < 3; ++i) ring.push(make_event(EventKind::AuthFail, i));
+  for (int i = 0; i < 5; ++i) ring.push(make_event(EventKind::AuthOk, i));
   EXPECT_EQ(ring.count_kind(EventKind::AuthFail), 3u);
   EXPECT_EQ(ring.count_kind(EventKind::AuthOk), 5u);
   EXPECT_EQ(ring.count_kind(EventKind::KeyWrite), 0u);
@@ -804,8 +804,8 @@ TEST(Observability, DisabledMachineHasNoCollector) {
 // and a corrupted hook's auth failure, HVCs, an accepted and a rejected
 // module load, context switches, and last a module whose init writes TTBR0,
 // which the hypervisor denies (the kernel then oopses, ending the run). The
-// attack verdict is stamped onto the collector the way the attack framework
-// stamps it. Stage2Fault is the one kind it lacks: the kernel oopses on a
+// attack verdict is reported the way the attack framework reports it.
+// Stage2Fault is the one kind it lacks: the kernel oopses on a
 // stage-2 fault as well, so no guest can take both.
 
 obj::Program module_with_init(const std::string& name,
@@ -837,24 +837,6 @@ obj::Program yield_then_load(uint64_t yields, uint64_t id) {
   sys(Sys::InitModule);
   sys(Sys::Exit);
   return p;
-}
-
-/// Stamp a Detected verdict the way attacks::record_outcome does.
-void stamp_verdict(Collector& c, const kernel::Machine& m) {
-  constexpr uint8_t kDetected = 1;
-  TraceEvent e;
-  e.kind = EventKind::AttackOutcome;
-  e.cycles = m.cpu().cycles();
-  e.k1 = kDetected;
-  c.emit(e);
-  AuditEvent a;
-  a.kind = AuditKind::AttackVerdict;
-  a.cycles = m.cpu().cycles();
-  a.ptr = m.read_global(kernel::kSymPacFailCount);
-  a.ptr2 = m.halt_code();
-  a.el = 1;
-  a.aux = kDetected;
-  c.audit(a);
 }
 
 struct GoldenDigests {
@@ -915,7 +897,9 @@ GoldenDigests every_kind_digests(unsigned cores, cpu::Engine engine) {
   EXPECT_TRUE(m.run());
   EXPECT_EQ(m.halt_code(), kernel::kHaltOops) << "the denied MSR oopses";
   Collector& st = *m.stats();
-  stamp_verdict(st, m);
+  constexpr uint8_t kDetected = 1;
+  st.attack_verdict(0, m.cpu().cycles(), kDetected,
+                    m.read_global(kernel::kSymPacFailCount), m.halt_code());
 
   for (size_t k = 1; k < static_cast<size_t>(EventKind::kCount); ++k) {
     const auto kind = static_cast<EventKind>(k);

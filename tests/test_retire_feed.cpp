@@ -596,10 +596,9 @@ EngineExports observe(testing::SimHarness& sim, uint64_t leaf_va,
   c.callgraph().add_region("vectors", testing::kHVbar,
                            testing::kHVbar + 0x800);
   CountingFeed feed(c);
-  sim.core.set_trace_sink(&c);
+  sim.core.set_collector(&c);
   sim.core.set_cycle_attributor(&feed);
   sim.core.set_cf_sink(&c);
-  sim.core.set_audit_sink(&c);
   sim.core.set_coverage(&c.coverage());
   sim.core.run(200000);
   const cpu::Cpu* cores[] = {&sim.core};

@@ -231,10 +231,9 @@ TEST_P(TraceTier, UnbiasedInnerBranchDemotesThenTracesReform) {
     obs::Collector col(opts);
     col.callgraph().add_region("loop", testing::kHText,
                                testing::kHText + 0x100);
-    sim.core.set_trace_sink(&col);
+    sim.core.set_collector(&col);
     sim.core.set_cycle_attributor(&col);
     sim.core.set_cf_sink(&col);
-    sim.core.set_audit_sink(&col);
     sim.core.set_coverage(&col.coverage());
 
     FunctionBuilder f("loop");
