@@ -117,8 +117,10 @@ bool Hypervisor::filter_msr(cpu::Cpu& cpu, isa::SysReg reg, uint64_t) {
   using isa::SysReg;
   const auto deny = [&] {
     ++denied_msr_;
+    // The CPU has already advanced pc past the MSR; report the MSR itself,
+    // as the Undefined exception the denial raises does.
     if (obs_)
-      obs_->msr_denied(cpu.obs_site(cpu.pc), static_cast<uint16_t>(reg));
+      obs_->msr_denied(cpu.obs_site(cpu.pc - 4), static_cast<uint16_t>(reg));
     return false;
   };
   // Translation control is never EL1-writable: the paper's threat model has

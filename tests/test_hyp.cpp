@@ -3,9 +3,12 @@
 // verification), MSR lockdown.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "compiler/instrument.h"
 #include "hyp/hypervisor.h"
 #include "obj/object.h"
+#include "obs/collector.h"
 
 namespace camo::hyp {
 namespace {
@@ -165,6 +168,42 @@ TEST_F(HypTest, TtbrWritesAlwaysDenied) {
   run_from(img.symbol("_start"));
   EXPECT_EQ(core.halt_code(), 0xE1u);  // undefined exception vectored
   EXPECT_EQ(hv.denied_msr_count(), 1u);
+}
+
+TEST_F(HypTest, DeniedMsrReportedAtItsOwnPc) {
+  obs::Collector col;
+  core.set_collector(&col);
+  hv.set_collector(&col);
+  obj::Program p;
+  auto& f = p.add_function("_start");
+  f.mov_imm(0, 0xDEAD);
+  f.msr(SysReg::TTBR0_EL1, 0);
+  f.hlt(0);
+  const auto img = load_kernel(p);
+  run_from(img.symbol("_start"));
+  ASSERT_EQ(core.halt_code(), 0xE1u);
+  // The denial, its audit record and the Undefined exception it raises all
+  // name the MSR itself (the exception's preferred return address).
+  const auto trace = col.ring().snapshot();
+  const auto denied =
+      std::find_if(trace.begin(), trace.end(), [](const obs::TraceEvent& e) {
+        return e.kind == obs::EventKind::MsrDenied;
+      });
+  ASSERT_NE(denied, trace.end());
+  ASSERT_NE(denied + 1, trace.end());
+  EXPECT_EQ(denied[1].kind, obs::EventKind::ExcEnter);
+  EXPECT_EQ(denied->pc, denied[1].pc);
+  const auto audit = col.audit_log().snapshot();
+  const auto hyp =
+      std::find_if(audit.begin(), audit.end(), [](const obs::AuditEvent& e) {
+        return e.kind == obs::AuditKind::HypDenied;
+      });
+  ASSERT_NE(hyp, audit.end());
+  ASSERT_NE(hyp + 1, audit.end());
+  EXPECT_EQ(hyp[1].kind, obs::AuditKind::ElEnter);
+  EXPECT_EQ(hyp->pc, denied->pc);
+  EXPECT_EQ(hyp[1].pc, denied->pc);
+  EXPECT_EQ(core.sysreg(SysReg::ELR_EL1), denied->pc);
 }
 
 TEST_F(HypTest, SctlrLockdownAfterBoot) {

@@ -932,10 +932,10 @@ TEST(MachineGolden, EveryEventKindPinnedOnOneAndTwoCores) {
   for (const cpu::Engine engine : cpu::kEngines) {
     SCOPED_TRACE(cpu::engine_name(engine));
     EXPECT_EQ(every_kind_digests(1, engine),
-              (GoldenDigests{0x459ba7df4b687e31ull, 0x84c1f9486cf61f95ull,
+              (GoldenDigests{0x459ba7df4b687e31ull, 0x847930a2ed3ee9d9ull,
                              0xeb95a67f741770d8ull}));
     EXPECT_EQ(every_kind_digests(2, engine),
-              (GoldenDigests{0x7e0ded6584b024e6ull, 0xf8371747999aafddull,
+              (GoldenDigests{0x7e0ded6584b024e6ull, 0xcbfbad98753c5409ull,
                              0x3270a8c9d525cbcfull}));
   }
 }
