@@ -82,19 +82,19 @@ void Collector::count(const TraceEvent& e) {
 
 void Collector::exc_enter(const Site& s, uint8_t cls, uint8_t fault,
                           uint16_t iss, uint64_t far, uint64_t x8) {
-  trace({.cycles = s.cycles, .pc = s.pc, .a = far,
-         .b = cls == kExcClassSvc ? x8 : 0, .kind = EventKind::ExcEnter,
-         .el = s.el, .k1 = cls, .k2 = fault, .imm = iss});
+  trace(s.cpu, {.cycles = s.cycles, .pc = s.pc, .a = far,
+                .b = cls == kExcClassSvc ? x8 : 0, .kind = EventKind::ExcEnter,
+                .el = s.el, .k1 = cls, .k2 = fault, .imm = iss});
   if (fault == kFaultStage2)
-    trace({.cycles = s.cycles, .pc = s.pc, .a = far,
-           .kind = EventKind::Stage2Fault, .el = s.el, .k1 = cls});
+    trace(s.cpu, {.cycles = s.cycles, .pc = s.pc, .a = far,
+                  .kind = EventKind::Stage2Fault, .el = s.el, .k1 = cls});
   audit(s.cpu, {.cycles = s.cycles, .pc = s.pc, .ptr = far,
                 .kind = AuditKind::ElEnter, .el = s.el, .aux = cls});
 }
 
 void Collector::exc_exit(const Site& s, uint64_t target, uint8_t target_el) {
-  trace({.cycles = s.cycles, .pc = target, .a = target,
-         .kind = EventKind::ExcExit, .el = s.el, .k2 = target_el});
+  trace(s.cpu, {.cycles = s.cycles, .pc = target, .a = target,
+                .kind = EventKind::ExcExit, .el = s.el, .k2 = target_el});
   audit(s.cpu, {.cycles = s.cycles, .pc = s.pc, .ptr = target,
                 .kind = AuditKind::ElExit, .el = s.el, .aux = target_el});
 }
@@ -117,8 +117,8 @@ void Collector::pac_auth(const Site& s, bool ok, uint8_t key, uint64_t ptr,
 void Collector::pac(const Site& s, EventKind ek, AuditKind ak, uint8_t key,
                     uint64_t ptr, uint64_t modifier, uint64_t result,
                     uint64_t lr, uint64_t prov) {
-  trace({.cycles = s.cycles, .pc = s.pc, .a = ptr, .b = modifier, .kind = ek,
-         .el = s.el, .k1 = key});
+  trace(s.cpu, {.cycles = s.cycles, .pc = s.pc, .a = ptr, .b = modifier,
+                .kind = ek, .el = s.el, .k1 = key});
   audit(s.cpu,
         {.cycles = s.cycles, .pc = s.pc, .ptr = ptr, .ptr2 = result,
          .modifier = modifier, .lr = lr, .prov = prov, .kind = ak, .key = key,
@@ -129,37 +129,37 @@ void Collector::pac(const Site& s, EventKind ek, AuditKind ak, uint8_t key,
 void Collector::key_install(const Site& s, uint8_t key, uint64_t prov,
                             bool bank, uint16_t sysreg) {
   if (!bank)
-    trace({.cycles = s.cycles, .pc = s.pc, .kind = EventKind::KeyWrite,
-           .el = s.el, .k1 = key, .imm = sysreg});
+    trace(s.cpu, {.cycles = s.cycles, .pc = s.pc, .kind = EventKind::KeyWrite,
+                  .el = s.el, .k1 = key, .imm = sysreg});
   audit(s.cpu, {.cycles = s.cycles, .pc = s.pc, .prov = prov,
                 .kind = AuditKind::KeyInstall, .key = key, .el = s.el,
                 .bank = bank, .imm = sysreg});
 }
 
 void Collector::msr_denied(const Site& s, uint16_t sysreg) {
-  trace({.cycles = s.cycles, .pc = s.pc, .kind = EventKind::MsrDenied,
-         .el = s.el, .imm = sysreg});
+  trace(s.cpu, {.cycles = s.cycles, .pc = s.pc, .kind = EventKind::MsrDenied,
+                .el = s.el, .imm = sysreg});
   audit(s.cpu, {.cycles = s.cycles, .pc = s.pc, .kind = AuditKind::HypDenied,
                 .el = s.el, .imm = sysreg});
 }
 
 void Collector::hvc_call(const Site& s, uint16_t imm, uint64_t x0,
                          uint64_t x1) {
-  trace({.cycles = s.cycles, .pc = s.pc, .a = x0, .b = x1,
-         .kind = EventKind::HvcCall, .el = s.el, .imm = imm});
+  trace(s.cpu, {.cycles = s.cycles, .pc = s.pc, .a = x0, .b = x1,
+                .kind = EventKind::HvcCall, .el = s.el, .imm = imm});
 }
 
 void Collector::module_verify(const Site& s, uint64_t id, uint64_t init_va,
                               bool ok) {
-  trace({.cycles = s.cycles, .pc = s.pc, .a = id, .b = init_va,
-         .kind = EventKind::ModuleLoad, .el = s.el, .k1 = ok});
+  trace(s.cpu, {.cycles = s.cycles, .pc = s.pc, .a = id, .b = init_va,
+                .kind = EventKind::ModuleLoad, .el = s.el, .k1 = ok});
   audit(s.cpu, {.cycles = s.cycles, .pc = s.pc, .ptr = id, .ptr2 = init_va,
                 .kind = AuditKind::ModuleVerify, .el = s.el, .aux = ok});
 }
 
 void Collector::context_switch(const Site& s, uint64_t prev, uint64_t next) {
-  trace({.cycles = s.cycles, .pc = s.pc, .a = prev, .b = next,
-         .kind = EventKind::ContextSwitch, .el = s.el});
+  trace(s.cpu, {.cycles = s.cycles, .pc = s.pc, .a = prev, .b = next,
+                .kind = EventKind::ContextSwitch, .el = s.el});
 }
 
 void Collector::attack_verdict(unsigned cpu, uint64_t cycles, uint8_t outcome,
@@ -168,14 +168,15 @@ void Collector::attack_verdict(unsigned cpu, uint64_t cycles, uint8_t outcome,
   // recorder even when no guest-visible fault fired (e.g. a threshold panic
   // classified after the run). The verdict has no guest pc; the log files
   // it under EL1, the ring under EL0.
-  trace({.cycles = cycles, .kind = EventKind::AttackOutcome, .k1 = outcome});
+  trace(cpu,
+        {.cycles = cycles, .kind = EventKind::AttackOutcome, .k1 = outcome});
   audit(cpu, {.cycles = cycles, .ptr = pac_failures, .ptr2 = halt_code,
               .kind = AuditKind::AttackVerdict, .el = 1, .aux = outcome});
 }
 
 // ---- derived state ----------------------------------------------------------
 
-void Collector::trace(const TraceEvent& e) {
+void Collector::trace(unsigned cpu, const TraceEvent& e) {
   ring_.push(e);
   count(e);
   switch (e.kind) {
@@ -184,36 +185,41 @@ void Collector::trace(const TraceEvent& e) {
         if (syscall_count_ == nullptr)
           syscall_count_ = &reg_.counter("syscall.count");
         syscall_count_->inc();
-        syscall_open_ = true;
-        syscall_enter_cycles_ = e.cycles;
-        syscall_nr_ = static_cast<uint16_t>(e.b);
+        CoreState& c = core(cpu);
+        c.syscall_open = true;
+        c.syscall_enter_cycles = e.cycles;
+        c.syscall_nr = static_cast<uint16_t>(e.b);
         ring_.push({.cycles = e.cycles, .pc = e.pc,
                     .kind = EventKind::SyscallEnter, .el = e.el,
-                    .imm = syscall_nr_});
+                    .imm = c.syscall_nr});
       }
       break;
-    case EventKind::ExcExit:
-      if (syscall_open_ && e.k2 == 0) {  // ERET back to EL0 closes the window
-        syscall_open_ = false;
-        const uint64_t window = e.cycles - syscall_enter_cycles_;
+    case EventKind::ExcExit: {
+      CoreState& c = core(cpu);
+      if (c.syscall_open && e.k2 == 0) {  // ERET to EL0 closes the window
+        c.syscall_open = false;
+        const uint64_t window = e.cycles - c.syscall_enter_cycles;
         syscall_cycles_->record(window);
         ring_.push({.cycles = e.cycles, .pc = e.a, .a = window,
                     .kind = EventKind::SyscallExit, .el = e.el,
-                    .imm = syscall_nr_});
+                    .imm = c.syscall_nr});
       }
       break;
-    case EventKind::KeyWrite:
-      if (burst_open_ && e.cycles - burst_last_ <= kBurstGapCycles) {
-        burst_last_ = e.cycles;
-        ++burst_writes_;
+    }
+    case EventKind::KeyWrite: {
+      CoreState& c = core(cpu);
+      if (c.burst_open && e.cycles - c.burst_last <= kBurstGapCycles) {
+        c.burst_last = e.cycles;
+        ++c.burst_writes;
       } else {
-        if (burst_open_ && burst_writes_ >= 2)
-          key_switch_->record(burst_last_ - burst_first_);
-        burst_open_ = true;
-        burst_first_ = burst_last_ = e.cycles;
-        burst_writes_ = 1;
+        if (c.burst_open && c.burst_writes >= 2)
+          key_switch_->record(c.burst_last - c.burst_first);
+        c.burst_open = true;
+        c.burst_first = c.burst_last = e.cycles;
+        c.burst_writes = 1;
       }
       break;
+    }
     default:
       break;
   }
@@ -232,23 +238,26 @@ void Collector::audit(unsigned cpu, AuditEvent a) {
   a.machine = machine_id_;
   audit_log_.push(a);
   switch (a.kind) {
-    case AuditKind::Sign:
+    case AuditKind::Sign: {
       // One probe: insert (or find) the entry, and take a fresh one back
       // out when the table was already full.
-      if (const auto [it, fresh] = pending_signs_.try_emplace(a.ptr2, a.cycles);
+      auto& pending = core(cpu).pending_signs;
+      if (const auto [it, fresh] = pending.try_emplace(a.ptr2, a.cycles);
           !fresh) {
         it->second = a.cycles;
-      } else if (pending_signs_.size() > kMaxPendingSigns) {
-        pending_signs_.erase(it);
+      } else if (pending.size() > kMaxPendingSigns) {
+        pending.erase(it);
         reg_.counter("pauth.sign_to_auth.dropped").inc();
       }
       break;
+    }
     case AuditKind::AuthOk:
     case AuditKind::AuthFail: {
-      const auto it = pending_signs_.find(a.ptr);
-      if (it != pending_signs_.end()) {
+      auto& pending = core(cpu).pending_signs;
+      const auto it = pending.find(a.ptr);
+      if (it != pending.end()) {
         sign_to_auth_->record(a.cycles - it->second);
-        pending_signs_.erase(it);
+        pending.erase(it);
       }
       break;
     }

@@ -35,6 +35,7 @@
 #include <cstddef>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "obs/audit.h"
 #include "obs/callgraph.h"
@@ -147,13 +148,13 @@ class Collector : public CycleAttributor, public CfSink {
   std::string metrics_json() const { return reg_.to_json(); }
 
  private:
-  /// Record `e` in the ring and derive from it: counters, syscall
-  /// windows, key-switch bursts, the flight trigger.
-  void trace(const TraceEvent& e);
+  /// Record `e` in the ring and derive from it: counters, core `cpu`'s
+  /// syscall windows and key-switch bursts, the flight trigger.
+  void trace(unsigned cpu, const TraceEvent& e);
   /// Record `a` in the audit log (stamped with the core and machine ids)
   /// and derive the `pauth.sign_to_auth.cycles` histogram: each Sign
-  /// remembers its signed value + cycle, the matching Auth* records the
-  /// distance and retires the entry.
+  /// remembers its signed value + cycle, the matching Auth* on the same
+  /// core records the distance and retires the entry.
   void audit(unsigned cpu, AuditEvent a);
   /// The shared body of pac_sign and pac_auth.
   void pac(const Site& s, EventKind ek, AuditKind ak, uint8_t key,
@@ -169,25 +170,36 @@ class Collector : public CycleAttributor, public CfSink {
   CallGraphProfiler cg_;
   CoverageMap cov_;
 
-  // Syscall-window synthesis state.
-  bool syscall_open_ = false;
-  uint64_t syscall_enter_cycles_ = 0;
-  uint16_t syscall_nr_ = 0;
+  // Derived state, kept per reporting core: each core has its own cycle
+  // clock, so a window, a burst or a pending sign only ever pairs with a
+  // later report from the same core.
+  struct CoreState {
+    // Syscall-window synthesis.
+    bool syscall_open = false;
+    uint64_t syscall_enter_cycles = 0;
+    uint16_t syscall_nr = 0;
 
-  // Sign→auth latency matching: signed value -> sign cycle. Entries retire
-  // on the matching auth; the map is capped so signs that are never
-  // authenticated cannot grow it unboundedly (drops are counted).
-  static constexpr size_t kMaxPendingSigns = 1 << 16;
-  std::unordered_map<uint64_t, uint64_t> pending_signs_;
+    // Key-switch burst detection: consecutive KeyWrite events ≤ 32 cycles
+    // apart form one burst (a bank switch writes several halves
+    // back-to-back); the burst span is recorded into `key.switch.cycles`
+    // when it closes. A burst still open at end of run is deliberately
+    // unrecorded — that keeps the histogram a pure function of the event
+    // stream.
+    bool burst_open = false;
+    uint64_t burst_first = 0, burst_last = 0;
+    unsigned burst_writes = 0;
 
-  // Key-switch burst detection: consecutive KeyWrite events ≤ 32 cycles
-  // apart form one burst (a bank switch writes several halves back-to-back);
-  // the burst span is recorded into `key.switch.cycles` when it closes. A
-  // burst still open at end of run is deliberately unrecorded — that keeps
-  // the histogram a pure function of the event stream.
-  bool burst_open_ = false;
-  uint64_t burst_first_ = 0, burst_last_ = 0;
-  unsigned burst_writes_ = 0;
+    // Sign→auth latency matching: signed value -> sign cycle. Entries
+    // retire on the matching auth; the map is capped so signs that are
+    // never authenticated cannot grow it unboundedly (drops are counted).
+    std::unordered_map<uint64_t, uint64_t> pending_signs;
+  };
+  static constexpr size_t kMaxPendingSigns = 1 << 16;  // per core
+  std::vector<CoreState> cores_;
+  CoreState& core(unsigned cpu) {
+    if (cpu >= cores_.size()) cores_.resize(cpu + 1);
+    return cores_[cpu];
+  }
 
   // Cycle counter reconstructed from the retire feed (pre-step timestamps
   // for the flight ring).

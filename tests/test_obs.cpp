@@ -935,8 +935,8 @@ TEST(MachineGolden, EveryEventKindPinnedOnOneAndTwoCores) {
               (GoldenDigests{0x459ba7df4b687e31ull, 0x847930a2ed3ee9d9ull,
                              0xeb95a67f741770d8ull}));
     EXPECT_EQ(every_kind_digests(2, engine),
-              (GoldenDigests{0x7e0ded6584b024e6ull, 0xcbfbad98753c5409ull,
-                             0x3270a8c9d525cbcfull}));
+              (GoldenDigests{0x5936b35b60ee4dd6ull, 0xcbfbad98753c5409ull,
+                             0xf7f774abb62b4610ull}));
   }
 }
 

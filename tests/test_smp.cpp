@@ -3,6 +3,7 @@
 // the cross-core trapframe attack's per-core audit attribution.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <string>
 #include <tuple>
@@ -241,7 +242,57 @@ TEST(RetireCounters, TwoCoreRegistryPinnedOnEveryTier) {
                 derived[cls])
           << obs::op_class_name(oc);
     }
-    EXPECT_EQ(fnv1a(guest_metrics_json(reg)), 0x80d5fe65ca906f27ull);
+    EXPECT_EQ(fnv1a(guest_metrics_json(reg)), 0x19d182a9356d778cull);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The collector's derived histograms on SMP: syscall windows, key-switch
+// bursts and sign→auth matching each stay on the core that opened them,
+// since each core has its own cycle clock.
+
+struct Derived {
+  obs::Histogram syscall, key_switch, sign_to_auth;
+  uint64_t max_clock = 0;  ///< the largest core cycle counter
+};
+
+Derived derived_histograms(unsigned cores, uint64_t quantum) {
+  kernel::MachineConfig cfg = smp_config(cores, quantum);
+  cfg.obs.enabled = true;
+  kernel::Machine m(cfg);
+  m.add_user_program(kernel::workloads::null_syscall(200));
+  m.add_user_program(kernel::workloads::null_syscall(200));
+  m.boot();
+  EXPECT_TRUE(m.run());
+  EXPECT_EQ(m.halt_code(), kernel::kHaltDone);
+  const obs::Registry& reg = m.stats()->metrics();
+  Derived d{*reg.find_histogram("syscall.cycles"),
+            *reg.find_histogram("key.switch.cycles"),
+            *reg.find_histogram("pauth.sign_to_auth.cycles")};
+  for (unsigned c = 0; c < m.cores(); ++c)
+    d.max_clock = std::max(d.max_clock, m.core(c).cycles());
+  return d;
+}
+
+TEST(SmpObs, DerivedHistogramsStayPerCore) {
+  // One core: every null syscall window lies in [311, 513] cycles and every
+  // key-switch burst in [37, 42].
+  const Derived one = derived_histograms(1, 10000);
+  ASSERT_GE(one.syscall.count(), 400u);
+  for (const uint64_t quantum : {50u, 500u, 10000u}) {
+    SCOPED_TRACE(quantum);
+    const Derived two = derived_histograms(2, quantum);
+    // No window closed by another core (whose clock may be behind: the
+    // sample wraps) or lost to one (400 SVCs return to EL0).
+    EXPECT_GE(two.syscall.count(), 400u);
+    EXPECT_GE(two.syscall.min(), one.syscall.min());
+    EXPECT_LE(two.syscall.max(), one.syscall.max());
+    // No burst merged from two cores' writes.
+    EXPECT_GE(two.key_switch.min(), one.key_switch.min());
+    EXPECT_LE(two.key_switch.max(), one.key_switch.max());
+    // No sign matched to an auth on another core.
+    EXPECT_GT(two.sign_to_auth.count(), 0u);
+    EXPECT_LE(two.sign_to_auth.max(), two.max_clock);
   }
 }
 
