@@ -1,6 +1,7 @@
 // Guest SMP (DESIGN.md §3h): the deterministic round-robin interleaver, the
-// cores=1 compatibility gate, fleet composability, IPI-driven migration, and
-// the cross-core trapframe attack's per-core audit attribution.
+// cores=1 compatibility gate, fleet composability, IPI-driven migration, the
+// cross-core trapframe attack's per-core audit attribution, and the
+// collector's per-core derived histograms.
 #include <gtest/gtest.h>
 
 #include <algorithm>
