@@ -486,6 +486,30 @@ TEST(MachineAudit, StreamIsDeterministicAcrossRuns) {
   EXPECT_EQ(a, b);
 }
 
+// The export a fleet consumer writes: the whole log as one json::Value
+// array dumped at once. Two preempted cores put events with the optional
+// "cpu" member (17 members) between the 16-member ones.
+TEST(MachineAudit, TreeExportOfATwoCoreLogPinned) {
+  kernel::MachineConfig cfg = observed_config();
+  cfg.kernel.protection = compiler::ProtectionConfig::full();
+  cfg.kernel.preempt = true;
+  cfg.cores = 2;
+  cfg.smp_quantum = 500;
+  kernel::Machine m(cfg);
+  m.add_user_program(kernel::workloads::null_syscall(200));
+  m.add_user_program(kernel::workloads::null_syscall(200));
+  m.boot();
+  ASSERT_TRUE(m.run());
+  obs::json::Value arr = obs::json::Value::array();
+  size_t with_cpu = 0;
+  for (const AuditEvent& e : m.stats()->audit_log().snapshot())
+    if (arr.push(obs::audit_event_json(e)).size() == 17) ++with_cpu;
+  EXPECT_GT(with_cpu, 0u);
+  EXPECT_LT(with_cpu, arr.size());
+  EXPECT_EQ(testing::fnv1a(arr.dump()), 0x1305552068cb3f5aull);
+  EXPECT_EQ(testing::fnv1a(arr.dump(2)), 0xebc8963c02d7202cull);
+}
+
 // ---- flight recorder + named-attack bundles --------------------------------
 
 TEST(Flight, RopInjectionProducesSelfContainedBundle) {
