@@ -72,7 +72,7 @@ std::optional<uint64_t> parse_hex_u64(const json::Value& v) {
       return std::nullopt;
     return static_cast<uint64_t>(d);
   }
-  const std::string& s = v.as_string();
+  const std::string_view s = v.as_string();
   if (s.size() < 3 || s.size() > kHexShortChars || s[0] != '0' || s[1] != 'x')
     return std::nullopt;
   uint64_t out = 0;

@@ -326,7 +326,7 @@ TEST(FlightJson, AuditEventReaderRejectsMutatedFields) {
       Value mutated = good;
       mutated.set(member.first, b);
       EXPECT_FALSE(obs::audit_event_from_json(mutated, &out))
-          << member.first << " = " << b.dump();
+          << member.first.view() << " = " << b.dump();
     }
   }
   // One past a narrow field's width must not be truncated into it.

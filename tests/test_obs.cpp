@@ -9,9 +9,11 @@
 #include <cctype>
 #include <cmath>
 #include <cstring>
+#include <fstream>
 #include <limits>
 #include <ostream>
 #include <random>
+#include <sstream>
 #include <string>
 
 #include "assembler/builder.h"
@@ -398,6 +400,158 @@ TEST(Json, ParseOfDumpRedumpsIdentically) {
   }
 }
 
+// Strings either side of the inline limit (Str::kInline, 22 bytes), as
+// values and as keys, with escapes and an embedded NUL: stored, found,
+// dumped and parsed back byte for byte.
+std::string patterned(size_t n) {
+  static constexpr char kBytes[] = {'a', '"', '\\', '\n', '\0', '\x01',
+                                    'z', '\xc3', '\xa9', '\x7f', 'q'};
+  std::string s(n, '\0');
+  for (size_t i = 0; i < n; ++i) s[i] = kBytes[i % sizeof kBytes];
+  return s;
+}
+
+TEST(Json, StringsEitherSideOfTheInlineLimit) {
+  static_assert(json::Str::kInline == 22);
+  for (const size_t n : {0, 15, 22, 23, 200}) {
+    SCOPED_TRACE(n);
+    const std::string s = patterned(n);
+    const json::Value v(s);
+    EXPECT_EQ(v.as_string(), s);
+    EXPECT_EQ(v.as_string().size(), n);
+    EXPECT_EQ(json::Str(s), s);
+    EXPECT_EQ(json::Str(json::Str(s)).view(), s);
+
+    json::Value o = json::Value::object();
+    o.set(s, json::Value(s));
+    o.set("after", json::Value(uint64_t{n}));
+    ASSERT_EQ(o.size(), 2u);
+    EXPECT_EQ(o.members()[0].first, s);
+    ASSERT_NE(o.get(s), nullptr);
+    EXPECT_EQ(o.get(s)->as_string(), s);
+    EXPECT_EQ(o.get("after")->as_number(), static_cast<double>(n));
+
+    json::Writer w;
+    w.begin_object().key(s).string(s).key("after").number(uint64_t{n})
+        .end_object();
+    const std::string text = o.dump();
+    EXPECT_EQ(text, w.take());
+    const auto parsed = json::Value::parse(text);
+    ASSERT_TRUE(parsed.has_value());
+    ASSERT_EQ(parsed->size(), 2u);
+    EXPECT_EQ(parsed->members()[0].first, s);
+    EXPECT_EQ(parsed->get(s)->as_string(), s);
+    EXPECT_EQ(parsed->dump(2), o.dump(2));
+  }
+}
+
+json::Value nested_tree() {
+  json::Value root = json::Value::object();
+  root.set("short", json::Value("0xfedcba9876543210"));
+  root.set(patterned(40), json::Value(patterned(200)));
+  json::Value list = json::Value::array();
+  for (int i = 0; i < 5; ++i) {
+    json::Value item = json::Value::object();
+    item.set("i", json::Value(i));
+    item.set("name", json::Value(patterned(10 * i)));
+    item.set("tags", json::Value::array()).push(json::Value(patterned(23)));
+    list.push(std::move(item));
+  }
+  root.set("list", std::move(list));
+  return root;
+}
+
+TEST(Json, CopyAndMoveOfNestedTrees) {
+  const json::Value tree = nested_tree();
+  const std::string want = tree.dump();
+
+  json::Value copy = tree;  // deep copy: editing it leaves `tree` alone
+  EXPECT_EQ(copy.dump(), want);
+  copy.set("short", json::Value(patterned(100)));
+  EXPECT_EQ(tree.dump(), want);
+  EXPECT_NE(copy.dump(), want);
+
+  json::Value moved = std::move(copy);
+  EXPECT_TRUE(copy.is_null());  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(moved.get("short")->as_string(), patterned(100));
+
+  json::Value assigned = json::Value::array();
+  assigned = tree;
+  EXPECT_EQ(assigned.dump(), want);
+  assigned = std::move(moved);
+  EXPECT_TRUE(moved.is_null());  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(assigned.get("short")->as_string(), patterned(100));
+
+  // Assigning a value its own subtree: the subtree outlives the old value.
+  json::Value whole = tree;
+  const json::Value& self = whole;
+  whole = self;
+  EXPECT_EQ(whole.dump(), want);
+  whole = *whole.get("list")->at(4);
+  EXPECT_EQ(whole.dump(), tree.get("list")->at(4)->dump());
+  json::Value outer = json::Value::array();
+  outer.push(tree);
+  outer = std::move(const_cast<json::Value&>(*outer.at(0)));
+  EXPECT_EQ(outer.dump(), want);
+}
+
+TEST(Json, SetReplacesAnExistingMember) {
+  json::Value o = json::Value::object();
+  o.set("a", json::Value(1));
+  o.set(patterned(30), json::Value("long key"));
+  o.set("c", json::Value::array());
+  o.set("a", json::Value(patterned(50)));
+  o.set(patterned(30), json::Value(false));
+  ASSERT_EQ(o.size(), 3u);
+  EXPECT_EQ(o.get("a")->as_string(), patterned(50));
+  EXPECT_FALSE(o.get(patterned(30))->as_bool());
+  EXPECT_TRUE(o.get(patterned(30))->is_bool());
+  json::Writer w;
+  w.begin_object()
+      .key("a").string(patterned(50))
+      .key(patterned(30)).boolean(false)
+      .key("c").begin_array().end_array()
+      .end_object();
+  EXPECT_EQ(o.dump(), w.take());
+}
+
+TEST(Json, ObjectsWithMoreThanSixteenMembers) {
+  for (const size_t n : {16, 17, 40}) {
+    json::Value o = json::Value::object();
+    json::Writer w;
+    w.begin_object();
+    for (size_t i = 0; i < n; ++i) {
+      // Every fourth key is past the inline limit.
+      const std::string key =
+          (i % 4 == 3 ? patterned(25) : std::string()) + "k" +
+          std::to_string(i);
+      o.set(key, json::Value(uint64_t{i}));
+      w.key(key).number(uint64_t{i});
+    }
+    w.end_object();
+    ASSERT_EQ(o.size(), n);
+    for (size_t i = 0; i < n; ++i)
+      EXPECT_EQ(o.members()[i].second.as_number(), static_cast<double>(i));
+    const std::string text = o.dump();
+    EXPECT_EQ(text, w.take());
+    const auto parsed = json::Value::parse(text);
+    ASSERT_TRUE(parsed.has_value());
+    EXPECT_EQ(parsed->dump(2), o.dump(2));
+  }
+}
+
+TEST(Json, CannedFlightBundleRedumpsToItsOwnBytes) {
+  std::ifstream in(CAMO_TESTDATA_DIR "/flight_rop_full.json",
+                   std::ios::binary);
+  ASSERT_TRUE(in) << "missing " CAMO_TESTDATA_DIR "/flight_rop_full.json";
+  std::ostringstream file;
+  file << in.rdbuf();
+  const auto parsed = json::Value::parse(file.str());
+  ASSERT_TRUE(parsed.has_value());
+  // The recorder writes dump(2) and a final newline.
+  EXPECT_EQ(parsed->dump(2) + "\n", file.str());
+}
+
 // ---------------------------------------------------------------------------
 // Label tables in obs mirror the producer-side enums by declaration order.
 // obs cannot include cpu/attacks headers (it sits below them), so these
@@ -613,7 +767,7 @@ TEST(Observability, ChromeTraceExportIsValidAndBalanced) {
   for (size_t i = 0; i < events->size(); ++i) {
     const json::Value& e = *events->at(i);
     ASSERT_NE(e.get("ph"), nullptr);
-    const std::string ph = e.get("ph")->as_string();
+    const std::string_view ph = e.get("ph")->as_string();
     if (ph == "B") ++begins;
     if (ph == "E") ++ends;
     if (ph == "B" || ph == "E" || ph == "i") {
@@ -654,7 +808,7 @@ TEST(Observability, ChromeTraceRoundTripsSyntheticRing) {
   for (size_t i = 0; i < events->size(); ++i) {
     const json::Value& e = *events->at(i);
     ASSERT_NE(e.get("ph"), nullptr);
-    const std::string ph = e.get("ph")->as_string();
+    const std::string_view ph = e.get("ph")->as_string();
     if (ph == "B") ++begins;
     if (ph == "E") ++ends;
     if (ph == "i") ++instants;

@@ -297,18 +297,19 @@ int cmd_replay(const std::string& bundle_path) {
                  bundle_path.c_str());
     return 1;
   }
-  const Value* attack = scenario->get("attack");
-  const Value* config = scenario->get("config");
-  if (!attack || !config) {
+  const Value* attack_v = scenario->get("attack");
+  const Value* config_v = scenario->get("config");
+  if (!attack_v || !config_v) {
     std::fprintf(stderr, "camo-audit: %s scenario lacks attack/config\n",
                  bundle_path.c_str());
     return 1;
   }
+  const std::string attack(attack_v->as_string());
+  const std::string config(config_v->as_string());
   std::printf("replaying %s under \"%s\" on a fresh machine...\n",
-              attack->as_string().c_str(), config->as_string().c_str());
+              attack.c_str(), config.c_str());
   std::string fresh;
-  const auto r = attacks::run_named_attack(attack->as_string(),
-                                           config->as_string(), &fresh);
+  const auto r = attacks::run_named_attack(attack, config, &fresh);
   if (!r) {
     std::fprintf(stderr, "camo-audit: scenario names an unknown attack or "
                          "config\n");
