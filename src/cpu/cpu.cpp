@@ -349,8 +349,8 @@ void Cpu::take_exception(ExcClass cls, uint64_t far, uint16_t iss,
   cycles_ += 12;  // exception entry microarchitectural cost
 
   if (cf_)
-    cf_->control_flow(obs::CfKind::ExcEnter, preferred_return, pc,
-                      static_cast<uint8_t>(cls));
+    cf_->control_flow(cpu_id_, obs::CfKind::ExcEnter, preferred_return,
+                      pc, static_cast<uint8_t>(cls));
   if (obs_)  // AAPCS64: the syscall nr is in x8
     obs_->exc_enter({cpu_id_, cycles_, preferred_return, from_el},
                     static_cast<uint8_t>(cls), static_cast<uint8_t>(fk), iss,
@@ -369,7 +369,7 @@ void Cpu::do_eret() {
   pc = sys_[static_cast<size_t>(SysReg::ELR_EL1)];
 
   if (cf_)
-    cf_->control_flow(obs::CfKind::ExcExit, eret_pc, pc,
+    cf_->control_flow(cpu_id_, obs::CfKind::ExcExit, eret_pc, pc,
                       static_cast<uint8_t>(pstate.el));
   if (obs_)  // ERET executes at EL1
     obs_->exc_exit({cpu_id_, cycles_, eret_pc, 1}, pc,
@@ -488,6 +488,7 @@ void Cpu::deliver_run() {
   r.cycles = cycles_ - run_.c0;
   r.n = run_.n;
   r.el = run_.el;
+  r.cpu = static_cast<uint8_t>(cpu_id_);
   deliver(r);
   // The rest of the run (if the block goes on) starts after these.
   run_.slots += run_.n;
@@ -504,7 +505,8 @@ bool Cpu::step() {
   // step that only took an exception keeps the pre-step pc/EL and op class
   // Other, and feeds coverage nothing.
   obs::RetireSlot slot;  // op class Other until an instruction executes
-  obs::RetireRun r{pc, 0, &slot, 0, 1, static_cast<uint8_t>(pstate.el)};
+  obs::RetireRun r{pc, 0, &slot, 0, 1, static_cast<uint8_t>(pstate.el),
+                   static_cast<uint8_t>(cpu_id_)};
   const uint64_t c0 = cycles_;
   const uint64_t i0 = instret_;
   const bool more = step_impl(&r, &slot);
@@ -850,7 +852,8 @@ struct ExecHandlers {
     const uint64_t iaddr = c.pc - 4;
     c.set_x(isa::kRegLr, iaddr + 4);
     c.pc = iaddr + static_cast<uint64_t>(inst.imm);
-    if (c.cf_) c.cf_->control_flow(obs::CfKind::Call, iaddr, c.pc, 0);
+    if (c.cf_)
+      c.cf_->control_flow(c.cpu_id_, obs::CfKind::Call, iaddr, c.pc, 0);
   }
   static void bcond(Cpu& c, const Inst& inst) {
     if (cond_holds(inst.cond, c.pstate))
@@ -867,14 +870,16 @@ struct ExecHandlers {
     const uint64_t iaddr = c.pc - 4;
     c.set_x(isa::kRegLr, iaddr + 4);
     c.pc = c.x(inst.rn);
-    if (c.cf_) c.cf_->control_flow(obs::CfKind::Call, iaddr, c.pc, 0);
+    if (c.cf_)
+      c.cf_->control_flow(c.cpu_id_, obs::CfKind::Call, iaddr, c.pc, 0);
   }
   static void ret(Cpu& c, const Inst& inst) {
     // The assembler always encodes the target register explicitly (LR for
     // a plain `ret`).
     const uint64_t iaddr = c.pc - 4;
     c.pc = c.x(inst.rn);
-    if (c.cf_) c.cf_->control_flow(obs::CfKind::Ret, iaddr, c.pc, 0);
+    if (c.cf_)
+      c.cf_->control_flow(c.cpu_id_, obs::CfKind::Ret, iaddr, c.pc, 0);
   }
 
   // ---- PAuth combined branches ----
@@ -894,7 +899,8 @@ struct ExecHandlers {
     if (faulted) return;
     if (link) c.set_x(isa::kRegLr, iaddr + 4);
     c.pc = target;
-    if (link && c.cf_) c.cf_->control_flow(obs::CfKind::Call, iaddr, c.pc, 0);
+    if (link && c.cf_)
+      c.cf_->control_flow(c.cpu_id_, obs::CfKind::Call, iaddr, c.pc, 0);
   }
   static void retax(Cpu& c, const Inst& inst) {
     if (!c.cfg_.has_pauth) {
@@ -908,7 +914,8 @@ struct ExecHandlers {
                  inst.op == Op::RETAB ? PacKey::IB : PacKey::IA, faulted);
     if (!faulted) {
       c.pc = target;
-      if (c.cf_) c.cf_->control_flow(obs::CfKind::Ret, iaddr, c.pc, 0);
+      if (c.cf_)
+      c.cf_->control_flow(c.cpu_id_, obs::CfKind::Ret, iaddr, c.pc, 0);
     }
   }
 

@@ -286,7 +286,8 @@ SuperblockEngine::run_careful(Cpu& cpu, const Block& b, const Trace* t,
     ++cpu.instret_;
     ++cpu.op_counts_[static_cast<size_t>(e.inst.op)];
     if (alone)
-      cpu.deliver({va, pa0 + (va - va0), &slot, cpu.cycles_ - c0, 1, el0});
+      cpu.deliver({va, pa0 + (va - va0), &slot, cpu.cycles_ - c0, 1, el0,
+                   static_cast<uint8_t>(cpu.cpu_id_)});
     else if (feeds)
       ++cpu.run_.n;
     if (++done == cap)
@@ -480,7 +481,9 @@ SuperblockEngine::TraceExit SuperblockEngine::run_trace(Cpu& cpu, Trace& t,
       cpu.cycles_ += slot.cost;
       ++cpu.instret_;
       ++cpu.op_counts_[static_cast<size_t>(e.inst.op)];
-      if (alone) cpu.deliver({va, pa, &slot, cpu.cycles_ - c0, 1, el0});
+      if (alone)
+        cpu.deliver({va, pa, &slot, cpu.cycles_ - c0, 1, el0,
+                     static_cast<uint8_t>(cpu.cpu_id_)});
       else if (feeds)
         ++cpu.run_.n;
       if (++done == cap) {

@@ -58,68 +58,71 @@ int CallGraphProfiler::child(int node, int name, bool exc) {
   return id;
 }
 
-void CallGraphProfiler::control_flow(CfKind kind, uint64_t from_pc,
-                                     uint64_t to_pc, uint8_t info) {
-  pending_.push_back(PendingCf{kind, from_pc, to_pc, info});
+void CallGraphProfiler::control_flow(unsigned cpu, CfKind kind,
+                                     uint64_t from_pc, uint64_t to_pc,
+                                     uint8_t info) {
+  core(cpu).pending.push_back(PendingCf{kind, from_pc, to_pc, info});
 }
 
-void CallGraphProfiler::apply(const PendingCf& cf) {
+void CallGraphProfiler::apply(CoreStack& c, const PendingCf& cf) {
+  std::vector<Frame>& stack = c.stack;
   switch (cf.kind) {
     case CfKind::Call: {
-      if (stack_.size() >= kMaxDepth) {
-        ++overflow_;
+      if (stack.size() >= kMaxDepth) {
+        ++c.overflow;
         break;
       }
-      stack_.push_back(
-          {child(current(), region_name(region_of(cf.to_pc)), false),
+      stack.push_back(
+          {child(current(c), region_name(region_of(cf.to_pc)), false),
            cf.from_pc + 4});
       break;
     }
     case CfKind::Ret: {
-      if (overflow_ > 0) {
-        --overflow_;
+      if (c.overflow > 0) {
+        --c.overflow;
         break;
       }
       // Only call frames pop on RET; an exception frame on top means the
       // shadow stack and the guest disagree (corrupted or hand-written
       // control flow) — leave it for the matching ERET.
-      if (!stack_.empty() && !nodes_[stack_.back().node].exc)
-        stack_.pop_back();
+      if (!stack.empty() && !nodes_[stack.back().node].exc)
+        stack.pop_back();
       break;
     }
     case CfKind::ExcEnter: {
-      if (stack_.size() >= kMaxDepth) {
-        ++overflow_;
+      if (stack.size() >= kMaxDepth) {
+        ++c.overflow;
         break;
       }
       int& id = exc_names_[cf.info];
       if (id == 0)
         id = intern(std::string("[exc:") + exc_class_label(cf.info) + "]") + 1;
-      stack_.push_back({child(current(), id - 1, true)});
+      stack.push_back({child(current(c), id - 1, true)});
       break;
     }
     case CfKind::ExcExit: {
       // Unwind through the innermost exception frame. An ERET with no
       // exception frame below it (the boot path's first drop to EL0) leaves
       // the stack alone.
-      overflow_ = 0;
+      c.overflow = 0;
       const auto it =
-          std::find_if(stack_.rbegin(), stack_.rend(),
+          std::find_if(stack.rbegin(), stack.rend(),
                        [&](const Frame& f) { return nodes_[f.node].exc; });
-      if (it == stack_.rend()) break;
-      stack_.resize(stack_.size() -
-                    static_cast<size_t>(it - stack_.rbegin()) - 1);
+      if (it == stack.rend()) break;
+      stack.resize(stack.size() - static_cast<size_t>(it - stack.rbegin()) -
+                   1);
       // A call whose target took the exception before running (a fetch
       // abort) and whose handler returned to the caller: the callee never
       // ran, so its frame goes too.
-      if (!stack_.empty() && stack_.back().ret == cf.to_pc) stack_.pop_back();
+      if (!stack.empty() && stack.back().ret == cf.to_pc) stack.pop_back();
       break;
     }
   }
 }
 
-void CallGraphProfiler::attribute(size_t idx, uint64_t cycles,
-                                  uint64_t retires) {
+void CallGraphProfiler::attribute(CoreStack& c, size_t idx,
+                                  uint64_t cycles, uint64_t retires) {
+  std::vector<Frame>& stack = c.stack;
   Counts& flat = idx == RegionIndex::kNone ? flat_other_ : flat_[idx];
   flat.cycles += cycles;
   flat.retires += retires;
@@ -127,17 +130,17 @@ void CallGraphProfiler::attribute(size_t idx, uint64_t cycles,
   // Attribute to the stack as it stood *before* this step's control-flow
   // events: a BL's cycles belong to the caller.
   int target;
-  if (overflow_ > 0) {
+  if (c.overflow > 0) {
     if (truncated_name_ < 0) truncated_name_ = intern("[truncated]");
-    target = child(current(), truncated_name_, false);
-  } else if (stack_.empty()) {
+    target = child(current(c), truncated_name_, false);
+  } else if (stack.empty()) {
     // Nothing called this code (boot entry, or every frame returned): the
     // leaf becomes the base frame so subsequent calls nest under it.
-    stack_.push_back({child(0, region_name(idx), false)});
-    target = stack_.back().node;
+    stack.push_back({child(0, region_name(idx), false)});
+    target = stack.back().node;
   } else {
     const int leaf = region_name(idx);
-    const int cur = current();
+    const int cur = current(c);
     // Self-heal: when pc sits outside the top frame's region (tail jumps,
     // mismatched returns), attribute to an appended leaf without pushing.
     target = nodes_[cur].name == leaf ? cur : child(cur, leaf, false);
@@ -148,12 +151,13 @@ void CallGraphProfiler::attribute(size_t idx, uint64_t cycles,
   total_retires_ += retires;
 }
 
-void CallGraphProfiler::apply_pending() {
-  for (const PendingCf& cf : pending_) apply(cf);
-  pending_.clear();
+void CallGraphProfiler::apply_pending(CoreStack& c) {
+  for (const PendingCf& cf : c.pending) apply(c, cf);
+  c.pending.clear();
 }
 
 void CallGraphProfiler::retire_run(const RetireRun& run) {
+  CoreStack& c = core(run.cpu);
   // Within a run the stack only changes when the first record lands on an
   // empty one, after which every instruction of the same region resolves to
   // that same node — so a group of same-region instructions is one update,
@@ -165,23 +169,23 @@ void CallGraphProfiler::retire_run(const RetireRun& run) {
   const size_t first = run.n > 0 ? region_of(run.va) : RegionIndex::kNone;
   if (first != RegionIndex::kNone &&
       run.va + 4 * uint64_t{run.n - 1} - hit_start_ < hit_span_) {
-    attribute(first, run.cycles, run.n);
+    attribute(c, first, run.cycles, run.n);
   } else {
     size_t group = RegionIndex::kNone;
     uint64_t cycles = 0, retires = 0;
-    run.for_each([&](uint64_t pc, uint8_t /*op_class*/, uint64_t c) {
+    run.for_each([&](uint64_t pc, uint8_t /*op_class*/, uint64_t cost) {
       const size_t idx = region_of(pc);
       if (retires > 0 && idx != group) {
-        attribute(group, cycles, retires);
+        attribute(c, group, cycles, retires);
         cycles = retires = 0;
       }
       group = idx;
-      cycles += c;
+      cycles += cost;
       ++retires;
     });
-    if (retires > 0) attribute(group, cycles, retires);
+    if (retires > 0) attribute(c, group, cycles, retires);
   }
-  apply_pending();
+  apply_pending(c);
 }
 
 size_t CallGraphProfiler::hot_node_count() const {
@@ -280,9 +284,7 @@ void CallGraphProfiler::clear() {
   for (Counts& c : flat_) c = Counts{};
   flat_other_ = Counts{};
   nodes_.clear();
-  stack_.clear();
-  pending_.clear();
-  overflow_ = 0;
+  cores_.clear();
   total_cycles_ = 0;
   total_retires_ = 0;
 }

@@ -24,7 +24,9 @@
 // on fetch, and whose handler returned to the caller) pops that frame too;
 // a pc outside the top frame's region is self-healed by appending the leaf
 // region. Under context switching, attribution is wall-clock, like the
-// syscall-latency histogram: the stack follows the *CPU*, not the task.
+// syscall-latency histogram: the stack follows the *CPU*, not the task. On
+// SMP each core keeps its own shadow stack (runs and control-flow events
+// carry the reporting core's id); all stacks share one call tree.
 //
 // Export: folded-stack text ("kernel;syscall;pac_sign 123" per line) directly
 // consumable by flamegraph.pl or speedscope, plus a human-readable top-stacks
@@ -63,8 +65,8 @@ class CallGraphProfiler : public CycleAttributor, public CfSink {
   /// Control-flow events are buffered and applied *after* the retire run
   /// that carries their instruction, so a call instruction's own cycles are
   /// attributed to the caller's stack, not the callee's.
-  void control_flow(CfKind kind, uint64_t from_pc, uint64_t to_pc,
-                    uint8_t info) override;
+  void control_flow(unsigned cpu, CfKind kind, uint64_t from_pc,
+                    uint64_t to_pc, uint8_t info) override;
   /// Attributes each instruction's cycles to the stack as it stands. A run
   /// that starts and ends in the cached region is one node update; any
   /// other run costs a region-cache compare per instruction and one node
@@ -74,8 +76,11 @@ class CallGraphProfiler : public CycleAttributor, public CfSink {
   // Accounting --------------------------------------------------------------
   uint64_t total_cycles() const { return total_cycles_; }
   uint64_t total_retires() const { return total_retires_; }
-  /// Current shadow-stack depth (frames tracked; excludes collapsed ones).
-  size_t depth() const { return stack_.size(); }
+  /// Core `cpu`'s current shadow-stack depth (frames tracked; excludes
+  /// collapsed ones).
+  size_t depth(unsigned cpu = 0) const {
+    return cpu < cores_.size() ? cores_[cpu].stack.size() : 0;
+  }
   /// Number of distinct stacks (tree nodes) with attributed cycles.
   size_t hot_node_count() const;
 
@@ -121,10 +126,23 @@ class CallGraphProfiler : public CycleAttributor, public CfSink {
     uint64_t ret = 0;
   };
 
+  /// One core's shadow stack and the control-flow events waiting for its
+  /// next retire run.
+  struct CoreStack {
+    std::vector<Frame> stack;  ///< bottom to top
+    uint64_t overflow = 0;     ///< frames collapsed past kMaxDepth
+    std::vector<PendingCf> pending;
+  };
+
   struct Counts {
     uint64_t cycles = 0;
     uint64_t retires = 0;
   };
+
+  CoreStack& core(unsigned cpu) {
+    if (cpu >= cores_.size()) cores_.resize(cpu + 1);
+    return cores_[cpu];
+  }
 
   int intern(const std::string& name);
   /// Index of the region holding pc (RegionIndex::kNone outside them all),
@@ -141,13 +159,16 @@ class CallGraphProfiler : public CycleAttributor, public CfSink {
   }
   int region_name(size_t idx);  ///< name id of a region_of() result
   /// Attribute `cycles` over `retires` instructions at region `idx` to the
-  /// flat view and to the stack as it stands.
-  void attribute(size_t idx, uint64_t cycles, uint64_t retires);
+  /// flat view and to core `c`'s stack as it stands.
+  void attribute(CoreStack& c, size_t idx, uint64_t cycles,
+                 uint64_t retires);
   /// Find-or-create the child of `node` named `name`.
   int child(int node, int name, bool exc);
-  int current() const { return stack_.empty() ? 0 : stack_.back().node; }
-  void apply(const PendingCf& cf);
-  void apply_pending();
+  static int current(const CoreStack& c) {
+    return c.stack.empty() ? 0 : c.stack.back().node;
+  }
+  void apply(CoreStack& c, const PendingCf& cf);
+  void apply_pending(CoreStack& c);
   void collect_lines(std::vector<std::pair<std::string, uint64_t>>& out,
                      char sep) const;
 
@@ -163,10 +184,8 @@ class CallGraphProfiler : public CycleAttributor, public CfSink {
   std::vector<std::string> names_;
   std::unordered_map<std::string, int> name_ids_;
 
-  std::vector<Node> nodes_;   ///< nodes_[0] is the root (lazily created)
-  std::vector<Frame> stack_;  ///< bottom to top
-  uint64_t overflow_ = 0;     ///< frames collapsed past kMaxDepth
-  std::vector<PendingCf> pending_;
+  std::vector<Node> nodes_;  ///< nodes_[0] is the root (lazily created)
+  std::vector<CoreStack> cores_;  ///< by core id
 
   uint64_t total_cycles_ = 0;
   uint64_t total_retires_ = 0;

@@ -267,10 +267,11 @@ void Collector::audit(unsigned cpu, AuditEvent a) {
 }
 
 void Collector::retire_run(const RetireRun& run) {
-  // retired_cycles_ is the cycle counter before the run (summing the retire
-  // feed reproduces Cpu::cycles()): the flight ring's first stamp.
-  flight_.retire_run(retired_cycles_, run);
-  retired_cycles_ += run.cycles;
+  // The core's cycle counter before the run (summing a core's retire runs
+  // reproduces its Cpu::cycles()): the flight ring's first stamp.
+  uint64_t& cycles = core(run.cpu).retired_cycles;
+  flight_.retire_run(cycles, run);
+  cycles += run.cycles;
   if (run.el < 3) {
     cycles_el_[run.el]->inc(run.cycles);
     insn_el_[run.el]->inc(run.n);
@@ -278,9 +279,9 @@ void Collector::retire_run(const RetireRun& run) {
   if (opts_.callgraph) cg_.retire_run(run);
 }
 
-void Collector::control_flow(CfKind kind, uint64_t from_pc, uint64_t to_pc,
-                             uint8_t info) {
-  if (opts_.callgraph) cg_.control_flow(kind, from_pc, to_pc, info);
+void Collector::control_flow(unsigned cpu, CfKind kind, uint64_t from_pc,
+                             uint64_t to_pc, uint8_t info) {
+  if (opts_.callgraph) cg_.control_flow(cpu, kind, from_pc, to_pc, info);
 }
 
 std::string Collector::chrome_trace_json() const {

@@ -112,8 +112,8 @@ class Collector : public CycleAttributor, public CfSink {
                       uint64_t pac_failures, uint64_t halt_code);
 
   void retire_run(const RetireRun& run) override;
-  void control_flow(CfKind kind, uint64_t from_pc, uint64_t to_pc,
-                    uint8_t info) override;
+  void control_flow(unsigned cpu, CfKind kind, uint64_t from_pc,
+                    uint64_t to_pc, uint8_t info) override;
 
   /// Fleet identity stamped onto every subsequent audit event, so merged
   /// logs stay per-machine attributable.
@@ -174,6 +174,10 @@ class Collector : public CycleAttributor, public CfSink {
   // clock, so a window, a burst or a pending sign only ever pairs with a
   // later report from the same core.
   struct CoreState {
+    // The core's cycle counter reconstructed from its retire runs: the
+    // flight ring's pre-run stamp.
+    uint64_t retired_cycles = 0;
+
     // Syscall-window synthesis.
     bool syscall_open = false;
     uint64_t syscall_enter_cycles = 0;
@@ -200,10 +204,6 @@ class Collector : public CycleAttributor, public CfSink {
     if (cpu >= cores_.size()) cores_.resize(cpu + 1);
     return cores_[cpu];
   }
-
-  // Cycle counter reconstructed from the retire feed (pre-step timestamps
-  // for the flight ring).
-  uint64_t retired_cycles_ = 0;
 
   /// Bump the registry counters of event `e` (see count() in the .cpp).
   void count(const TraceEvent& e);

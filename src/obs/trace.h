@@ -108,6 +108,7 @@ struct RetireRun {
   uint64_t cycles = 0;
   uint32_t n = 0;
   uint8_t el = 0;
+  uint8_t cpu = 0;  ///< the reporting core's id
 
   /// Calls f(pc, op_class, cycles) once per instruction, in order; the
   /// cycles passed sum to `cycles`.
@@ -121,6 +122,9 @@ struct RetireRun {
     if (n > 0) f(va + 4 * uint64_t{n - 1}, slots[n - 1].op_class, left);
   }
 };
+
+// The core id rides in what was padding.
+static_assert(sizeof(RetireRun) == 40);
 
 /// Cycle consumer: one retire_run() per run the CPU retires, in order.
 /// Summing the cycles over all records reproduces Cpu::cycles() exactly.
@@ -147,17 +151,19 @@ const char* cf_kind_name(CfKind k);
 /// Control-flow consumer fed from the CPU's retire stream. Events for an
 /// instruction fire *during* it, i.e. before the retire_run() record that
 /// carries it (the engines flush any pending run before an instruction that
-/// can emit one, so that instruction's record is the next to arrive);
+/// can emit one, so that instruction's record is the next one from the same
+/// core);
 /// consumers that want call-site attribution buffer them until the record
 /// arrives (obs::CallGraphProfiler does). Null sink = no emission, and
 /// attaching one never changes simulated cycle counts.
 class CfSink {
  public:
   virtual ~CfSink() = default;
-  /// `from_pc` is the instruction (or preferred return address for
-  /// exceptions), `to_pc` the new pc after the transfer.
-  virtual void control_flow(CfKind kind, uint64_t from_pc, uint64_t to_pc,
-                            uint8_t info) = 0;
+  /// `cpu` is the reporting core's id, `from_pc` the instruction (or
+  /// preferred return address for exceptions), `to_pc` the new pc after the
+  /// transfer.
+  virtual void control_flow(unsigned cpu, CfKind kind, uint64_t from_pc,
+                            uint64_t to_pc, uint8_t info) = 0;
 };
 
 // Label helpers for numeric payloads. These mirror the producer enums

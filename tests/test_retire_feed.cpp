@@ -288,7 +288,7 @@ TEST(RetireFeed, CallGraphRunAppliesPendingControlFlowAfterTheWholeRun) {
   add_regions(batched);
   add_regions(stepped);
   for (CallGraphProfiler* cg : {&batched, &stepped}) {
-    cg->control_flow(obs::CfKind::Call, kF - 4, kF, 0);
+    cg->control_flow(0, obs::CfKind::Call, kF - 4, kF, 0);
     step_record(*cg, kF - 4, 1, 2, 1);  // the BL from [other] pushes f
   }
   const RetireRun run = make_run(kF, kMixed, 1, /*extra=*/12);
@@ -298,10 +298,10 @@ TEST(RetireFeed, CallGraphRunAppliesPendingControlFlowAfterTheWholeRun) {
   head.cycles = 0;
   for (uint32_t i = 0; i < head.n; ++i) head.cycles += run.slots[i].cost;
   feed_stepped(stepped, head);
-  stepped.control_flow(obs::CfKind::ExcEnter, last, kG, 4);
+  stepped.control_flow(0, obs::CfKind::ExcEnter, last, kG, 4);
   step_record(stepped, last, run.el, run.slots[run.n - 1].op_class,
               run.cycles - head.cycles);
-  batched.control_flow(obs::CfKind::ExcEnter, last, kG, 4);
+  batched.control_flow(0, obs::CfKind::ExcEnter, last, kG, 4);
   batched.retire_run(run);
   for (CallGraphProfiler* cg : {&batched, &stepped})
     step_record(*cg, kG + 4, 1, 0, 1);
@@ -319,7 +319,7 @@ TEST(RetireFeed, CallGraphRunUnderTruncatedOverflow) {
   add_regions(stepped);
   for (CallGraphProfiler* cg : {&batched, &stepped}) {
     for (size_t i = 0; i < CallGraphProfiler::kMaxDepth + 3; ++i) {
-      cg->control_flow(obs::CfKind::Call, kF, i % 2 ? kF : kG, 0);
+      cg->control_flow(0, obs::CfKind::Call, kF, i % 2 ? kF : kG, 0);
       step_record(*cg, i % 2 ? kG : kF, 1, 2, 1);
     }
   }
@@ -331,7 +331,7 @@ TEST(RetireFeed, CallGraphRunUnderTruncatedOverflow) {
   // Popping back out of the overflow resumes exact attribution.
   for (CallGraphProfiler* cg : {&batched, &stepped}) {
     for (int i = 0; i < 4; ++i) {
-      cg->control_flow(obs::CfKind::Ret, kG, kF, 0);
+      cg->control_flow(0, obs::CfKind::Ret, kG, kF, 0);
       step_record(*cg, kG, 1, 3, 1);
     }
   }
@@ -392,12 +392,12 @@ TEST(RetireFeed, CallGraphWholeRunFastPath) {
     SCOPED_TRACE("node gains a second child between attributions");
     run(make_run(kG + 4, two, 1));  // f;g
     both([](CallGraphProfiler& cg) {
-      cg.control_flow(obs::CfKind::Call, kF + 8, kH, 0);
+      cg.control_flow(0, obs::CfKind::Call, kF + 8, kH, 0);
       step_record(cg, kF + 8, 1, 2, 1);  // the BL, in f: pushes f;h
     });
     run(make_run(kH, two, 1));  // f;h
     both([](CallGraphProfiler& cg) {
-      cg.control_flow(obs::CfKind::Ret, kH + 8, kG + 8, 0);
+      cg.control_flow(0, obs::CfKind::Ret, kH + 8, kG + 8, 0);
       step_record(cg, kH + 8, 1, 3, 1);
     });
     run(make_run(kG + 8, four, 1));  // f;g again, past f's memo of h
@@ -406,7 +406,7 @@ TEST(RetireFeed, CallGraphWholeRunFastPath) {
   {
     SCOPED_TRACE("run on an emptied stack");
     both([](CallGraphProfiler& cg) {
-      cg.control_flow(obs::CfKind::Ret, kG + 12, kH, 0);
+      cg.control_flow(0, obs::CfKind::Ret, kG + 12, kH, 0);
       step_record(cg, kG + 12, 1, 3, 1);
     });
     EXPECT_EQ(batched.depth(), 0u);

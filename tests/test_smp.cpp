@@ -297,5 +297,59 @@ TEST(SmpObs, DerivedHistogramsStayPerCore) {
   }
 }
 
+// The flight ring and the call graph on SMP: each core's runs are stamped
+// with that core's own clock and walk that core's own shadow stack.
+
+struct SyscallPair {
+  std::vector<obs::FlightInsn> ring;
+  uint64_t max_clock = 0;  ///< the largest core cycle counter
+  size_t deepest = 0;      ///< frames in the deepest folded stack
+};
+
+SyscallPair two_syscall_tasks(unsigned cores, uint64_t quantum) {
+  kernel::MachineConfig cfg = smp_config(cores, quantum);
+  cfg.obs.enabled = true;
+  kernel::Machine m(cfg);
+  m.add_user_program(kernel::workloads::null_syscall(200));
+  m.add_user_program(kernel::workloads::null_syscall(200));
+  m.boot();
+  EXPECT_TRUE(m.run());
+  EXPECT_EQ(m.halt_code(), kernel::kHaltDone);
+  SyscallPair out;
+  out.ring = m.stats()->flight().live_ring();
+  for (unsigned c = 0; c < m.cores(); ++c)
+    out.max_clock = std::max(out.max_clock, m.core(c).cycles());
+  const std::string folded = m.stats()->folded_profile();
+  size_t begin = 0;
+  while (begin < folded.size()) {
+    const size_t end = folded.find('\n', begin);
+    const std::string line = folded.substr(begin, end - begin);
+    out.deepest = std::max<size_t>(
+        out.deepest, 1 + std::count(line.begin(), line.end(), ';'));
+    begin = end + 1;
+  }
+  return out;
+}
+
+TEST(SmpObs, FlightStampsUseTheReportingCoresClock) {
+  for (const uint64_t quantum : {50u, 500u, 10000u}) {
+    SCOPED_TRACE(quantum);
+    const SyscallPair two = two_syscall_tasks(2, quantum);
+    ASSERT_FALSE(two.ring.empty());
+    // A stamp summed over both cores' runs would be about twice either
+    // core's clock.
+    EXPECT_LE(two.ring.back().cycles, two.max_clock);
+  }
+}
+
+TEST(SmpObs, CallGraphKeepsAShadowStackPerCore) {
+  const SyscallPair one = two_syscall_tasks(1, 500);
+  const SyscallPair two = two_syscall_tasks(2, 500);
+  ASSERT_GT(one.deepest, 1u);
+  // Interleaved on one stack, the cores' calls and returns nest under each
+  // other's frames.
+  EXPECT_LE(two.deepest, one.deepest);
+}
+
 }  // namespace
 }  // namespace camo
