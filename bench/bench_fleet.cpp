@@ -7,10 +7,12 @@
 // shared kernel::ImageCache.
 //
 // The simulated results (per-profile guest cycles, instructions, the image
-// cache hit/miss split) are bit-identical at any --jobs value and are what
-// the perf gate checks. The fleet.* series (steals, imbalance, aggregate
+// cache hit/miss split, the byte size of the merged audit stream's JSON
+// export) are bit-identical at any --jobs value and are what the perf gate
+// checks. The fleet.* series (steals, imbalance, aggregate
 // guest-insns per host-second) are host-scheduling artifacts, published as
 // informational only — camo-perfdiff never gates them.
+#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -20,6 +22,8 @@
 #include "kernel/image_cache.h"
 #include "kernel/machine.h"
 #include "kernel/workloads.h"
+#include "obs/flight.h"
+#include "obs/json.h"
 #include "par/fleet.h"
 
 int main(int argc, char** argv) {
@@ -153,9 +157,27 @@ int main(int argc, char** argv) {
   if (const obs::Histogram* h =
           fleet.metrics.find_histogram("key.switch.cycles"))
     s.add_histogram("fleet", "key.switch", *h, "cycles");
+  // The merged audit stream exported the way a fleet consumer does it: one
+  // json::Value array of audit_event_json records, dumped at once. Its size
+  // is exact and gated like a simulated cost; the host time to build, dump
+  // and free the tree is informational ("ms").
+  const auto export_start = std::chrono::steady_clock::now();
+  size_t audit_bytes = 0;
+  {
+    obs::json::Value arr = obs::json::Value::array();
+    for (const obs::AuditEvent& e : fleet.audit)
+      arr.push(obs::audit_event_json(e));
+    audit_bytes = arr.dump().size();
+  }
+  const double export_ms = std::chrono::duration<double, std::milli>(
+                               std::chrono::steady_clock::now() - export_start)
+                               .count();
   std::printf("merged audit stream: %zu events (bit-identical at any "
-              "--jobs)\n",
-              fleet.audit.size());
+              "--jobs), exported as %zu bytes of JSON in %.1f ms\n",
+              fleet.audit.size(), audit_bytes, export_ms);
+  s.add("fleet", "obs.audit_export_bytes", static_cast<double>(audit_bytes),
+        "bytes");
+  s.add("fleet", "obs.audit_export_ms", export_ms, "ms");
 
   // The merged registry carries every tenant's namespaced throughput gauge
   // plus the recomputed aggregate — the gauge-collision regression this
