@@ -284,7 +284,8 @@ void CallGraphProfiler::clear() {
   for (Counts& c : flat_) c = Counts{};
   flat_other_ = Counts{};
   nodes_.clear();
-  cores_.clear();
+  cores_.assign(1, CoreStack{});
+  last_cpu_ = 0;
   total_cycles_ = 0;
   total_retires_ = 0;
 }

@@ -139,8 +139,13 @@ class CallGraphProfiler : public CycleAttributor, public CfSink {
     uint64_t retires = 0;
   };
 
+  // Runs come from one core for a whole SMP quantum, so the hot path is one
+  // compare with the last core.
   CoreStack& core(unsigned cpu) {
-    if (cpu >= cores_.size()) cores_.resize(cpu + 1);
+    if (cpu != last_cpu_) [[unlikely]] {
+      if (cpu >= cores_.size()) cores_.resize(cpu + 1);
+      last_cpu_ = cpu;
+    }
     return cores_[cpu];
   }
 
@@ -185,7 +190,8 @@ class CallGraphProfiler : public CycleAttributor, public CfSink {
   std::unordered_map<std::string, int> name_ids_;
 
   std::vector<Node> nodes_;  ///< nodes_[0] is the root (lazily created)
-  std::vector<CoreStack> cores_;  ///< by core id
+  std::vector<CoreStack> cores_ = std::vector<CoreStack>(1);  ///< by core id
+  unsigned last_cpu_ = 0;  ///< the last core looked up; below cores_.size()
 
   uint64_t total_cycles_ = 0;
   uint64_t total_retires_ = 0;

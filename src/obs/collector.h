@@ -199,9 +199,15 @@ class Collector : public CycleAttributor, public CfSink {
     std::unordered_map<uint64_t, uint64_t> pending_signs;
   };
   static constexpr size_t kMaxPendingSigns = 1 << 16;  // per core
-  std::vector<CoreState> cores_;
+  std::vector<CoreState> cores_ = std::vector<CoreState>(1);
+  unsigned last_cpu_ = 0;  ///< the last core looked up; below cores_.size()
+  // Reports come in runs from one core (a whole SMP quantum), so the hot
+  // path is one compare with the last core.
   CoreState& core(unsigned cpu) {
-    if (cpu >= cores_.size()) cores_.resize(cpu + 1);
+    if (cpu != last_cpu_) [[unlikely]] {
+      if (cpu >= cores_.size()) cores_.resize(cpu + 1);
+      last_cpu_ = cpu;
+    }
     return cores_[cpu];
   }
 

@@ -147,16 +147,25 @@ void Value::destroy() noexcept {
   kind_ = Kind::Null;
 }
 
-// A moved-from Str or vector owns nothing, so `o` is marked null without
-// running its destructor.
+// Each moved-from payload is destroyed in place (it owns nothing, so that
+// is a compare), which leaves `o` null without a second switch.
 void Value::take(Value&& o) noexcept {
   switch (o.kind_) {
     case Kind::Null: break;
     case Kind::Bool: b_ = o.b_; break;
     case Kind::Number: d_ = o.d_; break;
-    case Kind::String: new (&s_) Str(std::move(o.s_)); break;
-    case Kind::Array: new (&a_) Array(std::move(o.a_)); break;
-    case Kind::Object: new (&o_) Object(std::move(o.o_)); break;
+    case Kind::String:
+      new (&s_) Str(std::move(o.s_));
+      o.s_.~Str();
+      break;
+    case Kind::Array:
+      new (&a_) Array(std::move(o.a_));
+      o.a_.~Array();
+      break;
+    case Kind::Object:
+      new (&o_) Object(std::move(o.o_));
+      o.o_.~Object();
+      break;
   }
   kind_ = o.kind_;
   o.kind_ = Kind::Null;
