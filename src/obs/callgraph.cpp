@@ -61,68 +61,84 @@ int CallGraphProfiler::child(int node, int name, bool exc) {
 void CallGraphProfiler::control_flow(unsigned cpu, CfKind kind,
                                      uint64_t from_pc, uint64_t to_pc,
                                      uint8_t info) {
-  core(cpu).pending.push_back(PendingCf{kind, from_pc, to_pc, info});
+  if (cpu != cpu_) [[unlikely]] switch_core(cpu);
+  pending_.push_back(PendingCf{kind, from_pc, to_pc, info});
 }
 
-void CallGraphProfiler::apply(CoreStack& c, const PendingCf& cf) {
-  std::vector<Frame>& stack = c.stack;
+void CallGraphProfiler::switch_core(unsigned cpu) {
+  if (parked_.size() <= std::max(cpu, cpu_))
+    parked_.resize(std::max(cpu, cpu_) + 1);
+  for (const unsigned c : {cpu_, cpu}) {  // park, then unpark
+    CoreStack& p = parked_[c];
+    std::swap(stack_, p.stack);
+    std::swap(overflow_, p.overflow);
+    std::swap(pending_, p.pending);
+  }
+  cpu_ = cpu;
+}
+
+size_t CallGraphProfiler::depth(unsigned cpu) const {
+  if (cpu == cpu_) return stack_.size();
+  return cpu < parked_.size() ? parked_[cpu].stack.size() : 0;
+}
+
+void CallGraphProfiler::apply(const PendingCf& cf) {
   switch (cf.kind) {
     case CfKind::Call: {
-      if (stack.size() >= kMaxDepth) {
-        ++c.overflow;
+      if (stack_.size() >= kMaxDepth) {
+        ++overflow_;
         break;
       }
-      stack.push_back(
-          {child(current(c), region_name(region_of(cf.to_pc)), false),
+      stack_.push_back(
+          {child(current(), region_name(region_of(cf.to_pc)), false),
            cf.from_pc + 4});
       break;
     }
     case CfKind::Ret: {
-      if (c.overflow > 0) {
-        --c.overflow;
+      if (overflow_ > 0) {
+        --overflow_;
         break;
       }
       // Only call frames pop on RET; an exception frame on top means the
       // shadow stack and the guest disagree (corrupted or hand-written
       // control flow) — leave it for the matching ERET.
-      if (!stack.empty() && !nodes_[stack.back().node].exc)
-        stack.pop_back();
+      if (!stack_.empty() && !nodes_[stack_.back().node].exc)
+        stack_.pop_back();
       break;
     }
     case CfKind::ExcEnter: {
-      if (stack.size() >= kMaxDepth) {
-        ++c.overflow;
+      if (stack_.size() >= kMaxDepth) {
+        ++overflow_;
         break;
       }
       int& id = exc_names_[cf.info];
       if (id == 0)
         id = intern(std::string("[exc:") + exc_class_label(cf.info) + "]") + 1;
-      stack.push_back({child(current(c), id - 1, true)});
+      stack_.push_back({child(current(), id - 1, true)});
       break;
     }
     case CfKind::ExcExit: {
       // Unwind through the innermost exception frame. An ERET with no
       // exception frame below it (the boot path's first drop to EL0) leaves
       // the stack alone.
-      c.overflow = 0;
+      overflow_ = 0;
       const auto it =
-          std::find_if(stack.rbegin(), stack.rend(),
+          std::find_if(stack_.rbegin(), stack_.rend(),
                        [&](const Frame& f) { return nodes_[f.node].exc; });
-      if (it == stack.rend()) break;
-      stack.resize(stack.size() - static_cast<size_t>(it - stack.rbegin()) -
-                   1);
+      if (it == stack_.rend()) break;
+      stack_.resize(stack_.size() -
+                    static_cast<size_t>(it - stack_.rbegin()) - 1);
       // A call whose target took the exception before running (a fetch
       // abort) and whose handler returned to the caller: the callee never
       // ran, so its frame goes too.
-      if (!stack.empty() && stack.back().ret == cf.to_pc) stack.pop_back();
+      if (!stack_.empty() && stack_.back().ret == cf.to_pc) stack_.pop_back();
       break;
     }
   }
 }
 
-void CallGraphProfiler::attribute(CoreStack& c, size_t idx,
-                                  uint64_t cycles, uint64_t retires) {
-  std::vector<Frame>& stack = c.stack;
+void CallGraphProfiler::attribute(size_t idx, uint64_t cycles,
+                                  uint64_t retires) {
   Counts& flat = idx == RegionIndex::kNone ? flat_other_ : flat_[idx];
   flat.cycles += cycles;
   flat.retires += retires;
@@ -130,17 +146,17 @@ void CallGraphProfiler::attribute(CoreStack& c, size_t idx,
   // Attribute to the stack as it stood *before* this step's control-flow
   // events: a BL's cycles belong to the caller.
   int target;
-  if (c.overflow > 0) {
+  if (overflow_ > 0) {
     if (truncated_name_ < 0) truncated_name_ = intern("[truncated]");
-    target = child(current(c), truncated_name_, false);
-  } else if (stack.empty()) {
+    target = child(current(), truncated_name_, false);
+  } else if (stack_.empty()) {
     // Nothing called this code (boot entry, or every frame returned): the
     // leaf becomes the base frame so subsequent calls nest under it.
-    stack.push_back({child(0, region_name(idx), false)});
-    target = stack.back().node;
+    stack_.push_back({child(0, region_name(idx), false)});
+    target = stack_.back().node;
   } else {
     const int leaf = region_name(idx);
-    const int cur = current(c);
+    const int cur = current();
     // Self-heal: when pc sits outside the top frame's region (tail jumps,
     // mismatched returns), attribute to an appended leaf without pushing.
     target = nodes_[cur].name == leaf ? cur : child(cur, leaf, false);
@@ -151,13 +167,13 @@ void CallGraphProfiler::attribute(CoreStack& c, size_t idx,
   total_retires_ += retires;
 }
 
-void CallGraphProfiler::apply_pending(CoreStack& c) {
-  for (const PendingCf& cf : c.pending) apply(c, cf);
-  c.pending.clear();
+void CallGraphProfiler::apply_pending() {
+  for (const PendingCf& cf : pending_) apply(cf);
+  pending_.clear();
 }
 
 void CallGraphProfiler::retire_run(const RetireRun& run) {
-  CoreStack& c = core(run.cpu);
+  if (run.cpu != cpu_) [[unlikely]] switch_core(run.cpu);
   // Within a run the stack only changes when the first record lands on an
   // empty one, after which every instruction of the same region resolves to
   // that same node — so a group of same-region instructions is one update,
@@ -169,23 +185,23 @@ void CallGraphProfiler::retire_run(const RetireRun& run) {
   const size_t first = run.n > 0 ? region_of(run.va) : RegionIndex::kNone;
   if (first != RegionIndex::kNone &&
       run.va + 4 * uint64_t{run.n - 1} - hit_start_ < hit_span_) {
-    attribute(c, first, run.cycles, run.n);
+    attribute(first, run.cycles, run.n);
   } else {
     size_t group = RegionIndex::kNone;
     uint64_t cycles = 0, retires = 0;
-    run.for_each([&](uint64_t pc, uint8_t /*op_class*/, uint64_t cost) {
+    run.for_each([&](uint64_t pc, uint8_t /*op_class*/, uint64_t c) {
       const size_t idx = region_of(pc);
       if (retires > 0 && idx != group) {
-        attribute(c, group, cycles, retires);
+        attribute(group, cycles, retires);
         cycles = retires = 0;
       }
       group = idx;
-      cycles += cost;
+      cycles += c;
       ++retires;
     });
-    if (retires > 0) attribute(c, group, cycles, retires);
+    if (retires > 0) attribute(group, cycles, retires);
   }
-  apply_pending(c);
+  apply_pending();
 }
 
 size_t CallGraphProfiler::hot_node_count() const {
@@ -284,8 +300,11 @@ void CallGraphProfiler::clear() {
   for (Counts& c : flat_) c = Counts{};
   flat_other_ = Counts{};
   nodes_.clear();
-  cores_.assign(1, CoreStack{});
-  last_cpu_ = 0;
+  stack_.clear();
+  pending_.clear();
+  overflow_ = 0;
+  cpu_ = 0;
+  parked_.clear();
   total_cycles_ = 0;
   total_retires_ = 0;
 }

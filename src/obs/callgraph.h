@@ -78,9 +78,7 @@ class CallGraphProfiler : public CycleAttributor, public CfSink {
   uint64_t total_retires() const { return total_retires_; }
   /// Core `cpu`'s current shadow-stack depth (frames tracked; excludes
   /// collapsed ones).
-  size_t depth(unsigned cpu = 0) const {
-    return cpu < cores_.size() ? cores_[cpu].stack.size() : 0;
-  }
+  size_t depth(unsigned cpu = 0) const;
   /// Number of distinct stacks (tree nodes) with attributed cycles.
   size_t hot_node_count() const;
 
@@ -126,8 +124,8 @@ class CallGraphProfiler : public CycleAttributor, public CfSink {
     uint64_t ret = 0;
   };
 
-  /// One core's shadow stack and the control-flow events waiting for its
-  /// next retire run.
+  /// A parked core's shadow stack and the control-flow events waiting for
+  /// its next retire run.
   struct CoreStack {
     std::vector<Frame> stack;  ///< bottom to top
     uint64_t overflow = 0;     ///< frames collapsed past kMaxDepth
@@ -138,16 +136,6 @@ class CallGraphProfiler : public CycleAttributor, public CfSink {
     uint64_t cycles = 0;
     uint64_t retires = 0;
   };
-
-  // Runs come from one core for a whole SMP quantum, so the hot path is one
-  // compare with the last core.
-  CoreStack& core(unsigned cpu) {
-    if (cpu != last_cpu_) [[unlikely]] {
-      if (cpu >= cores_.size()) cores_.resize(cpu + 1);
-      last_cpu_ = cpu;
-    }
-    return cores_[cpu];
-  }
 
   int intern(const std::string& name);
   /// Index of the region holding pc (RegionIndex::kNone outside them all),
@@ -164,16 +152,15 @@ class CallGraphProfiler : public CycleAttributor, public CfSink {
   }
   int region_name(size_t idx);  ///< name id of a region_of() result
   /// Attribute `cycles` over `retires` instructions at region `idx` to the
-  /// flat view and to core `c`'s stack as it stands.
-  void attribute(CoreStack& c, size_t idx, uint64_t cycles,
-                 uint64_t retires);
+  /// flat view and to the stack as it stands.
+  void attribute(size_t idx, uint64_t cycles, uint64_t retires);
   /// Find-or-create the child of `node` named `name`.
   int child(int node, int name, bool exc);
-  static int current(const CoreStack& c) {
-    return c.stack.empty() ? 0 : c.stack.back().node;
-  }
-  void apply(CoreStack& c, const PendingCf& cf);
-  void apply_pending(CoreStack& c);
+  int current() const { return stack_.empty() ? 0 : stack_.back().node; }
+  void apply(const PendingCf& cf);
+  void apply_pending();
+  /// Park the current core's stack and make core `cpu`'s current.
+  void switch_core(unsigned cpu);
   void collect_lines(std::vector<std::pair<std::string, uint64_t>>& out,
                      char sep) const;
 
@@ -189,9 +176,15 @@ class CallGraphProfiler : public CycleAttributor, public CfSink {
   std::vector<std::string> names_;
   std::unordered_map<std::string, int> name_ids_;
 
-  std::vector<Node> nodes_;  ///< nodes_[0] is the root (lazily created)
-  std::vector<CoreStack> cores_ = std::vector<CoreStack>(1);  ///< by core id
-  unsigned last_cpu_ = 0;  ///< the last core looked up; below cores_.size()
+  std::vector<Node> nodes_;   ///< nodes_[0] is the root (lazily created)
+  // The shadow stack of core cpu_, whose runs are arriving. A core reports
+  // for a whole SMP quantum, so the other cores' stacks wait in parked_ (by
+  // core id) and the hot path pays one compare for SMP.
+  std::vector<Frame> stack_;  ///< bottom to top
+  uint64_t overflow_ = 0;     ///< frames collapsed past kMaxDepth
+  std::vector<PendingCf> pending_;
+  unsigned cpu_ = 0;
+  std::vector<CoreStack> parked_;
 
   uint64_t total_cycles_ = 0;
   uint64_t total_retires_ = 0;

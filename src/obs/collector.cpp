@@ -267,11 +267,16 @@ void Collector::audit(unsigned cpu, AuditEvent a) {
 }
 
 void Collector::retire_run(const RetireRun& run) {
-  // The core's cycle counter before the run (summing a core's retire runs
-  // reproduces its Cpu::cycles()): the flight ring's first stamp.
-  uint64_t& cycles = core(run.cpu).retired_cycles;
-  flight_.retire_run(cycles, run);
-  cycles += run.cycles;
+  if (run.cpu != run_cpu_) [[unlikely]] {
+    core(run_cpu_).retired_cycles = retired_cycles_;
+    retired_cycles_ = core(run.cpu).retired_cycles;
+    run_cpu_ = run.cpu;
+  }
+  // retired_cycles_ is the core's cycle counter before the run (summing a
+  // core's retire feed reproduces its Cpu::cycles()): the flight ring's
+  // first stamp.
+  flight_.retire_run(retired_cycles_, run);
+  retired_cycles_ += run.cycles;
   if (run.el < 3) {
     cycles_el_[run.el]->inc(run.cycles);
     insn_el_[run.el]->inc(run.n);

@@ -174,8 +174,8 @@ class Collector : public CycleAttributor, public CfSink {
   // clock, so a window, a burst or a pending sign only ever pairs with a
   // later report from the same core.
   struct CoreState {
-    // The core's cycle counter reconstructed from its retire runs: the
-    // flight ring's pre-run stamp.
+    // The core's cycle counter reconstructed from its retire runs, while
+    // another core's runs arrive (see retired_cycles_).
     uint64_t retired_cycles = 0;
 
     // Syscall-window synthesis.
@@ -199,17 +199,17 @@ class Collector : public CycleAttributor, public CfSink {
     std::unordered_map<uint64_t, uint64_t> pending_signs;
   };
   static constexpr size_t kMaxPendingSigns = 1 << 16;  // per core
-  std::vector<CoreState> cores_ = std::vector<CoreState>(1);
-  unsigned last_cpu_ = 0;  ///< the last core looked up; below cores_.size()
-  // Reports come in runs from one core (a whole SMP quantum), so the hot
-  // path is one compare with the last core.
+  std::vector<CoreState> cores_;
   CoreState& core(unsigned cpu) {
-    if (cpu != last_cpu_) [[unlikely]] {
-      if (cpu >= cores_.size()) cores_.resize(cpu + 1);
-      last_cpu_ = cpu;
-    }
+    if (cpu >= cores_.size()) cores_.resize(cpu + 1);
     return cores_[cpu];
   }
+
+  // Cycle counter of core run_cpu_ reconstructed from its retire runs (the
+  // pre-run stamps of the flight ring). A core retires a whole SMP quantum
+  // at a time, so the other cores' counters wait in their CoreState.
+  uint64_t retired_cycles_ = 0;
+  unsigned run_cpu_ = 0;
 
   /// Bump the registry counters of event `e` (see count() in the .cpp).
   void count(const TraceEvent& e);

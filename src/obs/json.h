@@ -313,7 +313,7 @@ class Value {
 };
 
 // A value is a 24-byte payload and its kind; a member is an inline key and
-// a value, so a record of a few dozen members is one heap block.
+// a value, so a record whose strings fit inline is one heap block.
 static_assert(sizeof(Str) == 24);
 static_assert(sizeof(Value) <= 32);
 static_assert(sizeof(Value::Member) <= 56);
