@@ -490,8 +490,8 @@ TEST(Json, CopyAndMoveOfNestedTrees) {
   whole = *whole.get("list")->at(4);
   EXPECT_EQ(whole.dump(), tree.get("list")->at(4)->dump());
   json::Value outer = json::Value::array();
-  outer.push(tree);
-  outer = std::move(const_cast<json::Value&>(*outer.at(0)));
+  json::Value& inner = outer.push(tree);
+  outer = std::move(inner);
   EXPECT_EQ(outer.dump(), want);
 }
 
