@@ -915,7 +915,7 @@ struct ExecHandlers {
     if (!faulted) {
       c.pc = target;
       if (c.cf_)
-      c.cf_->control_flow(c.cpu_id_, obs::CfKind::Ret, iaddr, c.pc, 0);
+        c.cf_->control_flow(c.cpu_id_, obs::CfKind::Ret, iaddr, c.pc, 0);
     }
   }
 
