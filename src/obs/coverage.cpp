@@ -64,15 +64,15 @@ std::string cov_bundle_json(const CoverageMap& map, const std::string& label,
   root.set("label", json::Value(label));
   root.set("machines", json::Value(machines));
   json::Value retired = json::Value::object();
-  retired.set("el0", json::Value(hex_short(m.retired_at(0))));
-  retired.set("el1", json::Value(hex_short(m.retired_at(1))));
-  retired.set("el2", json::Value(hex_short(m.retired_at(2))));
+  retired.set("el0", hex_json(m.retired_at(0)));
+  retired.set("el1", hex_json(m.retired_at(1)));
+  retired.set("el2", hex_json(m.retired_at(2)));
   root.set("retired", std::move(retired));
   json::Value blocks = json::Value::array();
   for (const auto& [pa, b] : m.blocks()) {
     json::Value o = json::Value::object();
-    o.set("pa", json::Value(hex_short(pa)));
-    o.set("hits", json::Value(hex_short(b.hits)));
+    o.set("pa", hex_json(pa));
+    o.set("hits", hex_json(b.hits));
     o.set("len", json::Value(b.max_len));
     blocks.push(std::move(o));
   }
@@ -80,9 +80,9 @@ std::string cov_bundle_json(const CoverageMap& map, const std::string& label,
   json::Value edges = json::Value::array();
   for (const auto& [edge, hits] : m.edges()) {
     json::Value o = json::Value::object();
-    o.set("from", json::Value(hex_short(edge.first)));
-    o.set("to", json::Value(hex_short(edge.second)));
-    o.set("hits", json::Value(hex_short(hits)));
+    o.set("from", hex_json(edge.first));
+    o.set("to", hex_json(edge.second));
+    o.set("hits", hex_json(hits));
     edges.push(std::move(o));
   }
   root.set("edges", std::move(edges));
@@ -90,7 +90,7 @@ std::string cov_bundle_json(const CoverageMap& map, const std::string& label,
   for (const CovRegion& r : sorted_regions(m)) {
     json::Value o = json::Value::object();
     o.set("name", json::Value(r.name));
-    o.set("pa", json::Value(hex_short(r.pa)));
+    o.set("pa", hex_json(r.pa));
     o.set("len", json::Value(r.len));
     o.set("table", json::Value(r.table));
     o.set("row", json::Value(static_cast<uint64_t>(

@@ -82,16 +82,21 @@ std::optional<uint64_t> parse_hex_u64(const json::Value& v) {
   return out;
 }
 
+json::Value hex_json(uint64_t v) {
+  char buf[kHexShortChars];
+  return json::Value(std::string_view(buf, hex_short_to(buf, v)));
+}
+
 json::Value audit_event_json(const AuditEvent& e) {
   json::Value o = json::Value::object();
   o.set("kind", json::Value(audit_kind_name(e.kind)));
   o.set("k", json::Value(static_cast<uint64_t>(e.kind)));
-  o.set("cycles", json::Value(hex_short(e.cycles)));
-  o.set("pc", json::Value(hex_short(e.pc)));
-  o.set("ptr", json::Value(hex_short(e.ptr)));
-  o.set("ptr2", json::Value(hex_short(e.ptr2)));
-  o.set("modifier", json::Value(hex_short(e.modifier)));
-  o.set("lr", json::Value(hex_short(e.lr)));
+  o.set("cycles", hex_json(e.cycles));
+  o.set("pc", hex_json(e.pc));
+  o.set("ptr", hex_json(e.ptr));
+  o.set("ptr2", hex_json(e.ptr2));
+  o.set("modifier", hex_json(e.modifier));
+  o.set("lr", hex_json(e.lr));
   o.set("prov", json::Value(e.prov));
   o.set("machine", json::Value(static_cast<uint64_t>(e.machine)));
   o.set("key", json::Value(static_cast<uint64_t>(e.key)));
@@ -152,10 +157,10 @@ namespace {
 json::Value trace_event_json(const TraceEvent& e) {
   json::Value o = json::Value::object();
   o.set("kind", json::Value(static_cast<uint64_t>(e.kind)));
-  o.set("cycles", json::Value(hex_short(e.cycles)));
-  o.set("pc", json::Value(hex_short(e.pc)));
-  o.set("a", json::Value(hex_short(e.a)));
-  o.set("b", json::Value(hex_short(e.b)));
+  o.set("cycles", hex_json(e.cycles));
+  o.set("pc", hex_json(e.pc));
+  o.set("a", hex_json(e.a));
+  o.set("b", hex_json(e.b));
   o.set("el", json::Value(static_cast<uint64_t>(e.el)));
   o.set("k1", json::Value(static_cast<uint64_t>(e.k1)));
   o.set("k2", json::Value(static_cast<uint64_t>(e.k2)));
@@ -165,8 +170,8 @@ json::Value trace_event_json(const TraceEvent& e) {
 
 json::Value key_json(const FlightKey& k) {
   json::Value o = json::Value::object();
-  o.set("lo", json::Value(hex_short(k.lo)));
-  o.set("hi", json::Value(hex_short(k.hi)));
+  o.set("lo", hex_json(k.lo));
+  o.set("hi", hex_json(k.hi));
   o.set("prov", json::Value(k.prov));
   return o;
 }
@@ -176,19 +181,19 @@ json::Value key_json(const FlightKey& k) {
 json::Value flight_snapshot_json(const FlightSnapshot& s) {
   json::Value o = json::Value::object();
   json::Value regs = json::Value::array();
-  for (uint64_t r : s.x) regs.push(json::Value(hex_short(r)));
+  for (uint64_t r : s.x) regs.push(hex_json(r));
   o.set("x", std::move(regs));
-  o.set("sp_el0", json::Value(hex_short(s.sp_el0)));
-  o.set("sp_el1", json::Value(hex_short(s.sp_el1)));
-  o.set("pc", json::Value(hex_short(s.pc)));
+  o.set("sp_el0", hex_json(s.sp_el0));
+  o.set("sp_el1", hex_json(s.sp_el1));
+  o.set("pc", hex_json(s.pc));
   o.set("el", json::Value(static_cast<uint64_t>(s.el)));
   o.set("banked_keys", json::Value(s.banked_keys));
-  o.set("elr_el1", json::Value(hex_short(s.elr_el1)));
-  o.set("spsr_el1", json::Value(hex_short(s.spsr_el1)));
-  o.set("esr_el1", json::Value(hex_short(s.esr_el1)));
-  o.set("far_el1", json::Value(hex_short(s.far_el1)));
-  o.set("vbar_el1", json::Value(hex_short(s.vbar_el1)));
-  o.set("sctlr_el1", json::Value(hex_short(s.sctlr_el1)));
+  o.set("elr_el1", hex_json(s.elr_el1));
+  o.set("spsr_el1", hex_json(s.spsr_el1));
+  o.set("esr_el1", hex_json(s.esr_el1));
+  o.set("far_el1", hex_json(s.far_el1));
+  o.set("vbar_el1", hex_json(s.vbar_el1));
+  o.set("sctlr_el1", hex_json(s.sctlr_el1));
   json::Value keys = json::Value::array();
   for (const FlightKey& k : s.keys) keys.push(key_json(k));
   o.set("keys", std::move(keys));
@@ -199,7 +204,7 @@ json::Value flight_snapshot_json(const FlightSnapshot& s) {
   epoch.set("s1_gen", json::Value(s.s1_gen));
   epoch.set("s2_gen", json::Value(s.s2_gen));
   o.set("mmu_epoch", std::move(epoch));
-  o.set("pending_esr", json::Value(hex_short(s.pending_esr)));
+  o.set("pending_esr", hex_json(s.pending_esr));
   // Absent = core 0 (pre-SMP bundles stay byte-identical).
   if (s.cpu != 0) o.set("cpu", json::Value(static_cast<uint64_t>(s.cpu)));
   return o;
@@ -214,7 +219,7 @@ std::string flight_bundle_json(const FlightRecorder& rec,
   json::Value scenario = json::Value::object();
   scenario.set("attack", json::Value(attack));
   scenario.set("config", json::Value(config));
-  scenario.set("seed", json::Value(hex_short(seed)));
+  scenario.set("seed", hex_json(seed));
   root.set("scenario", std::move(scenario));
   root.set("captured", json::Value(rec.captured()));
   root.set("triggers", json::Value(rec.triggers()));
@@ -223,8 +228,8 @@ std::string flight_bundle_json(const FlightRecorder& rec,
     json::Value ring = json::Value::array();
     for (const FlightInsn& in : rec.ring()) {
       json::Value o = json::Value::object();
-      o.set("cycles", json::Value(hex_short(in.cycles)));
-      o.set("pc", json::Value(hex_short(in.pc)));
+      o.set("cycles", hex_json(in.cycles));
+      o.set("pc", hex_json(in.pc));
       o.set("op", json::Value(static_cast<uint64_t>(in.op)));
       o.set("el", json::Value(static_cast<uint64_t>(in.el)));
       ring.push(std::move(o));

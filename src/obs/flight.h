@@ -157,6 +157,8 @@ class FlightRecorder {
 /// 1-16 hex digits, or a number holding a non-negative integer below 2^64;
 /// anything else ("-1", "010", "0xzz", a 17th digit) is std::nullopt.
 std::optional<uint64_t> parse_hex_u64(const json::Value& v);
+/// The writer's side: hex_short(v) as a JSON string, built on the stack.
+json::Value hex_json(uint64_t v);
 
 /// Audit-event JSON codec (hex payloads, kind stored by ordinal + name).
 /// The reader rejects an event with a field that does not parse or does not
