@@ -450,9 +450,13 @@ uint64_t Cpu::do_aut(uint64_t ptr, uint64_t modifier, PacKey k,
   fault_taken = false;
   if (!pauth_enabled(k)) return ptr;
   const auto r = pauth_.auth(ptr, modifier, pac_key(k), k);
-  if (obs_)
+  if (obs_) {
+    // A failure freezes the flight ring, which must hold every instruction
+    // retired before this one.
+    if (!r.ok) flush_run();
     obs_->pac_auth(obs_site(pc - 4), r.ok, static_cast<uint8_t>(k), ptr,
                    modifier, r.ptr, gpr_[isa::kRegLr], key_provenance(k));
+  }
   if (!r.ok && cfg_.fpac) {
     take_exception(ExcClass::PacFail, ptr, 0, FaultKind::None, pc - 4);
     fault_taken = true;
@@ -481,35 +485,29 @@ void Cpu::add_breakpoint(uint64_t va, Hook hook) {
 }
 
 void Cpu::deliver_run() {
-  obs::RetireRun r;
-  r.va = run_.va;
-  r.pa = run_.pa;
-  r.slots = run_.slots;
-  r.cycles = cycles_ - run_.c0;
-  r.n = run_.n;
-  r.el = run_.el;
-  r.cpu = static_cast<uint8_t>(cpu_id_);
-  deliver(r);
-  // The rest of the run (if the block goes on) starts after these.
+  deliver({run_.segs, run_.slots, cycles_ - run_.c0, run_.n, run_.skip,
+           run_.el, static_cast<uint8_t>(cpu_id_)});
+  // The rest of the record (if the code goes on) starts after these.
   run_.slots += run_.n;
-  run_.va += 4 * uint64_t{run_.n};
-  run_.pa += 4 * uint64_t{run_.n};
+  run_.skip += run_.n;
   run_.c0 = cycles_;
   run_.n = 0;
 }
 
 bool Cpu::step() {
-  if (attr_ == nullptr && cov_ == nullptr) return step_impl(nullptr, nullptr);
-  // A run of one carrying the whole step's cycle delta (instruction cost
+  if (attr_ == nullptr && cov_ == nullptr)
+    return step_impl(nullptr, nullptr, nullptr);
+  // A record of one carrying the whole step's cycle delta (instruction cost
   // plus any exception-entry cost), so the feed sums to cycles() exactly. A
   // step that only took an exception keeps the pre-step pc/EL and op class
   // Other, and feeds coverage nothing.
   obs::RetireSlot slot;  // op class Other until an instruction executes
-  obs::RetireRun r{pc, 0, &slot, 0, 1, static_cast<uint8_t>(pstate.el),
+  obs::RetireSeg seg{pc, 0, 1};
+  obs::RetireRun r{&seg, &slot, 0, 1, 0, static_cast<uint8_t>(pstate.el),
                    static_cast<uint8_t>(cpu_id_)};
   const uint64_t c0 = cycles_;
   const uint64_t i0 = instret_;
-  const bool more = step_impl(&r, &slot);
+  const bool more = step_impl(&seg, &r.el, &slot);
   r.cycles = cycles_ - c0;
   if (instret_ != i0)
     deliver(r);
@@ -518,7 +516,8 @@ bool Cpu::step() {
   return more;
 }
 
-bool Cpu::step_impl(obs::RetireRun* rec, obs::RetireSlot* slot) {
+bool Cpu::step_impl(obs::RetireSeg* seg, uint8_t* el,
+                    obs::RetireSlot* slot) {
   if (halted_) return false;
 
   if (timer_cycles_ != 0 && cycles_ >= timer_cycles_) {
@@ -560,10 +559,10 @@ bool Cpu::step_impl(obs::RetireRun* rec, obs::RetireSlot* slot) {
   }
   const Inst inst = isa::decode(mmu_->phys().read32(xlat.pa));
   const unsigned cost = cycle_cost(inst);
-  if (rec != nullptr) {
-    rec->va = iaddr;
-    rec->pa = xlat.pa;
-    rec->el = static_cast<uint8_t>(pstate.el);
+  if (seg != nullptr) {
+    seg->va = iaddr;
+    seg->pa = xlat.pa;
+    *el = static_cast<uint8_t>(pstate.el);
     *slot = {static_cast<uint8_t>(cost),
              static_cast<uint8_t>(op_class(inst.op))};
   }

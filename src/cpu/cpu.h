@@ -245,14 +245,15 @@ class Cpu {
     return {cpu_id_, cycles_, at, static_cast<uint8_t>(pstate.el)};
   }
   /// Cycle attribution feed (EL residency, flight ring, call-graph
-  /// profiling): one obs::RetireRun per straight-line run the block and
-  /// trace engines execute, a run of one per single step. Summing the
-  /// reported cycles reproduces cycles() exactly.
+  /// profiling): one obs::RetireRun per record the engines deliver (a
+  /// block, or a trace's segments up to the next flush point; DESIGN.md
+  /// §3e), a record of one per single step. Summing the reported cycles
+  /// reproduces cycles() exactly.
   void set_cycle_attributor(obs::CycleAttributor* a) { attr_ = a; }
   /// Control-flow feed for shadow-call-stack maintenance: linking calls,
   /// returns, exception entry/exit.
   void set_cf_sink(obs::CfSink* s) { cf_ = s; }
-  /// Execution coverage feed (obs/coverage.h): the same runs as the cycle
+  /// Execution coverage feed (obs/coverage.h): the same records as the cycle
   /// attributor, except that a step which only took an exception retired no
   /// instruction and feeds it nothing, so the map is engine-invariant.
   void set_coverage(obs::CoverageMap* c) { cov_ = c; }
@@ -289,35 +290,32 @@ class Cpu {
   friend struct ExecHandlers;     // per-opcode handlers (cpu.cpp)
   friend class SuperblockEngine;  // block dispatch loop (superblock.cpp)
 
-  /// One step. When `rec` is non-null and an instruction executes, sets
-  /// rec's va, pa and el and `slot` to that instruction's.
-  bool step_impl(obs::RetireRun* rec, obs::RetireSlot* slot);
+  /// One step. When `seg` is non-null and an instruction executes, sets
+  /// seg's va and pa, `el` and `slot` to that instruction's.
+  bool step_impl(obs::RetireSeg* seg, uint8_t* el, obs::RetireSlot* slot);
   void execute(const isa::Inst& inst);
   void take_exception(ExcClass cls, uint64_t far, uint16_t iss,
                       mem::FaultKind fk, uint64_t preferred_return);
 
   /// Retire-feed batching (DESIGN.md §3e). While a feed (attr_ or cov_) is
-  /// attached, the block and trace engines count the instructions of the
-  /// straight-line run they are executing in run_ and deliver them as one
-  /// obs::RetireRun at the next flush point: the top of take_exception,
-  /// before any instruction that can reach an observer or host code, and
-  /// at the end of every block, segment and engine exit. Such an
-  /// instruction (Entry::alone) is delivered as a run of one over a copy of
-  /// its slot, outside run_, since its host code may re-enter the engine.
-  /// Counting happens after an instruction executes, so an exception it
-  /// takes flushes only its predecessors and leaves it to open the rest of
-  /// the run, absorbing the entry cost.
-  void begin_run(const obs::RetireSlot* slots, uint64_t va, uint64_t pa) {
-    run_ = {slots, va, pa, cycles_, 0, static_cast<uint8_t>(pstate.el)};
+  /// attached, the engines count retired instructions in run_ and deliver
+  /// them as one obs::RetireRun at the next flush point: take_exception, an
+  /// authentication failure's report, an Entry::alone instruction (retired
+  /// as a record of one over stack copies, since its host code may re-enter
+  /// the engine), the end of a block run on its own, and every trace and
+  /// engine exit. Counting follows execution, so a faulting instruction
+  /// opens the rest of the record and absorbs the exception-entry cost.
+  void begin_run(const obs::RetireSeg* segs, const obs::RetireSlot* slots) {
+    run_ = {segs, slots, cycles_, 0, 0, static_cast<uint8_t>(pstate.el)};
   }
   void flush_run() {
     if (run_.n != 0) deliver_run();
   }
   void deliver_run();
-  /// Hand one run to every attached feed.
+  /// Hand one record to every attached feed.
   void deliver(const obs::RetireRun& r) {
     if (attr_ != nullptr) attr_->retire_run(r);
-    if (cov_ != nullptr) cov_->retire_run(r.pa, r.va, r.el, r.n);
+    if (cov_ != nullptr) cov_->retire_run(r);
   }
   void do_eret();
 
@@ -374,11 +372,11 @@ class Cpu {
   obs::CfSink* cf_ = nullptr;
   obs::CoverageMap* cov_ = nullptr;
   struct PendingRun {
-    const obs::RetireSlot* slots = nullptr;  ///< the block's, at va
-    uint64_t va = 0;
-    uint64_t pa = 0;
-    uint64_t c0 = 0;  ///< cycles_ before the run's first instruction
-    uint32_t n = 0;   ///< instructions counted since the last flush
+    const obs::RetireSeg* segs = nullptr;   ///< the record's segment list
+    const obs::RetireSlot* slots = nullptr; ///< its first instruction's slot
+    uint64_t c0 = 0;    ///< cycles_ before the record's first instruction
+    uint32_t n = 0;     ///< instructions counted since the last flush
+    uint32_t skip = 0;  ///< instructions of segs before the record's first
     uint8_t el = 0;
   } run_;
 

@@ -22,7 +22,7 @@ namespace {
 /// precondition — they cannot arm the timer, install a breakpoint or attach
 /// a feed, and the one MSR destination that flips the IRQ mask (DAIF) is
 /// excluded here. An MSR write that moves a mapping (a mid-trace event no
-/// other extendable op can cause) is covered by the env flag: its boundary
+/// other extendable op can cause) is covered by its boundary, which
 /// revalidates every page record. DAIFSET/DAIFCLR, barriers, SVC/HVC/ERET
 /// and SWP stay trace-final.
 bool edge_extendable(const Inst& term) {
@@ -32,12 +32,11 @@ bool edge_extendable(const Inst& term) {
   return term.op == isa::Op::MSR && term.sysreg != isa::SysReg::DAIF;
 }
 
-/// Terminators that can never reach an observer or host code: they only set
-/// pc. Every other terminator retires outside the pending run (Entry::alone).
-bool batchable_terminator(isa::Op op) {
-  using isa::Op;
-  return op == Op::B || op == Op::BCOND || op == Op::CBZ || op == Op::CBNZ ||
-         op == Op::BR;
+/// Ops that run host code — the HVC handler, the hypervisor's MSR filter
+/// (whose denial freezes the flight ring) — retire outside the pending
+/// record (Entry::alone).
+bool runs_host_code(isa::Op op) {
+  return op == isa::Op::HVC || op == isa::Op::MSR;
 }
 
 }  // namespace
@@ -121,7 +120,7 @@ void SuperblockEngine::build(Cpu& cpu, Block& b, uint64_t va, uint64_t pa) {
     const isa::OpTraits t = isa::op_traits(e.inst.op);
     e.is_store = t.is_store;
     e.may_fault = t.may_fault;
-    e.alone = t.ends_block && !batchable_terminator(e.inst.op);
+    e.alone = runs_host_code(e.inst.op);
     b.entries.push_back(e);
     b.slots.push_back(
         {static_cast<uint8_t>(Cpu::cycle_cost(e.inst)),
@@ -159,9 +158,10 @@ bool SuperblockEngine::trace_valid(const Cpu& cpu, Trace& t) const {
   // counter still reads what the last passing walk stamped, the walk is
   // skipped — the common case on every hot dispatch.
   if (t.build_stamp != builds_) {
-    for (const Trace::Seg& s : t.segs) {
-      const Block& b = *s.block;
-      if (!b.built || b.va_start != s.va_start || b.el != t.el) return false;
+    for (size_t i = 0; i < t.segs.size(); ++i) {
+      const Block& b = *t.segs[i];
+      if (!b.built || b.va_start != t.retire[i].va || b.el != t.el)
+        return false;
     }
     t.build_stamp = builds_;
   }
@@ -193,12 +193,9 @@ void SuperblockEngine::try_form_trace(Cpu& cpu, Block& head) {
   size_t head_repeats = 0;
   while (true) {
     const size_t n = cur->entries.size();
-    Trace::Seg s;
-    s.block = cur;
-    s.va_start = cur_va;
-    s.env = cur->entries.back().inst.op == isa::Op::MSR;
-    t.segs.push_back(s);
-    t.entries_total += n;
+    t.segs.push_back(cur);
+    t.retire.push_back({cur_va, cur->pa_start, static_cast<uint32_t>(n)});
+    t.slots.insert(t.slots.end(), cur->slots.begin(), cur->slots.end());
     for (const obs::RetireSlot& sl : cur->slots) t.cost_bound += sl.cost;
     const uint64_t page = cur->pa_start >> mem::PhysicalMemory::kPageShift;
     if (!page_known(t, page, cur_va))
@@ -226,7 +223,7 @@ void SuperblockEngine::try_form_trace(Cpu& cpu, Block& head) {
   t.head = &head;
   t.build_stamp = builds_;  // every segment is valid as of right now
   ++stats_.trace_formations;
-  stats_.trace_len.record(t.entries_total);
+  stats_.trace_len.record(t.slots.size());
   head.trace = std::make_unique<Trace>(std::move(t));
 }
 
@@ -255,7 +252,8 @@ SuperblockEngine::run_careful(Cpu& cpu, const Block& b, const Trace* t,
     consumed += done;
     return r;
   };
-  if (feeds) cpu.begin_run(b.slots.data(), va0, pa0);
+  const obs::RetireSeg seg{va0, pa0, static_cast<uint32_t>(n)};
+  if (feeds) cpu.begin_run(&seg, b.slots.data());
   for (size_t i = 0; i < n; ++i) {
     const uint64_t va = va0 + 4 * i;
     // Mirror of Cpu::step_impl's preamble, in the same order. Timer and
@@ -286,8 +284,8 @@ SuperblockEngine::run_careful(Cpu& cpu, const Block& b, const Trace* t,
     ++cpu.instret_;
     ++cpu.op_counts_[static_cast<size_t>(e.inst.op)];
     if (alone)
-      cpu.deliver({va, pa0 + (va - va0), &slot, cpu.cycles_ - c0, 1, el0,
-                   static_cast<uint8_t>(cpu.cpu_id_)});
+      cpu.deliver({&seg, &slot, cpu.cycles_ - c0, 1, static_cast<uint32_t>(i),
+                   el0, static_cast<uint8_t>(cpu.cpu_id_)});
     else if (feeds)
       ++cpu.run_.n;
     if (++done == cap)
@@ -355,7 +353,7 @@ SuperblockEngine::TraceExit SuperblockEngine::run_trace(Cpu& cpu, Trace& t,
   // and let formation follow the freshly learned edges. Returns true when
   // `t` was destroyed.
   const auto demote = [&]() {
-    if (t.uses < 16 || t.entries_run * 4 >= t.entries_total * t.uses)
+    if (t.uses < 16 || t.entries_run * 4 >= t.slots.size() * t.uses)
       return false;
     ++stats_.trace_demotions;
     t.head->trace.reset();  // destroys t
@@ -365,25 +363,27 @@ SuperblockEngine::TraceExit SuperblockEngine::run_trace(Cpu& cpu, Trace& t,
   // on into segment si + 1. Otherwise it has called `leave`, which ends the
   // dispatch's bookkeeping, and the caller returns kContinue.
   const auto cross = [&](size_t si, const auto& leave) {
-    const Trace::Seg& seg = t.segs[si];
+    Block& b = *t.segs[si];
     if (cpu.halted_) {
       leave();
       return false;  // outer loop observes the halt
     }
     // The terminator must have produced exactly the edge the trace was
     // formed across, at the EL every constituent block was built for.
-    if (cpu.pc != t.segs[si + 1].va_start || cpu.pstate.el != t.el) {
+    if (cpu.pc != t.retire[si + 1].va || cpu.pstate.el != t.el) {
       ++stats_.trace_guard_exits;
-      ++t.exits;
-      seg.block->prof.record(cpu.pc);  // learn the real edge
+      b.prof.record(cpu.pc);  // learn the real edge
       leave();
       demote();
       return false;
     }
-    // A store or MSR terminator may have touched a trace page.
-    if (seg.env ? !trace_pages_fresh(cpu, t)
-                : (seg.block->entries.back().is_store &&
-                   !trace_pages_current(cpu, t))) {
+    // A store terminator may have touched a trace page; an MSR may have
+    // moved a mapping the rest of the trace depends on, so its boundary
+    // revalidates every page record.
+    const Entry& term = b.entries.back();
+    if (term.inst.op == isa::Op::MSR
+            ? !trace_pages_fresh(cpu, t)
+            : (term.is_store && !trace_pages_current(cpu, t))) {
       leave();
       return false;
     }
@@ -395,19 +395,21 @@ SuperblockEngine::TraceExit SuperblockEngine::run_trace(Cpu& cpu, Trace& t,
     // force `consumed` (a caller reference whose address has escaped) and
     // the cpu counters back to memory every entry, while `done`/`cyc`/`ret`
     // provably cannot alias anything a handler touches and stay in
-    // registers. The batched cycles_/instret_ are flushed before every
-    // terminator (MRS reads CNTVCT; MSR/HVC can arm the timer off cycles_)
-    // and on every exit. Body entries are plain ALU/memory ops whose only
-    // cycles_ observer is the DataAbort path (the collector's report
-    // timestamps, and with a retire feed the run flush at exception entry) —
-    // the abort's own `cycles_ += 12` commutes with the pending batch — so
-    // with no collector or feed attached they need no flush at all, and with
-    // one attached the flush happens before each may-fault handler.
+    // registers. The batched cycles_/instret_ (and the pending retire
+    // record's count) are flushed before every terminator (MRS reads
+    // CNTVCT; MSR/HVC can arm the timer off cycles_) and on every exit.
+    // Body entries are plain ALU/memory ops whose only cycles_ observer is
+    // the DataAbort path (the collector's report timestamps, and with a
+    // retire feed the record flush at exception entry) — the abort's own
+    // `cycles_ += 12` commutes with the pending batch — so with no
+    // collector or feed attached they need no flush at all, and with one
+    // attached the flush happens before each may-fault handler.
     //
-    // Retire feeds keep this loop too: each segment is one pending retire
-    // run, flushed exactly where run_careful flushes it — before an
-    // Entry::alone terminator (which retires as its own record), at the
-    // exception entry a may-fault entry can take, and at every exit.
+    // Retire feeds keep this loop too: one pending record walks the trace's
+    // own segment list and slot copy across segment boundaries, calls and
+    // returns included, and is flushed only around an Entry::alone
+    // terminator, at an exception entry or authentication failure, and at
+    // every exit.
     const bool feeds = cpu.attr_ != nullptr || cpu.cov_ != nullptr;
     const bool fault_observed = feeds || cpu.obs_ != nullptr;
     uint64_t done = 0, cyc = 0, ret = 0;
@@ -415,6 +417,7 @@ SuperblockEngine::TraceExit SuperblockEngine::run_trace(Cpu& cpu, Trace& t,
     const auto flush = [&] {
       cpu.cycles_ += cyc;
       cpu.instret_ += ret;
+      if (feeds) cpu.run_.n += static_cast<uint32_t>(ret);
       cyc = ret = 0;
     };
     const auto out = [&] {
@@ -423,16 +426,14 @@ SuperblockEngine::TraceExit SuperblockEngine::run_trace(Cpu& cpu, Trace& t,
       consumed += done;
       finish(done);
     };
+    const obs::RetireSlot* slots = t.slots.data();  // segment si's
+    if (feeds) cpu.begin_run(t.retire.data(), slots);
     for (size_t si = 0; si < nsegs; ++si) {
-      const Trace::Seg& seg = t.segs[si];
-      const Block* const blk = seg.block;
+      const obs::RetireSeg& rs = t.retire[si];
+      const Block* const blk = t.segs[si];
       const size_t n = blk->entries.size();
       const Entry* const ents = blk->entries.data();
-      const obs::RetireSlot* const slots = blk->slots.data();
-      uint64_t va = seg.va_start;
-      // The batch is empty here (flushed before the previous terminator),
-      // so cycles_ is the run's first cycle stamp.
-      if (feeds) cpu.begin_run(slots, va, blk->pa_start);
+      uint64_t va = rs.va;
       // Body entries [0, n-1): straight-line, never guarded.
       // Run by reference — only host code (an HVC handler) can rebuild the
       // block under us, and HVC is a hard terminator, so trace-final.
@@ -444,7 +445,6 @@ SuperblockEngine::TraceExit SuperblockEngine::run_trace(Cpu& cpu, Trace& t,
         cyc += slots[i].cost;
         ++ret;
         ++cpu.op_counts_[static_cast<size_t>(e.inst.op)];
-        if (feeds) ++cpu.run_.n;
         if (++done == cap) {
           out();
           return TraceExit::kReturn;  // exact, never overshoots
@@ -464,14 +464,15 @@ SuperblockEngine::TraceExit SuperblockEngine::run_trace(Cpu& cpu, Trace& t,
       }
       // The terminator is copied, not referenced: the final instruction of
       // the trace can run host code (an HVC handler) that could re-enter
-      // the engine and rebuild this very block in place. Its handler can
-      // also observe the counters (CNTVCT, timer arming, event
-      // timestamps): flush the batch first, and count the terminator
+      // the engine and rebuild this very block in place — or drop this
+      // trace, so an alone terminator retires over its own segment copy.
+      // Its handler can also observe the counters (CNTVCT, timer arming,
+      // event timestamps): flush the batch first, and count the terminator
       // itself straight into the cpu counters.
       const Entry e = ents[n - 1];
       const obs::RetireSlot slot = slots[n - 1];
       const bool alone = feeds && e.alone;
-      const uint64_t pa = blk->pa_start + (va - seg.va_start);
+      const obs::RetireSeg one{va, rs.pa + (va - rs.va), 1};
       const uint8_t el0 = static_cast<uint8_t>(cpu.pstate.el);
       cpu.pc = va + 4;
       flush();
@@ -481,19 +482,24 @@ SuperblockEngine::TraceExit SuperblockEngine::run_trace(Cpu& cpu, Trace& t,
       cpu.cycles_ += slot.cost;
       ++cpu.instret_;
       ++cpu.op_counts_[static_cast<size_t>(e.inst.op)];
-      if (alone)
-        cpu.deliver({va, pa, &slot, cpu.cycles_ - c0, 1, el0,
+      slots += n;
+      if (alone) {
+        cpu.deliver({&one, &slot, cpu.cycles_ - c0, 1, 0, el0,
                      static_cast<uint8_t>(cpu.cpu_id_)});
-      else if (feeds)
+        // MSR, the only alone op another segment follows, cannot drop the
+        // trace: the next record starts in its copies.
+        if (si + 1 < nsegs) cpu.begin_run(&t.retire[si + 1], slots);
+      } else if (feeds) {
         ++cpu.run_.n;
+      }
       if (++done == cap) {
         out();
         return TraceExit::kReturn;
       }
-      cpu.flush_run();  // the segment's run ends with its block
       if (si + 1 < nsegs && !cross(si, out)) return TraceExit::kContinue;
     }
     flush();
+    cpu.flush_run();  // before the tail, which may drop the trace
     consumed += done;  // completion: fall through to the shared tail
   } else {
     // Careful loop: each segment runs through the block dispatcher's
@@ -503,7 +509,7 @@ SuperblockEngine::TraceExit SuperblockEngine::run_trace(Cpu& cpu, Trace& t,
     const auto left = [&] { finish(consumed - d0); };
     for (size_t si = 0; si < nsegs; ++si) {
       const CarefulExit r =
-          run_careful(cpu, *t.segs[si].block, &t, budget, consumed);
+          run_careful(cpu, *t.segs[si], &t, budget, consumed);
       if (r != CarefulExit::kDone) {
         left();
         return r == CarefulExit::kReturn ? TraceExit::kReturn
@@ -518,7 +524,7 @@ SuperblockEngine::TraceExit SuperblockEngine::run_trace(Cpu& cpu, Trace& t,
   // had just been dispatched standalone.
   finish(consumed - d0);
   if (!cpu.halted_) {
-    Block* const tail = t.segs.back().block;
+    Block* const tail = t.segs.back();
     tail->prof.record(cpu.pc);
     prev = tail;
     // Regrowth: formation fires the moment the head's edge is biased, when

@@ -32,8 +32,8 @@
 // (checked once at entry, sound because every op that could change that is
 // either a hard terminator — and so trace-final — or an MSR whose boundary
 // guards cover its effects), a specialized quiet loop runs the trace
-// without the per-entry preamble, retire feeds included (one pending run
-// per segment). Otherwise each
+// without the per-entry preamble, retire feeds included (one retire record
+// across segments, up to the next flush point). Otherwise each
 // segment runs through the block dispatcher's one careful per-entry loop
 // (run_careful), with the boundary guard between segments.
 //
@@ -96,9 +96,8 @@ class SuperblockEngine {
     Cpu::ExecFn fn = nullptr;
     bool is_store = false;  ///< recheck page generations after executing
     bool may_fault = false; ///< can redirect pc mid-block (DataAbort)
-    /// Can reach an observer or host code (every terminator but B, B.cond,
-    /// CBZ, CBNZ and BR): with a retire feed attached, the pending run is
-    /// flushed before it and it retires as its own record.
+    /// Can run host code (HVC, MSR): with a retire feed attached, the
+    /// pending record is flushed before it and it retires as its own record.
     bool alone = false;
   };
 
@@ -116,7 +115,7 @@ class SuperblockEngine {
     bool built = false;
     std::vector<Entry> entries;
     /// Per-entry cost (Cpu::cycle_cost) and obs::OpClass, parallel to
-    /// entries: the array a pending obs::RetireRun points into.
+    /// entries: the array a block's pending obs::RetireRun points into.
     std::vector<obs::RetireSlot> slots;
     /// Memoized successor edge (most-recent-successor): after this block
     /// completed with pc == chain_va last time, `chain` was the block there.
@@ -148,14 +147,6 @@ class SuperblockEngine {
   /// a validated itinerary plus per-boundary guards over the block cache,
   /// which is the engine's one cache of decoded code.
   struct Trace {
-    struct Seg {
-      Block* block = nullptr;
-      uint64_t va_start = 0;
-      /// Terminator is a system-register write (MSR): the boundary guard
-      /// revalidates all page records, since the write may have moved a
-      /// mapping the rest of the trace depends on.
-      bool env = false;
-    };
     /// One validation record per constituent 4 KiB page: the write
     /// generation and translation snapshot every cached decode and fetch in
     /// the trace depends on (§3i multi-page epoch validation).
@@ -167,9 +158,14 @@ class SuperblockEngine {
     };
     Block* head = nullptr;
     mem::El el = mem::El::El1;
-    std::vector<Seg> segs;
+    /// The segments: each one's block, entered at its retire entry's VA.
+    std::vector<Block*> segs;
+    /// Parallel to segs: start VA, PA and length, and all the slots back to
+    /// back. Quiet-loop retire records walk these; the trace outlives every
+    /// record it delivers.
+    std::vector<obs::RetireSeg> retire;
+    std::vector<obs::RetireSlot> slots;
     std::vector<PageRec> pages;
-    uint64_t entries_total = 0;  ///< instructions across all segments
     uint64_t cost_bound = 0;     ///< worst-case cycles a full run can add
     uint64_t va_min = ~uint64_t{0};  ///< breakpoint-overlap prefilter
     uint64_t va_max = 0;
@@ -179,10 +175,9 @@ class SuperblockEngine {
     /// per-segment walk is skipped — the common case on every hot dispatch.
     uint64_t build_stamp = 0;
     uint64_t uses = 0;         ///< dispatches (demotion denominator)
-    uint64_t exits = 0;        ///< guard exits taken
     uint64_t entries_run = 0;  ///< instructions retired across all uses;
                                ///< a trace averaging under a quarter of
-                               ///< entries_total per use gets demoted
+                               ///< its instructions per use is demoted
   };
 
   static constexpr size_t kMaxSegs = 256;

@@ -77,9 +77,15 @@ void CallGraphProfiler::switch_core(unsigned cpu) {
   cpu_ = cpu;
 }
 
-size_t CallGraphProfiler::depth(unsigned cpu) const {
-  if (cpu == cpu_) return stack_.size();
-  return cpu < parked_.size() ? parked_[cpu].stack.size() : 0;
+std::vector<uint64_t> CallGraphProfiler::return_addresses(unsigned cpu) const {
+  const std::vector<Frame>* stack = &stack_;
+  if (cpu != cpu_) {
+    if (cpu >= parked_.size()) return {};
+    stack = &parked_[cpu].stack;
+  }
+  std::vector<uint64_t> out;
+  for (const Frame& f : *stack) out.push_back(f.ret);
+  return out;
 }
 
 void CallGraphProfiler::apply(const PendingCf& cf) {
@@ -167,41 +173,58 @@ void CallGraphProfiler::attribute(size_t idx, uint64_t cycles,
   total_retires_ += retires;
 }
 
-void CallGraphProfiler::apply_pending() {
-  for (const PendingCf& cf : pending_) apply(cf);
-  pending_.clear();
-}
-
 void CallGraphProfiler::retire_run(const RetireRun& run) {
   if (run.cpu != cpu_) [[unlikely]] switch_core(run.cpu);
-  // Within a run the stack only changes when the first record lands on an
-  // empty one, after which every instruction of the same region resolves to
-  // that same node — so a group of same-region instructions is one update,
-  // and a run that starts and ends in one region (regions are contiguous)
-  // is one update with no per-instruction walk at all.
-  // Control-flow events can only be pending for the run's last instruction
-  // (the engines flush before anything that emits one), so they apply after
-  // the whole run.
-  const size_t first = run.n > 0 ? region_of(run.va) : RegionIndex::kNone;
-  if (first != RegionIndex::kNone &&
-      run.va + 4 * uint64_t{run.n - 1} - hit_start_ < hit_span_) {
-    attribute(first, run.cycles, run.n);
-  } else {
-    size_t group = RegionIndex::kNone;
-    uint64_t cycles = 0, retires = 0;
-    run.for_each([&](uint64_t pc, uint8_t /*op_class*/, uint64_t c) {
-      const size_t idx = region_of(pc);
-      if (retires > 0 && idx != group) {
-        attribute(group, cycles, retires);
-        cycles = retires = 0;
-      }
-      group = idx;
-      cycles += c;
-      ++retires;
-    });
-    if (retires > 0) attribute(group, cycles, retires);
-  }
-  apply_pending();
+  // Consecutive instructions in one region with no control-flow event
+  // between them resolve to one node, so each such group is one update: a
+  // group closed mid-record sums its slot costs, the last one takes the
+  // rest of the record's cycles. A call or return ends its segment and
+  // reports its event in order: the oldest pending one applies after the
+  // next stretch ending at its pc. Exception events (and anything left)
+  // apply after the whole record.
+  size_t next = 0;  // the oldest pending event not yet applied
+  const auto due = [&](uint64_t pc) {
+    return next < pending_.size() && pending_[next].from_pc == pc &&
+           (pending_[next].kind == CfKind::Call ||
+            pending_[next].kind == CfKind::Ret);
+  };
+  size_t group = RegionIndex::kNone;
+  uint32_t g0 = 0, gn = 0;  // the open group: slot index and length
+  uint64_t attributed = 0;  // cycles of the closed groups
+  const auto close = [&] {
+    if (gn == 0) return;
+    uint64_t c = run.cycles - attributed;
+    if (g0 + gn < run.n) {
+      c = 0;
+      for (uint32_t i = g0; i < g0 + gn; ++i) c += run.slots[i].cost;
+    }
+    attribute(group, c, gn);
+    attributed += c;
+    g0 += gn;
+    gn = 0;
+  };
+  const auto add = [&](size_t idx, uint32_t k) {
+    if (gn > 0 && idx != group) close();
+    group = idx;
+    gn += k;
+  };
+  run.for_each_seg([&](uint64_t va, uint64_t, uint32_t k) {
+    const uint64_t last = va + 4 * uint64_t{k - 1};
+    const size_t idx = region_of(va);
+    if (idx != RegionIndex::kNone && last - hit_start_ < hit_span_) {
+      add(idx, k);
+    } else {
+      for (uint32_t j = 0; j < k; ++j) add(region_of(va + 4 * uint64_t{j}), 1);
+    }
+    if (due(last)) {
+      close();
+      do apply(pending_[next++]);
+      while (due(last));
+    }
+  });
+  close();
+  for (; next < pending_.size(); ++next) apply(pending_[next]);
+  pending_.clear();
 }
 
 size_t CallGraphProfiler::hot_node_count() const {

@@ -62,23 +62,23 @@ class CallGraphProfiler : public CycleAttributor, public CfSink {
   void add_region(std::string name, uint64_t start, uint64_t end);
 
   // Producer interfaces -----------------------------------------------------
-  /// Control-flow events are buffered and applied *after* the retire run
-  /// that carries their instruction, so a call instruction's own cycles are
-  /// attributed to the caller's stack, not the callee's.
+  /// Control-flow events are buffered until the record that carries their
+  /// instruction arrives and applied right after that instruction, so a
+  /// call instruction's own cycles are attributed to the caller's stack.
   void control_flow(unsigned cpu, CfKind kind, uint64_t from_pc,
                     uint64_t to_pc, uint8_t info) override;
-  /// Attributes each instruction's cycles to the stack as it stands. A run
-  /// that starts and ends in the cached region is one node update; any
-  /// other run costs a region-cache compare per instruction and one node
-  /// update per region it touches.
+  /// Attributes each instruction's cycles to the stack as it stands: a
+  /// region-cache compare per segment stretch (per instruction for one that
+  /// crosses a region boundary) and a node update per region group.
   void retire_run(const RetireRun& run) override;
 
   // Accounting --------------------------------------------------------------
   uint64_t total_cycles() const { return total_cycles_; }
   uint64_t total_retires() const { return total_retires_; }
-  /// Core `cpu`'s current shadow-stack depth (frames tracked; excludes
-  /// collapsed ones).
-  size_t depth(unsigned cpu = 0) const;
+  /// Core `cpu`'s shadow stack, bottom to top (collapsed frames excluded):
+  /// a call frame's return address, 0 for base and exception frames.
+  std::vector<uint64_t> return_addresses(unsigned cpu = 0) const;
+  size_t depth(unsigned cpu = 0) const { return return_addresses(cpu).size(); }
   /// Number of distinct stacks (tree nodes) with attributed cycles.
   size_t hot_node_count() const;
 
@@ -158,7 +158,6 @@ class CallGraphProfiler : public CycleAttributor, public CfSink {
   int child(int node, int name, bool exc);
   int current() const { return stack_.empty() ? 0 : stack_.back().node; }
   void apply(const PendingCf& cf);
-  void apply_pending();
   /// Park the current core's stack and make core `cpu`'s current.
   void switch_core(unsigned cpu);
   void collect_lines(std::vector<std::pair<std::string, uint64_t>>& out,

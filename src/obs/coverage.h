@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "obs/json.h"
+#include "obs/trace.h"
 
 namespace camo::obs {
 
@@ -57,10 +58,16 @@ class CoverageMap {
  public:
   static constexpr size_t kEls = 3;
 
+  /// A record's instructions, stretch by stretch (see Cpu::set_coverage).
+  void retire_run(const RetireRun& r) {
+    r.for_each_seg([&](uint64_t va, uint64_t pa, uint32_t k) {
+      retire_run(pa, va, r.el, k);
+    });
+  }
+
   /// `n` consecutive instructions starting at (pa, va), all retired at `el`
   /// (captured before execution, as in obs::RetireRun): the same map as n
-  /// runs of one at pa, pa+4, ... The CPU feeds one call per executed
-  /// straight-line run, and a run of one per single step.
+  /// runs of one at pa, pa+4, ...
   void retire_run(uint64_t pa, uint64_t va, uint8_t el, uint64_t n) {
     if (n == 0) return;
     if (el < kEls) retired_el_[el] += n;
@@ -68,11 +75,17 @@ class CoverageMap {
       run_len_ += n;
     } else {
       if (!memo_) memo_.arm();
-      const bool had_prev = open_;
-      const uint64_t prev_start = cur_start_;
-      close_run();
-      if (had_prev) ++edge(prev_start, pa);
-      ++block(pa).hits;
+      BlockCov* next;
+      if (open_) {
+        close_run();
+        Memo::Edge& e = edge(cur_start_, pa);
+        ++*e.hits;
+        next = e.target;
+      } else {
+        next = &block(pa);
+      }
+      ++next->hits;
+      memo_->open = next;
       open_ = true;
       cur_start_ = pa;
       run_len_ = n;
@@ -128,16 +141,18 @@ class CoverageMap {
 
   void close_run() {
     if (!open_) return;
-    BlockCov& b = block(cur_start_);
+    BlockCov& b = memo_ && memo_->open ? *memo_->open : block(cur_start_);
     if (run_len_ > b.max_len) b.max_len = run_len_;
     open_ = false;
     run_len_ = 0;
   }
 
-  /// Direct-mapped memo of map nodes answering the three lookups of a
-  /// discontinuity (the closing block, the edge, the new block) without a
-  /// tree walk on a hit. std::map nodes never move, so the pointers stay
-  /// valid for as long as the map holds them; nothing erases from the maps.
+  /// Direct-mapped memo of map nodes answering the lookups of a
+  /// discontinuity without a tree walk on a hit: an edge slot also holds
+  /// its target block, and `open` is the block of the run opened since the
+  /// memo was armed. std::map nodes
+  /// never move, so the pointers stay valid for as long as the map holds
+  /// them; nothing erases from the maps.
   struct Memo {
     static constexpr unsigned kBits = 10;
     static constexpr size_t kSlots = size_t{1} << kBits;
@@ -148,9 +163,11 @@ class CoverageMap {
     struct Edge {
       uint64_t from = 0, to = 0;
       uint64_t* hits = nullptr;
+      BlockCov* target = nullptr;
     };
     std::array<Block, kSlots> blocks{};
     std::array<Edge, kSlots> edges{};
+    BlockCov* open = nullptr;
   };
   /// Owner of the memo. The first retire_run() arms it; a copy or a move
   /// leaves both maps without one, because its pointers name the source's
@@ -183,13 +200,13 @@ class CoverageMap {
     if (m.node == nullptr || m.pa != pa) m = {pa, &blocks_[pa]};
     return *m.node;
   }
-  uint64_t& edge(uint64_t from, uint64_t to) {
+  Memo::Edge& edge(uint64_t from, uint64_t to) {
     constexpr uint64_t kMix = 0x9E3779B97F4A7C15ull;  // Fibonacci hashing
     Memo::Edge& m = memo_->edges[((from ^ (to * kMix)) * kMix) >>
                                  (64 - Memo::kBits)];
     if (m.hits == nullptr || m.from != from || m.to != to)
-      m = {from, to, &edges_[{from, to}]};
-    return *m.hits;
+      m = {from, to, &edges_[{from, to}], &block(to)};
+    return m;
   }
 
   std::map<uint64_t, BlockCov> blocks_;

@@ -12,22 +12,31 @@ namespace camo::obs {
 
 void FlightRecorder::retire_run(uint64_t c0, const RetireRun& run) {
   if (run.n == 0) return;
-  uint64_t pc = run.va;
-  uint32_t n = run.n;
-  const RetireSlot* slots = run.slots;
-  if (n > capacity_) {
-    // Only the last capacity instructions can ever be rebuilt: keep those,
-    // stamped from the cost of the ones dropped before them.
-    const uint32_t skip = n - static_cast<uint32_t>(capacity_);
-    for (uint32_t i = 0; i < skip; ++i) c0 += slots[i].cost;
-    pc += 4 * uint64_t{skip};
-    n -= skip;
-    slots += skip;
-  }
+  // Only the last capacity instructions can ever be rebuilt: keep those,
+  // stamped from the cost of the ones dropped before them.
+  uint32_t skip = run.n > capacity_ ? run.n - static_cast<uint32_t>(capacity_)
+                                    : 0;
+  const uint32_t n = run.n - skip;
+  const RetireSlot* slots = run.slots + skip;
+  for (uint32_t i = 0; i < skip; ++i) c0 += run.slots[i].cost;
   Run& r = runs_[head_];
   if (++head_ == capacity_) head_ = 0;
   if (filled_ < capacity_) ++filled_;
-  r = {c0, pc, n, run.el};
+  Seg* const ring = segs_.data();
+  size_t g = seg_head_;
+  uint32_t nsegs = 0;
+  run.for_each_seg([&](uint64_t va, uint64_t, uint32_t k) {
+    if (skip >= k) {
+      skip -= k;
+      return;
+    }
+    ring[g] = {va + 4 * uint64_t{skip}, k - skip};
+    if (++g == segs_.size()) g = 0;
+    ++nsegs;
+    skip = 0;
+  });
+  seg_head_ = g;
+  r = {c0, n, nsegs, run.el};
   // n <= capacity_, half the slot ring: at most one wrap.
   const size_t first = std::min<size_t>(n, slots_.size() - slot_head_);
   std::copy_n(slots, first, slots_.data() + slot_head_);
@@ -37,29 +46,38 @@ void FlightRecorder::retire_run(uint64_t c0, const RetireRun& run) {
 }
 
 std::vector<FlightInsn> FlightRecorder::live_ring() const {
-  // Newest runs first, until they cover the window: `runs` records holding
-  // `insns` instructions, fewer than 2 * capacity_ (the last one added held
-  // at most capacity_), so all their slots are still in the slot ring.
+  // Newest records first, until they cover the window: `runs` records
+  // holding `insns` instructions over `nsegs` segments, each fewer than
+  // 2 * capacity_ (the last one added held at most capacity_), so all of
+  // them are still in their rings.
   const auto newest = [&](size_t k) -> const Run& {  // k = 0: the last one
     return runs_[(head_ + capacity_ - 1 - k) % capacity_];
   };
-  size_t runs = 0, insns = 0;
-  while (runs < filled_ && insns < capacity_) insns += newest(runs++).n;
+  size_t runs = 0, insns = 0, nsegs = 0;
+  while (runs < filled_ && insns < capacity_) {
+    insns += newest(runs).n;
+    nsegs += newest(runs++).nsegs;
+  }
   size_t skip = insns > capacity_ ? insns - capacity_ : 0;
   size_t sp = (slot_head_ + slots_.size() - insns) % slots_.size();
+  size_t gp = (seg_head_ + segs_.size() - nsegs) % segs_.size();
   std::vector<FlightInsn> out;
   out.reserve(insns - skip);
   while (runs > 0) {
     const Run& r = newest(--runs);
     uint64_t c = r.c0;
-    for (uint32_t i = 0; i < r.n; ++i) {
-      const RetireSlot s = slots_[sp];
-      if (++sp == slots_.size()) sp = 0;
-      if (skip > 0)
-        --skip;
-      else
-        out.push_back({c, r.pc + 4 * uint64_t{i}, s.op_class, r.el});
-      c += s.cost;
+    for (uint32_t g = 0; g < r.nsegs; ++g) {
+      const Seg& seg = segs_[gp];
+      if (++gp == segs_.size()) gp = 0;
+      for (uint64_t i = 0; i < seg.n; ++i) {
+        const RetireSlot s = slots_[sp];
+        if (++sp == slots_.size()) sp = 0;
+        if (skip > 0)
+          --skip;
+        else
+          out.push_back({c, seg.va + 4 * i, s.op_class, r.el});
+        c += s.cost;
+      }
     }
   }
   return out;

@@ -78,13 +78,14 @@ class FlightRecorder {
   explicit FlightRecorder(size_t capacity = 256)
       : capacity_(capacity == 0 ? 1 : capacity),
         runs_(capacity_),
+        segs_(2 * capacity_),
         slots_(2 * capacity_) {}
 
   void set_state_provider(StateProvider p) { provider_ = std::move(p); }
 
-  /// Record a whole retire run whose first instruction starts at cycle
-  /// `c0`: one run record and a copy of (at most capacity) slot bytes, so
-  /// the cost is per run, not per instruction.
+  /// Record a retire record whose first instruction starts at cycle `c0`,
+  /// copying its stretches and (at most capacity) slot bytes: trigger()
+  /// reads nothing in the code cache, which may drop a trace at any time.
   void retire_run(uint64_t c0, const RetireRun& run);
 
   /// Capture on the first violation; later triggers only bump the counter
@@ -115,6 +116,7 @@ class FlightRecorder {
     ring_.clear();
     head_ = 0;
     filled_ = 0;
+    seg_head_ = 0;
     slot_head_ = 0;
     triggers_ = 0;
     captured_ = false;
@@ -123,13 +125,17 @@ class FlightRecorder {
   }
 
  private:
-  /// One retired run: instruction i sits at pc + 4i and retired at c0 plus
-  /// the costs of instructions 0..i-1, read from its slot bytes.
+  /// One retire record: n instructions over nsegs entries of segs_, each
+  /// retired at c0 plus the slot costs of those before it.
   struct Run {
     uint64_t c0 = 0;
-    uint64_t pc = 0;
     uint32_t n = 0;  ///< <= capacity_
+    uint32_t nsegs = 0;
     uint8_t el = 0;
+  };
+  struct Seg {
+    uint64_t va = 0;
+    uint64_t n = 0;
   };
 
   size_t capacity_;
@@ -137,16 +143,17 @@ class FlightRecorder {
   uint64_t triggers_ = 0;
   TraceEvent trigger_{};
   FlightSnapshot state_{};
-  /// The last `capacity` runs: enough to cover the last `capacity`
-  /// instructions, since every run holds at least one.
+  /// The last `capacity` records: enough to cover the last `capacity`
+  /// instructions, since every record holds at least one.
   std::vector<Run> runs_;
-  size_t head_ = 0;    ///< where the next run record goes
+  size_t head_ = 0;    ///< where the next record goes
   size_t filled_ = 0;  ///< records held, up to capacity_
-  /// The runs' slot bytes, back to back. Twice the capacity, so the oldest
-  /// run still needed (at most capacity long, ending inside the window)
-  /// keeps the slots before the window that fix its cycle stamps.
+  /// The records' stretches and slot bytes, back to back: twice the
+  /// capacity, so the oldest record still needed keeps all of its own.
+  std::vector<Seg> segs_;
+  size_t seg_head_ = 0;   ///< where the next record's segments go
   std::vector<RetireSlot> slots_;
-  size_t slot_head_ = 0;  ///< where the next run's slots go
+  size_t slot_head_ = 0;  ///< where the next record's slots go
   std::vector<FlightInsn> ring_;  ///< frozen copy at capture
   StateProvider provider_;
 };

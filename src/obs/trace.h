@@ -14,10 +14,10 @@
 //    predictable branch per would-be report and the simulated cycle counts
 //    are bit-for-bit identical whether or not one is attached (reports never
 //    consume guest cycles).
-//  * CycleAttributor — receives one RetireRun record per straight-line run
-//    the block and trace engines execute, and a run of one per single-stepped
-//    CPU step: the feed for EL-residency accounting, the flight ring and the
-//    call-graph profiler.
+//  * CycleAttributor — receives one RetireRun record per stretch the engines
+//    retire between two flush points (a block, or a trace's segments up to
+//    the next one) and a record of one per single step: the feed for
+//    EL-residency accounting, the flight ring and the call-graph profiler.
 //
 // obs sits below every other subsystem (it depends only on camo_support), so
 // the CPU itself can report. Event payloads are therefore plain integers;
@@ -93,40 +93,51 @@ struct RetireSlot {
   uint8_t op_class = 0;
 };
 
-/// One executed straight-line run (DESIGN.md §3e): `n` instructions at
-/// consecutive addresses va, va+4, ... (pa likewise), all retired at `el`.
-/// `cycles` is the run's whole cycle delta. Every instruction but the last
-/// retires exactly its slot cost; the last also absorbs any exception-entry
-/// cost its own execution took. A single step is a run of one whose cycles
-/// are the whole step's delta; a step that only took an exception (IRQ
-/// delivery, misaligned pc, fetch abort) is one at the pre-step pc with op
-/// class Other.
-struct RetireRun {
+/// `n` instructions at va, va+4, ... (pa likewise): a block or trace segment.
+struct RetireSeg {
   uint64_t va = 0;
   uint64_t pa = 0;
-  const RetireSlot* slots = nullptr;  ///< n entries, parallel to the run
+  uint32_t n = 0;
+};
+
+/// One retire record (DESIGN.md §3e): `n` instructions, all retired at
+/// `el`, walking the segment list from `skip` instructions into segs[0]
+/// (the skip may run on into later segments), with their slots back to
+/// back. `cycles` is the whole delta: every instruction but the last retires
+/// exactly its slot cost; the last also absorbs any exception-entry cost its
+/// own execution took. A single step is a record of one carrying the whole
+/// step's delta; a step that only took an exception (IRQ delivery,
+/// misaligned pc, fetch abort) is one at the pre-step pc, op class Other.
+struct RetireRun {
+  const RetireSeg* segs = nullptr;
+  const RetireSlot* slots = nullptr;  ///< n entries, in retire order
   uint64_t cycles = 0;
   uint32_t n = 0;
+  uint32_t skip = 0;
   uint8_t el = 0;
   uint8_t cpu = 0;  ///< the reporting core's id
 
-  /// Calls f(pc, op_class, cycles) once per instruction, in order; the
-  /// cycles passed sum to `cycles`.
+  /// Calls f(va, pa, k) once per segment stretch the record covers, in
+  /// order; the k sum to n.
   template <typename F>
-  void for_each(F&& f) const {
-    uint64_t left = cycles;
-    for (uint32_t i = 0; i + 1 < n; ++i) {
-      f(va + 4 * uint64_t{i}, slots[i].op_class, uint64_t{slots[i].cost});
-      left -= slots[i].cost;
+  void for_each_seg(F&& f) const {
+    uint32_t skip_left = skip, left = n;
+    for (const RetireSeg* s = segs; left > 0; ++s) {
+      if (skip_left >= s->n) {
+        skip_left -= s->n;
+        continue;
+      }
+      const uint32_t k = s->n - skip_left < left ? s->n - skip_left : left;
+      f(s->va + 4 * uint64_t{skip_left}, s->pa + 4 * uint64_t{skip_left}, k);
+      left -= k;
+      skip_left = 0;
     }
-    if (n > 0) f(va + 4 * uint64_t{n - 1}, slots[n - 1].op_class, left);
   }
 };
 
-// The core id rides in what was padding.
 static_assert(sizeof(RetireRun) == 40);
 
-/// Cycle consumer: one retire_run() per run the CPU retires, in order.
+/// Cycle consumer: one retire_run() per record the CPU delivers, in order.
 /// Summing the cycles over all records reproduces Cpu::cycles() exactly.
 class CycleAttributor {
  public:
@@ -146,16 +157,15 @@ enum class CfKind : uint8_t {
   ExcExit,   ///< ERET; info = target EL
 };
 
-const char* cf_kind_name(CfKind k);
-
 /// Control-flow consumer fed from the CPU's retire stream. Events for an
 /// instruction fire *during* it, i.e. before the retire_run() record that
-/// carries it (the engines flush any pending run before an instruction that
-/// can emit one, so that instruction's record is the next one from the same
-/// core);
-/// consumers that want call-site attribution buffer them until the record
-/// arrives (obs::CallGraphProfiler does). Null sink = no emission, and
-/// attaching one never changes simulated cycle counts.
+/// carries it, which is the next record from the same core. A Call or Ret
+/// comes from the last instruction of a segment stretch of that record, at
+/// `from_pc`, and every such instruction reports one, in order; an
+/// exception event belongs to the record's last instruction. Consumers that
+/// want call-site attribution buffer events until the record arrives
+/// (obs::CallGraphProfiler does). Null sink = no emission, and attaching
+/// one never changes simulated cycle counts.
 class CfSink {
  public:
   virtual ~CfSink() = default;

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <functional>
 #include <sstream>
 #include <string>
 
@@ -239,6 +240,195 @@ TEST(CallGraph, RepeatedFaultingCallKeepsTheStackBounded) {
           deepest, 1 + std::count(line.begin(), line.end(), ';'));
     EXPECT_EQ(deepest, 4u) << folded;  // main;[other];[exc:insn-abort];vectors
     EXPECT_LE(t.cg.depth(), 1u);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Ground truth: the guest's own frame records. A function that has run its
+// prologue (stp x29, x30, [sp, #-16]!; mov x29, sp) and not yet its epilogue
+// sits on a chain of frame records, each holding the caller's frame pointer
+// and the return address the call left in x30. At such a pc the shadow
+// stack must hold exactly the base frame and one call frame per record,
+// with the same return addresses, outermost first.
+
+/// [begin, end): pcs at which the frame-record chain is complete.
+struct FramedRange {
+  uint64_t begin, end;
+};
+
+/// `f` assembled into slot `slot` of `t`, framed: its prologue and
+/// epilogue wrap `body`, which must not touch x29 or x30.
+FramedRange place_framed(CpuHarness& t, int slot, const std::string& name,
+                         const std::function<void(FunctionBuilder&)>& body) {
+  FunctionBuilder f(name);
+  f.stp_pre(29, 30, 31, -16);
+  f.mov_from_sp(29);
+  body(f);
+  f.ldp_post(29, 30, 31, 16);
+  f.ret();
+  const size_t words = f.assemble().words.size();
+  t.place(f, slot, name);
+  return {t.fn_addr(slot) + 8, t.fn_addr(slot) + 4 * (words - 2)};
+}
+
+/// Runs `t` to halt in slices of 1 to `max_slice` steps (every slice end
+/// flushes the retire feed, on every tier) and, after each slice that stops
+/// at a pc in `ranges`, checks the shadow stack against the frame-record
+/// chain. Returns the number of checks made.
+size_t check_against_frame_records(CpuHarness& t,
+                                   const std::vector<FramedRange>& ranges,
+                                   uint64_t max_slice) {
+  t.core.set_cycle_attributor(&t.cg);
+  t.core.set_cf_sink(&t.cg);
+  t.core.pc = t.fn_addr(0);
+  size_t checks = 0;
+  for (uint64_t i = 0; !t.core.halted() && i < 1'000'000; ++i) {
+    t.core.run(1 + (i * 37) % max_slice);
+    const uint64_t pc = t.core.pc;
+    if (std::none_of(ranges.begin(), ranges.end(), [&](const FramedRange& r) {
+          return pc >= r.begin && pc < r.end;
+        }))
+      continue;
+    std::vector<uint64_t> chain;
+    for (uint64_t fp = t.core.x(29); fp != 0 && chain.size() < 64;) {
+      const auto lr = t.mmu.read64(fp + 8, El::El1);
+      const auto up = t.mmu.read64(fp, El::El1);
+      EXPECT_EQ(lr.fault, mem::FaultKind::None);
+      chain.push_back(lr.value);
+      fp = up.value;
+    }
+    std::vector<uint64_t> want = {0};  // the base frame: main
+    want.insert(want.end(), chain.rbegin(), chain.rend());
+    ++checks;
+    if (t.cg.return_addresses() != want) {
+      ADD_FAILURE() << "shadow stack disagrees with the frame records at pc 0x"
+                    << std::hex << pc << " after " << std::dec
+                    << t.core.retired() << " retirements\n"
+                    << t.cg.folded();
+      break;
+    }
+  }
+  return checks;
+}
+
+TEST(CallGraph, ShadowStackMatchesFrameRecordsOnIrqAndFetchAbortGuest) {
+  // The shape of the retire-feed golden guest, with frame records: timer
+  // IRQs every 53 cycles, calls into unmapped text and to a misaligned
+  // address (both fetch aborts, returned from through x30), a DataAbort in
+  // a callee's body, and a two-deep call chain main -> mid -> leaf.
+  constexpr uint64_t kUnmappedText = kText + 0x20000;
+  constexpr uint64_t kUnmappedData = 0xFFFF000000900000ull;
+  for (const cpu::Engine engine : cpu::kEngines) {
+    SCOPED_TRACE(cpu::engine_name(engine));
+    CpuHarness t(engine);
+    FunctionBuilder main_fn("main");
+    {
+      const auto loop = main_fn.make_label();
+      const auto no_fetch_fault = main_fn.make_label();
+      const auto aligned = main_fn.make_label();
+      main_fn.mov_imm(29, 0);
+      main_fn.mov_imm(19, 48);
+      main_fn.mov_imm(5, kStackTop - 0x100);
+      main_fn.bind(loop);
+      main_fn.sub_i(19, 19, 1);
+      main_fn.sub_i(11, 19, 30);
+      main_fn.cbnz(11, no_fetch_fault);
+      main_fn.mov_imm(5, kUnmappedData);  // from here on leaf's load aborts
+      main_fn.bind(no_fetch_fault);
+      main_fn.and_i(11, 19, 7);
+      main_fn.cbnz(11, aligned);
+      main_fn.mov_imm(9, kUnmappedText);
+      main_fn.blr(9);
+      main_fn.mov_imm(9, t.fn_addr(2) + 2);
+      main_fn.blr(9);
+      main_fn.bind(aligned);
+      main_fn.mov_imm(9, t.fn_addr(1));
+      main_fn.blr(9);
+      main_fn.cbnz(19, loop);
+      main_fn.hlt(1);
+    }
+    const size_t main_words = main_fn.assemble().words.size();
+    t.place(main_fn, 0, "main");
+    const FramedRange mid = place_framed(t, 1, "mid", [&](FunctionBuilder& f) {
+      f.add_i(7, 7, 1);
+      f.mov_imm(9, t.fn_addr(2));
+      f.blr(9);
+      f.add_i(7, 7, 1);
+    });
+    const FramedRange leaf = place_framed(t, 2, "leaf", [](FunctionBuilder& f) {
+      const auto spin = f.make_label();
+      f.mov_imm(3, 5);
+      f.bind(spin);
+      f.add_i(7, 7, 1);
+      f.sub_i(3, 3, 1);
+      f.cbnz(3, spin);
+      f.ldr(6, 5, 0);  // DataAbort once x5 is unmapped
+      f.add_i(7, 7, 1);
+    });
+    // EL1 sync vector: a fetch abort (FAR == ELR) returns to the caller,
+    // anything else steps over the faulting instruction.
+    FunctionBuilder sync("sync");
+    {
+      const auto fetch = sync.make_label();
+      sync.mrs(10, SysReg::ELR_EL1);
+      sync.mrs(13, SysReg::FAR_EL1);
+      sync.cmp(10, 13);
+      sync.b_cond(isa::Cond::EQ, fetch);
+      sync.add_i(10, 10, 4);
+      sync.msr(SysReg::ELR_EL1, 10);
+      sync.eret();
+      sync.bind(fetch);
+      sync.msr(SysReg::ELR_EL1, 30);
+      sync.eret();
+    }
+    FunctionBuilder irq("irq");
+    irq.add_i(20, 20, 1);
+    irq.eret();
+    t.install_vector(Cpu::kVecSyncEl1, sync);
+    t.install_vector(Cpu::kVecIrqEl1, irq);
+    t.core.pstate.irq_masked = false;
+    t.core.set_timer_period(53);
+
+    const size_t checks = check_against_frame_records(
+        t, {{t.fn_addr(0), t.fn_addr(0) + 4 * main_words}, mid, leaf}, 23);
+    ASSERT_EQ(t.core.halt_code(), 1u);
+    EXPECT_GT(checks, 100u);
+    EXPECT_GT(t.core.exception_steps(), 48u);  // IRQs and fetch aborts
+  }
+}
+
+TEST(CallGraph, ShadowStackMatchesFrameRecordsOnRepeatedFaultingCall) {
+  // main calls mid, which makes 10,000 calls into unmapped text; each fetch
+  // aborts and the EL1 sync vector returns through x30. Inside mid the
+  // shadow stack must hold main and mid and nothing else, every time.
+  constexpr uint64_t kUnmappedText = kText + 0x20000;
+  for (const cpu::Engine engine : cpu::kEngines) {
+    SCOPED_TRACE(cpu::engine_name(engine));
+    CpuHarness t(engine);
+    FunctionBuilder main_fn("main");
+    main_fn.mov_imm(29, 0);
+    main_fn.mov_imm(9, t.fn_addr(1));
+    main_fn.blr(9);
+    main_fn.hlt(1);
+    t.place(main_fn, 0, "main");
+    const FramedRange mid = place_framed(t, 1, "mid", [](FunctionBuilder& f) {
+      const auto loop = f.make_label();
+      f.mov_imm(19, 10000);
+      f.mov_imm(9, kUnmappedText);
+      f.bind(loop);
+      f.blr(9);
+      f.sub_i(19, 19, 1);
+      f.cbnz(19, loop);
+    });
+    FunctionBuilder vec("vec");
+    vec.msr(SysReg::ELR_EL1, 30);
+    vec.eret();
+    t.install_vector(Cpu::kVecSyncEl1, vec);
+
+    const size_t checks = check_against_frame_records(t, {mid}, 401);
+    ASSERT_EQ(t.core.halt_code(), 1u);
+    EXPECT_EQ(t.core.exception_steps(), 10000u);
+    EXPECT_GT(checks, 100u);
   }
 }
 

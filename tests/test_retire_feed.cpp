@@ -31,36 +31,68 @@ using obs::CallGraphProfiler;
 using obs::RetireRun;
 using obs::RetireSlot;
 
-/// A run over `slots` starting at `va` (pa = va - 0x1000 for the tests that
-/// do not care) whose last instruction absorbs `extra` cycles.
-RetireRun make_run(uint64_t va, const std::vector<RetireSlot>& slots,
-                   uint8_t el, uint64_t extra = 0) {
+/// A segment list that outlives every record the tests build over it.
+const obs::RetireSeg* segments(std::vector<obs::RetireSeg> segs) {
+  static std::deque<std::vector<obs::RetireSeg>> keep;
+  return keep.emplace_back(std::move(segs)).data();
+}
+
+/// A record over `slots` walking `segs` (pa = va - 0x1000 for the tests
+/// that do not care) from `skip` instructions in, whose last instruction
+/// absorbs `extra` cycles.
+RetireRun make_segs_run(const std::vector<std::pair<uint64_t, uint32_t>>& segs,
+                        const std::vector<RetireSlot>& slots, uint8_t el,
+                        uint64_t extra = 0, uint32_t skip = 0) {
+  std::vector<obs::RetireSeg> list;
+  for (const auto& [va, n] : segs) list.push_back({va, va - 0x1000, n});
   RetireRun r;
-  r.va = va;
-  r.pa = va - 0x1000;
+  r.segs = segments(std::move(list));
   r.slots = slots.data();
   r.n = static_cast<uint32_t>(slots.size());
+  r.skip = skip;
   r.el = el;
   for (const RetireSlot& s : slots) r.cycles += s.cost;
   r.cycles += extra;
   return r;
 }
 
-/// The record Cpu::step() delivers: a run of one at `pc` carrying the whole
-/// step's `cycles`.
+/// A record of one straight-line run over `slots` starting at `va`.
+RetireRun make_run(uint64_t va, const std::vector<RetireSlot>& slots,
+                   uint8_t el, uint64_t extra = 0) {
+  return make_segs_run({{va, static_cast<uint32_t>(slots.size())}}, slots, el,
+                       extra);
+}
+
+/// The record Cpu::step() delivers: a record of one at `pc` carrying the
+/// whole step's `cycles`.
 void step_record(obs::CycleAttributor& a, uint64_t pc, uint8_t el,
                  uint8_t op_class, uint64_t cycles) {
   const RetireSlot slot{1, op_class};
-  a.retire_run({pc, pc - 0x1000, &slot, cycles, 1, el});
+  const obs::RetireSeg seg{pc, pc - 0x1000, 1};
+  a.retire_run({&seg, &slot, cycles, 1, 0, el});
 }
 
-/// The runs of one a run stands for, spelled out (not via
-/// RetireRun::for_each, which the batched side itself uses).
+/// The pcs of a record's instructions, spelled out (not via
+/// RetireRun::for_each_seg, which the batched side itself uses).
+std::vector<uint64_t> record_pcs(const RetireRun& r) {
+  std::vector<uint64_t> pcs;
+  uint32_t skip = r.skip;
+  for (const obs::RetireSeg* s = r.segs; pcs.size() < r.n; ++s)
+    for (uint32_t i = 0; i < s->n && pcs.size() < r.n; ++i)
+      if (skip > 0)
+        --skip;
+      else
+        pcs.push_back(s->va + 4 * uint64_t{i});
+  return pcs;
+}
+
+/// The records of one a record stands for, spelled out.
 void feed_stepped(obs::CycleAttributor& a, const RetireRun& r) {
+  const std::vector<uint64_t> pcs = record_pcs(r);
   uint64_t left = r.cycles;
   for (uint32_t i = 0; i < r.n; ++i) {
     const uint64_t c = i + 1 == r.n ? left : r.slots[i].cost;
-    step_record(a, r.va + 4 * i, r.el, r.slots[i].op_class, c);
+    step_record(a, pcs[i], r.el, r.slots[i].op_class, c);
     left -= c;
   }
 }
@@ -292,7 +324,7 @@ TEST(RetireFeed, CallGraphRunAppliesPendingControlFlowAfterTheWholeRun) {
     step_record(*cg, kF - 4, 1, 2, 1);  // the BL from [other] pushes f
   }
   const RetireRun run = make_run(kF, kMixed, 1, /*extra=*/12);
-  const uint64_t last = run.va + 4 * (run.n - 1);
+  const uint64_t last = record_pcs(run).back();
   RetireRun head = run;  // everything before the faulting instruction
   head.n = run.n - 1;
   head.cycles = 0;
@@ -480,7 +512,8 @@ TEST(RetireFeed, FlightRingFromRunRecords) {
     // A single step's record: a run of one carrying `c` cycles.
     const auto step = [&](uint64_t pc, uint8_t op, uint8_t el, uint64_t c) {
       const RetireSlot slot{1, op};
-      rec.retire_run(cycles, {pc, 0, &slot, c, 1, el});
+      const obs::RetireSeg seg{pc, 0, 1};
+      rec.retire_run(cycles, {&seg, &slot, c, 1, 0, el});
       ref.push({cycles, pc, op, el});
       cycles += c;
     };
@@ -722,6 +755,113 @@ TEST(RetireFeed, EnginesAgreeWhenAnAuthFailAtATerminatorFreezesTheRing) {
   expect_engines_agree(/*stage2=*/false);
 }
 
+
+// ---------------------------------------------------------------------------
+// Trace dispatches: one record walks a whole quiet-loop dispatch.
+
+/// A loop of three blocks joined by B and CBNZ (no call, return or system
+/// op), `iters` times, then HLT: on the trace tier a trace unrolls it and
+/// the quiet loop runs whole dispatches with nothing to flush inside.
+void write_hot_loop(testing::SimHarness& sim, uint64_t iters) {
+  FunctionBuilder f("main");
+  const auto loop = f.make_label();
+  const auto mid = f.make_label();
+  const auto tail = f.make_label();
+  f.mov_imm(19, iters);
+  f.bind(loop);
+  f.sub_i(19, 19, 1);
+  f.add_i(7, 7, 1);
+  f.b(mid);
+  f.bind(mid);
+  f.add_i(8, 8, 2);
+  f.b(tail);
+  f.bind(tail);
+  f.eor(9, 9, 7);
+  f.cbnz(19, loop);
+  f.hlt(1);
+  sim.write_words(testing::kHText, f.assemble().words);
+  sim.core.pc = testing::kHText;
+}
+
+TEST(RetireFeed, TraceDispatchIsOneRecordNotOnePerBlock) {
+  // Structural guard: a record may end only at a flush point — an alone
+  // instruction (before and after it), an exception, the budget or the end
+  // of a dispatch — so the records delivered are bounded by dispatches plus
+  // twice the alone instructions plus the exceptions. One record per block
+  // (three per iteration here) breaks the bound many times over.
+  constexpr uint64_t kIters = 3000;
+  cpu::Cpu::Config cfg;
+  cfg.engine = cpu::Engine::Trace;
+  testing::SimHarness sim(cfg);
+  write_hot_loop(sim, kIters);
+  obs::Options opts;
+  opts.enabled = true;
+  opts.coverage = true;
+  obs::Collector c(opts);
+  CountingFeed feed(c);
+  sim.core.set_collector(&c);
+  sim.core.set_cycle_attributor(&feed);
+  sim.core.set_cf_sink(&c);
+  sim.core.set_coverage(&c.coverage());
+  sim.core.run(1'000'000);
+  ASSERT_EQ(sim.core.halt_code(), 1u);
+
+  const cpu::SuperblockStats& st = sim.core.superblock_stats();
+  EXPECT_GT(st.trace_hits, kIters / 32);
+  const uint64_t alone = sim.core.op_count(isa::Op::HVC) +
+                         sim.core.op_count(isa::Op::MSR);
+  EXPECT_EQ(alone, 0u);
+  EXPECT_EQ(sim.core.exception_steps(), 0u);
+  EXPECT_LE(feed.records,
+            st.run_length.count() + 2 * alone + sim.core.exception_steps());
+  EXPECT_LT(feed.records, kIters / 4);
+  EXPECT_EQ(c.callgraph().total_retires(), sim.core.retired());
+  EXPECT_EQ(c.coverage().retired_total(), sim.core.retired());
+}
+
+TEST(RetireFeed, FlightRingOutlivesADroppedTrace) {
+  // The flight ring keeps copies of what it rebuilds PCs from: a trace
+  // dropped while the ring still covers its records (a host store into the
+  // trace's page) leaves the ring, and the bundle a later trigger freezes,
+  // equal to the single-step oracle's. Under ASan a ring that kept pointers
+  // into the dropped trace fails here.
+  const auto run = [](cpu::Engine engine) {
+    cpu::Cpu::Config cfg;
+    cfg.engine = engine;
+    testing::SimHarness sim(cfg);
+    write_hot_loop(sim, 3000);
+    obs::Options opts;
+    opts.enabled = true;
+    obs::Collector c(opts);
+    sim.core.set_collector(&c);
+    sim.core.set_cycle_attributor(&c);
+    sim.core.set_cf_sink(&c);
+    sim.core.run(5000);  // mid-dispatch: the budget flushes a record
+    const uint64_t dropped = sim.core.superblock_stats().trace_invalidations;
+    if (engine == cpu::Engine::Trace) {
+      EXPECT_GT(sim.core.superblock_stats().trace_hits, 0u);
+    }
+    // An unused word of the loop's page: its write generation moves, so
+    // the next dispatch drops the trace.
+    sim.write_words(testing::kHText + 0x800, {0xD503201F});
+    sim.core.run(30);
+    if (engine == cpu::Engine::Trace) {
+      EXPECT_GT(sim.core.superblock_stats().trace_invalidations, dropped);
+    }
+    EXPECT_EQ(c.flight().live_ring().size(), opts.flight_capacity);
+    obs::TraceEvent e;
+    e.kind = obs::EventKind::AuthFail;
+    e.cycles = sim.core.cycles();
+    c.flight().trigger(e);
+    return obs::flight_bundle_json(c.flight(), c.audit_log().snapshot(),
+                                   "flight-lifetime", "test", 1);
+  };
+  const std::string ref = run(cpu::Engine::Reference);
+  for (const cpu::Engine engine : {cpu::Engine::Block, cpu::Engine::Trace}) {
+    SCOPED_TRACE(cpu::engine_name(engine));
+    EXPECT_EQ(run(engine), ref);
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Golden digests: the parity tests above compare engines against the
