@@ -545,8 +545,4 @@ std::string disasm(const Inst& inst, uint64_t addr) {
   return "<bad-format>";
 }
 
-std::string disasm_word(uint32_t word, uint64_t addr) {
-  return disasm(decode(word), addr);
-}
-
 }  // namespace camo::isa

@@ -392,7 +392,6 @@ Inst decode(uint32_t word);
 /// Human-readable disassembly ("pacib lr, x16"); addr resolves PC-relative
 /// targets.
 std::string disasm(const Inst& inst, uint64_t addr = 0);
-std::string disasm_word(uint32_t word, uint64_t addr = 0);
 
 /// Register name in operand position ("x9", "sp", "xzr", "lr", "fp").
 std::string reg_name(uint8_t r, bool sp_context = false);

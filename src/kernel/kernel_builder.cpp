@@ -111,6 +111,42 @@ void emit_task_ptr(FunctionBuilder& f, uint8_t dst, uint8_t pid_reg,
   f.add(dst, dst, tmp);
 }
 
+/// A syscall's shared tail: the success path jumps over the -EINVAL return
+/// value its `einval` path loads, to `out`.
+void emit_einval_tail(FunctionBuilder& f, Label einval, Label out) {
+  f.b(out);
+  f.bind(einval);
+  f.mov_imm(0, static_cast<uint64_t>(kEInval));
+  f.bind(out);
+}
+
+/// The idle loop early_boot and secondary_idle end in: schedule until every
+/// user task (pids 1 .. num_tasks_g - 1) is Dead, then halt with kHaltDone.
+void emit_idle_until_all_dead(FunctionBuilder& f) {
+  const Label idle = f.make_label();
+  const Label check_loop = f.make_label();
+  const Label not_done = f.make_label();
+  const Label all_done = f.make_label();
+  f.bind(idle);
+  f.bl_sym("schedule");
+  f.mov_sym(9, "num_tasks_g");
+  f.ldr(9, 9, 0);
+  f.mov_imm(10, 1);  // pid iterator
+  f.bind(check_loop);
+  f.cmp(10, 9);
+  f.b_cond(isa::Cond::HS, all_done);
+  emit_task_ptr(f, 11, 10, 12);
+  f.ldr(12, 11, task::kState);
+  f.cmp_i(12, static_cast<uint16_t>(TaskState::Dead));
+  f.b_cond(isa::Cond::NE, not_done);
+  f.add_i(10, 10, 1);
+  f.b(check_loop);
+  f.bind(not_done);
+  f.b(idle);
+  f.bind(all_done);
+  f.hlt(kHaltDone);
+}
+
 }  // namespace
 
 obj::Program KernelBuilder::build() {
@@ -820,10 +856,7 @@ obj::Program KernelBuilder::build() {
     f.mov(1, 19);
     f.mov(2, 20);
     f.blr(9);
-    f.b(out);
-    f.bind(einval);
-    f.mov_imm(0, static_cast<uint64_t>(kEInval));
-    f.bind(out);
+    emit_einval_tail(f, einval, out);
     f.ldr(19, kSp, 0);
     f.ldr(20, kSp, 8);
     f.ldr(21, kSp, 16);
@@ -864,10 +897,7 @@ obj::Program KernelBuilder::build() {
     f.ldr(11, 11, 0);
     f.store_protected(11, 10, file::kFops, kTypeFileFops, PacKey::DB);
     f.mov(0, 9);
-    f.b(out);
-    f.bind(einval);
-    f.mov_imm(0, static_cast<uint64_t>(kEInval));
-    f.bind(out);
+    emit_einval_tail(f, einval, out);
     f.ldr(19, kSp, 0);
     f.frame_pop_ret(16);
   }
@@ -881,10 +911,7 @@ obj::Program KernelBuilder::build() {
     f.cbz(0, einval);
     f.str(kZr, 0, file::kInUse);
     f.movz(0, 0, 0);
-    f.b(out);
-    f.bind(einval);
-    f.mov_imm(0, static_cast<uint64_t>(kEInval));
-    f.bind(out);
+    emit_einval_tail(f, einval, out);
     f.frame_pop_ret();
   }
 
@@ -906,10 +933,7 @@ obj::Program KernelBuilder::build() {
     f.mov_imm(9, 0x57A7);
     f.str(9, 19, 24);
     f.movz(0, 0, 0);
-    f.b(out);
-    f.bind(einval);
-    f.mov_imm(0, static_cast<uint64_t>(kEInval));
-    f.bind(out);
+    emit_einval_tail(f, einval, out);
     f.ldr(19, kSp, 0);
     f.frame_pop_ret(16);
   }
@@ -1149,10 +1173,7 @@ obj::Program KernelBuilder::build() {
     f.mov_sym(9, kSymHookObj);
     f.store_protected(10, 9, 0, kTypeHook, PacKey::IB);
     f.movz(0, 0, 0);
-    f.b(out);
-    f.bind(einval);
-    f.mov_imm(0, static_cast<uint64_t>(kEInval));
-    f.bind(out);
+    emit_einval_tail(f, einval, out);
     f.frame_pop_ret();
   }
 
@@ -1213,10 +1234,6 @@ obj::Program KernelBuilder::build() {
     const Label task_loop = f.make_label();
     const Label tasks_done = f.make_label();
     const Label key_loop = f.make_label();
-    const Label idle = f.make_label();
-    const Label check_loop = f.make_label();
-    const Label not_done = f.make_label();
-    const Label all_done = f.make_label();
 
     // Enable PAuth and point VBAR at the vector page.
     f.mov_imm(0, isa::kSctlrEnIA | isa::kSctlrEnIB | isa::kSctlrEnDA |
@@ -1318,25 +1335,7 @@ obj::Program KernelBuilder::build() {
       f.str(10, 9, 0);
     }
 
-    // Idle: keep scheduling until every user task has exited.
-    f.bind(idle);
-    f.bl_sym("schedule");
-    f.mov_sym(9, "num_tasks_g");
-    f.ldr(9, 9, 0);
-    f.mov_imm(10, 1);  // pid iterator
-    f.bind(check_loop);
-    f.cmp(10, 9);
-    f.b_cond(isa::Cond::HS, all_done);
-    emit_task_ptr(f, 11, 10, 12);
-    f.ldr(12, 11, task::kState);
-    f.cmp_i(12, static_cast<uint16_t>(TaskState::Dead));
-    f.b_cond(isa::Cond::NE, not_done);
-    f.add_i(10, 10, 1);
-    f.b(check_loop);
-    f.bind(not_done);
-    f.b(idle);
-    f.bind(all_done);
-    f.hlt(kHaltDone);
+    emit_idle_until_all_dead(f);
   }
 
   // secondary_idle: entry point for cores 1..N-1. The host "firmware" sets
@@ -1347,32 +1346,11 @@ obj::Program KernelBuilder::build() {
     auto& f = k.add_function(kSymSecondaryIdle);
     f.set_no_instrument();
     const Label wait = f.make_label();
-    const Label idle = f.make_label();
-    const Label check_loop = f.make_label();
-    const Label not_done = f.make_label();
-    const Label all_done = f.make_label();
     f.mov_sym(9, kSymSmpOnline);
     f.bind(wait);
     f.ldr(10, 9, 0);
     f.cbz(10, wait);
-    f.bind(idle);
-    f.bl_sym("schedule");
-    f.mov_sym(9, "num_tasks_g");
-    f.ldr(9, 9, 0);
-    f.mov_imm(10, 1);
-    f.bind(check_loop);
-    f.cmp(10, 9);
-    f.b_cond(isa::Cond::HS, all_done);
-    emit_task_ptr(f, 11, 10, 12);
-    f.ldr(12, 11, task::kState);
-    f.cmp_i(12, static_cast<uint16_t>(TaskState::Dead));
-    f.b_cond(isa::Cond::NE, not_done);
-    f.add_i(10, 10, 1);
-    f.b(check_loop);
-    f.bind(not_done);
-    f.b(idle);
-    f.bind(all_done);
-    f.hlt(kHaltDone);
+    emit_idle_until_all_dead(f);
   }
 
   return k;

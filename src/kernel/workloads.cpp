@@ -26,19 +26,24 @@ obj::Program scaffold(FunctionBuilder** out) {
   return p;
 }
 
-}  // namespace
-
-obj::Program null_syscall(uint64_t iters) {
+/// `iters` back-to-back calls of syscall `nr` with no arguments.
+obj::Program syscall_loop(uint64_t iters, Sys nr) {
   FunctionBuilder* f;
   obj::Program p = scaffold(&f);
   const Label loop = f->make_label();
   f->mov_imm(19, iters);
   f->bind(loop);
-  svc_call(*f, Sys::GetPid);
+  svc_call(*f, nr);
   f->sub_i(19, 19, 1);
   f->cbnz(19, loop);
   sys_exit(*f);
   return p;
+}
+
+}  // namespace
+
+obj::Program null_syscall(uint64_t iters) {
+  return syscall_loop(iters, Sys::GetPid);
 }
 
 namespace {
@@ -107,42 +112,15 @@ obj::Program stat_file(uint64_t iters) {
 }
 
 obj::Program yield_loop(uint64_t iters) {
-  FunctionBuilder* f;
-  obj::Program p = scaffold(&f);
-  const Label loop = f->make_label();
-  f->mov_imm(19, iters);
-  f->bind(loop);
-  svc_call(*f, Sys::Yield);
-  f->sub_i(19, 19, 1);
-  f->cbnz(19, loop);
-  sys_exit(*f);
-  return p;
+  return syscall_loop(iters, Sys::Yield);
 }
 
 obj::Program queue_work(uint64_t iters) {
-  FunctionBuilder* f;
-  obj::Program p = scaffold(&f);
-  const Label loop = f->make_label();
-  f->mov_imm(19, iters);
-  f->bind(loop);
-  svc_call(*f, Sys::QueueWork);
-  f->sub_i(19, 19, 1);
-  f->cbnz(19, loop);
-  sys_exit(*f);
-  return p;
+  return syscall_loop(iters, Sys::QueueWork);
 }
 
 obj::Program call_hook(uint64_t iters) {
-  FunctionBuilder* f;
-  obj::Program p = scaffold(&f);
-  const Label loop = f->make_label();
-  f->mov_imm(19, iters);
-  f->bind(loop);
-  svc_call(*f, Sys::CallHook);
-  f->sub_i(19, 19, 1);
-  f->cbnz(19, loop);
-  sys_exit(*f);
-  return p;
+  return syscall_loop(iters, Sys::CallHook);
 }
 
 obj::Program load_module(uint64_t module_id) {

@@ -135,12 +135,6 @@ Mmu::Read64 Mmu::read8(uint64_t va, El el) const {
   return {FaultKind::None, phys_->read8(t.pa)};
 }
 
-Mmu::Read64 Mmu::read32_fetch(uint64_t va, El el) const {
-  const auto t = translate(va, Access::Fetch, el);
-  if (!t.ok()) return {t.fault, 0};
-  return {FaultKind::None, phys_->read32(t.pa)};
-}
-
 FaultKind Mmu::write64(uint64_t va, uint64_t v, El el) {
   const auto t = translate(va, Access::Write, el);
   if (!t.ok()) return t.fault;

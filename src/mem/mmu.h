@@ -153,7 +153,6 @@ class Mmu {
     flush_tlb();
   }
   const VaLayout& layout() const { return layout_; }
-  const Stage1Map* user_map() const { return user_map_; }
   PhysicalMemory& phys() { return *phys_; }
   const PhysicalMemory& phys() const { return *phys_; }
 
@@ -200,7 +199,6 @@ class Mmu {
   };
   Read64 read64(uint64_t va, El el) const;
   Read64 read8(uint64_t va, El el) const;
-  Read64 read32_fetch(uint64_t va, El el) const;
   FaultKind write64(uint64_t va, uint64_t v, El el);
   FaultKind write8(uint64_t va, uint8_t v, El el);
 

@@ -11,16 +11,6 @@ namespace camo::obj {
 
 using assembler::RelocKind;
 
-const char* section_name(SectionKind k) {
-  switch (k) {
-    case SectionKind::Text: return ".text";
-    case SectionKind::RoData: return ".rodata";
-    case SectionKind::Data: return ".data";
-    case SectionKind::Bss: return ".bss";
-  }
-  return "<bad-section>";
-}
-
 uint64_t Image::symbol(const std::string& name) const {
   auto it = symbols.find(name);
   if (it == symbols.end()) fail("image: unknown symbol '" + name + "'");

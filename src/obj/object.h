@@ -27,8 +27,6 @@ namespace camo::obj {
 
 enum class SectionKind : uint8_t { Text, RoData, Data, Bss };
 
-const char* section_name(SectionKind k);
-
 /// One entry of the .pauth_init table (§4.6). 24 bytes when serialized:
 ///   u64 slot_va | u64 container_va | u16 type_id | u8 key | 5 pad bytes.
 struct PauthInitEntry {

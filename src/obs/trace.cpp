@@ -40,16 +40,6 @@ const char* op_class_name(OpClass c) {
   return "<bad-class>";
 }
 
-const char* cf_kind_name(CfKind k) {
-  switch (k) {
-    case CfKind::Call: return "call";
-    case CfKind::Ret: return "ret";
-    case CfKind::ExcEnter: return "exc-enter";
-    case CfKind::ExcExit: return "exc-exit";
-  }
-  return "<bad-cf>";
-}
-
 // Mirrors cpu::ExcClass declaration order (pinned by ObsLabels.* tests).
 const char* exc_class_label(uint8_t cls) {
   static const char* const names[] = {"unknown",    "svc",       "brk",
