@@ -1,12 +1,13 @@
-// RetireFeed: the block and trace engines deliver one obs::RetireRun per
-// executed straight-line run where the single-step path delivers a run of
-// one per instruction (DESIGN.md §3e). A run record must be
-// indistinguishable from the runs of one it replaces: the coverage map,
-// call-graph and flat attribution and the collector's counters and flight
-// ring are the same either way, and every export is byte-identical between the single-step,
-// block and trace engines — including around an exception taken inside a
-// block body and an authentication failure at a terminator, the two places
-// the pending run must be flushed before an observer runs.
+// RetireFeed: the engines deliver one obs::RetireRun record per stretch
+// between two flush points (a block, or a trace dispatch's segments) where
+// the single-step path delivers a record of one per instruction (DESIGN.md
+// §3e). A record must be indistinguishable from the records of one it
+// replaces: the coverage map, call-graph and flat attribution and the
+// collector's counters and flight ring are the same either way, and every
+// export is byte-identical between the single-step, block and trace
+// engines — including around an exception taken inside a block body and an
+// authentication failure at a terminator, two places the pending record
+// must be flushed before an observer runs.
 #include <gtest/gtest.h>
 
 #include <deque>
@@ -95,6 +96,23 @@ void feed_stepped(obs::CycleAttributor& a, const RetireRun& r) {
     step_record(a, pcs[i], r.el, r.slots[i].op_class, c);
     left -= c;
   }
+}
+
+/// `slots` spread over one to four segments at random pcs, after a skipped
+/// lead-in segment and before an unused tail: the shapes a quiet-loop
+/// record takes across segment boundaries and after a mid-record flush.
+RetireRun scatter_run(std::mt19937& rng, const std::vector<RetireSlot>& slots,
+                      uint8_t el, uint64_t extra) {
+  std::vector<std::pair<uint64_t, uint32_t>> segs;
+  const uint32_t lead = rng() % 3;
+  if (lead > 0) segs.push_back({0x90000 + 4 * uint64_t{rng() % 1024}, lead});
+  for (uint32_t left = static_cast<uint32_t>(slots.size()); left > 0;) {
+    const uint32_t k = left == 1 || segs.size() >= 4 ? left : 1 + rng() % left;
+    segs.push_back({0x80000 + 4 * uint64_t{rng() % 4096}, k});
+    left -= k;
+  }
+  segs.back().second += rng() % 3;
+  return make_segs_run(segs, slots, el, extra, lead);
 }
 
 // ---------------------------------------------------------------------------
@@ -449,6 +467,38 @@ TEST(RetireFeed, CallGraphWholeRunFastPath) {
             "f 35\nf;[other] 8\nf;g 17\nf;h 5\nh 5\n");
 }
 
+TEST(RetireFeed, CallGraphRecordAppliesCallsAndReturnsAtTheirStretch) {
+  // One record through f, a call into g (the BL ends the first stretch),
+  // g up to its RET (which ends the second) and back into f. Each event
+  // applies right after the stretch ending at its pc, so g's instructions
+  // land on f;g and those after the return on f, as records of one put
+  // them; the last instruction also absorbs an exception-entry cost.
+  CallGraphProfiler batched, stepped;
+  add_regions(batched);
+  add_regions(stepped);
+  const std::vector<RetireSlot> slots = {{1, 0}, {1, 0}, {1, 2}, {2, 0},
+                                         {1, 4}, {1, 0}, {1, 3}, {3, 0}};
+  const RetireRun run =
+      make_segs_run({{kF, 3}, {kG, 4}, {kF + 12, 1}}, slots, 1, /*extra=*/12);
+  batched.control_flow(0, obs::CfKind::Call, kF + 8, kG, 0);
+  batched.control_flow(0, obs::CfKind::Ret, kG + 12, kF + 12, 0);
+  batched.retire_run(run);
+  const std::vector<uint64_t> pcs = record_pcs(run);
+  uint64_t left = run.cycles;
+  for (uint32_t i = 0; i < run.n; ++i) {
+    if (pcs[i] == kF + 8)
+      stepped.control_flow(0, obs::CfKind::Call, kF + 8, kG, 0);
+    if (pcs[i] == kG + 12)
+      stepped.control_flow(0, obs::CfKind::Ret, kG + 12, kF + 12, 0);
+    const uint64_t c = i + 1 == run.n ? left : slots[i].cost;
+    step_record(stepped, pcs[i], 1, slots[i].op_class, c);
+    left -= c;
+  }
+  expect_same(batched, stepped);
+  EXPECT_EQ(batched.folded(), "f 18\nf;g 5\n");
+  EXPECT_EQ(batched.depth(), 1u);
+}
+
 // ---------------------------------------------------------------------------
 // Collector: counters, flight ring and both profiles.
 
@@ -461,7 +511,8 @@ TEST(RetireFeed, CollectorRunEqualsPerInstructionRetires) {
   const std::vector<RetireSlot> longer(20, RetireSlot{2, 4});
   const RetireRun runs[] = {make_run(kF, kMixed, 1),
                             make_run(kG, longer, 0, 12),
-                            make_run(kF + 4, kMixed, 2)};
+                            make_run(kF + 4, kMixed, 2),
+                            make_segs_run({{kG, 5}, {kF, 3}}, kMixed, 1, 12)};
   for (const RetireRun& r : runs) {
     batched.retire_run(r);
     feed_stepped(stepped, r);
@@ -531,11 +582,14 @@ TEST(RetireFeed, FlightRingFromRunRecords) {
       for (RetireSlot& sl : slots)
         sl = {static_cast<uint8_t>(1 + rng() % 8),
               static_cast<uint8_t>(rng() % 9)};
-      const RetireRun r = make_run(pc, slots, el, rng() % 2 ? 12 : 0);
+      const uint64_t extra = rng() % 2 ? 12 : 0;
+      const RetireRun r = rng() % 2 ? make_run(pc, slots, el, extra)
+                                    : scatter_run(rng, slots, el, extra);
       rec.retire_run(cycles, r);
       uint64_t c = cycles;
+      const std::vector<uint64_t> pcs = record_pcs(r);
       for (uint32_t i = 0; i < r.n; ++i) {
-        ref.push({c, pc + 4 * uint64_t{i}, slots[i].op_class, el});
+        ref.push({c, pcs[i], slots[i].op_class, el});
         c += slots[i].cost;
       }
       cycles += r.cycles;
