@@ -377,48 +377,6 @@ void Cpu::do_eret() {
 }
 
 // ---------------------------------------------------------------------------
-// Memory helpers
-// ---------------------------------------------------------------------------
-
-bool Cpu::mem_read64(uint64_t va, uint64_t& out) {
-  const auto r = mmu_->read64(va, pstate.el);
-  if (r.fault != FaultKind::None) {
-    take_exception(ExcClass::DataAbort, va, 0, r.fault, pc - 4);
-    return false;
-  }
-  out = r.value;
-  return true;
-}
-
-bool Cpu::mem_write64(uint64_t va, uint64_t v) {
-  const auto f = mmu_->write64(va, v, pstate.el);
-  if (f != FaultKind::None) {
-    take_exception(ExcClass::DataAbort, va, 0, f, pc - 4);
-    return false;
-  }
-  return true;
-}
-
-bool Cpu::mem_read8(uint64_t va, uint64_t& out) {
-  const auto r = mmu_->read8(va, pstate.el);
-  if (r.fault != FaultKind::None) {
-    take_exception(ExcClass::DataAbort, va, 0, r.fault, pc - 4);
-    return false;
-  }
-  out = r.value;
-  return true;
-}
-
-bool Cpu::mem_write8(uint64_t va, uint8_t v) {
-  const auto f = mmu_->write8(va, v, pstate.el);
-  if (f != FaultKind::None) {
-    take_exception(ExcClass::DataAbort, va, 0, f, pc - 4);
-    return false;
-  }
-  return true;
-}
-
-// ---------------------------------------------------------------------------
 // PAuth helpers
 // ---------------------------------------------------------------------------
 

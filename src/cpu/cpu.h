@@ -324,10 +324,29 @@ class Cpu {
 
   /// Data memory access helpers that take the DataAbort on fault. Return
   /// false when a fault was taken (caller must stop the instruction).
-  bool mem_read64(uint64_t va, uint64_t& out);
-  bool mem_write64(uint64_t va, uint64_t v);
-  bool mem_read8(uint64_t va, uint64_t& out);
-  bool mem_write8(uint64_t va, uint8_t v);
+  /// Inline down to host memory on a micro-TLB hit (mem::Mmu::read64).
+  bool mem_read64(uint64_t va, uint64_t& out) {
+    return mem_read(mmu_->read64(va, pstate.el), va, out);
+  }
+  bool mem_read8(uint64_t va, uint64_t& out) {
+    return mem_read(mmu_->read8(va, pstate.el), va, out);
+  }
+  bool mem_write64(uint64_t va, uint64_t v) {
+    return mem_ok(mmu_->write64(va, v, pstate.el), va);
+  }
+  bool mem_write8(uint64_t va, uint8_t v) {
+    return mem_ok(mmu_->write8(va, v, pstate.el), va);
+  }
+  bool mem_read(const mem::Mmu::Read64& r, uint64_t va, uint64_t& out) {
+    if (!mem_ok(r.fault, va)) return false;
+    out = r.value;
+    return true;
+  }
+  bool mem_ok(mem::FaultKind f, uint64_t va) {
+    if (f == mem::FaultKind::None) [[likely]] return true;
+    take_exception(ExcClass::DataAbort, va, 0, f, pc - 4);
+    return false;
+  }
 
   /// PAuth helpers reading keys/SCTLR from the live system registers.
   bool pauth_enabled(PacKey k) const;

@@ -78,8 +78,9 @@ TranslateResult Mmu::translate_miss(uint64_t va, uint64_t va_lookup,
   // Faults are never cached: only a fully permission-checked success may be
   // replayed, and it is stamped with the generations it was checked against.
   if (r.ok()) {
-    e = TlbEntry{va_lookup >> VaLayout::kPageShift,
-                 r.pa >> VaLayout::kPageShift, map->generation(), s2_gen};
+    const uint64_t page = r.pa >> VaLayout::kPageShift;
+    e = TlbEntry{va_lookup >> VaLayout::kPageShift, page, map->generation(),
+                 s2_gen, phys_->backing(page), phys_->generation_slot(page)};
   }
   return r;
 }
@@ -123,30 +124,18 @@ TranslateResult Mmu::translate_slow(uint64_t va, uint64_t va_lookup,
   return {FaultKind::None, pa};
 }
 
-Mmu::Read64 Mmu::read64(uint64_t va, El el) const {
-  const auto t = translate(va, Access::Read, el);
-  if (!t.ok()) return {t.fault, 0};
-  return {FaultKind::None, phys_->read64(t.pa)};
+uint64_t Mmu::load_slow(uint64_t pa, unsigned size, TlbEntry* e) const {
+  const uint64_t v = size == 8 ? phys_->read64(pa) : phys_->read8(pa);
+  if (e != nullptr) e->host = phys_->backing(e->pa_page);
+  return v;
 }
 
-Mmu::Read64 Mmu::read8(uint64_t va, El el) const {
-  const auto t = translate(va, Access::Read, el);
-  if (!t.ok()) return {t.fault, 0};
-  return {FaultKind::None, phys_->read8(t.pa)};
-}
-
-FaultKind Mmu::write64(uint64_t va, uint64_t v, El el) {
-  const auto t = translate(va, Access::Write, el);
-  if (!t.ok()) return t.fault;
-  phys_->write64(t.pa, v);
-  return FaultKind::None;
-}
-
-FaultKind Mmu::write8(uint64_t va, uint8_t v, El el) {
-  const auto t = translate(va, Access::Write, el);
-  if (!t.ok()) return t.fault;
-  phys_->write8(t.pa, v);
-  return FaultKind::None;
+void Mmu::store_slow(uint64_t pa, uint64_t v, unsigned size, TlbEntry* e) {
+  if (size == 8)
+    phys_->write64(pa, v);
+  else
+    phys_->write8(pa, static_cast<uint8_t>(v));
+  if (e != nullptr) e->host = phys_->backing(e->pa_page);
 }
 
 }  // namespace camo::mem

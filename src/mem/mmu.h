@@ -21,11 +21,14 @@
 // Swapping whole maps (SwitchUserSpace installs a different Stage1Map
 // pointer) flushes the TLB outright. Faulting translations are never cached,
 // so PAC-poisoned (non-canonical) pointers fault identically with the TLB on
-// or off.
+// or off. An entry also holds its physical page's host backing and write
+// generation slot, so a data access that hits reaches host memory inline
+// (DESIGN.md §3j).
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <cstring>
 #include <unordered_map>
 
 #include "mem/phys.h"
@@ -160,47 +163,24 @@ class Mmu {
   /// resolve a micro-TLB hit without a function call; misses (and the
   /// fast-path-off configuration) drop to the out-of-line slow walk.
   TranslateResult translate(uint64_t va, Access access, El el) const {
-    // A VA whose extension bits are not proper sign extension faults before
-    // translation — this is the mechanism by which PAC-poisoned pointers
-    // fault. The canonical check always runs before the TLB probe, so a
-    // poisoned pointer can never hit a cached translation of its untagged
-    // form.
-    if (!layout_.is_canonical(va)) return {FaultKind::AddressSize, 0};
-
-    const bool kernel_half = VaLayout::is_kernel_va(va);
-    const Stage1Map* map = kernel_half ? kernel_map_ : user_map_;
-    if (map == nullptr) return {FaultKind::Translation, 0};
-
-    // Under TBI the top byte does not participate in translation: reduce the
-    // VA to its addressing bits and re-extend, so tagged and untagged forms
-    // of the same user address hit the same page. The TLB tag uses this
-    // reduced form for the same reason — both forms share one entry.
-    uint64_t va_lookup = va & mask(layout_.va_bits);
-    if (kernel_half) va_lookup |= ~mask(layout_.va_bits);
-
-    if (!fast_path_) return translate_slow(va, va_lookup, map, access, el);
-
-    const uint64_t tag = va_lookup >> VaLayout::kPageShift;
-    TlbEntry& e = tlb_[way_index(el, access)][tag & (kTlbEntries - 1)];
-    const uint64_t s2_gen = stage2_ != nullptr ? stage2_->generation() : 0;
-    if (e.va_page == tag && e.s1_gen == map->generation() &&
-        e.s2_gen == s2_gen) {
-      ++tlb_stats_.hits;
-      return {FaultKind::None, (e.pa_page << VaLayout::kPageShift) |
-                                   (va & mask(VaLayout::kPageShift))};
-    }
-    return translate_miss(va, va_lookup, map, access, el, e, s2_gen);
+    TlbEntry* e;
+    return translate(va, access, el, e);
   }
 
-  // Convenience accessors used by the CPU and by hypervisor services.
+  // Data accesses by the CPU and by hypervisor services. Inline: a micro-TLB
+  // hit on a page with host backing, with the access inside that page,
+  // copies straight to or from the backing, and a store bumps the page's
+  // write generation exactly as PhysicalMemory::touch does. Every other
+  // case (a miss, a page that still reads as zero, a straddle, a PA out of
+  // range, the fast path off) goes through PhysicalMemory out of line.
   struct Read64 {
     FaultKind fault = FaultKind::None;
     uint64_t value = 0;
   };
-  Read64 read64(uint64_t va, El el) const;
-  Read64 read8(uint64_t va, El el) const;
-  FaultKind write64(uint64_t va, uint64_t v, El el);
-  FaultKind write8(uint64_t va, uint8_t v, El el);
+  Read64 read64(uint64_t va, El el) const { return load<uint64_t>(va, el); }
+  Read64 read8(uint64_t va, El el) const { return load<uint8_t>(va, el); }
+  FaultKind write64(uint64_t va, uint64_t v, El el) { return store(va, v, el); }
+  FaultKind write8(uint64_t va, uint8_t v, El el) { return store(va, v, el); }
 
   /// Everything a translation of `va` depends on besides the VA itself and
   /// the fixed layout: the identity and generation of the stage-1 half `va`
@@ -264,6 +244,82 @@ class Mmu {
   TranslateResult translate_miss(uint64_t va, uint64_t va_lookup,
                                  const Stage1Map* map, Access access, El el,
                                  TlbEntry& e, uint64_t s2_gen) const;
+  /// translate(), also setting `entry` to the micro-TLB entry that holds a
+  /// successful translation (null with the fast path off).
+  TranslateResult translate(uint64_t va, Access access, El el,
+                            TlbEntry*& entry) const {
+    // A VA whose extension bits are not proper sign extension faults before
+    // translation — this is the mechanism by which PAC-poisoned pointers
+    // fault. The canonical check always runs before the TLB probe, so a
+    // poisoned pointer can never hit a cached translation of its untagged
+    // form.
+    if (!layout_.is_canonical(va)) return {FaultKind::AddressSize, 0};
+
+    const bool kernel_half = VaLayout::is_kernel_va(va);
+    const Stage1Map* map = kernel_half ? kernel_map_ : user_map_;
+    if (map == nullptr) return {FaultKind::Translation, 0};
+
+    // Under TBI the top byte does not participate in translation: reduce the
+    // VA to its addressing bits and re-extend, so tagged and untagged forms
+    // of the same user address hit the same page. The TLB tag uses this
+    // reduced form for the same reason — both forms share one entry.
+    uint64_t va_lookup = va & mask(layout_.va_bits);
+    if (kernel_half) va_lookup |= ~mask(layout_.va_bits);
+
+    entry = nullptr;
+    if (!fast_path_) return translate_slow(va, va_lookup, map, access, el);
+
+    const uint64_t tag = va_lookup >> VaLayout::kPageShift;
+    TlbEntry& e = tlb_[way_index(el, access)][tag & (kTlbEntries - 1)];
+    entry = &e;
+    const uint64_t s2_gen = stage2_ != nullptr ? stage2_->generation() : 0;
+    if (e.va_page == tag && e.s1_gen == map->generation() &&
+        e.s2_gen == s2_gen) {
+      ++tlb_stats_.hits;
+      return {FaultKind::None, (e.pa_page << VaLayout::kPageShift) |
+                                   (va & mask(VaLayout::kPageShift))};
+    }
+    return translate_miss(va, va_lookup, map, access, el, e, s2_gen);
+  }
+
+  /// Where an access of `size` bytes at `pa` goes in `e`'s backing, or
+  /// null when it must go through PhysicalMemory.
+  static uint8_t* host_at(const TlbEntry* e, uint64_t pa, size_t size) {
+    const uint64_t off = pa & (PhysicalMemory::kPageSize - 1);
+    return e != nullptr && e->host != nullptr &&
+                   off <= PhysicalMemory::kPageSize - size
+               ? e->host + off
+               : nullptr;
+  }
+  template <typename T>
+  Read64 load(uint64_t va, El el) const {
+    TlbEntry* e;
+    const TranslateResult t = translate(va, Access::Read, el, e);
+    if (!t.ok()) [[unlikely]] return {t.fault, 0};
+    const uint8_t* p = host_at(e, t.pa, sizeof(T));
+    if (p == nullptr) return {FaultKind::None, load_slow(t.pa, sizeof(T), e)};
+    T v;
+    std::memcpy(&v, p, sizeof v);
+    return {FaultKind::None, v};
+  }
+  template <typename T>
+  FaultKind store(uint64_t va, T v, El el) {
+    TlbEntry* e;
+    const TranslateResult t = translate(va, Access::Write, el, e);
+    if (!t.ok()) [[unlikely]] return t.fault;
+    if (uint8_t* p = host_at(e, t.pa, sizeof(T))) {
+      std::memcpy(p, &v, sizeof v);
+      ++*e->gen;
+    } else {
+      store_slow(t.pa, v, sizeof(T), e);
+    }
+    return FaultKind::None;
+  }
+  /// The access through PhysicalMemory; then `e` (if any) takes up the
+  /// page's backing should it have one by now.
+  uint64_t load_slow(uint64_t pa, unsigned size, TlbEntry* e) const;
+  void store_slow(uint64_t pa, uint64_t v, unsigned size, TlbEntry* e);
+
   static unsigned way_index(El el, Access access) {
     return unsigned(el) * 3 + unsigned(access);
   }
@@ -281,6 +337,8 @@ class Mmu {
     uint64_t pa_page = 0;
     uint64_t s1_gen = 0;  ///< Stage1Map::generation at install time
     uint64_t s2_gen = 0;  ///< Stage2Map::generation at install time
+    uint8_t* host = nullptr;  ///< PhysicalMemory::backing of pa_page
+    uint64_t* gen = nullptr;  ///< its PhysicalMemory::generation_slot
   };
   static constexpr unsigned kTlbEntries = 64;  // per (EL, access) way
   using TlbWay = std::array<TlbEntry, kTlbEntries>;

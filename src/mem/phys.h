@@ -9,6 +9,10 @@
 // first write to a page allocates its zeroed 4 KiB overlay. Reads go through
 // one per-page pointer (null = zero page).
 //
+// Backing, once allocated, is never freed or moved, and neither table ever
+// resizes: the micro-TLB (mem/mmu.h) caches a page's backing and generation
+// slot and reaches both without a call (DESIGN.md §3j).
+//
 // Every write bumps a per-4KiB-page monotonic generation counter. The CPU's
 // block cache keys decoded code by (physical page, generation), so any
 // write-to-code — guest stores, the attacker's host-side write primitive,
@@ -31,6 +35,9 @@ class PhysicalMemory {
 
   /// All pages start unbacked (reading as zero); no up-front fill.
   explicit PhysicalMemory(uint64_t size_bytes);
+  /// Pinned: Mmus hold its address, their TLBs its pages' addresses.
+  PhysicalMemory(const PhysicalMemory&) = delete;
+  PhysicalMemory& operator=(const PhysicalMemory&) = delete;
 
   uint64_t size() const { return size_; }
 
@@ -52,6 +59,18 @@ class PhysicalMemory {
     return pa_page < page_gen_.size() ? page_gen_[pa_page] : 0;
   }
   uint64_t page_count() const { return page_gen_.size(); }
+
+  /// Host backing of page `p`, or null while it reads as zero. Only pages
+  /// wholly inside size() have one here, so an access through it never
+  /// needs check(). Valid for the memory's lifetime once non-null.
+  uint8_t* backing(uint64_t p) {
+    return p < (size_ >> kPageShift) ? pages_[p].get() : nullptr;
+  }
+  /// The write generation of page `p` (null out of range), for a caller
+  /// that writes through backing(p) and bumps it exactly as touch() does.
+  uint64_t* generation_slot(uint64_t p) {
+    return p < page_gen_.size() ? &page_gen_[p] : nullptr;
+  }
 
  private:
   void check(uint64_t pa, uint64_t len) const;

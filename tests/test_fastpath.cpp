@@ -312,5 +312,76 @@ TEST(FastPathInvariance, CacheStatsOnlyAccumulateWhenEnabled) {
   }
 }
 
+TEST(FastPathInvariance, InlineGuestStoreIntoAHotTracePageRunsTheNewCode) {
+  // A store that hits a write-way micro-TLB entry holding the page's host
+  // backing never reaches PhysicalMemory: it bumps the page generation
+  // itself. Patching a hot loop's code that way must still be seen by every
+  // tier that caches decodes. One writable+executable page: init at +0x000
+  // (its store warms the write way, before anything is hot), the hot site S
+  // at +0x400 and the loop controller at +0x800, which rewrites S from
+  // `add #1` to `add #2` on its tenth iteration.
+  constexpr uint64_t kWx = 0xFFFF000000200000ull;
+  const auto words = [](auto gen) {
+    FunctionBuilder f("frag");
+    gen(f);
+    return f.assemble().words;
+  };
+  const uint64_t site = kWx + 0x400, ctrl = kWx + 0x800;
+  const uint64_t patch =
+      words([](FunctionBuilder& f) { f.add_i(0, 0, 2); })[0] |
+      uint64_t{words([](FunctionBuilder& f) { f.br(13); })[0]} << 32;
+  for (const cpu::Engine engine :
+       {cpu::Engine::Fast, cpu::Engine::Block, cpu::Engine::Trace}) {
+    SCOPED_TRACE(cpu::engine_name(engine));
+    cpu::Cpu::Config cfg;
+    cfg.engine = engine;
+    testing::SimHarness sim(cfg);
+    mem::PagePerms wx;
+    wx.r_el1 = wx.w_el1 = wx.x_el1 = true;
+    sim.kmap.map_range(kWx, 0x50000, 0x1000, wx);
+    sim.write_words(kWx, words([&](FunctionBuilder& f) {
+      f.mov_imm(0, 0);
+      f.mov_imm(19, 20);  // loop count
+      f.mov_imm(9, site);
+      f.mov_imm(10, patch);
+      f.mov_imm(13, ctrl);
+      f.mov_imm(14, kWx + 0xFF8);
+      f.str(0, 14, 0);  // warm the write way: the page already has backing
+      f.br(13);
+    }));
+    sim.write_words(site, words([](FunctionBuilder& f) {
+      f.add_i(0, 0, 1);
+      f.br(13);
+    }));
+    sim.write_words(ctrl, words([](FunctionBuilder& f) {
+      const auto done = f.make_label();
+      const auto skip = f.make_label();
+      f.cbz(19, done);
+      f.sub_i(19, 19, 1);
+      f.sub_i(11, 19, 10);
+      f.cbnz(11, skip);
+      f.str(10, 9, 0);  // rewrite S through the warm entry
+      f.bind(skip);
+      f.br(9);
+      f.bind(done);
+      f.hlt(0x55);
+    }));
+    sim.core.pc = kWx;
+    sim.core.run(100000);
+    ASSERT_EQ(sim.core.halt_code(), 0x55u);
+    // Nine iterations add 1; from the patch on, eleven add 2.
+    EXPECT_EQ(sim.core.x(0), 9u * 1 + 11u * 2);
+    // Nothing else is stored at EL1, so the entry the warm-up installed was
+    // still there for the patch, as a probe now shows.
+    const uint64_t hits = sim.mmu.tlb_stats().hits;
+    EXPECT_TRUE(sim.mmu.translate(site, mem::Access::Write, El::El1).ok());
+    EXPECT_EQ(sim.mmu.tlb_stats().hits, hits + 1);
+    if (engine == cpu::Engine::Trace) {
+      EXPECT_GE(sim.core.superblock_stats().trace_formations, 1u);
+      EXPECT_GE(sim.core.superblock_stats().trace_invalidations, 1u);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace camo

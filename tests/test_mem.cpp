@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <random>
+#include <vector>
 
 #include "mem/mmu.h"
 #include "mem/phys.h"
@@ -454,6 +456,162 @@ TEST_F(MmuTest, FastPathOffTakesNoTlbStats) {
   ASSERT_TRUE(mmu.translate(kKernBase, Access::Read, El::El1).ok());
   EXPECT_EQ(mmu.tlb_stats().hits, before.hits);
   EXPECT_EQ(mmu.tlb_stats().misses, before.misses);
+}
+
+// ---------------------------------------------------------------------------
+// Host pointers in the micro-TLB: a data access that hits goes straight to
+// the page's backing. It must be indistinguishable from the walk through
+// PhysicalMemory, which the fast-path-off Mmu takes every time.
+// ---------------------------------------------------------------------------
+
+/// One Mmu over its own memory; both sides of the fuzz share the maps.
+struct Side {
+  Side(const Stage1Map& k, const Stage1Map& u, const Stage2Map& s2, bool fast)
+      : mmu(pm, VaLayout{}) {
+    mmu.set_kernel_map(&k);
+    mmu.set_user_map(&u);
+    mmu.set_stage2(&s2);
+    mmu.set_fast_path(fast);
+  }
+  /// One operation; `threw` is set when PhysicalMemory rejected the PA.
+  Mmu::Read64 apply(int op, uint64_t va, El el, uint64_t v, bool& threw) {
+    threw = false;
+    try {
+      switch (op) {
+        case 0: return mmu.read8(va, el);
+        case 1: return mmu.read64(va, el);
+        case 2: return {mmu.write8(va, static_cast<uint8_t>(v), el), 0};
+        default: return {mmu.write64(va, v, el), 0};
+      }
+    } catch (const camo::Error&) {
+      threw = true;
+      return {};
+    }
+  }
+  // Not page aligned: the partial last page at 0x20000 ends at 0x20804.
+  PhysicalMemory pm{0x20804};
+  Mmu mmu;
+};
+
+TEST(MmuHostPointer, DifferentialFuzzAgainstTheFastPathOff) {
+  Stage1Map kmap, umap;
+  Stage2Map s2;
+  // Kernel: four rw pages (0x10000..; the first two pre-written, the last
+  // two never written), a text page, and a page mapped onto the partial
+  // last physical page. User: two rw pages. Pages 0x5000 above kKernBase
+  // and 0x2000 above kUserBase stay unmapped.
+  kmap.map_range(kKernBase, 0x10000, 0x4000, PagePerms::kernel_rw());
+  kmap.map_range(kKernBase + 0x4000, 0x14000, 0x1000,
+                 PagePerms::kernel_text());
+  kmap.map_range(kKernBase + 0x6000, 0x20000, 0x1000, PagePerms::kernel_rw());
+  umap.map_range(kUserBase, 0x18000, 0x2000, PagePerms::user_rw());
+  Side fast(kmap, umap, s2, true), slow(kmap, umap, s2, false);
+  for (Side* s : {&fast, &slow}) {
+    std::vector<uint8_t> bytes(0x2000);
+    for (size_t i = 0; i < bytes.size(); ++i)
+      bytes[i] = static_cast<uint8_t>(i * 7 + 1);
+    s->pm.write_block(0x10000, bytes.data(), bytes.size());
+    s->pm.write_block(0x14000, bytes.data(), 0x1000);
+  }
+
+  const uint64_t kern_pages[] = {0, 0x1000, 0x2000, 0x3000,
+                                 0x4000, 0x5000, 0x6000};
+  std::mt19937_64 rng(0xC0FFEE);
+  uint64_t translated = 0;
+  for (int i = 0; i < 4000; ++i) {
+    const uint64_t r = rng();
+    // Every 500 operations flip the kernel rw pages to read-only (and
+    // back), and the stage-2 permission of the second one.
+    if (i % 500 == 250) {
+      kmap.protect_range(kKernBase, 0x4000, (i / 500) % 2 != 0
+                                                ? PagePerms::kernel_rw()
+                                                : PagePerms::kernel_ro());
+    }
+    if (i % 500 == 400) {
+      s2.restrict_page(0x11000, (i / 500) % 2 != 0 ? Stage2Map::Perms{}
+                                                   : Stage2Map::read_only());
+    }
+    const int op = static_cast<int>(r & 3);
+    // Offsets: the start, the last whole word, every straddling offset
+    // 4089..4095, or anywhere in the page.
+    uint64_t off;
+    switch ((r >> 2) % 4) {
+      case 0: off = (r >> 8) % 8 * 8; break;
+      case 1: off = 0xFF8; break;
+      case 2: off = 0xFF9 + (r >> 8) % 7; break;
+      default: off = (r >> 8) & 0xFFF; break;
+    }
+    uint64_t va;
+    El el = El::El1;
+    switch ((r >> 20) % 6) {
+      case 0:  // user, at EL0, under a random TBI tag
+        va = ((r >> 32) << 56) | (kUserBase + ((r >> 24) % 2) * 0x1000 + off);
+        el = El::El0;
+        break;
+      case 1:  // user page or the unmapped one above it, at EL1
+        va = kUserBase + ((r >> 24) % 3) * 0x1000 + off;
+        break;
+      case 2:  // PAC-poisoned kernel pointer (non-canonical)
+        va = (kKernBase + off) & ~(uint64_t{((r >> 24) & 0x7F) | 1} << 48);
+        break;
+      default:
+        va = kKernBase + kern_pages[(r >> 24) % 7] + off;
+        break;
+    }
+    const uint64_t v = rng();
+    bool fast_threw, slow_threw;
+    const Mmu::Read64 a = fast.apply(op, va, el, v, fast_threw);
+    const Mmu::Read64 b = slow.apply(op, va, el, v, slow_threw);
+    ASSERT_EQ(fast_threw, slow_threw) << "op " << i << " va " << std::hex << va;
+    ASSERT_EQ(a.fault, b.fault) << "op " << i << " va " << std::hex << va;
+    ASSERT_EQ(a.value, b.value) << "op " << i << " va " << std::hex << va;
+    if (a.fault != FaultKind::AddressSize) ++translated;
+    for (uint64_t p = 0; p < fast.pm.page_count(); ++p)
+      ASSERT_EQ(fast.pm.page_generation(p), slow.pm.page_generation(p))
+          << "op " << i << " page " << p;
+    if (op >= 2) {
+      std::vector<uint8_t> x(fast.pm.size()), y(slow.pm.size());
+      fast.pm.read_block(0, x.data(), x.size());
+      slow.pm.read_block(0, y.data(), y.size());
+      ASSERT_EQ(x, y) << "op " << i << " va " << std::hex << va;
+    }
+  }
+  const auto& st = fast.mmu.tlb_stats();
+  EXPECT_EQ(st.hits + st.misses, translated);
+  EXPECT_GT(st.hits, translated / 2);
+  EXPECT_EQ(slow.mmu.tlb_stats().hits + slow.mmu.tlb_stats().misses, 0u);
+}
+
+TEST(MmuHostPointer, ZeroPageReaderSeesWritesFromAnotherCoreAndTheHost) {
+  // Core 0 caches a translation of a page that has no backing yet; core 1
+  // (its own Mmu over the same memory) and then the host write it. Core
+  // 0's entry must not keep reading zeros.
+  PhysicalMemory pm(1 << 20);
+  Stage1Map kmap;
+  kmap.map_range(kKernBase, 0x10000, 0x2000, PagePerms::kernel_rw());
+  Mmu core0(pm, VaLayout{}), core1(pm, VaLayout{});
+  core0.set_kernel_map(&kmap);
+  core1.set_kernel_map(&kmap);
+
+  EXPECT_EQ(core0.read64(kKernBase + 8, El::El1).value, 0u);
+  EXPECT_EQ(core0.read8(kKernBase + 8, El::El1).value, 0u);
+  ASSERT_EQ(core1.write64(kKernBase + 8, 0x1122334455667788ull, El::El1),
+            FaultKind::None);
+  EXPECT_EQ(core0.read64(kKernBase + 8, El::El1).value, 0x1122334455667788ull);
+  EXPECT_EQ(core0.read8(kKernBase + 9, El::El1).value, 0x77u);
+  ASSERT_EQ(core1.write8(kKernBase + 8, 0xAB, El::El1), FaultKind::None);
+  EXPECT_EQ(core0.read64(kKernBase + 8, El::El1).value, 0x11223344556677ABull);
+
+  EXPECT_EQ(core0.read64(kKernBase + 0x1010, El::El1).value, 0u);
+  const uint64_t word = 0xCAFEF00D;
+  pm.write_block(0x11010, &word, sizeof word);
+  EXPECT_EQ(core0.read64(kKernBase + 0x1010, El::El1).value, word);
+  // core 0's own store into that page bumps its generation once.
+  const uint64_t gen = pm.page_generation(0x11);
+  ASSERT_EQ(core0.write64(kKernBase + 0x1018, 5, El::El1), FaultKind::None);
+  EXPECT_EQ(pm.page_generation(0x11), gen + 1);
+  EXPECT_EQ(core1.read64(kKernBase + 0x1018, El::El1).value, 5u);
+  EXPECT_EQ(core0.tlb_stats().misses, 3u) << "one per page and way";
 }
 
 }  // namespace
