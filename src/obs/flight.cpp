@@ -106,27 +106,33 @@ json::Value hex_json(uint64_t v) {
 }
 
 json::Value audit_event_json(const AuditEvent& e) {
-  json::Value o = json::Value::object();
-  o.set("kind", json::Value(audit_kind_name(e.kind)));
-  o.set("k", json::Value(static_cast<uint64_t>(e.kind)));
-  o.set("cycles", hex_json(e.cycles));
-  o.set("pc", hex_json(e.pc));
-  o.set("ptr", hex_json(e.ptr));
-  o.set("ptr2", hex_json(e.ptr2));
-  o.set("modifier", hex_json(e.modifier));
-  o.set("lr", hex_json(e.lr));
-  o.set("prov", json::Value(e.prov));
-  o.set("machine", json::Value(static_cast<uint64_t>(e.machine)));
-  o.set("key", json::Value(static_cast<uint64_t>(e.key)));
-  o.set("el", json::Value(static_cast<uint64_t>(e.el)));
-  o.set("mclass", json::Value(static_cast<uint64_t>(e.mclass)));
-  o.set("bank", json::Value(static_cast<uint64_t>(e.bank)));
-  o.set("aux", json::Value(static_cast<uint64_t>(e.aux)));
+  // Built as one exactly reserved member vector: the keys are distinct, so
+  // no set() scan, and a 17-member event never regrows.
+  json::Value::Object m;
+  m.reserve(e.cpu != 0 ? 17 : 16);
+  const auto add = [&m](std::string_view key, json::Value v) {
+    m.emplace_back(json::Str(key), std::move(v));
+  };
+  add("kind", json::Value(audit_kind_name(e.kind)));
+  add("k", json::Value(static_cast<uint64_t>(e.kind)));
+  add("cycles", hex_json(e.cycles));
+  add("pc", hex_json(e.pc));
+  add("ptr", hex_json(e.ptr));
+  add("ptr2", hex_json(e.ptr2));
+  add("modifier", hex_json(e.modifier));
+  add("lr", hex_json(e.lr));
+  add("prov", json::Value(e.prov));
+  add("machine", json::Value(static_cast<uint64_t>(e.machine)));
+  add("key", json::Value(static_cast<uint64_t>(e.key)));
+  add("el", json::Value(static_cast<uint64_t>(e.el)));
+  add("mclass", json::Value(static_cast<uint64_t>(e.mclass)));
+  add("bank", json::Value(static_cast<uint64_t>(e.bank)));
+  add("aux", json::Value(static_cast<uint64_t>(e.aux)));
   // Emitted only when nonzero: absent means core 0, which keeps bundles
   // recorded before the SMP refactor byte-identical on replay.
-  if (e.cpu != 0) o.set("cpu", json::Value(static_cast<uint64_t>(e.cpu)));
-  o.set("imm", json::Value(static_cast<uint64_t>(e.imm)));
-  return o;
+  if (e.cpu != 0) add("cpu", json::Value(static_cast<uint64_t>(e.cpu)));
+  add("imm", json::Value(static_cast<uint64_t>(e.imm)));
+  return json::Value::object(std::move(m));
 }
 
 bool audit_event_from_json(const json::Value& v, AuditEvent* out) {

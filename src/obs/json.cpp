@@ -253,10 +253,46 @@ void write_value(Writer& w, const Value& v) {
   }
 }
 
+/// Upper bound of the bytes compact output of `v` takes, its separator
+/// included; `longest` becomes at least its longest string or key.
+size_t compact_bound(const Value& v, size_t& longest) {
+  switch (v.kind()) {
+    case Value::Kind::Null:
+    case Value::Kind::Bool:
+      return 6;
+    case Value::Kind::Number:
+      return 25;  // "%.17g" prints at most 24 bytes
+    case Value::Kind::String:
+      longest = std::max(longest, v.as_string().size());
+      return 6 * v.as_string().size() + 3;
+    case Value::Kind::Array: {
+      size_t n = 3;
+      for (const Value& item : v.items()) n += compact_bound(item, longest);
+      return n;
+    }
+    case Value::Kind::Object: {
+      size_t n = 3;
+      for (const auto& [k, member] : v.members()) {
+        longest = std::max(longest, k.view().size());
+        n += 6 * k.view().size() + 4 + compact_bound(member, longest);
+      }
+      return n;
+    }
+  }
+  return 0;
+}
+
 }  // namespace
 
 std::string Value::dump(int indent) const {
   Writer w(indent);
+  if (indent <= 0) {
+    // The Writer grows in steps of at least 4 KiB and asks for room for a
+    // string's worst-case escaping, so this much never reallocates.
+    size_t longest = 0;
+    const size_t bound = compact_bound(*this, longest);
+    w.reserve(bound + 6 * longest + 4096);
+  }
   write_value(w, *this);
   return w.take();
 }

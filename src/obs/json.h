@@ -253,9 +253,10 @@ class Value {
     v.kind_ = Kind::Array;
     return v;
   }
-  static Value object() {
+  /// An object of `members`, whose keys must be distinct.
+  static Value object(Object members = {}) {
     Value v;
-    new (&v.o_) Object();
+    new (&v.o_) Object(std::move(members));
     v.kind_ = Kind::Object;
     return v;
   }
@@ -291,7 +292,8 @@ class Value {
   Value& push(Value v);  ///< append to array; returns the stored element
   Value& set(std::string_view key, Value v);  ///< insert/replace member
 
-  /// Serialize through Writer. `indent` > 0 pretty-prints.
+  /// Serialize through Writer. `indent` > 0 pretty-prints; compact output
+  /// sizes the Writer once from an upper bound of the document.
   std::string dump(int indent = 0) const;
 
   /// Strict parse of a complete document; std::nullopt on any error.

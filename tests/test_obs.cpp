@@ -290,6 +290,29 @@ TEST(Json, DumpGoldenBytes) {
     "}");
 }
 
+TEST(Json, DumpOfStringsWhereEveryByteNeedsAnEscape) {
+  // Compact output reserves its worst case up front; this is that case, as
+  // a key, a member value and an array element.
+  std::string s;
+  for (char c = 0; c < 0x20; ++c) s += c;
+  s += "\"\\";
+  json::Value tree = json::Value::object();
+  tree.set(s, json::Value(s));
+  json::Value arr = json::Value::array();
+  arr.push(json::Value(s));
+  tree.set("a", std::move(arr));
+  const std::string e =
+      "\\u0000\\u0001\\u0002\\u0003\\u0004\\u0005\\u0006\\u0007"
+      "\\u0008\\t\\n\\u000b\\u000c\\r\\u000e\\u000f"
+      "\\u0010\\u0011\\u0012\\u0013\\u0014\\u0015\\u0016\\u0017"
+      "\\u0018\\u0019\\u001a\\u001b\\u001c\\u001d\\u001e\\u001f"
+      "\\\"\\\\";
+  EXPECT_EQ(e.size(), 6 * 29 + 2 * 5);
+  EXPECT_EQ(tree.dump(), "{\"" + e + "\":\"" + e + "\",\"a\":[\"" + e + "\"]}");
+  EXPECT_EQ(tree.dump(2), "{\n  \"" + e + "\": \"" + e +
+                              "\",\n  \"a\": [\n    \"" + e + "\"\n  ]\n}");
+}
+
 TEST(Json, WriterStreamsTheSameBytesAsDump) {
   json::Value tree = json::Value::object();
   tree.set("pc", json::Value("0xfedcba9876543210"));
