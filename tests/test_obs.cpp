@@ -18,6 +18,7 @@
 
 #include "assembler/builder.h"
 #include "attacks/attacks.h"
+#include "core/keysetter.h"
 #include "cpu/cpu.h"
 #include "harness.h"
 #include "kernel/machine.h"
@@ -983,7 +984,7 @@ TEST(Observability, DisabledMachineHasNoCollector) {
 // which the hypervisor denies (the kernel then oopses, ending the run). The
 // attack verdict is reported the way the attack framework reports it.
 // Stage2Fault is the one kind it lacks: the kernel oopses on a
-// stage-2 fault as well, so no guest can take both.
+// stage-2 fault as well, so no guest can take both; the next golden pins it.
 
 obj::Program module_with_init(const std::string& name,
                               void (*body)(assembler::FunctionBuilder&)) {
@@ -1114,6 +1115,78 @@ TEST(MachineGolden, EveryEventKindPinnedOnOneAndTwoCores) {
     EXPECT_EQ(every_kind_digests(2, engine),
               (GoldenDigests{0x5936b35b60ee4dd6ull, 0xcbfbad98753c5409ull,
                              0xf7f774abb62b4610ull}));
+  }
+}
+
+// ---- Machine golden: the stage-2 fault ------------------------------------
+//
+// The one event kind the guest above cannot take: a module whose init loads
+// from the execute-only key setter. The load takes a stage-2 permission
+// fault, the kernel oopses, and the flight recorder captures the fault as
+// its trigger.
+
+struct Stage2Digests {
+  uint64_t trace, audit, registry;
+  std::string trigger;
+  bool operator==(const Stage2Digests&) const = default;
+};
+
+void PrintTo(const Stage2Digests& d, std::ostream* os) {
+  *os << std::hex << "{0x" << d.trace << ", 0x" << d.audit << ", 0x"
+      << d.registry << ", " << d.trigger << "}";
+}
+
+Stage2Digests stage2_digests(unsigned cores, cpu::Engine engine) {
+  kernel::MachineConfig cfg;
+  cfg.cpu.engine = engine;
+  cfg.kernel.protection = compiler::ProtectionConfig::full();
+  cfg.kernel.log_pac_failures = false;
+  cfg.cores = cores;
+  cfg.smp_quantum = 500;
+  cfg.obs.enabled = true;
+  kernel::Machine m(cfg);
+  const auto reader = static_cast<uint64_t>(m.register_module(
+      "peek", module_with_init("peek", [](auto& f) {
+        f.mov_sym(9, core::kKeySetterSymbol);
+        f.ldr(0, 9, 0);  // the key setter is execute-only at stage 2
+        f.ret();
+      })));
+  m.add_user_program(kernel::workloads::null_syscall(2));
+  m.add_user_program(kernel::workloads::load_module(reader));
+  m.boot();
+  EXPECT_TRUE(m.run());
+  EXPECT_EQ(m.halt_code(), kernel::kHaltOops) << "the stage-2 fault oopses";
+  const Collector& st = *m.stats();
+  EXPECT_TRUE(st.flight().captured());
+
+  std::string audit;
+  for (const AuditEvent& e : st.audit_log().snapshot())
+    audit += audit_event_json(e).dump() + "\n";
+  const auto bundle = json::Value::parse(
+      flight_bundle_json(st.flight(), {}, "stage2", "full", 0));
+  const json::Value* trigger = bundle ? bundle->get("trigger") : nullptr;
+  return {testing::fnv1a(st.chrome_trace_json()), testing::fnv1a(audit),
+          testing::fnv1a(testing::guest_metrics_json(st.metrics())),
+          trigger ? trigger->dump() : "<no trigger>"};
+}
+
+TEST(MachineGolden, Stage2FaultPinnedOnOneAndTwoCores) {
+  for (const cpu::Engine engine : cpu::kEngines) {
+    SCOPED_TRACE(cpu::engine_name(engine));
+    EXPECT_EQ(
+        stage2_digests(1, engine),
+        (Stage2Digests{0x26077cffad4d2125ull, 0x4748b8e96dcb1b15ull,
+                       0x56eb918b7b77d24dull,
+                       R"({"kind":9,"cycles":"0x7f4","pc":"0xffff000001000010",)"
+                       R"("a":"0xffff000000080000","b":"0x0","el":1,"k1":4,)"
+                       R"("k2":0,"imm":0})"}));
+    EXPECT_EQ(
+        stage2_digests(2, engine),
+        (Stage2Digests{0x47dd5de99edb1d8dull, 0xce4e9138e663b4bcull,
+                       0xad7fa19661434518ull,
+                       R"({"kind":9,"cycles":"0x1de","pc":"0xffff000001000010",)"
+                       R"("a":"0xffff000000080000","b":"0x0","el":1,"k1":4,)"
+                       R"("k2":0,"imm":0})"}));
   }
 }
 
