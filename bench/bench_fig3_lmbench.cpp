@@ -163,9 +163,9 @@ int main(int argc, char** argv) {
     return 1;
 
   // Observability sink cost (informational, never gated): the same read
-  // workload on the default engine with no collector, with only the ring,
-  // audit log and flight recorder (no call graph), with the default sinks,
-  // and with coverage on top.
+  // workload on the default engine with no collector, with only the event
+  // ring and flight recorder (no call graph), with the default sinks, and
+  // with coverage on top.
   {
     const SinkSet sets[] = {{"off", false, false, false},
                             {"ring+audit+flight", true, false, false},

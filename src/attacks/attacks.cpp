@@ -90,7 +90,7 @@ thread_local FlightCtx g_flight_ctx;
 void record_outcome(Machine& m, AttackReport& r) {
   obs::Collector* st = m.stats();
   if (!st) return;
-  r.trace_auth_failures = st->ring().count_kind(obs::EventKind::AuthFail);
+  r.trace_auth_failures = st->events().count_kind(obs::EventKind::AuthFail);
   // A Detected verdict arms the flight recorder even when no guest-visible
   // fault fired, so the bundle below always has a capture for detected
   // attacks.
@@ -101,7 +101,7 @@ void record_outcome(Machine& m, AttackReport& r) {
     r.coverage = std::make_shared<obs::CoverageMap>(st->coverage().snapshot());
   if (g_flight_ctx.out) {
     *g_flight_ctx.out = obs::flight_bundle_json(
-        st->flight(), st->audit_log().snapshot(), g_flight_ctx.attack,
+        st->flight(), st->audit_events(), g_flight_ctx.attack,
         g_flight_ctx.config, m.config().seed);
   }
 }

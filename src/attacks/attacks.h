@@ -37,8 +37,8 @@ struct AttackReport {
   uint64_t pac_failures = 0;
   uint64_t halt_code = 0;
   uint64_t attempts = 1;  ///< brute force: tries until panic/success
-  /// AuthFail events observed in the machine's trace ring — the obs-side
-  /// view of the same failures the guest counts in pac_fail_count.
+  /// AuthFail facts in the machine's event ring — the obs-side view of the
+  /// same failures the guest counts in pac_fail_count.
   uint64_t trace_auth_failures = 0;
   /// Execution coverage of the attack run (null unless collect_coverage()
   /// was set before the run). Shared so reports stay cheap to copy.

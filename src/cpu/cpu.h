@@ -237,7 +237,7 @@ class Cpu {
   // one never changes simulated cycle counts.
   /// The collector this core reports its security facts to, once each:
   /// exception entry/exit, PAC sign/auth with key provenance, key installs.
-  /// It builds the trace ring's and the audit log's records from them.
+  /// It stores each as one event, the trace and audit views' one source.
   void set_collector(obs::Collector* c) { obs_ = c; }
   /// This core's id, cycle counter and EL, with `at` as the guest pc: the
   /// Site of a fact it (or the hypervisor on its behalf) reports.

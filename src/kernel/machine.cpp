@@ -226,9 +226,9 @@ void Machine::attach_observability() {
   // The retire counters exist from the start, as zeros (run() publishes
   // their values).
   publish_retire_counters();
-  // CPU and hypervisor reports land in the collector's trace ring and
-  // audit log (DESIGN.md §3a, §3f); audit events are stamped with this
-  // machine's fleet identity so merged logs stay per-machine attributable.
+  // CPU and hypervisor reports land in the collector's event ring (DESIGN.md
+  // §3a, §3f); facts are stamped with this machine's fleet identity so
+  // merged streams stay per-machine attributable.
   stats_->set_machine_id(cfg_.machine_id);
   hv_.set_collector(stats_.get());
   // Flight-recorder state provider: fills the machine-state snapshot at

@@ -113,7 +113,7 @@ class Machine {
   const core::BootResult& boot_result() const { return *boot_; }
   const MachineConfig& config() const { return cfg_; }
 
-  /// Per-machine observability (trace ring, metrics, profiler). Non-null
+  /// Per-machine observability (event ring, metrics, profiler). Non-null
   /// only when MachineConfig::obs.enabled was set before boot().
   obs::Collector* stats() { return stats_.get(); }
   const obs::Collector* stats() const { return stats_.get(); }

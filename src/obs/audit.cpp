@@ -2,23 +2,6 @@
 
 namespace camo::obs {
 
-const char* audit_kind_name(AuditKind k) {
-  switch (k) {
-    case AuditKind::None: return "none";
-    case AuditKind::KeyInstall: return "key-install";
-    case AuditKind::Sign: return "sign";
-    case AuditKind::AuthOk: return "auth-ok";
-    case AuditKind::AuthFail: return "auth-fail";
-    case AuditKind::ElEnter: return "el-enter";
-    case AuditKind::ElExit: return "el-exit";
-    case AuditKind::HypDenied: return "hyp-denied";
-    case AuditKind::ModuleVerify: return "module-verify";
-    case AuditKind::AttackVerdict: return "attack-verdict";
-    case AuditKind::kCount: break;
-  }
-  return "<bad-kind>";
-}
-
 const char* modifier_class_name(ModifierClass c) {
   switch (c) {
     case ModifierClass::Zero: return "zero";
@@ -33,7 +16,7 @@ std::vector<size_t> causal_chain(const std::vector<AuditEvent>& events,
   std::vector<size_t> chain;
   if (at >= events.size()) return chain;
   const AuditEvent& fail = events[at];
-  if (fail.kind != AuditKind::AuthFail) {
+  if (fail.kind != EventKind::AuthFail) {
     chain.push_back(at);
     return chain;
   }
@@ -44,10 +27,10 @@ std::vector<size_t> causal_chain(const std::vector<AuditEvent>& events,
   for (size_t i = 0; i < at; ++i) {
     const AuditEvent& e = events[i];
     if (e.machine != fail.machine) continue;
-    if (e.kind == AuditKind::KeyInstall && e.prov == fail.prov &&
+    if (e.kind == EventKind::KeyWrite && e.prov == fail.prov &&
         fail.prov != 0) {
       chain.push_back(i);
-    } else if (e.kind == AuditKind::Sign && e.key == fail.key &&
+    } else if (e.kind == EventKind::PacSign && e.key == fail.key &&
                e.prov == fail.prov) {
       const bool exact = e.ptr2 == fail.ptr;  // signed value replayed as-is
       const bool stripped =
@@ -58,7 +41,7 @@ std::vector<size_t> causal_chain(const std::vector<AuditEvent>& events,
   chain.push_back(at);
   for (size_t i = at + 1; i < events.size(); ++i) {
     if (events[i].machine != fail.machine) continue;
-    if (events[i].kind == AuditKind::AttackVerdict) chain.push_back(i);
+    if (events[i].kind == EventKind::AttackOutcome) chain.push_back(i);
   }
   return chain;
 }

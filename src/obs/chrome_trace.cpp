@@ -18,10 +18,10 @@ constexpr uint64_t kTidPoints = 3;   ///< instant-event lane
 // Streams straight into the output: traces run to hundreds of thousands of
 // events, and nothing edits an event after it is written. The member order
 // and number rules are pinned byte-for-byte by ChromeTrace.GoldenBytes.
-std::string chrome_trace_json(const std::vector<TraceEvent>& events) {
+std::string chrome_trace_json(const std::vector<Event>& events) {
   json::Writer w;
   // An exported event takes 60-130 bytes and most rings are half sign/auth
-  // events, which are skipped.
+  // facts, which are skipped.
   w.reserve(256 + 64 * events.size());
   // Opens an event object with the fields every row carries; the caller
   // adds the rest and closes it.
@@ -60,11 +60,11 @@ std::string chrome_trace_json(const std::vector<TraceEvent>& events) {
   int sys_depth = 0;
   uint64_t last_ts = 0;
 
-  for (const TraceEvent& e : events) {
+  const auto row = [&](const Event& e) {
     if (e.cycles > last_ts) last_ts = e.cycles;
     switch (e.kind) {
       case EventKind::ExcEnter:
-        event(exc_class_label(e.k1), "B", e.cycles, kTidExc)
+        event(exc_class_label(e.aux), "B", e.cycles, kTidExc)
             .key("args").begin_object()
             .key("pc").hex(e.pc)
             .key("from_el").number(uint64_t{e.el});
@@ -93,16 +93,16 @@ std::string chrome_trace_json(const std::vector<TraceEvent>& events) {
         }
         break;
       case EventKind::AuthFail:
-        event(label("auth-fail ", pac_key_label(e.k1)), "i", e.cycles,
+        event(label("auth-fail ", pac_key_label(e.key)), "i", e.cycles,
               kTidPoints)
             .key("s").string("g")  // global-scope instant
             .key("args").begin_object()
-            .key("ptr").hex(e.a)
-            .key("modifier").hex(e.b)
+            .key("ptr").hex(e.ptr)
+            .key("modifier").hex(e.modifier)
             .end_object().end_object();
         break;
       case EventKind::KeyWrite:
-        event(label("key-write ", pac_key_label(e.k1)), "i", e.cycles,
+        event(label("key-write ", pac_key_label(e.key)), "i", e.cycles,
               kTidPoints)
             .key("s").string("t").end_object();
         break;
@@ -110,14 +110,14 @@ std::string chrome_trace_json(const std::vector<TraceEvent>& events) {
         event("context-switch", "i", e.cycles, kTidPoints)
             .key("s").string("g")
             .key("args").begin_object()
-            .key("prev").hex(e.a)
-            .key("next").hex(e.b)
+            .key("prev").hex(e.ptr)
+            .key("next").hex(e.ptr2)
             .end_object().end_object();
         break;
       case EventKind::Stage2Fault:
         event("stage2-fault", "i", e.cycles, kTidPoints)
             .key("s").string("g")
-            .key("args").begin_object().key("va").hex(e.a)
+            .key("args").begin_object().key("va").hex(e.ptr)
             .end_object().end_object();
         break;
       case EventKind::HvcCall:
@@ -133,14 +133,15 @@ std::string chrome_trace_json(const std::vector<TraceEvent>& events) {
             .key("s").string("t").end_object();
         break;
       case EventKind::AttackOutcome:
-        event(label("attack: ", outcome_label(e.k1)), "i", e.cycles,
+        event(label("attack: ", outcome_label(e.aux)), "i", e.cycles,
               kTidPoints)
             .key("s").string("g").end_object();
         break;
       default:
         break;
     }
-  }
+  };
+  for (const Event& e : events) for_each_trace_record(e, row);
 
   // Close any spans the stream left open so viewers see complete windows.
   while (exc_depth-- > 0) event("", "E", last_ts, kTidExc).end_object();

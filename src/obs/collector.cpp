@@ -7,8 +7,6 @@
 namespace camo::obs {
 
 namespace {
-constexpr uint8_t kExcClassSvc = 1;   // mirrors cpu::ExcClass::Svc
-constexpr uint8_t kFaultStage2 = 4;   // mirrors mem::FaultKind::Stage2
 constexpr uint8_t kOutcomeDetected = 1;  // mirrors attacks::Outcome::Detected
 constexpr uint64_t kBurstGapCycles = 32;
 }  // namespace
@@ -26,10 +24,11 @@ Collector::Collector(const Options& opts)
   key_switch_ = &reg_.histogram("key.switch.cycles");
 }
 
-void Collector::count(const TraceEvent& e) {
-  // The registry counters an event kind bumps: one fixed name, and for some
-  // kinds a "<family><label of k1>" counter. The label helpers map every
-  // out-of-range k1 to one label, which shares the slot past the named ones.
+void Collector::count(const Event& e) {
+  // The registry counters a trace record bumps: one fixed name, and for some
+  // kinds a "<family><label>" counter of its key (key kinds) or aux byte.
+  // The label helpers map every out-of-range value to one label, which
+  // shares the slot past the named ones.
   struct Names {
     const char* name = nullptr;
     const char* family = nullptr;
@@ -42,6 +41,7 @@ void Collector::count(const TraceEvent& e) {
       n = {"exc.enter", "exc.", exc_class_label, kExcClassLabels};
       break;
     case EventKind::ExcExit: n = {"exc.exit"}; break;
+    case EventKind::SyscallEnter: n = {"syscall.count"}; break;
     case EventKind::KeyWrite:
       n = {"key.write", "key.write.", pac_key_label, kPacKeyLabels};
       break;
@@ -70,7 +70,8 @@ void Collector::count(const TraceEvent& e) {
   if (kind_counters_[k] == nullptr) kind_counters_[k] = &reg_.counter(n.name);
   kind_counters_[k]->inc();
   if (n.family == nullptr) return;
-  const uint8_t v = e.k1 < n.labels ? e.k1 : static_cast<uint8_t>(n.labels);
+  uint8_t v = n.label == pac_key_label ? e.key : e.aux;
+  if (v >= n.labels) v = static_cast<uint8_t>(n.labels);
   Counter*& slot = label_counters_[k][v];
   if (slot == nullptr) slot = &reg_.counter(std::string(n.family) + n.label(v));
   slot->inc();
@@ -78,136 +79,102 @@ void Collector::count(const TraceEvent& e) {
 
 // ---- reported facts ---------------------------------------------------------
 //
-// Each builds the ring's record, then the log's, from the one report.
+// Each stores its one fact: the audit record plus the trace-only payloads.
 
 void Collector::exc_enter(const Site& s, uint8_t cls, uint8_t fault,
                           uint16_t iss, uint64_t far, uint64_t x8) {
-  trace(s.cpu, {.cycles = s.cycles, .pc = s.pc, .a = far,
-                .b = cls == kExcClassSvc ? x8 : 0, .kind = EventKind::ExcEnter,
-                .el = s.el, .k1 = cls, .k2 = fault, .imm = iss});
-  if (fault == kFaultStage2)
-    trace(s.cpu, {.cycles = s.cycles, .pc = s.pc, .a = far,
-                  .kind = EventKind::Stage2Fault, .el = s.el, .k1 = cls});
-  audit(s.cpu, {.cycles = s.cycles, .pc = s.pc, .ptr = far,
-                .kind = AuditKind::ElEnter, .el = s.el, .aux = cls});
+  const bool svc = cls == kExcClassSvc;
+  record(s, {.ptr = far, .ptr2 = svc ? x8 : 0, .kind = EventKind::ExcEnter,
+             .aux = cls, .fault = fault, .imm = iss, .syscall = svc});
 }
 
 void Collector::exc_exit(const Site& s, uint64_t target, uint8_t target_el) {
-  trace(s.cpu, {.cycles = s.cycles, .pc = target, .a = target,
-                .kind = EventKind::ExcExit, .el = s.el, .k2 = target_el});
-  audit(s.cpu, {.cycles = s.cycles, .pc = s.pc, .ptr = target,
-                .kind = AuditKind::ElExit, .el = s.el, .aux = target_el});
+  record(s, {.ptr = target, .kind = EventKind::ExcExit, .aux = target_el});
 }
 
 void Collector::pac_sign(const Site& s, uint8_t key, uint64_t ptr,
                          uint64_t modifier, uint64_t signed_ptr,
                          uint64_t prov) {
-  pac(s, EventKind::PacSign, AuditKind::Sign, key, ptr, modifier, signed_ptr,
-      0, prov);
+  record(s, {.ptr = ptr, .ptr2 = signed_ptr, .modifier = modifier,
+             .prov = prov, .kind = EventKind::PacSign, .key = key});
 }
 
 void Collector::pac_auth(const Site& s, bool ok, uint8_t key, uint64_t ptr,
                          uint64_t modifier, uint64_t result, uint64_t lr,
                          uint64_t prov) {
-  pac(s, ok ? EventKind::AuthOk : EventKind::AuthFail,
-      ok ? AuditKind::AuthOk : AuditKind::AuthFail, key, ptr, modifier, result,
-      lr, prov);
-}
-
-void Collector::pac(const Site& s, EventKind ek, AuditKind ak, uint8_t key,
-                    uint64_t ptr, uint64_t modifier, uint64_t result,
-                    uint64_t lr, uint64_t prov) {
-  trace(s.cpu, {.cycles = s.cycles, .pc = s.pc, .a = ptr, .b = modifier,
-                .kind = ek, .el = s.el, .k1 = key});
-  audit(s.cpu,
-        {.cycles = s.cycles, .pc = s.pc, .ptr = ptr, .ptr2 = result,
-         .modifier = modifier, .lr = lr, .prov = prov, .kind = ak, .key = key,
-         .el = s.el,
-         .mclass = static_cast<uint8_t>(classify_modifier(modifier))});
+  record(s, {.ptr = ptr, .ptr2 = result, .modifier = modifier, .lr = lr,
+             .prov = prov,
+             .kind = ok ? EventKind::AuthOk : EventKind::AuthFail, .key = key});
 }
 
 void Collector::key_install(const Site& s, uint8_t key, uint64_t prov,
                             bool bank, uint16_t sysreg) {
-  if (!bank)
-    trace(s.cpu, {.cycles = s.cycles, .pc = s.pc, .kind = EventKind::KeyWrite,
-                  .el = s.el, .k1 = key, .imm = sysreg});
-  audit(s.cpu, {.cycles = s.cycles, .pc = s.pc, .prov = prov,
-                .kind = AuditKind::KeyInstall, .key = key, .el = s.el,
-                .bank = bank, .imm = sysreg});
+  record(s, {.prov = prov, .kind = EventKind::KeyWrite, .key = key,
+             .bank = bank, .imm = sysreg});
 }
 
 void Collector::msr_denied(const Site& s, uint16_t sysreg) {
-  trace(s.cpu, {.cycles = s.cycles, .pc = s.pc, .kind = EventKind::MsrDenied,
-                .el = s.el, .imm = sysreg});
-  audit(s.cpu, {.cycles = s.cycles, .pc = s.pc, .kind = AuditKind::HypDenied,
-                .el = s.el, .imm = sysreg});
+  record(s, {.kind = EventKind::MsrDenied, .imm = sysreg});
 }
 
 void Collector::hvc_call(const Site& s, uint16_t imm, uint64_t x0,
                          uint64_t x1) {
-  trace(s.cpu, {.cycles = s.cycles, .pc = s.pc, .a = x0, .b = x1,
-                .kind = EventKind::HvcCall, .el = s.el, .imm = imm});
+  record(s, {.ptr = x0, .ptr2 = x1, .kind = EventKind::HvcCall, .imm = imm});
 }
 
 void Collector::module_verify(const Site& s, uint64_t id, uint64_t init_va,
                               bool ok) {
-  trace(s.cpu, {.cycles = s.cycles, .pc = s.pc, .a = id, .b = init_va,
-                .kind = EventKind::ModuleLoad, .el = s.el, .k1 = ok});
-  audit(s.cpu, {.cycles = s.cycles, .pc = s.pc, .ptr = id, .ptr2 = init_va,
-                .kind = AuditKind::ModuleVerify, .el = s.el, .aux = ok});
+  record(s, {.ptr = id, .ptr2 = init_va, .kind = EventKind::ModuleLoad,
+             .aux = ok});
 }
 
 void Collector::context_switch(const Site& s, uint64_t prev, uint64_t next) {
-  trace(s.cpu, {.cycles = s.cycles, .pc = s.pc, .a = prev, .b = next,
-                .kind = EventKind::ContextSwitch, .el = s.el});
+  record(s, {.ptr = prev, .ptr2 = next, .kind = EventKind::ContextSwitch});
 }
 
 void Collector::attack_verdict(unsigned cpu, uint64_t cycles, uint8_t outcome,
                                uint64_t pac_failures, uint64_t halt_code) {
-  // The ring's record comes first so a Detected verdict arms the flight
-  // recorder even when no guest-visible fault fired (e.g. a threshold panic
-  // classified after the run). The verdict has no guest pc; the log files
-  // it under EL1, the ring under EL0.
-  trace(cpu,
-        {.cycles = cycles, .kind = EventKind::AttackOutcome, .k1 = outcome});
-  audit(cpu, {.cycles = cycles, .ptr = pac_failures, .ptr2 = halt_code,
-              .kind = AuditKind::AttackVerdict, .el = 1, .aux = outcome});
+  // A Detected verdict arms the flight recorder even when no guest-visible
+  // fault fired (e.g. a threshold panic classified after the run). The
+  // verdict has no guest pc; the fact files it under EL1, the trace view
+  // under EL0.
+  record({.cpu = cpu, .cycles = cycles, .el = 1},
+         {.ptr = pac_failures, .ptr2 = halt_code,
+          .kind = EventKind::AttackOutcome, .aux = outcome});
 }
 
 // ---- derived state ----------------------------------------------------------
 
-void Collector::trace(unsigned cpu, const TraceEvent& e) {
-  ring_.push(e);
-  count(e);
+void Collector::record(const Site& s, Event e) {
+  e.cycles = s.cycles;
+  e.pc = s.pc;
+  e.el = s.el;
+  e.cpu = static_cast<uint8_t>(s.cpu);
+  e.machine = machine_id_;
+  e.mclass = static_cast<uint8_t>(classify_modifier(e.modifier));  // 0: none
   switch (e.kind) {
     case EventKind::ExcEnter:
-      if (e.k1 == kExcClassSvc) {
-        if (syscall_count_ == nullptr)
-          syscall_count_ = &reg_.counter("syscall.count");
-        syscall_count_->inc();
-        CoreState& c = core(cpu);
+      if (e.syscall) {
+        CoreState& c = core(s.cpu);
         c.syscall_open = true;
         c.syscall_enter_cycles = e.cycles;
-        c.syscall_nr = static_cast<uint16_t>(e.b);
-        ring_.push({.cycles = e.cycles, .pc = e.pc,
-                    .kind = EventKind::SyscallEnter, .el = e.el,
-                    .imm = c.syscall_nr});
+        c.syscall_nr = static_cast<uint16_t>(e.ptr2);
       }
       break;
     case EventKind::ExcExit: {
-      CoreState& c = core(cpu);
-      if (c.syscall_open && e.k2 == 0) {  // ERET to EL0 closes the window
+      CoreState& c = core(s.cpu);
+      if (c.syscall_open && e.aux == 0) {  // ERET to EL0 closes the window
         c.syscall_open = false;
-        const uint64_t window = e.cycles - c.syscall_enter_cycles;
-        syscall_cycles_->record(window);
-        ring_.push({.cycles = e.cycles, .pc = e.a, .a = window,
-                    .kind = EventKind::SyscallExit, .el = e.el,
-                    .imm = c.syscall_nr});
+        e.syscall = 1;
+        e.ptr2 = e.cycles - c.syscall_enter_cycles;
+        e.imm = c.syscall_nr;
+        syscall_cycles_->record(e.ptr2);
       }
       break;
     }
     case EventKind::KeyWrite: {
-      CoreState& c = core(cpu);
+      if (e.bank) break;
+      CoreState& c = core(s.cpu);
       if (c.burst_open && e.cycles - c.burst_last <= kBurstGapCycles) {
         c.burst_last = e.cycles;
         ++c.burst_writes;
@@ -220,43 +187,27 @@ void Collector::trace(unsigned cpu, const TraceEvent& e) {
       }
       break;
     }
-    default:
-      break;
-  }
-  // Flight-recorder capture: any protection violation or attack detection
-  // freezes the instruction ring and snapshots machine state (first trigger
-  // wins — it is the causal root).
-  const bool violation =
-      e.kind == EventKind::AuthFail || e.kind == EventKind::Stage2Fault ||
-      e.kind == EventKind::MsrDenied ||
-      (e.kind == EventKind::AttackOutcome && e.k1 == kOutcomeDetected);
-  if (violation) flight_.trigger(e);
-}
-
-void Collector::audit(unsigned cpu, AuditEvent a) {
-  a.cpu = static_cast<uint8_t>(cpu);
-  a.machine = machine_id_;
-  audit_log_.push(a);
-  switch (a.kind) {
-    case AuditKind::Sign: {
-      // One probe: insert (or find) the entry, and take a fresh one back
-      // out when the table was already full.
-      auto& pending = core(cpu).pending_signs;
-      if (const auto [it, fresh] = pending.try_emplace(a.ptr2, a.cycles);
+    case EventKind::PacSign: {
+      // Sign→auth latency: each sign remembers its signed value and cycle,
+      // and the matching auth on the same core records the distance and
+      // retires the entry. One probe: insert (or find) the entry, and take
+      // a fresh one back out when the table was already full.
+      auto& pending = core(s.cpu).pending_signs;
+      if (const auto [it, fresh] = pending.try_emplace(e.ptr2, e.cycles);
           !fresh) {
-        it->second = a.cycles;
+        it->second = e.cycles;
       } else if (pending.size() > kMaxPendingSigns) {
         pending.erase(it);
         reg_.counter("pauth.sign_to_auth.dropped").inc();
       }
       break;
     }
-    case AuditKind::AuthOk:
-    case AuditKind::AuthFail: {
-      auto& pending = core(cpu).pending_signs;
-      const auto it = pending.find(a.ptr);
+    case EventKind::AuthOk:
+    case EventKind::AuthFail: {
+      auto& pending = core(s.cpu).pending_signs;
+      const auto it = pending.find(e.ptr);
       if (it != pending.end()) {
-        sign_to_auth_->record(a.cycles - it->second);
+        sign_to_auth_->record(e.cycles - it->second);
         pending.erase(it);
       }
       break;
@@ -264,6 +215,34 @@ void Collector::audit(unsigned cpu, AuditEvent a) {
     default:
       break;
   }
+  if (is_audit_kind(e.kind)) ++audit_total_;
+  // The counters and the flight trigger read the fact's trace view. Any
+  // protection violation or attack detection there freezes the instruction
+  // ring and snapshots machine state (first trigger wins — it is the causal
+  // root).
+  for_each_trace_record(ring_.push(e), [this](const Event& t) {
+    count(t);
+    if (t.kind == EventKind::AuthFail || t.kind == EventKind::Stage2Fault ||
+        t.kind == EventKind::MsrDenied ||
+        (t.kind == EventKind::AttackOutcome && t.aux == kOutcomeDetected))
+      flight_.trigger(t);
+  });
+}
+
+std::vector<Event> Collector::audit_events() const {
+  // Walk back from the newest fact to the window's oldest audit fact.
+  size_t first = ring_.size(), n = 0;
+  while (first > 0 && n < kAuditWindow)
+    n += is_audit_kind(ring_.at(--first).kind) ? 1 : 0;
+  std::vector<Event> out;
+  out.reserve(n);
+  for (size_t i = first; i < ring_.size(); ++i)
+    if (is_audit_kind(ring_.at(i).kind)) out.push_back(audit_form(ring_.at(i)));
+  return out;
+}
+
+uint64_t Collector::audit_dropped() const {
+  return audit_total_ - audit_events().size();
 }
 
 void Collector::retire_run(const RetireRun& run) {

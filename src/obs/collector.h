@@ -5,30 +5,33 @@
 // exc_enter, exc_exit, pac_sign, pac_auth, key_install, msr_denied,
 // hvc_call, module_verify, context_switch and attack_verdict. Every call
 // carries a Site: the reporting core's id, its cycle counter, the guest pc
-// and the EL. From that one call the Collector builds both records — first
-// the trace ring's TraceEvent, then the audit log's AuditEvent — so the two
-// formats live only here. The CPU's retire runs (CycleAttributor) and
-// control flow (CfSink) arrive through their own interfaces. Everything
-// fans out to the backends:
+// and the EL. The Collector stores each fact once, as one obs::Event in its
+// ring, and derives everything else from it. The CPU's retire runs
+// (CycleAttributor) and control flow (CfSink) arrive through their own
+// interfaces. Everything fans out to the backends:
 //
-//  * a TraceRing keeping the most recent events,
+//  * the event ring (obs/ring.h) of the newest 32,768 facts. The trace view
+//    (obs/trace.h) expands all of them; the audit view (obs/audit.h) is the
+//    newest 8,192 audit-kind facts among them,
 //  * a Registry of named counters/histograms derived from the event stream
 //    and the retire feed (EL cycle residency, per-key auth failures,
 //    syscall latency histogram, ...). Counts the CPUs keep themselves are
 //    not recounted here: per-class retired ops (ops.*) and the per-core
 //    insn.c<k>/cycles.c<k> are published into this registry from the
 //    cores by cpu::publish_retire_counters,
-//  * the audit log, the flight recorder and the coverage map,
+//  * the flight recorder and the coverage map,
 //  * a CallGraphProfiler attributing retired cycles to guest call stacks;
 //    the flat per-symbol profile is its self-cycle view.
 //
-// The Collector also *synthesizes* syscall windows: an SVC exception entry
-// opens a window (emitting SyscallEnter with the nr from x8) and the next
-// exception exit returning to EL0 closes it (emitting SyscallExit and
-// recording the window length in the `syscall.cycles` histogram). Under
-// context switching a window can span other tasks' execution; the histogram
-// therefore measures wall-clock (guest cycle) syscall latency, which is what
-// Fig. 3 reports.
+// The counters, syscall windows, key-switch bursts and sign-to-auth matches
+// are live state, updated as each fact is stored, so they keep counting the
+// facts the ring overwrites. An SVC entry opens a syscall window and the
+// next exception exit to EL0 on that core closes it: both facts are marked
+// (Event::syscall), the exit carries the window length into the
+// `syscall.cycles` histogram, and the trace view derives its SyscallEnter
+// and SyscallExit from the marks. Under context switching a window can span
+// other tasks' execution; the histogram therefore measures wall-clock
+// (guest cycle) syscall latency, which is what Fig. 3 reports.
 #pragma once
 
 #include <array>
@@ -74,6 +77,9 @@ struct Site {
 
 class Collector : public CycleAttributor, public CfSink {
  public:
+  static constexpr size_t kEventCapacity = 1 << 15;  ///< facts in the ring
+  static constexpr size_t kAuditWindow = 8192;  ///< facts in the audit view
+
   explicit Collector(const Options& opts = Options{});
 
   // Reported facts (DESIGN.md §3a payloads) ---------------------------------
@@ -94,7 +100,7 @@ class Collector : public CycleAttributor, public CfSink {
                 uint64_t modifier, uint64_t result, uint64_t lr,
                 uint64_t prov);
   /// Key material installed with provenance `prov`: a guest MSR of key half
-  /// `sysreg`, or (`bank`) an EL2 kernel-bank install, which the trace ring
+  /// `sysreg`, or (`bank`) an EL2 kernel-bank install, which the trace view
   /// does not show.
   void key_install(const Site& s, uint8_t key, uint64_t prov, bool bank,
                    uint16_t sysreg = 0);
@@ -115,17 +121,20 @@ class Collector : public CycleAttributor, public CfSink {
   void control_flow(unsigned cpu, CfKind kind, uint64_t from_pc,
                     uint64_t to_pc, uint8_t info) override;
 
-  /// Fleet identity stamped onto every subsequent audit event, so merged
-  /// logs stay per-machine attributable.
+  /// Fleet identity stamped onto every subsequent fact, so merged streams
+  /// stay per-machine attributable.
   void set_machine_id(uint32_t id) { machine_id_ = id; }
 
   // Backends ----------------------------------------------------------------
   Registry& metrics() { return reg_; }
   const Registry& metrics() const { return reg_; }
-  TraceRing& ring() { return ring_; }
-  const TraceRing& ring() const { return ring_; }
-  AuditLog& audit_log() { return audit_log_; }
-  const AuditLog& audit_log() const { return audit_log_; }
+  /// The stored facts, oldest first.
+  const Ring& events() const { return ring_; }
+  /// The audit view: the newest kAuditWindow audit-kind facts in the ring,
+  /// oldest first, in audit form.
+  std::vector<Event> audit_events() const;
+  /// Audit-kind facts reported but not in the audit view.
+  uint64_t audit_dropped() const;
   FlightRecorder& flight() { return flight_; }
   const FlightRecorder& flight() const { return flight_; }
   /// Execution coverage map; only fed when options().coverage is set (the
@@ -137,7 +146,7 @@ class Collector : public CycleAttributor, public CfSink {
   const Options& options() const { return opts_; }
 
   // Export ------------------------------------------------------------------
-  /// Chrome trace_event JSON of the retained event window.
+  /// Chrome trace_event JSON of the trace view of the stored facts.
   std::string chrome_trace_json() const;
   /// Flat per-symbol cycle profile (text): the call graph's self-cycle
   /// view, so it is empty when options().callgraph is off.
@@ -148,24 +157,17 @@ class Collector : public CycleAttributor, public CfSink {
   std::string metrics_json() const { return reg_.to_json(); }
 
  private:
-  /// Record `e` in the ring and derive from it: counters, core `cpu`'s
-  /// syscall windows and key-switch bursts, the flight trigger.
-  void trace(unsigned cpu, const TraceEvent& e);
-  /// Record `a` in the audit log (stamped with the core and machine ids)
-  /// and derive the `pauth.sign_to_auth.cycles` histogram: each Sign
-  /// remembers its signed value + cycle, the matching Auth* on the same
-  /// core records the distance and retires the entry.
-  void audit(unsigned cpu, AuditEvent a);
-  /// The shared body of pac_sign and pac_auth.
-  void pac(const Site& s, EventKind ek, AuditKind ak, uint8_t key,
-           uint64_t ptr, uint64_t modifier, uint64_t result, uint64_t lr,
-           uint64_t prov);
+  /// Store fact `e` as observed at `s` (stamped with its cycles, pc, EL and
+  /// core, and the machine id) and update the live state from it: the
+  /// core's syscall windows, key bursts and pending signs, and, over its
+  /// trace view, the counters and the flight trigger.
+  void record(const Site& s, Event e);
 
   Options opts_;
   uint32_t machine_id_ = 0;
   Registry reg_;
-  TraceRing ring_;       // default capacity: 32768 events
-  AuditLog audit_log_;   // default capacity: 8192 events
+  Ring ring_{kEventCapacity};
+  uint64_t audit_total_ = 0;  ///< audit-kind facts ever stored
   FlightRecorder flight_;
   CallGraphProfiler cg_;
   CoverageMap cov_;
@@ -183,8 +185,8 @@ class Collector : public CycleAttributor, public CfSink {
     uint64_t syscall_enter_cycles = 0;
     uint16_t syscall_nr = 0;
 
-    // Key-switch burst detection: consecutive KeyWrite events ≤ 32 cycles
-    // apart form one burst (a bank switch writes several halves
+    // Key-switch burst detection: consecutive key-register writes ≤ 32
+    // cycles apart form one burst (a bank switch writes several halves
     // back-to-back); the burst span is recorded into `key.switch.cycles`
     // when it closes. A burst still open at end of run is deliberately
     // unrecorded — that keeps the histogram a pure function of the event
@@ -211,17 +213,16 @@ class Collector : public CycleAttributor, public CfSink {
   uint64_t retired_cycles_ = 0;
   unsigned run_cpu_ = 0;
 
-  /// Bump the registry counters of event `e` (see count() in the .cpp).
-  void count(const TraceEvent& e);
+  /// Bump the registry counters of trace record `e` (see the .cpp).
+  void count(const Event& e);
   // Those counters, resolved on their first increment (so the registry only
   // ever holds counters that fired) and then kept, indexed by EventKind:
-  // the fixed-name one, and the labelled family by k1. Registry references
-  // are stable.
+  // the fixed-name one, and the labelled family by the record's key or aux
+  // byte. Registry references are stable.
   static constexpr size_t kKinds = static_cast<size_t>(EventKind::kCount);
   std::array<Counter*, kKinds> kind_counters_{};
   std::array<std::array<Counter*, kExcClassLabels + 1>, kKinds>
       label_counters_{};
-  Counter* syscall_count_ = nullptr;
 
   // Hot-path counter/histogram references (resolved once; Registry
   // references are stable).

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
+#include <iterator>
 #include <limits>
 #include <type_traits>
 
@@ -114,7 +115,7 @@ json::Value audit_event_json(const AuditEvent& e) {
     m.emplace_back(json::Str(key), std::move(v));
   };
   add("kind", json::Value(audit_kind_name(e.kind)));
-  add("k", json::Value(static_cast<uint64_t>(e.kind)));
+  add("k", json::Value(static_cast<uint64_t>(audit_ordinal(e.kind))));
   add("cycles", hex_json(e.cycles));
   add("pc", hex_json(e.pc));
   add("ptr", hex_json(e.ptr));
@@ -155,7 +156,7 @@ bool audit_event_from_json(const json::Value& v, AuditEvent* out) {
   };
   uint8_t kind = 0;
   field("k", kind);
-  e.kind = static_cast<AuditKind>(kind);
+  if (kind < std::size(kAuditKinds)) e.kind = kAuditKinds[kind].kind;
   field("cycles", e.cycles);
   field("pc", e.pc);
   field("ptr", e.ptr);
@@ -178,16 +179,29 @@ bool audit_event_from_json(const json::Value& v, AuditEvent* out) {
 
 namespace {
 
-json::Value trace_event_json(const TraceEvent& e) {
+/// A trace record (for_each_trace_record) in the trace wire format: two
+/// 64-bit payloads `a`/`b` and two small ones `k1`/`k2`, assigned per kind.
+json::Value trace_event_json(const Event& e) {
+  uint64_t a = e.ptr, b = e.ptr2;
+  uint8_t k1 = e.aux, k2 = e.fault;
+  switch (e.kind) {
+    case EventKind::ExcExit: k2 = k1; k1 = 0; break;  // the target EL
+    case EventKind::KeyWrite: k1 = e.key; break;
+    case EventKind::PacSign:
+    case EventKind::AuthOk:
+    case EventKind::AuthFail: b = e.modifier; k1 = e.key; break;
+    case EventKind::AttackOutcome: a = b = 0; break;
+    default: break;
+  }
   json::Value o = json::Value::object();
   o.set("kind", json::Value(static_cast<uint64_t>(e.kind)));
   o.set("cycles", hex_json(e.cycles));
   o.set("pc", hex_json(e.pc));
-  o.set("a", hex_json(e.a));
-  o.set("b", hex_json(e.b));
+  o.set("a", hex_json(a));
+  o.set("b", hex_json(b));
   o.set("el", json::Value(static_cast<uint64_t>(e.el)));
-  o.set("k1", json::Value(static_cast<uint64_t>(e.k1)));
-  o.set("k2", json::Value(static_cast<uint64_t>(e.k2)));
+  o.set("k1", json::Value(static_cast<uint64_t>(k1)));
+  o.set("k2", json::Value(static_cast<uint64_t>(k2)));
   o.set("imm", json::Value(static_cast<uint64_t>(e.imm)));
   return o;
 }
@@ -269,7 +283,7 @@ std::string flight_bundle_json(const FlightRecorder& rec,
   json::Value chain = json::Value::array();
   size_t fail = audit.size();
   for (size_t i = audit.size(); i-- > 0;) {
-    if (audit[i].kind == AuditKind::AuthFail) {
+    if (audit[i].kind == EventKind::AuthFail) {
       fail = i;
       break;
     }

@@ -91,7 +91,8 @@ class FlightRecorder {
   /// Capture on the first violation; later triggers only bump the counter
   /// (the first capture is the causal root — cascading faults after it are
   /// consequences, not causes).
-  void trigger(const TraceEvent& e) {
+  /// `e` is the trace record of the violation (obs/trace.h).
+  void trigger(const Event& e) {
     ++triggers_;
     if (captured_) return;
     captured_ = true;
@@ -102,7 +103,7 @@ class FlightRecorder {
 
   bool captured() const { return captured_; }
   uint64_t triggers() const { return triggers_; }
-  const TraceEvent& trigger_event() const { return trigger_; }
+  const Event& trigger_event() const { return trigger_; }
   const FlightSnapshot& state() const { return state_; }
   /// Instruction ring frozen at capture time, oldest first.
   const std::vector<FlightInsn>& ring() const { return ring_; }
@@ -120,7 +121,7 @@ class FlightRecorder {
     slot_head_ = 0;
     triggers_ = 0;
     captured_ = false;
-    trigger_ = TraceEvent{};
+    trigger_ = Event{};
     state_ = FlightSnapshot{};
   }
 
@@ -141,7 +142,7 @@ class FlightRecorder {
   size_t capacity_;
   bool captured_ = false;
   uint64_t triggers_ = 0;
-  TraceEvent trigger_{};
+  Event trigger_{};
   FlightSnapshot state_{};
   /// The last `capacity` records: enough to cover the last `capacity`
   /// instructions, since every record holds at least one.
@@ -167,9 +168,10 @@ std::optional<uint64_t> parse_hex_u64(const json::Value& v);
 /// The writer's side: hex_short(v) as a JSON string, built on the stack.
 json::Value hex_json(uint64_t v);
 
-/// Audit-event JSON codec (hex payloads, kind stored by ordinal + name).
-/// The reader rejects an event with a field that does not parse or does not
-/// fit its member; an absent field reads as 0.
+/// Audit-event JSON codec (hex payloads, kind stored by its audit ordinal,
+/// obs/audit.h, + name). The reader rejects an event with a field that does
+/// not parse or does not fit its member; an absent field, and an ordinal
+/// past the table, reads as 0 (None).
 json::Value audit_event_json(const AuditEvent& e);
 bool audit_event_from_json(const json::Value& v, AuditEvent* out);
 

@@ -1,43 +1,27 @@
 #include "obs/trace.h"
 
+#include <iterator>
+
 namespace camo::obs {
 
 const char* event_kind_name(EventKind k) {
-  switch (k) {
-    case EventKind::None: return "none";
-    case EventKind::ExcEnter: return "exc-enter";
-    case EventKind::ExcExit: return "exc-exit";
-    case EventKind::SyscallEnter: return "syscall-enter";
-    case EventKind::SyscallExit: return "syscall-exit";
-    case EventKind::KeyWrite: return "key-write";
-    case EventKind::PacSign: return "pac-sign";
-    case EventKind::AuthOk: return "auth-ok";
-    case EventKind::AuthFail: return "auth-fail";
-    case EventKind::Stage2Fault: return "stage2-fault";
-    case EventKind::ContextSwitch: return "context-switch";
-    case EventKind::HvcCall: return "hvc-call";
-    case EventKind::ModuleLoad: return "module-load";
-    case EventKind::MsrDenied: return "msr-denied";
-    case EventKind::AttackOutcome: return "attack-outcome";
-    case EventKind::kCount: break;
-  }
-  return "<bad-event>";
+  static const char* const names[] = {
+      "none",         "exc-enter",    "exc-exit",       "syscall-enter",
+      "syscall-exit", "key-write",    "pac-sign",       "auth-ok",
+      "auth-fail",    "stage2-fault", "context-switch", "hvc-call",
+      "module-load",  "msr-denied",   "attack-outcome"};
+  static_assert(std::size(names) == static_cast<size_t>(EventKind::kCount));
+  const auto i = static_cast<size_t>(k);
+  return i < std::size(names) ? names[i] : "<bad-event>";
 }
 
 const char* op_class_name(OpClass c) {
-  switch (c) {
-    case OpClass::Other: return "other";
-    case OpClass::Branch: return "branch";
-    case OpClass::Call: return "call";
-    case OpClass::Ret: return "ret";
-    case OpClass::Load: return "load";
-    case OpClass::Store: return "store";
-    case OpClass::Pauth: return "pauth";
-    case OpClass::PauthBranch: return "pauth-branch";
-    case OpClass::Sys: return "sys";
-    case OpClass::kCount: break;
-  }
-  return "<bad-class>";
+  static const char* const names[] = {"other", "branch", "call",
+                                      "ret",   "load",   "store",
+                                      "pauth", "pauth-branch", "sys"};
+  static_assert(std::size(names) == static_cast<size_t>(OpClass::kCount));
+  const auto i = static_cast<size_t>(c);
+  return i < std::size(names) ? names[i] : "<bad-class>";
 }
 
 // Mirrors cpu::ExcClass declaration order (pinned by ObsLabels.* tests).

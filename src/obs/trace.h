@@ -3,17 +3,17 @@
 // Every observable claim in the paper is an event stream: key switches
 // (§6.1.1), PAuth sign/auth outcomes and the §5.4 brute-force threshold,
 // syscall latencies (Fig. 3), context switches, stage-2 permission faults and
-// attack outcomes (§6.2). This header defines the typed event record and the
+// attack outcomes (§6.2). This header defines the one event record and the
 // retire and control-flow feeds the CPU drives:
 //
-//  * TraceEvent — one record of the trace ring. Producers (camo::cpu,
-//    camo::hyp, camo::kernel::Machine, camo::attacks) never build one: they
-//    report each fact once to the obs::Collector (obs/collector.h), which
-//    builds this record and the audit log's. Producers hold a Collector
-//    pointer that is null by default, so the disabled path is a single
-//    predictable branch per would-be report and the simulated cycle counts
-//    are bit-for-bit identical whether or not one is attached (reports never
-//    consume guest cycles).
+//  * Event — one reported fact. Producers (camo::cpu, camo::hyp,
+//    camo::kernel::Machine, camo::attacks) never build one: they report each
+//    fact once to the obs::Collector (obs/collector.h), which stores it once
+//    and derives the trace and audit views from it. Producers hold a
+//    Collector pointer that is null by default, so the disabled path is a
+//    single predictable branch per would-be report and the simulated cycle
+//    counts are bit-for-bit identical whether or not one is attached
+//    (reports never consume guest cycles).
 //  * CycleAttributor — receives one RetireRun record per stretch the engines
 //    retire between two flush points (a block, or a trace's segments up to
 //    the next one) and a record of one per single step: the feed for
@@ -30,44 +30,92 @@
 
 namespace camo::obs {
 
-/// Typed trace events. The per-kind payload assignments are documented in
-/// DESIGN.md §3a (guest-visible event taxonomy).
+/// Event kinds. The ordinals are the trace wire format's (the flight
+/// bundle's "trigger"); the audit wire format maps them through one table
+/// (obs/audit.h). Payloads are documented in DESIGN.md §3a.
 enum class EventKind : uint8_t {
   None = 0,
-  ExcEnter,       ///< exception entry: k1=ExcClass, k2=FaultKind, imm=iss,
-                  ///< a=FAR, b=x8 (syscall nr when k1==Svc), pc=return addr
-  ExcExit,        ///< ERET: k2=target EL, a=target pc
-  SyscallEnter,   ///< synthesized from ExcEnter/Svc: imm=syscall nr
-  SyscallExit,    ///< synthesized from ExcExit to EL0: a=window cycles
-  KeyWrite,       ///< MSR to a PAuth key register: imm=sysreg, k1=key index
-  PacSign,        ///< PAC insertion: k1=key, a=pointer, b=modifier
-  AuthOk,         ///< successful AUT*: k1=key, a=pointer, b=modifier
-  AuthFail,       ///< failed AUT*: k1=key, a=pointer, b=modifier
-  Stage2Fault,    ///< stage-2 permission denial: k2=access, a=VA
-  ContextSwitch,  ///< cpu_switch_to: a=prev task struct, b=next task struct
-  HvcCall,        ///< guest→hypervisor call: imm=call nr, a=x0, b=x1
-  ModuleLoad,     ///< HVC LoadModule: a=module id, b=init VA, k1=verify ok
-  MsrDenied,      ///< hypervisor-denied EL1 MSR write: imm=sysreg
-  AttackOutcome,  ///< attack classification: k1=Outcome (0=Hijacked,
-                  ///< 1=Detected, 2=Blocked)
+  ExcEnter,       ///< exception entry (pc = preferred return)
+  ExcExit,        ///< ERET (pc = the ERET; ptr = target)
+  SyscallEnter,   ///< derived: an SVC entry opens a syscall window
+  SyscallExit,    ///< derived: the next ERET to EL0 closes it
+  KeyWrite,       ///< key material installed (key register or EL2 bank)
+  PacSign,        ///< PAC insertion
+  AuthOk,         ///< AUT* accepted
+  AuthFail,       ///< AUT* rejected
+  Stage2Fault,    ///< derived: an entry on a stage-2 permission fault
+  ContextSwitch,  ///< cpu_switch_to (trace view only)
+  HvcCall,        ///< guest->hypervisor call (trace view only)
+  ModuleLoad,     ///< module load verification
+  MsrDenied,      ///< hypervisor-denied EL1 MSR write
+  AttackOutcome,  ///< attacks:: classification of a finished run
   kCount,
 };
 
 const char* event_kind_name(EventKind k);
 
-/// One trace record (fixed 40 bytes). `cycles` is the reporting core's
-/// cycle counter — on one core, the global timeline every event shares.
-struct TraceEvent {
+/// One stored fact (fixed 72 bytes). `cycles` is the reporting core's cycle
+/// counter; `machine` and `cpu` are stamped by the Collector so fleet-merged
+/// streams keep every machine's and core's events distinct. `fault` and
+/// `syscall` sit in what would be padding: only the trace view reads them.
+struct Event {
   uint64_t cycles = 0;
-  uint64_t pc = 0;     ///< guest pc associated with the event (0 if none)
-  uint64_t a = 0;      ///< kind-specific (see EventKind)
-  uint64_t b = 0;      ///< kind-specific
+  uint64_t pc = 0;        ///< guest pc associated with the event (0 if none)
+  uint64_t ptr = 0;       ///< kind-specific (see DESIGN.md §3a)
+  uint64_t ptr2 = 0;      ///< kind-specific
+  uint64_t modifier = 0;  ///< PacSign/Auth*: the PAC modifier used
+  uint64_t lr = 0;        ///< AuthFail: x30 at the failing instruction
+  uint64_t prov = 0;      ///< provenance id of the key involved (0 = none /
+                          ///< installed outside the audited path)
+  uint32_t machine = 0;   ///< fleet machine id
   EventKind kind = EventKind::None;
-  uint8_t el = 0;      ///< exception level at emission
-  uint8_t k1 = 0;      ///< kind-specific small payload (key, class, outcome)
-  uint8_t k2 = 0;      ///< kind-specific small payload (fault kind, EL)
-  uint16_t imm = 0;    ///< kind-specific 16-bit payload (iss, sysreg, nr)
+  uint8_t key = 0;      ///< PacKey ordinal for key/sign/auth events
+  uint8_t el = 0;       ///< exception level at emission
+  uint8_t mclass = 0;   ///< ModifierClass ordinal (PacSign/Auth*)
+  uint8_t bank = 0;     ///< KeyWrite: 1 = EL2 kernel bank, 0 = key register
+  uint8_t aux = 0;      ///< kind-specific small payload (class, EL, outcome)
+  uint8_t cpu = 0;      ///< emitting core id within the machine
+  uint8_t fault = 0;    ///< ExcEnter: mem::FaultKind ordinal
+  uint16_t imm = 0;     ///< kind-specific 16-bit payload (iss, sysreg, nr)
+  uint8_t syscall = 0;  ///< ExcEnter/ExcExit: opens/closes a syscall window
 };
+
+static_assert(sizeof(Event) == 72);
+
+inline constexpr uint8_t kExcClassSvc = 1;  ///< cpu::ExcClass::Svc
+inline constexpr uint8_t kFaultStage2 = 4;  ///< mem::FaultKind::Stage2
+
+/// The trace view of one stored fact: calls f(const Event&) per record, in
+/// order. First the fact as the trace shows it (an ERET's pc is its target,
+/// its window payload moving to the SyscallExit; an attack outcome sits at
+/// EL0; an EL2 bank key install has none), then the derived records: the
+/// SyscallEnter of a window-opening entry, the SyscallExit of a closing
+/// ERET, the Stage2Fault of a stage-2 entry. A derived kind maps to itself.
+template <typename F>
+void for_each_trace_record(const Event& e, F&& f) {
+  if (e.kind == EventKind::KeyWrite && e.bank) return;
+  Event t = e;
+  t.syscall = 0;
+  if (e.kind == EventKind::AttackOutcome) t.el = 0;
+  if (e.kind == EventKind::ExcExit) {
+    t.pc = e.ptr;
+    t.ptr2 = 0;
+    t.imm = 0;
+  }
+  f(t);
+  if (e.kind == EventKind::ExcEnter && e.syscall)
+    f(Event{.cycles = e.cycles, .pc = e.pc, .machine = e.machine,
+            .kind = EventKind::SyscallEnter, .el = e.el, .cpu = e.cpu,
+            .imm = static_cast<uint16_t>(e.ptr2)});
+  if (e.kind == EventKind::ExcExit && e.syscall)
+    f(Event{.cycles = e.cycles, .pc = e.ptr, .ptr = e.ptr2,
+            .machine = e.machine, .kind = EventKind::SyscallExit,
+            .el = e.el, .cpu = e.cpu, .imm = e.imm});
+  if (e.kind == EventKind::ExcEnter && e.fault == kFaultStage2)
+    f(Event{.cycles = e.cycles, .pc = e.pc, .ptr = e.ptr,
+            .machine = e.machine, .kind = EventKind::Stage2Fault,
+            .el = e.el, .aux = e.aux, .cpu = e.cpu});
+}
 
 /// Retired-operation classes for per-class metrics (coarser than isa::Op;
 /// the CPU classifies each retired instruction).

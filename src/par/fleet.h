@@ -8,15 +8,15 @@
 //    prepared images under its own lock), and every task boots its own
 //    machine fresh — paged physical memory (DESIGN.md §3j) makes that cheap,
 //    since a 64 MiB guest only backs the pages it writes,
-//  * task i writes only slot i — results, registry snapshot, trace ring
-//    snapshot, host counters are captured into the slot the moment the
+//  * task i writes only slot i — results, registry snapshot, stored facts
+//    and audit view, host counters are captured into the slot the moment the
 //    task finishes and the machine is destroyed (a guest does not outlive
 //    its run),
 //  * after the pool drains, slots are merged in task-index order: result
 //    vector, registry (counters add, histograms merge, gauges last-writer-
-//    wins in index order), and the concatenated trace.
+//    wins in index order), and the concatenated facts and audit views.
 //
-// Consequently FleetResult::results, the trace, and the merged registry's
+// Consequently FleetResult::results, the facts, and the merged registry's
 // counters and histograms are bit-identical for any jobs value and any
 // steal schedule. Gauges are the deliberate exception: their *names* are
 // deterministic, but they carry host wall-clock readings (throughput), so
@@ -63,8 +63,8 @@ template <class R>
 struct FleetResult {
   std::vector<R> results;            ///< task-index order
   obs::Registry metrics;             ///< merged in task-index order
-  std::vector<obs::TraceEvent> trace;  ///< rings concatenated in index order
-  /// Audit logs concatenated in task-index order; every event carries its
+  std::vector<obs::Event> trace;  ///< facts concatenated in index order
+  /// Audit views concatenated in task-index order; every event carries its
   /// machine id, so the merged stream is bit-identical for any jobs value
   /// while staying per-machine attributable.
   std::vector<obs::AuditEvent> audit;
@@ -79,7 +79,7 @@ struct FleetResult {
 /// Run an n-machine fleet on `pool`. `factory(i)` builds machine i
 /// (configured, user programs added, NOT booted). `task(i, Machine&)` boots,
 /// drives and measures it, returning the per-machine result. After the task
-/// returns, the machine's registry, trace ring and host counters are
+/// returns, the machine's registry, facts, audit view and host counters are
 /// snapshotted into slot i and the machine is destroyed.
 template <class Factory, class Task>
 auto run_fleet(Pool& pool, size_t n, Factory&& factory, Task&& task)
@@ -89,7 +89,7 @@ auto run_fleet(Pool& pool, size_t n, Factory&& factory, Task&& task)
   struct Slot {
     R result{};
     obs::Registry reg;
-    std::vector<obs::TraceEvent> trace;
+    std::vector<obs::Event> trace;
     std::vector<obs::AuditEvent> audit;
     obs::CoverageMap coverage;
     bool has_coverage = false;
@@ -110,8 +110,8 @@ auto run_fleet(Pool& pool, size_t n, Factory&& factory, Task&& task)
     s.throughput = m->host_throughput();
     if (const obs::Collector* st = m->stats()) {
       s.reg = st->metrics();
-      s.trace = st->ring().snapshot();
-      s.audit = st->audit_log().snapshot();
+      s.trace = st->events().snapshot();
+      s.audit = st->audit_events();
       if (st->options().coverage) {
         s.coverage = st->coverage().snapshot();
         s.has_coverage = true;

@@ -102,7 +102,7 @@ TEST(BruteForce, TraceAuthFailuresAgreeWithPanicThreshold) {
     EXPECT_EQ(r.halt_code, kernel::kHaltPacPanic) << r.detail;
     EXPECT_EQ(r.pac_failures, threshold);
     EXPECT_EQ(r.trace_auth_failures, threshold)
-        << "trace ring disagrees with the kernel's PAC failure count";
+        << "trace view disagrees with the kernel's PAC failure count";
   }
 }
 

@@ -28,9 +28,14 @@ namespace camo {
 namespace {
 
 using obs::AuditEvent;
-using obs::AuditKind;
-using obs::AuditLog;
+using obs::EventKind;
 using obs::ModifierClass;
+
+size_t count_kind(const std::vector<AuditEvent>& log, EventKind k) {
+  return static_cast<size_t>(
+      std::count_if(log.begin(), log.end(),
+                    [k](const AuditEvent& e) { return e.kind == k; }));
+}
 
 // ---- histogram quantiles ---------------------------------------------------
 
@@ -99,43 +104,24 @@ TEST(Audit, ClassifyModifier) {
 }
 
 TEST(Audit, LabelsAreStable) {
-  EXPECT_STREQ(obs::audit_kind_name(AuditKind::KeyInstall), "key-install");
-  EXPECT_STREQ(obs::audit_kind_name(AuditKind::Sign), "sign");
-  EXPECT_STREQ(obs::audit_kind_name(AuditKind::AuthFail), "auth-fail");
-  EXPECT_STREQ(obs::audit_kind_name(AuditKind::AttackVerdict),
+  EXPECT_STREQ(obs::audit_kind_name(EventKind::KeyWrite), "key-install");
+  EXPECT_STREQ(obs::audit_kind_name(EventKind::PacSign), "sign");
+  EXPECT_STREQ(obs::audit_kind_name(EventKind::AuthFail), "auth-fail");
+  EXPECT_STREQ(obs::audit_kind_name(EventKind::AttackOutcome),
                "attack-verdict");
   EXPECT_STREQ(obs::modifier_class_name(ModifierClass::Zero), "zero");
   EXPECT_STREQ(obs::modifier_class_name(ModifierClass::Composite),
                "composite");
-  // Every valid kind has a real label.
-  for (uint8_t k = 0; k < static_cast<uint8_t>(AuditKind::kCount); ++k)
-    EXPECT_STRNE(obs::audit_kind_name(static_cast<AuditKind>(k)),
+  // Every audit ordinal names a distinct kind with a real label, and the
+  // kinds only the trace view holds have none.
+  for (uint8_t k = 0; k < std::size(obs::kAuditKinds); ++k) {
+    EXPECT_EQ(obs::audit_ordinal(obs::kAuditKinds[k].kind), k);
+    EXPECT_STRNE(obs::audit_kind_name(obs::kAuditKinds[k].kind),
                  "<bad-kind>");
-}
-
-// ---- audit log ring --------------------------------------------------------
-
-TEST(AuditLog, RingKeepsNewestAndCountsDropped) {
-  AuditLog log(4);
-  for (uint64_t i = 1; i <= 10; ++i) {
-    AuditEvent e;
-    e.kind = AuditKind::Sign;
-    e.cycles = i;
-    log.push(e);
   }
-  EXPECT_EQ(log.size(), 4u);
-  EXPECT_EQ(log.total(), 10u);
-  EXPECT_EQ(log.dropped(), 6u);
-  // Oldest-first iteration over the retained tail.
-  for (size_t i = 0; i < log.size(); ++i) EXPECT_EQ(log.at(i).cycles, 7 + i);
-  const auto snap = log.snapshot();
-  ASSERT_EQ(snap.size(), 4u);
-  EXPECT_EQ(snap.front().cycles, 7u);
-  EXPECT_EQ(snap.back().cycles, 10u);
-  EXPECT_EQ(log.count_kind(AuditKind::Sign), 4u);
-  log.clear();
-  EXPECT_TRUE(log.empty());
-  EXPECT_EQ(log.total(), 0u);
+  for (const EventKind k : {EventKind::HvcCall, EventKind::ContextSwitch,
+                            EventKind::SyscallEnter, EventKind::Stage2Fault})
+    EXPECT_FALSE(obs::is_audit_kind(k));
 }
 
 // ---- causal chain ----------------------------------------------------------
@@ -143,24 +129,24 @@ TEST(AuditLog, RingKeepsNewestAndCountsDropped) {
 std::vector<AuditEvent> chain_fixture() {
   // install(prov 7) → sign(match) → sign(other) → authfail → verdict.
   std::vector<AuditEvent> ev(5);
-  ev[0].kind = AuditKind::KeyInstall;
+  ev[0].kind = EventKind::KeyWrite;
   ev[0].prov = 7;
   ev[0].key = 0;
-  ev[1].kind = AuditKind::Sign;
+  ev[1].kind = EventKind::PacSign;
   ev[1].key = 0;
   ev[1].prov = 7;
   ev[1].ptr = 0xFFFF000000081000ull;
   ev[1].ptr2 = 0x002A0F0000081000ull;  // signed form (PAC in top bits)
-  ev[2].kind = AuditKind::Sign;
+  ev[2].kind = EventKind::PacSign;
   ev[2].key = 0;
   ev[2].prov = 7;
   ev[2].ptr = 0xFFFF000000099000ull;
   ev[2].ptr2 = 0x1BAD0F0000099000ull;
-  ev[3].kind = AuditKind::AuthFail;
+  ev[3].kind = EventKind::AuthFail;
   ev[3].key = 0;
   ev[3].prov = 7;
   ev[3].ptr = ev[1].ptr2;  // replayed signed value, rejected under new ctx
-  ev[4].kind = AuditKind::AttackVerdict;
+  ev[4].kind = EventKind::AttackOutcome;
   return ev;
 }
 
@@ -230,7 +216,7 @@ TEST(FlightJson, AuditEventRoundTripsEveryField) {
   e.lr = 0xFFFF000000099998ull;
   e.prov = 42;
   e.machine = 3;
-  e.kind = AuditKind::AuthFail;
+  e.kind = EventKind::AuthFail;
   e.key = 2;
   e.el = 1;
   e.mclass = static_cast<uint8_t>(ModifierClass::Composite);
@@ -268,7 +254,7 @@ AuditEvent golden_audit_event() {
   e.lr = 1;
   e.prov = ~uint64_t{0};
   e.machine = 0xFFFFFFFFu;
-  e.kind = AuditKind::AuthFail;
+  e.kind = EventKind::AuthFail;
   e.key = 0xFF;
   e.el = 0xFF;
   e.mclass = 0xFF;
@@ -361,7 +347,6 @@ TEST(Provenance, GuestMsrBumpsHostInstallDoesNot) {
   }
   obs::Collector col;
   h.core.set_collector(&col);
-  const AuditLog& log = col.audit_log();
   assembler::FunctionBuilder f("t");
   f.mov_imm(9, 0x1111);
   f.msr(isa::SysReg::APDAKeyLo, 9);
@@ -375,11 +360,11 @@ TEST(Provenance, GuestMsrBumpsHostInstallDoesNot) {
   EXPECT_EQ(h.core.sysreg_key_provenance(cpu::PacKey::IA), 3u);
   EXPECT_EQ(h.core.sysreg_key_provenance(cpu::PacKey::IB), 0u);
   EXPECT_EQ(h.core.key_provenance(cpu::PacKey::DA), 2u);
-  EXPECT_EQ(log.count_kind(AuditKind::KeyInstall), 3u);
-  const auto snap = log.snapshot();
+  const auto snap = col.audit_events();
+  EXPECT_EQ(count_kind(snap, EventKind::KeyWrite), 3u);
   uint64_t last_prov = 0;
   for (const AuditEvent& e : snap)
-    if (e.kind == AuditKind::KeyInstall) {
+    if (e.kind == EventKind::KeyWrite) {
       EXPECT_GT(e.prov, last_prov) << "provenance must be monotonic";
       last_prov = e.prov;
       EXPECT_EQ(e.bank, 0u);
@@ -390,7 +375,6 @@ TEST(Provenance, SignAndAuthCarryTheInstallId) {
   testing::SimHarness h;
   obs::Collector col;
   h.core.set_collector(&col);
-  const AuditLog& log = col.audit_log();
   assembler::FunctionBuilder f("t");
   f.mov_imm(9, 0x1111);
   f.msr(isa::SysReg::APDAKeyLo, 9);  // prov 1
@@ -403,19 +387,19 @@ TEST(Provenance, SignAndAuthCarryTheInstallId) {
   f.autda(0, 2);  // wrong modifier: rejected
   f.hlt(1);
   h.run(f);
-  const auto ev = log.snapshot();
+  const auto ev = col.audit_events();
   size_t fail_at = ev.size();
   uint64_t signs = 0, oks = 0;
   for (size_t i = 0; i < ev.size(); ++i) {
-    if (ev[i].kind == AuditKind::Sign) {
+    if (ev[i].kind == EventKind::PacSign) {
       ++signs;
       EXPECT_EQ(ev[i].prov, 1u);
       EXPECT_EQ(ev[i].key, static_cast<uint8_t>(cpu::PacKey::DA));
       // Modifier 0x42 has an all-zero top 16: structurally an address.
       EXPECT_EQ(ev[i].mclass, static_cast<uint8_t>(ModifierClass::Address));
     }
-    if (ev[i].kind == AuditKind::AuthOk) ++oks;
-    if (ev[i].kind == AuditKind::AuthFail) fail_at = i;
+    if (ev[i].kind == EventKind::AuthOk) ++oks;
+    if (ev[i].kind == EventKind::AuthFail) fail_at = i;
   }
   EXPECT_EQ(signs, 2u);
   EXPECT_EQ(oks, 1u);
@@ -425,10 +409,10 @@ TEST(Provenance, SignAndAuthCarryTheInstallId) {
   // The failure links back through the matching sign to the install.
   const auto chain = obs::causal_chain(ev, fail_at);
   ASSERT_GE(chain.size(), 3u);
-  EXPECT_EQ(ev[chain.front()].kind, AuditKind::KeyInstall);
+  EXPECT_EQ(ev[chain.front()].kind, EventKind::KeyWrite);
   EXPECT_EQ(chain.back(), fail_at);
   bool has_sign = false;
-  for (const size_t i : chain) has_sign |= ev[i].kind == AuditKind::Sign;
+  for (const size_t i : chain) has_sign |= ev[i].kind == EventKind::PacSign;
   EXPECT_TRUE(has_sign);
 }
 
@@ -447,13 +431,13 @@ TEST(MachineAudit, SyscallRunEmitsTypedStream) {
   m.boot();
   ASSERT_TRUE(m.run());
   ASSERT_NE(m.stats(), nullptr);
-  const AuditLog& log = m.stats()->audit_log();
-  EXPECT_GT(log.count_kind(AuditKind::KeyInstall), 0u);
-  EXPECT_GT(log.count_kind(AuditKind::Sign), 0u);
-  EXPECT_GT(log.count_kind(AuditKind::AuthOk), 0u);
-  EXPECT_GT(log.count_kind(AuditKind::ElEnter), 0u);
-  EXPECT_GT(log.count_kind(AuditKind::ElExit), 0u);
-  EXPECT_EQ(log.count_kind(AuditKind::AuthFail), 0u);
+  const auto log = m.stats()->audit_events();
+  EXPECT_GT(count_kind(log, EventKind::KeyWrite), 0u);
+  EXPECT_GT(count_kind(log, EventKind::PacSign), 0u);
+  EXPECT_GT(count_kind(log, EventKind::AuthOk), 0u);
+  EXPECT_GT(count_kind(log, EventKind::ExcEnter), 0u);
+  EXPECT_GT(count_kind(log, EventKind::ExcExit), 0u);
+  EXPECT_EQ(count_kind(log, EventKind::AuthFail), 0u);
   // A clean run never arms the flight recorder.
   EXPECT_FALSE(m.stats()->flight().captured());
   // The sign→auth latency histogram was fed by the collector.
@@ -476,7 +460,7 @@ TEST(MachineAudit, StreamIsDeterministicAcrossRuns) {
     m.boot();
     EXPECT_TRUE(m.run());
     std::string out;
-    for (const AuditEvent& e : m.stats()->audit_log().snapshot())
+    for (const AuditEvent& e : m.stats()->audit_events())
       out += obs::audit_event_json(e).dump() + "\n";
     return out;
   };
@@ -502,7 +486,7 @@ TEST(MachineAudit, TreeExportOfATwoCoreLogPinned) {
   ASSERT_TRUE(m.run());
   obs::json::Value arr = obs::json::Value::array();
   size_t with_cpu = 0;
-  for (const AuditEvent& e : m.stats()->audit_log().snapshot())
+  for (const AuditEvent& e : m.stats()->audit_events())
     if (arr.push(obs::audit_event_json(e)).size() == 17) ++with_cpu;
   EXPECT_GT(with_cpu, 0u);
   EXPECT_LT(with_cpu, arr.size());

@@ -3,6 +3,9 @@
 // guest memory and executed on the simulated core.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "assembler/builder.h"
 #include "cpu/cpu.h"
 #include "mem/mmu.h"
@@ -596,7 +599,6 @@ TEST_F(CpuTest, KeyChangeInvalidatesOldSignatures) {
 TEST_F(CpuTest, PacFailureIsAuditedOnce) {
   obs::Collector col;
   core.set_collector(&col);
-  const obs::AuditLog& log = col.audit_log();
   FunctionBuilder f("t");
   f.mov_imm(0, kData + 0x100);
   f.mov_imm(1, 0x42);
@@ -608,13 +610,23 @@ TEST_F(CpuTest, PacFailureIsAuditedOnce) {
   f.autda(0, 1);  // success
   f.hlt(1);
   run(f);
-  ASSERT_EQ(log.count_kind(obs::AuditKind::AuthFail), 1u);
-  EXPECT_EQ(log.count_kind(obs::AuditKind::AuthOk), 1u);
-  const uint64_t fail = log.count_if([](const obs::AuditEvent& e) {
-    return e.kind == obs::AuditKind::AuthFail &&
+  const std::vector<obs::AuditEvent> log = col.audit_events();
+  const auto count = [&log](auto pred) {
+    return std::count_if(log.begin(), log.end(), pred);
+  };
+  ASSERT_EQ(count([](const obs::AuditEvent& e) {
+              return e.kind == obs::EventKind::AuthFail;
+            }),
+            1);
+  EXPECT_EQ(count([](const obs::AuditEvent& e) {
+              return e.kind == obs::EventKind::AuthOk;
+            }),
+            1);
+  const auto fail = count([](const obs::AuditEvent& e) {
+    return e.kind == obs::EventKind::AuthFail &&
            e.key == static_cast<uint8_t>(PacKey::DA) && e.modifier == 0x43;
   });
-  EXPECT_EQ(fail, 1u);
+  EXPECT_EQ(fail, 1);
 }
 
 TEST_F(CpuTest, BreakpointHookRuns) {

@@ -184,23 +184,27 @@ TEST_F(HypTest, DeniedMsrReportedAtItsOwnPc) {
   ASSERT_EQ(core.halt_code(), 0xE1u);
   // The denial, its audit record and the Undefined exception it raises all
   // name the MSR itself (the exception's preferred return address).
-  const auto trace = col.ring().snapshot();
+  std::vector<obs::Event> trace;
+  for (const obs::Event& e : col.events().snapshot())
+    obs::for_each_trace_record(e, [&trace](const obs::Event& t) {
+      trace.push_back(t);
+    });
   const auto denied =
-      std::find_if(trace.begin(), trace.end(), [](const obs::TraceEvent& e) {
+      std::find_if(trace.begin(), trace.end(), [](const obs::Event& e) {
         return e.kind == obs::EventKind::MsrDenied;
       });
   ASSERT_NE(denied, trace.end());
   ASSERT_NE(denied + 1, trace.end());
   EXPECT_EQ(denied[1].kind, obs::EventKind::ExcEnter);
   EXPECT_EQ(denied->pc, denied[1].pc);
-  const auto audit = col.audit_log().snapshot();
+  const auto audit = col.audit_events();
   const auto hyp =
       std::find_if(audit.begin(), audit.end(), [](const obs::AuditEvent& e) {
-        return e.kind == obs::AuditKind::HypDenied;
+        return e.kind == obs::EventKind::MsrDenied;
       });
   ASSERT_NE(hyp, audit.end());
   ASSERT_NE(hyp + 1, audit.end());
-  EXPECT_EQ(hyp[1].kind, obs::AuditKind::ElEnter);
+  EXPECT_EQ(hyp[1].kind, obs::EventKind::ExcEnter);
   EXPECT_EQ(hyp->pc, denied->pc);
   EXPECT_EQ(hyp[1].pc, denied->pc);
   EXPECT_EQ(core.sysreg(SysReg::ELR_EL1), denied->pc);

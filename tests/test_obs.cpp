@@ -1,4 +1,4 @@
-// camo::obs tests: trace ring semantics, metrics monotonicity, JSON
+// camo::obs tests: event ring and view semantics, metrics monotonicity, JSON
 // round-trips, and the two accounting invariants the observability layer
 // promises — per-EL cycle counters and the per-symbol profile each sum to
 // exactly Cpu::cycles(), and attaching the collector never changes guest
@@ -15,6 +15,8 @@
 #include <random>
 #include <sstream>
 #include <string>
+#include <tuple>
+#include <vector>
 
 #include "assembler/builder.h"
 #include "attacks/attacks.h"
@@ -33,15 +35,15 @@
 namespace camo::obs {
 namespace {
 
-TraceEvent make_event(EventKind kind, uint64_t cycles) {
-  TraceEvent e;
+Event make_event(EventKind kind, uint64_t cycles) {
+  Event e;
   e.kind = kind;
   e.cycles = cycles;
   return e;
 }
 
-TEST(TraceRing, KeepsEventsInOrderBeforeWraparound) {
-  TraceRing ring(8);
+TEST(Ring, KeepsEventsInOrderBeforeWraparound) {
+  Ring ring(8);
   for (uint64_t i = 0; i < 5; ++i)
     ring.push(make_event(EventKind::PacSign, i));
   EXPECT_EQ(ring.size(), 5u);
@@ -50,8 +52,8 @@ TEST(TraceRing, KeepsEventsInOrderBeforeWraparound) {
   for (size_t i = 0; i < 5; ++i) EXPECT_EQ(ring.at(i).cycles, i);
 }
 
-TEST(TraceRing, WraparoundKeepsNewestAndCountsDropped) {
-  TraceRing ring(8);
+TEST(Ring, WraparoundKeepsNewestAndCountsDropped) {
+  Ring ring(8);
   for (uint64_t i = 0; i < 20; ++i)
     ring.push(make_event(EventKind::PacSign, i));
   EXPECT_EQ(ring.size(), 8u);
@@ -65,13 +67,178 @@ TEST(TraceRing, WraparoundKeepsNewestAndCountsDropped) {
   EXPECT_EQ(snap.back().cycles, 19u);
 }
 
-TEST(TraceRing, CountKind) {
-  TraceRing ring(16);
+TEST(Ring, CountKind) {
+  Ring ring(16);
   for (int i = 0; i < 3; ++i) ring.push(make_event(EventKind::AuthFail, i));
   for (int i = 0; i < 5; ++i) ring.push(make_event(EventKind::AuthOk, i));
   EXPECT_EQ(ring.count_kind(EventKind::AuthFail), 3u);
   EXPECT_EQ(ring.count_kind(EventKind::AuthOk), 5u);
   EXPECT_EQ(ring.count_kind(EventKind::KeyWrite), 0u);
+}
+
+// ---- collector retention ---------------------------------------------------
+//
+// More facts than the ring holds, reported straight to a Collector: the ring
+// keeps the newest kEventCapacity facts, the trace view is their expansion,
+// the audit view is the newest kAuditWindow audit facts among them, and the
+// live counters keep counting what the ring overwrote.
+
+std::vector<Event> trace_view(const std::vector<Event>& facts) {
+  std::vector<Event> out;
+  for (const Event& f : facts)
+    for_each_trace_record(f, [&out](const Event& t) { out.push_back(t); });
+  return out;
+}
+
+/// Records of kind `k` in the trace view of `c`'s stored facts.
+uint64_t trace_count(const Collector& c, EventKind k) {
+  const std::vector<Event> view = trace_view(c.events().snapshot());
+  return static_cast<uint64_t>(std::count_if(
+      view.begin(), view.end(), [k](const Event& e) { return e.kind == k; }));
+}
+
+Site site_at(uint64_t cycles, uint8_t el) {
+  return {.cycles = cycles, .pc = 0x1000 + 4 * cycles, .el = el};
+}
+
+TEST(CollectorRetention, ViewsKeepTheNewestFacts) {
+  // Period of five facts, at cycles 1, 2, ...: an SVC entry, a sign, an
+  // HVC, an EL2 bank key install and the ERET to EL0 that closes the
+  // syscall window; four of the five are audit facts.
+  constexpr uint64_t kFacts = 40000;
+  constexpr uint64_t kTarget = 0x400000;
+  Collector c;
+  for (uint64_t j = 0; j < kFacts; ++j) {
+    const uint64_t t = j + 1;
+    switch (j % 5) {
+      case 0:
+        c.exc_enter(site_at(t, 0), kExcClassSvc, 0, 0, 0, j & 0xFFFF);
+        break;
+      case 1: c.pac_sign(site_at(t, 1), 1, t, 0x42, t | (1ull << 60), 3); break;
+      case 2: c.hvc_call(site_at(t, 1), 7, t, 0); break;
+      case 3: c.key_install(site_at(t, 2), 0, 4, /*bank=*/true); break;
+      case 4: c.exc_exit(site_at(t, 1), kTarget, 0); break;
+    }
+  }
+  const std::vector<Event> facts = c.events().snapshot();
+  ASSERT_EQ(facts.size(), Collector::kEventCapacity);
+  EXPECT_EQ(c.events().total(), kFacts);
+  EXPECT_EQ(c.events().dropped(), kFacts - Collector::kEventCapacity);
+  const uint64_t first = kFacts - Collector::kEventCapacity;  // fact index
+
+  // The trace view, rebuilt by hand from the fact indices.
+  std::vector<std::tuple<EventKind, uint64_t, uint64_t, uint64_t, uint16_t>>
+      want, got;  // kind, cycles, pc, ptr, imm
+  for (uint64_t j = first; j < kFacts; ++j) {
+    const uint64_t t = j + 1, pc = 0x1000 + 4 * t;
+    const auto nr = static_cast<uint16_t>((j - 4) & 0xFFFF);
+    switch (j % 5) {
+      case 0:
+        want.emplace_back(EventKind::ExcEnter, t, pc, 0, 0);
+        want.emplace_back(EventKind::SyscallEnter, t, pc, 0,
+                          static_cast<uint16_t>(j & 0xFFFF));
+        break;
+      case 1: want.emplace_back(EventKind::PacSign, t, pc, t, 0); break;
+      case 2: want.emplace_back(EventKind::HvcCall, t, pc, t, 7); break;
+      case 3: break;  // bank installs are audit only
+      case 4:
+        want.emplace_back(EventKind::ExcExit, t, kTarget, kTarget, 0);
+        // The oldest ERET's entry was overwritten; it still closes its
+        // window, since the live state saw the entry.
+        want.emplace_back(EventKind::SyscallExit, t, kTarget, 4, nr);
+        break;
+    }
+  }
+  for (const Event& e : trace_view(facts))
+    got.emplace_back(e.kind, e.cycles, e.pc, e.ptr, e.imm);
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(trace_count(c, EventKind::SyscallExit),
+            trace_count(c, EventKind::SyscallEnter) + 1);
+
+  // The audit view: the newest kAuditWindow audit facts, in audit form.
+  std::vector<uint64_t> audit_facts;
+  for (uint64_t j = 0; j < kFacts; ++j)
+    if (j % 5 != 2) audit_facts.push_back(j);
+  const std::vector<Event> audit = c.audit_events();
+  ASSERT_EQ(audit.size(), Collector::kAuditWindow);
+  EXPECT_EQ(c.audit_dropped(), audit_facts.size() - Collector::kAuditWindow);
+  for (size_t i = 0; i < audit.size(); ++i) {
+    const uint64_t j = audit_facts[audit_facts.size() - audit.size() + i];
+    ASSERT_EQ(audit[i].cycles, j + 1) << i;
+    const Event& fact = facts[j - first];
+    EXPECT_EQ(audit[i].kind, fact.kind) << i;
+    EXPECT_EQ(audit[i].pc, fact.pc) << i;
+    EXPECT_EQ(audit[i].ptr, fact.ptr) << i;
+    EXPECT_EQ(audit[i].bank, j % 5 == 3 ? 1 : 0) << i;
+    // The trace-only payloads read as zero.
+    EXPECT_EQ(audit[i].fault, 0u) << i;
+    EXPECT_EQ(audit[i].syscall, 0u) << i;
+    if (j % 5 == 0 || j % 5 == 4) {
+      EXPECT_EQ(audit[i].ptr2, 0u) << i;
+      EXPECT_EQ(audit[i].imm, 0u) << i;
+    } else {
+      EXPECT_EQ(audit[i].ptr2, fact.ptr2) << i;
+    }
+  }
+
+  // Live state counts every fact, overwritten or not.
+  EXPECT_EQ(c.metrics().value("syscall.count"), kFacts / 5);
+  EXPECT_EQ(c.metrics().value("hvc.call"), kFacts / 5);
+  EXPECT_EQ(c.metrics().value("pauth.sign"), kFacts / 5);
+  EXPECT_EQ(c.metrics().value("key.write"), 0u) << "bank installs";
+  EXPECT_EQ(c.metrics().find_histogram("syscall.cycles")->count(),
+            kFacts / 5);
+}
+
+TEST(CollectorRetention, SparseAuditFactsAndAnOrphanedSyscallExit) {
+  // An SVC entry, then more trace-only HVCs than the ring holds with a
+  // sign as every fifth fact (audit facts sparser than 1 in 4), then the
+  // ERET that closes the entry's window.
+  constexpr uint64_t kFill = 40000;
+  Collector c;
+  c.exc_enter(site_at(1, 0), kExcClassSvc, 0, 0, 0, 93);
+  uint64_t signs = 0;
+  for (uint64_t t = 2; t < kFill + 2; ++t) {
+    if (t % 5 == 0) {
+      c.pac_sign(site_at(t, 1), 0, t, 0, t, 1);
+      ++signs;
+    } else {
+      c.hvc_call(site_at(t, 1), 1, t, 0);
+    }
+  }
+  const uint64_t end = kFill + 2;
+  c.exc_exit(site_at(end, 1), 0x400000, 0);
+
+  const std::vector<Event> facts = c.events().snapshot();
+  ASSERT_EQ(facts.size(), Collector::kEventCapacity);
+  EXPECT_EQ(c.events().dropped(), kFill + 2 - Collector::kEventCapacity);
+  // Every audit fact still in the ring is in the view, and no more.
+  const std::vector<Event> audit = c.audit_events();
+  const auto in_ring = static_cast<size_t>(
+      std::count_if(facts.begin(), facts.end(),
+                    [](const Event& e) { return is_audit_kind(e.kind); }));
+  EXPECT_LT(in_ring, Collector::kAuditWindow);
+  ASSERT_EQ(audit.size(), in_ring);
+  EXPECT_EQ(audit.front().cycles,
+            std::find_if(facts.begin(), facts.end(), [](const Event& e) {
+              return is_audit_kind(e.kind);
+            })->cycles);
+  EXPECT_EQ(audit.back().kind, EventKind::ExcExit);
+  EXPECT_EQ(c.audit_dropped(), signs + 2 - in_ring);
+
+  // The window's entry is gone; its exit is still in the trace view.
+  EXPECT_EQ(trace_count(c, EventKind::SyscallEnter), 0u);
+  ASSERT_EQ(trace_count(c, EventKind::SyscallExit), 1u);
+  const Event exit = trace_view(facts).back();
+  EXPECT_EQ(exit.kind, EventKind::SyscallExit);
+  EXPECT_EQ(exit.ptr, end - 1);
+  EXPECT_EQ(exit.imm, 93u);
+  EXPECT_EQ(c.metrics().find_histogram("syscall.cycles")->count(), 1u);
+  // The Chrome export's depth guard drops the orphaned exit: the bytes are
+  // those of the same facts without it.
+  std::vector<Event> unmarked = facts;
+  unmarked.back().syscall = 0;
+  EXPECT_EQ(chrome_trace_json(facts), chrome_trace_json(unmarked));
 }
 
 TEST(Metrics, CountersAreMonotonicAndStable) {
@@ -745,8 +912,8 @@ TEST(Observability, SyscallWindowsAreSynthesized) {
   m.boot();
   ASSERT_TRUE(m.run());
   const Collector& st = *m.stats();
-  const uint64_t enters = st.ring().count_kind(EventKind::SyscallEnter);
-  const uint64_t exits = st.ring().count_kind(EventKind::SyscallExit);
+  const uint64_t enters = trace_count(st, EventKind::SyscallEnter);
+  const uint64_t exits = trace_count(st, EventKind::SyscallExit);
   // 25 benchmark syscalls plus the final exit; every window that closed did
   // so exactly once.
   EXPECT_GE(enters, 25u);
@@ -768,7 +935,7 @@ TEST(Observability, KeySwitchAndSignEventsAppear) {
   const Collector& st = *m.stats();
   // The full-protection entry path switches keys on every kernel entry and
   // the instrumented prologues sign return addresses.
-  EXPECT_GT(st.ring().count_kind(EventKind::KeyWrite), 0u);
+  EXPECT_GT(trace_count(st, EventKind::KeyWrite), 0u);
   EXPECT_GT(st.metrics().value("key.write"), 0u);
   EXPECT_GT(st.metrics().value("pauth.sign"), 0u);
   EXPECT_GT(st.metrics().value("pauth.auth.ok"), 0u);
@@ -807,8 +974,8 @@ TEST(Observability, ChromeTraceRoundTripsSyntheticRing) {
   // A hand-built ring snapshot: one syscall window containing a key write,
   // a sign and an auth failure, then an exception window left open (as a
   // wrapped ring would leave it) to exercise the truncation tolerance.
-  std::vector<TraceEvent> ring;
-  auto push = [&](EventKind k, uint64_t cycles) -> TraceEvent& {
+  std::vector<Event> ring;
+  auto push = [&](EventKind k, uint64_t cycles) -> Event& {
     ring.push_back(make_event(k, cycles));
     return ring.back();
   };
@@ -816,11 +983,11 @@ TEST(Observability, ChromeTraceRoundTripsSyntheticRing) {
   push(EventKind::KeyWrite, 110).imm = 2;
   // Sign events are deliberately not exported (too dense to render); the
   // exporter must skip them without disturbing the span bookkeeping.
-  push(EventKind::PacSign, 120).a = 0xFFFF000000081000ull;
-  push(EventKind::Stage2Fault, 125).a = 0xFFFF000000090000ull;
+  push(EventKind::PacSign, 120).ptr = 0xFFFF000000081000ull;
+  push(EventKind::Stage2Fault, 125).ptr = 0xFFFF000000090000ull;
   push(EventKind::AuthFail, 130).pc = 0xFFFF000000082000ull;
   push(EventKind::SyscallExit, 140).imm = 1;
-  push(EventKind::ExcEnter, 150).k1 = 1;  // still open at the end
+  push(EventKind::ExcEnter, 150).aux = 1;  // still open at the end
   const std::string text = chrome_trace_json(ring);
   const auto doc = json::Value::parse(text);
   ASSERT_TRUE(doc.has_value()) << "synthetic export is not valid JSON";
@@ -852,12 +1019,12 @@ TEST(Observability, ChromeTraceRoundTripsSyntheticRing) {
 // Every EventKind once, full-width payloads, exits with no entry, an iss of
 // zero and of 0xffff, timestamps past 2^53, and a B window on each lane left
 // open at the end.
-std::vector<TraceEvent> golden_trace_events() {
+std::vector<Event> golden_trace_events() {
   constexpr uint64_t kFull = 0xFEDCBA9876543210ull;
   constexpr uint64_t kMax = ~uint64_t{0};
-  std::vector<TraceEvent> ring;
-  auto push = [&](EventKind k, uint64_t cycles) -> TraceEvent& {
-    TraceEvent e;
+  std::vector<Event> ring;
+  auto push = [&](EventKind k, uint64_t cycles) -> Event& {
+    Event e;
     e.kind = k;
     e.cycles = cycles;
     ring.push_back(e);
@@ -866,44 +1033,44 @@ std::vector<TraceEvent> golden_trace_events() {
   push(EventKind::ExcExit, 5);      // no entry yet: skipped
   push(EventKind::SyscallExit, 6);  // likewise
   push(EventKind::None, 7);
-  TraceEvent& svc = push(EventKind::ExcEnter, 10);
-  svc.k1 = 1;
+  Event& svc = push(EventKind::ExcEnter, 10);
+  svc.aux = 1;
   svc.pc = kFull;
   svc.el = 0;
-  TraceEvent& abort = push(EventKind::ExcEnter, 11);
-  abort.k1 = 4;
+  Event& abort = push(EventKind::ExcEnter, 11);
+  abort.aux = 4;
   abort.pc = kMax;
   abort.el = 1;
   abort.imm = 0xFFFF;
   push(EventKind::ExcExit, 12);
   push(EventKind::SyscallEnter, 13).imm = 0xFFFF;
-  push(EventKind::SyscallExit, 14).a = kFull;
-  push(EventKind::KeyWrite, 15).k1 = 4;
-  TraceEvent& sign = push(EventKind::PacSign, 16);
-  sign.a = kFull;
-  sign.b = kMax;
-  TraceEvent& ok = push(EventKind::AuthOk, 17);
-  ok.a = kFull;
-  ok.b = kFull;
-  TraceEvent& fail = push(EventKind::AuthFail, 18);
-  fail.k1 = 1;
-  fail.a = kMax;
-  fail.b = kFull;
+  push(EventKind::SyscallExit, 14).ptr = kFull;
+  push(EventKind::KeyWrite, 15).key = 4;
+  Event& sign = push(EventKind::PacSign, 16);
+  sign.ptr = kFull;
+  sign.modifier = kMax;
+  Event& ok = push(EventKind::AuthOk, 17);
+  ok.ptr = kFull;
+  ok.modifier = kFull;
+  Event& fail = push(EventKind::AuthFail, 18);
+  fail.key = 1;
+  fail.ptr = kMax;
+  fail.modifier = kFull;
   fail.pc = kFull;
-  TraceEvent& bad_key = push(EventKind::AuthFail, 19);
-  bad_key.k1 = 9;
-  bad_key.a = 0;
-  bad_key.b = 1;
-  push(EventKind::Stage2Fault, 20).a = kMax;
-  TraceEvent& sw = push(EventKind::ContextSwitch, 21);
-  sw.a = kFull;
-  sw.b = 0x10;
+  Event& bad_key = push(EventKind::AuthFail, 19);
+  bad_key.key = 9;
+  bad_key.ptr = 0;
+  bad_key.modifier = 1;
+  push(EventKind::Stage2Fault, 20).ptr = kMax;
+  Event& sw = push(EventKind::ContextSwitch, 21);
+  sw.ptr = kFull;
+  sw.ptr2 = 0x10;
   push(EventKind::HvcCall, 22).imm = 7;
-  push(EventKind::ModuleLoad, 23).a = 3;
+  push(EventKind::ModuleLoad, 23).ptr = 3;
   push(EventKind::MsrDenied, 24).imm = 0xC510;
-  push(EventKind::AttackOutcome, 25).k1 = 2;
-  push(EventKind::AttackOutcome, 26).k1 = 200;
-  push(EventKind::ExcEnter, (uint64_t{1} << 53) + 2).k1 = 7;  // left open
+  push(EventKind::AttackOutcome, 25).aux = 2;
+  push(EventKind::AttackOutcome, 26).aux = 200;
+  push(EventKind::ExcEnter, (uint64_t{1} << 53) + 2).aux = 7;  // left open
   push(EventKind::SyscallEnter, (uint64_t{1} << 53) - 1).imm = 0;  // open
   push(EventKind::AuthOk, kMax);  // not exported; only moves the last ts
   return ring;
@@ -977,7 +1144,7 @@ TEST(Observability, DisabledMachineHasNoCollector) {
 
 // ---- Machine golden: every event kind through the real producers ----------
 //
-// One guest drives every producer of the trace ring, the audit log and the
+// One guest drives every producer of the trace view, the audit view and the
 // registry: SVC windows and key-switch bursts (full protection), sign/auth
 // and a corrupted hook's auth failure, HVCs, an accepted and a rejected
 // module load, context switches, and last a module whose init writes TTBR0,
@@ -1082,26 +1249,28 @@ GoldenDigests every_kind_digests(unsigned cores, cpu::Engine engine) {
   for (size_t k = 1; k < static_cast<size_t>(EventKind::kCount); ++k) {
     const auto kind = static_cast<EventKind>(k);
     if (kind == EventKind::Stage2Fault) continue;
-    EXPECT_GT(st.ring().count_kind(kind), 0u)
+    EXPECT_GT(trace_count(st, kind), 0u)
         << "cores=" << cores << ": no " << event_kind_name(kind);
   }
-  for (size_t k = 1; k < static_cast<size_t>(AuditKind::kCount); ++k)
-    EXPECT_GT(st.audit_log().count_kind(static_cast<AuditKind>(k)), 0u)
-        << "cores=" << cores << ": no "
-        << audit_kind_name(static_cast<AuditKind>(k));
-  const auto loads = [&st](uint8_t ok) {
-    return st.ring().count_if([ok](const TraceEvent& e) {
-      return e.kind == EventKind::ModuleLoad && e.k1 == ok;
+  const std::vector<AuditEvent> log = st.audit_events();
+  for (const auto& [kind, name] : kAuditKinds)
+    EXPECT_TRUE(kind == EventKind::None ||
+                std::any_of(log.begin(), log.end(), [kind](const Event& e) {
+                  return e.kind == kind;
+                }))
+        << "cores=" << cores << ": no " << name;
+  const auto loads = [&log](uint8_t ok) {
+    return std::count_if(log.begin(), log.end(), [ok](const Event& e) {
+      return e.kind == EventKind::ModuleLoad && e.aux == ok;
     });
   };
-  EXPECT_EQ(loads(1), 2u) << "the driver and the TTBR writer pass";
-  EXPECT_EQ(loads(0), 1u) << "the key-reading spy is rejected";
-  EXPECT_EQ(st.ring().dropped(), 0u);
-  EXPECT_EQ(st.audit_log().dropped(), 0u);
+  EXPECT_EQ(loads(1), 2) << "the driver and the TTBR writer pass";
+  EXPECT_EQ(loads(0), 1) << "the key-reading spy is rejected";
+  EXPECT_EQ(st.events().dropped(), 0u);
+  EXPECT_EQ(st.audit_dropped(), 0u);
 
   std::string audit;
-  for (const AuditEvent& e : st.audit_log().snapshot())
-    audit += audit_event_json(e).dump() + "\n";
+  for (const AuditEvent& e : log) audit += audit_event_json(e).dump() + "\n";
   return {testing::fnv1a(st.chrome_trace_json()), testing::fnv1a(audit),
           testing::fnv1a(testing::guest_metrics_json(st.metrics()))};
 }
@@ -1160,7 +1329,7 @@ Stage2Digests stage2_digests(unsigned cores, cpu::Engine engine) {
   EXPECT_TRUE(st.flight().captured());
 
   std::string audit;
-  for (const AuditEvent& e : st.audit_log().snapshot())
+  for (const AuditEvent& e : st.audit_events())
     audit += audit_event_json(e).dump() + "\n";
   const auto bundle = json::Value::parse(
       flight_bundle_json(st.flight(), {}, "stage2", "full", 0));

@@ -610,7 +610,7 @@ TEST(RetireFeed, FlightRingFromRunRecords) {
       ASSERT_EQ(ring_text(rec.live_ring()), ring_text(ref.get()))
           << "record " << i;
       if (i == 60) {  // trigger mid-stream freezes the window
-        obs::TraceEvent e;
+        obs::Event e;
         e.kind = obs::EventKind::AuthFail;
         rec.trigger(e);
         frozen = ring_text(ref.get());
@@ -696,7 +696,7 @@ EngineExports observe(testing::SimHarness& sim, uint64_t leaf_va,
   e.flat = c.flat_profile();
   e.metrics = c.metrics_json();
   e.chrome = c.chrome_trace_json();
-  e.flight = obs::flight_bundle_json(c.flight(), c.audit_log().snapshot(),
+  e.flight = obs::flight_bundle_json(c.flight(), c.audit_events(),
                                      scenario, "test", 1);
   e.coverage = obs::cov_bundle_json(c.coverage(), scenario, 1);
   e.cycles = sim.core.cycles();
@@ -903,11 +903,11 @@ TEST(RetireFeed, FlightRingOutlivesADroppedTrace) {
       EXPECT_GT(sim.core.superblock_stats().trace_invalidations, dropped);
     }
     EXPECT_EQ(c.flight().live_ring().size(), opts.flight_capacity);
-    obs::TraceEvent e;
+    obs::Event e;
     e.kind = obs::EventKind::AuthFail;
     e.cycles = sim.core.cycles();
     c.flight().trigger(e);
-    return obs::flight_bundle_json(c.flight(), c.audit_log().snapshot(),
+    return obs::flight_bundle_json(c.flight(), c.audit_events(),
                                    "flight-lifetime", "test", 1);
   };
   const std::string ref = run(cpu::Engine::Reference);

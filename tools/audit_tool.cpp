@@ -18,7 +18,7 @@ namespace camo::audit_tool {
 namespace {
 
 using obs::AuditEvent;
-using obs::AuditKind;
+using obs::EventKind;
 using obs::json::Value;
 
 bool read_file(const std::string& path, std::string* out, std::string* error) {
@@ -44,13 +44,13 @@ std::string event_line(const AuditEvent& e) {
                  obs::audit_kind_name(e.kind));
   const auto hex = [](uint64_t v) { return hex_short(v); };
   switch (e.kind) {
-    case AuditKind::KeyInstall:
+    case EventKind::KeyWrite:
       s += strformat(" key=%s prov=%llu %s (el%u, pc=%s)",
                      obs::pac_key_label(e.key),
                      static_cast<unsigned long long>(e.prov),
                      e.bank ? "el2-bank" : "live", e.el, hex(e.pc).c_str());
       break;
-    case AuditKind::Sign:
+    case EventKind::PacSign:
       s += strformat(" key=%s %s -> %s mod=%s(%s) prov=%llu (el%u)",
                      obs::pac_key_label(e.key), hex(e.ptr).c_str(),
                      hex(e.ptr2).c_str(), hex(e.modifier).c_str(),
@@ -58,8 +58,8 @@ std::string event_line(const AuditEvent& e) {
                          static_cast<obs::ModifierClass>(e.mclass)),
                      static_cast<unsigned long long>(e.prov), e.el);
       break;
-    case AuditKind::AuthOk:
-    case AuditKind::AuthFail:
+    case EventKind::AuthOk:
+    case EventKind::AuthFail:
       s += strformat(" key=%s %s -> %s mod=%s(%s) prov=%llu pc=%s lr=%s",
                      obs::pac_key_label(e.key), hex(e.ptr).c_str(),
                      hex(e.ptr2).c_str(), hex(e.modifier).c_str(),
@@ -68,24 +68,24 @@ std::string event_line(const AuditEvent& e) {
                      static_cast<unsigned long long>(e.prov),
                      hex(e.pc).c_str(), hex(e.lr).c_str());
       break;
-    case AuditKind::ElEnter:
+    case EventKind::ExcEnter:
       s += strformat(" el%u -> handler (%s), far=%s, return=%s", e.el,
                      obs::exc_class_label(e.aux), hex(e.ptr).c_str(),
                      hex(e.pc).c_str());
       break;
-    case AuditKind::ElExit:
+    case EventKind::ExcExit:
       s += strformat(" -> el%u, target=%s", e.aux, hex(e.ptr).c_str());
       break;
-    case AuditKind::HypDenied:
+    case EventKind::MsrDenied:
       s += strformat(" el%u MSR sysreg=%u pc=%s", e.el, e.imm,
                      hex(e.pc).c_str());
       break;
-    case AuditKind::ModuleVerify:
+    case EventKind::ModuleLoad:
       s += strformat(" module=%llu init=%s %s",
                      static_cast<unsigned long long>(e.ptr),
                      hex(e.ptr2).c_str(), e.aux ? "verified" : "REJECTED");
       break;
-    case AuditKind::AttackVerdict:
+    case EventKind::AttackOutcome:
       s += strformat(" %s (pac_failures=%llu, halt=%s)",
                      attacks::outcome_name(
                          static_cast<attacks::Outcome>(e.aux)),
@@ -169,7 +169,7 @@ int cmd_print(const std::string& bundle_path) {
     const Value* pc = trig->get("pc");
     const Value* cyc = trig->get("cycles");
     std::printf("trigger: %s at pc=%s, cycle %llu\n",
-                obs::event_kind_name(static_cast<obs::EventKind>(field(kind))),
+                obs::event_kind_name(static_cast<EventKind>(field(kind))),
                 hex_short(field(pc)).c_str(),
                 static_cast<unsigned long long>(field(cyc)));
   }
