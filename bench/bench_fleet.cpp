@@ -46,13 +46,12 @@ int main(int argc, char** argv) {
   // so the whole fleet shares one cache key: the kernel is built, verified
   // and signed exactly once, every other machine installs the shared image.
   auto cache = std::make_shared<kernel::ImageCache>();
+  bench::RunOptions opts = s.run_options();  // --engine and --cores
+  opts.collect = true;
+  opts.seed = seed;
   const auto factory = [&](size_t i) {
-    kernel::MachineConfig cfg;
-    cfg.kernel.protection = compiler::ProtectionConfig::full();
-    cfg.kernel.log_pac_failures = false;
-    cfg.obs.enabled = true;
-    cfg.cpu.engine = s.engine();
-    cfg.seed = seed;
+    kernel::MachineConfig cfg =
+        opts.machine(compiler::ProtectionConfig::full());
     cfg.machine_id = static_cast<unsigned>(i);
     cfg.image_cache = cache;
     auto m = std::make_unique<kernel::Machine>(cfg);

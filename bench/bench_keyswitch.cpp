@@ -134,10 +134,8 @@ int main(int argc, char** argv) {
   {
     const uint64_t n = s.iters(2000, 100);
     auto syscall_cycles = [n, &s](bool banked) {
-      kernel::MachineConfig cfg;
-      cfg.kernel.protection = compiler::ProtectionConfig::full();
-      cfg.kernel.log_pac_failures = false;
-      cfg.cpu.engine = s.engine();
+      kernel::MachineConfig cfg =  // --engine and --cores
+          s.run_options().machine(compiler::ProtectionConfig::full());
       cfg.cpu.banked_keys = banked;
       kernel::Machine m(cfg);
       m.add_user_program(kernel::workloads::null_syscall(n));
