@@ -216,11 +216,12 @@ void Collector::record(const Site& s, Event e) {
       break;
   }
   if (is_audit_kind(e.kind)) ++audit_total_;
-  // The counters and the flight trigger read the fact's trace view. Any
-  // protection violation or attack detection there freezes the instruction
-  // ring and snapshots machine state (first trigger wins — it is the causal
-  // root).
-  for_each_trace_record(ring_.push(e), [this](const Event& t) {
+  ring_.push(e);
+  // The counters and the flight trigger read the fact's trace view (of the
+  // local copy: reading back the slot just stored stalls). Any protection
+  // violation or attack detection there freezes the instruction ring and
+  // snapshots machine state (first trigger wins — it is the causal root).
+  for_each_trace_record(e, [this](const Event& t) {
     count(t);
     if (t.kind == EventKind::AuthFail || t.kind == EventKind::Stage2Fault ||
         t.kind == EventKind::MsrDenied ||

@@ -20,15 +20,15 @@ class Ring {
     buf_.reserve(capacity_ < 4096 ? capacity_ : 4096);
   }
 
-  /// Append `e`, overwriting the oldest fact once full; returns the stored
-  /// copy.
-  const Event& push(const Event& e) {
+  /// Append `e`, overwriting the oldest fact once full.
+  void push(const Event& e) {
     ++total_;
-    if (buf_.size() < capacity_) return buf_.emplace_back(e);
-    Event& slot = buf_[head_];
-    slot = e;
+    if (buf_.size() < capacity_) {
+      buf_.push_back(e);
+      return;
+    }
+    buf_[head_] = e;
     if (++head_ == capacity_) head_ = 0;
-    return slot;
   }
 
   size_t size() const { return buf_.size(); }
