@@ -55,7 +55,7 @@ PreparedKernel Bootloader::prepare(obj::Program kernel, const BootConfig& cfg,
   return pk;
 }
 
-BootResult Bootloader::install(const PreparedKernel& pk, hyp::Hypervisor& hv,
+BootResult Bootloader::install(PreparedKernel pk, hyp::Hypervisor& hv,
                                cpu::Cpu& cpu, uint64_t boot_sp) {
   // Replay the prepare-time allow-lists so module loads on this machine
   // verify under identical rules.
@@ -80,10 +80,10 @@ BootResult Bootloader::install(const PreparedKernel& pk, hyp::Hypervisor& hv,
 
   BootResult result;
   result.keys = pk.keys;
-  result.kernel_image = pk.image;
+  result.kernel_image = std::move(pk.image);
   result.key_setter_va = pk.key_setter_va;
   result.entry_va = pk.entry_va;
-  result.kernel_verify = pk.verify;
+  result.kernel_verify = std::move(pk.verify);
   return result;
 }
 

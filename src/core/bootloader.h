@@ -90,8 +90,8 @@ class Bootloader {
   /// Load a prepared kernel into one machine: configure the hypervisor's
   /// verifier allow-lists, map the image (stage-2 write protection, XOM
   /// key-setter page), export symbols, and park the CPU at the entry point
-  /// — the per-machine remainder of boot().
-  static BootResult install(const PreparedKernel& pk, hyp::Hypervisor& hv,
+  /// — the per-machine remainder of boot(); the result takes `pk`'s image.
+  static BootResult install(PreparedKernel pk, hyp::Hypervisor& hv,
                             cpu::Cpu& cpu, uint64_t boot_sp);
 };
 
