@@ -38,6 +38,33 @@ TEST(MachineBoot, KernelImageVerifiesCleanUnderFullProtection) {
   EXPECT_GT(m.boot_result().kernel_verify.words_scanned, 1000u);
 }
 
+// Guest pages a booted machine backs: the kernel's .bss (one kernel stack
+// per task) and never-written pages read as zero and hold no host memory.
+TEST(MachineBoot, BackedGuestPagesAfterBootPinned) {
+  struct Case {
+    ProtectionConfig prot;
+    unsigned users;
+    uint64_t backed;
+  };
+  const Case cases[] = {
+      {ProtectionConfig::full(), 0, 6},  {ProtectionConfig::full(), 1, 7},
+      {ProtectionConfig::full(), 33, 39}, {ProtectionConfig::none(), 0, 5},
+      {ProtectionConfig::none(), 1, 6},  {ProtectionConfig::none(), 33, 38},
+  };
+  for (const Case& c : cases) {
+    Machine m(config_for(c.prot));
+    for (unsigned u = 0; u < c.users; ++u)
+      m.add_user_program(workloads::call_hook(1));
+    m.boot();
+    mem::PhysicalMemory& pm = m.mmu().phys();
+    uint64_t backed = 0;
+    for (uint64_t p = 0; p < pm.page_count(); ++p)
+      backed += pm.backing(p) != nullptr;
+    EXPECT_EQ(backed, c.backed) << c.users << " users, backward scheme "
+                                << static_cast<int>(c.prot.backward);
+  }
+}
+
 class AllConfigs : public ::testing::TestWithParam<int> {
  protected:
   static ProtectionConfig prot() {
