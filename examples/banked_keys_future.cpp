@@ -42,7 +42,7 @@ int main() {
                   "reject any MRS of a key register.\n\n");
     } else {
       // Demonstrate: even reading the key registers at EL1 reveals nothing.
-      const auto& kk = m.boot_result().keys;
+      const auto& kk = m.kernel().keys;
       bool leak = false;
       for (int r = 0; r < 10; ++r) {
         const uint64_t v = m.cpu().sysreg(static_cast<isa::SysReg>(r));

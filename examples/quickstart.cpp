@@ -31,17 +31,18 @@ int main() {
 
   // 3. Boot. The bootloader generates the kernel PAuth keys, embeds them in
   //    the execute-only key-setter page, instruments and links the kernel,
-  //    and statically verifies the image.
+  //    and statically verifies the image. m.kernel() is that one immutable
+  //    prepared kernel: image, keys, key-setter address, verify result.
   m.boot();
-  const auto& boot = m.boot_result();
+  const core::PreparedKernel& kernel = m.kernel();
   std::printf("booted kernel at %s\n",
               hex(kernel::kKernelBase).c_str());
   std::printf("  protection:      %s\n",
               cfg.kernel.protection.describe().c_str());
   std::printf("  key setter (XOM): %s (1 page, execute-only)\n",
-              hex(boot.key_setter_va).c_str());
+              hex(kernel.key_setter_va).c_str());
   std::printf("  static verify:    %s\n",
-              boot.kernel_verify.describe().c_str());
+              kernel.verify.describe().c_str());
 
   // 4. Run to completion.
   m.run();
@@ -72,7 +73,7 @@ int main() {
 
   // 6. The keys never appear in readable memory; reading the setter page
   //    with a kernel-level read primitive fails.
-  const auto r = m.mmu().translate(boot.key_setter_va, mem::Access::Read,
+  const auto r = m.mmu().translate(kernel.key_setter_va, mem::Access::Read,
                                    mem::El::El1);
   std::printf("\nEL1 read of the key-setter page: %s fault (expected: "
               "stage2-permission)\n",

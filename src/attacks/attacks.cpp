@@ -276,20 +276,20 @@ AttackReport run_key_extraction(const ProtectionConfig& prot) {
   m.boot();
   Attacker atk(m);
   AttackReport r;
-  const uint64_t setter = m.boot_result().key_setter_va;
+  const uint64_t setter = m.kernel().key_setter_va;
   unsigned readable = 0;
   for (uint64_t off = 0; off < 4096; off += 8) {
     uint64_t v;
     if (atk.read(setter + off, v)) ++readable;
   }
   // Scan every kernel-image byte the primitive can read for key halves.
-  const auto& keys = m.boot_result().keys;
+  const auto& keys = m.kernel().keys;
   const uint64_t halves[] = {keys.ia.w0, keys.ia.k0, keys.ib.w0, keys.ib.k0,
                              keys.db.w0, keys.db.k0};
   unsigned leaks = 0;
-  const auto& img = m.boot_result().kernel_image;
+  const auto& img = m.kernel().image;
   for (const auto& seg : img.segments) {
-    for (uint64_t va = seg.va; va + 8 <= seg.va + seg.bytes.size(); va += 4) {
+    for (uint64_t va = seg.va; va + 8 <= seg.va + seg.size(); va += 4) {
       uint64_t v;
       if (!atk.read(va, v)) continue;
       for (const uint64_t h : halves) leaks += v == h;

@@ -55,8 +55,8 @@ PreparedKernel Bootloader::prepare(obj::Program kernel, const BootConfig& cfg,
   return pk;
 }
 
-BootResult Bootloader::install(PreparedKernel pk, hyp::Hypervisor& hv,
-                               cpu::Cpu& cpu, uint64_t boot_sp) {
+void Bootloader::install(const PreparedKernel& pk, hyp::Hypervisor& hv,
+                         cpu::Cpu& cpu, uint64_t boot_sp) {
   // Replay the prepare-time allow-lists so module loads on this machine
   // verify under identical rules.
   for (const auto& r : pk.key_write_ranges)
@@ -77,21 +77,6 @@ BootResult Bootloader::install(PreparedKernel pk, hyp::Hypervisor& hv,
   cpu.set_sysreg(isa::SysReg::SCTLR_EL1, 0);
   cpu.set_sp_el(mem::El::El1, boot_sp);
   cpu.pc = pk.entry_va;
-
-  BootResult result;
-  result.keys = pk.keys;
-  result.kernel_image = std::move(pk.image);
-  result.key_setter_va = pk.key_setter_va;
-  result.entry_va = pk.entry_va;
-  result.kernel_verify = std::move(pk.verify);
-  return result;
-}
-
-BootResult Bootloader::boot(obj::Program kernel, const BootConfig& cfg,
-                            hyp::Hypervisor& hv, cpu::Cpu& cpu,
-                            uint64_t kernel_base, uint64_t boot_sp) {
-  return install(prepare(std::move(kernel), cfg, kernel_base), hv, cpu,
-                 boot_sp);
 }
 
 }  // namespace camo::core

@@ -42,29 +42,21 @@ struct BootConfig {
   std::vector<std::string> key_write_symbols;
 };
 
-struct BootResult {
-  KernelKeys keys;  ///< host-side secret (used by benches/attack oracles)
-  obj::Image kernel_image;
-  uint64_t key_setter_va = 0;
-  uint64_t entry_va = 0;
-  analysis::VerifyResult kernel_verify;
-};
-
 /// The machine-independent half of boot, precomputed: key setter
 /// synthesized and spliced, instrumentation passes run, image linked and
 /// statically verified. Nothing here references a Machine, a Hypervisor or
-/// a Cpu, so one PreparedKernel is immutable and safely shared across a
-/// fleet of machines on any number of threads (kernel::ImageCache does
-/// exactly that); install() only copies bytes into per-machine memory.
+/// a Cpu, so one PreparedKernel is immutable and shared by every machine
+/// that boots it, on any number of threads (kernel::ImageCache does exactly
+/// that); install() only reads it.
 struct PreparedKernel {
-  KernelKeys keys;
+  KernelKeys keys;  ///< host-side secret (used by benches/attack oracles)
   obj::Image image;
   uint64_t key_setter_va = 0;
   uint64_t entry_va = 0;
   analysis::VerifyResult verify;
   /// Verifier allow-lists the prepare step used; install() replays them
   /// into the machine's hypervisor so later module loads verify under the
-  /// same rules a direct boot() would have set up.
+  /// same rules the kernel image did.
   struct Range {
     uint64_t va = 0, len = 0;
   };
@@ -74,25 +66,20 @@ struct PreparedKernel {
 
 class Bootloader {
  public:
-  /// Boots `kernel` (un-instrumented program) on `cpu` via `hv`.
-  /// `kernel_base` must be page-aligned; `boot_sp` must already be mapped by
-  /// the caller (or will be before the first push). Throws camo::Error when
-  /// kernel verification fails. Equivalent to prepare() + install().
-  static BootResult boot(obj::Program kernel, const BootConfig& cfg,
-                         hyp::Hypervisor& hv, cpu::Cpu& cpu,
-                         uint64_t kernel_base, uint64_t boot_sp);
-
-  /// Build + verify + sign once: everything per-configuration. Throws
-  /// camo::Error when cfg.verify_kernel is set and verification fails.
+  /// Steps 1-4, everything per-configuration: build + verify + sign once.
+  /// `kernel` is the un-instrumented program; `kernel_base` must be
+  /// page-aligned. Throws camo::Error when cfg.verify_kernel is set and
+  /// verification fails.
   static PreparedKernel prepare(obj::Program kernel, const BootConfig& cfg,
                                 uint64_t kernel_base);
 
-  /// Load a prepared kernel into one machine: configure the hypervisor's
-  /// verifier allow-lists, map the image (stage-2 write protection, XOM
-  /// key-setter page), export symbols, and park the CPU at the entry point
-  /// — the per-machine remainder of boot(); the result takes `pk`'s image.
-  static BootResult install(PreparedKernel pk, hyp::Hypervisor& hv,
-                            cpu::Cpu& cpu, uint64_t boot_sp);
+  /// Steps 5-6 for one machine: configure the hypervisor's verifier
+  /// allow-lists, map the image (stage-2 write protection, XOM key-setter
+  /// page), export symbols, and park the CPU at the entry point. `boot_sp`
+  /// must already be mapped by the caller (or will be before the first
+  /// push). Reads `pk` only, so any number of machines install one.
+  static void install(const PreparedKernel& pk, hyp::Hypervisor& hv,
+                      cpu::Cpu& cpu, uint64_t boot_sp);
 };
 
 }  // namespace camo::core

@@ -46,7 +46,7 @@ void Hypervisor::load_image(const obj::Image& image, mem::Stage1Map& map,
   for (const auto& seg : image.segments) {
     const uint64_t va = align_down(seg.va, VaLayout::kPageSize);
     const uint64_t len =
-        align_up(seg.va + seg.bytes.size(), VaLayout::kPageSize) - va;
+        align_up(seg.va + seg.size(), VaLayout::kPageSize) - va;
     const uint64_t pa = alloc_pages(len / VaLayout::kPageSize);
     phys_->fill(pa, 0, len);
     phys_->write_block(pa + (seg.va - va), seg.bytes.data(), seg.bytes.size());

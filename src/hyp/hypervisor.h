@@ -62,8 +62,9 @@ class Hypervisor {
   void switch_user_space(int id);
   int active_user_space() const { return active_user_; }
 
-  /// Map a linked image: allocates physical pages per segment, copies bytes
-  /// and installs stage-1 mappings with kind-appropriate permissions
+  /// Map a linked image: allocates physical pages per segment, zero-fills
+  /// them (which backs none), copies each segment's bytes (a Bss segment has
+  /// none) and installs stage-1 mappings with kind-appropriate permissions
   /// (Text→RX, RoData→RO, Data/Bss→RW). Kernel-half images additionally get
   /// stage-2 write protection on Text and RoData.
   void load_image(const obj::Image& image, mem::Stage1Map& map, bool user);

@@ -5,9 +5,10 @@
 // instrumentation passes, linking and statically verifying the image. In a
 // fleet every machine with the same configuration repeats that work on
 // byte-identical inputs; this cache does it once per configuration and
-// hands every subsequent machine a shared, immutable core::PreparedKernel
-// to install from — which is what keeps machine boot off the fleet's
-// serial fraction (Amdahl's law does the rest).
+// hands every subsequent machine the same immutable core::PreparedKernel,
+// which the machine installs from and keeps without copying — which is
+// what keeps machine boot off the fleet's serial fraction (Amdahl's law
+// does the rest).
 //
 // Invalidation rules: there is no invalidation — entries are immutable and
 // keyed by every input of prepare(): the KernelConfig (protection scheme,

@@ -84,7 +84,7 @@ uint64_t Machine::halt_code() const {
 }
 
 int Machine::add_user_program(obj::Program prog, const std::string& entry) {
-  if (boot_) fail("machine: add programs before boot()");
+  if (kernel_) fail("machine: add programs before boot()");
   // User binaries keep the stock ABI (R5): no kernel instrumentation is
   // applied; they are free to use PAuth with their own EL0 keys.
   compiler::instrument(prog, compiler::ProtectionConfig::none());
@@ -114,7 +114,7 @@ int Machine::register_module(const std::string& name, obj::Program prog) {
 }
 
 void Machine::boot() {
-  if (boot_) fail("machine: already booted");
+  if (kernel_) fail("machine: already booted");
   // Boot stack for the swapper context (becomes task 0's kernel stack).
   hv_.map_kernel_rw(kBootStackTop - kKernelStackSize, kKernelStackSize);
 
@@ -123,47 +123,37 @@ void Machine::boot() {
   bcfg.protection = cfg_.kernel.protection;
   bcfg.entry_symbol = "early_boot";
   bcfg.key_write_symbols = KernelBuilder::key_write_symbols();
+  const auto prepare = [&] {
+    return core::Bootloader::prepare(kb_.build(), bcfg, kKernelBase);
+  };
   if (cfg_.image_cache) {
     // Fleet path: build + verify + sign the kernel once per configuration;
-    // every later machine with the same key installs the shared image.
-    const std::shared_ptr<const core::PreparedKernel> pk =
-        cfg_.image_cache->get(
-            ImageCache::key_for(cfg_.kernel, cfg_.seed, kb_.tasks()), [&] {
-              imgcache_built_ = true;
-              return core::Bootloader::prepare(kb_.build(), bcfg,
-                                               kKernelBase);
-            });
-    boot_ = std::make_shared<const core::BootResult>(
-        core::Bootloader::install(*pk, hv_, cpu_, kBootStackTop));
+    // every later machine with the same key installs the one shared image.
+    kernel_ = cfg_.image_cache->get(
+        ImageCache::key_for(cfg_.kernel, cfg_.seed, kb_.tasks()), [&] {
+          imgcache_built_ = true;
+          return prepare();
+        });
   } else {
-    boot_ = std::make_shared<const core::BootResult>(core::Bootloader::boot(
-        kb_.build(), bcfg, hv_, cpu_, kKernelBase, kBootStackTop));
+    kernel_ = std::make_shared<const core::PreparedKernel>(prepare());
   }
+  core::Bootloader::install(*kernel_, hv_, cpu_, kBootStackTop);
 
   // Attach before any guest instruction executes so the collector sees the
   // whole run (the bootloader only stages memory and registers; all guest
   // cycles flow through Cpu::step()).
   if (cfg_.obs.enabled) attach_observability();
 
-  // §8 extension: the "hypervisor" provisions the kernel key bank directly —
-  // the keys never exist in EL1-accessible state.
-  if (cfg_.cpu.banked_keys) {
-    cpu_.set_kernel_bank_key(cpu::PacKey::IA, boot_->keys.ia);
-    cpu_.set_kernel_bank_key(cpu::PacKey::IB, boot_->keys.ib);
-    cpu_.set_kernel_bank_key(cpu::PacKey::DA, boot_->keys.da);
-    cpu_.set_kernel_bank_key(cpu::PacKey::DB, boot_->keys.db);
-    cpu_.set_kernel_bank_key(cpu::PacKey::GA, boot_->keys.ga);
-  }
-
   if (cfg_.kernel.preempt) cpu_.set_timer_period(cfg_.preempt_timeslice);
 
   // Secondary bring-up: host-side "PSCI firmware" mirroring what core 0 does
   // for itself in early_boot plus what Bootloader::install staged — PAuth
-  // enable bits, vectors, kernel keys (or the per-core bank), a private boot
-  // stack, TPIDR_EL1 at the core's swapper slot, and the pc parked at
-  // secondary_idle (which spins until core 0 raises smp_online).
+  // enable bits, vectors, kernel keys (the bank is provisioned below), a
+  // private boot stack, TPIDR_EL1 at the core's swapper slot, and the pc
+  // parked at secondary_idle (which spins until core 0 raises smp_online).
+  const core::KernelKeys& keys = kernel_->keys;
   if (!secondary_.empty()) {
-    const obj::Image& img = boot_->kernel_image;
+    const obj::Image& img = kernel_->image;
     const uint64_t task_array = img.symbol(kSymTaskArray);
     const bool protected_build =
         cfg_.kernel.protection.backward != compiler::BackwardScheme::None ||
@@ -183,31 +173,34 @@ void Machine::boot() {
       cc.set_sysreg(isa::SysReg::TPIDR_EL1,
                     task_array + (kb_.task_count() + c) * kTaskSize);
       cc.pc = img.symbol(kSymSecondaryIdle);
-      if (cfg_.cpu.banked_keys) {
-        cc.set_kernel_bank_key(cpu::PacKey::IA, boot_->keys.ia);
-        cc.set_kernel_bank_key(cpu::PacKey::IB, boot_->keys.ib);
-        cc.set_kernel_bank_key(cpu::PacKey::DA, boot_->keys.da);
-        cc.set_kernel_bank_key(cpu::PacKey::DB, boot_->keys.db);
-        cc.set_kernel_bank_key(cpu::PacKey::GA, boot_->keys.ga);
-      } else if (protected_build) {
+      if (!cfg_.cpu.banked_keys && protected_build) {
         // Same halves the XOM key setter writes on core 0 (Lo=k0, Hi=w0).
         const auto install = [&cc](isa::SysReg lo, isa::SysReg hi,
                                    const qarma::Key128& k) {
           cc.set_sysreg(lo, k.k0);
           cc.set_sysreg(hi, k.w0);
         };
-        install(isa::SysReg::APIAKeyLo, isa::SysReg::APIAKeyHi,
-                boot_->keys.ia);
-        install(isa::SysReg::APIBKeyLo, isa::SysReg::APIBKeyHi,
-                boot_->keys.ib);
-        install(isa::SysReg::APDAKeyLo, isa::SysReg::APDAKeyHi,
-                boot_->keys.da);
-        install(isa::SysReg::APDBKeyLo, isa::SysReg::APDBKeyHi,
-                boot_->keys.db);
-        install(isa::SysReg::APGAKeyLo, isa::SysReg::APGAKeyHi,
-                boot_->keys.ga);
+        install(isa::SysReg::APIAKeyLo, isa::SysReg::APIAKeyHi, keys.ia);
+        install(isa::SysReg::APIBKeyLo, isa::SysReg::APIBKeyHi, keys.ib);
+        install(isa::SysReg::APDAKeyLo, isa::SysReg::APDAKeyHi, keys.da);
+        install(isa::SysReg::APDBKeyLo, isa::SysReg::APDBKeyHi, keys.db);
+        install(isa::SysReg::APGAKeyLo, isa::SysReg::APGAKeyHi, keys.ga);
       }
       if (cfg_.kernel.preempt) cc.set_timer_period(cfg_.preempt_timeslice);
+    }
+  }
+
+  // §8 extension: the "hypervisor" provisions each core's kernel key bank
+  // directly — the keys never exist in EL1-accessible state. Every core's pc
+  // is parked by now, so each install is reported at its core's entry.
+  if (cfg_.cpu.banked_keys) {
+    for (unsigned c = 0; c < cores(); ++c) {
+      cpu::Cpu& cc = core(c);
+      cc.set_kernel_bank_key(cpu::PacKey::IA, keys.ia);
+      cc.set_kernel_bank_key(cpu::PacKey::IB, keys.ib);
+      cc.set_kernel_bank_key(cpu::PacKey::DA, keys.da);
+      cc.set_kernel_bank_key(cpu::PacKey::DB, keys.db);
+      cc.set_kernel_bank_key(cpu::PacKey::GA, keys.ga);
     }
   }
 }
@@ -246,7 +239,7 @@ void Machine::attach_observability() {
                                 uint64_t end) {
       stats_->callgraph().add_region(name, start, end);
     };
-    const obj::Image& img = boot_->kernel_image;
+    const obj::Image& img = kernel_->image;
     for (const auto& [name, size] : img.function_sizes) {
       const uint64_t va = img.symbol(name);
       add_region(name, va, va + size);
@@ -259,9 +252,9 @@ void Machine::attach_observability() {
     if (user_end > kUserBase) add_region("[user]", kUserBase, user_end);
   }
 
-  if (boot_->kernel_image.has_symbol(kSymCpuSwitchTo)) {
+  if (kernel_->image.has_symbol(kSymCpuSwitchTo)) {
     obs::Collector* c = stats_.get();
-    const uint64_t va = boot_->kernel_image.symbol(kSymCpuSwitchTo);
+    const uint64_t va = kernel_->image.symbol(kSymCpuSwitchTo);
     for (unsigned i = 0; i < cores(); ++i) {
       core(i).add_breakpoint(va, [c](cpu::Cpu& cc) {
         // x0/x1: the prev and next task structs
@@ -311,7 +304,7 @@ void Machine::fill_snapshot(obs::FlightSnapshot& s) const {
 }
 
 void Machine::annotate_coverage_regions() {
-  const obj::Image& img = boot_->kernel_image;
+  const obj::Image& img = kernel_->image;
   obs::CoverageMap& cov = stats_->coverage();
   // Host-level fetch translation of a kernel text/rodata VA.
   const auto pa_of = [&](uint64_t va, uint64_t* pa) {
@@ -499,8 +492,8 @@ void Machine::publish_retire_counters() {
 }
 
 uint64_t Machine::kernel_symbol(const std::string& name) const {
-  if (!boot_) fail("machine: not booted");
-  return boot_->kernel_image.symbol(name);
+  if (!kernel_) fail("machine: not booted");
+  return kernel_->image.symbol(name);
 }
 
 uint64_t Machine::read_u64(uint64_t va) const {

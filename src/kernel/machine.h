@@ -110,7 +110,9 @@ class Machine {
   uint64_t total_retired() const;
   mem::Mmu& mmu() { return mmu_; }
   hyp::Hypervisor& hyp() { return hv_; }
-  const core::BootResult& boot_result() const { return *boot_; }
+  /// The booted kernel: image, keys, verify result. Shared with every
+  /// machine booted from the same ImageCache entry.
+  const core::PreparedKernel& kernel() const { return *kernel_; }
   const MachineConfig& config() const { return cfg_; }
 
   /// Per-machine observability (event ring, metrics, profiler). Non-null
@@ -162,7 +164,7 @@ class Machine {
   unsigned last_core_ = 0;
   KernelBuilder kb_;
   std::unique_ptr<obs::Collector> stats_;
-  std::shared_ptr<const core::BootResult> boot_;
+  std::shared_ptr<const core::PreparedKernel> kernel_;
   std::vector<obj::Image> user_images_;  ///< indexed by pid - 1
   std::vector<int> user_spaces_;
   unsigned next_pid_ = 1;

@@ -101,10 +101,7 @@ void PhysicalMemory::copy_in(uint64_t pa, const void* data, uint64_t len) {
   while (len > 0) {
     const uint64_t off = pa & (kPageSize - 1);
     const uint64_t chunk = std::min<uint64_t>(len, kPageSize - off);
-    const uint64_t p = pa >> kPageShift;
-    // Zeros onto a page that reads as zero need no backing (an image's .bss).
-    if (page(p) || src[0] != 0 || std::memcmp(src, src + 1, chunk - 1) != 0)
-      std::memcpy(page_mut(p) + off, src, chunk);
+    std::memcpy(page_mut(pa >> kPageShift) + off, src, chunk);
     pa += chunk;
     src += chunk;
     len -= chunk;

@@ -29,7 +29,7 @@ uint64_t Image::base_va() const {
 
 uint64_t Image::end_va() const {
   uint64_t hi = 0;
-  for (const auto& s : segments) hi = std::max(hi, s.va + s.bytes.size());
+  for (const auto& s : segments) hi = std::max(hi, s.va + s.size());
   return hi;
 }
 
@@ -275,16 +275,17 @@ Image Linker::link(
   };
   emit_section(SectionKind::RoData, rodata_va, rodata_end);
   emit_section(SectionKind::Data, data_va, data_end);
-  if (bss_end != bss_va) {
-    Image::Segment bss{SectionKind::Bss, bss_va, {}};
-    bss.bytes.resize(bss_end - bss_va, 0);
-    img.segments.push_back(std::move(bss));
-  }
+  if (bss_end != bss_va)
+    img.segments.push_back({SectionKind::Bss, bss_va, {}, bss_end - bss_va});
 
   // ---- apply Abs64 data relocations ----
   auto segment_for = [&](uint64_t va) -> Image::Segment& {
     for (auto& s : img.segments)
-      if (va >= s.va && va + 8 <= s.va + s.bytes.size()) return s;
+      if (va >= s.va && va + 8 <= s.va + s.size()) {
+        if (s.kind == SectionKind::Bss)
+          fail("link: Abs64 target slot in .bss: " + hex_short(va));
+        return s;
+      }
     fail("link: Abs64 target slot outside image: " + hex_short(va));
   };
   for (const auto& r : prog.abs64_) {

@@ -43,7 +43,12 @@ struct Image {
   struct Segment {
     SectionKind kind = SectionKind::Text;
     uint64_t va = 0;
-    std::vector<uint8_t> bytes;  ///< zero-filled for Bss
+    std::vector<uint8_t> bytes;  ///< none for Bss, which reads as zero
+    uint64_t bss_size = 0;       ///< a Bss segment's extent
+    /// Length of [va, va + size()), the segment's extent for every kind.
+    uint64_t size() const {
+      return kind == SectionKind::Bss ? bss_size : bytes.size();
+    }
   };
 
   std::vector<Segment> segments;

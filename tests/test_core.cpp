@@ -158,6 +158,11 @@ struct BootFixture {
   BootFixture() : mmu(pm, {}), hv(pm, mmu), core(mmu, {}) {
     hv.map_kernel_rw(kBootSp - 0x10000, 0x10000);
   }
+  PreparedKernel boot(obj::Program kernel, const BootConfig& cfg) {
+    PreparedKernel pk = Bootloader::prepare(std::move(kernel), cfg, kKernBase);
+    Bootloader::install(pk, hv, core, kBootSp);
+    return pk;
+  }
   mem::PhysicalMemory pm{8 << 20};
   mem::Mmu mmu;
   hyp::Hypervisor hv;
@@ -169,9 +174,8 @@ TEST(Bootloader, BootsTinyKernelAndInstallsKeys) {
   BootConfig cfg;
   cfg.seed = 1234;
   cfg.entry_symbol = "early_boot";
-  const auto boot = Bootloader::boot(tiny_kernel(), cfg, fx.hv, fx.core,
-                                     kKernBase, kBootSp);
-  EXPECT_TRUE(boot.kernel_verify.ok()) << boot.kernel_verify.describe();
+  const auto boot = fx.boot(tiny_kernel(), cfg);
+  EXPECT_TRUE(boot.verify.ok()) << boot.verify.describe();
   EXPECT_EQ(boot.key_setter_va, kKernBase);
 
   fx.core.run(100000);
@@ -185,8 +189,7 @@ TEST(Bootloader, KeySetterPageIsXom) {
   BootFixture fx;
   BootConfig cfg;
   cfg.entry_symbol = "early_boot";
-  const auto boot = Bootloader::boot(tiny_kernel(), cfg, fx.hv, fx.core,
-                                     kKernBase, kBootSp);
+  const auto boot = fx.boot(tiny_kernel(), cfg);
   // EL1 reads of the setter page fail; fetch succeeds.
   EXPECT_EQ(fx.mmu.translate(boot.key_setter_va, mem::Access::Read, El::El1)
                 .fault,
@@ -201,8 +204,7 @@ TEST(Bootloader, KeysNowhereInReadableMemory) {
   BootFixture fx;
   BootConfig cfg;
   cfg.entry_symbol = "early_boot";
-  const auto boot = Bootloader::boot(tiny_kernel(), cfg, fx.hv, fx.core,
-                                     kKernBase, kBootSp);
+  const auto boot = fx.boot(tiny_kernel(), cfg);
   const auto setter_pa =
       fx.mmu.translate(boot.key_setter_va, mem::Access::Fetch, El::El2);
   ASSERT_TRUE(setter_pa.ok());
@@ -227,12 +229,9 @@ TEST(Bootloader, MaliciousKernelFailsVerification) {
   auto& spy = k.add_function("spy");
   spy.mrs(0, SysReg::APIBKeyLo);
   spy.ret();
-  BootFixture fx;
   BootConfig cfg;
   cfg.entry_symbol = "early_boot";
-  EXPECT_THROW(
-      Bootloader::boot(std::move(k), cfg, fx.hv, fx.core, kKernBase, kBootSp),
-      camo::Error);
+  EXPECT_THROW(Bootloader::prepare(std::move(k), cfg, kKernBase), camo::Error);
 }
 
 TEST(Bootloader, SctlrWriteOutsideEarlyBootRejected) {
@@ -241,12 +240,9 @@ TEST(Bootloader, SctlrWriteOutsideEarlyBootRejected) {
   late.mov_imm(0, 0);
   late.msr(SysReg::SCTLR_EL1, 0);
   late.ret();
-  BootFixture fx;
   BootConfig cfg;
   cfg.entry_symbol = "early_boot";
-  EXPECT_THROW(
-      Bootloader::boot(std::move(k), cfg, fx.hv, fx.core, kKernBase, kBootSp),
-      camo::Error);
+  EXPECT_THROW(Bootloader::prepare(std::move(k), cfg, kKernBase), camo::Error);
 }
 
 TEST(Bootloader, DifferentSeedsDifferentKeys) {
@@ -254,11 +250,9 @@ TEST(Bootloader, DifferentSeedsDifferentKeys) {
   BootConfig cfg;
   cfg.entry_symbol = "early_boot";
   cfg.seed = 1;
-  const auto b1 =
-      Bootloader::boot(tiny_kernel(), cfg, fx1.hv, fx1.core, kKernBase, kBootSp);
+  const auto b1 = fx1.boot(tiny_kernel(), cfg);
   cfg.seed = 2;
-  const auto b2 =
-      Bootloader::boot(tiny_kernel(), cfg, fx2.hv, fx2.core, kKernBase, kBootSp);
+  const auto b2 = fx2.boot(tiny_kernel(), cfg);
   EXPECT_FALSE(b1.keys.ib == b2.keys.ib);
 }
 
@@ -267,8 +261,7 @@ TEST(Bootloader, CompatBootUsesSingleKey) {
   BootConfig cfg;
   cfg.entry_symbol = "early_boot";
   cfg.protection.compat_mode = true;
-  const auto boot = Bootloader::boot(tiny_kernel(), cfg, fx.hv, fx.core,
-                                     kKernBase, kBootSp);
+  const auto boot = fx.boot(tiny_kernel(), cfg);
   fx.core.run(100000);
   EXPECT_EQ(fx.core.halt_code(), 0x42u);
   EXPECT_EQ(fx.core.pac_key(cpu::PacKey::IB), boot.keys.ib);

@@ -135,8 +135,9 @@ TEST_P(FastPath, KeySetterRepatchInstallsTheNewKeys) {
   core::BootConfig cfg;
   cfg.seed = 11;
   cfg.entry_symbol = "early_boot";
-  const auto boot = core::Bootloader::boot(setter_kernel(), cfg, hv, core,
-                                           kKernBase, kBootSp);
+  const core::PreparedKernel boot =
+      core::Bootloader::prepare(setter_kernel(), cfg, kKernBase);
+  core::Bootloader::install(boot, hv, core, kBootSp);
   core.run(100000);
   ASSERT_EQ(core.halt_code(), 0x42u);
   ASSERT_EQ(core.pac_key(cpu::PacKey::IB), boot.keys.ib);
@@ -155,7 +156,7 @@ TEST_P(FastPath, KeySetterRepatchInstallsTheNewKeys) {
     pm.write32(pa.pa + i * 4, words[i]);
 
   core.clear_halt();
-  core.pc = boot.kernel_image.symbol("call_setter");
+  core.pc = boot.image.symbol("call_setter");
   core.run(100000);
   ASSERT_EQ(core.halt_code(), 0x43u);
   EXPECT_EQ(core.pac_key(cpu::PacKey::IB), fresh.ib)

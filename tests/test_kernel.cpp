@@ -25,8 +25,8 @@ TEST(MachineBoot, KernelOnlyBootsToDone) {
   m.boot();
   ASSERT_TRUE(m.run());
   EXPECT_EQ(m.halt_code(), kHaltDone);
-  EXPECT_TRUE(m.boot_result().kernel_verify.ok())
-      << m.boot_result().kernel_verify.describe();
+  EXPECT_TRUE(m.kernel().verify.ok())
+      << m.kernel().verify.describe();
   EXPECT_TRUE(m.hyp().locked_down());
 }
 
@@ -34,8 +34,8 @@ TEST(MachineBoot, KernelImageVerifiesCleanUnderFullProtection) {
   Machine m(config_for(ProtectionConfig::full()));
   m.add_user_program(workloads::null_syscall(1));
   m.boot();
-  EXPECT_TRUE(m.boot_result().kernel_verify.ok());
-  EXPECT_GT(m.boot_result().kernel_verify.words_scanned, 1000u);
+  EXPECT_TRUE(m.kernel().verify.ok());
+  EXPECT_GT(m.kernel().verify.words_scanned, 1000u);
 }
 
 // Guest pages a booted machine backs: the kernel's .bss (one kernel stack
@@ -679,6 +679,34 @@ TEST(BankedKeys, WorkloadsRunWithoutKeySwitching) {
   EXPECT_EQ(m.read_global(kSymPacFailCount), 0u);
 }
 
+TEST(BankedKeys, EachCoreBankProvisionedOnceAtItsEntry) {
+  // Boot fills every core's bank exactly once, core by core, each while the
+  // core sits at its entry point: early_boot on core 0, secondary_idle on
+  // the others.
+  MachineConfig cfg = config_for(ProtectionConfig::full());
+  cfg.cpu.banked_keys = true;
+  cfg.cores = 2;
+  cfg.obs.enabled = true;
+  Machine m(cfg);
+  m.add_user_program(workloads::null_syscall(1));
+  m.boot();
+  std::vector<obs::Event> installs;
+  for (const obs::Event& e : m.stats()->events().snapshot())
+    if (e.kind == obs::EventKind::KeyWrite && e.bank) installs.push_back(e);
+  ASSERT_EQ(installs.size(), 10u);
+  const qarma::Key128 keys[] = {m.kernel().keys.ia, m.kernel().keys.ib,
+                                m.kernel().keys.da, m.kernel().keys.db,
+                                m.kernel().keys.ga};
+  for (unsigned i = 0; i < 10; ++i) {
+    const unsigned c = i / 5, k = i % 5;
+    EXPECT_EQ(installs[i].cpu, c);
+    EXPECT_EQ(installs[i].key, k);
+    EXPECT_EQ(installs[i].pc, m.kernel_symbol(c == 0 ? "early_boot"
+                                                     : kSymSecondaryIdle));
+    EXPECT_EQ(m.core(c).kernel_bank_key(static_cast<cpu::PacKey>(k)), keys[k]);
+  }
+}
+
 TEST(BankedKeys, NullSyscallCheaperThanXomSwitching) {
   // The extension's point: the per-transition key switch disappears.
   auto cycles_for = [](bool banked) {
@@ -707,7 +735,7 @@ TEST(BankedKeys, KernelKeysInvisibleToKeyRegisterReads) {
   m.add_user_program(workloads::null_syscall(3));
   m.boot();
   m.run();
-  const auto& kk = m.boot_result().keys;
+  const auto& kk = m.kernel().keys;
   for (int reg = 0; reg < 10; ++reg) {
     const uint64_t v = m.cpu().sysreg(static_cast<isa::SysReg>(reg));
     EXPECT_NE(v, kk.ib.k0);

@@ -4,6 +4,7 @@
 
 #include <cstring>
 
+#include "hyp/hypervisor.h"
 #include "obj/object.h"
 #include "support/bits.h"
 #include "support/error.h"
@@ -13,26 +14,24 @@ namespace {
 
 constexpr uint64_t kBase = 0xFFFF000000080000ull;
 
-uint64_t read_u64(const Image& img, uint64_t va) {
+template <typename T>
+T read(const Image& img, uint64_t va) {
   for (const auto& s : img.segments)
-    if (va >= s.va && va + 8 <= s.va + s.bytes.size()) {
-      uint64_t v;
-      std::memcpy(&v, &s.bytes[va - s.va], 8);
+    if (va >= s.va && va + sizeof(T) <= s.va + s.size()) {
+      T v = 0;  // .bss holds no bytes and reads as zero
+      if (s.kind != SectionKind::Bss)
+        std::memcpy(&v, &s.bytes[va - s.va], sizeof v);
       return v;
     }
   ADD_FAILURE() << "va not in image";
   return 0;
 }
 
+uint64_t read_u64(const Image& img, uint64_t va) {
+  return read<uint64_t>(img, va);
+}
 uint32_t read_word(const Image& img, uint64_t va) {
-  for (const auto& s : img.segments)
-    if (va >= s.va && va + 4 <= s.va + s.bytes.size()) {
-      uint32_t v;
-      std::memcpy(&v, &s.bytes[va - s.va], 4);
-      return v;
-    }
-  ADD_FAILURE() << "va not in image";
-  return 0;
+  return read<uint32_t>(img, va);
 }
 
 TEST(Linker, LaysOutSectionsPageAligned) {
@@ -53,7 +52,28 @@ TEST(Linker, LaysOutSectionsPageAligned) {
   EXPECT_EQ(read_u64(img, img.symbol("ro") + 8), 2u);
   EXPECT_EQ(read_u64(img, img.symbol("rw")), 4u);
   EXPECT_EQ(img.base_va(), kBase);
-  EXPECT_GT(img.end_va(), img.symbol("zero"));
+
+  // .bss is an extent with no bytes: the image ends where it ends.
+  const Image::Segment& bss = img.segments.back();
+  ASSERT_EQ(bss.kind, SectionKind::Bss);
+  EXPECT_TRUE(bss.bytes.empty());
+  EXPECT_EQ(bss.va, img.symbol("zero"));
+  EXPECT_EQ(bss.size(), 64u);
+  EXPECT_EQ(img.end_va(), img.symbol("zero") + 64);
+  EXPECT_EQ(read_u64(img, img.symbol("zero") + 56), 0u);
+
+  // Loaded, it is mapped and reads as zero, and no page of it is backed.
+  mem::PhysicalMemory pm(8 << 20);
+  mem::Mmu mmu(pm, {});
+  hyp::Hypervisor hv(pm, mmu);
+  hv.load_image(img, hv.kernel_map(), /*user=*/false);
+  for (uint64_t off = 0; off < 64; off += 8) {
+    const auto t = mmu.translate(img.symbol("zero") + off,
+                                 mem::Access::Write, mem::El::El1);
+    ASSERT_TRUE(t.ok());
+    EXPECT_EQ(pm.read64(t.pa), 0u);
+    EXPECT_EQ(pm.backing(t.pa >> mem::PhysicalMemory::kPageShift), nullptr);
+  }
 }
 
 TEST(Linker, FunctionSizesRecorded) {
@@ -130,6 +150,15 @@ TEST(Linker, Abs64PopulatesOpsTable) {
   EXPECT_EQ(read_u64(img, img.symbol("myfs_ops")), img.symbol("myfs_read"));
   EXPECT_EQ(read_u64(img, img.symbol("myfs_ops") + 8),
             img.symbol("myfs_write"));
+}
+
+TEST(Linker, Abs64SlotInBssRejected) {
+  // .bss has no bytes to hold a link-time value; a slot there is an error.
+  Program p;
+  p.add_function("f").ret();
+  p.add_bss("table", 16);
+  p.add_abs64("table", 8, "f");
+  EXPECT_THROW(Linker::link(p, kBase), camo::Error);
 }
 
 TEST(Linker, PauthInitTableSerialized) {

@@ -163,6 +163,10 @@ TEST(ImageCache, BuildsOncePerKeyAndCountsHits) {
 }
 
 TEST(ImageCache, CachedBootMatchesDirectBoot) {
+  struct Run {
+    uint64_t cycles = 0, halt = 0;
+    const core::PreparedKernel* kernel = nullptr;
+  };
   const auto run_one = [](std::shared_ptr<kernel::ImageCache> cache) {
     kernel::MachineConfig cfg;
     cfg.kernel.log_pac_failures = false;
@@ -171,16 +175,23 @@ TEST(ImageCache, CachedBootMatchesDirectBoot) {
     m.add_user_program(kernel::workloads::null_syscall(20));
     m.boot();
     m.run();
-    return std::pair<uint64_t, uint64_t>(m.cpu().cycles(), m.halt_code());
+    return Run{m.cpu().cycles(), m.halt_code(), &m.kernel()};
   };
-  const auto direct = run_one(nullptr);
+  const Run direct = run_one(nullptr);
   const auto cache = std::make_shared<kernel::ImageCache>();
-  const auto cold = run_one(cache);   // miss: prepares and installs
-  const auto warm = run_one(cache);   // hit: installs the shared image
+  const Run cold = run_one(cache);  // miss: prepares and installs
+  // Two hits at once: both machines install and run the one shared image.
+  Run warm[2];
+  std::thread other([&] { warm[1] = run_one(cache); });
+  warm[0] = run_one(cache);
+  other.join();
   EXPECT_EQ(cache->stats().misses, 1u);
-  EXPECT_EQ(cache->stats().hits, 1u);
-  EXPECT_EQ(direct, cold);
-  EXPECT_EQ(direct, warm);
+  EXPECT_EQ(cache->stats().hits, 2u);
+  for (const Run& r : {cold, warm[0], warm[1]}) {
+    EXPECT_EQ(r.cycles, direct.cycles);
+    EXPECT_EQ(r.halt, direct.halt);
+    EXPECT_EQ(r.kernel, cold.kernel) << "cached machines share one kernel";
+  }
 }
 
 // ---------------------------------------------------------------------------
