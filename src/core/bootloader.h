@@ -56,7 +56,7 @@ struct PreparedKernel {
   analysis::VerifyResult verify;
   /// Verifier allow-lists the prepare step used; install() replays them
   /// into the machine's hypervisor so later module loads verify under the
-  /// same rules the kernel image did.
+  /// rules the kernel image was verified under.
   struct Range {
     uint64_t va = 0, len = 0;
   };
@@ -77,7 +77,7 @@ class Bootloader {
   /// allow-lists, map the image (stage-2 write protection, XOM key-setter
   /// page), export symbols, and park the CPU at the entry point. `boot_sp`
   /// must already be mapped by the caller (or will be before the first
-  /// push). Reads `pk` only, so any number of machines install one.
+  /// push). Reads `pk` only, so any number of machines can install one.
   static void install(const PreparedKernel& pk, hyp::Hypervisor& hv,
                       cpu::Cpu& cpu, uint64_t boot_sp);
 };
