@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <array>
+#include <functional>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -49,12 +50,21 @@ void add_mix(kernel::Machine& m) {
 using Fp = std::tuple<std::vector<uint64_t>, uint64_t, std::string,
                       std::string>;
 
-Fp fingerprint(kernel::MachineConfig cfg) {
+/// With `slice` > 0 the run goes to halt in run(slice) calls, and
+/// `between(m)` runs after each of them.
+Fp fingerprint(kernel::MachineConfig cfg, uint64_t slice = 0,
+               const std::function<void(kernel::Machine&)>& between = {}) {
   cfg.obs.enabled = true;
   kernel::Machine m(cfg);
   add_mix(m);
   m.boot();
-  EXPECT_TRUE(m.run());
+  if (slice == 0) {
+    EXPECT_TRUE(m.run());
+  } else {
+    for (unsigned runs = 0; runs < 10000 && !m.run(slice); ++runs)
+      if (between) between(m);
+    EXPECT_TRUE(m.halted());
+  }
   std::vector<uint64_t> clocks;
   for (unsigned c = 0; c < m.cores(); ++c) {
     clocks.push_back(m.core(c).cycles());
@@ -118,6 +128,25 @@ TEST(Smp, SecondariesExecuteAndTasksMigrate) {
     if (m.read_u64(m.task_struct(pid) + kernel::task::kCpu) != 0)
       ++off_core0;
   EXPECT_GE(off_core0, 1u) << "no task ever migrated off core 0";
+}
+
+TEST(Smp, HostUserReadLeavesTheGuestAlone) {
+  // A host read of a user address space is an inspection: it must not touch
+  // any core's translation state, so the guest runs exactly as it would
+  // unobserved. Slices of 333 end turns mid-round, while core 1 runs
+  // another task than core 0.
+  const auto peek = [](kernel::Machine& m) {
+    (void)m.read_user_u64(1, kernel::kUserBase);
+  };
+  const Fp plain = fingerprint(smp_config(2), 333);
+  const Fp peeked = fingerprint(smp_config(2), 333, peek);
+  EXPECT_EQ(std::get<0>(plain), std::get<0>(peeked))
+      << "per-core clocks and retire counts moved";
+  EXPECT_EQ(std::get<1>(plain), kernel::kHaltDone);
+  EXPECT_EQ(std::get<1>(plain), std::get<1>(peeked));
+  EXPECT_EQ(std::get<2>(plain), std::get<2>(peeked));
+  EXPECT_TRUE(std::get<3>(plain) == std::get<3>(peeked))
+      << "the Chrome trace moved";
 }
 
 TEST(Smp, FleetComposableAcrossJobs) {
