@@ -68,7 +68,6 @@ void Bootloader::install(const PreparedKernel& pk, hyp::Hypervisor& hv,
   hv.load_image(pk.image, hv.kernel_map(), /*user=*/false);
   hv.protect_xom(pk.key_setter_va, mem::VaLayout::kPageSize);
   hv.set_kernel_exports(pk.image.symbols);
-  hv.install(cpu);
 
   // Hand over to EL1: MMU state is hypervisor-owned, PAuth still disabled in
   // SCTLR (early boot enables it), IRQs masked.

@@ -75,9 +75,10 @@ class Bootloader {
 
   /// Steps 5-6 for one machine: configure the hypervisor's verifier
   /// allow-lists, map the image (stage-2 write protection, XOM key-setter
-  /// page), export symbols, and park the CPU at the entry point. `boot_sp`
-  /// must already be mapped by the caller (or will be before the first
-  /// push). Reads `pk` only, so any number of machines can install one.
+  /// page), export symbols, and park the CPU at the entry point. The CPU
+  /// must already be wired by `hv.install(cpu)`. `boot_sp` must already be
+  /// mapped by the caller (or will be before the first push). Reads `pk`
+  /// only, so any number of machines can install one.
   static void install(const PreparedKernel& pk, hyp::Hypervisor& hv,
                       cpu::Cpu& cpu, uint64_t boot_sp);
 };

@@ -153,6 +153,7 @@ class Cpu {
 
   const PauthUnit& pauth() const { return pauth_; }
   mem::Mmu& mmu() { return *mmu_; }
+  const mem::Mmu& mmu() const { return *mmu_; }
   const Config& config() const { return cfg_; }
 
   // ---- Execution --------------------------------------------------------

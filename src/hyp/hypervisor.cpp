@@ -11,11 +11,7 @@ using mem::PagePerms;
 using mem::Stage2Map;
 using mem::VaLayout;
 
-Hypervisor::Hypervisor(mem::PhysicalMemory& phys, mem::Mmu& mmu)
-    : phys_(&phys), mmu_(&mmu) {
-  mmu_->set_kernel_map(&kernel_map_);
-  mmu_->set_stage2(&stage2_);
-}
+Hypervisor::Hypervisor(mem::PhysicalMemory& phys) : phys_(&phys) {}
 
 uint64_t Hypervisor::alloc_pages(uint64_t count) {
   const uint64_t pa = next_free_pa_;
@@ -34,11 +30,6 @@ mem::Stage1Map& Hypervisor::user_space(int id) {
   if (id < 0 || static_cast<size_t>(id) >= user_spaces_.size())
     fail("hypervisor: bad address-space id");
   return *user_spaces_[static_cast<size_t>(id)];
-}
-
-void Hypervisor::switch_user_space(int id) {
-  mmu_->set_user_map(&user_space(id));
-  active_user_ = id;
 }
 
 void Hypervisor::load_image(const obj::Image& image, mem::Stage1Map& map,
@@ -90,14 +81,18 @@ void Hypervisor::map_user_rw(int space, uint64_t va, uint64_t len) {
 
 void Hypervisor::protect_xom(uint64_t va, uint64_t len) {
   for (uint64_t off = 0; off < len; off += VaLayout::kPageSize) {
-    const auto t =
-        mmu_->translate(va + off, mem::Access::Fetch, mem::El::El2);
-    if (!t.ok()) fail("protect_xom: page not mapped executable");
-    stage2_.restrict_page(t.pa, Stage2Map::xom());
+    // EL1-fetchable: privileged-execute and not EL0-executable (PXN).
+    const mem::PageEntry* e = kernel_map_.lookup(va + off);
+    if (e == nullptr || !e->perms.x_el1 || e->perms.x_el0)
+      fail("protect_xom: page not mapped executable");
+    stage2_.restrict_page(e->pa_page << VaLayout::kPageShift,
+                          Stage2Map::xom());
   }
 }
 
 void Hypervisor::install(cpu::Cpu& cpu) {
+  cpu.mmu().set_kernel_map(&kernel_map_);
+  cpu.mmu().set_stage2(&stage2_);
   cpu.set_hvc_handler(
       [this](cpu::Cpu& c, uint16_t imm) { handle_hvc(c, imm); });
   cpu.set_msr_filter([this](cpu::Cpu& c, isa::SysReg r, uint64_t v) {
@@ -106,11 +101,6 @@ void Hypervisor::install(cpu::Cpu& cpu) {
   const unsigned id = cpu.cpu_id();
   if (cpus_.size() <= id) cpus_.resize(id + 1, nullptr);
   cpus_[id] = &cpu;
-}
-
-void Hypervisor::adopt_mmu(mem::Mmu& mmu) {
-  mmu.set_kernel_map(&kernel_map_);
-  mmu.set_stage2(&stage2_);
 }
 
 bool Hypervisor::filter_msr(cpu::Cpu& cpu, isa::SysReg reg, uint64_t) {
@@ -139,8 +129,7 @@ void Hypervisor::handle_hvc(cpu::Cpu& cpu, uint16_t imm) {
       console_.push_back(static_cast<char>(cpu.x(0)));
       break;
     case HvcCall::ConsoleWrite: {
-      // Read through the *calling* core's Mmu: on a single-core machine this
-      // is the primary Mmu, on SMP it resolves the caller's stage-1 state.
+      // Read through the *calling* core's Mmu: its own stage-1 state.
       const uint64_t va = cpu.x(0);
       const uint64_t len = cpu.x(1);
       for (uint64_t i = 0; i < len && i < 4096; ++i) {
@@ -152,10 +141,8 @@ void Hypervisor::handle_hvc(cpu::Cpu& cpu, uint16_t imm) {
     }
     case HvcCall::SwitchUserSpace: {
       // Switch the calling core's user half only — each core runs its own
-      // task. active_user_ tracks the most recent switch (host telemetry).
-      const int id = static_cast<int>(cpu.x(0));
-      cpu.mmu().set_user_map(&user_space(id));
-      active_user_ = id;
+      // task.
+      cpu.mmu().set_user_map(&user_space(static_cast<int>(cpu.x(0))));
       break;
     }
     case HvcCall::LoadModule:

@@ -46,7 +46,7 @@ enum class HvcCall : uint16_t {
 
 class Hypervisor {
  public:
-  Hypervisor(mem::PhysicalMemory& phys, mem::Mmu& mmu);
+  explicit Hypervisor(mem::PhysicalMemory& phys);
 
   // ---- physical memory management ----
   /// Allocate `count` fresh 4 KiB physical pages; returns the base PA.
@@ -58,9 +58,6 @@ class Hypervisor {
   /// Create an empty user address space; returns its id.
   int create_user_space();
   mem::Stage1Map& user_space(int id);
-  /// Make `id` the active user half (what HVC SwitchUserSpace does).
-  void switch_user_space(int id);
-  int active_user_space() const { return active_user_; }
 
   /// Map a linked image: allocates physical pages per segment, zero-fills
   /// them (which backs none), copies each segment's bytes (a Bss segment has
@@ -78,13 +75,13 @@ class Hypervisor {
   void protect_xom(uint64_t va, uint64_t len);
 
   // ---- CPU integration ----
-  /// Install the HVC handler and the MSR lockdown filter on a core, and
-  /// register it (by cpu_id) as an IPI target for HVC SendIpi.
+  /// Wire a core: point its Mmu at the hypervisor-owned kernel map and
+  /// stage-2 overlay (so all cores share one stage-2 physical view by
+  /// construction), install the HVC handler and the MSR lockdown filter,
+  /// and register it (by cpu_id) as an IPI target for HVC SendIpi. Every
+  /// core is wired this one way; its user half stays empty until the guest
+  /// switches it by HVC SwitchUserSpace.
   void install(cpu::Cpu& cpu);
-  /// Wire a secondary core's Mmu to the hypervisor-owned kernel map and
-  /// stage-2 overlay (the primary Mmu is wired by the constructor). All
-  /// cores then share one stage-2 physical view by construction.
-  void adopt_mmu(mem::Mmu& mmu);
   void lockdown() { locked_ = true; }
   bool locked_down() const { return locked_; }
   /// Number of denied EL1 writes to locked MMU registers (attack telemetry).
@@ -133,11 +130,9 @@ class Hypervisor {
   void do_load_module(cpu::Cpu& cpu);
 
   mem::PhysicalMemory* phys_;
-  mem::Mmu* mmu_;
   mem::Stage1Map kernel_map_;
   mem::Stage2Map stage2_;
   std::vector<std::unique_ptr<mem::Stage1Map>> user_spaces_;
-  int active_user_ = -1;
   std::vector<cpu::Cpu*> cpus_;  ///< IPI targets, indexed by cpu_id
 
   uint64_t next_free_pa_ = 0x100000;  ///< first MiB reserved

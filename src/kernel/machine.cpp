@@ -29,43 +29,36 @@ Machine::Machine(MachineConfig cfg)
         return cfg;
       }()),
       pm_(cfg.phys_bytes),
-      mmu_(pm_, cfg.cpu.layout),
-      hv_(pm_, mmu_),
-      cpu_(mmu_, cfg.cpu),
+      hv_(pm_),
       kb_(cfg.kernel) {
-  // Secondary cores: own stage-1 Mmu wired to the hypervisor-shared kernel
-  // map and stage-2 overlay, own Cpu registered as an IPI target.
-  for (unsigned c = 1; c < cfg_.cores; ++c) {
-    SecondaryCore sc;
-    sc.mmu = std::make_unique<mem::Mmu>(pm_, cfg_.cpu.layout);
-    hv_.adopt_mmu(*sc.mmu);
-    sc.cpu = std::make_unique<cpu::Cpu>(*sc.mmu, cfg_.cpu);
-    sc.cpu->set_cpu_id(c);
-    hv_.install(*sc.cpu);
-    secondary_.push_back(std::move(sc));
+  // Every core the same way: own Mmu and Cpu, wired by the hypervisor to
+  // the shared kernel map and stage-2 overlay and registered as an IPI
+  // target.
+  for (unsigned c = 0; c < cfg_.cores; ++c) {
+    cores_.push_back(std::make_unique<Core>(pm_, cfg_.cpu));
+    cpu::Cpu& cc = cores_.back()->cpu;
+    cc.set_cpu_id(c);
+    hv_.install(cc);
   }
 }
 
 cpu::Cpu& Machine::core(unsigned c) {
-  if (c == 0) return cpu_;
-  if (c > secondary_.size()) fail("machine: bad core index");
-  return *secondary_[c - 1].cpu;
+  if (c >= cores_.size()) fail("machine: bad core index");
+  return cores_[c]->cpu;
 }
 
 const cpu::Cpu& Machine::core(unsigned c) const {
-  if (c == 0) return cpu_;
-  if (c > secondary_.size()) fail("machine: bad core index");
-  return *secondary_[c - 1].cpu;
+  if (c >= cores_.size()) fail("machine: bad core index");
+  return cores_[c]->cpu;
 }
 
 uint64_t Machine::total_retired() const {
-  uint64_t n = cpu_.retired();
-  for (const auto& sc : secondary_) n += sc.cpu->retired();
+  uint64_t n = 0;
+  for (const auto& k : cores_) n += k->cpu.retired();
   return n;
 }
 
 bool Machine::halted() const {
-  if (secondary_.empty()) return cpu_.halted();
   bool all = true;
   for (unsigned c = 0; c < cores(); ++c) {
     const cpu::Cpu& cc = core(c);
@@ -80,7 +73,7 @@ uint64_t Machine::halt_code() const {
     const cpu::Cpu& cc = core(c);
     if (cc.halted() && cc.halt_code() != kHaltDone) return cc.halt_code();
   }
-  return cpu_.halt_code();
+  return cpu().halt_code();
 }
 
 int Machine::add_user_program(obj::Program prog, const std::string& entry) {
@@ -137,14 +130,16 @@ void Machine::boot() {
   } else {
     kernel_ = std::make_shared<const core::PreparedKernel>(prepare());
   }
-  core::Bootloader::install(*kernel_, hv_, cpu_, kBootStackTop);
+  core::Bootloader::install(*kernel_, hv_, cpu(), kBootStackTop);
 
   // Attach before any guest instruction executes so the collector sees the
   // whole run (the bootloader only stages memory and registers; all guest
   // cycles flow through Cpu::step()).
   if (cfg_.obs.enabled) attach_observability();
 
-  if (cfg_.kernel.preempt) cpu_.set_timer_period(cfg_.preempt_timeslice);
+  if (cfg_.kernel.preempt)
+    for (const auto& k : cores_)
+      k->cpu.set_timer_period(cfg_.preempt_timeslice);
 
   // Secondary bring-up: host-side "PSCI firmware" mirroring what core 0 does
   // for itself in early_boot plus what Bootloader::install staged — PAuth
@@ -152,41 +147,38 @@ void Machine::boot() {
   // private boot stack, TPIDR_EL1 at the core's swapper slot, and the pc
   // parked at secondary_idle (which spins until core 0 raises smp_online).
   const core::KernelKeys& keys = kernel_->keys;
-  if (!secondary_.empty()) {
-    const obj::Image& img = kernel_->image;
-    const uint64_t task_array = img.symbol(kSymTaskArray);
-    const bool protected_build =
-        cfg_.kernel.protection.backward != compiler::BackwardScheme::None ||
-        cfg_.kernel.protection.forward_cfi || cfg_.kernel.protection.dfi;
-    for (unsigned c = 1; c < cores(); ++c) {
-      cpu::Cpu& cc = core(c);
-      const uint64_t stack_top = kBootStackTop - c * kKernelStackSize;
-      hv_.map_kernel_rw(stack_top - kKernelStackSize, kKernelStackSize);
-      cc.pstate.el = mem::El::El1;
-      cc.pstate.irq_masked = true;
-      cc.set_sysreg(isa::SysReg::SCTLR_EL1,
-                    isa::kSctlrEnIA | isa::kSctlrEnIB | isa::kSctlrEnDA |
-                        isa::kSctlrEnDB);
-      cc.set_sysreg(isa::SysReg::VBAR_EL1, img.symbol("vectors"));
-      cc.set_sp_el(mem::El::El1, stack_top);
-      // Swapper slot for core c sits just past the user tasks.
-      cc.set_sysreg(isa::SysReg::TPIDR_EL1,
-                    task_array + (kb_.task_count() + c) * kTaskSize);
-      cc.pc = img.symbol(kSymSecondaryIdle);
-      if (!cfg_.cpu.banked_keys && protected_build) {
-        // Same halves the XOM key setter writes on core 0 (Lo=k0, Hi=w0).
-        const auto install = [&cc](isa::SysReg lo, isa::SysReg hi,
-                                   const qarma::Key128& k) {
-          cc.set_sysreg(lo, k.k0);
-          cc.set_sysreg(hi, k.w0);
-        };
-        install(isa::SysReg::APIAKeyLo, isa::SysReg::APIAKeyHi, keys.ia);
-        install(isa::SysReg::APIBKeyLo, isa::SysReg::APIBKeyHi, keys.ib);
-        install(isa::SysReg::APDAKeyLo, isa::SysReg::APDAKeyHi, keys.da);
-        install(isa::SysReg::APDBKeyLo, isa::SysReg::APDBKeyHi, keys.db);
-        install(isa::SysReg::APGAKeyLo, isa::SysReg::APGAKeyHi, keys.ga);
-      }
-      if (cfg_.kernel.preempt) cc.set_timer_period(cfg_.preempt_timeslice);
+  const obj::Image& img = kernel_->image;
+  const bool protected_build =
+      cfg_.kernel.protection.backward != compiler::BackwardScheme::None ||
+      cfg_.kernel.protection.forward_cfi || cfg_.kernel.protection.dfi;
+  for (unsigned c = 1; c < cores(); ++c) {
+    cpu::Cpu& cc = core(c);
+    const uint64_t stack_top = kBootStackTop - c * kKernelStackSize;
+    hv_.map_kernel_rw(stack_top - kKernelStackSize, kKernelStackSize);
+    cc.pstate.el = mem::El::El1;
+    cc.pstate.irq_masked = true;
+    cc.set_sysreg(isa::SysReg::SCTLR_EL1,
+                  isa::kSctlrEnIA | isa::kSctlrEnIB | isa::kSctlrEnDA |
+                      isa::kSctlrEnDB);
+    cc.set_sysreg(isa::SysReg::VBAR_EL1, img.symbol("vectors"));
+    cc.set_sp_el(mem::El::El1, stack_top);
+    // Swapper slot for core c sits just past the user tasks.
+    cc.set_sysreg(isa::SysReg::TPIDR_EL1,
+                  img.symbol(kSymTaskArray) +
+                      (kb_.task_count() + c) * kTaskSize);
+    cc.pc = img.symbol(kSymSecondaryIdle);
+    if (!cfg_.cpu.banked_keys && protected_build) {
+      // Same halves the XOM key setter writes on core 0 (Lo=k0, Hi=w0).
+      const auto install = [&cc](isa::SysReg lo, isa::SysReg hi,
+                                 const qarma::Key128& k) {
+        cc.set_sysreg(lo, k.k0);
+        cc.set_sysreg(hi, k.w0);
+      };
+      install(isa::SysReg::APIAKeyLo, isa::SysReg::APIAKeyHi, keys.ia);
+      install(isa::SysReg::APIBKeyLo, isa::SysReg::APIBKeyHi, keys.ib);
+      install(isa::SysReg::APDAKeyLo, isa::SysReg::APDAKeyHi, keys.da);
+      install(isa::SysReg::APDBKeyLo, isa::SysReg::APDBKeyHi, keys.db);
+      install(isa::SysReg::APGAKeyLo, isa::SysReg::APGAKeyHi, keys.ga);
     }
   }
 
@@ -270,8 +262,6 @@ void Machine::fill_snapshot(obs::FlightSnapshot& s) const {
   // (or violation) prompted the capture. Single-core machines always read
   // core 0, exactly the pre-SMP behaviour.
   const cpu::Cpu& cc = core(last_core_);
-  const mem::Mmu& mm =
-      last_core_ == 0 ? mmu_ : *secondary_[last_core_ - 1].mmu;
   for (unsigned i = 0; i < 31; ++i) s.x[i] = cc.x(i);
   s.sp_el0 = cc.sp_el(mem::El::El0);
   s.sp_el1 = cc.sp_el(mem::El::El1);
@@ -295,7 +285,7 @@ void Machine::fill_snapshot(obs::FlightSnapshot& s) const {
     s.bank[k].hi = b.w0;
     s.bank[k].prov = cc.bank_key_provenance(key);
   }
-  const mem::Mmu::FetchEpoch ep = mm.fetch_epoch(cc.pc);
+  const mem::Mmu::FetchEpoch ep = cc.mmu().fetch_epoch(cc.pc);
   // Map uids are process-global host identity (ABA bookkeeping), not
   // guest state: only the deterministic generations go into the bundle.
   s.s1_gen = ep.s1_gen;
@@ -308,7 +298,7 @@ void Machine::annotate_coverage_regions() {
   obs::CoverageMap& cov = stats_->coverage();
   // Host-level fetch translation of a kernel text/rodata VA.
   const auto pa_of = [&](uint64_t va, uint64_t* pa) {
-    const auto t = mmu_.translate(va, mem::Access::Fetch, mem::El::El2);
+    const auto t = cpu().mmu().translate(va, mem::Access::Fetch, mem::El::El2);
     if (t.fault != mem::FaultKind::None) return false;
     *pa = t.pa;
     return true;
@@ -370,15 +360,18 @@ void Machine::annotate_coverage_regions() {
 
 bool Machine::run(uint64_t max_steps) {
   const auto t0 = std::chrono::steady_clock::now();
-  if (secondary_.empty()) {
-    cpu_.run(max_steps);
+  if (cores() == 1) {
+    // Not the loop below at one core: that budgets by retirements, this by
+    // steps (an IRQ delivery is a step that retires nothing).
+    cpu().run(max_steps);
   } else {
     // Deterministic round-robin quantum interleaver: core order, quantum
     // size and the step budget are all part of the simulated contract, so
     // the interleaving — and therefore every guest-visible outcome — is a
-    // pure function of (config, cores), bit-identical across hosts, load
-    // and fleet --jobs values. One instruction is never split, which is
-    // what makes the guest's SWP runqueue lock atomic.
+    // pure function of (config, cores, the budgets of the run() calls),
+    // bit-identical across hosts, load and fleet --jobs values. One
+    // instruction is never split, which is what makes the guest's SWP
+    // runqueue lock atomic.
     uint64_t remaining = max_steps;
     while (remaining > 0) {
       bool progress = false;
@@ -471,7 +464,7 @@ bool Machine::run(uint64_t max_steps) {
         .set(host_throughput());
     // Per-core gauges, multi-core machines only (single-core registries
     // keep their exact pre-SMP shape): host-side informational readings.
-    if (!secondary_.empty()) {
+    if (cores() > 1) {
       for (unsigned c = 0; c < cores(); ++c) {
         const double tp =
             host_seconds_ > 0
@@ -497,7 +490,7 @@ uint64_t Machine::kernel_symbol(const std::string& name) const {
 }
 
 uint64_t Machine::read_u64(uint64_t va) const {
-  const auto r = mmu_.read64(va, mem::El::El2);
+  const auto r = cpu().mmu().read64(va, mem::El::El2);
   if (r.fault != mem::FaultKind::None)
     fail("machine: read_u64 fault at " + hex_short(va));
   return r.value;
@@ -507,7 +500,7 @@ void Machine::write_u64(uint64_t va, uint64_t value) {
   // Host-level write bypassing stage-2 (models the threat-model's kernel
   // R/W primitive against *writable* memory; attacks that must honour
   // write-protection use attacks::Attacker instead).
-  const auto t = mmu_.translate(va, mem::Access::Read, mem::El::El2);
+  const auto t = cpu().mmu().translate(va, mem::Access::Read, mem::El::El2);
   if (!t.ok()) fail("machine: write_u64 fault at " + hex_short(va));
   pm_.write64(t.pa, value);
 }
@@ -531,11 +524,13 @@ uint64_t Machine::user_symbol(unsigned pid, const std::string& name) const {
 
 uint64_t Machine::read_user_u64(unsigned pid, uint64_t va) {
   if (pid == 0 || pid > user_spaces_.size()) fail("machine: bad pid");
-  const int active = hv_.active_user_space();
-  hv_.switch_user_space(user_spaces_[pid - 1]);
-  const uint64_t v = read_u64(va);
-  if (active >= 0) hv_.switch_user_space(active);
-  return v;
+  // A host inspection: walk pid's map with EL2 read permissions, as core 0's
+  // Mmu would with that map active, and switch no core's user half.
+  const mem::PageEntry* e = hv_.user_space(user_spaces_[pid - 1]).lookup(va);
+  if (e == nullptr || !e->perms.r_el1)
+    fail("machine: read_user_u64 fault at " + hex_short(va));
+  return pm_.read64((e->pa_page << mem::VaLayout::kPageShift) |
+                    (va & (mem::VaLayout::kPageSize - 1)));
 }
 
 }  // namespace camo::kernel

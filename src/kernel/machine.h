@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/bootloader.h"
 #include "cpu/cpu.h"
@@ -39,7 +40,8 @@ struct MachineConfig {
   unsigned cores = 1;
   /// Interleaver quantum: max instructions one core retires before the next
   /// core runs. Part of the simulated contract (like preempt_timeslice):
-  /// results are a pure function of (config, cores) — never host timing.
+  /// results are a pure function of (config, cores, the run() budgets) —
+  /// never host timing.
   uint64_t smp_quantum = 10000;
   /// Identity of this machine within a multi-machine process (fleet task
   /// index). Namespaces the per-machine host gauges ("host.throughput.m<id>")
@@ -75,6 +77,9 @@ class Machine {
 
   // ---- execution ----
   /// Run until halt or step budget exhaustion. Returns true if halted.
+  /// On more than one core the budget split matters: each call restarts
+  /// the interleaver's round at core 0, so run(n) slices can end elsewhere
+  /// than one run() (DESIGN.md §3h). At one core any split ends the same.
   /// Host wall-clock spent inside the CPU loop is accumulated for the
   /// throughput gauge (host-side only; simulated state is unaffected).
   bool run(uint64_t max_steps = 200'000'000);
@@ -99,16 +104,18 @@ class Machine {
   const std::string& console() const { return hv_.console(); }
 
   // ---- component access ----
-  cpu::Cpu& cpu() { return cpu_; }
-  const cpu::Cpu& cpu() const { return cpu_; }
+  /// Core 0, the one that runs early_boot.
+  cpu::Cpu& cpu() { return core(0); }
+  const cpu::Cpu& cpu() const { return core(0); }
   /// Number of guest cores (== config().cores after coherence).
-  unsigned cores() const { return 1 + static_cast<unsigned>(secondary_.size()); }
-  /// Core `c` (0 is the primary — same object cpu() returns).
+  unsigned cores() const { return static_cast<unsigned>(cores_.size()); }
+  /// Core `c`; throws camo::Error past the last core.
   cpu::Cpu& core(unsigned c);
   const cpu::Cpu& core(unsigned c) const;
   /// Instructions retired summed over all cores (what fleet stats report).
   uint64_t total_retired() const;
-  mem::Mmu& mmu() { return mmu_; }
+  /// Core 0's stage-1 Mmu (host-side reads and writes translate through it).
+  mem::Mmu& mmu() { return cpu().mmu(); }
   hyp::Hypervisor& hyp() { return hv_; }
   /// The booted kernel: image, keys, verify result. Shared with every
   /// machine booted from the same ImageCache entry.
@@ -138,7 +145,8 @@ class Machine {
   uint64_t file_struct(unsigned fd) const;
   /// Symbol address within pid's user image (1-based pid).
   uint64_t user_symbol(unsigned pid, const std::string& name) const;
-  /// Read a u64 from pid's user address space (any current active space).
+  /// Read a u64 from pid's user address space, whichever space each core
+  /// has active. Walks pid's map; no core's translation state changes.
   uint64_t read_user_u64(unsigned pid, uint64_t va);
 
  private:
@@ -147,19 +155,21 @@ class Machine {
   /// cpu::publish_retire_counters over every core, into stats().
   void publish_retire_counters();
 
+  /// One guest core: its own stage-1 Mmu (sharing pm_ and the hypervisor's
+  /// kernel map + stage-2 overlay) and its own Cpu (key bank, micro-TLB,
+  /// superblock cache). Pinned on the heap: the Cpu points at the Mmu and
+  /// the hypervisor at the Cpu.
+  struct Core {
+    Core(mem::PhysicalMemory& pm, const cpu::Cpu::Config& cfg)
+        : mmu(pm, cfg.layout), cpu(mmu, cfg) {}
+    mem::Mmu mmu;
+    cpu::Cpu cpu;
+  };
+
   MachineConfig cfg_;
   mem::PhysicalMemory pm_;
-  mem::Mmu mmu_;
   hyp::Hypervisor hv_;
-  cpu::Cpu cpu_;
-  /// Cores 1..N-1: own stage-1 Mmu (sharing pm_ and the hypervisor's kernel
-  /// map + stage-2 overlay) and own Cpu (own key bank, micro-TLB, superblock
-  /// cache). Core 0 stays cpu_/mmu_ so every existing accessor is unchanged.
-  struct SecondaryCore {
-    std::unique_ptr<mem::Mmu> mmu;
-    std::unique_ptr<cpu::Cpu> cpu;
-  };
-  std::vector<SecondaryCore> secondary_;
+  std::vector<std::unique_ptr<Core>> cores_;
   /// Core the interleaver ran most recently (snapshot attribution).
   unsigned last_core_ = 0;
   KernelBuilder kb_;

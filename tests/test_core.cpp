@@ -155,7 +155,8 @@ obj::Program tiny_kernel() {
 }
 
 struct BootFixture {
-  BootFixture() : mmu(pm, {}), hv(pm, mmu), core(mmu, {}) {
+  BootFixture() : mmu(pm, {}), hv(pm), core(mmu, {}) {
+    hv.install(core);
     hv.map_kernel_rw(kBootSp - 0x10000, 0x10000);
   }
   PreparedKernel boot(obj::Program kernel, const BootConfig& cfg) {

@@ -128,8 +128,9 @@ obj::Program setter_kernel() {
 TEST_P(FastPath, KeySetterRepatchInstallsTheNewKeys) {
   mem::PhysicalMemory pm{8 << 20};
   mem::Mmu mmu(pm, {});
-  hyp::Hypervisor hv(pm, mmu);
+  hyp::Hypervisor hv(pm);
   cpu::Cpu core(mmu, cfg_with(caches()));
+  hv.install(core);
   hv.map_kernel_rw(kBootSp - 0x10000, 0x10000);
 
   core::BootConfig cfg;
@@ -175,7 +176,7 @@ constexpr uint64_t kStackTop = 0xFFFF000000200000ull;
 TEST_P(FastPath, ModuleTextLoadedViaHvcExecutesFreshCode) {
   mem::PhysicalMemory pm{8 << 20};
   mem::Mmu mmu(pm, {});
-  hyp::Hypervisor hv(pm, mmu);
+  hyp::Hypervisor hv(pm);
   cpu::Cpu core(mmu, cfg_with(caches()));
   hv.install(core);
   core.set_sysreg(SysReg::SCTLR_EL1, isa::kSctlrEnIA | isa::kSctlrEnIB |

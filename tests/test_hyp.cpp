@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "compiler/instrument.h"
 #include "hyp/hypervisor.h"
@@ -23,7 +24,7 @@ constexpr uint64_t kStackTop = 0xFFFF000000200000ull;
 
 class HypTest : public ::testing::Test {
  protected:
-  HypTest() : mmu(pm, {}), hv(pm, mmu), core(mmu, {}) {
+  HypTest() : mmu(pm, {}), hv(pm), core(mmu, {}) {
     hv.install(core);
     core.set_sysreg(SysReg::SCTLR_EL1, isa::kSctlrEnIA | isa::kSctlrEnIB |
                                            isa::kSctlrEnDA | isa::kSctlrEnDB);
@@ -133,29 +134,44 @@ TEST_F(HypTest, ConsolePutcAndWrite) {
   EXPECT_EQ(hv.console(), "hi world");
 }
 
-TEST_F(HypTest, SwitchUserSpaceChangesActiveMap) {
+TEST_F(HypTest, GuestHvcSwitchesUserSpace) {
+  // Two cores wired the one way; each HVC switch moves only the caller's
+  // user half.
+  mem::Mmu mmu1(pm, {});
+  cpu::Cpu core1(mmu1, {});
+  core1.set_cpu_id(1);
+  hv.install(core1);
+  core1.set_sysreg(SysReg::VBAR_EL1, kVbarBase);
+  core1.set_sp_el(El::El1, kStackTop);
+
   const int a = hv.create_user_space();
   const int b = hv.create_user_space();
   hv.map_user_rw(a, 0x400000, 0x1000);
-  hv.switch_user_space(a);
-  EXPECT_TRUE(mmu.translate(0x400000, mem::Access::Read, El::El0).ok());
-  hv.switch_user_space(b);
-  EXPECT_FALSE(mmu.translate(0x400000, mem::Access::Read, El::El0).ok());
-  EXPECT_EQ(hv.active_user_space(), b);
-}
-
-TEST_F(HypTest, GuestHvcSwitchesUserSpace) {
-  const int a = hv.create_user_space();
-  (void)hv.create_user_space();
-  hv.map_user_rw(a, 0x400000, 0x1000);
+  hv.map_user_rw(b, 0x400000, 0x1000);
   obj::Program p;
-  auto& f = p.add_function("_start");
-  f.mov_imm(0, static_cast<uint16_t>(a));
-  f.hvc(static_cast<uint16_t>(HvcCall::SwitchUserSpace));
-  f.hlt(0);
+  for (const int id : {a, b}) {
+    auto& f = p.add_function("switch_to_" + std::to_string(id));
+    f.mov_imm(0, static_cast<uint16_t>(id));
+    f.hvc(static_cast<uint16_t>(HvcCall::SwitchUserSpace));
+    f.hlt(0);
+  }
   const auto img = load_kernel(p);
-  run_from(img.symbol("_start"));
-  EXPECT_EQ(hv.active_user_space(), a);
+  const auto user_pa = [](mem::Mmu& m) {
+    const auto t = m.translate(0x400000, mem::Access::Read, El::El0);
+    return t.ok() ? t.pa : ~uint64_t{0};
+  };
+  const uint64_t pa_a = hv.user_space(a).lookup(0x400000)->pa_page << mem::VaLayout::kPageShift;
+  const uint64_t pa_b = hv.user_space(b).lookup(0x400000)->pa_page << mem::VaLayout::kPageShift;
+  ASSERT_NE(pa_a, pa_b);
+
+  run_from(img.symbol("switch_to_" + std::to_string(a)));
+  EXPECT_EQ(user_pa(mmu), pa_a) << "core 0 must translate through space a";
+  EXPECT_EQ(user_pa(mmu1), ~uint64_t{0}) << "core 1 has no user half yet";
+
+  core1.pc = img.symbol("switch_to_" + std::to_string(b));
+  core1.run(100000);
+  EXPECT_EQ(user_pa(mmu1), pa_b) << "core 1 must translate through space b";
+  EXPECT_EQ(user_pa(mmu), pa_a) << "core 1's switch moved core 0";
 }
 
 TEST_F(HypTest, TtbrWritesAlwaysDenied) {

@@ -65,7 +65,9 @@ TEST(Linker, LaysOutSectionsPageAligned) {
   // Loaded, it is mapped and reads as zero, and no page of it is backed.
   mem::PhysicalMemory pm(8 << 20);
   mem::Mmu mmu(pm, {});
-  hyp::Hypervisor hv(pm, mmu);
+  hyp::Hypervisor hv(pm);
+  cpu::Cpu core(mmu, {});
+  hv.install(core);
   hv.load_image(img, hv.kernel_map(), /*user=*/false);
   for (uint64_t off = 0; off < 64; off += 8) {
     const auto t = mmu.translate(img.symbol("zero") + off,

@@ -18,6 +18,7 @@
 #include "kernel/workloads.h"
 #include "obs/collector.h"
 #include "obs/json.h"
+#include "support/error.h"
 #include "par/fleet.h"
 
 namespace camo {
@@ -108,6 +109,7 @@ TEST(Smp, SingleCoreIgnoresSmpKnobs) {
   m.boot();
   ASSERT_TRUE(m.run());
   EXPECT_EQ(m.cores(), 1u);
+  EXPECT_THROW(m.core(m.cores()), camo::Error);
   EXPECT_FALSE(m.stats()->metrics().has_counter("insn.c0"))
       << "uniprocessor registries must not grow per-cpu counters";
 }
@@ -120,6 +122,7 @@ TEST(Smp, SecondariesExecuteAndTasksMigrate) {
   ASSERT_TRUE(m.run());
   EXPECT_EQ(m.halt_code(), kernel::kHaltDone);
   ASSERT_EQ(m.cores(), 2u);
+  EXPECT_THROW(m.core(m.cores()), camo::Error);
   EXPECT_GT(m.core(1).retired(), 0u) << "core 1 never ran";
   EXPECT_GE(m.read_global(kernel::kSymIpiCount), 1u)
       << "an oversubscribed runqueue must kick the peer core";
