@@ -160,8 +160,12 @@ TEST_F(HypTest, GuestHvcSwitchesUserSpace) {
     const auto t = m.translate(0x400000, mem::Access::Read, El::El0);
     return t.ok() ? t.pa : ~uint64_t{0};
   };
-  const uint64_t pa_a = hv.user_space(a).lookup(0x400000)->pa_page << mem::VaLayout::kPageShift;
-  const uint64_t pa_b = hv.user_space(b).lookup(0x400000)->pa_page << mem::VaLayout::kPageShift;
+  const auto space_pa = [&](int id) {
+    return hv.user_space(id).lookup(0x400000)->pa_page
+           << mem::VaLayout::kPageShift;
+  };
+  const uint64_t pa_a = space_pa(a);
+  const uint64_t pa_b = space_pa(b);
   ASSERT_NE(pa_a, pa_b);
 
   run_from(img.symbol("switch_to_" + std::to_string(a)));

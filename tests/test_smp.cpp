@@ -18,8 +18,8 @@
 #include "kernel/workloads.h"
 #include "obs/collector.h"
 #include "obs/json.h"
-#include "support/error.h"
 #include "par/fleet.h"
+#include "support/error.h"
 
 namespace camo {
 namespace {
