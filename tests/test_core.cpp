@@ -2,12 +2,17 @@
 // scheme helpers, and the full boot protocol (§4.1/§5.1).
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "core/bootloader.h"
 #include "support/error.h"
 #include "core/keys.h"
 #include "core/keysetter.h"
 #include "core/modifier.h"
 #include "harness.h"
+#include "kernel/abi.h"
+#include "kernel/kernel_builder.h"
+#include "kernel/machine.h"
 
 namespace camo::core {
 namespace {
@@ -267,6 +272,88 @@ TEST(Bootloader, CompatBootUsesSingleKey) {
   EXPECT_EQ(fx.core.halt_code(), 0x42u);
   EXPECT_EQ(fx.core.pac_key(cpu::PacKey::IB), boot.keys.ib);
   EXPECT_EQ(fx.core.sysreg(SysReg::APIAKeyLo), 0u) << "compat: only IB set";
+}
+
+/// FNV-1a over everything prepare() hands to install() and to the verifier's
+/// callers: segments (kind, va, extent, bytes), sorted function sizes and
+/// symbols, the setter and entry VAs, both allow-lists and the verify result.
+uint64_t prepared_digest(const PreparedKernel& pk) {
+  std::string s;
+  const auto put = [&s](uint64_t v) {
+    s.append(reinterpret_cast<const char*>(&v), sizeof v);
+  };
+  for (const auto& seg : pk.image.segments) {
+    put(static_cast<uint64_t>(seg.kind));
+    put(seg.va);
+    put(seg.size());
+    s.append(seg.bytes.begin(), seg.bytes.end());
+  }
+  for (const auto* table : {&pk.image.function_sizes, &pk.image.symbols}) {
+    for (const auto& [name, v] :
+         std::map<std::string, uint64_t>(table->begin(), table->end())) {
+      s += name;
+      put(v);
+    }
+  }
+  put(pk.key_setter_va);
+  put(pk.entry_va);
+  for (const auto* ranges : {&pk.key_write_ranges, &pk.sctlr_write_ranges}) {
+    put(ranges->size());
+    for (const auto& r : *ranges) {
+      put(r.va);
+      put(r.len);
+    }
+  }
+  put(pk.verify.ok());
+  return camo::testing::fnv1a(s);
+}
+
+TEST(Bootloader, PreparedImagePinned) {
+  // The full kernel at seed 7 under each preset, with no task and with the
+  // one task every benchmark machine has: the prepared image must not move
+  // when the build pipeline is optimised.
+  struct Case {
+    const char* name;
+    compiler::ProtectionConfig prot;
+    uint64_t digest[2];  // 0 tasks, 1 task
+  };
+  compiler::ProtectionConfig compat = compiler::ProtectionConfig::full();
+  compat.compat_mode = true;
+  const Case cases[] = {
+      {"none", compiler::ProtectionConfig::none(),
+        {0x8c1a9154f59c08d9ull, 0xefb6345546de9ee3ull}},
+      {"backward", compiler::ProtectionConfig::backward_only(),
+        {0x4e953b76a8504606ull, 0xf41694ebf1209f70ull}},
+      {"full", compiler::ProtectionConfig::full(),
+        {0xc949489c87152fadull, 0x759894eee8903087ull}},
+      {"full+compat", compat,
+        {0x6762880d80c80a02ull, 0x2d97c90101202690ull}},
+  };
+  for (const Case& c : cases) {
+    for (unsigned tasks = 0; tasks < 2; ++tasks) {
+      kernel::KernelConfig kcfg;
+      kcfg.protection = c.prot;
+      kernel::KernelBuilder kb(kcfg);
+      if (tasks) {
+        kernel::TaskSpec spec;
+        spec.user_pc = kernel::kUserBase;
+        spec.user_sp = kernel::kUserStackTop;
+        spec.space_id = 1;
+        kb.add_task(spec);
+      }
+      BootConfig bcfg;
+      bcfg.seed = 7;
+      bcfg.protection = c.prot;
+      bcfg.entry_symbol = "early_boot";
+      bcfg.key_write_symbols = kernel::KernelBuilder::key_write_symbols();
+      const PreparedKernel pk =
+          Bootloader::prepare(kb.build(), bcfg, kernel::kKernelBase);
+      EXPECT_TRUE(pk.verify.ok()) << c.name << ": " << pk.verify.describe();
+      EXPECT_EQ(prepared_digest(pk), c.digest[tasks])
+          << c.name << " with " << tasks << " task(s): 0x" << std::hex
+          << prepared_digest(pk);
+    }
+  }
 }
 
 }  // namespace
