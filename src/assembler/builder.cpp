@@ -1,7 +1,7 @@
 #include "assembler/builder.h"
 
+#include <algorithm>
 #include <sstream>
-#include <unordered_map>
 
 #include "support/bits.h"
 #include "support/error.h"
@@ -443,13 +443,19 @@ bool FunctionBuilder::lowered() const {
 }
 
 AssembledFunction FunctionBuilder::assemble() const {
-  // Pass 1: byte offsets for every instruction; label bindings.
-  std::unordered_map<Label, uint64_t> label_offset;
+  // Pass 1: byte offsets for every instruction; label bindings. Labels are
+  // dense ids in [0, next_label_), so a vector indexed by id holds them.
+  constexpr uint64_t kUnbound = ~uint64_t{0};
+  std::vector<uint64_t> label_offset(static_cast<size_t>(next_label_),
+                                     kUnbound);
+  const auto known = [this](Label l) { return l >= 0 && l < next_label_; };
   uint64_t off = 0;
   for (const auto& item : items_) {
     switch (item.kind) {
       case Item::Kind::LabelDef:
-        label_offset[item.label] = off;
+        if (!known(item.label))
+          fail("assemble: unknown label bound in '" + name_ + "'");
+        label_offset[static_cast<size_t>(item.label)] = off;
         break;
       case Item::Kind::Pseudo:
         fail("assemble: function '" + name_ +
@@ -459,10 +465,15 @@ AssembledFunction FunctionBuilder::assemble() const {
         break;
     }
   }
+  if (pad_words_ != 0 && off / 4 > pad_words_)
+    fail(strformat("assemble: function '%s' is %llu words, longer than its "
+                   "pad of %zu",
+                   name_.c_str(), static_cast<unsigned long long>(off / 4),
+                   pad_words_));
 
   // Pass 2: resolve local labels, collect relocations, encode.
   AssembledFunction out;
-  out.words.reserve(off / 4);
+  out.words.reserve(std::max<size_t>(off / 4, pad_words_));
   off = 0;
   for (const auto& item : items_) {
     if (item.kind != Item::Kind::Inst) continue;
@@ -470,14 +481,18 @@ AssembledFunction FunctionBuilder::assemble() const {
     if (!item.sym.empty()) {
       out.relocs.push_back({off, item.reloc, item.sym, 0});
     } else if (item.label >= 0) {
-      auto it = label_offset.find(item.label);
-      if (it == label_offset.end())
+      if (!known(item.label) ||
+          label_offset[static_cast<size_t>(item.label)] == kUnbound)
         fail("assemble: unbound label in '" + name_ + "'");
-      inst.imm = static_cast<int64_t>(it->second) - static_cast<int64_t>(off);
+      inst.imm = static_cast<int64_t>(
+                     label_offset[static_cast<size_t>(item.label)]) -
+                 static_cast<int64_t>(off);
     }
     out.words.push_back(isa::encode(inst));
     off += 4;
   }
+  if (out.words.size() < pad_words_)
+    out.words.resize(pad_words_, isa::encode(make(Op::NOP)));
   return out;
 }
 
@@ -506,6 +521,11 @@ std::string FunctionBuilder::listing() const {
       }
     }
   }
+  if (off / 4 < pad_words_)
+    os << strformat("  %04llx  nop x %llu  // pad to %zu words\n",
+                    static_cast<unsigned long long>(off),
+                    static_cast<unsigned long long>(pad_words_ - off / 4),
+                    pad_words_);
   return os.str();
 }
 

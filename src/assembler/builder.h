@@ -20,8 +20,14 @@
 //
 // A function must be run through compiler::instrument() (which expands all
 // pseudo items) before it can be assembled to words.
+//
+// pad_to_words(n) fixes the assembled size: assemble() appends NOP words
+// after the last item up to exactly n words, and fails if the body is
+// already longer. The padding is not stored as items (the XOM key setter
+// is 32 live instructions padded to a 1,024-word page).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -99,6 +105,13 @@ class FunctionBuilder {
     return *this;
   }
   bool no_instrument() const { return no_instrument_; }
+
+  /// Assemble to exactly `words` words, NOP-padded after the last item
+  /// (0, the default, means no padding).
+  FunctionBuilder& pad_to_words(size_t words) {
+    pad_words_ = words;
+    return *this;
+  }
 
   // ---- labels ----
   Label make_label();
@@ -236,8 +249,9 @@ class FunctionBuilder {
   // ---- assembly ----
   /// True when no pseudo items remain (i.e. instrument() has run).
   bool lowered() const;
-  /// Resolve local labels and encode. Fails on unresolved pseudos or
-  /// unbound labels. Relocation offsets are function-relative.
+  /// Resolve local labels, encode and pad. Fails on unresolved pseudos,
+  /// unbound labels or a body longer than its pad. Relocation offsets are
+  /// function-relative.
   AssembledFunction assemble() const;
   /// Pretty listing for debugging/golden tests.
   std::string listing() const;
@@ -248,6 +262,7 @@ class FunctionBuilder {
   std::string name_;
   std::vector<Item> items_;
   int next_label_ = 0;
+  size_t pad_words_ = 0;
   bool no_instrument_ = false;
 };
 

@@ -292,15 +292,18 @@ unsigned backward_overhead_insns(BackwardScheme s, bool compat) {
 }
 
 void instrument(FunctionBuilder& f, const ProtectionConfig& cfg) {
+  // Nothing to lower: the item vector stays as it is.
+  if (f.lowered()) return;
   const ProtectionConfig effective =
       f.no_instrument() ? ProtectionConfig::none() : cfg;
 
+  std::vector<Item> in = std::move(f.items());
   std::vector<Item> out;
-  out.reserve(f.items().size() * 2);
+  out.reserve(in.size() * 2);
   Emitter e(out);
-  for (const auto& item : f.items()) {
+  for (auto& item : in) {
     if (item.kind != Item::Kind::Pseudo) {
-      out.push_back(item);
+      out.push_back(std::move(item));
       continue;
     }
     const PseudoInst& p = item.pseudo;

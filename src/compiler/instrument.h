@@ -54,7 +54,8 @@ struct ProtectionConfig {
   std::string describe() const;
 };
 
-/// Expand all pseudo instructions in `f` in place.
+/// Expand all pseudo instructions in `f` in place. The items are moved, not
+/// copied; a function with no pseudo item keeps its item vector as is.
 void instrument(assembler::FunctionBuilder& f, const ProtectionConfig& cfg);
 
 /// Instrument every function of a program.

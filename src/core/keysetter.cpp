@@ -51,9 +51,7 @@ FunctionBuilder make_key_setter(const KernelKeys& keys, KeyUsage usage) {
   f.ret();
 
   // Pad to exactly one page so the XOM mapping covers the setter alone.
-  constexpr unsigned kWordsPerPage = 4096 / 4;
-  for (unsigned i = key_setter_insn_count(usage); i < kWordsPerPage; ++i)
-    f.nop();
+  f.pad_to_words(4096 / 4);
   return f;
 }
 

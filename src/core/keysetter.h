@@ -24,14 +24,15 @@ inline constexpr const char* kKeySetterSymbol = "camo_set_kernel_keys";
 inline constexpr uint8_t kKeySetterScratch = 9;
 
 /// Build the key-setter function for `keys`, installing the keys selected by
-/// `usage`. The body is padded with NOPs to exactly one 4 KiB page so the
-/// hypervisor can map it XOM without covering unrelated code, and is marked
+/// `usage`. The builder holds only the live instructions and assembles
+/// NOP-padded to exactly one 4 KiB page (`pad_to_words(1024)`), so the
+/// hypervisor can map it XOM without covering unrelated code; it is marked
 /// no_instrument (its RET must stay unsigned: it runs while the *previous*
 /// key set is still live).
 assembler::FunctionBuilder make_key_setter(const KernelKeys& keys,
                                            KeyUsage usage);
 
-/// Number of instructions the setter needs before padding (for tests).
+/// Number of live instructions the setter holds before padding.
 unsigned key_setter_insn_count(KeyUsage usage);
 
 }  // namespace camo::core

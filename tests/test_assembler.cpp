@@ -41,6 +41,29 @@ TEST(Builder, UnboundLabelFailsAssembly) {
   EXPECT_THROW(f.assemble(), camo::Error);
 }
 
+TEST(Builder, ForeignLabelFailsAssembly) {
+  // Label ids the builder never made, referenced or bound through items():
+  // assembly must fail, not index past the label table.
+  FunctionBuilder ref("ref");
+  ref.b(1000);
+  ref.ret();
+  try {
+    ref.assemble();
+    FAIL() << "a foreign label assembled";
+  } catch (const camo::Error& e) {
+    EXPECT_NE(std::string(e.what()).find("unbound label"), std::string::npos)
+        << e.what();
+  }
+
+  FunctionBuilder def("def");
+  Item foreign;
+  foreign.kind = Item::Kind::LabelDef;
+  foreign.label = 1000;
+  def.items().push_back(foreign);
+  def.ret();
+  EXPECT_THROW(def.assemble(), camo::Error);
+}
+
 TEST(Builder, BindingUnknownLabelThrows) {
   FunctionBuilder f("f");
   EXPECT_THROW(f.bind(42), camo::Error);
@@ -113,6 +136,44 @@ TEST(Builder, ListingShowsLabelsAndSymbols) {
   EXPECT_NE(text.find("-> other"), std::string::npos);
   EXPECT_NE(text.find("-> .L1"), std::string::npos);
   EXPECT_NE(text.find("<pseudo:"), std::string::npos);
+}
+
+TEST(Builder, PaddingAppendsNops) {
+  FunctionBuilder f("f");
+  const auto top = f.make_label();
+  f.bind(top);
+  f.nop();
+  f.b(top);
+  f.pad_to_words(8);
+  const auto out = f.assemble();
+  ASSERT_EQ(out.words.size(), 8u);
+  EXPECT_EQ(isa::decode(out.words[1]).imm, -4);  // labels resolve as before
+  for (size_t i = 2; i < out.words.size(); ++i)
+    EXPECT_EQ(isa::decode(out.words[i]).op, isa::Op::NOP) << i;
+  EXPECT_EQ(f.items().size(), 4u) << "padding is not stored as items";
+
+  // A body of exactly the pad's length gets no padding.
+  f.pad_to_words(2);
+  EXPECT_EQ(f.assemble().words.size(), 2u);
+}
+
+TEST(Builder, BodyLongerThanItsPadFailsAssembly) {
+  FunctionBuilder f("f");
+  f.nop();
+  f.nop();
+  f.ret();
+  f.pad_to_words(2);
+  EXPECT_THROW(f.assemble(), camo::Error);
+}
+
+TEST(Builder, ListingShowsPadding) {
+  FunctionBuilder f("padded");
+  f.ret();
+  f.pad_to_words(16);
+  const std::string text = f.listing();
+  EXPECT_NE(text.find("0004  nop x 15  // pad to 16 words"),
+            std::string::npos)
+      << text;
 }
 
 TEST(Builder, RelocationOffsetsFunctionRelative) {

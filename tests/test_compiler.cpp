@@ -105,6 +105,12 @@ TEST(InstrumentBackward, NoInstrumentFunctionsUntouched) {
   instrument(f, cfg);
   EXPECT_EQ(ops_of(f), (std::vector<Op>{Op::STP_PRE, Op::ADDI, Op::NOP,
                                         Op::LDP_POST, Op::RET}));
+  // With no pseudo item left there is nothing to lower: the item vector is
+  // kept as it is, not copied.
+  const auto* lowered = f.items().data();
+  instrument(f, cfg);
+  EXPECT_EQ(f.items().data(), lowered);
+  EXPECT_EQ(f.items().size(), 6u);  // entry label + 5 instructions
 }
 
 TEST(InstrumentBackward, PartsFunctionIdIs48Bits) {

@@ -55,6 +55,24 @@ TEST(KeySetter, PaddedToExactlyOnePage) {
   EXPECT_TRUE(f.no_instrument());
 }
 
+TEST(KeySetter, HoldsOnlyItsLiveInstructions) {
+  // The page padding is applied at assembly time, not stored as NOP items.
+  const auto keys = KernelKeys::generate(3);
+  for (const KeyUsage usage :
+       {KeyUsage::camouflage_default(), KeyUsage::compat()}) {
+    const auto f = make_key_setter(keys, usage);
+    size_t insns = 0;
+    for (const auto& item : f.items())
+      insns += item.kind == assembler::Item::Kind::Inst;
+    EXPECT_EQ(insns, key_setter_insn_count(usage));
+    const auto words = f.assemble().words;
+    ASSERT_EQ(words.size(), 1024u);
+    EXPECT_EQ(isa::decode(words[insns - 1]).op, isa::Op::RET);
+    for (size_t i = insns; i < words.size(); ++i)
+      ASSERT_EQ(isa::decode(words[i]).op, isa::Op::NOP) << i;
+  }
+}
+
 TEST(KeySetter, InstallsExactlyConfiguredKeys) {
   camo::testing::SimHarness sim;
   // Zero all key registers first.
