@@ -443,19 +443,20 @@ bool FunctionBuilder::lowered() const {
 }
 
 AssembledFunction FunctionBuilder::assemble() const {
-  // Pass 1: byte offsets for every instruction; label bindings. Labels are
-  // dense ids in [0, next_label_), so a vector indexed by id holds them.
+  // Pass 1: byte offsets for every instruction; label bindings, indexed by
+  // label id (ids are dense in [0, next_label_)).
   constexpr uint64_t kUnbound = ~uint64_t{0};
-  std::vector<uint64_t> label_offset(static_cast<size_t>(next_label_),
-                                     kUnbound);
-  const auto known = [this](Label l) { return l >= 0 && l < next_label_; };
+  std::vector<uint64_t> label_offset(next_label_, kUnbound);
+  const auto offset_of = [&](Label l) -> uint64_t& {
+    if (l < 0 || l >= next_label_)
+      fail("assemble: unbound label in '" + name_ + "'");
+    return label_offset[l];
+  };
   uint64_t off = 0;
   for (const auto& item : items_) {
     switch (item.kind) {
       case Item::Kind::LabelDef:
-        if (!known(item.label))
-          fail("assemble: unknown label bound in '" + name_ + "'");
-        label_offset[static_cast<size_t>(item.label)] = off;
+        offset_of(item.label) = off;
         break;
       case Item::Kind::Pseudo:
         fail("assemble: function '" + name_ +
@@ -466,12 +467,9 @@ AssembledFunction FunctionBuilder::assemble() const {
     }
   }
   if (pad_words_ != 0 && off / 4 > pad_words_)
-    fail(strformat("assemble: function '%s' is %llu words, longer than its "
-                   "pad of %zu",
-                   name_.c_str(), static_cast<unsigned long long>(off / 4),
-                   pad_words_));
+    fail("assemble: function '" + name_ + "' is longer than its pad");
 
-  // Pass 2: resolve local labels, collect relocations, encode.
+  // Pass 2: resolve local labels, collect relocations, encode, pad.
   AssembledFunction out;
   out.words.reserve(std::max<size_t>(off / 4, pad_words_));
   off = 0;
@@ -481,12 +479,10 @@ AssembledFunction FunctionBuilder::assemble() const {
     if (!item.sym.empty()) {
       out.relocs.push_back({off, item.reloc, item.sym, 0});
     } else if (item.label >= 0) {
-      if (!known(item.label) ||
-          label_offset[static_cast<size_t>(item.label)] == kUnbound)
+      const uint64_t target = offset_of(item.label);
+      if (target == kUnbound)
         fail("assemble: unbound label in '" + name_ + "'");
-      inst.imm = static_cast<int64_t>(
-                     label_offset[static_cast<size_t>(item.label)]) -
-                 static_cast<int64_t>(off);
+      inst.imm = static_cast<int64_t>(target) - static_cast<int64_t>(off);
     }
     out.words.push_back(isa::encode(inst));
     off += 4;
@@ -521,11 +517,9 @@ std::string FunctionBuilder::listing() const {
       }
     }
   }
-  if (off / 4 < pad_words_)
-    os << strformat("  %04llx  nop x %llu  // pad to %zu words\n",
-                    static_cast<unsigned long long>(off),
-                    static_cast<unsigned long long>(pad_words_ - off / 4),
-                    pad_words_);
+  if (const size_t words = off / 4; words < pad_words_)
+    os << strformat("  %04zx  nop x %zu  // pad to %zu words\n", off,
+                    pad_words_ - words, pad_words_);
   return os.str();
 }
 

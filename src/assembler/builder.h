@@ -19,15 +19,10 @@
 //                             function pointer (forward-edge CFI, §4.4).
 //
 // A function must be run through compiler::instrument() (which expands all
-// pseudo items) before it can be assembled to words.
-//
-// pad_to_words(n) fixes the assembled size: assemble() appends NOP words
-// after the last item up to exactly n words, and fails if the body is
-// already longer. The padding is not stored as items (the XOM key setter
-// is 32 live instructions padded to a 1,024-word page).
+// pseudo items) before it can be assembled to words. pad_to_words(n) makes
+// assemble() append NOPs up to exactly n words; padding is not stored.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -106,12 +101,8 @@ class FunctionBuilder {
   }
   bool no_instrument() const { return no_instrument_; }
 
-  /// Assemble to exactly `words` words, NOP-padded after the last item
-  /// (0, the default, means no padding).
-  FunctionBuilder& pad_to_words(size_t words) {
-    pad_words_ = words;
-    return *this;
-  }
+  /// Assemble to exactly `words` words, NOP-padded (0: no padding).
+  void pad_to_words(size_t words) { pad_words_ = words; }
 
   // ---- labels ----
   Label make_label();
@@ -249,9 +240,8 @@ class FunctionBuilder {
   // ---- assembly ----
   /// True when no pseudo items remain (i.e. instrument() has run).
   bool lowered() const;
-  /// Resolve local labels, encode and pad. Fails on unresolved pseudos,
-  /// unbound labels or a body longer than its pad. Relocation offsets are
-  /// function-relative.
+  /// Resolve local labels, encode, pad. Fails on unresolved pseudos, unbound
+  /// labels or a body longer than its pad. Offsets are function-relative.
   AssembledFunction assemble() const;
   /// Pretty listing for debugging/golden tests.
   std::string listing() const;

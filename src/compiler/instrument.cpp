@@ -292,8 +292,7 @@ unsigned backward_overhead_insns(BackwardScheme s, bool compat) {
 }
 
 void instrument(FunctionBuilder& f, const ProtectionConfig& cfg) {
-  // Nothing to lower: the item vector stays as it is.
-  if (f.lowered()) return;
+  if (f.lowered()) return;  // nothing to lower: keep the item vector
   const ProtectionConfig effective =
       f.no_instrument() ? ProtectionConfig::none() : cfg;
 

@@ -54,8 +54,7 @@ struct ProtectionConfig {
   std::string describe() const;
 };
 
-/// Expand all pseudo instructions in `f` in place. The items are moved, not
-/// copied; a function with no pseudo item keeps its item vector as is.
+/// Expand all pseudo instructions in `f` in place; items are moved, not copied.
 void instrument(assembler::FunctionBuilder& f, const ProtectionConfig& cfg);
 
 /// Instrument every function of a program.

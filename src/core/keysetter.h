@@ -24,11 +24,10 @@ inline constexpr const char* kKeySetterSymbol = "camo_set_kernel_keys";
 inline constexpr uint8_t kKeySetterScratch = 9;
 
 /// Build the key-setter function for `keys`, installing the keys selected by
-/// `usage`. The builder holds only the live instructions and assembles
-/// NOP-padded to exactly one 4 KiB page (`pad_to_words(1024)`), so the
-/// hypervisor can map it XOM without covering unrelated code; it is marked
-/// no_instrument (its RET must stay unsigned: it runs while the *previous*
-/// key set is still live).
+/// `usage`. It holds only the live instructions and assembles NOP-padded to
+/// exactly one 4 KiB page, so the hypervisor can map it XOM without covering
+/// unrelated code, and is marked no_instrument (its RET must stay unsigned:
+/// it runs while the *previous* key set is still live).
 assembler::FunctionBuilder make_key_setter(const KernelKeys& keys,
                                            KeyUsage usage);
 
